@@ -5,8 +5,8 @@
 //! and the `tdmd-obs` telemetry (engine counters, event latency
 //! percentiles), and writes two schema-stable JSON artifacts:
 //!
-//! * `BENCH_solve.json` ([`SOLVE_SCHEMA`]) — one entry per
-//!   scenario × GTP variant with the engine counter deltas.
+//! * `BENCH_solve.json` ([`SOLVE_SCHEMA`]) — one GTP entry per
+//!   scenario with the engine counter deltas.
 //! * `BENCH_stream.json` ([`STREAM_SCHEMA`]) — one entry per
 //!   scenario × repair policy with per-event latency percentiles.
 //! * `BENCH_joint.json` ([`JOINT_SCHEMA`]) — the route-diversity
@@ -14,8 +14,8 @@
 //!   routing + placement solver against its fixed-path baseline and
 //!   LP lower bound.
 //! * `BENCH_scale.json` ([`SCALE_SCHEMA`], via `tdmd bench --scale
-//!   true`) — the million-flow scale tier: one sharded-parallel solve
-//!   plus a batched churn replay, pinning `events_per_sec` and
+//!   true`) — the million-flow scale tier: one GTP solve plus a
+//!   batched churn replay, pinning `events_per_sec` and
 //!   `gain_evals_per_sec`.
 //! * `BENCH_reconfig.json` ([`RECONFIG_SCHEMA`]) — the
 //!   migration-budget sweep: the same churn stream replayed at
@@ -35,10 +35,10 @@ use crate::commands::write_out;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use tdmd_core::algorithms::gtp::{gtp_budgeted, gtp_lazy, gtp_parallel, gtp_sharded};
+use tdmd_core::algorithms::gtp::gtp_budgeted;
 use tdmd_core::algorithms::joint::{joint_solve_with, JointConfig};
 use tdmd_core::objective::bandwidth_of;
-use tdmd_core::{Deployment, Instance, TdmdError};
+use tdmd_core::Instance;
 use tdmd_experiments::scenarios::{
     general_instance, general_pathset_instance, tree_instance, Scenario,
 };
@@ -50,7 +50,7 @@ use tdmd_online::{
 use tdmd_traffic::GatewayWorkload;
 
 /// Schema tag of `BENCH_solve.json`.
-pub const SOLVE_SCHEMA: &str = "tdmd-bench-solve/v1";
+pub const SOLVE_SCHEMA: &str = "tdmd-bench-solve/v2";
 /// Schema tag of `BENCH_stream.json`.
 pub const STREAM_SCHEMA: &str = "tdmd-bench-stream/v1";
 /// Schema tag of `BENCH_joint.json`.
@@ -68,22 +68,18 @@ pub const RECONFIG_SCHEMA: &str = "tdmd-bench-reconfig/v1";
 pub struct SolveCounters {
     /// Marginal-gain evaluations.
     pub gain_evals: u64,
-    /// CELF heap pops (lazy variant only).
-    pub lazy_pops: u64,
-    /// Stale pops that forced a refresh.
-    pub lazy_stale_refreshes: u64,
     /// Feasibility-guard evaluations.
     pub guard_checks: u64,
     /// Rounds where the guard restricted the candidate set.
     pub guard_activations: u64,
 }
 
-/// One scenario × algorithm measurement.
+/// One scenario's GTP measurement.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct SolveEntry {
     /// Scenario name (`tree-default` / `general-default`).
     pub scenario: String,
-    /// Solver variant (`gtp_eager` / `gtp_lazy` / `gtp_parallel`).
+    /// Solver name (`gtp`).
     pub algorithm: String,
     /// Topology size.
     pub nodes: usize,
@@ -380,7 +376,7 @@ impl ScaleParams {
     }
 }
 
-/// `BENCH_scale.json` document: one sharded-parallel static solve over
+/// `BENCH_scale.json` document: one static GTP solve over
 /// the full workload, then a batched online replay (bulk load + mixed
 /// churn) through [`OnlineEngine::apply_batch`] under a local-only
 /// repair policy.
@@ -393,7 +389,7 @@ pub struct ScaleBench {
     /// Workload knobs the run used (the smoke tier writes smaller
     /// numbers here, which is how CI tells the artifacts apart).
     pub params: ScaleParams,
-    /// Wall-clock µs of the sharded-parallel GTP solve.
+    /// Wall-clock µs of the GTP solve.
     pub solve_wall_us: f64,
     /// Marginal-gain evaluations the solve spent.
     pub solve_gain_evals: u64,
@@ -424,7 +420,7 @@ pub struct ScaleBench {
 }
 
 /// Runs the scale tier: mint the gateway workload, solve it statically
-/// with [`gtp_sharded`], then replay it through the online engine in
+/// with [`gtp_budgeted`], then replay it through the online engine in
 /// `params.batch`-sized batches (bulk load, then a 50/50
 /// arrival/departure churn stream).
 pub fn scale_bench(seed: u64, params: ScaleParams) -> Result<ScaleBench, String> {
@@ -437,13 +433,13 @@ pub fn scale_bench(seed: u64, params: ScaleParams) -> Result<ScaleBench, String>
     let workload = GatewayWorkload::new(&graph, gateways, params.max_rate);
     let flows = workload.flows(&graph, 0, params.flows, &mut rng);
 
-    // Static solve: the sharded-parallel scale variant over the whole
-    // workload, with the gain-evaluation counter delta attributed.
+    // Static solve: GTP over the whole workload, with the
+    // gain-evaluation counter delta attributed.
     let inst = Instance::new(graph.clone(), flows.clone(), params.lambda, params.k)
         .map_err(|e| format!("scale instance: {e}"))?;
     let before = tdmd_core::obs::snapshot();
     let sw = Stopwatch::start();
-    let dep = gtp_sharded(&inst, params.k).map_err(|e| format!("scale solve: {e}"))?;
+    let dep = gtp_budgeted(&inst, params.k).map_err(|e| format!("scale solve: {e}"))?;
     let solve_wall_us = sw.elapsed_us();
     let solve_gain_evals = tdmd_core::obs::snapshot().delta_since(&before).gain_evals;
     let solve_objective = normalize_zero(bandwidth_of(&inst, &dep));
@@ -561,21 +557,17 @@ fn instance_for(seed: u64, s: Scenario, is_tree: bool) -> Instance {
     }
 }
 
-/// Times one solver and attributes the engine counter delta to it.
-fn measure_solve(
-    name: &'static str,
-    scenario: &str,
-    inst: &Instance,
-    solve: &dyn Fn(&Instance) -> Result<Deployment, TdmdError>,
-) -> Result<SolveEntry, String> {
+/// Times one GTP solve with budget `k` and attributes the engine
+/// counter delta to it.
+fn measure_solve(scenario: &str, inst: &Instance, k: usize) -> Result<SolveEntry, String> {
     let before = tdmd_core::obs::snapshot();
     let sw = Stopwatch::start();
-    let dep = solve(inst).map_err(|e| format!("{scenario}/{name}: {e}"))?;
+    let dep = gtp_budgeted(inst, k).map_err(|e| format!("{scenario}/gtp: {e}"))?;
     let wall_us = sw.elapsed_us();
     let spent = tdmd_core::obs::snapshot().delta_since(&before);
     Ok(SolveEntry {
         scenario: scenario.to_string(),
-        algorithm: name.to_string(),
+        algorithm: "gtp".to_string(),
         nodes: inst.node_count(),
         flows: inst.flows().len(),
         k: inst.k(),
@@ -584,34 +576,18 @@ fn measure_solve(
         objective: normalize_zero(bandwidth_of(inst, &dep)),
         counters: SolveCounters {
             gain_evals: spent.gain_evals,
-            lazy_pops: spent.lazy_pops,
-            lazy_stale_refreshes: spent.lazy_stale_refreshes,
             guard_checks: spent.guard_checks,
             guard_activations: spent.guard_activations,
         },
     })
 }
 
-/// A named GTP driver as the bench exercises it.
-type Variant = (
-    &'static str,
-    fn(&Instance, usize) -> Result<Deployment, TdmdError>,
-);
-
-/// Runs every scenario through the four GTP drivers.
+/// Solves every scenario once with GTP.
 pub fn solve_bench(seed: u64) -> Result<SolveBench, String> {
-    const VARIANTS: [Variant; 4] = [
-        ("gtp_eager", gtp_budgeted),
-        ("gtp_lazy", gtp_lazy),
-        ("gtp_parallel", gtp_parallel),
-        ("gtp_sharded", gtp_sharded),
-    ];
     let mut entries = Vec::new();
     for (name, s, is_tree) in scenarios() {
         let inst = instance_for(seed, s, is_tree);
-        for (alg, solve) in VARIANTS {
-            entries.push(measure_solve(alg, name, &inst, &|i| solve(i, s.k))?);
-        }
+        entries.push(measure_solve(name, &inst, s.k)?);
     }
     Ok(SolveBench {
         schema: SOLVE_SCHEMA.to_string(),
@@ -1064,20 +1040,16 @@ mod tests {
     }
 
     #[test]
-    fn solve_bench_covers_every_scenario_and_variant() {
+    fn solve_bench_covers_every_scenario() {
         let b = solve_bench(7).unwrap();
         assert_eq!(b.schema, SOLVE_SCHEMA);
-        assert_eq!(b.entries.len(), 8, "2 scenarios × 4 GTP variants");
+        assert_eq!(b.entries.len(), 2, "one GTP entry per scenario");
         for e in &b.entries {
+            assert_eq!(e.algorithm, "gtp");
             assert!(e.wall_us >= 0.0);
             assert!(e.objective > 0.0, "{}/{}", e.scenario, e.algorithm);
             assert!(e.counters.gain_evals > 0);
             assert!(e.flows > 0 && e.nodes > 0);
-        }
-        // The four variants must agree on the objective: they are
-        // the same algorithm with different drivers.
-        for chunk in b.entries.chunks(4) {
-            assert!(chunk.windows(2).all(|w| w[0].objective == w[1].objective));
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use crate::commands::{load_topology, load_workload};
-use tdmd_core::{Deployment, Instance};
+use tdmd_core::{Deployment, FlowIndex, Instance, WeightedEdges};
 use tdmd_sim::metrics::LinkMetrics;
 use tdmd_sim::replay;
 use tdmd_sim::validate::validate_deployment;
@@ -44,7 +44,7 @@ pub fn evaluate(args: &Args) -> Result<String, String> {
     match args.optional("cost-model").unwrap_or("hops") {
         "hops" => {}
         "weighted" => {
-            let wi = tdmd_core::weighted::WeightedIndex::new(&instance);
+            let wi = FlowIndex::build(&instance, &WeightedEdges::new(&instance));
             report.push_str(&format!(
                 "weighted bw:     {:.2} (unprocessed {:.2})\n",
                 wi.bandwidth_of(&instance, &plan),

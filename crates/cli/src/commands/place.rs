@@ -5,13 +5,12 @@ use crate::commands::{load_topology, load_workload, write_out};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tdmd_core::algorithms::best_effort::best_effort_with;
-use tdmd_core::algorithms::gtp::{gtp_budgeted_with, gtp_lazy_with, gtp_parallel_with};
+use tdmd_core::algorithms::gtp::gtp_budgeted_with;
 use tdmd_core::algorithms::joint::joint_solve;
 use tdmd_core::algorithms::local_search::gtp_with_local_search_with;
 use tdmd_core::algorithms::Algorithm;
 use tdmd_core::objective::{allocate, bandwidth_of, decrement, lemma1_bounds};
-use tdmd_core::weighted::WeightedIndex;
-use tdmd_core::{Instance, WeightedEdges};
+use tdmd_core::{FlowIndex, Instance, WeightedEdges};
 use tdmd_traffic::candidate_sets;
 
 /// Maps a CLI name to an [`Algorithm`].
@@ -20,16 +19,13 @@ pub fn algorithm_by_name(name: &str) -> Result<Algorithm, String> {
         "random" => Algorithm::Random,
         "best-effort" | "besteffort" => Algorithm::BestEffort,
         "gtp" => Algorithm::Gtp,
-        "gtp-lazy" => Algorithm::GtpLazy,
-        "gtp-parallel" => Algorithm::GtpParallel,
         "gtp-ls" => Algorithm::GtpLs,
         "hat" => Algorithm::Hat,
         "dp" => Algorithm::Dp,
         "centrality" => Algorithm::Centrality,
         other => {
             return Err(format!(
-                "unknown algorithm '{other}' (random|best-effort|gtp|gtp-lazy|\
-                 gtp-parallel|gtp-ls|hat|dp|centrality)"
+                "unknown algorithm '{other}' (random|best-effort|gtp|gtp-ls|hat|dp|centrality)"
             ))
         }
     })
@@ -68,14 +64,11 @@ pub fn place(args: &Args) -> Result<String, String> {
             let model = WeightedEdges::new(&instance);
             match alg {
                 Algorithm::Gtp => gtp_budgeted_with(&instance, k, &model),
-                Algorithm::GtpLazy => gtp_lazy_with(&instance, k, &model),
-                Algorithm::GtpParallel => gtp_parallel_with(&instance, k, &model),
                 Algorithm::GtpLs => gtp_with_local_search_with(&instance, k, &model),
                 Algorithm::BestEffort => best_effort_with(&instance, k, &model),
                 other => {
                     return Err(format!(
-                        "--cost-model weighted supports gtp|gtp-lazy|gtp-parallel|\
-                         gtp-ls|best-effort, not '{}'",
+                        "--cost-model weighted supports gtp|gtp-ls|best-effort, not '{}'",
                         other.name()
                     ))
                 }
@@ -108,7 +101,7 @@ pub fn place(args: &Args) -> Result<String, String> {
         out.push_str("audit:        instance + solution invariants hold\n");
     }
     if cost_model == "weighted" {
-        let wi = WeightedIndex::new(&instance);
+        let wi = FlowIndex::build(&instance, &WeightedEdges::new(&instance));
         out.push_str(&format!(
             "weighted bw:  {:.2} (unprocessed {:.2})\n",
             wi.bandwidth_of(&instance, &plan),
@@ -256,8 +249,6 @@ mod tests {
             "random",
             "best-effort",
             "gtp",
-            "gtp-lazy",
-            "gtp-parallel",
             "gtp-ls",
             "hat",
             "dp",
@@ -265,7 +256,10 @@ mod tests {
         ] {
             algorithm_by_name(name).unwrap();
         }
-        assert!(algorithm_by_name("magic").is_err());
+        for name in ["magic", "gtp-lazy", "gtp-parallel"] {
+            let err = algorithm_by_name(name).unwrap_err();
+            assert!(err.contains("unknown algorithm"), "{name}: {err}");
+        }
     }
 
     #[test]
@@ -306,7 +300,7 @@ mod tests {
     #[test]
     fn weighted_cost_model_runs_the_generic_engine() {
         let (topo_path, wl_path) = fixture();
-        for alg in ["gtp", "gtp-lazy", "gtp-parallel", "gtp-ls", "best-effort"] {
+        for alg in ["gtp", "gtp-ls", "best-effort"] {
             let report = place(&args(&[
                 ("topo", &topo_path),
                 ("workload", &wl_path),

@@ -1,15 +1,13 @@
 //! `tdmd race` — the schedule-perturbation determinism race
 //! (see [`tdmd_sim::race`]).
 //!
-//! Reruns the sharded GTP kernel and the online batch path under
-//! adversarial shard widths, racing OS threads and randomized batch
-//! partitions, and hard-fails (non-zero exit) on any bitwise
-//! divergence from the sequential oracles. CI invokes it through
+//! Replays the online batch path under randomized batch partitions
+//! and hard-fails (non-zero exit) on any bitwise divergence from the
+//! one-by-one sequential oracle. CI invokes it through
 //! `cargo xtask race`.
 //!
 //! ```text
-//! tdmd race [--seeds 1,2,3,4] [--nodes 12] [--flows 32]
-//!           [--events 48] [--partitions 6] [--threads 4]
+//! tdmd race [--seeds 1,2,3,4] [--nodes 12] [--events 48] [--partitions 6]
 //! ```
 
 use crate::args::Args;
@@ -36,10 +34,8 @@ pub fn run(args: &Args) -> Result<String, String> {
     let cfg = RaceConfig {
         seeds,
         nodes: args.num("nodes", defaults.nodes)?,
-        flows: args.num("flows", defaults.flows)?,
         events: args.num("events", defaults.events)?,
         partitions: args.num("partitions", defaults.partitions)?,
-        threads: args.num("threads", defaults.threads)?,
     };
     if cfg.nodes < 4 {
         return Err("--nodes: need at least 4 vertices".to_string());
@@ -70,14 +66,12 @@ mod tests {
         let out = run(&args(&[
             ("seeds", "5"),
             ("nodes", "6"),
-            ("flows", "8"),
             ("events", "16"),
             ("partitions", "2"),
-            ("threads", "2"),
         ]))
         .unwrap();
         assert!(out.contains("race: PASS"), "{out}");
-        assert!(out.contains("shard trials"), "{out}");
+        assert!(out.contains("batch trials"), "{out}");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! tdmd serve run --topo topo.json --lambda 0.5 --k 8 --in events.ndjson \
 //!                --snapshot-every 1000 --snapshot-path state.json
 //! tdmd bench --seed 42 --out-dir bench-out
-//! tdmd race --seeds 1,2,3,4 --threads 4
+//! tdmd race --seeds 1,2,3,4 --partitions 6
 //! ```
 
 #![forbid(unsafe_code)]

@@ -10,10 +10,11 @@
 //! tree, which pushes the certified-optimal frontier from ~15 to ~40
 //! vertices at small `k`.
 
+use crate::cost::{FlowIndex, HopCount};
 use crate::error::TdmdError;
 use crate::instance::Instance;
-use crate::num::{approx_f64, ix};
-use crate::objective::{coverage_gain, marginal_decrement};
+use crate::num::ix;
+use crate::objective::coverage_gain;
 use crate::plan::Deployment;
 use tdmd_graph::NodeId;
 
@@ -28,6 +29,7 @@ pub struct BnbStats {
 
 struct Search<'a> {
     instance: &'a Instance,
+    index: FlowIndex,
     cands: Vec<NodeId>,
     k: usize,
     best_decrement: f64,
@@ -42,7 +44,7 @@ impl Search<'_> {
         &mut self,
         from: usize,
         chosen: &mut Vec<NodeId>,
-        cur_l: &mut Vec<u32>,
+        cur: &mut Vec<f64>,
         served: &mut Vec<bool>,
         decrement: f64,
     ) -> Result<(), TdmdError> {
@@ -69,7 +71,7 @@ impl Search<'_> {
             .iter()
             .map(|&v| {
                 (
-                    marginal_decrement(self.instance, cur_l, v),
+                    self.index.marginal_decrement(self.instance, cur, v),
                     coverage_gain(self.instance, served, v),
                 )
             })
@@ -85,26 +87,20 @@ impl Search<'_> {
         // Branch in candidate order (include / skip each).
         for i in from..self.cands.len() {
             let v = self.cands[i];
+            let gain = self.index.marginal_decrement(self.instance, cur, v);
             // Record deltas to undo after the recursive call.
-            let mut touched: Vec<(usize, u32, bool)> = Vec::new();
-            let mut gain = 0.0;
-            let factor = 1.0 - self.instance.lambda();
-            for &(fi, l) in self.instance.flows_through(v) {
+            let mut touched: Vec<(usize, f64, bool)> = Vec::new();
+            for &(fi, g) in self.index.flows_through(v) {
                 let fi = ix(fi);
-                if l > cur_l[fi] {
-                    gain += approx_f64(self.instance.flows()[fi].rate)
-                        * factor
-                        * f64::from(l - cur_l[fi]);
-                }
-                touched.push((fi, cur_l[fi], served[fi]));
+                touched.push((fi, cur[fi], served[fi]));
                 served[fi] = true;
-                cur_l[fi] = cur_l[fi].max(l);
+                cur[fi] = cur[fi].max(g);
             }
             chosen.push(v);
-            self.recurse(i + 1, chosen, cur_l, served, decrement + gain)?;
+            self.recurse(i + 1, chosen, cur, served, decrement + gain)?;
             chosen.pop();
-            for (fi, old_l, old_s) in touched.into_iter().rev() {
-                cur_l[fi] = old_l;
+            for (fi, old_g, old_s) in touched.into_iter().rev() {
+                cur[fi] = old_g;
                 served[fi] = old_s;
             }
         }
@@ -135,6 +131,7 @@ pub fn branch_and_bound(
     }
     let mut search = Search {
         instance,
+        index: FlowIndex::build(instance, &HopCount),
         cands: instance.candidate_vertices(),
         k,
         best_decrement: f64::NEG_INFINITY,
@@ -146,9 +143,9 @@ pub fn branch_and_bound(
         node_budget,
     };
     let mut chosen = Vec::with_capacity(k);
-    let mut cur_l = vec![0u32; instance.flows().len()];
+    let mut cur = vec![0.0; instance.flows().len()];
     let mut served = vec![false; instance.flows().len()];
-    search.recurse(0, &mut chosen, &mut cur_l, &mut served, 0.0)?;
+    search.recurse(0, &mut chosen, &mut cur, &mut served, 0.0)?;
     match search.best {
         Some(vs) => {
             let d = Deployment::from_vertices(instance.node_count(), vs);

@@ -288,10 +288,10 @@ fn run_dp_weighted(
 }
 
 /// Optimal tree DP under the weighted-edge objective
-/// ([`crate::weighted`]): identical recurrences with uplink terms
-/// scaled by the topology's edge weights. Certified by tests against
-/// weighted exhaustive search; reduces to [`dp_optimal`] on unit
-/// weights.
+/// ([`WeightedEdges`](crate::cost::WeightedEdges)): identical
+/// recurrences with uplink terms scaled by the topology's edge
+/// weights. Certified by tests against weighted exhaustive search;
+/// reduces to [`dp_optimal`] on unit weights.
 ///
 /// # Errors
 /// Same conditions as [`dp_optimal`].
@@ -546,8 +546,8 @@ mod tests {
 #[cfg(test)]
 mod weighted_tests {
     use super::*;
+    use crate::cost::{FlowIndex, WeightedEdges};
     use crate::instance::Instance;
-    use crate::weighted::WeightedIndex;
     use tdmd_graph::GraphBuilder;
     use tdmd_traffic::Flow;
 
@@ -595,7 +595,7 @@ mod weighted_tests {
         // weighted objective.
         for k in 1..=3 {
             let inst = weighted_star(k);
-            let index = WeightedIndex::new(&inst);
+            let index = FlowIndex::build(&inst, &WeightedEdges::new(&inst));
             let n = inst.node_count();
             let mut best = f64::INFINITY;
             for mask in 0u32..(1 << n) {

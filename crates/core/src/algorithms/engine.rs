@@ -1,28 +1,25 @@
 //! The generic greedy engine behind every objective variant.
 //!
-//! One `Ctx` pairs an [`Instance`] with a compiled
-//! [`FlowIndex`], and the three GTP drivers
-//! (`eager`, `lazy`, `parallel`) run the paper's Alg. 1 against
-//! it — the cost model is already baked into the index, so hop-count,
-//! weighted-edge, and chain-stack pricing all share this single loop
-//! (Thm. 2's submodularity argument only needs the per-flow metric to
-//! be monotone along the path, which [`CostModel`](crate::cost::CostModel)
+//! One `Ctx` pairs an [`Instance`] with a compiled [`FlowIndex`], and
+//! `run_gtp` runs the paper's Alg. 1 against it — the cost model is
+//! already baked into the index, so hop-count, weighted-edge, and
+//! chain-stack pricing all share this single loop (Thm. 2's
+//! submodularity argument only needs the per-flow metric to be
+//! monotone along the path, which [`CostModel`](crate::cost::CostModel)
 //! implementations guarantee).
 //!
 //! The tight-budget **feasibility guard** (the paper's "can only
 //! deploy on v2" rule, generalized) lives here once as
-//! `guard_candidates` and is shared by the GTP drivers, the
-//! capacitated greedy, and the best-effort baseline — it used to be
-//! duplicated in each.
+//! `guard_candidates` and is shared by GTP, the capacitated greedy,
+//! and the best-effort baseline — it used to be duplicated in each.
 //!
 //! [`run_move_greedy`] is the engine's second face: a budgeted
 //! best-move loop over an arbitrary [`MoveGreedy`] driver, used by the
 //! chain crate's prefix-stack greedy where a "move" deploys several
 //! middlebox instances at once.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 
-use rayon::prelude::*;
 use tdmd_graph::NodeId;
 
 use crate::cost::FlowIndex;
@@ -36,8 +33,8 @@ use crate::plan::Deployment;
 
 /// Lexicographic greedy score: decrement gain, then coverage, then
 /// smaller vertex id.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Score {
+#[derive(Debug, Clone, Copy)]
+struct Score {
     pub gain: f64,
     pub coverage: usize,
     pub v: NodeId,
@@ -52,24 +49,8 @@ impl Score {
     }
 
     #[inline]
-    pub fn better_than(&self, other: &Score) -> bool {
+    fn better_than(&self, other: &Score) -> bool {
         self.key() > other.key()
-    }
-}
-
-impl Eq for Score {}
-
-impl PartialOrd for Score {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Score {
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
     }
 }
 
@@ -83,18 +64,18 @@ pub(crate) struct Ctx<'a> {
     pub coverage_ties: bool,
 }
 
-/// Mutable greedy state shared by the GTP variants.
-pub(crate) struct State {
-    pub deployment: Deployment,
+/// Mutable greedy state of one GTP run.
+struct State {
+    deployment: Deployment,
     /// Best serving gain per flow so far (0.0 = unserved or served at
     /// the destination — both contribute zero decrement).
-    pub cur: Vec<f64>,
+    cur: Vec<f64>,
     /// Coverage flags per flow.
-    pub served: Vec<bool>,
+    served: Vec<bool>,
 }
 
 impl State {
-    pub fn new(ctx: &Ctx<'_>) -> Self {
+    fn new(ctx: &Ctx<'_>) -> Self {
         Self {
             deployment: Deployment::empty(ctx.instance.node_count()),
             cur: vec![0.0; ctx.index.flow_count()],
@@ -102,11 +83,11 @@ impl State {
         }
     }
 
-    pub fn all_served(&self) -> bool {
+    fn all_served(&self) -> bool {
         self.served.iter().all(|&s| s)
     }
 
-    pub fn score(&self, ctx: &Ctx<'_>, v: NodeId) -> Score {
+    fn score(&self, ctx: &Ctx<'_>, v: NodeId) -> Score {
         crate::obs::ENGINE.gain_evals.incr();
         Score {
             gain: ctx.index.marginal_decrement(ctx.instance, &self.cur, v),
@@ -119,7 +100,19 @@ impl State {
         }
     }
 
-    pub fn commit(&mut self, ctx: &Ctx<'_>, v: NodeId) {
+    /// The best-scoring candidate, scanned in `cands` order.
+    fn best_of(&self, ctx: &Ctx<'_>, cands: &[NodeId]) -> Option<Score> {
+        let mut best: Option<Score> = None;
+        for &v in cands {
+            let s = self.score(ctx, v);
+            if best.as_ref().is_none_or(|b| s.better_than(b)) {
+                best = Some(s);
+            }
+        }
+        best
+    }
+
+    fn commit(&mut self, ctx: &Ctx<'_>, v: NodeId) {
         self.deployment.insert(v);
         for &(fi, g) in ctx.index.flows_through(v) {
             let fi = ix(fi);
@@ -142,7 +135,7 @@ fn open_candidates(instance: &Instance, deployment: &Deployment) -> Vec<NodeId> 
 
 /// Size of the greedy cover of the flows that would remain unserved
 /// after additionally deploying on `extra`.
-pub(crate) fn cover_after(instance: &Instance, served: &[bool], extra: NodeId) -> usize {
+fn cover_after(instance: &Instance, served: &[bool], extra: NodeId) -> usize {
     let mut served = served.to_vec();
     for &(fi, _) in instance.flows_through(extra) {
         served[ix(fi)] = true;
@@ -202,51 +195,32 @@ struct Picked {
 }
 
 /// One guarded greedy round; returns the pick to deploy or an error.
-fn pick<F>(ctx: &Ctx<'_>, state: &State, remaining: usize, best_of: F) -> Result<Picked, TdmdError>
-where
-    F: FnOnce(&State, &[NodeId]) -> Option<Score>,
-{
-    if state.all_served() {
-        let cands = open_candidates(ctx.instance, &state.deployment);
-        return best_of(state, &cands)
-            .filter(|s| s.gain > 0.0)
-            .map(|s| Picked {
-                v: s.v,
-                gain: s.gain,
-                guarded: false,
-            })
-            .ok_or(TdmdError::Infeasible { budget: remaining }); // caller stops on this
-    }
-    match guard_candidates(ctx.instance, &state.served, &state.deployment, remaining)? {
-        Some(feasible) => best_of(state, &feasible)
-            .map(|s| Picked {
-                v: s.v,
-                gain: s.gain,
-                guarded: true,
-            })
-            .ok_or(TdmdError::Infeasible { budget: remaining }),
-        None => {
-            let cands = open_candidates(ctx.instance, &state.deployment);
-            best_of(state, &cands)
-                .map(|s| Picked {
-                    v: s.v,
-                    gain: s.gain,
-                    guarded: false,
-                })
-                .ok_or(TdmdError::Infeasible { budget: remaining })
-        }
-    }
+///
+/// Once every flow is served the guard is skipped and only a positive
+/// gain is worth a box; the error then tells the caller to stop.
+fn pick(ctx: &Ctx<'_>, state: &State, remaining: usize) -> Result<Picked, TdmdError> {
+    let all_served = state.all_served();
+    let feasible = if all_served {
+        None
+    } else {
+        guard_candidates(ctx.instance, &state.served, &state.deployment, remaining)?
+    };
+    let guarded = feasible.is_some();
+    let cands = feasible.unwrap_or_else(|| open_candidates(ctx.instance, &state.deployment));
+    state
+        .best_of(ctx, &cands)
+        .filter(|s| !all_served || s.gain > 0.0)
+        .map(|s| Picked {
+            v: s.v,
+            gain: s.gain,
+            guarded,
+        })
+        .ok_or(TdmdError::Infeasible { budget: remaining })
 }
 
-/// Core loop shared by the eager variants.
-fn run_greedy<F>(
-    ctx: &Ctx<'_>,
-    budget: Option<usize>,
-    mut best_of: F,
-) -> Result<Deployment, TdmdError>
-where
-    F: FnMut(&State, &[NodeId]) -> Option<Score>,
-{
+/// GTP (Alg. 1): eager best-candidate rounds under the feasibility
+/// guard; `budget = None` derives `k` (stop at full coverage).
+pub(crate) fn run_gtp(ctx: &Ctx<'_>, budget: Option<usize>) -> Result<Deployment, TdmdError> {
     #[cfg(any(debug_assertions, feature = "audit", test))]
     crate::audit::enforce(crate::audit::check_instance(ctx.instance));
     #[cfg(any(debug_assertions, feature = "audit", test))]
@@ -255,7 +229,7 @@ where
     let limit = budget.unwrap_or(ctx.instance.node_count());
     for round in 0..limit {
         let remaining = limit - round;
-        match pick(ctx, &state, remaining, &mut best_of) {
+        match pick(ctx, &state, remaining) {
             Ok(p) => {
                 #[cfg(any(debug_assertions, feature = "audit", test))]
                 trace.push(crate::audit::TraceRound {
@@ -282,201 +256,6 @@ where
             ctx.instance,
             &state.deployment,
             limit,
-            None,
-        ));
-    }
-    Ok(state.deployment)
-}
-
-/// Eager sequential scoring.
-fn eager_best<'c>(ctx: &'c Ctx<'c>) -> impl Fn(&State, &[NodeId]) -> Option<Score> + 'c {
-    move |state, cands| {
-        let mut best: Option<Score> = None;
-        for &v in cands {
-            let s = state.score(ctx, v);
-            if best.as_ref().is_none_or(|b| s.better_than(b)) {
-                best = Some(s);
-            }
-        }
-        best
-    }
-}
-
-/// Eager greedy; `budget = None` derives `k` (stop at full coverage).
-pub(crate) fn eager(ctx: &Ctx<'_>, budget: Option<usize>) -> Result<Deployment, TdmdError> {
-    run_greedy(ctx, budget, eager_best(ctx))
-}
-
-/// Rayon-parallel candidate scoring; identical output to [`eager`].
-pub(crate) fn parallel(ctx: &Ctx<'_>, k: usize) -> Result<Deployment, TdmdError> {
-    run_greedy(ctx, Some(k), |state, cands| {
-        cands
-            .par_iter()
-            .map(|&v| state.score(ctx, v))
-            .reduce_with(|a, b| if b.better_than(&a) { b } else { a })
-    })
-}
-
-/// Sharded rayon-parallel candidate scoring; identical output to
-/// [`eager`] — bitwise, not merely same-argmax. The scale-tier
-/// variant of [`parallel`]: candidates split into contiguous shards
-/// of `shard` vertices, each shard scored *sequentially* inside one
-/// rayon task (so every per-vertex marginal-gain accumulation walks
-/// its CSR row in the exact eager order and produces the same bits),
-/// then the per-shard winners are collected back **in shard order**
-/// (rayon's indexed collect) and merged by a sequential left fold.
-/// [`Score::better_than`] is a strict total order with the vertex id
-/// in the key, so the round's maximum is unique and the merged winner
-/// is independent of the shard size — property-tested against the
-/// sequential path.
-///
-/// Versus [`parallel`], this amortizes task-scheduling overhead over
-/// `shard` gain evaluations and replaces the unordered tree reduction
-/// with a deterministic merge, which is what makes the
-/// bitwise-equality contract auditable rather than incidental.
-pub(crate) fn sharded(ctx: &Ctx<'_>, k: usize, shard: usize) -> Result<Deployment, TdmdError> {
-    let shard = shard.max(1);
-    run_greedy(ctx, Some(k), move |state, cands| {
-        cands
-            .par_chunks(shard)
-            .map(|chunk| {
-                let mut best: Option<Score> = None;
-                for &v in chunk {
-                    let s = state.score(ctx, v);
-                    if best.as_ref().is_none_or(|b| s.better_than(b)) {
-                        best = Some(s);
-                    }
-                }
-                best
-            })
-            .collect::<Vec<Option<Score>>>()
-            .into_iter()
-            .flatten()
-            .reduce(|a, b| if b.better_than(&a) { b } else { a })
-    })
-}
-
-/// CELF lazy evaluation; identical output to [`eager`]. Marginal
-/// decrements and coverage gains are both monotone non-increasing in
-/// `P` (Thm. 2), so a popped entry whose refreshed score still
-/// dominates the next heap top is safely optimal for the round.
-pub(crate) fn lazy(ctx: &Ctx<'_>, k: usize) -> Result<Deployment, TdmdError> {
-    use std::collections::BinaryHeap;
-
-    /// Heap entry ordered by the lexicographic score (the
-    /// [`TotalGain`]-backed `Ord` on [`Score`]).
-    struct Entry {
-        score: Score,
-        round: usize,
-    }
-    impl PartialEq for Entry {
-        fn eq(&self, other: &Self) -> bool {
-            self.score == other.score
-        }
-    }
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.score.cmp(&other.score)
-        }
-    }
-
-    #[cfg(any(debug_assertions, feature = "audit", test))]
-    crate::audit::enforce(crate::audit::check_instance(ctx.instance));
-    #[cfg(any(debug_assertions, feature = "audit", test))]
-    let mut trace: Vec<crate::audit::TraceRound> = Vec::new();
-    let mut state = State::new(ctx);
-    let mut heap: BinaryHeap<Entry> = ctx
-        .instance
-        .candidate_vertices()
-        .into_iter()
-        .map(|v| Entry {
-            score: state.score(ctx, v),
-            round: 0,
-        })
-        .collect();
-    let mut round = 0usize;
-    let mut feasible_early_exit = false;
-    'rounds: while round < k {
-        let remaining = k - round;
-        // The feasibility guard must run eagerly; a tight round is
-        // delegated to the eager picker so lazy output stays
-        // identical.
-        let p = match guard_candidates(ctx.instance, &state.served, &state.deployment, remaining)? {
-            Some(_) => pick(ctx, &state, remaining, eager_best(ctx))?,
-            None => {
-                // CELF pop-refresh loop.
-                loop {
-                    crate::obs::ENGINE.lazy_pops.incr();
-                    let Some(top) = heap.pop() else {
-                        if state.all_served() {
-                            feasible_early_exit = true;
-                            break 'rounds;
-                        }
-                        return Err(TdmdError::Infeasible { budget: remaining });
-                    };
-                    if state.deployment.contains(top.score.v) {
-                        continue;
-                    }
-                    if top.round == round {
-                        if top.score.gain <= 0.0 && state.all_served() {
-                            feasible_early_exit = true;
-                            break 'rounds;
-                        }
-                        break Picked {
-                            v: top.score.v,
-                            gain: top.score.gain,
-                            guarded: false,
-                        };
-                    }
-                    crate::obs::ENGINE.lazy_stale_refreshes.incr();
-                    let fresh = Entry {
-                        score: state.score(ctx, top.score.v),
-                        round,
-                    };
-                    let dominates = heap
-                        .peek()
-                        .is_none_or(|next| !next.score.better_than(&fresh.score));
-                    if dominates {
-                        if fresh.score.gain <= 0.0 && state.all_served() {
-                            feasible_early_exit = true;
-                            break 'rounds;
-                        }
-                        break Picked {
-                            v: fresh.score.v,
-                            gain: fresh.score.gain,
-                            guarded: false,
-                        };
-                    }
-                    heap.push(fresh);
-                }
-            }
-        };
-        #[cfg(any(debug_assertions, feature = "audit", test))]
-        trace.push(crate::audit::TraceRound {
-            gain: p.gain,
-            guarded: p.guarded,
-        });
-        state.commit(ctx, p.v);
-        round += 1;
-        // Scores of other vertices only decrease; stale entries are
-        // refreshed on pop. Nothing to push.
-    }
-    if !feasible_early_exit && !state.all_served() {
-        return Err(TdmdError::Infeasible { budget: k });
-    }
-    #[cfg(any(debug_assertions, feature = "audit", test))]
-    {
-        crate::audit::enforce(crate::audit::check_greedy_trace(&trace));
-        crate::audit::enforce(crate::audit::check_solution(
-            ctx.instance,
-            &state.deployment,
-            k,
             None,
         ));
     }

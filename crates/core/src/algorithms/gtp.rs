@@ -3,23 +3,16 @@
 //! The decrement function `d(P)` is monotone submodular (Thm. 2), so
 //! greedily adding the vertex with the largest marginal decrement
 //! `d_P(v)` achieves `(1 − 1/e)` of the maximum decrement (Thm. 3).
-//! Three variants produce *identical* deployments:
+//! The bound belongs to the greedy itself, not to how a round's
+//! argmax is found, so there is one driver: eager evaluation of every
+//! open candidate each round, in [`gtp_budgeted`] (hard budget `k`)
+//! and [`gtp_derive_k`] (the Thm. 3 setting).
 //!
-//! * [`gtp_budgeted`] / [`gtp_derive_k`] — eager evaluation;
-//! * [`gtp_lazy`] — CELF lazy evaluation, valid because marginal
-//!   decrements only shrink as `P` grows;
-//! * [`gtp_parallel`] — Rayon-parallel candidate scoring;
-//! * [`gtp_sharded`] — Rayon-parallel scoring over fixed-size vertex
-//!   shards with a deterministic sequential merge, the scale-tier
-//!   variant (bitwise-equal output regardless of shard size or worker
-//!   count, because each per-vertex score is computed by the same
-//!   sequential row scan and the round maximum is unique).
-//!
-//! Every variant is a thin wrapper over the generic engine in
-//! [`super::engine`] instantiated with the paper's
-//! [`HopCount`] pricing; the `*_with` versions accept any
-//! [`CostModel`] (Thm. 2 only needs the per-flow metric to be
-//! monotone along the path, so the guarantee carries over).
+//! Both are thin wrappers over the generic engine in
+//! [`super::engine`] instantiated with the paper's [`HopCount`]
+//! pricing; the `*_with` versions accept any [`CostModel`] (Thm. 2
+//! only needs the per-flow metric to be monotone along the path, so
+//! the guarantee carries over).
 //!
 //! **Tie-breaking** is `(marginal decrement, newly-covered flows,
 //! smaller vertex id)` lexicographically. The coverage component keeps
@@ -43,17 +36,20 @@ use crate::error::TdmdError;
 use crate::instance::Instance;
 use crate::plan::Deployment;
 
-fn with_ctx<M, R>(instance: &Instance, model: &M, run: impl FnOnce(&Ctx<'_>) -> R) -> R
-where
-    M: CostModel,
-{
+/// Compiles `model` into a [`FlowIndex`] and runs the engine's GTP
+/// loop over it.
+fn solve<M: CostModel>(
+    instance: &Instance,
+    model: &M,
+    budget: Option<usize>,
+) -> Result<Deployment, TdmdError> {
     let index = FlowIndex::build(instance, model);
     let ctx = Ctx {
         instance,
         index: &index,
         coverage_ties: model.coverage_tiebreak(),
     };
-    run(&ctx)
+    engine::run_gtp(&ctx, budget)
 }
 
 /// GTP in the Thm. 3 setting under an arbitrary cost model: keep
@@ -63,7 +59,7 @@ pub fn gtp_derive_k_with<M: CostModel>(
     instance: &Instance,
     model: &M,
 ) -> Result<Deployment, TdmdError> {
-    with_ctx(instance, model, |ctx| engine::eager(ctx, None))
+    solve(instance, model, None)
 }
 
 /// GTP with a hard budget of `k` middleboxes under an arbitrary cost
@@ -73,51 +69,7 @@ pub fn gtp_budgeted_with<M: CostModel>(
     k: usize,
     model: &M,
 ) -> Result<Deployment, TdmdError> {
-    with_ctx(instance, model, |ctx| engine::eager(ctx, Some(k)))
-}
-
-/// Rayon-parallel GTP under an arbitrary cost model; identical output
-/// to [`gtp_budgeted_with`].
-pub fn gtp_parallel_with<M: CostModel>(
-    instance: &Instance,
-    k: usize,
-    model: &M,
-) -> Result<Deployment, TdmdError> {
-    with_ctx(instance, model, |ctx| engine::parallel(ctx, k))
-}
-
-/// Default shard width for [`gtp_sharded`]: aim for roughly four
-/// chunks per rayon worker (good load balance without drowning the
-/// scheduler in tiny tasks), floored at 32 vertices so small instances
-/// degenerate to near-sequential scoring instead of per-vertex tasks.
-///
-/// The choice only affects wall-clock, never the result — see
-/// [`engine::sharded`] for the bitwise-determinism argument.
-fn default_shard(candidates: usize) -> usize {
-    (candidates / (rayon::current_num_threads().max(1) * 4)).max(32)
-}
-
-/// Sharded-parallel GTP under an arbitrary cost model: candidate
-/// scores are accumulated rayon-parallel per `shard`-sized vertex
-/// chunk and merged by a deterministic sequential fold. Identical
-/// (bitwise) output to [`gtp_budgeted_with`] for every shard size.
-pub fn gtp_sharded_with<M: CostModel>(
-    instance: &Instance,
-    k: usize,
-    shard: usize,
-    model: &M,
-) -> Result<Deployment, TdmdError> {
-    with_ctx(instance, model, |ctx| engine::sharded(ctx, k, shard))
-}
-
-/// CELF lazy GTP under an arbitrary cost model; identical output to
-/// [`gtp_budgeted_with`].
-pub fn gtp_lazy_with<M: CostModel>(
-    instance: &Instance,
-    k: usize,
-    model: &M,
-) -> Result<Deployment, TdmdError> {
-    with_ctx(instance, model, |ctx| engine::lazy(ctx, k))
+    solve(instance, model, Some(k))
 }
 
 /// GTP in the Thm. 3 setting: keep placing middleboxes until every
@@ -131,26 +83,6 @@ pub fn gtp_derive_k(instance: &Instance) -> Result<Deployment, TdmdError> {
 /// objective.
 pub fn gtp_budgeted(instance: &Instance, k: usize) -> Result<Deployment, TdmdError> {
     gtp_budgeted_with(instance, k, &HopCount)
-}
-
-/// GTP with Rayon-parallel candidate scoring; identical output to
-/// [`gtp_budgeted`].
-pub fn gtp_parallel(instance: &Instance, k: usize) -> Result<Deployment, TdmdError> {
-    gtp_parallel_with(instance, k, &HopCount)
-}
-
-/// GTP with CELF lazy evaluation; identical output to
-/// [`gtp_budgeted`].
-pub fn gtp_lazy(instance: &Instance, k: usize) -> Result<Deployment, TdmdError> {
-    gtp_lazy_with(instance, k, &HopCount)
-}
-
-/// GTP with sharded-parallel gain accumulation and a deterministic
-/// merge (the million-flow scale-tier variant); identical output to
-/// [`gtp_budgeted`]. The shard width is derived from the rayon pool
-/// size; use [`gtp_sharded_with`] to pin it explicitly.
-pub fn gtp_sharded(instance: &Instance, k: usize) -> Result<Deployment, TdmdError> {
-    gtp_sharded_with(instance, k, default_shard(instance.node_count()), &HopCount)
 }
 
 #[cfg(test)]
@@ -203,35 +135,6 @@ mod tests {
         let d = gtp_budgeted(&inst, 1).unwrap();
         assert_eq!(d.vertices(), &[0], "only the root covers all tree flows");
         assert_eq!(bandwidth_of(&inst, &d), 24.0);
-    }
-
-    #[test]
-    fn lazy_and_parallel_match_eager() {
-        for k in 1..=5 {
-            let inst = fig5_instance(k);
-            let eager = gtp_budgeted(&inst, k).unwrap();
-            assert_eq!(gtp_lazy(&inst, k).unwrap(), eager, "k={k}");
-            assert_eq!(gtp_parallel(&inst, k).unwrap(), eager, "k={k}");
-        }
-    }
-
-    #[test]
-    fn sharded_matches_eager_for_any_shard_size() {
-        // The shard width must be a pure performance knob: every width
-        // (including degenerate 1-vertex shards and a single shard
-        // covering the whole candidate set) yields the eager plan.
-        for k in 1..=5 {
-            let inst = fig5_instance(k);
-            let eager = gtp_budgeted(&inst, k).unwrap();
-            assert_eq!(gtp_sharded(&inst, k).unwrap(), eager, "k={k} default shard");
-            for shard in [1usize, 2, 3, 7, 64] {
-                assert_eq!(
-                    gtp_sharded_with(&inst, k, shard, &HopCount).unwrap(),
-                    eager,
-                    "k={k} shard={shard}"
-                );
-            }
-        }
     }
 
     #[test]

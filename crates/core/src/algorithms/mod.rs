@@ -1,10 +1,10 @@
 //! Placement algorithms.
 //!
 //! * [`engine`] — the generic greedy core every objective variant
-//!   shares: cost-model-agnostic GTP drivers, the tight-budget
+//!   shares: the cost-model-agnostic GTP loop, the tight-budget
 //!   feasibility guard, and a budgeted best-move loop.
 //! * [`gtp`] — Alg. 1, the `(1 − 1/e)` submodular greedy for general
-//!   topologies, in eager, lazy (CELF) and Rayon-parallel variants.
+//!   topologies.
 //! * [`dp`] — the optimal tree DP of §5.1 (Eqs. 7–10), generalized to
 //!   arbitrary branching and to sources at any non-root vertex.
 //! * [`hat`] — Alg. 2, the agglomerative leaf-merging heuristic.
@@ -42,11 +42,6 @@ pub enum Algorithm {
     BestEffort,
     /// Alg. 1 budgeted greedy (eager marginal decrements).
     Gtp,
-    /// Alg. 1 with CELF lazy evaluation (identical output).
-    GtpLazy,
-    /// Alg. 1 with Rayon-parallel candidate scoring (identical
-    /// output).
-    GtpParallel,
     /// Alg. 2 tree heuristic.
     Hat,
     /// Optimal tree dynamic program.
@@ -65,8 +60,6 @@ impl Algorithm {
             Algorithm::Random => "Random",
             Algorithm::BestEffort => "Best-effort",
             Algorithm::Gtp => "GTP",
-            Algorithm::GtpLazy => "GTP-lazy",
-            Algorithm::GtpParallel => "GTP-par",
             Algorithm::Hat => "HAT",
             Algorithm::Dp => "DP",
             Algorithm::GtpLs => "GTP+LS",
@@ -90,8 +83,6 @@ impl Algorithm {
             Algorithm::Random => random::random_feasible(instance, k, rng, 1000),
             Algorithm::BestEffort => best_effort::best_effort(instance, k),
             Algorithm::Gtp => gtp::gtp_budgeted(instance, k),
-            Algorithm::GtpLazy => gtp::gtp_lazy(instance, k),
-            Algorithm::GtpParallel => gtp::gtp_parallel(instance, k),
             Algorithm::Hat => hat::hat(instance, k),
             Algorithm::Dp => dp::dp_optimal(instance).map(|s| s.deployment),
             Algorithm::GtpLs => local_search::gtp_with_local_search(instance, k),

@@ -383,7 +383,10 @@ impl FlowIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::gtp::{gtp_budgeted, gtp_budgeted_with};
+    use crate::objective::bandwidth_of;
     use crate::paper::fig1_instance;
+    use tdmd_graph::GraphBuilder;
 
     #[test]
     fn hop_count_matches_flow_hops() {
@@ -515,9 +518,104 @@ mod tests {
         }
     }
 
+    /// Line 3 -> 2 -> 1 -> 0 with one expensive middle link.
+    fn weighted_line(k: usize) -> Instance {
+        let mut b = GraphBuilder::new(4);
+        b.add_bidirectional_weighted(3, 2, 1);
+        b.add_bidirectional_weighted(2, 1, 10);
+        b.add_bidirectional_weighted(1, 0, 1);
+        let g = b.build();
+        let flows = vec![Flow::new(0, 2, vec![3, 2, 1, 0])];
+        Instance::new(g, flows, 0.5, k).unwrap()
+    }
+
+    #[test]
+    fn weighted_path_costs_are_suffix_sums() {
+        let inst = weighted_line(1);
+        let index = FlowIndex::build(&inst, &WeightedEdges::new(&inst));
+        assert_eq!(index.path_cost(0), 12.0);
+        assert_eq!(index.unprocessed(&inst), 24.0);
+    }
+
+    #[test]
+    fn weighted_objective_prices_the_expensive_link() {
+        let inst = weighted_line(1);
+        let index = FlowIndex::build(&inst, &WeightedEdges::new(&inst));
+        // Box at the source: everything diminished: 0.5·2·12 = 12.
+        assert_eq!(
+            index.bandwidth_of(&inst, &Deployment::from_vertices(4, [3])),
+            12.0
+        );
+        // Box at vertex 2: first (cheap) link full rate, rest halved:
+        // 2·1 + 0.5·2·11 = 13.
+        assert_eq!(
+            index.bandwidth_of(&inst, &Deployment::from_vertices(4, [2])),
+            13.0
+        );
+        // Box at vertex 1: both heavy links full rate: 2·11 + 0.5·2·1 = 23.
+        assert_eq!(
+            index.bandwidth_of(&inst, &Deployment::from_vertices(4, [1])),
+            23.0
+        );
+    }
+
+    #[test]
+    fn weighted_gtp_picks_the_source_on_the_line() {
+        let inst = weighted_line(1);
+        let d = gtp_budgeted_with(&inst, 1, &WeightedEdges::new(&inst)).unwrap();
+        assert_eq!(d.vertices(), &[3]);
+    }
+
+    #[test]
+    fn weighted_gtp_diverges_from_hop_greedy_when_it_should() {
+        // Three flows, k = 2: a 3-hop cheap metro flow, a 2-hop cheap
+        // access flow, and a flow over a 100-cost satellite uplink.
+        // Hop-greedy spends its free pick on the 3-hop flow and covers
+        // the rest at the shared vertex; cost-greedy grabs the
+        // satellite source and is forced to cover the others at the
+        // root. The final deployments differ.
+        let mut b = GraphBuilder::new(7);
+        b.add_bidirectional_weighted(0, 1, 1);
+        b.add_bidirectional_weighted(1, 2, 1);
+        b.add_bidirectional_weighted(2, 3, 1);
+        b.add_bidirectional_weighted(0, 4, 1);
+        b.add_bidirectional_weighted(4, 5, 1);
+        b.add_bidirectional_weighted(4, 6, 100);
+        let g = b.build();
+        let flows = vec![
+            Flow::new(0, 1, vec![3, 2, 1, 0]),
+            Flow::new(1, 1, vec![5, 4, 0]),
+            Flow::new(2, 1, vec![6, 4, 0]),
+        ];
+        let inst = Instance::new(g, flows, 0.5, 2).unwrap();
+        let model = WeightedEdges::new(&inst);
+        let index = FlowIndex::build(&inst, &model);
+        let w = gtp_budgeted_with(&inst, 2, &model).unwrap();
+        let u = gtp_budgeted(&inst, 2).unwrap();
+        assert_ne!(w, u, "the plans must differ");
+        assert!(
+            w.contains(6),
+            "cost-greedy must cover the satellite at its source"
+        );
+        assert!(
+            index.bandwidth_of(&inst, &w) < index.bandwidth_of(&inst, &u),
+            "cost-greedy must win on the weighted objective"
+        );
+        assert!(
+            bandwidth_of(&inst, &u) < bandwidth_of(&inst, &w),
+            "hop-greedy must win on the hop objective"
+        );
+    }
+
+    #[test]
+    fn weighted_infeasibility_matches_unweighted() {
+        let inst = fig1_instance(1);
+        assert!(gtp_budgeted_with(&inst, 1, &WeightedEdges::new(&inst)).is_err());
+        assert!(gtp_budgeted(&inst, 1).is_err());
+    }
+
     mod tenant_props {
         use super::*;
-        use crate::algorithms::gtp::gtp_lazy_with;
         use proptest::prelude::*;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -552,8 +650,8 @@ mod tests {
                         prop_assert_eq!(gi.to_bits(), gj.to_bits(), "vertex {}", v);
                     }
                 }
-                let plain = gtp_lazy_with(&inst, 3, &HopCount);
-                let wrapped = gtp_lazy_with(&inst, 3, &neutral);
+                let plain = gtp_budgeted_with(&inst, 3, &HopCount);
+                let wrapped = gtp_budgeted_with(&inst, 3, &neutral);
                 match (plain, wrapped) {
                     (Ok(p), Ok(w)) => prop_assert_eq!(p.vertices(), w.vertices()),
                     (Err(_), Err(_)) => {}

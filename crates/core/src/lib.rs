@@ -11,12 +11,13 @@
 //!   pricing ([`HopCount`], [`WeightedEdges`], chain-aware models),
 //!   compiled into the CSR [`FlowIndex`] the greedy engine scans.
 //! * [`objective`] — Eq. (1): flow allocation, bandwidth consumption
-//!   `b(P)`, the decrement function `d(P)` (Def. 1) and marginal
-//!   decrements `d_P(v)` (Def. 2), plus the Lemma-1 envelope.
+//!   `b(P)` and the decrement function `d(P)` (Def. 1), plus the
+//!   Lemma-1 envelope. Marginal decrements `d_P(v)` (Def. 2) live on
+//!   [`FlowIndex::marginal_decrement`].
 //! * [`feasibility`] — coverage checks and a greedy set-cover bound
 //!   (feasibility itself is NP-hard in general topologies, Thm. 1).
 //! * [`plan`] — deployments, allocations and evaluation reports.
-//! * [`algorithms`] — GTP (Alg. 1, eager/lazy/parallel), the tree DP
+//! * [`algorithms`] — GTP (Alg. 1), the tree DP
 //!   (Eqs. 7–10), HAT (Alg. 2), the paper's Random and Best-effort
 //!   baselines, an exhaustive optimum for small instances, and the
 //!   [`algorithms::joint`] routing + placement solver over candidate
@@ -68,7 +69,6 @@ pub mod obs;
 pub mod order;
 pub mod paper;
 pub mod plan;
-pub mod weighted;
 
 pub use cost::{CostModel, FlowIndex, HopCount, TenantCostModel, WeightedEdges};
 pub use error::TdmdError;
@@ -83,7 +83,7 @@ pub mod prelude {
         branch_bound::branch_and_bound,
         dp::{dp_optimal, DpSolution},
         exhaustive::exhaustive_optimal,
-        gtp::{gtp_budgeted, gtp_derive_k, gtp_lazy, gtp_parallel, gtp_sharded},
+        gtp::{gtp_budgeted, gtp_derive_k},
         hat::hat,
         joint::{joint_solve, joint_solve_with, JointConfig, JointSolution},
         local_search::{gtp_with_local_search, local_search},

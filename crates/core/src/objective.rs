@@ -1,11 +1,12 @@
-//! The TDMD objective (Eq. 1) and the decrement function (Defs. 1–2).
+//! The TDMD objective (Eq. 1) and the decrement function (Def. 1).
 //!
 //! Once a deployment `P` is fixed, the optimal allocation is forced
 //! (§3.1): every flow uses the deployed middlebox nearest its source,
 //! i.e. the one maximizing the downstream hop count `l_v(f)`, because
 //! `b(f) = r_f(|p_f| − (1 − λ)·l_v(f))` strictly decreases in `l`.
-//! All routines below work in terms of per-flow best-`l` vectors so
-//! the greedy algorithms can maintain them incrementally.
+//! All routines below work in terms of per-flow best-`l` vectors.
+//! Marginal decrements `d_P(v)` (Def. 2) are scored on the compiled
+//! [`FlowIndex`](crate::cost::FlowIndex), under any cost model.
 
 use crate::instance::Instance;
 use crate::plan::{Allocation, Deployment};
@@ -87,22 +88,6 @@ pub fn decrement(instance: &Instance, deployment: &Deployment) -> f64 {
     instance.unprocessed_bandwidth() - bandwidth_of(instance, deployment)
 }
 
-/// Marginal decrement `d_P({v})` (Def. 2) given the per-flow best-`l`
-/// vector of the current deployment (`0` encodes "unserved" — a flow
-/// served at its destination contributes the same zero decrement).
-pub fn marginal_decrement(instance: &Instance, current_l: &[u32], v: NodeId) -> f64 {
-    let factor = 1.0 - instance.lambda();
-    let flows = instance.flows();
-    instance
-        .flows_through(v)
-        .iter()
-        .filter(|&&(fi, l)| l > current_l[fi as usize])
-        .map(|&(fi, l)| {
-            flows[fi as usize].rate as f64 * factor * (l - current_l[fi as usize]) as f64
-        })
-        .sum()
-}
-
 /// Number of currently-unserved flows that placing a middlebox on `v`
 /// would newly cover. Used as the greedy tie-break that keeps GTP
 /// making coverage progress even when `λ = 1` flattens the decrement.
@@ -125,8 +110,6 @@ pub fn lemma1_bounds(instance: &Instance) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdmd_graph::NodeId;
-
     use crate::paper::fig1_instance;
 
     #[test]
@@ -191,36 +174,6 @@ mod tests {
                 other => panic!("mismatch {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn marginal_decrement_matches_table2_round_one() {
-        // Table 2, first row (d_∅): v3=3, v4=1, v5=4, v6=3 (1-based).
-        let inst = fig1_instance(2);
-        let cur = vec![0u32; 4];
-        let d = |v: NodeId| marginal_decrement(&inst, &cur, v);
-        assert_eq!(d(0), 0.0); // v1: only f1's destination
-        assert_eq!(d(1), 0.0); // v2: f2/f3/f4 end here (l = 0)
-        assert_eq!(d(2), 3.0); // v3: f1 at l=1 (2) + f2 at l=1 (1)
-        assert_eq!(d(3), 1.0); // v4: f3 at l=1
-        assert_eq!(d(4), 4.0); // v5: f1 at l=2
-        assert_eq!(d(5), 3.0); // v6: f2 at l=2 (2) + f4 at l=1 (1)
-    }
-
-    #[test]
-    fn marginal_decrement_shrinks_with_larger_deployment() {
-        // Submodularity spot check: gain of v3 (id 2) drops once v5
-        // (id 4) is deployed because f1 is already served earlier.
-        let inst = fig1_instance(2);
-        let empty = vec![0u32; 4];
-        let with_v5: Vec<u32> = {
-            let d = Deployment::from_vertices(6, [4]);
-            best_hops(&inst, &d)
-                .into_iter()
-                .map(|l| l.unwrap_or(0))
-                .collect()
-        };
-        assert!(marginal_decrement(&inst, &with_v5, 2) < marginal_decrement(&inst, &empty, 2));
     }
 
     #[test]

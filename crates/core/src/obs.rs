@@ -1,9 +1,9 @@
 //! Engine telemetry: process-global counters on the greedy hot paths.
 //!
-//! The static engine drivers ([`crate::algorithms::engine`]) run deep
-//! inside every solver API, so instead of threading a recorder through
-//! each public entry point the counters live in one always-compiled
-//! global — relaxed atomic increments, safe under rayon, costing one
+//! The static engine ([`crate::algorithms::engine`]) runs deep inside
+//! every solver API, so instead of threading a recorder through each
+//! public entry point the counters live in one always-compiled global
+//! — relaxed atomic increments, safe across threads, costing one
 //! `fetch_add` next to loops that already scan whole CSR rows.
 //!
 //! Usage pattern (the `tdmd bench` command, perf tests):
@@ -24,15 +24,8 @@ use tdmd_obs::Counter;
 /// The engine's counter set. See [`ENGINE`].
 #[derive(Debug, Default)]
 pub struct EngineCounters {
-    /// Candidate scorings: one per marginal-decrement evaluation
-    /// (eager scans, parallel scans, and lazy refreshes all count).
+    /// Candidate scorings: one per marginal-decrement evaluation.
     pub gain_evals: Counter,
-    /// CELF heap pops in the lazy driver (dead and live entries).
-    pub lazy_pops: Counter,
-    /// Lazy pops whose cached score was stale and had to be refreshed
-    /// and re-pushed (the CELF "wasted" work; `lazy_pops −
-    /// lazy_stale_refreshes` pops made progress).
-    pub lazy_stale_refreshes: Counter,
     /// Feasibility-guard evaluations (one per guarded greedy round).
     pub guard_checks: Counter,
     /// Guard activations: rounds where the budget was tight and the
@@ -44,8 +37,6 @@ pub struct EngineCounters {
 /// The process-global engine counters.
 pub static ENGINE: EngineCounters = EngineCounters {
     gain_evals: Counter::new(),
-    lazy_pops: Counter::new(),
-    lazy_stale_refreshes: Counter::new(),
     guard_checks: Counter::new(),
     guard_activations: Counter::new(),
 };
@@ -55,10 +46,6 @@ pub static ENGINE: EngineCounters = EngineCounters {
 pub struct EngineSnapshot {
     /// See [`EngineCounters::gain_evals`].
     pub gain_evals: u64,
-    /// See [`EngineCounters::lazy_pops`].
-    pub lazy_pops: u64,
-    /// See [`EngineCounters::lazy_stale_refreshes`].
-    pub lazy_stale_refreshes: u64,
     /// See [`EngineCounters::guard_checks`].
     pub guard_checks: u64,
     /// See [`EngineCounters::guard_activations`].
@@ -71,10 +58,6 @@ impl EngineSnapshot {
     pub fn delta_since(&self, earlier: &EngineSnapshot) -> EngineSnapshot {
         EngineSnapshot {
             gain_evals: self.gain_evals.saturating_sub(earlier.gain_evals),
-            lazy_pops: self.lazy_pops.saturating_sub(earlier.lazy_pops),
-            lazy_stale_refreshes: self
-                .lazy_stale_refreshes
-                .saturating_sub(earlier.lazy_stale_refreshes),
             guard_checks: self.guard_checks.saturating_sub(earlier.guard_checks),
             guard_activations: self
                 .guard_activations
@@ -87,8 +70,6 @@ impl EngineSnapshot {
 pub fn snapshot() -> EngineSnapshot {
     EngineSnapshot {
         gain_evals: ENGINE.gain_evals.get(),
-        lazy_pops: ENGINE.lazy_pops.get(),
-        lazy_stale_refreshes: ENGINE.lazy_stale_refreshes.get(),
         guard_checks: ENGINE.guard_checks.get(),
         guard_activations: ENGINE.guard_activations.get(),
     }
@@ -98,8 +79,6 @@ pub fn snapshot() -> EngineSnapshot {
 /// code that can run concurrently with other solves (tests!).
 pub fn reset() {
     ENGINE.gain_evals.reset();
-    ENGINE.lazy_pops.reset();
-    ENGINE.lazy_stale_refreshes.reset();
     ENGINE.guard_checks.reset();
     ENGINE.guard_activations.reset();
 }
@@ -107,7 +86,7 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::gtp::{gtp_budgeted, gtp_lazy};
+    use crate::algorithms::gtp::gtp_budgeted;
     use crate::paper::fig1_instance;
 
     #[test]
@@ -121,18 +100,6 @@ mod tests {
         assert!(
             eager.guard_activations > 0,
             "fig1 k=2 is the paper's tight-budget walk-through"
-        );
-
-        // Slack budget: tight rounds delegate to the eager picker and
-        // never touch the CELF heap, so use k = 4 for the lazy path.
-        let slack = fig1_instance(4);
-        let before = snapshot();
-        gtp_lazy(&slack, 4).unwrap();
-        let lazy = snapshot().delta_since(&before);
-        assert!(lazy.lazy_pops > 0, "lazy GTP pops the CELF heap");
-        assert!(
-            lazy.lazy_stale_refreshes <= lazy.lazy_pops,
-            "refreshes are a subset of pops"
         );
     }
 

@@ -1,9 +1,9 @@
 //! [`TotalGain`] — the one total-order `f64` wrapper every gain /
 //! priority heap in the workspace keys on.
 //!
-//! Four call sites used to hand-roll the same `partial_cmp`-delegates-
-//! to-`total_cmp` dance (the static engine's score ladder and CELF
-//! heap, HAT's merge-cost min-heap, and the online CELF queue). Each
+//! Three call sites used to hand-roll the same `partial_cmp`-delegates-
+//! to-`total_cmp` dance (the static engine's score ladder, HAT's
+//! merge-cost min-heap, and the online CELF queue). Each
 //! copy was an opportunity to get NaN handling subtly wrong — a NaN
 //! gain inside a `BinaryHeap` silently scrambles the heap property
 //! under `PartialOrd`-only comparators. `TotalGain` centralizes the

@@ -1,22 +1,20 @@
 //! Cost-model equivalence properties.
 //!
-//! The `CostModel` refactor routes every GTP variant through one
-//! generic engine; these tests pin the two invariants that make the
-//! refactor safe to lean on:
+//! The `CostModel` refactor routes GTP through one generic engine;
+//! these tests pin the two invariants that make the refactor safe to
+//! lean on:
 //!
 //! 1. `WeightedEdges` over a unit-weight graph prices exactly like
 //!    `HopCount` (a suffix sum of ones is the downstream hop count),
-//!    so all three GTP variants must return *byte-identical*
-//!    deployments — same vertices, same order, same errors.
+//!    so GTP must return *byte-identical* deployments under both —
+//!    same vertices, same order, same errors.
 //! 2. `gtp_capacitated` with a capacity that can never bind
 //!    (`cap ≥ |F|`) reduces to plain budgeted GTP.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tdmd_core::algorithms::gtp::{
-    gtp_budgeted, gtp_budgeted_with, gtp_lazy, gtp_lazy_with, gtp_parallel, gtp_parallel_with,
-};
+use tdmd_core::algorithms::gtp::{gtp_budgeted, gtp_budgeted_with};
 use tdmd_core::capacitated::gtp_capacitated;
 use tdmd_core::objective::bandwidth_of;
 use tdmd_core::{Instance, WeightedEdges};
@@ -60,8 +58,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// On unit weights, the weighted model is the hop-count model:
-    /// each GTP variant must agree with its hop-count twin verbatim,
-    /// deployment for deployment, error for error.
+    /// GTP must agree with its hop-count twin verbatim, deployment
+    /// for deployment, error for error.
     #[test]
     fn unit_weights_reproduce_hop_count_exactly(seed in any::<u64>(),
                                                 n in 3usize..14,
@@ -69,20 +67,6 @@ proptest! {
         let inst = unit_weight_instance(seed, n, 5, k);
         let model = WeightedEdges::new(&inst);
         prop_assert_eq!(gtp_budgeted(&inst, k), gtp_budgeted_with(&inst, k, &model));
-        prop_assert_eq!(gtp_lazy(&inst, k), gtp_lazy_with(&inst, k, &model));
-        prop_assert_eq!(gtp_parallel(&inst, k), gtp_parallel_with(&inst, k, &model));
-    }
-
-    /// The three variants agree with each other under the weighted
-    /// model too (the engine's CELF and parallel reductions are
-    /// model-independent).
-    #[test]
-    fn weighted_variants_agree(seed in any::<u64>(), n in 3usize..14, k in 1usize..5) {
-        let inst = unit_weight_instance(seed, n, 5, k);
-        let model = WeightedEdges::new(&inst);
-        let eager = gtp_budgeted_with(&inst, k, &model);
-        prop_assert_eq!(eager.clone(), gtp_lazy_with(&inst, k, &model));
-        prop_assert_eq!(eager, gtp_parallel_with(&inst, k, &model));
     }
 
     /// A capacity that can never bind (cap ≥ |F|) makes the

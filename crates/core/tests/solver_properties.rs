@@ -8,14 +8,12 @@ use rand::{Rng, SeedableRng};
 use tdmd_core::algorithms::branch_bound::branch_and_bound;
 use tdmd_core::algorithms::centrality::centrality_placement;
 use tdmd_core::algorithms::exhaustive::exhaustive_optimal;
-use tdmd_core::algorithms::gtp::{gtp_budgeted, gtp_sharded_with};
+use tdmd_core::algorithms::gtp::gtp_budgeted;
 use tdmd_core::algorithms::local_search::local_search;
 use tdmd_core::capacitated::{allocate_capacitated, evaluate_capacitated};
-use tdmd_core::cost::HopCount;
 use tdmd_core::feasibility::is_feasible;
 use tdmd_core::objective::bandwidth_of;
-use tdmd_core::weighted::WeightedIndex;
-use tdmd_core::{Deployment, Instance};
+use tdmd_core::{Deployment, FlowIndex, Instance, WeightedEdges};
 use tdmd_graph::traversal::bfs_path;
 use tdmd_graph::{GraphBuilder, NodeId};
 use tdmd_traffic::Flow;
@@ -75,13 +73,13 @@ proptest! {
     #[test]
     fn weighted_decrement_is_submodular(seed in any::<u64>(), n in 3usize..14) {
         let inst = weighted_instance(seed, n, 5, 3);
-        let index = WeightedIndex::new(&inst);
+        let index = FlowIndex::build(&inst, &WeightedEdges::new(&inst));
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         let small = Deployment::from_vertices(n, (0..2).map(|_| rng.gen_range(0..n) as NodeId));
         let mut big = small.clone();
         big.insert(rng.gen_range(0..n) as NodeId);
         let cur = |d: &Deployment| -> Vec<f64> {
-            index.best_down(&inst, d).into_iter().map(|w| w.unwrap_or(0.0)).collect()
+            index.best_down(d).into_iter().map(|w| w.unwrap_or(0.0)).collect()
         };
         let (cs, cb) = (cur(&small), cur(&big));
         for v in 0..n as NodeId {
@@ -125,23 +123,6 @@ proptest! {
         prop_assert!(looser.matched >= eval.matched);
         if looser.matched == eval.matched {
             prop_assert!(looser.bandwidth <= eval.bandwidth + 1e-9);
-        }
-    }
-
-    /// Sharded-parallel GTP is bitwise-equal to the sequential greedy
-    /// for every shard width on weighted random instances: the shard
-    /// width (and therefore the rayon split) is a pure performance
-    /// knob, never an output knob.
-    #[test]
-    fn sharded_gtp_equals_sequential(seed in any::<u64>(), n in 3usize..14,
-                                     k in 1usize..5, shard in 1usize..40) {
-        let inst = weighted_instance(seed, n, 5, k);
-        let eager = gtp_budgeted(&inst, k);
-        let sharded = gtp_sharded_with(&inst, k, shard, &HopCount);
-        match (eager, sharded) {
-            (Ok(e), Ok(s)) => prop_assert_eq!(e, s),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            other => prop_assert!(false, "variants disagree on feasibility: {:?}", other),
         }
     }
 

@@ -9,16 +9,11 @@
 //!   general topologies, quantified).
 //! * [`dynamic_replanning`] — static vs replanned placement over a
 //!   dynamic flow timeline (`tdmd-sim::timeline`).
-//! * [`gtp_variant_speedup`] — eager vs CELF-lazy vs Rayon-parallel
-//!   GTP wall times at growing topology size (outputs are identical;
-//!   property-tested elsewhere).
 
 use crate::scenarios::{general_instance, tree_instance, Scenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 use tdmd_core::algorithms::branch_bound::branch_and_bound;
-use tdmd_core::algorithms::gtp::{gtp_budgeted, gtp_lazy, gtp_parallel};
 use tdmd_core::algorithms::Algorithm;
 use tdmd_core::objective::bandwidth_of;
 use tdmd_graph::RootedTree;
@@ -228,45 +223,6 @@ pub fn dynamic_replanning(seed: u64) -> ExtraResult {
     }
 }
 
-/// Wall-clock comparison of the three GTP implementations.
-pub fn gtp_variant_speedup(seed: u64) -> ExtraResult {
-    let mut text = String::from("== extension: GTP implementation variants ==\n");
-    let mut csv = String::from("size,eager_ms,lazy_ms,parallel_ms\n");
-    for &size in &[20usize, 36, 52] {
-        let s = Scenario {
-            size,
-            k: 12,
-            ..Scenario::general_default()
-        };
-        let inst = general_instance(&mut StdRng::seed_from_u64(seed), s);
-        let time = |f: &dyn Fn()| {
-            let start = Instant::now();
-            for _ in 0..20 {
-                f();
-            }
-            start.elapsed().as_secs_f64() * 1e3 / 20.0
-        };
-        let eager = time(&|| {
-            gtp_budgeted(&inst, 12).expect("feasible");
-        });
-        let lazy = time(&|| {
-            gtp_lazy(&inst, 12).expect("feasible");
-        });
-        let par = time(&|| {
-            gtp_parallel(&inst, 12).expect("feasible");
-        });
-        text.push_str(&format!(
-            "  size {size:<3} eager {eager:>7.3} ms   lazy {lazy:>7.3} ms   parallel {par:>7.3} ms\n"
-        ));
-        csv.push_str(&format!("{size},{eager},{lazy},{par}\n"));
-    }
-    ExtraResult {
-        name: "ext_speedup".into(),
-        text,
-        csv,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,12 +267,6 @@ mod tests {
         for (s, re) in rows {
             assert!(re <= s + 1e-9);
         }
-    }
-
-    #[test]
-    fn speedup_report_has_three_sizes() {
-        let r = gtp_variant_speedup(19);
-        assert_eq!(r.csv.lines().count(), 4);
     }
 }
 

@@ -84,7 +84,6 @@ fn run() -> Result<(), String> {
         extra_results.push(tdmd_experiments::extras::optimality_gap(trials, cfg.seed));
         extra_results.push(tdmd_experiments::extras::feasibility_rate(trials, cfg.seed));
         extra_results.push(tdmd_experiments::extras::dynamic_replanning(cfg.seed));
-        extra_results.push(tdmd_experiments::extras::gtp_variant_speedup(cfg.seed));
         extra_results.push(tdmd_experiments::extras::chain_budget_sweep(cfg.seed));
         extra_results.push(tdmd_experiments::extras::capacity_sweep(cfg.seed));
     }

@@ -43,10 +43,7 @@ pub mod prelude {
         independent_failure_schedule, run_chaos, ChaosConfig, ChaosMode, ChaosPoint, ChaosReport,
     };
     pub use crate::metrics::{jain_fairness, LinkMetrics};
-    pub use crate::race::{
-        adversarial_shards, batch_race_with, run_race, shard_race_with, Divergence, RaceConfig,
-        RaceReport,
-    };
+    pub use crate::race::{batch_race_with, run_race, Divergence, RaceConfig, RaceReport};
     pub use crate::replay::{replay, LinkLoads};
     pub use crate::runner::{run_comparison, AlgoStats, TrialConfig};
     pub use crate::timeline::{

@@ -1,78 +1,60 @@
-//! Schedule-perturbation race harness: adversarial reruns of the two
-//! parallel/batched kernels against their sequential oracles.
+//! Schedule-perturbation race harness: adversarial reruns of the
+//! batched online kernel against its sequential oracle.
 //!
-//! The determinism story of this workspace rests on two contracts:
+//! The determinism story of the online engine rests on one contract:
+//! [`OnlineEngine::apply_batch`] under a forced-replan policy is
+//! **bitwise identical** to one-by-one [`OnlineEngine::apply`] for
+//! *every* partition of the event stream into batches.
 //!
-//! * [`gtp_sharded_with`] is **bitwise identical** to [`gtp_budgeted`]
-//!   for *every* shard width — the sharded gain accumulation merges in
-//!   a deterministic sequential fold, so the chunking is a wall-clock
-//!   knob, never a semantic one;
-//! * [`OnlineEngine::apply_batch`] under a forced-replan policy is
-//!   **bitwise identical** to one-by-one [`OnlineEngine::apply`] for
-//!   *every* partition of the event stream into batches.
+//! Unit and property tests exercise it on friendly inputs; this
+//! module attacks it. [`run_race`] replays seeded churn streams under
+//! randomized batch partitions, hard-failing on the first bitwise
+//! divergence from the sequential oracle.
 //!
-//! Unit and property tests exercise these on friendly inputs; this
-//! module attacks them. [`run_race`] sweeps *adversarial* shard widths
-//! (1, primes, `n−1`, `n`, `> n`, `usize::MAX`), re-runs each width on
-//! several concurrently racing OS threads (so a data race or
-//! accumulation-order dependence gets real scheduler pressure to
-//! surface under), and replays seeded churn streams under randomized
-//! batch partitions — hard-failing on the first bitwise divergence
-//! from the sequential oracle.
-//!
-//! The kernels under test are injected as closures
-//! ([`shard_race_with`], [`batch_race_with`]), so the harness itself
-//! is testable: the saboteur tests below hand it a deliberately
-//! perturbed runner and assert the divergence is caught. CI wires the
-//! production closures via `cargo xtask race` → `tdmd race`.
+//! The kernel under test is injected as a closure
+//! ([`batch_race_with`]), so the harness itself is testable: the
+//! saboteur test below hands it a deliberately tampered applier and
+//! asserts the divergence is caught. CI wires the production closure
+//! via `cargo xtask race` → `tdmd race`.
 //!
 //! Everything here is seeded: a reported divergence names the seed,
 //! the perturbation, and both fingerprints, and replays exactly.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tdmd_core::algorithms::gtp::{gtp_budgeted, gtp_sharded_with};
-use tdmd_core::objective::bandwidth_of;
-use tdmd_core::{Deployment, HopCount, Instance, TdmdError};
+use tdmd_core::Deployment;
 use tdmd_graph::generators::random::erdos_renyi_connected;
 use tdmd_graph::traversal::bfs;
 use tdmd_graph::{DiGraph, NodeId};
 use tdmd_online::{Event, FlowKey, HopPricer, OnlineEngine, OnlineError, RepairPolicy};
-use tdmd_traffic::Flow;
 
 /// Tuning for [`run_race`]: how many seeded scenarios, how large, and
-/// how much concurrency pressure per perturbation.
+/// how many batch partitions per stream.
 #[derive(Debug, Clone)]
 pub struct RaceConfig {
     /// Scenario seeds; each seed generates one topology plus one
-    /// static workload (shard race) and one churn stream (batch race).
+    /// churn stream.
     pub seeds: Vec<u64>,
     /// Vertices per generated topology.
     pub nodes: usize,
-    /// Flows in the static shard-race workload.
-    pub flows: usize,
-    /// Events in the churn stream for the batch race.
+    /// Events in the churn stream.
     pub events: usize,
     /// Random batch partitions tried per churn stream.
     pub partitions: usize,
-    /// Concurrent replicas racing each shard width on real OS threads.
-    pub threads: usize,
 }
 
 impl Default for RaceConfig {
-    /// The CI profile: 4 scenarios, 12-vertex topologies, 32 flows,
-    /// 48-event streams, 6 partitions, 4 racing threads. Small enough
-    /// for a debug-build test, adversarial enough to have caught every
-    /// nondeterminism bug this repo has had (map-iteration merges,
-    /// accumulation-order drift).
+    /// The CI profile: 4 scenarios, 12-vertex topologies, 48-event
+    /// streams, 6 partitions. Small enough for a debug-build test,
+    /// adversarial enough to have caught every nondeterminism bug
+    /// this repo has had (map-iteration merges, accumulation-order
+    /// drift).
     fn default() -> Self {
         Self {
             seeds: vec![1, 2, 3, 4],
             nodes: 12,
-            flows: 32,
             events: 48,
             partitions: 6,
-            threads: 4,
         }
     }
 }
@@ -80,11 +62,9 @@ impl Default for RaceConfig {
 /// One bitwise divergence between a perturbed run and its oracle.
 #[derive(Debug, Clone)]
 pub struct Divergence {
-    /// Which contract broke: `"shard"` or `"batch"`.
-    pub arena: &'static str,
     /// Scenario seed that reproduces it.
     pub seed: u64,
-    /// The perturbation applied (shard width, partition seed, …).
+    /// The perturbation applied (partition seed, or the oracle itself).
     pub perturbation: String,
     /// Oracle-vs-observed fingerprints, or the error the run died with.
     pub detail: String,
@@ -94,8 +74,8 @@ impl std::fmt::Display for Divergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "[{} seed={}] {}: {}",
-            self.arena, self.seed, self.perturbation, self.detail
+            "[seed={}] {}: {}",
+            self.seed, self.perturbation, self.detail
         )
     }
 }
@@ -103,11 +83,9 @@ impl std::fmt::Display for Divergence {
 /// Outcome of a [`run_race`] sweep.
 #[derive(Debug, Clone, Default)]
 pub struct RaceReport {
-    /// Perturbed shard-width runs compared against the oracle.
-    pub shard_trials: usize,
     /// Batch-partition replays compared against the oracle.
     pub batch_trials: usize,
-    /// Every bitwise divergence found (empty means the contracts held).
+    /// Every bitwise divergence found (empty means the contract held).
     pub divergences: Vec<Divergence>,
 }
 
@@ -121,9 +99,8 @@ impl RaceReport {
     /// verdict line.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "race: {} — {} shard trials, {} batch trials, {} divergence(s)\n",
+            "race: {} — {} batch trials, {} divergence(s)\n",
             if self.passed() { "PASS" } else { "FAIL" },
-            self.shard_trials,
             self.batch_trials,
             self.divergences.len()
         );
@@ -132,117 +109,6 @@ impl RaceReport {
         }
         out
     }
-}
-
-/// The adversarial shard-width schedule for an `n`-candidate instance:
-/// degenerate (1), coprime-to-everything primes, the off-by-one edges
-/// `n−1`/`n`/`n+1`, oversized, and `usize::MAX` (one chunk). Widths
-/// are deduplicated and never zero.
-pub fn adversarial_shards(n: usize) -> Vec<usize> {
-    let mut s = vec![
-        1,
-        2,
-        3,
-        5,
-        7,
-        n.saturating_sub(1).max(1),
-        n.max(1),
-        n + 1,
-        2 * n.max(1),
-        usize::MAX,
-    ];
-    s.sort_unstable();
-    s.dedup();
-    s
-}
-
-fn deployment_fingerprint(instance: &Instance, d: &Deployment) -> String {
-    format!(
-        "vertices={:?} bandwidth_bits={:#018x}",
-        d.vertices(),
-        bandwidth_of(instance, d).to_bits()
-    )
-}
-
-/// Races `runner` against the sequential [`gtp_budgeted`] oracle: for
-/// every width in `shards`, `threads` replicas run concurrently on
-/// real OS threads and each result is compared bitwise (vertex set and
-/// objective bits) against the oracle. Returns the divergences found
-/// and the number of perturbed runs.
-///
-/// `runner(instance, k, shard)` is the kernel under test — production
-/// passes [`gtp_sharded_with`]; saboteur tests pass a perturbed
-/// closure to prove the harness catches injected nondeterminism.
-pub fn shard_race_with<F>(
-    instance: &Instance,
-    k: usize,
-    seed: u64,
-    shards: &[usize],
-    threads: usize,
-    runner: F,
-) -> (usize, Vec<Divergence>)
-where
-    F: Fn(&Instance, usize, usize) -> Result<Deployment, TdmdError> + Sync,
-{
-    let mut divergences = Vec::new();
-    let mut trials = 0usize;
-    let oracle = match gtp_budgeted(instance, k) {
-        Ok(d) => d,
-        Err(e) => {
-            divergences.push(Divergence {
-                arena: "shard",
-                seed,
-                perturbation: "oracle".to_string(),
-                detail: format!("sequential oracle failed: {e}"),
-            });
-            return (trials, divergences);
-        }
-    };
-    let runner = &runner;
-    for &shard in shards {
-        // All replicas of one width race concurrently: a merge that
-        // depends on thread interleaving (shared accumulator, pool
-        // reuse) sees genuine scheduler pressure here, not just a
-        // loop.
-        // `None` marks a replica whose thread panicked.
-        let results: Vec<Option<Result<Deployment, TdmdError>>> = crossbeam::scope(|s| {
-            let handles: Vec<_> = (0..threads.max(1))
-                .map(|_| s.spawn(move || runner(instance, k, shard)))
-                .collect();
-            handles.into_iter().map(|h| h.join().ok()).collect()
-        })
-        .unwrap_or_default();
-        for (replica, result) in results.into_iter().enumerate() {
-            trials += 1;
-            let perturbation = format!("shard={shard} replica={replica}");
-            match result {
-                Some(Ok(d)) if d == oracle => {}
-                Some(Ok(d)) => divergences.push(Divergence {
-                    arena: "shard",
-                    seed,
-                    perturbation,
-                    detail: format!(
-                        "oracle {} != perturbed {}",
-                        deployment_fingerprint(instance, &oracle),
-                        deployment_fingerprint(instance, &d)
-                    ),
-                }),
-                Some(Err(e)) => divergences.push(Divergence {
-                    arena: "shard",
-                    seed,
-                    perturbation,
-                    detail: format!("perturbed run failed: {e}"),
-                }),
-                None => divergences.push(Divergence {
-                    arena: "shard",
-                    seed,
-                    perturbation,
-                    detail: "replica thread panicked".to_string(),
-                }),
-            }
-        }
-    }
-    (trials, divergences)
 }
 
 /// Engine fingerprint compared bitwise across the batch race: the
@@ -323,7 +189,6 @@ where
         Ok(fp) => fp,
         Err(e) => {
             divergences.push(Divergence {
-                arena: "batch",
                 seed,
                 perturbation: "oracle".to_string(),
                 detail: format!("sequential oracle failed: {e}"),
@@ -344,13 +209,11 @@ where
         match run {
             Ok(fp) if fp == oracle => {}
             Ok(fp) => divergences.push(Divergence {
-                arena: "batch",
                 seed,
                 perturbation,
                 detail: format!("oracle {oracle} != perturbed {fp}"),
             }),
             Err(e) => divergences.push(Divergence {
-                arena: "batch",
                 seed,
                 perturbation,
                 detail: format!("perturbed run failed: {e}"),
@@ -372,23 +235,6 @@ fn shortest_path(g: &DiGraph, src: NodeId, dst: NodeId) -> Vec<NodeId> {
     }
     path.reverse();
     path
-}
-
-/// A seeded static workload: `flows` shortest-path flows with uniform
-/// rates in `1..=10` between distinct random endpoints.
-fn static_workload(g: &DiGraph, seed: u64, flows: usize) -> Vec<Flow> {
-    let n = g.node_count() as NodeId;
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..flows)
-        .map(|id| {
-            let src = rng.gen_range(0..n);
-            let mut dst = rng.gen_range(0..n);
-            while dst == src {
-                dst = rng.gen_range(0..n);
-            }
-            Flow::new(id as u32, rng.gen_range(1..=10), shortest_path(g, src, dst))
-        })
-        .collect()
 }
 
 /// A seeded mixed churn stream (arrivals, departures of live flows,
@@ -454,47 +300,14 @@ fn random_partition(events: &[Event], seed: u64) -> Vec<&[Event]> {
     out
 }
 
-/// Builds the seeded scenario for one seed: a connected topology plus
-/// its static workload instance (`λ = 0.5`, budget `⌈n/2⌉`).
-fn scenario(cfg: &RaceConfig, seed: u64) -> Result<(Instance, usize), TdmdError> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let g = erdos_renyi_connected(cfg.nodes, 0.3, &mut rng);
-    let flows = static_workload(&g, seed ^ 0x5EED, cfg.flows);
-    let k = cfg.nodes.div_ceil(2);
-    Ok((Instance::new(g, flows, 0.5, k)?, k))
-}
-
 /// Runs the full schedule-perturbation sweep with the **production**
-/// kernels: [`gtp_sharded_with`] against [`gtp_budgeted`] over
-/// [`adversarial_shards`] on racing threads, and
-/// [`OnlineEngine::apply_batch`] against one-by-one apply over seeded
-/// partitions. A non-empty [`RaceReport::divergences`] is a
+/// kernel: [`OnlineEngine::apply_batch`] against one-by-one apply over
+/// seeded partitions. A non-empty [`RaceReport::divergences`] is a
 /// determinism-contract violation; `cargo xtask race` turns it into a
 /// hard CI failure.
 pub fn run_race(cfg: &RaceConfig) -> RaceReport {
     let mut report = RaceReport::default();
     for &seed in &cfg.seeds {
-        match scenario(cfg, seed) {
-            Ok((instance, k)) => {
-                let shards = adversarial_shards(instance.node_count());
-                let (trials, divs) = shard_race_with(
-                    &instance,
-                    k,
-                    seed,
-                    &shards,
-                    cfg.threads,
-                    |inst, k, shard| gtp_sharded_with(inst, k, shard, &HopCount),
-                );
-                report.shard_trials += trials;
-                report.divergences.extend(divs);
-            }
-            Err(e) => report.divergences.push(Divergence {
-                arena: "shard",
-                seed,
-                perturbation: "scenario".to_string(),
-                detail: format!("scenario construction failed: {e}"),
-            }),
-        }
         let mut rng = StdRng::seed_from_u64(seed);
         let g = erdos_renyi_connected(cfg.nodes, 0.3, &mut rng);
         let events = mixed_events(&g, seed ^ 0xBA7C, cfg.events);
@@ -518,10 +331,8 @@ mod tests {
         RaceConfig {
             seeds: vec![11, 12],
             nodes: 8,
-            flows: 12,
             events: 24,
             partitions: 3,
-            threads: 2,
         }
     }
 
@@ -529,47 +340,7 @@ mod tests {
     fn production_kernels_pass_the_race() {
         let report = run_race(&small_cfg());
         assert!(report.passed(), "{}", report.render());
-        assert!(report.shard_trials > 0 && report.batch_trials > 0);
-    }
-
-    #[test]
-    fn adversarial_shards_cover_the_edges() {
-        let s = adversarial_shards(12);
-        for w in [1, 11, 12, 13, 24, usize::MAX] {
-            assert!(s.contains(&w), "missing width {w}");
-        }
-        assert!(s.iter().all(|&w| w >= 1));
-        assert!(s.windows(2).all(|w| w[0] < w[1]), "not deduped/sorted");
-    }
-
-    /// The acceptance test for the harness itself: a runner whose
-    /// merge is deliberately perturbed for one shard width (the
-    /// deployment it returns has a vertex toggled) must be caught.
-    #[test]
-    fn injected_shard_nondeterminism_is_detected() {
-        let cfg = small_cfg();
-        let (instance, k) = scenario(&cfg, 11).unwrap();
-        let shards = adversarial_shards(instance.node_count());
-        let (_, divs) = shard_race_with(&instance, k, 11, &shards, 2, |inst, k, shard| {
-            let mut d = gtp_sharded_with(inst, k, shard, &HopCount)?;
-            if shard == 3 {
-                // Emulate a racy merge: flip the membership of vertex
-                // 0 in the result.
-                if !d.remove(0) {
-                    d.insert(0);
-                }
-            }
-            Ok(d)
-        });
-        assert!(
-            divs.iter()
-                .any(|d| d.arena == "shard" && d.perturbation.contains("shard=3")),
-            "perturbed shard width escaped detection: {divs:?}"
-        );
-        assert!(
-            divs.iter().all(|d| d.perturbation.contains("shard=3")),
-            "unperturbed widths must stay clean: {divs:?}"
-        );
+        assert!(report.batch_trials > 0);
     }
 
     /// A batch applier that smuggles an extra arrival into multi-event
@@ -597,7 +368,7 @@ mod tests {
             e.apply_batch(batch)
         });
         assert!(
-            divs.iter().any(|d| d.arena == "batch"),
+            !divs.is_empty(),
             "tampered batch stream escaped detection: {divs:?}"
         );
     }
@@ -605,19 +376,17 @@ mod tests {
     #[test]
     fn report_render_names_every_divergence() {
         let report = RaceReport {
-            shard_trials: 3,
             batch_trials: 2,
             divergences: vec![Divergence {
-                arena: "shard",
                 seed: 7,
-                perturbation: "shard=3 replica=1".to_string(),
+                perturbation: "partition_seed=0x3".to_string(),
                 detail: "oracle x != perturbed y".to_string(),
             }],
         };
         assert!(!report.passed());
         let text = report.render();
         assert!(text.contains("FAIL"));
-        assert!(text.contains("[shard seed=7] shard=3 replica=1"));
+        assert!(text.contains("[seed=7] partition_seed=0x3"));
     }
 
     #[test]
@@ -627,7 +396,6 @@ mod tests {
         let g1 = erdos_renyi_connected(8, 0.3, &mut r1);
         let g2 = erdos_renyi_connected(8, 0.3, &mut r2);
         assert_eq!(mixed_events(&g1, 9, 30), mixed_events(&g2, 9, 30));
-        assert_eq!(static_workload(&g1, 9, 10), static_workload(&g2, 9, 10));
         let ev = mixed_events(&g1, 9, 30);
         assert_eq!(
             random_partition(&ev, 4)

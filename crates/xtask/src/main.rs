@@ -23,7 +23,7 @@
 //!   * `map-iter-order` — no `HashMap`/`HashSet` in the
 //!     determinism-governed crates (core, online, serve); their
 //!     process-seeded iteration order breaks the bitwise
-//!     sharded/batched ≡ sequential contracts.
+//!     batched ≡ sequential contracts.
 //!   * `wall-clock` — no `Instant`/`SystemTime` inside solver crates;
 //!     time comes from the event stream, latency from the obs
 //!     `Stopwatch` at the boundaries.
@@ -42,10 +42,10 @@
 //!   non-zero on any violation or stale entry, so CI can gate on it.
 //!
 //! * `race` — the dynamic companion: forwards to `tdmd race`, the
-//!   schedule-perturbation harness that reruns `gtp_sharded` and
-//!   `OnlineEngine::apply_batch` under adversarial shard widths and
-//!   batch partitions and hard-fails on any bitwise divergence from
-//!   the sequential oracle. The static determinism lints certify the
+//!   schedule-perturbation harness that replays
+//!   `OnlineEngine::apply_batch` under randomized batch partitions
+//!   and hard-fails on any bitwise divergence from the one-by-one
+//!   sequential oracle. The static determinism lints certify the
 //!   harness is meaningful (no hidden hash-order or wall-clock inputs
 //!   the perturbations cannot reach).
 

@@ -4,10 +4,10 @@
 //!
 //! Determinism rules (`map-iter-order`, `wall-clock`) police the
 //! bitwise-reproducibility contracts the repo's property tests pin
-//! (sharded GTP ≡ sequential, snapshot restore+replay ≡ never
-//! stopping, batched apply ≡ one-by-one): a single `HashMap`
-//! iteration or wall-clock read in a solver path breaks those
-//! silently until a seed happens to expose it.
+//! (snapshot restore+replay ≡ never stopping, batched apply ≡
+//! one-by-one): a single `HashMap` iteration or wall-clock read in a
+//! solver path breaks those silently until a seed happens to expose
+//! it.
 
 use crate::lex::{self, Kind, Token};
 
@@ -452,7 +452,7 @@ const MAP_ITER_DIRS: &[&str] = &[
 /// Rule `map-iter-order`: no `HashMap` / `HashSet` in the
 /// determinism-governed crates — their iteration order is seeded per
 /// process, so any iteration (or any future refactor that adds one)
-/// perturbs float accumulation order and breaks the sharded/batched ≡
+/// perturbs float accumulation order and breaks the batched ≡
 /// sequential contracts. `BTreeMap`/`BTreeSet` or a sorted `Vec` are
 /// the sanctioned replacements; a keyed-lookup-only table that never
 /// iterates needs an allowlist entry naming that fact. Test regions

@@ -7,9 +7,9 @@
 //! ```
 
 use tdmd::core::algorithms::gtp::gtp_budgeted;
-use tdmd::core::objective::{bandwidth_of, best_hops, marginal_decrement};
+use tdmd::core::objective::bandwidth_of;
 use tdmd::core::paper::fig1_instance;
-use tdmd::core::Deployment;
+use tdmd::core::{Deployment, FlowIndex, HopCount};
 
 /// Pretty 1-based vertex name.
 fn v(name: u32) -> String {
@@ -31,12 +31,14 @@ fn main() {
 
     // Table 2: marginal decrements for the three GTP rounds.
     println!("\nTable 2 (marginal decrements):");
+    let index = FlowIndex::build(&inst, &HopCount);
     let rounds: [&[u32]; 3] = [&[], &[4], &[4, 5]];
     for deployed in rounds {
         let d = Deployment::from_vertices(6, deployed.iter().copied());
-        let cur: Vec<u32> = best_hops(&inst, &d)
+        let cur: Vec<f64> = index
+            .best_down(&d)
             .into_iter()
-            .map(|l| l.unwrap_or(0))
+            .map(|g| g.unwrap_or(0.0))
             .collect();
         let label: Vec<String> = deployed.iter().map(|&x| v(x)).collect();
         print!("  d_{{{}}}:", label.join(","));
@@ -48,7 +50,7 @@ fn main() {
                 print!(
                     " {}={}",
                     v(cand),
-                    marginal_decrement(&inst, &cur, cand) + 0.0
+                    index.marginal_decrement(&inst, &cur, cand) + 0.0
                 );
             }
         }

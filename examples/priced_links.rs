@@ -1,6 +1,6 @@
 //! Weighted links and capacitated middleboxes — the two model
 //! extensions this repository adds over the paper
-//! (`tdmd-core::weighted`, `tdmd-core::capacitated`).
+//! (`tdmd-core::cost::WeightedEdges`, `tdmd-core::capacitated`).
 //!
 //! A WAN where one access link is a 100×-priced satellite hop:
 //! hop-count placement and cost-aware placement choose *different*
@@ -10,10 +10,9 @@
 //! cargo run --release --example priced_links
 //! ```
 
-use tdmd::core::algorithms::gtp::gtp_budgeted;
+use tdmd::core::algorithms::gtp::{gtp_budgeted, gtp_budgeted_with};
 use tdmd::core::capacitated::gtp_capacitated;
-use tdmd::core::weighted::{gtp_weighted, WeightedIndex};
-use tdmd::core::Instance;
+use tdmd::core::{FlowIndex, Instance, WeightedEdges};
 use tdmd::graph::GraphBuilder;
 use tdmd::traffic::Flow;
 
@@ -34,11 +33,12 @@ fn main() {
         Flow::new(2, 1, vec![6, 4, 0]),    // satellite + 1 hop
     ];
     let inst = Instance::new(graph, flows, 0.5, 2).expect("valid");
-    let index = WeightedIndex::new(&inst);
+    let model = WeightedEdges::new(&inst);
+    let index = FlowIndex::build(&inst, &model);
 
     println!("k = 2, λ = 0.5, one 100-cost satellite uplink (6 -> 4):\n");
     let hop_plan = gtp_budgeted(&inst, 2).expect("feasible");
-    let cost_plan = gtp_weighted(&inst, 2).expect("feasible");
+    let cost_plan = gtp_budgeted_with(&inst, 2, &model).expect("feasible");
     println!(
         "hop-count GTP deploys  {:?}: hop bandwidth {:>4.1}, true cost {:>6.1}",
         hop_plan.vertices(),

@@ -7,12 +7,11 @@ use rand::{Rng, SeedableRng};
 use tdmd::core::algorithms::branch_bound::branch_and_bound;
 use tdmd::core::algorithms::dp::{dp_optimal, dp_optimal_weighted};
 use tdmd::core::algorithms::exhaustive::exhaustive_optimal;
-use tdmd::core::algorithms::gtp::gtp_budgeted;
+use tdmd::core::algorithms::gtp::{gtp_budgeted, gtp_budgeted_with};
 use tdmd::core::algorithms::local_search::gtp_with_local_search;
 use tdmd::core::capacitated::{allocate_capacitated, gtp_capacitated};
 use tdmd::core::objective::bandwidth_of;
-use tdmd::core::weighted::{gtp_weighted, WeightedIndex};
-use tdmd::core::Instance;
+use tdmd::core::{FlowIndex, Instance, WeightedEdges};
 use tdmd::graph::generators::random::erdos_renyi_connected;
 use tdmd::graph::generators::trees::random_tree;
 use tdmd::graph::{GraphBuilder, RootedTree};
@@ -54,8 +53,9 @@ fn branch_and_bound_certifies_gtp_ls_quality() {
 fn weighted_pipeline_on_unit_weights_equals_hop_pipeline() {
     let inst = random_tree_instance(42, 14, 8, 4);
     let hop = gtp_budgeted(&inst, 4).unwrap();
-    let wtd = gtp_weighted(&inst, 4).unwrap();
-    let index = WeightedIndex::new(&inst);
+    let model = WeightedEdges::new(&inst);
+    let wtd = gtp_budgeted_with(&inst, 4, &model).unwrap();
+    let index = FlowIndex::build(&inst, &model);
     assert_eq!(index.bandwidth_of(&inst, &wtd), bandwidth_of(&inst, &hop));
     assert_eq!(
         dp_optimal_weighted(&inst).unwrap().bandwidth,
@@ -79,9 +79,10 @@ fn weighted_dp_lower_bounds_weighted_gtp_on_weighted_trees() {
         let t = RootedTree::from_digraph(&g, 0).unwrap();
         let flows = tree_workload(&g, &t, &WorkloadConfig::with_count(5), &mut rng);
         let inst = Instance::new(g, flows, 0.5, 3).unwrap();
-        let index = WeightedIndex::new(&inst);
+        let model = WeightedEdges::new(&inst);
+        let index = FlowIndex::build(&inst, &model);
         let dp = dp_optimal_weighted(&inst).unwrap();
-        let greedy = gtp_weighted(&inst, 3).unwrap();
+        let greedy = gtp_budgeted_with(&inst, 3, &model).unwrap();
         assert!(
             dp.bandwidth <= index.bandwidth_of(&inst, &greedy) + 1e-9,
             "seed {seed}"

@@ -5,9 +5,9 @@ use tdmd::core::algorithms::dp::{dp_optimal, dp_tables};
 use tdmd::core::algorithms::exhaustive::{exhaustive_optimal, DEFAULT_SUBSET_CAP};
 use tdmd::core::algorithms::gtp::gtp_budgeted;
 use tdmd::core::algorithms::hat::hat;
-use tdmd::core::objective::{bandwidth_of, best_hops, lemma1_bounds, marginal_decrement};
+use tdmd::core::objective::{bandwidth_of, lemma1_bounds};
 use tdmd::core::paper::{fig1_instance, fig5_instance};
-use tdmd::core::Deployment;
+use tdmd::core::{Deployment, FlowIndex, HopCount};
 
 #[test]
 fn fig1_optimal_bandwidths() {
@@ -26,27 +26,27 @@ fn fig1_optimal_bandwidths() {
 #[test]
 fn table2_marginal_decrements() {
     let inst = fig1_instance(3);
+    let index = FlowIndex::build(&inst, &HopCount);
+    // The row of marginal decrements d_P(v1..v6) after deploying `p`.
+    let row = |p: &[u32]| -> Vec<f64> {
+        let d = Deployment::from_vertices(6, p.iter().copied());
+        let cur: Vec<f64> = index
+            .best_down(&d)
+            .into_iter()
+            .map(|g| g.unwrap_or(0.0))
+            .collect();
+        (0..6)
+            .map(|v| index.marginal_decrement(&inst, &cur, v))
+            .collect()
+    };
     // Row d_∅ (1-based v1..v6): 0 0 3 1 4 3.
-    let cur = vec![0u32; 4];
-    let row: Vec<f64> = (0..6).map(|v| marginal_decrement(&inst, &cur, v)).collect();
-    assert_eq!(row, vec![0.0, 0.0, 3.0, 1.0, 4.0, 3.0]);
+    assert_eq!(row(&[]), vec![0.0, 0.0, 3.0, 1.0, 4.0, 3.0]);
     // Row d_{v5}: 0 0 1 1 — 3.
-    let d = Deployment::from_vertices(6, [4]);
-    let cur: Vec<u32> = best_hops(&inst, &d)
-        .into_iter()
-        .map(|l| l.unwrap_or(0))
-        .collect();
-    let row: Vec<f64> = (0..6).map(|v| marginal_decrement(&inst, &cur, v)).collect();
-    assert_eq!(row[..4], [0.0, 0.0, 1.0, 1.0]);
-    assert_eq!(row[5], 3.0);
+    let r = row(&[4]);
+    assert_eq!(r[..4], [0.0, 0.0, 1.0, 1.0]);
+    assert_eq!(r[5], 3.0);
     // Row d_{v5,v6}: 0 0 0 1 — —.
-    let d = Deployment::from_vertices(6, [4, 5]);
-    let cur: Vec<u32> = best_hops(&inst, &d)
-        .into_iter()
-        .map(|l| l.unwrap_or(0))
-        .collect();
-    let row: Vec<f64> = (0..6).map(|v| marginal_decrement(&inst, &cur, v)).collect();
-    assert_eq!(row[..4], [0.0, 0.0, 0.0, 1.0]);
+    assert_eq!(row(&[4, 5])[..4], [0.0, 0.0, 0.0, 1.0]);
 }
 
 #[test]

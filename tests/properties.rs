@@ -1,8 +1,7 @@
 //! Property-based tests of the paper's structural claims: Theorem 2
 //! (monotone submodularity of the decrement), Lemma 1 (envelope),
 //! DP optimality (certified against exhaustive search), heuristic
-//! dominance, allocation optimality, replay consistency and the
-//! equivalence of the three GTP variants.
+//! dominance, allocation optimality and replay consistency.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -10,12 +9,10 @@ use rand::{Rng, SeedableRng};
 use tdmd::core::algorithms::best_effort::best_effort;
 use tdmd::core::algorithms::dp::dp_optimal;
 use tdmd::core::algorithms::exhaustive::exhaustive_optimal;
-use tdmd::core::algorithms::gtp::{gtp_budgeted, gtp_lazy, gtp_parallel};
+use tdmd::core::algorithms::gtp::gtp_budgeted;
 use tdmd::core::algorithms::hat::hat;
-use tdmd::core::objective::{
-    allocate, bandwidth_of, best_hops, decrement, lemma1_bounds, marginal_decrement,
-};
-use tdmd::core::{Deployment, Instance};
+use tdmd::core::objective::{allocate, bandwidth_of, decrement, lemma1_bounds};
+use tdmd::core::{Deployment, FlowIndex, HopCount, Instance};
 use tdmd::graph::generators::random::erdos_renyi_connected;
 use tdmd::graph::generators::trees::random_tree;
 use tdmd::graph::traversal::bfs_path;
@@ -83,17 +80,18 @@ proptest! {
         let mut p_big = p_small.clone();
         p_big.insert((seed % n as u64) as NodeId);
         p_big.insert(((seed >> 8) % n as u64) as NodeId);
-        let cur_small: Vec<u32> =
-            best_hops(&inst, &p_small).into_iter().map(|l| l.unwrap_or(0)).collect();
-        let cur_big: Vec<u32> =
-            best_hops(&inst, &p_big).into_iter().map(|l| l.unwrap_or(0)).collect();
+        let index = FlowIndex::build(&inst, &HopCount);
+        let cur = |d: &Deployment| -> Vec<f64> {
+            index.best_down(d).into_iter().map(|g| g.unwrap_or(0.0)).collect()
+        };
+        let (cur_small, cur_big) = (cur(&p_small), cur(&p_big));
         for v in 0..n as NodeId {
             if p_big.contains(v) || p_small.contains(v) {
                 continue;
             }
             prop_assert!(
-                marginal_decrement(&inst, &cur_small, v)
-                    >= marginal_decrement(&inst, &cur_big, v) - 1e-9,
+                index.marginal_decrement(&inst, &cur_small, v)
+                    >= index.marginal_decrement(&inst, &cur_big, v) - 1e-9,
                 "gain grew at v={v}"
             );
         }
@@ -170,23 +168,6 @@ proptest! {
             // everything).
             let b = b.unwrap_or_else(|e| panic!("{name} failed: {e}"));
             prop_assert!(b >= dp - 1e-9, "{name} {b} beat DP {dp}");
-        }
-    }
-
-    /// The three GTP implementations are interchangeable.
-    #[test]
-    fn gtp_variants_agree(seed in any::<u64>(), n in 3usize..16, k in 1usize..6) {
-        let inst = general_instance(seed, n, 6, 0.5, k);
-        let eager = gtp_budgeted(&inst, k);
-        let lazy = gtp_lazy(&inst, k);
-        let par = gtp_parallel(&inst, k);
-        match (&eager, &lazy, &par) {
-            (Ok(a), Ok(b), Ok(c)) => {
-                prop_assert_eq!(a, b);
-                prop_assert_eq!(a, c);
-            }
-            (Err(_), Err(_), Err(_)) => {}
-            other => prop_assert!(false, "variants disagree on feasibility: {:?}", other),
         }
     }
 
