@@ -14,14 +14,12 @@
 //!
 //! Ties break by the positional decrement under the active cost
 //! model, then by smaller id. The same tight-budget feasibility guard
-//! as GTP applies (shared via
-//! [`engine::guard_candidates`](super::engine); the paper only
+//! as GTP applies (shared via [`crate::feasibility`]; the paper only
 //! evaluates feasible plans).
 
-use super::engine::guard_candidates;
 use crate::cost::{CostModel, FlowIndex, HopCount};
 use crate::error::TdmdError;
-use crate::feasibility::is_feasible;
+use crate::feasibility::{guard_candidates, is_feasible, open_candidates, Coverage};
 use crate::instance::Instance;
 use crate::num::ix;
 use crate::plan::Deployment;
@@ -41,22 +39,15 @@ pub fn best_effort_with<M: CostModel>(
 ) -> Result<Deployment, TdmdError> {
     let index = FlowIndex::build(instance, model);
     let mut deployment = Deployment::empty(instance.node_count());
-    let mut served = vec![false; instance.flows().len()];
+    let mut coverage = Coverage::new(instance);
     let mut cur = vec![0.0f64; instance.flows().len()];
     let flows = instance.flows();
 
     for round in 0..k {
         let remaining = k - round;
-        let all_served = served.iter().all(|&s| s);
-        let allowed = guard_candidates(instance, &served, &deployment, remaining)?;
-        let cands: Vec<NodeId> = match allowed {
-            Some(list) => list,
-            None => instance
-                .candidate_vertices()
-                .into_iter()
-                .filter(|&v| !deployment.contains(v))
-                .collect(),
-        };
+        let all_served = coverage.all_served();
+        let cands = guard_candidates(instance, &coverage, &deployment, remaining)?
+            .unwrap_or_else(|| open_candidates(instance, &deployment));
         // Volume score: unserved traffic through v (λ-independent so
         // coverage still progresses when λ = 1 zeroes all savings).
         let mut best: Option<(u64, f64, NodeId)> = None;
@@ -64,7 +55,7 @@ pub fn best_effort_with<M: CostModel>(
             let volume: u64 = instance
                 .flows_through(v)
                 .iter()
-                .filter(|&&(fi, _)| !served[ix(fi)])
+                .filter(|&&(fi, _)| !coverage.is_served(fi))
                 .map(|&(fi, _)| flows[ix(fi)].rate)
                 .sum();
             let tie = index.marginal_decrement(instance, &cur, v);
@@ -83,8 +74,8 @@ pub fn best_effort_with<M: CostModel>(
             break; // nothing left to improve
         }
         deployment.insert(v);
+        coverage.serve(instance, v);
         for &(fi, g) in index.flows_through(v) {
-            served[ix(fi)] = true;
             if g > cur[ix(fi)] {
                 cur[ix(fi)] = g;
             }

@@ -9,9 +9,10 @@
 //! implementations guarantee).
 //!
 //! The tight-budget **feasibility guard** (the paper's "can only
-//! deploy on v2" rule, generalized) lives here once as
-//! `guard_candidates` and is shared by GTP, the capacitated greedy,
-//! and the best-effort baseline — it used to be duplicated in each.
+//! deploy on v2" rule, generalized) lives once in
+//! [`crate::feasibility`] and is shared by GTP, the capacitated
+//! greedy, and the best-effort baseline; each keeps its served flows
+//! in one incrementally updated coverage state the guard reads.
 //!
 //! [`run_move_greedy`] is the engine's second face: a budgeted
 //! best-move loop over an arbitrary [`MoveGreedy`] driver, used by the
@@ -24,10 +25,9 @@ use tdmd_graph::NodeId;
 
 use crate::cost::FlowIndex;
 use crate::error::TdmdError;
-use crate::feasibility::greedy_cover;
+use crate::feasibility::{guard_candidates, open_candidates, Coverage};
 use crate::instance::Instance;
 use crate::num::ix;
-use crate::objective::coverage_gain;
 use crate::order::TotalGain;
 use crate::plan::Deployment;
 
@@ -70,8 +70,8 @@ struct State {
     /// Best serving gain per flow so far (0.0 = unserved or served at
     /// the destination — both contribute zero decrement).
     cur: Vec<f64>,
-    /// Coverage flags per flow.
-    served: Vec<bool>,
+    /// Served flows and per-vertex unserved counts.
+    coverage: Coverage,
 }
 
 impl State {
@@ -79,12 +79,12 @@ impl State {
         Self {
             deployment: Deployment::empty(ctx.instance.node_count()),
             cur: vec![0.0; ctx.index.flow_count()],
-            served: vec![false; ctx.index.flow_count()],
+            coverage: Coverage::new(ctx.instance),
         }
     }
 
     fn all_served(&self) -> bool {
-        self.served.iter().all(|&s| s)
+        self.coverage.all_served()
     }
 
     fn score(&self, ctx: &Ctx<'_>, v: NodeId) -> Score {
@@ -92,7 +92,7 @@ impl State {
         Score {
             gain: ctx.index.marginal_decrement(ctx.instance, &self.cur, v),
             coverage: if ctx.coverage_ties {
-                coverage_gain(ctx.instance, &self.served, v)
+                self.coverage.count(v)
             } else {
                 0
             },
@@ -114,71 +114,14 @@ impl State {
 
     fn commit(&mut self, ctx: &Ctx<'_>, v: NodeId) {
         self.deployment.insert(v);
+        self.coverage.serve(ctx.instance, v);
         for &(fi, g) in ctx.index.flows_through(v) {
             let fi = ix(fi);
-            self.served[fi] = true;
             if g > self.cur[fi] {
                 self.cur[fi] = g;
             }
         }
     }
-}
-
-/// Candidates not yet deployed.
-fn open_candidates(instance: &Instance, deployment: &Deployment) -> Vec<NodeId> {
-    instance
-        .candidate_vertices()
-        .into_iter()
-        .filter(|&v| !deployment.contains(v))
-        .collect()
-}
-
-/// Size of the greedy cover of the flows that would remain unserved
-/// after additionally deploying on `extra`.
-fn cover_after(instance: &Instance, served: &[bool], extra: NodeId) -> usize {
-    let mut served = served.to_vec();
-    for &(fi, _) in instance.flows_through(extra) {
-        served[ix(fi)] = true;
-    }
-    greedy_cover(instance, &served).map_or(usize::MAX, |c| c.len())
-}
-
-/// The tight-budget feasibility guard shared by every budgeted greedy.
-///
-/// With some flows still unserved and `remaining` rounds left:
-///
-/// * uncoverable, or a greedy cover needs *more* than `remaining`
-///   boxes → [`TdmdError::Infeasible`];
-/// * a cover needs *exactly* `remaining` boxes → `Ok(Some(allowed))`,
-///   the open candidates whose deployment keeps the rest coverable
-///   (the paper's "we can only deploy a middlebox on v2" rule,
-///   generalized);
-/// * otherwise (slack budget, or everything already served) →
-///   `Ok(None)`: pick freely.
-pub(crate) fn guard_candidates(
-    instance: &Instance,
-    served: &[bool],
-    deployment: &Deployment,
-    remaining: usize,
-) -> Result<Option<Vec<NodeId>>, TdmdError> {
-    crate::obs::ENGINE.guard_checks.incr();
-    if served.iter().all(|&s| s) {
-        return Ok(None);
-    }
-    let cover =
-        greedy_cover(instance, served).ok_or(TdmdError::Infeasible { budget: remaining })?;
-    if cover.len() > remaining {
-        return Err(TdmdError::Infeasible { budget: remaining });
-    }
-    if cover.len() == remaining {
-        crate::obs::ENGINE.guard_activations.incr();
-        let allowed = open_candidates(instance, deployment)
-            .into_iter()
-            .filter(|&v| cover_after(instance, served, v) < remaining)
-            .collect();
-        return Ok(Some(allowed));
-    }
-    Ok(None)
 }
 
 /// A round's committed choice, with the audit-trace metadata the
@@ -203,7 +146,7 @@ fn pick(ctx: &Ctx<'_>, state: &State, remaining: usize) -> Result<Picked, TdmdEr
     let feasible = if all_served {
         None
     } else {
-        guard_candidates(ctx.instance, &state.served, &state.deployment, remaining)?
+        guard_candidates(ctx.instance, &state.coverage, &state.deployment, remaining)?
     };
     let guarded = feasible.is_some();
     let cands = feasible.unwrap_or_else(|| open_candidates(ctx.instance, &state.deployment));

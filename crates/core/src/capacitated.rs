@@ -20,6 +20,7 @@
 //! behaviour (tested).
 
 use crate::error::TdmdError;
+use crate::feasibility::{guard_candidates, open_candidates, Coverage};
 use crate::instance::Instance;
 use crate::plan::{Allocation, Deployment};
 use tdmd_graph::flownet::FlowNetwork;
@@ -157,32 +158,21 @@ pub fn gtp_capacitated(
         return Err(TdmdError::Infeasible { budget: k });
     }
     let mut deployment = Deployment::empty(instance.node_count());
+    let mut coverage = Coverage::new(instance);
     let mut cur = evaluate_capacitated(instance, &deployment, cap);
     for round in 0..k {
         let remaining = k - round;
         // Capacity-blind coverage guard, shared with the uncapacitated
         // engine (the final matching certifies actual feasibility).
-        let served: Vec<bool> = crate::objective::best_hops(instance, &deployment)
-            .into_iter()
-            .map(|l| l.is_some())
-            .collect();
-        let restricted =
-            crate::algorithms::engine::guard_candidates(instance, &served, &deployment, remaining)?;
-        let cands: Vec<NodeId> = match restricted {
-            Some(list) => list,
-            None => instance
-                .candidate_vertices()
-                .into_iter()
-                .filter(|&v| !deployment.contains(v))
-                .collect(),
-        };
+        let cands = guard_candidates(instance, &coverage, &deployment, remaining)?
+            .unwrap_or_else(|| open_candidates(instance, &deployment));
         // Exact trial evaluation per candidate.
         let mut best: Option<(CapacitatedEval, usize, NodeId)> = None;
         for v in cands {
             let mut trial = deployment.clone();
             trial.insert(v);
             let eval = evaluate_capacitated(instance, &trial, cap);
-            let cov = crate::objective::coverage_gain(instance, &served, v);
+            let cov = coverage.count(v);
             let better = match &best {
                 None => true,
                 Some((be, bc, bv)) => {
@@ -203,6 +193,7 @@ pub fn gtp_capacitated(
             break;
         }
         deployment.insert(v);
+        coverage.serve(instance, v);
         cur = eval;
     }
     if cur.matched < n_flows {

@@ -6,8 +6,18 @@
 //! topologies (set-cover reduction, Thm. 1), so we also provide the
 //! standard greedy set-cover routine both as a constructive upper
 //! bound and as the feasibility fallback the budgeted algorithms use.
+//!
+//! The budgeted greedies keep one `Coverage` state up to date as they
+//! deploy, and the tight-budget guard (`guard_candidates`) runs its
+//! greedy covers on that state's per-vertex counts, never on a copied
+//! `served` vector.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use crate::error::TdmdError;
 use crate::instance::Instance;
+use crate::num::{id32, ix};
 use crate::plan::Deployment;
 use tdmd_graph::NodeId;
 
@@ -22,46 +32,308 @@ pub fn is_feasible(instance: &Instance, deployment: &Deployment) -> bool {
 /// vertex covering the most still-uncovered flows (ties toward the
 /// smaller id). Returns the chosen vertices, or `None` if some flow
 /// cannot be covered at all (impossible for valid paths, kept for
-/// robustness). The result size is a `(ln |F| + 1)`-approximation of
-/// the minimum cover — a usable lower-bound hint on the feasible `k`.
+/// robustness). The result size is within a `(ln |F| + 1)` factor of
+/// the minimum cover and never below it: an *upper* bound on the
+/// boxes feasibility needs, so a cover larger than the budget only
+/// suggests, and does not prove, that the budget is too small.
 pub fn greedy_cover(instance: &Instance, already_served: &[bool]) -> Option<Vec<NodeId>> {
-    let n_flows = instance.flows().len();
-    debug_assert_eq!(already_served.len(), n_flows);
-    let mut served = already_served.to_vec();
-    let mut remaining = served.iter().filter(|&&s| !s).count();
+    debug_assert_eq!(already_served.len(), instance.flows().len());
+    let base = Coverage::from_served(instance, already_served);
     let mut chosen = Vec::new();
-    while remaining > 0 {
-        let mut best: Option<(usize, NodeId)> = None;
-        for v in 0..instance.node_count() as NodeId {
-            let gain = crate::objective::coverage_gain(instance, &served, v);
-            if gain > 0 && best.is_none_or(|(bg, _)| gain > bg) {
-                best = Some((gain, v));
-            }
-        }
-        let (gain, v) = best?;
-        chosen.push(v);
-        for &(fi, _) in instance.flows_through(v) {
-            served[fi as usize] = true;
-        }
-        remaining -= gain;
-    }
+    Trial::new(instance, &base).cover(usize::MAX, |v| chosen.push(v))?;
     Some(chosen)
 }
 
-/// Size of the greedy cover starting from nothing — a quick upper
-/// bound on the minimum number of middleboxes needed for feasibility.
-pub fn greedy_cover_size(instance: &Instance) -> usize {
-    greedy_cover(instance, &vec![false; instance.flows().len()]).map_or(usize::MAX, |c| c.len())
+/// Which flows a deployment serves, kept up to date one vertex at a
+/// time: the served flags, the number of unserved flows through each
+/// vertex, and the unserved total.
+#[derive(Debug)]
+pub(crate) struct Coverage {
+    served: Vec<bool>,
+    /// Unserved flows through each vertex, one per row entry: always
+    /// equal to [`coverage_gain`](crate::objective::coverage_gain)
+    /// over `served`.
+    count: Vec<usize>,
+    unserved: usize,
 }
 
-/// Vertices that individually cover *all* currently-unserved flows —
-/// the candidates the paper's GTP walk-through falls back to when only
-/// one middlebox of budget remains (it picks `v2` in Fig. 1, k=2).
-pub fn full_cover_vertices(instance: &Instance, served: &[bool]) -> Vec<NodeId> {
-    let unserved = served.iter().filter(|&&s| !s).count();
-    (0..instance.node_count() as NodeId)
-        .filter(|&v| crate::objective::coverage_gain(instance, served, v) == unserved)
+impl Coverage {
+    /// Nothing served yet.
+    pub(crate) fn new(instance: &Instance) -> Self {
+        let flows = instance.flows().len();
+        Self {
+            served: vec![false; flows],
+            count: (0..id32(instance.node_count()))
+                .map(|v| instance.flows_through(v).len())
+                .collect(),
+            unserved: flows,
+        }
+    }
+
+    /// The state with exactly the `served` flows served, its counts
+    /// seeded from the vertex rows.
+    fn from_served(instance: &Instance, served: &[bool]) -> Self {
+        Self {
+            served: served.to_vec(),
+            count: (0..id32(instance.node_count()))
+                .map(|v| crate::objective::coverage_gain(instance, served, v))
+                .collect(),
+            unserved: served.iter().filter(|&&s| !s).count(),
+        }
+    }
+
+    /// Marks every flow through `v` served.
+    pub(crate) fn serve(&mut self, instance: &Instance, v: NodeId) {
+        let served = &mut self.served;
+        self.unserved -= serve_row(instance, v, &mut self.count, |fi| {
+            !std::mem::replace(&mut served[fi], true)
+        });
+    }
+
+    /// Whether flow `fi` is served.
+    pub(crate) fn is_served(&self, fi: u32) -> bool {
+        self.served[ix(fi)]
+    }
+
+    /// Unserved flows that deploying on `v` would cover.
+    pub(crate) fn count(&self, v: NodeId) -> usize {
+        self.count[ix(v)]
+    }
+
+    /// Whether every flow is served.
+    pub(crate) fn all_served(&self) -> bool {
+        self.unserved == 0
+    }
+}
+
+/// Takes every flow of `v`'s row that `claim` newly serves off the
+/// count of each vertex on its path (one decrement per path position,
+/// matching the row entries), and returns how many it claimed.
+fn serve_row(
+    instance: &Instance,
+    v: NodeId,
+    count: &mut [usize],
+    mut claim: impl FnMut(usize) -> bool,
+) -> usize {
+    let flows = instance.flows();
+    let mut claimed = 0;
+    for &(fi, _) in instance.flows_through(v) {
+        let fi = ix(fi);
+        if claim(fi) {
+            claimed += 1;
+            for &u in &flows[fi].path {
+                count[ix(u)] -= 1;
+            }
+        }
+    }
+    claimed
+}
+
+/// Greedy-cover trials from a fixed [`Coverage`]. Each trial copies
+/// the base counts and marks the flows it covers with its own epoch
+/// stamp, so no trial copies the `|F|`-sized served flags.
+struct Trial<'a> {
+    instance: &'a Instance,
+    base: &'a Coverage,
+    /// A flow is served in the current trial when the base serves it
+    /// or its stamp equals `epoch`.
+    stamp: Vec<u32>,
+    epoch: u32,
+    count: Vec<usize>,
+    unserved: usize,
+    /// The largest counts of one scan (a min-heap).
+    top: BinaryHeap<Reverse<usize>>,
+}
+
+impl<'a> Trial<'a> {
+    /// A trial positioned at the base state.
+    fn new(instance: &'a Instance, base: &'a Coverage) -> Self {
+        Self {
+            instance,
+            base,
+            stamp: vec![0; base.served.len()],
+            epoch: 1,
+            count: base.count.clone(),
+            unserved: base.unserved,
+            top: BinaryHeap::new(),
+        }
+    }
+
+    /// Starts a new trial at the base state.
+    fn reset(&mut self) {
+        self.epoch += 1;
+        self.count.copy_from_slice(&self.base.count);
+        self.unserved = self.base.unserved;
+    }
+
+    /// Marks every flow through `v` served in this trial.
+    fn serve(&mut self, v: NodeId) {
+        let (base, stamp, epoch) = (&self.base.served, &mut self.stamp, self.epoch);
+        self.unserved -= serve_row(self.instance, v, &mut self.count, |fi| {
+            let fresh = !base[fi] && stamp[fi] != epoch;
+            if fresh {
+                stamp[fi] = epoch;
+            }
+            fresh
+        });
+    }
+
+    /// Runs the greedy cover from the trial's state, reporting each
+    /// pick. Returns the number of picks, or `None` when the cover
+    /// needs more than `limit` picks or some flow is uncoverable.
+    fn cover(&mut self, limit: usize, mut on_pick: impl FnMut(NodeId)) -> Option<usize> {
+        let mut picks = 0;
+        while self.unserved > 0 {
+            let v = self.pick(limit - picks)?;
+            on_pick(v);
+            self.serve(v);
+            picks += 1;
+        }
+        Some(picks)
+    }
+
+    /// The greedy pick: the largest count, ties toward the smaller id.
+    /// `None` when no pick is left, no vertex covers a flow, or the
+    /// `left` largest counts sum to fewer than the unserved flows.
+    /// That last stop is exact: greedy picks distinct vertices, each
+    /// covers at most its current count, and counts never rise, so no
+    /// `left` picks can then finish the cover.
+    fn pick(&mut self, left: usize) -> Option<NodeId> {
+        if left == 0 {
+            return None;
+        }
+        let bounded = left < self.count.len();
+        let top = &mut self.top;
+        top.clear();
+        let mut best: Option<(usize, usize)> = None;
+        for (v, &c) in self.count.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            if best.is_none_or(|(bc, _)| c > bc) {
+                best = Some((c, v));
+            }
+            if bounded {
+                if top.len() < left {
+                    top.push(Reverse(c));
+                } else if let Some(mut least) = top.peek_mut() {
+                    if c > least.0 {
+                        *least = Reverse(c);
+                    }
+                }
+            }
+        }
+        let (_, v) = best?;
+        if bounded && top.iter().map(|r| r.0).sum::<usize>() < self.unserved {
+            return None;
+        }
+        Some(id32(v))
+    }
+}
+
+/// Candidates not yet deployed.
+pub(crate) fn open_candidates(instance: &Instance, deployment: &Deployment) -> Vec<NodeId> {
+    instance
+        .candidate_vertices()
+        .into_iter()
+        .filter(|&v| !deployment.contains(v))
         .collect()
+}
+
+/// The tight-budget feasibility guard shared by every budgeted greedy.
+///
+/// With some flows still unserved and `remaining` rounds left:
+///
+/// * uncoverable, or a greedy cover needs *more* than `remaining`
+///   boxes → [`TdmdError::Infeasible`];
+/// * a cover needs *exactly* `remaining` boxes → `Ok(Some(allowed))`,
+///   the open candidates after which a greedy cover of the rest fits
+///   in `remaining − 1` boxes (the paper's "we can only deploy a
+///   middlebox on v2" rule, generalized);
+/// * otherwise (slack budget, or everything already served) →
+///   `Ok(None)`: pick freely.
+///
+/// Every cover here is a [`Trial`] limited to the picks that matter,
+/// so a candidate that cannot fit stops early, most of them before
+/// their trial starts ([`TopCounts`]).
+pub(crate) fn guard_candidates(
+    instance: &Instance,
+    coverage: &Coverage,
+    deployment: &Deployment,
+    remaining: usize,
+) -> Result<Option<Vec<NodeId>>, TdmdError> {
+    crate::obs::ENGINE.guard_checks.incr();
+    if coverage.all_served() {
+        return Ok(None);
+    }
+    let mut trial = Trial::new(instance, coverage);
+    let cover = trial
+        .cover(remaining, |_| {})
+        .ok_or(TdmdError::Infeasible { budget: remaining })?;
+    if cover < remaining {
+        return Ok(None);
+    }
+    crate::obs::ENGINE.guard_activations.incr();
+    let picks = remaining - 1;
+    let bound = TopCounts::new(&coverage.count, picks);
+    let allowed = open_candidates(instance, deployment)
+        .into_iter()
+        .filter(|&v| {
+            let c = coverage.count(v);
+            if bound
+                .as_ref()
+                .is_some_and(|b| b.without(c) < coverage.unserved.saturating_sub(c))
+            {
+                return false;
+            }
+            trial.reset();
+            trial.serve(v);
+            trial.cover(picks, |_| {}).is_some()
+        })
+        .collect();
+    Ok(Some(allowed))
+}
+
+/// The stop of [`Trial::pick`] applied to a candidate before its
+/// trial. Serving `v` leaves at least `unserved − count[v]` flows,
+/// and afterwards the `picks` largest counts sum to at most the
+/// `picks` largest base counts other than `v`'s, because counts never
+/// rise and `v`'s drops to zero. When that sum is smaller, the
+/// trial's first pick would stop it, so the trial can be skipped.
+struct TopCounts {
+    /// Sum of the `picks` largest counts.
+    sum: usize,
+    /// The smallest of them (`None` for no picks) and the count after
+    /// it.
+    last: Option<usize>,
+    next: usize,
+}
+
+impl TopCounts {
+    /// `None` when there are no more vertices than picks, where the
+    /// trial applies no bound either.
+    fn new(count: &[usize], picks: usize) -> Option<Self> {
+        if picks >= count.len() {
+            return None;
+        }
+        let mut desc = count.to_vec();
+        desc.sort_unstable_by(|a, b| b.cmp(a));
+        let (top, rest) = desc.split_at(picks);
+        Some(Self {
+            sum: top.iter().sum(),
+            last: top.last().copied(),
+            next: rest.first().copied().unwrap_or(0),
+        })
+    }
+
+    /// Sum of the `picks` largest counts once one count `c` is taken
+    /// out.
+    fn without(&self, c: usize) -> usize {
+        match self.last {
+            Some(last) if c >= last => self.sum - c + self.next,
+            _ => self.sum,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -109,19 +381,170 @@ mod tests {
         );
     }
 
-    #[test]
-    fn full_cover_vertices_match_fig1_walkthrough() {
-        let inst = fig1_instance(2);
-        // After {v5}: f1 served; f2, f3, f4 remain. Only v2 (id 1)
-        // covers all three — the paper's forced pick.
-        let served = [true, false, false, false];
-        assert_eq!(full_cover_vertices(&inst, &served), vec![1]);
+    /// The guard and the cover as they were before [`Coverage`]: every
+    /// cover from scratch over a cloned `served` vector, rescanning
+    /// each vertex's row per pick. Kept as the reference the
+    /// count-based versions must reproduce exactly.
+    mod reference {
+        use super::super::open_candidates;
+        use crate::error::TdmdError;
+        use crate::instance::Instance;
+        use crate::num::ix;
+        use crate::objective::coverage_gain;
+        use crate::plan::Deployment;
+        use tdmd_graph::NodeId;
+
+        pub fn greedy_cover(instance: &Instance, already_served: &[bool]) -> Option<Vec<NodeId>> {
+            let mut served = already_served.to_vec();
+            let mut remaining = served.iter().filter(|&&s| !s).count();
+            let mut chosen = Vec::new();
+            while remaining > 0 {
+                let mut best: Option<(usize, NodeId)> = None;
+                for v in 0..instance.node_count() as NodeId {
+                    let gain = coverage_gain(instance, &served, v);
+                    if gain > 0 && best.is_none_or(|(bg, _)| gain > bg) {
+                        best = Some((gain, v));
+                    }
+                }
+                let (gain, v) = best?;
+                chosen.push(v);
+                for &(fi, _) in instance.flows_through(v) {
+                    served[fi as usize] = true;
+                }
+                remaining -= gain;
+            }
+            Some(chosen)
+        }
+
+        fn cover_after(instance: &Instance, served: &[bool], extra: NodeId) -> usize {
+            let mut served = served.to_vec();
+            for &(fi, _) in instance.flows_through(extra) {
+                served[ix(fi)] = true;
+            }
+            greedy_cover(instance, &served).map_or(usize::MAX, |c| c.len())
+        }
+
+        pub fn guard_candidates(
+            instance: &Instance,
+            served: &[bool],
+            deployment: &Deployment,
+            remaining: usize,
+        ) -> Result<Option<Vec<NodeId>>, TdmdError> {
+            if served.iter().all(|&s| s) {
+                return Ok(None);
+            }
+            let cover = greedy_cover(instance, served)
+                .ok_or(TdmdError::Infeasible { budget: remaining })?;
+            if cover.len() > remaining {
+                return Err(TdmdError::Infeasible { budget: remaining });
+            }
+            if cover.len() == remaining {
+                let allowed = open_candidates(instance, deployment)
+                    .into_iter()
+                    .filter(|&v| cover_after(instance, served, v) < remaining)
+                    .collect();
+                return Ok(Some(allowed));
+            }
+            Ok(None)
+        }
     }
 
-    #[test]
-    fn full_cover_empty_when_no_single_vertex_suffices() {
-        let inst = fig1_instance(2);
-        // All four flows share no common vertex.
-        assert!(full_cover_vertices(&inst, &[false; 4]).is_empty());
+    mod equivalence {
+        use super::*;
+        use crate::objective::coverage_gain;
+        use proptest::TestRng;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use tdmd_graph::generators::random::erdos_renyi_connected;
+        use tdmd_graph::traversal::bfs_path;
+        use tdmd_traffic::scale::GatewayWorkload;
+        use tdmd_traffic::Flow;
+
+        /// A random ER instance with either gateway traffic (few
+        /// shared destinations, long shared path tails) or all-pairs
+        /// traffic (random source and destination per flow).
+        fn random_instance(rng: &mut StdRng) -> Instance {
+            let n = rng.gen_range(4..24);
+            let g = erdos_renyi_connected(n, rng.gen_range(0.1..0.5), rng);
+            let count = rng.gen_range(1..60);
+            let flows = if rng.gen_bool(0.5) {
+                let gateways = GatewayWorkload::pick_gateways(n, rng.gen_range(1..4), rng);
+                GatewayWorkload::new(&g, gateways, 8).flows(&g, 0, count, rng)
+            } else {
+                let mut flows = Vec::new();
+                while flows.len() < count {
+                    let src = rng.gen_range(0..n) as NodeId;
+                    let dst = rng.gen_range(0..n) as NodeId;
+                    if let Some(path) = bfs_path(&g, src, dst).filter(|p| p.len() >= 2) {
+                        flows.push(Flow::new(flows.len() as u32, rng.gen_range(1..=8), path));
+                    }
+                }
+                flows
+            };
+            Instance::new(g, flows, 0.5, 1).expect("generated paths follow edges")
+        }
+
+        /// A random deployment of up to three boxes and the flows it
+        /// serves, built through [`Coverage::serve`].
+        fn random_state(inst: &Instance, rng: &mut StdRng) -> (Deployment, Coverage, Vec<bool>) {
+            let n = inst.node_count();
+            let mut deployment = Deployment::empty(n);
+            let mut coverage = Coverage::new(inst);
+            let mut served = vec![false; inst.flows().len()];
+            for _ in 0..rng.gen_range(0..4) {
+                let v = rng.gen_range(0..n) as NodeId;
+                if deployment.contains(v) {
+                    continue;
+                }
+                deployment.insert(v);
+                coverage.serve(inst, v);
+                for &(fi, _) in inst.flows_through(v) {
+                    served[ix(fi)] = true;
+                }
+            }
+            (deployment, coverage, served)
+        }
+
+        /// On gateway and all-pairs instances with random served
+        /// states, [`Coverage::serve`] keeps every count equal to the
+        /// row scan, the count-based cover equals the reference vertex
+        /// for vertex, and the guard returns what the from-scratch
+        /// guard returns for budgets from 1 to twice the cover size.
+        /// The tallies prove both the activation and the infeasible
+        /// branch ran.
+        #[test]
+        fn guard_and_cover_match_the_from_scratch_reference() {
+            let seed = proptest::fnv1a("guard_and_cover_match_the_from_scratch_reference");
+            let (mut activations, mut infeasible, mut free) = (0usize, 0usize, 0usize);
+            for case in 0..400u64 {
+                let mut rng = StdRng::seed_from_u64(TestRng::for_case(seed, case).next_u64());
+                let inst = random_instance(&mut rng);
+                for _ in 0..4 {
+                    let (deployment, coverage, served) = random_state(&inst, &mut rng);
+                    for v in 0..inst.node_count() as NodeId {
+                        assert_eq!(coverage.count(v), coverage_gain(&inst, &served, v));
+                    }
+                    assert_eq!(coverage.unserved, served.iter().filter(|&&s| !s).count());
+                    let reference_cover = reference::greedy_cover(&inst, &served);
+                    assert_eq!(greedy_cover(&inst, &served), reference_cover, "case {case}");
+                    let size = reference_cover.map_or(0, |c| c.len());
+                    for remaining in 1..=(2 * size).max(1) {
+                        let got = guard_candidates(&inst, &coverage, &deployment, remaining);
+                        let want =
+                            reference::guard_candidates(&inst, &served, &deployment, remaining);
+                        assert_eq!(got, want, "case {case}, remaining {remaining}");
+                        match want {
+                            Ok(Some(_)) => activations += 1,
+                            Err(_) => infeasible += 1,
+                            Ok(None) => free += 1,
+                        }
+                    }
+                }
+            }
+            assert!(
+                activations > 0 && infeasible > 0 && free > 0,
+                "vacuous run: {activations} activations, {infeasible} infeasible, {free} free"
+            );
+        }
     }
 }
