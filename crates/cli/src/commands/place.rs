@@ -225,15 +225,15 @@ mod tests {
             .to_string()
     }
 
-    fn fixture() -> (String, String) {
-        let topo_path = tmp("place-topo.json");
+    fn fixture(test: &str) -> (String, String) {
+        let topo_path = tmp(&format!("{test}-place-topo.json"));
         topo::generate(&args(&[
             ("kind", "tree"),
             ("size", "14"),
             ("out", &topo_path),
         ]))
         .unwrap();
-        let wl_path = tmp("place-wl.json");
+        let wl_path = tmp(&format!("{test}-place-wl.json"));
         workload::generate(&args(&[
             ("topo", &topo_path),
             ("count", "10"),
@@ -264,7 +264,7 @@ mod tests {
 
     #[test]
     fn place_runs_end_to_end_and_writes_the_plan() {
-        let (topo_path, wl_path) = fixture();
+        let (topo_path, wl_path) = fixture("place_runs_end_to_end_and_writes_the_plan");
         let plan_path = tmp("place-plan.json");
         let report = place(&args(&[
             ("topo", &topo_path),
@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn audit_flag_validates_instance_and_solution() {
-        let (topo_path, wl_path) = fixture();
+        let (topo_path, wl_path) = fixture("audit_flag_validates_instance_and_solution");
         let report = place(&args(&[
             ("topo", &topo_path),
             ("workload", &wl_path),
@@ -299,7 +299,7 @@ mod tests {
 
     #[test]
     fn weighted_cost_model_runs_the_generic_engine() {
-        let (topo_path, wl_path) = fixture();
+        let (topo_path, wl_path) = fixture("weighted_cost_model_runs_the_generic_engine");
         for alg in ["gtp", "gtp-ls", "best-effort"] {
             let report = place(&args(&[
                 ("topo", &topo_path),
@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn weighted_cost_model_rejects_unsupported_algorithms() {
-        let (topo_path, wl_path) = fixture();
+        let (topo_path, wl_path) = fixture("weighted_cost_model_rejects_unsupported_algorithms");
         let err = place(&args(&[
             ("topo", &topo_path),
             ("workload", &wl_path),
@@ -341,7 +341,7 @@ mod tests {
 
     #[test]
     fn joint_routing_reports_bound_and_baseline() {
-        let (topo_path, wl_path) = fixture();
+        let (topo_path, wl_path) = fixture("joint_routing_reports_bound_and_baseline");
         let report = place(&args(&[
             ("topo", &topo_path),
             ("workload", &wl_path),
@@ -363,7 +363,7 @@ mod tests {
     fn joint_routing_never_beats_itself_with_one_candidate() {
         // --k-paths 1 is the singleton case: the joint report must
         // show a zero saving over the fixed-path baseline.
-        let (topo_path, wl_path) = fixture();
+        let (topo_path, wl_path) = fixture("joint_routing_never_beats_itself_with_one_candidate");
         let report = place(&args(&[
             ("topo", &topo_path),
             ("workload", &wl_path),
@@ -379,7 +379,7 @@ mod tests {
 
     #[test]
     fn joint_routing_rejects_bad_modes() {
-        let (topo_path, wl_path) = fixture();
+        let (topo_path, wl_path) = fixture("joint_routing_rejects_bad_modes");
         let base = [
             ("topo", topo_path.as_str()),
             ("workload", wl_path.as_str()),
@@ -407,7 +407,7 @@ mod tests {
 
     #[test]
     fn infeasible_budget_is_a_clean_error() {
-        let (topo_path, wl_path) = fixture();
+        let (topo_path, wl_path) = fixture("infeasible_budget_is_a_clean_error");
         let err = place(&args(&[
             ("topo", &topo_path),
             ("workload", &wl_path),

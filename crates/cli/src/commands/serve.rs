@@ -263,8 +263,8 @@ mod tests {
             .to_string()
     }
 
-    fn fixture() -> String {
-        let topo_path = tmp("serve-topo.json");
+    fn fixture(test: &str) -> String {
+        let topo_path = tmp(&format!("{test}-serve-topo.json"));
         topo::generate(&args(&[
             ("kind", "tree"),
             ("size", "14"),
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn gen_writes_parseable_tenant_tagged_events() {
-        let topo = fixture();
+        let topo = fixture("gen_writes_parseable_tenant_tagged_events");
         let out = tmp("serve-events.ndjson");
         let report = generate(&args(&[
             ("topo", &topo),
@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn run_snapshot_restore_replay_matches_the_uninterrupted_run() {
-        let topo = fixture();
+        let topo = fixture("run_snapshot_restore_replay_matches_the_uninterrupted_run");
         let events_path = tmp("serve-replay-events.ndjson");
         generate(&args(&[
             ("topo", &topo),
@@ -371,7 +371,7 @@ mod tests {
 
     #[test]
     fn run_rejects_unknown_policy() {
-        let topo = fixture();
+        let topo = fixture("run_rejects_unknown_policy");
         let err = run(&args(&[
             ("topo", &topo),
             ("lambda", "0.5"),

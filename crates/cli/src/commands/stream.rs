@@ -14,9 +14,7 @@ use crate::commands::{budget_from, load_topology, load_workload, write_out};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdmd_obs::{normalize_zero, percentile, StatsRecorder, Stopwatch};
-use tdmd_online::{
-    events_from_spans, obs_keys, FlowSpan, HopPricer, OnlineEngine, PathPricer, RepairPolicy,
-};
+use tdmd_online::{events_from_spans, obs_keys, FlowSpan, HopPricer, OnlineEngine, RepairPolicy};
 use tdmd_sim::chaos::{run_chaos, ChaosConfig, ChaosMode};
 use tdmd_sim::timeline::DynamicScenario;
 
@@ -101,7 +99,6 @@ pub fn run(args: &Args) -> Result<String, String> {
     let oracle_every: u64 = args.num("oracle-every", 0)?;
     let audit = args.flag("audit")?;
 
-    let pricer = HopPricer::default();
     let recorder = StatsRecorder::new();
     let mut engine =
         OnlineEngine::with_recorder(graph, lambda, k, HopPricer::default(), policy, &recorder)
@@ -123,8 +120,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         let is_last = i as u64 + 1 == total;
         let sampled = oracle_every > 0 && (i as u64 + 1).is_multiple_of(oracle_every);
         if (sampled || is_last) && engine.active_count() > 0 {
-            let inst = engine.snapshot_instance().map_err(|e| e.to_string())?;
-            if let Ok(oracle) = pricer.solve_oracle(&inst) {
+            if let Ok(oracle) = engine.solve_oracle() {
                 let oracle_obj = engine.evaluate_deployment(&oracle);
                 if oracle_obj > 0.0 {
                     gaps.push(engine.objective() / oracle_obj - 1.0);
@@ -321,15 +317,15 @@ mod tests {
             .to_string()
     }
 
-    fn fixture() -> (String, String) {
-        let topo_path = tmp("stream-topo.json");
+    fn fixture(test: &str) -> (String, String) {
+        let topo_path = tmp(&format!("{test}-stream-topo.json"));
         topo::generate(&args(&[
             ("kind", "tree"),
             ("size", "14"),
             ("out", &topo_path),
         ]))
         .unwrap();
-        let wl_path = tmp("stream-wl.json");
+        let wl_path = tmp(&format!("{test}-stream-wl.json"));
         workload::generate(&args(&[
             ("topo", &topo_path),
             ("count", "10"),
@@ -341,7 +337,7 @@ mod tests {
 
     #[test]
     fn gen_writes_a_replayable_span_file() {
-        let (_topo, wl) = fixture();
+        let (_topo, wl) = fixture("gen_writes_a_replayable_span_file");
         let spans_path = tmp("stream-spans.json");
         let report = generate(&args(&[
             ("workload", &wl),
@@ -358,7 +354,7 @@ mod tests {
 
     #[test]
     fn run_reports_latency_and_oracle_gap() {
-        let (topo_path, wl) = fixture();
+        let (topo_path, wl) = fixture("run_reports_latency_and_oracle_gap");
         let spans_path = tmp("stream-run-spans.json");
         generate(&args(&[
             ("workload", &wl),
@@ -385,7 +381,7 @@ mod tests {
 
     #[test]
     fn audit_flag_checks_every_event_and_the_final_state() {
-        let (topo_path, wl) = fixture();
+        let (topo_path, wl) = fixture("audit_flag_checks_every_event_and_the_final_state");
         let spans_path = tmp("stream-audit-spans.json");
         generate(&args(&[
             ("workload", &wl),
@@ -407,7 +403,7 @@ mod tests {
 
     #[test]
     fn replanned_policy_reports_a_zero_gap() {
-        let (topo_path, wl) = fixture();
+        let (topo_path, wl) = fixture("replanned_policy_reports_a_zero_gap");
         let spans_path = tmp("stream-zero-gap-spans.json");
         generate(&args(&[
             ("workload", &wl),
@@ -433,7 +429,7 @@ mod tests {
 
     #[test]
     fn budgeted_run_reports_spend_and_deferrals() {
-        let (topo_path, wl) = fixture();
+        let (topo_path, wl) = fixture("budgeted_run_reports_spend_and_deferrals");
         let spans_path = tmp("stream-budget-spans.json");
         generate(&args(&[
             ("workload", &wl),
@@ -469,7 +465,7 @@ mod tests {
 
     #[test]
     fn bad_budget_flags_are_rejected() {
-        let (topo_path, wl) = fixture();
+        let (topo_path, wl) = fixture("bad_budget_flags_are_rejected");
         let spans_path = tmp("stream-badbudget-spans.json");
         generate(&args(&[
             ("workload", &wl),
@@ -490,7 +486,7 @@ mod tests {
 
     #[test]
     fn inject_reports_failures_for_both_modes() {
-        let (topo_path, wl) = fixture();
+        let (topo_path, wl) = fixture("inject_reports_failures_for_both_modes");
         let spans_path = tmp("stream-inject-spans.json");
         generate(&args(&[
             ("workload", &wl),
@@ -522,7 +518,7 @@ mod tests {
 
     #[test]
     fn inject_rejects_unknown_mode() {
-        let (topo_path, wl) = fixture();
+        let (topo_path, wl) = fixture("inject_rejects_unknown_mode");
         let spans_path = tmp("stream-inject-badmode-spans.json");
         generate(&args(&[
             ("workload", &wl),
@@ -543,7 +539,7 @@ mod tests {
 
     #[test]
     fn bad_policy_is_rejected() {
-        let (topo_path, wl) = fixture();
+        let (topo_path, wl) = fixture("bad_policy_is_rejected");
         let spans_path = tmp("stream-badpolicy-spans.json");
         generate(&args(&[
             ("workload", &wl),

@@ -39,15 +39,15 @@ pub fn best_effort_with<M: CostModel>(
 ) -> Result<Deployment, TdmdError> {
     let index = FlowIndex::build(instance, model);
     let mut deployment = Deployment::empty(instance.node_count());
-    let mut coverage = Coverage::new(instance);
+    let mut coverage = Coverage::new(&index);
     let mut cur = vec![0.0f64; instance.flows().len()];
     let flows = instance.flows();
 
     for round in 0..k {
         let remaining = k - round;
         let all_served = coverage.all_served();
-        let cands = guard_candidates(instance, &coverage, &deployment, remaining)?
-            .unwrap_or_else(|| open_candidates(instance, &deployment));
+        let cands = guard_candidates(&index, &coverage, &deployment, remaining)?
+            .unwrap_or_else(|| open_candidates(&index, &deployment));
         // Volume score: unserved traffic through v (λ-independent so
         // coverage still progresses when λ = 1 zeroes all savings).
         let mut best: Option<(u64, f64, NodeId)> = None;
@@ -74,7 +74,7 @@ pub fn best_effort_with<M: CostModel>(
             break; // nothing left to improve
         }
         deployment.insert(v);
-        coverage.serve(instance, v);
+        coverage.serve(&index, v);
         for &(fi, g) in index.flows_through(v) {
             if g > cur[ix(fi)] {
                 cur[ix(fi)] = g;

@@ -1,12 +1,14 @@
 //! The generic greedy engine behind every objective variant.
 //!
-//! One `Ctx` pairs an [`Instance`] with a compiled [`FlowIndex`], and
-//! `run_gtp` runs the paper's Alg. 1 against it — the cost model is
-//! already baked into the index, so hop-count, weighted-edge, and
-//! chain-stack pricing all share this single loop (Thm. 2's
-//! submodularity argument only needs the per-flow metric to be
-//! monotone along the path, which [`CostModel`](crate::cost::CostModel)
-//! implementations guarantee).
+//! `run_gtp` runs the paper's Alg. 1 against one compiled
+//! [`FlowIndex`], its whole input — the cost model is already baked
+//! into the index, so hop-count, weighted-edge, and chain-stack
+//! pricing all share this single loop (Thm. 2's submodularity
+//! argument only needs the per-flow metric to be monotone along the
+//! path, which [`CostModel`](crate::cost::CostModel) implementations
+//! guarantee). The index may be compiled from an [`Instance`]
+//! ([`FlowIndex::build`]) or from flows priced elsewhere
+//! ([`FlowIndex::compile`], the online drift oracle's live state).
 //!
 //! The tight-budget **feasibility guard** (the paper's "can only
 //! deploy on v2" rule, generalized) lives once in
@@ -18,6 +20,8 @@
 //! best-move loop over an arbitrary [`MoveGreedy`] driver, used by the
 //! chain crate's prefix-stack greedy where a "move" deploys several
 //! middlebox instances at once.
+//!
+//! [`Instance`]: crate::instance::Instance
 
 use std::cmp::Reverse;
 
@@ -26,7 +30,6 @@ use tdmd_graph::NodeId;
 use crate::cost::FlowIndex;
 use crate::error::TdmdError;
 use crate::feasibility::{guard_candidates, open_candidates, Coverage};
-use crate::instance::Instance;
 use crate::num::ix;
 use crate::order::TotalGain;
 use crate::plan::Deployment;
@@ -54,16 +57,6 @@ impl Score {
     }
 }
 
-/// An instance with its compiled cost model.
-#[derive(Clone, Copy)]
-pub(crate) struct Ctx<'a> {
-    pub instance: &'a Instance,
-    pub index: &'a FlowIndex,
-    /// Whether newly-covered flows join the tie-break ladder
-    /// ([`CostModel::coverage_tiebreak`](crate::cost::CostModel::coverage_tiebreak)).
-    pub coverage_ties: bool,
-}
-
 /// Mutable greedy state of one GTP run.
 struct State {
     deployment: Deployment,
@@ -75,11 +68,11 @@ struct State {
 }
 
 impl State {
-    fn new(ctx: &Ctx<'_>) -> Self {
+    fn new(index: &FlowIndex) -> Self {
         Self {
-            deployment: Deployment::empty(ctx.instance.node_count()),
-            cur: vec![0.0; ctx.index.flow_count()],
-            coverage: Coverage::new(ctx.instance),
+            deployment: Deployment::empty(index.node_count()),
+            cur: vec![0.0; index.flow_count()],
+            coverage: Coverage::new(index),
         }
     }
 
@@ -87,11 +80,11 @@ impl State {
         self.coverage.all_served()
     }
 
-    fn score(&self, ctx: &Ctx<'_>, v: NodeId) -> Score {
+    fn score(&self, index: &FlowIndex, v: NodeId) -> Score {
         crate::obs::ENGINE.gain_evals.incr();
         Score {
-            gain: ctx.index.marginal_decrement(ctx.instance, &self.cur, v),
-            coverage: if ctx.coverage_ties {
+            gain: index.decrement(&self.cur, v),
+            coverage: if index.coverage_tiebreak() {
                 self.coverage.count(v)
             } else {
                 0
@@ -101,10 +94,10 @@ impl State {
     }
 
     /// The best-scoring candidate, scanned in `cands` order.
-    fn best_of(&self, ctx: &Ctx<'_>, cands: &[NodeId]) -> Option<Score> {
+    fn best_of(&self, index: &FlowIndex, cands: &[NodeId]) -> Option<Score> {
         let mut best: Option<Score> = None;
         for &v in cands {
-            let s = self.score(ctx, v);
+            let s = self.score(index, v);
             if best.as_ref().is_none_or(|b| s.better_than(b)) {
                 best = Some(s);
             }
@@ -112,10 +105,10 @@ impl State {
         best
     }
 
-    fn commit(&mut self, ctx: &Ctx<'_>, v: NodeId) {
+    fn commit(&mut self, index: &FlowIndex, v: NodeId) {
         self.deployment.insert(v);
-        self.coverage.serve(ctx.instance, v);
-        for &(fi, g) in ctx.index.flows_through(v) {
+        self.coverage.serve(index, v);
+        for &(fi, g) in index.flows_through(v) {
             let fi = ix(fi);
             if g > self.cur[fi] {
                 self.cur[fi] = g;
@@ -141,17 +134,17 @@ struct Picked {
 ///
 /// Once every flow is served the guard is skipped and only a positive
 /// gain is worth a box; the error then tells the caller to stop.
-fn pick(ctx: &Ctx<'_>, state: &State, remaining: usize) -> Result<Picked, TdmdError> {
+fn pick(index: &FlowIndex, state: &State, remaining: usize) -> Result<Picked, TdmdError> {
     let all_served = state.all_served();
     let feasible = if all_served {
         None
     } else {
-        guard_candidates(ctx.instance, &state.coverage, &state.deployment, remaining)?
+        guard_candidates(index, &state.coverage, &state.deployment, remaining)?
     };
     let guarded = feasible.is_some();
-    let cands = feasible.unwrap_or_else(|| open_candidates(ctx.instance, &state.deployment));
+    let cands = feasible.unwrap_or_else(|| open_candidates(index, &state.deployment));
     state
-        .best_of(ctx, &cands)
+        .best_of(index, &cands)
         .filter(|s| !all_served || s.gain > 0.0)
         .map(|s| Picked {
             v: s.v,
@@ -163,23 +156,23 @@ fn pick(ctx: &Ctx<'_>, state: &State, remaining: usize) -> Result<Picked, TdmdEr
 
 /// GTP (Alg. 1): eager best-candidate rounds under the feasibility
 /// guard; `budget = None` derives `k` (stop at full coverage).
-pub(crate) fn run_gtp(ctx: &Ctx<'_>, budget: Option<usize>) -> Result<Deployment, TdmdError> {
+pub(crate) fn run_gtp(index: &FlowIndex, budget: Option<usize>) -> Result<Deployment, TdmdError> {
     #[cfg(any(debug_assertions, feature = "audit", test))]
-    crate::audit::enforce(crate::audit::check_instance(ctx.instance));
+    crate::audit::enforce(crate::audit::check_index(index));
     #[cfg(any(debug_assertions, feature = "audit", test))]
     let mut trace: Vec<crate::audit::TraceRound> = Vec::new();
-    let mut state = State::new(ctx);
-    let limit = budget.unwrap_or(ctx.instance.node_count());
+    let mut state = State::new(index);
+    let limit = budget.unwrap_or(index.node_count());
     for round in 0..limit {
         let remaining = limit - round;
-        match pick(ctx, &state, remaining) {
+        match pick(index, &state, remaining) {
             Ok(p) => {
                 #[cfg(any(debug_assertions, feature = "audit", test))]
                 trace.push(crate::audit::TraceRound {
                     gain: p.gain,
                     guarded: p.guarded,
                 });
-                state.commit(ctx, p.v);
+                state.commit(index, p.v);
             }
             // No useful vertex left and everything served: done early.
             Err(_) if state.all_served() => break,
@@ -195,11 +188,10 @@ pub(crate) fn run_gtp(ctx: &Ctx<'_>, budget: Option<usize>) -> Result<Deployment
     #[cfg(any(debug_assertions, feature = "audit", test))]
     {
         crate::audit::enforce(crate::audit::check_greedy_trace(&trace));
-        crate::audit::enforce(crate::audit::check_solution(
-            ctx.instance,
+        crate::audit::enforce(crate::audit::check_index_solution(
+            index,
             &state.deployment,
             limit,
-            None,
         ));
     }
     Ok(state.deployment)

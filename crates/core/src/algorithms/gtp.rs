@@ -30,26 +30,29 @@
 //! [`TdmdError::Infeasible`] and the experiment protocol resamples the
 //! workload, exactly like §6.1.
 
-use super::engine::{self, Ctx};
+use super::engine;
 use crate::cost::{CostModel, FlowIndex, HopCount};
 use crate::error::TdmdError;
 use crate::instance::Instance;
 use crate::plan::Deployment;
 
-/// Compiles `model` into a [`FlowIndex`] and runs the engine's GTP
-/// loop over it.
+/// Audits `instance`, compiles `model` into a [`FlowIndex`] and runs
+/// the engine's GTP loop over it.
 fn solve<M: CostModel>(
     instance: &Instance,
     model: &M,
     budget: Option<usize>,
 ) -> Result<Deployment, TdmdError> {
-    let index = FlowIndex::build(instance, model);
-    let ctx = Ctx {
-        instance,
-        index: &index,
-        coverage_ties: model.coverage_tiebreak(),
-    };
-    engine::run_gtp(&ctx, budget)
+    #[cfg(any(debug_assertions, feature = "audit", test))]
+    crate::audit::enforce(crate::audit::check_instance(instance));
+    engine::run_gtp(&FlowIndex::build(instance, model), budget)
+}
+
+/// GTP with a hard budget of `k` middleboxes on an already compiled
+/// index — what [`gtp_budgeted_with`] runs after compiling, for
+/// callers that compile their own flows ([`FlowIndex::compile`]).
+pub fn gtp_budgeted_index(index: &FlowIndex, k: usize) -> Result<Deployment, TdmdError> {
+    engine::run_gtp(index, Some(k))
 }
 
 /// GTP in the Thm. 3 setting under an arbitrary cost model: keep

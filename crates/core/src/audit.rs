@@ -18,6 +18,10 @@
 //!   vertex with the maximal `l_v(f)` (the forced optimal allocation
 //!   of §3.1), and the decrement `d(P)` is non-negative (Lemma 1's
 //!   lower bound).
+//! * [`check_index`] and [`check_index_solution`] — the same two
+//!   layers for a compiled [`FlowIndex`], the greedy kernel's whole
+//!   input: rows, weights and paths consistent with each other, and a
+//!   result within budget that serves every flow.
 //! * [`check_greedy_trace`] — the greedy's per-round marginal gains
 //!   are non-negative and monotone non-increasing across unguarded
 //!   rounds: a live submodularity witness for Thm. 2. Guard rounds
@@ -30,6 +34,7 @@
 
 use std::fmt;
 
+use crate::cost::FlowIndex;
 use crate::instance::Instance;
 use crate::plan::{Allocation, Deployment};
 
@@ -405,6 +410,142 @@ pub fn check_solution(
         }
     }
     let d = crate::objective::decrement(instance, deployment);
+    if d < -DECREMENT_EPS {
+        fail!("decrement-negative", "d(P) = {d} < 0 violates Lemma 1");
+    }
+    Ok(())
+}
+
+/// Validates a compiled [`FlowIndex`] on its own, the way
+/// [`check_instance`] validates the instance CSR: offsets are monotone
+/// prefix-sum fences over the rows and the path arena, every row is
+/// strictly ascending by flow id, every entry names a flow whose path
+/// crosses the vertex, and each flow has exactly one entry per path
+/// position. An index compiled from live state
+/// ([`FlowIndex::compile`]) has no instance to check against, so this
+/// is its structural audit.
+///
+/// # Errors
+/// Returns the first violated check among `index-shape`,
+/// `index-offsets-monotone`, `index-path-bounds`, `index-row-sorted`,
+/// `index-entry-bounds`, `index-entry-offpath` and `index-bijective`.
+pub fn check_index(index: &FlowIndex) -> Result<(), AuditError> {
+    let (offsets, entries) = index.audit_rows();
+    let (path_offsets, path_nodes) = index.audit_paths();
+    let n = index.node_count();
+    let flows = index.flow_count();
+    let spans = |fence: &[u32], len: usize| {
+        fence.first() == Some(&0) && fence.last().map(|&o| o as usize) == Some(len)
+    };
+    if offsets.len() != n + 1 || !spans(offsets, entries.len()) {
+        fail!(
+            "index-shape",
+            "row fence of length {} does not span {} entries",
+            offsets.len(),
+            entries.len()
+        );
+    }
+    if path_offsets.len() != flows + 1 || !spans(path_offsets, path_nodes.len()) {
+        fail!(
+            "index-shape",
+            "path fence of length {} does not span {} path vertices of {flows} flows",
+            path_offsets.len(),
+            path_nodes.len()
+        );
+    }
+    for (fence, name) in [(offsets, "row"), (path_offsets, "path")] {
+        if let Some(i) = fence.windows(2).position(|w| w[0] > w[1]) {
+            fail!(
+                "index-offsets-monotone",
+                "{name} fence decreases at {i}: {} > {}",
+                fence[i],
+                fence[i + 1]
+            );
+        }
+    }
+    if let Some(&v) = path_nodes.iter().find(|&&v| v as usize >= n) {
+        fail!(
+            "index-path-bounds",
+            "path vertex {v} out of bounds (n = {n})"
+        );
+    }
+    let mut per_flow = vec![0usize; flows];
+    for v in 0..n as tdmd_graph::NodeId {
+        let mut prev: Option<u32> = None;
+        for &(fi, _) in index.flows_through(v) {
+            if prev.is_some_and(|p| fi <= p) {
+                fail!(
+                    "index-row-sorted",
+                    "vertex {v} row not strictly ascending: flow {fi} after {prev:?}"
+                );
+            }
+            prev = Some(fi);
+            if fi as usize >= flows {
+                fail!(
+                    "index-entry-bounds",
+                    "vertex {v} row references flow {fi} of {flows}"
+                );
+            }
+            if !index.path(fi).contains(&v) {
+                fail!(
+                    "index-entry-offpath",
+                    "vertex {v} row lists flow {fi}, whose path avoids it"
+                );
+            }
+            per_flow[fi as usize] += 1;
+        }
+    }
+    for (fi, &got) in per_flow.iter().enumerate() {
+        let want = index.path(fi as u32).len();
+        if got != want {
+            fail!(
+                "index-bijective",
+                "flow {fi}: {got} row entries for {want} path vertices"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Validates a GTP result against the index it was solved on: vertex
+/// bounds, the budget, every flow served by a deployed vertex on its
+/// path, and a non-negative decrement `Σ r_f (1 − λ) · best gain`
+/// (Lemma 1's lower bound under the compiled model).
+///
+/// # Errors
+/// Returns the first violated check among `deployment-bounds`,
+/// `deployment-over-budget`, `flow-unserved` and
+/// `decrement-negative`.
+pub fn check_index_solution(
+    index: &FlowIndex,
+    deployment: &Deployment,
+    budget: usize,
+) -> Result<(), AuditError> {
+    let n = index.node_count();
+    for &v in deployment.vertices() {
+        if (v as usize) >= n || !deployment.contains(v) {
+            fail!(
+                "deployment-bounds",
+                "deployed vertex {v} out of bounds or missing from the bitmap"
+            );
+        }
+    }
+    if deployment.len() > budget {
+        fail!(
+            "deployment-over-budget",
+            "{} middleboxes deployed, budget k = {budget}",
+            deployment.len()
+        );
+    }
+    let best = index.best_down(deployment);
+    if let Some(fi) = best.iter().position(Option::is_none) {
+        fail!("flow-unserved", "flow {fi} crosses no deployed vertex");
+    }
+    let d: f64 = best
+        .iter()
+        .enumerate()
+        .map(|(fi, g)| index.weight(fi as u32) * g.unwrap_or(0.0))
+        .sum();
     if d < -DECREMENT_EPS {
         fail!("decrement-negative", "d(P) = {d} < 0 violates Lemma 1");
     }

@@ -19,6 +19,7 @@
 //! evaluation; with `cap ≥ |F|` it reduces to the uncapacitated
 //! behaviour (tested).
 
+use crate::cost::{FlowIndex, HopCount};
 use crate::error::TdmdError;
 use crate::feasibility::{guard_candidates, open_candidates, Coverage};
 use crate::instance::Instance;
@@ -158,14 +159,15 @@ pub fn gtp_capacitated(
         return Err(TdmdError::Infeasible { budget: k });
     }
     let mut deployment = Deployment::empty(instance.node_count());
-    let mut coverage = Coverage::new(instance);
+    let index = FlowIndex::build(instance, &HopCount);
+    let mut coverage = Coverage::new(&index);
     let mut cur = evaluate_capacitated(instance, &deployment, cap);
     for round in 0..k {
         let remaining = k - round;
         // Capacity-blind coverage guard, shared with the uncapacitated
         // engine (the final matching certifies actual feasibility).
-        let cands = guard_candidates(instance, &coverage, &deployment, remaining)?
-            .unwrap_or_else(|| open_candidates(instance, &deployment));
+        let cands = guard_candidates(&index, &coverage, &deployment, remaining)?
+            .unwrap_or_else(|| open_candidates(&index, &deployment));
         // Exact trial evaluation per candidate.
         let mut best: Option<(CapacitatedEval, usize, NodeId)> = None;
         for v in cands {
@@ -193,7 +195,7 @@ pub fn gtp_capacitated(
             break;
         }
         deployment.insert(v);
-        coverage.serve(instance, v);
+        coverage.serve(&index, v);
         cur = eval;
     }
     if cur.matched < n_flows {

@@ -22,10 +22,13 @@
 //! weights, the repo's priced-links extension), and the chain-aware
 //! stack model in the `tdmd-chain` crate.
 //!
-//! A model is *compiled* into a [`FlowIndex`]: one flat CSR arena of
-//! `(flow, gain)` entries grouped by vertex, replacing the old
-//! `Vec<Vec<…>>` per-vertex lists (one allocation instead of `|V|`,
-//! and cache-contiguous scans in the greedy inner loop).
+//! A model is *compiled* into a [`FlowIndex`], the greedy kernel's
+//! whole input: one flat CSR arena of `(flow, gain)` entries grouped
+//! by vertex, plus per-flow weights `r_f · (1 − λ)`, unprocessed costs
+//! and paths (one flat arena too), so the kernel's inner loops scan
+//! contiguous memory and never read the [`Instance`]. Flows priced
+//! elsewhere (the online engine prices each flow once, at arrival)
+//! compile through [`FlowIndex::compile`] into the same index.
 //!
 //! Models always price the **active** path of each flow. Under the
 //! joint routing extension a flow's active path is one pick from its
@@ -40,6 +43,7 @@ use tdmd_graph::{DiGraph, NodeId};
 use tdmd_traffic::Flow;
 
 use crate::instance::Instance;
+use crate::num::{approx_f64, id32, ix};
 use crate::plan::Deployment;
 
 /// A pricing of flow traffic along its path.
@@ -250,9 +254,77 @@ impl<M: CostModel> CostModel for TenantCostModel<M> {
     }
 }
 
-/// A [`CostModel`] compiled against one [`Instance`]: for every vertex,
-/// the flows crossing it with their serving gains, stored as one flat
-/// CSR arena (`offsets[v] .. offsets[v + 1]` slices `entries`).
+/// One flow as a caller hands it to [`FlowIndex::compile`]: its rate,
+/// its path, the serving gain at each path position and the cost of
+/// the wholly unprocessed flow, already priced.
+#[derive(Debug, Clone, Copy)]
+pub struct PricedFlow<'a> {
+    /// Rate `r_f`.
+    pub rate: u64,
+    /// Path `p_f`, source first.
+    pub path: &'a [NodeId],
+    /// `gains[i]` is the serving gain at `path[i]`.
+    pub gains: &'a [f64],
+    /// Unprocessed cost of the whole path.
+    pub cost: f64,
+}
+
+/// What the index fill reads of one flow.
+trait IndexSource {
+    fn rate(&self) -> u64;
+    fn path(&self) -> &[NodeId];
+    fn gain(&self, pos: usize) -> f64;
+    fn cost(&self) -> f64;
+}
+
+impl IndexSource for PricedFlow<'_> {
+    fn rate(&self) -> u64 {
+        self.rate
+    }
+
+    fn path(&self) -> &[NodeId] {
+        self.path
+    }
+
+    fn gain(&self, pos: usize) -> f64 {
+        self.gains[pos]
+    }
+
+    fn cost(&self) -> f64 {
+        self.cost
+    }
+}
+
+/// An instance flow priced by a model as the fill asks.
+struct Modeled<'a, M: ?Sized> {
+    flow: &'a Flow,
+    model: &'a M,
+}
+
+impl<M: CostModel + ?Sized> IndexSource for Modeled<'_, M> {
+    fn rate(&self) -> u64 {
+        self.flow.rate
+    }
+
+    fn path(&self) -> &[NodeId] {
+        &self.flow.path
+    }
+
+    fn gain(&self, pos: usize) -> f64 {
+        self.model.serving_gain(self.flow, pos)
+    }
+
+    fn cost(&self) -> f64 {
+        self.model.unprocessed_cost(self.flow)
+    }
+}
+
+/// A priced workload compiled for the greedy kernel, which reads
+/// nothing else: for every vertex, the flows crossing it with their
+/// serving gains, stored as one flat CSR arena (`offsets[v] ..
+/// offsets[v + 1]` slices `entries`); per flow, the weight
+/// `r_f · (1 − λ)`, the unprocessed cost and the path (one flat arena
+/// too); and whether the model breaks gain ties by coverage.
 ///
 /// Entry order within a vertex follows ascending flow id (flows are
 /// indexed in order, and each visits a vertex at most once), which
@@ -264,62 +336,168 @@ pub struct FlowIndex {
     offsets: Vec<u32>,
     /// `(flow id, serving gain)` entries grouped by vertex.
     entries: Vec<(u32, f64)>,
+    /// Per-flow `r_f · (1 − λ)`, indexed by dense flow id.
+    weight: Vec<f64>,
     /// Per-flow unprocessed cost, indexed by dense flow id.
     path_cost: Vec<f64>,
+    /// Path arena fence, length `flow_count + 1`: flow `f`'s path is
+    /// `path_nodes[path_offsets[f] .. path_offsets[f + 1]]`.
+    path_offsets: Vec<u32>,
+    path_nodes: Vec<NodeId>,
+    /// [`CostModel::coverage_tiebreak`] of the compiled model.
+    coverage_ties: bool,
 }
 
 impl FlowIndex {
-    /// Compiles `model` against `instance` in two passes: a counting
-    /// pass sizing each CSR row, then a fill pass walking flows in id
-    /// order with per-vertex write cursors.
+    /// Compiles `model` against `instance`.
     pub fn build<M: CostModel + ?Sized>(instance: &Instance, model: &M) -> Self {
-        let n = instance.node_count();
-        let flows = instance.flows();
+        Self::fill(
+            instance.node_count(),
+            instance.lambda(),
+            model.coverage_tiebreak(),
+            instance.flows().iter().map(|flow| Modeled { flow, model }),
+        )
+    }
+
+    /// Compiles flows the caller has already priced, numbered `0..` in
+    /// iteration order, over `node_count` vertices with
+    /// traffic-changing ratio `lambda`. `coverage_tiebreak` plays the
+    /// role of [`CostModel::coverage_tiebreak`]. Equal to
+    /// [`FlowIndex::build`] when the flows, gains and costs are the
+    /// ones `build` would price.
+    ///
+    /// The flows must be valid: positive rates, simple paths of at
+    /// least two vertices, gains that obey the [`CostModel`] contract.
+    ///
+    /// # Panics
+    /// Panics if a path vertex is not below `node_count` or a flow has
+    /// fewer gains than path positions.
+    pub fn compile<'a, I>(node_count: usize, lambda: f64, coverage_tiebreak: bool, flows: I) -> Self
+    where
+        I: IntoIterator<Item = PricedFlow<'a>>,
+        I::IntoIter: Clone,
+    {
+        Self::fill(node_count, lambda, coverage_tiebreak, flows.into_iter())
+    }
+
+    /// The one fill: a counting pass sizing each CSR row, then a pass
+    /// walking flows in id order with per-vertex write cursors.
+    fn fill<S: IndexSource>(
+        n: usize,
+        lambda: f64,
+        coverage_ties: bool,
+        flows: impl Iterator<Item = S> + Clone,
+    ) -> Self {
         let mut offsets = vec![0u32; n + 1];
-        for f in flows {
-            for &v in &f.path {
-                offsets[v as usize + 1] += 1;
+        let mut flow_count = 0usize;
+        for f in flows.clone() {
+            for &v in f.path() {
+                offsets[ix(v) + 1] += 1;
             }
+            flow_count += 1;
         }
         for i in 1..=n {
             offsets[i] += offsets[i - 1];
         }
+        let total = ix(offsets[n]);
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut entries = vec![(0u32, 0.0f64); offsets[n] as usize];
-        let mut path_cost = Vec::with_capacity(flows.len());
-        for f in flows {
-            path_cost.push(model.unprocessed_cost(f));
-            for (pos, &v) in f.path.iter().enumerate() {
-                let slot = &mut cursor[v as usize];
-                entries[*slot as usize] = (f.id, model.serving_gain(f, pos));
+        let mut entries = vec![(0u32, 0.0f64); total];
+        let mut weight = Vec::with_capacity(flow_count);
+        let mut path_cost = Vec::with_capacity(flow_count);
+        let mut path_offsets = Vec::with_capacity(flow_count + 1);
+        let mut path_nodes = Vec::with_capacity(total);
+        path_offsets.push(0u32);
+        let factor = 1.0 - lambda;
+        for (fi, f) in flows.enumerate() {
+            let fi = id32(fi);
+            weight.push(approx_f64(f.rate()) * factor);
+            path_cost.push(f.cost());
+            let path = f.path();
+            for (pos, &v) in path.iter().enumerate() {
+                let slot = &mut cursor[ix(v)];
+                entries[ix(*slot)] = (fi, f.gain(pos));
                 *slot += 1;
             }
+            path_nodes.extend_from_slice(path);
+            path_offsets.push(id32(path_nodes.len()));
         }
         Self {
             offsets,
             entries,
+            weight,
             path_cost,
+            path_offsets,
+            path_nodes,
+            coverage_ties,
         }
     }
 
     /// Flows crossing `v` with their serving gains at that position.
     #[inline]
     pub fn flows_through(&self, v: NodeId) -> &[(u32, f64)] {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
+        let lo = ix(self.offsets[ix(v)]);
+        let hi = ix(self.offsets[ix(v) + 1]);
         &self.entries[lo..hi]
     }
 
     /// Unprocessed cost of flow `f` (the model's `|p_f|` analogue).
     #[inline]
     pub fn path_cost(&self, f: u32) -> f64 {
-        self.path_cost[f as usize]
+        self.path_cost[ix(f)]
+    }
+
+    /// `r_f · (1 − λ)`: what one unit of serving gain saves on flow
+    /// `f`.
+    #[inline]
+    pub fn weight(&self, f: u32) -> f64 {
+        self.weight[ix(f)]
+    }
+
+    /// The path of flow `f`.
+    #[inline]
+    pub fn path(&self, f: u32) -> &[NodeId] {
+        let lo = ix(self.path_offsets[ix(f)]);
+        let hi = ix(self.path_offsets[ix(f) + 1]);
+        &self.path_nodes[lo..hi]
     }
 
     /// Number of flows indexed.
     #[inline]
     pub fn flow_count(&self) -> usize {
         self.path_cost.len()
+    }
+
+    /// Number of vertices indexed.
+    #[inline]
+    pub fn node_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether the greedy breaks gain ties by newly-covered flows
+    /// ([`CostModel::coverage_tiebreak`] of the compiled model).
+    #[inline]
+    pub fn coverage_tiebreak(&self) -> bool {
+        self.coverage_ties
+    }
+
+    /// Vertices that lie on at least one flow path — the only useful
+    /// middlebox locations.
+    pub fn candidate_vertices(&self) -> Vec<NodeId> {
+        (0..id32(self.node_count()))
+            .filter(|&v| self.offsets[ix(v)] < self.offsets[ix(v) + 1])
+            .collect()
+    }
+
+    /// The row fence and the row arena, for the structural auditor.
+    #[cfg(any(debug_assertions, feature = "audit", test))]
+    pub(crate) fn audit_rows(&self) -> (&[u32], &[(u32, f64)]) {
+        (&self.offsets, &self.entries)
+    }
+
+    /// The path fence and the path arena, for the structural auditor.
+    #[cfg(any(debug_assertions, feature = "audit", test))]
+    pub(crate) fn audit_paths(&self) -> (&[u32], &[NodeId]) {
+        (&self.path_offsets, &self.path_nodes)
     }
 
     /// Total cost with no middleboxes: `Σ r_f · cost(p_f)`.
@@ -366,16 +544,21 @@ impl FlowIndex {
 
     /// Marginal decrement of adding `v` when each flow's best gain so
     /// far is `current[f]` (0.0 for unserved flows): Def. 2
-    /// generalized to the compiled model.
+    /// generalized to the compiled model. `instance` must be the one
+    /// the index was built from; only debug builds look at it.
     pub fn marginal_decrement(&self, instance: &Instance, current: &[f64], v: NodeId) -> f64 {
-        let factor = 1.0 - instance.lambda();
+        debug_assert_eq!(self.flow_count(), instance.flows().len());
+        debug_assert_eq!(self.node_count(), instance.node_count());
+        self.decrement(current, v)
+    }
+
+    /// [`FlowIndex::marginal_decrement`] from the index alone.
+    #[inline]
+    pub(crate) fn decrement(&self, current: &[f64], v: NodeId) -> f64 {
         self.flows_through(v)
             .iter()
-            .filter(|&&(fi, g)| g > current[fi as usize])
-            .map(|&(fi, g)| {
-                let f = &instance.flows()[fi as usize];
-                f.rate as f64 * factor * (g - current[fi as usize])
-            })
+            .filter(|&&(fi, g)| g > current[ix(fi)])
+            .map(|&(fi, g)| self.weight[ix(fi)] * (g - current[ix(fi)]))
             .sum()
     }
 }
@@ -463,6 +646,131 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Prices `inst`'s flows with `model` by hand and compiles them.
+    fn compiled_by_hand<M: CostModel>(inst: &Instance, model: &M) -> FlowIndex {
+        let gains: Vec<Vec<f64>> = inst
+            .flows()
+            .iter()
+            .map(|f| {
+                (0..f.path.len())
+                    .map(|p| model.serving_gain(f, p))
+                    .collect()
+            })
+            .collect();
+        FlowIndex::compile(
+            inst.node_count(),
+            inst.lambda(),
+            model.coverage_tiebreak(),
+            inst.flows().iter().zip(&gains).map(|(f, g)| PricedFlow {
+                rate: f.rate,
+                path: &f.path,
+                gains: g,
+                cost: model.unprocessed_cost(f),
+            }),
+        )
+    }
+
+    #[test]
+    fn compile_equals_build_bit_for_bit() {
+        let fig1 = fig1_instance(2);
+        let line = weighted_line(1).with_lambda(0.3);
+        let weighted = WeightedEdges::new(&line);
+        for (inst, a, b) in [
+            (
+                &fig1,
+                FlowIndex::build(&fig1, &HopCount),
+                compiled_by_hand(&fig1, &HopCount),
+            ),
+            (
+                &line,
+                FlowIndex::build(&line, &weighted),
+                compiled_by_hand(&line, &weighted),
+            ),
+        ] {
+            assert_eq!(a.node_count(), b.node_count());
+            assert_eq!(a.flow_count(), b.flow_count());
+            for v in 0..inst.node_count() as NodeId {
+                let bits = |x: &FlowIndex| -> Vec<(u32, u64)> {
+                    x.flows_through(v)
+                        .iter()
+                        .map(|&(f, g)| (f, g.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&a), bits(&b));
+            }
+            for f in inst.flows() {
+                assert_eq!(a.weight(f.id).to_bits(), b.weight(f.id).to_bits());
+                assert_eq!(a.path_cost(f.id).to_bits(), b.path_cost(f.id).to_bits());
+                assert_eq!(a.path(f.id), &f.path[..]);
+                assert_eq!(b.path(f.id), &f.path[..]);
+            }
+            assert_eq!(a.candidate_vertices(), inst.candidate_vertices());
+        }
+    }
+
+    #[test]
+    fn weights_fold_rate_and_lambda() {
+        let inst = weighted_line(1).with_lambda(0.3);
+        let index = FlowIndex::build(&inst, &HopCount);
+        // Bitwise the product `marginal_decrement` used to form.
+        assert_eq!(index.weight(0).to_bits(), (2.0 * (1.0 - 0.3f64)).to_bits());
+        let cur = vec![0.0];
+        assert_eq!(
+            index.marginal_decrement(&inst, &cur, 3).to_bits(),
+            (2.0 * (1.0 - 0.3f64) * 3.0).to_bits()
+        );
+    }
+
+    #[test]
+    fn structural_audit_accepts_a_clean_index_and_catches_corruption() {
+        use crate::audit::{check_index, check_index_solution};
+        let inst = fig1_instance(2);
+        let clean = FlowIndex::build(&inst, &HopCount);
+        check_index(&clean).unwrap();
+        let (lo, _) = clean
+            .offsets
+            .windows(2)
+            .map(|w| (w[0] as usize, w[1] as usize))
+            .find(|&(lo, hi)| hi - lo >= 2)
+            .expect("fig1 has a multi-flow row");
+
+        let mut swapped = clean.clone();
+        swapped.entries.swap(lo, lo + 1);
+        assert_eq!(check_index(&swapped).unwrap_err().check, "index-row-sorted");
+
+        // Flow 0's path misses some vertex whose row we point at it.
+        let mut offpath = clean.clone();
+        let v = (0..inst.node_count() as NodeId)
+            .find(|&v| {
+                !inst.flows()[0].path.contains(&v)
+                    && clean.flows_through(v).first().is_some_and(|e| e.0 > 0)
+            })
+            .expect("some row starts past flow 0 off its path");
+        let at = clean.offsets[v as usize] as usize;
+        offpath.entries[at].0 = 0;
+        assert_eq!(
+            check_index(&offpath).unwrap_err().check,
+            "index-entry-offpath"
+        );
+
+        let mut short = clean.clone();
+        short.path_offsets.pop();
+        assert_eq!(check_index(&short).unwrap_err().check, "index-shape");
+
+        // The solution audit: {v5} alone strands f3.
+        let partial = Deployment::from_vertices(6, [4]);
+        assert_eq!(
+            check_index_solution(&clean, &partial, 2).unwrap_err().check,
+            "flow-unserved"
+        );
+        let full = Deployment::from_vertices(6, [1, 4]);
+        check_index_solution(&clean, &full, 2).unwrap();
+        assert_eq!(
+            check_index_solution(&clean, &full, 1).unwrap_err().check,
+            "deployment-over-budget"
+        );
     }
 
     #[test]

@@ -10,11 +10,13 @@
 //! The budgeted greedies keep one `Coverage` state up to date as they
 //! deploy, and the tight-budget guard (`guard_candidates`) runs its
 //! greedy covers on that state's per-vertex counts, never on a copied
-//! `served` vector.
+//! `served` vector. Both read the vertex rows and flow paths of a
+//! compiled [`FlowIndex`], never the [`Instance`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::cost::{FlowIndex, HopCount};
 use crate::error::TdmdError;
 use crate::instance::Instance;
 use crate::num::{id32, ix};
@@ -38,9 +40,10 @@ pub fn is_feasible(instance: &Instance, deployment: &Deployment) -> bool {
 /// suggests, and does not prove, that the budget is too small.
 pub fn greedy_cover(instance: &Instance, already_served: &[bool]) -> Option<Vec<NodeId>> {
     debug_assert_eq!(already_served.len(), instance.flows().len());
-    let base = Coverage::from_served(instance, already_served);
+    let index = FlowIndex::build(instance, &HopCount);
+    let base = Coverage::from_served(&index, already_served);
     let mut chosen = Vec::new();
-    Trial::new(instance, &base).cover(usize::MAX, |v| chosen.push(v))?;
+    Trial::new(&index, &base).cover(usize::MAX, |v| chosen.push(v))?;
     Some(chosen)
 }
 
@@ -59,12 +62,12 @@ pub(crate) struct Coverage {
 
 impl Coverage {
     /// Nothing served yet.
-    pub(crate) fn new(instance: &Instance) -> Self {
-        let flows = instance.flows().len();
+    pub(crate) fn new(index: &FlowIndex) -> Self {
+        let flows = index.flow_count();
         Self {
             served: vec![false; flows],
-            count: (0..id32(instance.node_count()))
-                .map(|v| instance.flows_through(v).len())
+            count: (0..id32(index.node_count()))
+                .map(|v| index.flows_through(v).len())
                 .collect(),
             unserved: flows,
         }
@@ -72,20 +75,26 @@ impl Coverage {
 
     /// The state with exactly the `served` flows served, its counts
     /// seeded from the vertex rows.
-    fn from_served(instance: &Instance, served: &[bool]) -> Self {
+    fn from_served(index: &FlowIndex, served: &[bool]) -> Self {
         Self {
             served: served.to_vec(),
-            count: (0..id32(instance.node_count()))
-                .map(|v| crate::objective::coverage_gain(instance, served, v))
+            count: (0..id32(index.node_count()))
+                .map(|v| {
+                    index
+                        .flows_through(v)
+                        .iter()
+                        .filter(|&&(fi, _)| !served[ix(fi)])
+                        .count()
+                })
                 .collect(),
             unserved: served.iter().filter(|&&s| !s).count(),
         }
     }
 
     /// Marks every flow through `v` served.
-    pub(crate) fn serve(&mut self, instance: &Instance, v: NodeId) {
+    pub(crate) fn serve(&mut self, index: &FlowIndex, v: NodeId) {
         let served = &mut self.served;
-        self.unserved -= serve_row(instance, v, &mut self.count, |fi| {
+        self.unserved -= serve_row(index, v, &mut self.count, |fi| {
             !std::mem::replace(&mut served[fi], true)
         });
     }
@@ -110,18 +119,16 @@ impl Coverage {
 /// count of each vertex on its path (one decrement per path position,
 /// matching the row entries), and returns how many it claimed.
 fn serve_row(
-    instance: &Instance,
+    index: &FlowIndex,
     v: NodeId,
     count: &mut [usize],
     mut claim: impl FnMut(usize) -> bool,
 ) -> usize {
-    let flows = instance.flows();
     let mut claimed = 0;
-    for &(fi, _) in instance.flows_through(v) {
-        let fi = ix(fi);
-        if claim(fi) {
+    for &(fi, _) in index.flows_through(v) {
+        if claim(ix(fi)) {
             claimed += 1;
-            for &u in &flows[fi].path {
+            for &u in index.path(fi) {
                 count[ix(u)] -= 1;
             }
         }
@@ -133,7 +140,7 @@ fn serve_row(
 /// the base counts and marks the flows it covers with its own epoch
 /// stamp, so no trial copies the `|F|`-sized served flags.
 struct Trial<'a> {
-    instance: &'a Instance,
+    index: &'a FlowIndex,
     base: &'a Coverage,
     /// A flow is served in the current trial when the base serves it
     /// or its stamp equals `epoch`.
@@ -147,9 +154,9 @@ struct Trial<'a> {
 
 impl<'a> Trial<'a> {
     /// A trial positioned at the base state.
-    fn new(instance: &'a Instance, base: &'a Coverage) -> Self {
+    fn new(index: &'a FlowIndex, base: &'a Coverage) -> Self {
         Self {
-            instance,
+            index,
             base,
             stamp: vec![0; base.served.len()],
             epoch: 1,
@@ -169,7 +176,7 @@ impl<'a> Trial<'a> {
     /// Marks every flow through `v` served in this trial.
     fn serve(&mut self, v: NodeId) {
         let (base, stamp, epoch) = (&self.base.served, &mut self.stamp, self.epoch);
-        self.unserved -= serve_row(self.instance, v, &mut self.count, |fi| {
+        self.unserved -= serve_row(self.index, v, &mut self.count, |fi| {
             let fresh = !base[fi] && stamp[fi] != epoch;
             if fresh {
                 stamp[fi] = epoch;
@@ -232,8 +239,8 @@ impl<'a> Trial<'a> {
 }
 
 /// Candidates not yet deployed.
-pub(crate) fn open_candidates(instance: &Instance, deployment: &Deployment) -> Vec<NodeId> {
-    instance
+pub(crate) fn open_candidates(index: &FlowIndex, deployment: &Deployment) -> Vec<NodeId> {
+    index
         .candidate_vertices()
         .into_iter()
         .filter(|&v| !deployment.contains(v))
@@ -257,7 +264,7 @@ pub(crate) fn open_candidates(instance: &Instance, deployment: &Deployment) -> V
 /// so a candidate that cannot fit stops early, most of them before
 /// their trial starts ([`TopCounts`]).
 pub(crate) fn guard_candidates(
-    instance: &Instance,
+    index: &FlowIndex,
     coverage: &Coverage,
     deployment: &Deployment,
     remaining: usize,
@@ -266,7 +273,7 @@ pub(crate) fn guard_candidates(
     if coverage.all_served() {
         return Ok(None);
     }
-    let mut trial = Trial::new(instance, coverage);
+    let mut trial = Trial::new(index, coverage);
     let cover = trial
         .cover(remaining, |_| {})
         .ok_or(TdmdError::Infeasible { budget: remaining })?;
@@ -276,7 +283,7 @@ pub(crate) fn guard_candidates(
     crate::obs::ENGINE.guard_activations.incr();
     let picks = remaining - 1;
     let bound = TopCounts::new(&coverage.count, picks);
-    let allowed = open_candidates(instance, deployment)
+    let allowed = open_candidates(index, deployment)
         .into_iter()
         .filter(|&v| {
             let c = coverage.count(v);
@@ -386,7 +393,6 @@ mod tests {
     /// each vertex's row per pick. Kept as the reference the
     /// count-based versions must reproduce exactly.
     mod reference {
-        use super::super::open_candidates;
         use crate::error::TdmdError;
         use crate::instance::Instance;
         use crate::num::ix;
@@ -439,8 +445,10 @@ mod tests {
                 return Err(TdmdError::Infeasible { budget: remaining });
             }
             if cover.len() == remaining {
-                let allowed = open_candidates(instance, deployment)
+                let allowed = instance
+                    .candidate_vertices()
                     .into_iter()
+                    .filter(|&v| !deployment.contains(v))
                     .filter(|&v| cover_after(instance, served, v) < remaining)
                     .collect();
                 return Ok(Some(allowed));
@@ -486,10 +494,14 @@ mod tests {
 
         /// A random deployment of up to three boxes and the flows it
         /// serves, built through [`Coverage::serve`].
-        fn random_state(inst: &Instance, rng: &mut StdRng) -> (Deployment, Coverage, Vec<bool>) {
+        fn random_state(
+            inst: &Instance,
+            index: &FlowIndex,
+            rng: &mut StdRng,
+        ) -> (Deployment, Coverage, Vec<bool>) {
             let n = inst.node_count();
             let mut deployment = Deployment::empty(n);
-            let mut coverage = Coverage::new(inst);
+            let mut coverage = Coverage::new(index);
             let mut served = vec![false; inst.flows().len()];
             for _ in 0..rng.gen_range(0..4) {
                 let v = rng.gen_range(0..n) as NodeId;
@@ -497,7 +509,7 @@ mod tests {
                     continue;
                 }
                 deployment.insert(v);
-                coverage.serve(inst, v);
+                coverage.serve(index, v);
                 for &(fi, _) in inst.flows_through(v) {
                     served[ix(fi)] = true;
                 }
@@ -519,8 +531,9 @@ mod tests {
             for case in 0..400u64 {
                 let mut rng = StdRng::seed_from_u64(TestRng::for_case(seed, case).next_u64());
                 let inst = random_instance(&mut rng);
+                let index = FlowIndex::build(&inst, &HopCount);
                 for _ in 0..4 {
-                    let (deployment, coverage, served) = random_state(&inst, &mut rng);
+                    let (deployment, coverage, served) = random_state(&inst, &index, &mut rng);
                     for v in 0..inst.node_count() as NodeId {
                         assert_eq!(coverage.count(v), coverage_gain(&inst, &served, v));
                     }
@@ -529,7 +542,7 @@ mod tests {
                     assert_eq!(greedy_cover(&inst, &served), reference_cover, "case {case}");
                     let size = reference_cover.map_or(0, |c| c.len());
                     for remaining in 1..=(2 * size).max(1) {
-                        let got = guard_candidates(&inst, &coverage, &deployment, remaining);
+                        let got = guard_candidates(&index, &coverage, &deployment, remaining);
                         let want =
                             reference::guard_candidates(&inst, &served, &deployment, remaining);
                         assert_eq!(got, want, "case {case}, remaining {remaining}");

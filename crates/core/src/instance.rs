@@ -72,21 +72,46 @@ fn build_active_csr(n: usize, flows: &[Flow]) -> (Vec<u32>, Vec<(u32, u32)>) {
     (flow_offsets, flow_entries)
 }
 
-/// Validates one candidate path of flow `flow` against the topology.
-fn validate_path(graph: &DiGraph, flow: u32, path: &[NodeId]) -> Result<(), TdmdError> {
-    let err = || TdmdError::InvalidPath { flow };
-    if path.len() < 2 {
-        return Err(err());
+/// Validates flow paths against one topology without allocating per
+/// path: a per-vertex stamp marks the vertices of the path being
+/// checked, so a revisit is a stamp that already holds the path's
+/// mark.
+struct PathCheck<'g> {
+    graph: &'g DiGraph,
+    stamp: Vec<usize>,
+    mark: usize,
+}
+
+impl<'g> PathCheck<'g> {
+    fn new(graph: &'g DiGraph) -> Self {
+        Self {
+            graph,
+            stamp: vec![0; graph.node_count()],
+            mark: 0,
+        }
     }
-    let mut seen = path.to_vec();
-    seen.sort_unstable();
-    if seen.windows(2).any(|w| w[0] == w[1]) {
-        return Err(err());
+
+    /// Validates one path of flow `flow`: at least two vertices, every
+    /// vertex in range, none twice (the paper's paths are simple), and
+    /// every hop an edge of the topology.
+    fn validate_path(&mut self, flow: u32, path: &[NodeId]) -> Result<(), TdmdError> {
+        let err = || TdmdError::InvalidPath { flow };
+        if path.len() < 2 {
+            return Err(err());
+        }
+        self.mark += 1;
+        for &v in path {
+            let seen = self.stamp.get_mut(crate::num::ix(v)).ok_or_else(err)?;
+            if *seen == self.mark {
+                return Err(err());
+            }
+            *seen = self.mark;
+        }
+        if path.windows(2).any(|w| !self.graph.has_edge(w[0], w[1])) {
+            return Err(err());
+        }
+        Ok(())
     }
-    if path.windows(2).any(|w| !graph.has_edge(w[0], w[1])) {
-        return Err(err());
-    }
-    Ok(())
 }
 
 impl Instance {
@@ -95,23 +120,23 @@ impl Instance {
     ///
     /// # Errors
     /// * [`TdmdError::BadLambda`] if `λ ∉ [0, 1]`.
-    /// * [`TdmdError::InvalidPath`] if a flow path uses a missing edge
-    ///   or the flow carries no traffic (zero rate) — the tree DP's
-    ///   coverage accounting requires strictly positive rates, as in
-    ///   the paper.
+    /// * [`TdmdError::InvalidPath`] if a flow path is degenerate (fewer
+    ///   than two vertices), leaves the topology, revisits a vertex or
+    ///   uses a missing edge, if flow ids are not dense, or if the flow
+    ///   carries no traffic (zero rate) — the tree DP's coverage
+    ///   accounting requires strictly positive rates, as in the paper.
     pub fn new(graph: DiGraph, flows: Vec<Flow>, lambda: f64, k: usize) -> Result<Self, TdmdError> {
         if !(0.0..=1.0).contains(&lambda) || lambda.is_nan() {
             return Err(TdmdError::BadLambda(lambda));
         }
+        let mut check = PathCheck::new(&graph);
         for (idx, f) in flows.iter().enumerate() {
-            if !f.path_is_valid(&graph) || f.rate == 0 {
-                return Err(TdmdError::InvalidPath { flow: f.id });
-            }
             // Flow ids double as dense indices into per-flow state
             // everywhere downstream; enforce it here once.
-            if f.id as usize != idx {
+            if f.rate == 0 || f.id as usize != idx {
                 return Err(TdmdError::InvalidPath { flow: f.id });
             }
+            check.validate_path(f.id, &f.path)?;
         }
         let n = graph.node_count();
         let (flow_offsets, flow_entries) = build_active_csr(n, &flows);
@@ -146,13 +171,14 @@ impl Instance {
         if !(0.0..=1.0).contains(&lambda) || lambda.is_nan() {
             return Err(TdmdError::BadLambda(lambda));
         }
+        let mut check = PathCheck::new(&graph);
         for (idx, s) in sets.iter().enumerate() {
             let err = || TdmdError::InvalidPath { flow: s.id };
             if s.id as usize != idx || s.rate == 0 || s.candidates.is_empty() {
                 return Err(err());
             }
             for p in &s.candidates {
-                validate_path(&graph, s.id, p)?;
+                check.validate_path(s.id, p)?;
                 if p[0] != s.candidates[0][0] || p.last() != s.candidates[0].last() {
                     return Err(err());
                 }

@@ -70,7 +70,7 @@ pub mod order;
 pub mod paper;
 pub mod plan;
 
-pub use cost::{CostModel, FlowIndex, HopCount, TenantCostModel, WeightedEdges};
+pub use cost::{CostModel, FlowIndex, HopCount, PricedFlow, TenantCostModel, WeightedEdges};
 pub use error::TdmdError;
 pub use instance::{Instance, PathMember, PathSets};
 pub use order::TotalGain;

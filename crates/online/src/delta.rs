@@ -35,7 +35,7 @@
 //! them.
 
 use tdmd_core::num::{approx_f64, big_ix, id32, ix, KahanSum};
-use tdmd_core::Deployment;
+use tdmd_core::{Deployment, FlowIndex, PricedFlow};
 use tdmd_graph::NodeId;
 use tdmd_traffic::Flow;
 
@@ -360,16 +360,18 @@ impl DeltaState {
     }
 
     /// Active flow slots in arrival (seq) order — the canonical
-    /// densification order for oracle snapshots.
+    /// densification order for oracle snapshots. Sorts `(seq, slot)`
+    /// pairs, so the sort never dereferences a flow; seqs are unique,
+    /// so the order is the seq order exactly.
     fn slots_in_seq_order(&self) -> Vec<u32> {
-        let mut slots: Vec<u32> = self
+        let mut order: Vec<(u64, u32)> = self
             .flows
             .iter()
             .enumerate()
-            .filter_map(|(i, f)| f.as_ref().map(|_| id32(i)))
+            .filter_map(|(i, f)| f.as_ref().map(|f| (f.seq, id32(i))))
             .collect();
-        slots.sort_by_key(|&s| self.flows[ix(s)].as_ref().expect("live slot").seq);
-        slots
+        order.sort_unstable();
+        order.into_iter().map(|(_, slot)| slot).collect()
     }
 
     /// Active flows in arrival (seq) order — the canonical order
@@ -395,6 +397,31 @@ impl DeltaState {
                 Flow::new(id32(i), f.rate, f.path.clone())
             })
             .collect()
+    }
+
+    /// The active flows compiled for the greedy kernel, numbered in
+    /// arrival order from the gains and costs stored at arrival — no
+    /// flow is priced again. Bitwise equal to [`FlowIndex::build`] of
+    /// the densified snapshot ([`DeltaState::active_snapshot`]) under
+    /// the model those gains came from: the same flows, in the same
+    /// order, through the same fill. `coverage_tiebreak` is the
+    /// pricer's [`PathPricer::coverage_tiebreak`](crate::PathPricer::coverage_tiebreak).
+    pub fn flow_index(&self, coverage_tiebreak: bool) -> FlowIndex {
+        let slots = self.slots_in_seq_order();
+        FlowIndex::compile(
+            self.rows.len(),
+            self.lambda,
+            coverage_tiebreak,
+            slots.iter().map(|&s| {
+                let f = self.flows[ix(s)].as_ref().expect("live slot");
+                PricedFlow {
+                    rate: f.rate,
+                    path: &f.path,
+                    gains: &f.gains,
+                    cost: f.cost,
+                }
+            }),
+        )
     }
 
     /// Objective recomputed from scratch, flow by flow in arrival

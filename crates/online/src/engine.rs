@@ -46,6 +46,7 @@
 //! [`crate::budget`] for the cost model and DESIGN.md §15 for the
 //! bound).
 
+use tdmd_core::algorithms::gtp::gtp_budgeted_index;
 use tdmd_core::num::{approx_f64, big_ix, id32, ix, wide};
 use tdmd_core::{Deployment, Instance, TdmdError};
 use tdmd_graph::{DiGraph, NodeId};
@@ -318,8 +319,9 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
         self.k
     }
 
-    /// Densified [`Instance`] of the current active-flow set — what
-    /// the drift oracle solves.
+    /// Densified [`Instance`] of the current active-flow set, ids in
+    /// arrival order: the static problem the drift oracle
+    /// ([`OnlineEngine::solve_oracle`]) solves, as a standalone copy.
     ///
     /// # Errors
     /// Propagates [`Instance::new`] validation failures (cannot occur
@@ -331,6 +333,21 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
             self.lambda,
             self.k,
         )
+    }
+
+    /// The drift oracle: budgeted GTP on the active flows, compiled
+    /// straight from the live state ([`DeltaState::flow_index`]) with
+    /// the gains the engine stored at arrival. Bitwise the deployment
+    /// [`gtp_budgeted_with`](tdmd_core::algorithms::gtp::gtp_budgeted_with)
+    /// returns on [`OnlineEngine::snapshot_instance`] under the model
+    /// those gains came from, without building the instance.
+    ///
+    /// # Errors
+    /// [`TdmdError::Infeasible`] when the budget cannot cover the
+    /// active flows.
+    pub fn solve_oracle(&self) -> Result<Deployment, TdmdError> {
+        let index = self.state.flow_index(self.pricer.coverage_tiebreak());
+        gtp_budgeted_index(&index, self.k)
     }
 
     /// Objective the active flows would cost under `dep` (each flow
@@ -800,12 +817,8 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
     /// whether a replan was adopted.
     fn drift_check(&mut self, force: bool) -> bool {
         self.stats.drift_samples += 1;
-        let instance = match self.snapshot_instance() {
-            Ok(i) => i,
-            Err(_) => return false,
-        };
         let sw = R::ENABLED.then(Stopwatch::start);
-        let mut oracle = match self.pricer.solve_oracle(&instance) {
+        let mut oracle = match self.solve_oracle() {
             Ok(dep) => dep,
             Err(_) => {
                 self.stats.oracle_failures += 1;
@@ -1164,6 +1177,7 @@ mod tests {
     use super::*;
     use crate::event::{events_from_spans, FlowSpan};
     use crate::pricer::HopPricer;
+    use tdmd_core::algorithms::gtp::gtp_budgeted;
     use tdmd_core::objective::bandwidth_of;
     use tdmd_core::paper::fig1_instance;
 
@@ -1226,7 +1240,7 @@ mod tests {
         // feasibility-guard walk-through), bandwidth 12.
         assert_eq!(e.deployment().vertices(), &[1, 4]);
         let inst = e.snapshot_instance().unwrap();
-        let oracle = HopPricer::default().solve_oracle(&inst).unwrap();
+        let oracle = gtp_budgeted(&inst, inst.k()).unwrap();
         assert_eq!(e.deployment(), &oracle);
         assert_eq!(e.exact_objective(), bandwidth_of(&inst, &oracle));
         assert_eq!(e.stats().replans, 4);
@@ -1397,6 +1411,55 @@ mod tests {
         assert!((e.objective() - e.exact_objective()).abs() < 1e-9);
     }
 
+    /// The gains a snapshot carries, as a static cost model over the
+    /// densified snapshot (flow id = arrival rank).
+    struct StoredGains(Vec<(Vec<f64>, f64)>);
+
+    impl tdmd_core::CostModel for StoredGains {
+        fn serving_gain(&self, flow: &Flow, pos: usize) -> f64 {
+            self.0[ix(flow.id)].0[pos]
+        }
+        fn unprocessed_cost(&self, flow: &Flow) -> f64 {
+            self.0[ix(flow.id)].1
+        }
+    }
+
+    #[test]
+    fn restored_gains_drive_the_oracle() {
+        use tdmd_core::algorithms::gtp::gtp_budgeted_with;
+        let mut e = engine(2, RepairPolicy::local_only(0));
+        for ev in fig1_arrivals() {
+            e.apply(&ev).unwrap();
+        }
+        // Price flow 2 (path v6 → v3 → v2) fifty times higher than
+        // hop counts would: still monotone along the path.
+        let mut snap = e.snapshot();
+        let f = snap.flows.iter_mut().find(|f| f.key == 2).unwrap();
+        f.gains = f.gains.iter().map(|g| 50.0 * g).collect();
+        f.cost *= 50.0;
+        let stored = StoredGains(
+            snap.flows
+                .iter()
+                .map(|f| (f.gains.clone(), f.cost))
+                .collect(),
+        );
+        let r = OnlineEngine::restore(
+            fig1_graph(),
+            HopPricer::default(),
+            RepairPolicy::local_only(0),
+            NoopRecorder,
+            &snap,
+        )
+        .unwrap();
+        let inst = r.snapshot_instance().unwrap();
+        let oracle = r.solve_oracle().unwrap();
+        assert_eq!(oracle, gtp_budgeted_with(&inst, 2, &stored).unwrap());
+        // Re-priced by hop counts the oracle would pick {v2, v5}; the
+        // stored gains make v3 worth a box.
+        assert_eq!(gtp_budgeted(&inst, 2).unwrap().vertices(), &[1, 4]);
+        assert_eq!(oracle.vertices(), &[1, 2]);
+    }
+
     #[test]
     fn recovery_restores_bitwise_oracle_equivalence() {
         let mut e = engine(2, RepairPolicy::default());
@@ -1409,7 +1472,7 @@ mod tests {
             .unwrap();
         assert!(e.replan_now());
         let inst = e.snapshot_instance().unwrap();
-        let oracle = HopPricer::default().solve_oracle(&inst).unwrap();
+        let oracle = gtp_budgeted(&inst, inst.k()).unwrap();
         assert_eq!(e.deployment(), &oracle, "no failure residue");
         assert_eq!(e.exact_objective(), bandwidth_of(&inst, &oracle));
     }

@@ -1,8 +1,9 @@
 //! Streaming path pricing — the online face of PR 1's [`CostModel`].
 //!
 //! The static engine compiles a [`CostModel`] against a whole
-//! [`Instance`] at once (the CSR `FlowIndex`). A stream has no
-//! instance: flows appear one at a time, so a [`PathPricer`] prices a
+//! [`Instance`](tdmd_core::Instance) at once (the CSR `FlowIndex`). A
+//! stream has no instance: flows appear one at a time, so a
+//! [`PathPricer`] prices a
 //! single flow's path at arrival and the engine stores the resulting
 //! per-position gains for the flow's lifetime. Every [`CostModel`]
 //! whose `serving_gain` depends only on the flow and its path position
@@ -11,27 +12,26 @@
 //! weighted-edges extension get a dedicated pricer that resolves edge
 //! weights against the topology ([`WeightedPathPricer`]).
 //!
-//! A pricer also knows how to run the matching *from-scratch oracle*
-//! ([`PathPricer::solve_oracle`]) on a densified snapshot of the
-//! active flows — the drift-triggered full replan and the
-//! objective-vs-oracle gap reporting both need the oracle to price
-//! exactly like the stream does, so the two live on one trait.
+//! The from-scratch drift oracle needs no second pricing: the engine
+//! compiles the gains and costs it stored at arrival into a
+//! [`FlowIndex`](tdmd_core::FlowIndex) and runs GTP on that
+//! ([`OnlineEngine::solve_oracle`](crate::OnlineEngine::solve_oracle)),
+//! so the oracle optimizes exactly the objective the stream prices.
 
-use tdmd_core::algorithms::gtp::gtp_budgeted_with;
 use tdmd_core::cost::EdgeWeights;
-use tdmd_core::{CostModel, Deployment, HopCount, Instance, TdmdError, WeightedEdges};
+use tdmd_core::{CostModel, HopCount};
 use tdmd_graph::DiGraph;
 use tdmd_traffic::Flow;
 
-/// Prices one flow path and solves the matching static oracle.
+/// Prices one flow path for the online engine and its drift oracle.
 ///
 /// # Contract
 ///
 /// `gains` must be non-negative and non-increasing along the path
-/// (Theorem 2's monotonicity, exactly as for [`CostModel`]),
-/// `unprocessed_cost` must dominate every gain of the same flow, and
-/// `solve_oracle` must optimize the objective induced by those gains —
-/// otherwise the drift trigger compares apples to oranges.
+/// (Theorem 2's monotonicity, exactly as for [`CostModel`]), and
+/// `unprocessed_cost` must dominate every gain of the same flow. The
+/// drift oracle optimizes the objective those gains induce, so the
+/// drift trigger compares like with like.
 pub trait PathPricer {
     /// Per-position serving gains of `flow` (`gains[i]` = metric
     /// credited for processing at `flow.path[i]`; length =
@@ -42,14 +42,11 @@ pub trait PathPricer {
     /// ([`CostModel::unprocessed_cost`] generalized).
     fn unprocessed_cost(&self, flow: &Flow) -> f64;
 
-    /// From-scratch solve of a densified active-flow snapshot under
-    /// this pricing (the drift oracle).
-    ///
-    /// # Errors
-    /// Propagates the solver's feasibility errors
-    /// ([`TdmdError::Infeasible`] when the budget cannot cover the
-    /// active flows).
-    fn solve_oracle(&self, instance: &Instance) -> Result<Deployment, TdmdError>;
+    /// Whether the drift oracle's greedy breaks gain ties by
+    /// newly-covered flows ([`CostModel::coverage_tiebreak`]).
+    fn coverage_tiebreak(&self) -> bool {
+        true
+    }
 }
 
 /// Lifts any position-stateless [`CostModel`] to a [`PathPricer`].
@@ -72,8 +69,8 @@ impl<M: CostModel> PathPricer for ModelPricer<M> {
         self.0.unprocessed_cost(flow)
     }
 
-    fn solve_oracle(&self, instance: &Instance) -> Result<Deployment, TdmdError> {
-        gtp_budgeted_with(instance, instance.k(), &self.0)
+    fn coverage_tiebreak(&self) -> bool {
+        self.0.coverage_tiebreak()
     }
 }
 
@@ -82,8 +79,8 @@ pub type HopPricer = ModelPricer<HopCount>;
 
 /// Weighted-edge pricing resolved against the topology: a position's
 /// gain is the suffix sum of edge weights downstream of it — the same
-/// quantity `WeightedEdges` precomputes per instance, computed per
-/// flow at arrival instead.
+/// quantity [`WeightedEdges`](tdmd_core::WeightedEdges) precomputes
+/// per instance, computed per flow at arrival instead.
 #[derive(Debug, Clone)]
 pub struct WeightedPathPricer {
     weights: EdgeWeights,
@@ -116,19 +113,13 @@ impl PathPricer for WeightedPathPricer {
             .map(|w| self.weights.get(w[0], w[1]))
             .sum()
     }
-
-    fn solve_oracle(&self, instance: &Instance) -> Result<Deployment, TdmdError> {
-        // WeightedEdges prices suffix sums off the same graph weights,
-        // so the oracle's objective matches the streamed gains.
-        let model = WeightedEdges::new(instance);
-        gtp_budgeted_with(instance, instance.k(), &model)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tdmd_core::paper::fig1_instance;
+    use tdmd_core::WeightedEdges;
 
     #[test]
     fn hop_pricer_matches_downstream_hops() {
@@ -151,10 +142,22 @@ mod tests {
     }
 
     #[test]
-    fn oracle_solves_like_plain_gtp() {
-        use tdmd_core::algorithms::gtp::gtp_budgeted;
-        let inst = fig1_instance(2);
-        let dep = HopPricer::default().solve_oracle(&inst).unwrap();
-        assert_eq!(dep, gtp_budgeted(&inst, 2).unwrap());
+    fn model_pricer_forwards_the_coverage_tiebreak() {
+        struct NoTies;
+        impl CostModel for NoTies {
+            fn serving_gain(&self, flow: &Flow, pos: usize) -> f64 {
+                HopCount.serving_gain(flow, pos)
+            }
+            fn unprocessed_cost(&self, flow: &Flow) -> f64 {
+                HopCount.unprocessed_cost(flow)
+            }
+            fn coverage_tiebreak(&self) -> bool {
+                false
+            }
+        }
+        assert!(HopPricer::default().coverage_tiebreak());
+        assert!(!ModelPricer(NoTies).coverage_tiebreak());
+        let g = tdmd_graph::GraphBuilder::new(2).build();
+        assert!(WeightedPathPricer::new(&g).coverage_tiebreak());
     }
 }

@@ -13,8 +13,10 @@
 //!   improves the objective.
 //! * **Drift-triggered full replan** — every
 //!   [`RepairPolicy::sample_every`] events the engine runs the
-//!   pricer's from-scratch oracle on a densified snapshot of the
-//!   active flows. If the incremental objective exceeds the oracle's
+//!   from-scratch oracle
+//!   ([`OnlineEngine::solve_oracle`](crate::OnlineEngine::solve_oracle))
+//!   on the active flows, compiled from the live state in arrival
+//!   order. If the incremental objective exceeds the oracle's
 //!   by more than a factor of `1 + drift_eps`, the oracle's
 //!   deployment is adopted. With [`RepairPolicy::force_replan`] the
 //!   oracle is adopted *unconditionally on every event*, which makes

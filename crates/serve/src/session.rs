@@ -223,7 +223,8 @@ impl<P: PathPricer> ServeSession<P> {
     /// each call records one [`keys::TENANT_SERVED_BW`] /
     /// [`keys::TENANT_DEGRADED_BW`] sample per tenant.
     pub fn telemetry(&self) -> Telemetry {
-        // Order-independent integer sums over the live engine state.
+        // Order-independent integer sums over the live engine state
+        // (saturating, so still order-independent).
         // Every tenant the session has ever seen is listed, even when
         // its flows have all drained.
         let mut per: BTreeMap<TenantId, (u64, u64)> = BTreeMap::new();
@@ -234,9 +235,9 @@ impl<P: PathPricer> ServeSession<P> {
             let t = self.tenants.get(&f.key).copied().unwrap_or(0);
             let entry = per.entry(t).or_insert((0, 0));
             if f.assigned.is_some() {
-                entry.0 += f.rate;
+                entry.0 = entry.0.saturating_add(f.rate);
             } else {
-                entry.1 += f.rate;
+                entry.1 = entry.1.saturating_add(f.rate);
             }
         }
         let mut tenants = Vec::with_capacity(per.len());

@@ -65,10 +65,10 @@ pub struct TenantTelemetry {
     /// Tenant / traffic class id.
     pub tenant: TenantId,
     /// Total rate units of the tenant's flows currently served by a
-    /// live middlebox.
+    /// live middlebox; saturates at `u64::MAX`.
     pub served_bw: u64,
     /// Total rate units of the tenant's flows riding degraded (no
-    /// serving middlebox).
+    /// serving middlebox); saturates at `u64::MAX`.
     pub degraded_bw: u64,
     /// Events attributed to this tenant since the session started
     /// (arrivals/departures of its flows, plus every failure-class

@@ -288,6 +288,30 @@ fn bad_lines_are_rejected_without_killing_the_loop() {
     assert_eq!(bye.tenants[0].served_bw, 4);
 }
 
+/// Two valid flows of one tenant at the largest `u64` rate: the
+/// per-tenant sums saturate instead of overflowing, and the loop
+/// reaches its `Bye` record.
+#[test]
+fn tenant_rate_sums_saturate_at_u64_max() {
+    let g = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
+    let engine = OnlineEngine::new(g, 0.5, 1, HopPricer::default(), RepairPolicy::default())
+        .expect("valid engine parameters");
+    let mut s = ServeSession::new(engine, ServeConfig::default());
+    let input = concat!(
+        r#"{"Arrive":{"key":1,"rate":18446744073709551615,"path":[0,1,2]}}"#,
+        "\n",
+        r#"{"Arrive":{"key":2,"rate":18446744073709551615,"path":[0,1,2]}}"#,
+        "\n",
+    );
+    let mut out = Vec::new();
+    s.run(input.as_bytes(), &mut out).expect("loop survives");
+    let bye = bye_of(&parse_output(&out));
+    assert_eq!(bye.active_flows, 2);
+    assert_eq!(bye.tenants.len(), 1);
+    assert_eq!(bye.tenants[0].served_bw, u64::MAX);
+    assert_eq!(bye.tenants[0].degraded_bw, 0);
+}
+
 /// Periodic telemetry and snapshots fire on the configured schedule.
 #[test]
 fn periodic_telemetry_and_snapshots_fire_on_schedule() {

@@ -13,7 +13,7 @@ use tdmd::core::error::TdmdError;
 use tdmd::core::paper::{fig1_instance, fig5_graph, fig5_instance};
 use tdmd::core::Instance;
 use tdmd::graph::GraphBuilder;
-use tdmd::traffic::Flow;
+use tdmd::traffic::{Flow, FlowPaths};
 
 #[test]
 fn zero_budget_with_flows_is_always_infeasible() {
@@ -166,4 +166,26 @@ fn zero_rate_flows_are_rejected_everywhere() {
     // The constructor itself refuses too.
     let panicked = std::panic::catch_unwind(|| Flow::new(0, 0, vec![3, 1, 0])).is_err();
     assert!(panicked, "Flow::new must reject rate 0");
+}
+
+#[test]
+fn degenerate_paths_are_rejected_everywhere() {
+    // A decoded workload bypasses `Flow::new`'s checks, so the
+    // instance constructors reject what it would have refused: an
+    // empty path, a one-vertex path, a path that revisits a vertex
+    // (every hop of [0, 1, 0, 1, 3] is an edge of Fig. 5), and a
+    // vertex outside the topology.
+    for path in [vec![], vec![1], vec![0, 1, 0, 1, 3], vec![99, 0]] {
+        let mut bad = Flow::new(0, 1, vec![3, 1, 0]);
+        bad.path = path.clone();
+        let err = Instance::new(fig5_graph(), vec![bad], 0.5, 2).unwrap_err();
+        assert_eq!(err, TdmdError::InvalidPath { flow: 0 }, "path {path:?}");
+        let sets = vec![FlowPaths {
+            id: 0,
+            rate: 1,
+            candidates: vec![path.clone()],
+        }];
+        let err = Instance::with_path_sets(fig5_graph(), sets, 0.5, 2).unwrap_err();
+        assert_eq!(err, TdmdError::InvalidPath { flow: 0 }, "path {path:?}");
+    }
 }

@@ -11,11 +11,12 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tdmd::core::algorithms::gtp::gtp_budgeted;
 use tdmd::core::objective::bandwidth_of;
 use tdmd::graph::generators::random::erdos_renyi_connected;
 use tdmd::graph::traversal::bfs_path;
 use tdmd::graph::{DiGraph, NodeId};
-use tdmd::online::{Event, FlowKey, HopPricer, OnlineEngine, PathPricer, RepairPolicy};
+use tdmd::online::{Event, FlowKey, HopPricer, OnlineEngine, RepairPolicy};
 use tdmd::sim::chaos::{run_chaos, ChaosConfig, ChaosMode};
 use tdmd::sim::prelude::{DynamicScenario, FlowSpan};
 use tdmd::traffic::Flow;
@@ -143,7 +144,7 @@ proptest! {
         // any engine history, failure-scarred or not.)
         if engine.active_count() > 0 {
             let inst = engine.snapshot_instance().unwrap();
-            if let Ok(oracle) = HopPricer::default().solve_oracle(&inst) {
+            if let Ok(oracle) = gtp_budgeted(&inst, inst.k()) {
                 prop_assert!(engine.replan_now());
                 prop_assert_eq!(engine.deployment(), &oracle, "failure residue");
                 prop_assert_eq!(
