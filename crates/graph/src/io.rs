@@ -2,7 +2,10 @@
 //!
 //! A minimal JSON document format so experiments can be saved,
 //! shared and replayed: vertex count plus an undirected or directed
-//! edge list. Uses serde throughout.
+//! edge list. Uses serde throughout. [`TopologyDoc::from_json`]
+//! checks the document against the graph it describes, so a hostile
+//! file fails with a [`TopologyError`] rather than a panic or a huge
+//! allocation in [`TopologyDoc::to_graph`].
 
 use crate::digraph::{DiGraph, NodeId};
 use serde::{Deserialize, Serialize};
@@ -30,6 +33,11 @@ impl TopologyDoc {
     }
 
     /// Rebuilds the graph.
+    ///
+    /// # Panics
+    /// Panics if an edge endpoint is not below `nodes`, which
+    /// [`TopologyDoc::from_json`] rejects and
+    /// [`TopologyDoc::from_graph`] never produces.
     pub fn to_graph(&self) -> DiGraph {
         DiGraph::from_edges(self.nodes, &self.edges)
     }
@@ -39,11 +47,79 @@ impl TopologyDoc {
         serde_json::to_string_pretty(self).expect("topology doc serializes")
     }
 
-    /// Parses from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+    /// Parses from JSON and checks that the document describes a graph.
+    ///
+    /// # Errors
+    /// Malformed JSON, a `nodes` beyond the [`NodeId`] range, or an
+    /// edge endpoint not below `nodes`.
+    pub fn from_json(s: &str) -> Result<Self, TopologyError> {
+        let doc: Self = serde_json::from_str(s).map_err(TopologyError::Json)?;
+        doc.validate()?;
+        Ok(doc)
+    }
+
+    /// Checks that `nodes` fits the [`NodeId`] range and that every edge
+    /// endpoint is a vertex; reports the first field that does not.
+    fn validate(&self) -> Result<(), TopologyError> {
+        if NodeId::try_from(self.nodes).is_err() {
+            return Err(TopologyError::TooManyNodes { nodes: self.nodes });
+        }
+        for (edge, &(u, v, _)) in self.edges.iter().enumerate() {
+            if let Some(endpoint) = [u, v].into_iter().find(|&x| x as usize >= self.nodes) {
+                return Err(TopologyError::EdgeOutOfRange {
+                    edge,
+                    endpoint,
+                    nodes: self.nodes,
+                });
+            }
+        }
+        Ok(())
     }
 }
+
+/// Why a topology document was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TopologyError {
+    /// The text is not a well-formed topology document.
+    Json(serde_json::Error),
+    /// `nodes` exceeds the [`NodeId`] range.
+    TooManyNodes {
+        /// The declared vertex count.
+        nodes: usize,
+    },
+    /// An edge names a vertex at or beyond `nodes`.
+    EdgeOutOfRange {
+        /// Index of the edge in `edges`.
+        edge: usize,
+        /// The offending endpoint.
+        endpoint: NodeId,
+        /// The declared vertex count.
+        nodes: usize,
+    },
+}
+
+impl std::fmt::Display for TopologyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Json(e) => write!(f, "{e}"),
+            Self::TooManyNodes { nodes } => write!(
+                f,
+                "field `nodes`: {nodes} vertices exceed the NodeId range (at most {})",
+                NodeId::MAX
+            ),
+            Self::EdgeOutOfRange {
+                edge,
+                endpoint,
+                nodes,
+            } => write!(
+                f,
+                "field `edges`: edge {edge} has endpoint {endpoint}, but `nodes` is {nodes}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TopologyError {}
 
 #[cfg(test)]
 mod tests {
@@ -74,6 +150,29 @@ mod tests {
 
     #[test]
     fn malformed_json_is_an_error() {
-        assert!(TopologyDoc::from_json("{not json").is_err());
+        assert!(matches!(
+            TopologyDoc::from_json("{not json"),
+            Err(TopologyError::Json(_))
+        ));
+    }
+
+    #[test]
+    fn documents_that_describe_no_graph_are_errors() {
+        let err =
+            TopologyDoc::from_json(r#"{"nodes": 3, "edges": [[0, 1, 1], [1, 3, 1]]}"#).unwrap_err();
+        assert_eq!(
+            err,
+            TopologyError::EdgeOutOfRange {
+                edge: 1,
+                endpoint: 3,
+                nodes: 3
+            }
+        );
+        assert!(err.to_string().contains("`edges`"), "{err}");
+        let err = TopologyDoc::from_json(r#"{"nodes": 100000000000, "edges": []}"#).unwrap_err();
+        assert!(matches!(err, TopologyError::TooManyNodes { .. }));
+        assert!(err.to_string().contains("`nodes`"), "{err}");
+        let largest = format!(r#"{{"nodes": {}, "edges": []}}"#, NodeId::MAX);
+        assert!(TopologyDoc::from_json(&largest).is_ok());
     }
 }

@@ -51,5 +51,7 @@ pub mod net;
 pub mod session;
 pub mod wire;
 
-pub use session::{ServeConfig, ServeSession, ServeSnapshot, SERVE_SNAPSHOT_VERSION};
+pub use session::{
+    ServeConfig, ServeSession, ServeSnapshot, MAX_LINE_BYTES, SERVE_SNAPSHOT_VERSION,
+};
 pub use wire::{Telemetry, TenantTelemetry, WireEvent, WireRecord};

@@ -99,4 +99,43 @@ mod tests {
         assert!(lines.last().unwrap().contains("\"Bye\""));
         assert_eq!(server.join().unwrap(), 1);
     }
+
+    #[test]
+    fn hostile_lines_over_tcp_are_rejected_and_the_connection_continues() {
+        let graph = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
+        let engine =
+            OnlineEngine::new(graph, 0.5, 1, HopPricer::default(), RepairPolicy::default())
+                .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+
+        let server = std::thread::spawn(move || {
+            let mut session = ServeSession::new(engine, ServeConfig::default());
+            serve_listener(&mut session, listener, 1).map(|()| session.events())
+        });
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut input = b"\xff\xfe\n".to_vec();
+        input.extend("[".repeat(1_000_000).bytes());
+        input.extend(b"\n{\"Arrive\":{\"key\":1,\"rate\":4,\"path\":[0,1,2]}}\n");
+        stream.write_all(&input).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let lines: Vec<String> = StdBufReader::new(stream)
+            .lines()
+            .map(Result::unwrap)
+            .collect();
+        assert!(
+            lines[0].starts_with(r#"{"Rejected":{"line":1,"#),
+            "{}",
+            lines[0]
+        );
+        assert!(
+            lines[1].starts_with(r#"{"Rejected":{"line":2,"#),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[2].contains("\"Placement\""));
+        assert!(lines.last().unwrap().contains("\"Bye\""));
+        assert_eq!(server.join().unwrap().unwrap(), 1);
+    }
 }

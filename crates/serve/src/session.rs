@@ -32,7 +32,7 @@
 //! flows at that moment.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, Error, ErrorKind, Write};
+use std::io::{BufRead, Error, ErrorKind, Read, Write};
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
@@ -41,6 +41,12 @@ use tdmd_online::{Event, FlowKey, OnlineEngine, PathPricer, RepairPolicy, Snapsh
 use tdmd_traffic::TenantId;
 
 use crate::wire::{Telemetry, TenantTelemetry, WireEvent, WireRecord};
+
+/// Longest input line [`ServeSession::run`] reads, in bytes (without
+/// its `\n`). A longer line is discarded as it streams past, in
+/// bounded memory, and answered with one [`WireRecord::Rejected`].
+/// The repository's generators write lines of well under 1 KiB.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Schema version written by [`ServeSession::snapshot`];
 /// [`ServeSession::restore`] rejects any other value.
@@ -375,23 +381,36 @@ impl<P: PathPricer> ServeSession<P> {
     /// # Errors
     /// Only I/O failures on `reader`/`writer` (or the snapshot path)
     /// abort the loop — bad *input lines* are reported as
-    /// [`WireRecord::Rejected`] and skipped.
-    pub fn run(&mut self, reader: impl BufRead, mut writer: impl Write) -> std::io::Result<()> {
-        for (idx, line) in reader.lines().enumerate() {
-            let line = line?;
-            let line_no = idx as u64 + 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let ev: WireEvent = match serde_json::from_str(trimmed) {
+    /// [`WireRecord::Rejected`] and skipped: malformed, too deeply
+    /// nested or engine-rejected events, lines longer than
+    /// [`MAX_LINE_BYTES`], and lines that are not UTF-8. Line numbers
+    /// are 1-based and count every physical line, blank ones included.
+    pub fn run(&mut self, mut reader: impl BufRead, mut writer: impl Write) -> std::io::Result<()> {
+        let mut buf = Vec::new();
+        let mut line_no = 0u64;
+        while let Some(line) = next_line(&mut reader, &mut buf)? {
+            line_no += 1;
+            let decoded = match line {
+                Line::Text(text) => {
+                    let trimmed = text.trim();
+                    if trimmed.is_empty() {
+                        continue;
+                    }
+                    serde_json::from_str::<WireEvent>(trimmed).map_err(|e| e.to_string())
+                }
+                Line::TooLong => Err(format!(
+                    "line longer than {MAX_LINE_BYTES} bytes, skipped to its newline"
+                )),
+                Line::NotUtf8(e) => Err(format!("line is not valid UTF-8: {e}")),
+            };
+            let ev = match decoded {
                 Ok(ev) => ev,
-                Err(e) => {
+                Err(error) => {
                     self.emit(
                         &mut writer,
                         &WireRecord::Rejected {
                             line: line_no,
-                            error: e.to_string(),
+                            error,
                         },
                     )?;
                     continue;
@@ -445,4 +464,39 @@ impl<P: PathPricer> ServeSession<P> {
         self.emit(&mut writer, &WireRecord::Bye { telemetry })?;
         writer.flush()
     }
+}
+
+/// One physical input line, as [`next_line`] read it.
+enum Line<'a> {
+    /// The line's text, without its `\n`.
+    Text(&'a str),
+    /// The line held more than [`MAX_LINE_BYTES`] bytes; it was read
+    /// through to its newline and discarded.
+    TooLong,
+    /// The line's bytes are not UTF-8.
+    NotUtf8(std::str::Utf8Error),
+}
+
+/// Reads the next line into `buf` (reused across calls), holding at
+/// most [`MAX_LINE_BYTES`] of it in memory. `None` at end of stream; a
+/// last line without a `\n` still counts.
+fn next_line<'a>(
+    reader: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+) -> std::io::Result<Option<Line<'a>>> {
+    buf.clear();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    if reader.by_ref().take(cap).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE_BYTES {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(Line::TooLong));
+    }
+    Ok(Some(match std::str::from_utf8(buf) {
+        Ok(text) => Line::Text(text),
+        Err(e) => Line::NotUtf8(e),
+    }))
 }

@@ -20,7 +20,9 @@ use tdmd_graph::generators::random::erdos_renyi_connected;
 use tdmd_graph::traversal::bfs;
 use tdmd_graph::{DiGraph, NodeId};
 use tdmd_online::{FlowKey, HopPricer, OnlineEngine, RepairPolicy};
-use tdmd_serve::{ServeConfig, ServeSession, ServeSnapshot, Telemetry, WireEvent, WireRecord};
+use tdmd_serve::{
+    ServeConfig, ServeSession, ServeSnapshot, Telemetry, WireEvent, WireRecord, MAX_LINE_BYTES,
+};
 
 /// BFS shortest path `src → dst` (the generator guarantees
 /// connectivity).
@@ -260,16 +262,59 @@ fn bad_lines_are_rejected_without_killing_the_loop() {
     let engine = OnlineEngine::new(g, 0.5, 1, HopPricer::default(), RepairPolicy::default())
         .expect("valid engine parameters");
     let mut s = ServeSession::new(engine, ServeConfig::default());
-    let input = concat!(
-        "this is not json\n",
-        r#"{"Arrive":{"key":1,"rate":0,"path":[0,1,2]}}"#, // rate 0: engine rejects
-        "\n",
-        r#"{"Arrive":{"key":1,"rate":4,"path":[0,1,2]}}"#,
-        "\n",
-        r#"{"Arrive":{"key":1,"rate":4,"path":[0,1,2]}}"#, // duplicate key
-        "\n",
-        "\"Shutdown\"\n",
-    );
+    let too_deep = "[".repeat(1_000_000);
+    let too_long = "x".repeat(2 * MAX_LINE_BYTES);
+    let lines: [&[u8]; 8] = [
+        b"this is not json",
+        too_deep.as_bytes(),
+        too_long.as_bytes(),
+        b"\xff\xfe",
+        br#"{"Arrive":{"key":1,"rate":0,"path":[0,1,2]}}"#, // rate 0: engine rejects
+        br#"{"Arrive":{"key":1,"rate":4,"path":[0,1,2]}}"#,
+        br#"{"Arrive":{"key":1,"rate":4,"path":[0,1,2]}}"#, // duplicate key
+        b"\"Shutdown\"\r",
+    ];
+    let input = lines.join(&b'\n');
+    let mut out = Vec::new();
+    s.run(input.as_slice(), &mut out).expect("loop survives");
+    let records = parse_output(&out);
+    let rejected: Vec<u64> = records
+        .iter()
+        .filter_map(|r| match r {
+            WireRecord::Rejected { line, .. } => Some(*line),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rejected, vec![1, 2, 3, 4, 5, 7]);
+    assert_eq!(s.events(), 1);
+    let bye = bye_of(&records);
+    assert_eq!(bye.active_flows, 1);
+    assert_eq!(bye.tenants.len(), 1);
+    assert_eq!(bye.tenants[0].served_bw, 4);
+}
+
+/// The line cap is exact: a line of `MAX_LINE_BYTES` bytes is read,
+/// one byte more is rejected. Blank lines count toward line numbers,
+/// and a last line without a `\n` is still read.
+#[test]
+fn line_cap_is_exact_and_line_numbers_are_physical() {
+    let g = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
+    let engine = OnlineEngine::new(g, 0.5, 1, HopPricer::default(), RepairPolicy::default())
+        .expect("valid engine parameters");
+    let mut s = ServeSession::new(engine, ServeConfig::default());
+    let padded = |key: u64, len: usize| {
+        let line = format!(r#"{{"Arrive":{{"key":{key},"rate":4,"path":[0,1,2]}}}}"#);
+        format!("{line}{}", " ".repeat(len - line.len()))
+    };
+    let input = [
+        String::new(),
+        "\r".to_string(),
+        padded(1, MAX_LINE_BYTES),
+        padded(2, MAX_LINE_BYTES + 1),
+        "{bad".to_string(),
+        padded(3, 60),
+    ]
+    .join("\n");
     let mut out = Vec::new();
     s.run(input.as_bytes(), &mut out).expect("loop survives");
     let records = parse_output(&out);
@@ -280,12 +325,9 @@ fn bad_lines_are_rejected_without_killing_the_loop() {
             _ => None,
         })
         .collect();
-    assert_eq!(rejected, vec![1, 2, 4]);
-    assert_eq!(s.events(), 1);
-    let bye = bye_of(&records);
-    assert_eq!(bye.active_flows, 1);
-    assert_eq!(bye.tenants.len(), 1);
-    assert_eq!(bye.tenants[0].served_bw, 4);
+    assert_eq!(rejected, vec![4, 5]);
+    assert_eq!(s.events(), 2);
+    assert_eq!(bye_of(&records).active_flows, 2);
 }
 
 /// Two valid flows of one tenant at the largest `u64` rate: the

@@ -12,6 +12,7 @@ use tdmd::core::algorithms::random::random_feasible;
 use tdmd::core::error::TdmdError;
 use tdmd::core::paper::{fig1_instance, fig5_graph, fig5_instance};
 use tdmd::core::Instance;
+use tdmd::graph::io::{TopologyDoc, TopologyError};
 use tdmd::graph::GraphBuilder;
 use tdmd::traffic::{Flow, FlowPaths};
 
@@ -188,4 +189,38 @@ fn degenerate_paths_are_rejected_everywhere() {
         let err = Instance::with_path_sets(fig5_graph(), sets, 0.5, 2).unwrap_err();
         assert_eq!(err, TdmdError::InvalidPath { flow: 0 }, "path {path:?}");
     }
+}
+
+#[test]
+fn hostile_topology_documents_fail_with_a_typed_error() {
+    // An edge endpoint at `nodes` used to panic in `DiGraph::from_edges`;
+    // a `nodes` beyond the NodeId range used to abort on the allocation.
+    let out_of_range = r#"{"nodes": 3, "edges": [[0, 1, 1], [2, 3, 1]]}"#;
+    let err = TopologyDoc::from_json(out_of_range).unwrap_err();
+    assert_eq!(
+        err,
+        TopologyError::EdgeOutOfRange {
+            edge: 1,
+            endpoint: 3,
+            nodes: 3
+        }
+    );
+    assert!(err.to_string().contains("`edges`"), "{err}");
+    let huge = r#"{"nodes": 100000000000, "edges": [[0, 1, 1]]}"#;
+    let err = TopologyDoc::from_json(huge).unwrap_err();
+    assert_eq!(
+        err,
+        TopologyError::TooManyNodes {
+            nodes: 100_000_000_000
+        }
+    );
+    assert!(err.to_string().contains("`nodes`"), "{err}");
+    let deep = format!(
+        r#"{{"nodes": 2, "edges": [], "name": {}}}"#,
+        "[".repeat(1 << 20)
+    );
+    assert!(matches!(
+        TopologyDoc::from_json(&deep),
+        Err(TopologyError::Json(_))
+    ));
 }
