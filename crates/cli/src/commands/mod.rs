@@ -65,12 +65,26 @@ pub fn load_workload(path: &str) -> Result<Vec<Flow>, String> {
     serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))
 }
 
-/// Writes a string to a file, creating parent directories.
-pub fn write_out(path: &str, contents: &str) -> Result<(), String> {
+/// Creates the parent directories of `path`, if it names any.
+fn create_parent(path: &str) -> Result<(), String> {
     if let Some(parent) = std::path::Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).map_err(|e| format!("mkdir {parent:?}: {e}"))?;
         }
     }
+    Ok(())
+}
+
+/// Writes a string to a file, creating parent directories.
+pub fn write_out(path: &str, contents: &str) -> Result<(), String> {
+    create_parent(path)?;
     std::fs::write(path, contents).map_err(|e| format!("write {path}: {e}"))
+}
+
+/// Opens a file for streamed, buffered writing, creating parent
+/// directories like [`write_out`].
+pub fn create_out(path: &str) -> Result<std::io::BufWriter<std::fs::File>, String> {
+    create_parent(path)?;
+    let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
+    Ok(std::io::BufWriter::new(file))
 }

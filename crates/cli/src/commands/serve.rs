@@ -204,40 +204,22 @@ pub fn run(args: &Args) -> Result<String, String> {
         }
     };
 
-    let io_err = |e: std::io::Error| format!("serve loop: {e}");
-    match (args.optional("in"), args.optional("out")) {
-        (Some(inp), out) => {
+    // Records stream to `--out` as they are written, so memory does
+    // not grow with the output.
+    let reader: Box<dyn std::io::BufRead> = match args.optional("in") {
+        Some(inp) => {
             let file = std::fs::File::open(inp).map_err(|e| format!("open {inp}: {e}"))?;
-            let reader = std::io::BufReader::new(file);
-            match out {
-                Some(outp) => {
-                    let mut sink = Vec::new();
-                    session.run(reader, &mut sink).map_err(io_err)?;
-                    let text = String::from_utf8(sink)
-                        .map_err(|e| format!("serve output is not UTF-8: {e}"))?;
-                    crate::commands::write_out(outp, &text)?;
-                }
-                None => session
-                    .run(reader, std::io::stdout().lock())
-                    .map_err(io_err)?,
-            }
+            Box::new(std::io::BufReader::new(file))
         }
-        (None, out) => {
-            let stdin = std::io::stdin();
-            match out {
-                Some(outp) => {
-                    let mut sink = Vec::new();
-                    session.run(stdin.lock(), &mut sink).map_err(io_err)?;
-                    let text = String::from_utf8(sink)
-                        .map_err(|e| format!("serve output is not UTF-8: {e}"))?;
-                    crate::commands::write_out(outp, &text)?;
-                }
-                None => session
-                    .run(stdin.lock(), std::io::stdout().lock())
-                    .map_err(io_err)?,
-            }
-        }
-    }
+        None => Box::new(std::io::stdin().lock()),
+    };
+    let writer: Box<dyn std::io::Write> = match args.optional("out") {
+        Some(outp) => Box::new(crate::commands::create_out(outp)?),
+        None => Box::new(std::io::stdout().lock()),
+    };
+    session
+        .run(reader, writer)
+        .map_err(|e| format!("serve loop: {e}"))?;
     // All reporting went through the NDJSON stream already.
     Ok(String::new())
 }

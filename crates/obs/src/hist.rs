@@ -1,142 +1,136 @@
-//! [`Histogram`] — bounded-footprint atomic latency histogram.
+//! [`Histogram`] — log-linear latency histogram in bounded memory.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::nearest_rank;
 
-/// Number of log₂ buckets: bucket 0 holds values in `[0, 1)`, bucket
-/// `i ≥ 1` holds `[2^(i−1), 2^i)`, and the last bucket is unbounded.
-const BUCKETS: usize = 65;
+/// Linear sub-buckets per power of two, as a power of two: each
+/// octave `[2^e, 2^(e+1))` splits into 16 buckets of equal width.
+const SUB_BITS: u32 = 4;
 
-/// Log₂-bucketed histogram of non-negative samples (typically
-/// microsecond latencies), updatable concurrently with relaxed
-/// atomics and O(1) memory regardless of sample count.
+/// Right shift that keeps a float's exponent field and the top
+/// [`SUB_BITS`] bits of its mantissa — exactly the log-linear bucket.
+const SHIFT: u32 = f64::MANTISSA_DIGITS - 1 - SUB_BITS;
+
+/// `f64::MIN_POSITIVE.to_bits() >> SHIFT` minus one: subtracted so the
+/// smallest normal float lands in bucket 1, leaving bucket 0 for zero.
+const NORMAL_BASE: u64 = (f64::MIN_POSITIVE.to_bits() >> SHIFT) - 1;
+
+/// Log-linear histogram of non-negative samples (typically µs
+/// latencies).
 ///
-/// Quantiles read from bucket boundaries are upper bounds with at
-/// most 2× relative error — enough to spot an order-of-magnitude
-/// regression; exact percentiles over raw samples live in
-/// [`StatsRecorder`](crate::StatsRecorder) / [`crate::percentile`].
-#[derive(Debug)]
+/// Bucket 0 holds exact zeros. Every other bucket is one sixteenth of
+/// a power of two, `[2^e·(16+j)/16, 2^e·(17+j)/16)` for `j` in
+/// `0..16`, so a bucket's upper bound is at most 17/16 of any sample
+/// in it. The bucket of a sample is read straight off its bit
+/// pattern, its exponent and top four mantissa bits.
+///
+/// [`Histogram::percentile`] reports the upper bound of the bucket
+/// that holds the exact nearest-rank sample, clamped to the largest
+/// sample seen. For samples that are `0` or normal floats (at least
+/// [`f64::MIN_POSITIVE`], which covers every real latency), the report
+/// therefore lies in `[exact, min(exact·17/16, max)]`, `p = 100`
+/// reports the maximum exactly, and counts are exact. Negative, NaN
+/// and subnormal samples record as `0`; `+∞` records as [`f64::MAX`].
+///
+/// Memory holds only the range of buckets between the smallest and
+/// the largest sample seen: an empty histogram allocates nothing, one
+/// sample costs one bucket, and latencies spanning 0.05 µs to 10 ms
+/// touch about 300 buckets. It never grows with the sample count.
+#[derive(Debug, Default)]
 pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    /// Sum of samples, rounded to integral units.
-    sum: AtomicU64,
-    /// Bit pattern of the maximum sample (non-negative f64 bit
-    /// patterns order like the floats themselves).
-    max_bits: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Bucket index of `counts[0]`.
+    lo: u32,
+    /// Sample counts of buckets `lo..lo + counts.len()`.
+    counts: Vec<u64>,
+    count: u64,
+    max: f64,
 }
 
 impl Histogram {
-    /// Empty histogram, usable in `static` position.
+    /// Empty histogram; allocates nothing.
     pub const fn new() -> Self {
-        // `[const { ... }; N]` inline-const array repetition.
         Self {
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max_bits: AtomicU64::new(0),
+            lo: 0,
+            counts: Vec::new(),
+            count: 0,
+            max: 0.0,
         }
     }
 
-    fn bucket_of(value: f64) -> usize {
-        let v = value.max(0.0) as u64;
-        if v == 0 {
-            0
-        } else {
-            (64 - v.leading_zeros() as usize).min(BUCKETS - 1)
-        }
-    }
-
-    /// Records one sample. Negative and NaN samples clamp to zero
-    /// (latencies cannot be negative; clamping keeps the hot path
-    /// branch-free of error handling).
-    pub fn record(&self, value: f64) {
-        let v = if value.is_finite() {
-            value.max(0.0)
+    /// The sample as recorded: see the clamping rules on [`Histogram`].
+    #[inline]
+    fn clamp(value: f64) -> f64 {
+        if value >= f64::MIN_POSITIVE {
+            value.min(f64::MAX)
         } else {
             0.0
-        };
-        self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v.round() as u64, Ordering::Relaxed);
-        self.max_bits.fetch_max(v.to_bits(), Ordering::Relaxed);
+        }
+    }
+
+    /// Bucket index of a clamped sample: 0 for zero (whose bits are
+    /// 0). A normal float's exponent field is 1..=2046, so its index is
+    /// in 1..=32736 and the cast is exact.
+    #[inline]
+    fn bucket_of(v: f64) -> u32 {
+        (v.to_bits() >> SHIFT).saturating_sub(NORMAL_BASE) as u32
+    }
+
+    /// Upper bound of bucket `i`: 0 for the zero bucket, else the
+    /// smallest float of bucket `i + 1` (`+∞` past the last one).
+    #[inline]
+    fn upper_bound(i: u32) -> f64 {
+        if i == 0 {
+            0.0
+        } else {
+            f64::from_bits((u64::from(i) + 1 + NORMAL_BASE) << SHIFT)
+        }
+    }
+
+    /// Records one sample.
+    pub fn record(&mut self, value: f64) {
+        let v = Self::clamp(value);
+        let b = Self::bucket_of(v);
+        if self.counts.is_empty() {
+            self.lo = b;
+            self.counts.push(0);
+        } else if b < self.lo {
+            let grow = (self.lo - b) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.lo = b;
+        } else if (b - self.lo) as usize >= self.counts.len() {
+            self.counts.resize((b - self.lo) as usize + 1, 0);
+        }
+        self.counts[(b - self.lo) as usize] += 1;
+        self.count += 1;
+        self.max = self.max.max(v);
     }
 
     /// Number of samples recorded.
+    #[inline]
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count
     }
 
-    /// Consistent point-in-time copy (consistent at quiescence; under
-    /// concurrent writers each field is individually atomic).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed) as f64,
-            max: f64::from_bits(self.max_bits.load(Ordering::Relaxed)),
-        }
-    }
-
-    /// Resets every bucket and aggregate to zero.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max_bits.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Immutable copy of a [`Histogram`]'s state.
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    /// Per-bucket counts (see [`Histogram`] for the bucket bounds).
-    pub buckets: [u64; BUCKETS],
-    /// Total samples.
-    pub count: u64,
-    /// Sum of samples (rounded per sample).
-    pub sum: f64,
-    /// Largest sample seen.
-    pub max: f64,
-}
-
-impl HistogramSnapshot {
-    /// Mean sample, or 0 when empty.
-    pub fn mean(&self) -> f64 {
+    /// The `p`-th percentile (`p` in percent, nearest rank, as
+    /// [`crate::percentile`] ranks a sorted sample), or `None` when no
+    /// sample was recorded. See [`Histogram`] for how far the report
+    /// can sit above the exact sample.
+    pub fn percentile(&self, p: f64) -> Option<f64> {
+        debug_assert!(
+            (0.0..=100.0).contains(&p),
+            "percentile {p} outside [0, 100]"
+        );
         if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
+            return None;
         }
-    }
-
-    /// Upper bound of the bucket containing the nearest-rank `p`-th
-    /// percentile (0 when empty). At most one bucket (2×) above the
-    /// exact value.
-    pub fn quantile_upper(&self, p: f64) -> f64 {
-        debug_assert!((0.0..=100.0).contains(&p), "quantile {p} outside [0, 100]");
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((p.clamp(0.0, 100.0) / 100.0) * self.count as f64)
-            .ceil()
-            .max(1.0) as u64;
+        let rank = nearest_rank(p, self.count);
         let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
+        for (i, &c) in (self.lo..).zip(&self.counts) {
             seen += c;
             if seen >= rank {
-                // Upper bound of bucket i: 2^i (bucket 0 is [0, 1)).
-                return if i == 0 { 1.0 } else { (1u128 << i) as f64 };
+                return Some(Self::upper_bound(i).min(self.max));
             }
         }
-        self.max
+        Some(self.max)
     }
 }
 
@@ -145,72 +139,63 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buckets_follow_log2_bounds() {
+    fn buckets_split_each_octave_sixteen_ways() {
         assert_eq!(Histogram::bucket_of(0.0), 0);
-        assert_eq!(Histogram::bucket_of(0.9), 0);
-        assert_eq!(Histogram::bucket_of(1.0), 1);
-        assert_eq!(Histogram::bucket_of(2.0), 2);
-        assert_eq!(Histogram::bucket_of(3.0), 2);
-        assert_eq!(Histogram::bucket_of(4.0), 3);
-        assert_eq!(Histogram::bucket_of(1024.0), 11);
-        assert_eq!(Histogram::bucket_of(f64::MAX), BUCKETS - 1);
+        assert_eq!(Histogram::bucket_of(f64::MIN_POSITIVE), 1);
+        let one = Histogram::bucket_of(1.0);
+        assert_eq!(Histogram::bucket_of(1.0624), one, "[1, 17/16)");
+        assert_eq!(Histogram::bucket_of(1.0625), one + 1);
+        assert_eq!(Histogram::bucket_of(1.999), one + 15);
+        assert_eq!(Histogram::bucket_of(2.0), one + 16);
+        assert_eq!(Histogram::bucket_of(3.0), one + 24, "[3, 3.125)");
+        assert_eq!(Histogram::upper_bound(one), 1.0625);
+        assert_eq!(Histogram::upper_bound(one + 15), 2.0);
+        assert_eq!(Histogram::upper_bound(one + 24), 3.125);
+        assert_eq!(
+            Histogram::upper_bound(Histogram::bucket_of(f64::MAX)),
+            f64::INFINITY
+        );
     }
 
     #[test]
-    fn aggregates_and_quantiles() {
-        let h = Histogram::new();
+    fn percentiles_report_bucket_upper_bounds_clamped_to_the_max() {
+        let mut h = Histogram::new();
         for v in [0.5, 1.5, 2.5, 100.0] {
             h.record(v);
         }
-        let s = h.snapshot();
-        assert_eq!(s.count, 4);
-        assert_eq!(s.max, 100.0);
-        assert_eq!(s.sum, 1.0 + 2.0 + 3.0 + 100.0, "half rounds away from zero");
-        assert_eq!(s.quantile_upper(0.0), 1.0, "min is in [0, 1)");
-        // p50 rank 2 → sample 1.5 → bucket [1, 2) → upper bound 2.
-        assert_eq!(s.quantile_upper(50.0), 2.0);
-        // p100 → 100.0 → bucket [64, 128) → upper bound 128.
-        assert_eq!(s.quantile_upper(100.0), 128.0);
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.percentile(0.0), Some(0.53125), "0.5 in [0.5, 0.53125)");
+        assert_eq!(h.percentile(50.0), Some(1.5625), "1.5 in [1.5, 1.5625)");
+        assert_eq!(h.percentile(75.0), Some(2.625), "2.5 in [2.5, 2.625)");
+        assert_eq!(h.percentile(100.0), Some(100.0), "clamped to the max");
     }
 
     #[test]
-    fn degenerate_samples_clamp_to_zero() {
-        let h = Histogram::new();
-        h.record(-5.0);
-        h.record(f64::NAN);
-        let s = h.snapshot();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.buckets[0], 2);
-        assert_eq!(s.max, 0.0);
+    fn the_range_grows_downward_as_well_as_upward() {
+        let mut h = Histogram::new();
+        h.record(8.0);
+        h.record(1.0);
+        h.record(0.0);
+        h.record(4.0);
+        assert_eq!(h.counts.len() as u32, Histogram::bucket_of(8.0) + 1);
+        assert_eq!(h.percentile(0.0), Some(0.0));
+        assert_eq!(h.percentile(50.0), Some(1.0625));
+        assert_eq!(h.percentile(75.0), Some(4.25));
+        assert_eq!(h.percentile(100.0), Some(8.0));
     }
 
     #[test]
-    fn concurrent_records_preserve_totals() {
-        let h = Histogram::new();
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let h = &h;
-                s.spawn(move || {
-                    for i in 0..5_000u32 {
-                        h.record((t * 5_000 + i) as f64);
-                    }
-                });
-            }
-        });
-        let s = h.snapshot();
-        assert_eq!(s.count, 20_000);
-        assert_eq!(s.buckets.iter().sum::<u64>(), 20_000);
-        assert_eq!(s.max, 19_999.0);
+    fn the_default_histogram_allocates_nothing() {
+        assert_eq!(Histogram::default().counts.capacity(), 0);
+        assert_eq!(Histogram::new().counts.capacity(), 0);
     }
 
     #[test]
-    fn reset_empties_everything() {
-        let h = Histogram::new();
-        h.record(7.0);
-        h.reset();
-        let s = h.snapshot();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.quantile_upper(99.0), 0.0);
-        assert_eq!(s.mean(), 0.0);
+    fn a_one_sample_histogram_holds_one_bucket() {
+        for x in [0.0, 0.403, 1.0, 1e6, f64::MAX, -1.0] {
+            let mut h = Histogram::new();
+            h.record(x);
+            assert_eq!(h.counts, [1], "{x}");
+        }
     }
 }

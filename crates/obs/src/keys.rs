@@ -45,19 +45,6 @@ pub const JOINT_ROUNDS: &str = "joint_rounds";
 /// Sample: wall-clock µs of one flownet LP-relaxation lower-bound
 /// computation (the joint solver's optimality-gap certificate).
 pub const LP_BOUND_US: &str = "lp_bound_us";
-/// Sample: wall-clock µs of one `tdmd serve` event-loop iteration
-/// (wire decode + engine apply + telemetry accounting).
-pub const SERVE_EVENT_US: &str = "serve_event_us";
-/// Counter: engine state snapshots taken by the serve loop.
-pub const SNAPSHOTS_TAKEN: &str = "snapshots_taken";
-/// Counter: engine state snapshots restored into a serve session.
-pub const SNAPSHOTS_RESTORED: &str = "snapshots_restored";
-/// Sample: per-tenant served bandwidth (rate units currently assigned
-/// to a live middlebox), one sample per tenant per telemetry tick.
-pub const TENANT_SERVED_BW: &str = "tenant_served_bw";
-/// Sample: per-tenant degraded bandwidth (rate units of flows with no
-/// assigned middlebox), one sample per tenant per telemetry tick.
-pub const TENANT_DEGRADED_BW: &str = "tenant_degraded_bw";
 /// Counter: event batches applied through the online engine's batched
 /// path (`apply_batch` — one repair pass per batch).
 pub const BATCHES: &str = "batches";
@@ -96,11 +83,6 @@ pub const ALL: &[&str] = &[
     PATH_SWITCHES,
     JOINT_ROUNDS,
     LP_BOUND_US,
-    SERVE_EVENT_US,
-    SNAPSHOTS_TAKEN,
-    SNAPSHOTS_RESTORED,
-    TENANT_SERVED_BW,
-    TENANT_DEGRADED_BW,
     BATCHES,
     BATCH_APPLY_US,
     BOXES_MOVED,

@@ -6,9 +6,10 @@
 //! * [`Counter`] — a relaxed [`AtomicU64`](std::sync::atomic::AtomicU64)
 //!   wrapper; one `fetch_add` per increment, safe to bump from rayon
 //!   workers.
-//! * [`Histogram`] — a log₂-bucketed atomic latency histogram with a
-//!   bounded footprint (65 buckets), for per-event timings whose
-//!   sample count is unbounded.
+//! * [`Histogram`] — a log-linear latency histogram (16 buckets per
+//!   power of two) whose memory is the range of buckets it has
+//!   touched, never the sample count; its percentiles sit at most
+//!   1/16 above the exact nearest-rank sample.
 //! * [`Stopwatch`] — a monotonic-clock span timer
 //!   ([`Instant`](std::time::Instant)-based, never affected by wall
 //!   clock adjustments).
@@ -19,8 +20,7 @@
 //!   counters and raw samples for exact percentile reporting.
 //! * [`percentile`] — exact nearest-rank percentile over a sorted
 //!   sample (the one true implementation; callers must not hand-roll
-//!   it), and [`percentile_opt`], its `Option`-shaped wrapper that
-//!   keeps empty samples from masquerading as a measured `0.0`.
+//!   it). [`Histogram::percentile`] ranks the same way.
 //! * [`normalize_zero`] — collapses IEEE `-0.0` to `+0.0` at
 //!   formatting boundaries so objective sums never print as `-0.00`.
 //! * [`round_metric`] — fixed-precision rounding (plus the signed-zero
@@ -41,7 +41,7 @@ mod recorder;
 mod timer;
 
 pub use counter::Counter;
-pub use hist::{Histogram, HistogramSnapshot};
+pub use hist::Histogram;
 pub use recorder::{NoopRecorder, Recorder, StatsRecorder};
 pub use timer::Stopwatch;
 
@@ -55,9 +55,8 @@ pub use timer::Stopwatch;
 ///
 /// An empty sample yields the sentinel `0.0` — never NaN — which keeps
 /// legacy aggregate reports finite but is indistinguishable from a
-/// genuine zero-valued sample. Callers that must tell "no data" apart
-/// from "measured zero" (per-tenant fairness reporting, where a tenant
-/// may simply have no flows yet) should use [`percentile_opt`].
+/// genuine zero-valued sample. [`Histogram::percentile`] reports the
+/// empty case as `None` instead.
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     debug_assert!(
         (0.0..=100.0).contains(&p),
@@ -74,26 +73,17 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let p = p.clamp(0.0, 100.0);
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
-    sorted[rank.min(sorted.len()) - 1]
+    let rank = nearest_rank(p, sorted.len() as u64);
+    sorted[rank as usize - 1]
 }
 
-/// [`percentile`] with an honest empty case: `None` when the sample is
-/// empty, `Some(percentile(..))` otherwise.
-///
-/// Use this wherever an absent measurement must not masquerade as a
-/// measured `0.0` — e.g. per-tenant latency percentiles, where a
-/// tenant with no repaired flows has no latency, not a zero one. The
-/// same input-validity debug assertions as [`percentile`] apply, and
-/// the returned value is never NaN for NaN-free input.
-#[inline]
-pub fn percentile_opt(sorted: &[f64], p: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        None
-    } else {
-        Some(percentile(sorted, p))
-    }
+/// 1-based nearest rank of the `p`-th percentile among `n ≥ 1`
+/// samples: `⌈p/100 · n⌉`, at least 1 and at most `n`, with `p`
+/// clamped to `[0, 100]`. Shared by [`percentile`] and
+/// [`Histogram::percentile`], so both name the same sample.
+fn nearest_rank(p: f64, n: u64) -> u64 {
+    let p = p.clamp(0.0, 100.0);
+    (((p / 100.0) * n as f64).ceil().max(1.0) as u64).min(n)
 }
 
 /// Collapses signed zero: `-0.0` formats as `-0.00`, which reads as a
@@ -152,19 +142,6 @@ mod tests {
     #[test]
     fn percentile_empty_sample_is_zero() {
         assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn percentile_opt_distinguishes_empty_from_zero() {
-        // The safe wrapper reports "no data" as None, never as the
-        // bare-percentile 0.0 sentinel, and never as NaN.
-        assert_eq!(percentile_opt(&[], 50.0), None);
-        assert_eq!(percentile_opt(&[0.0], 50.0), Some(0.0));
-        assert_eq!(percentile_opt(&[1.0, 2.0, 3.0, 4.0], 75.0), Some(3.0));
-        assert_eq!(percentile_opt(&[1.0, 2.0, 3.0, 4.0], 0.0), Some(1.0));
-        for p in [0.0, 50.0, 100.0] {
-            assert!(!percentile_opt(&[], p).is_some_and(f64::is_nan));
-        }
     }
 
     // The rejection tests only exist in debug builds, where the

@@ -108,17 +108,6 @@ impl StatsRecorder {
         v
     }
 
-    /// Exact nearest-rank percentile of the named samples, or `None`
-    /// when nothing was sampled under that name.
-    pub fn percentile_of(&self, name: &str, p: f64) -> Option<f64> {
-        let sorted = self.sorted_samples(name);
-        if sorted.is_empty() {
-            None
-        } else {
-            Some(crate::percentile(&sorted, p))
-        }
-    }
-
     /// Number of samples recorded under `name`.
     pub fn sample_count(&self, name: &str) -> usize {
         self.samples
@@ -177,8 +166,6 @@ mod tests {
         assert_eq!(r.counter("evals"), 5);
         assert_eq!(r.counter("missing"), 0);
         assert_eq!(r.sorted_samples("lat"), vec![10.0, 20.0, 30.0]);
-        assert_eq!(r.percentile_of("lat", 50.0), Some(20.0));
-        assert_eq!(r.percentile_of("missing", 50.0), None);
         assert_eq!(r.counters(), vec![("evals".to_string(), 5)]);
     }
 

@@ -25,11 +25,6 @@ fn registry_matches_the_golden_list() {
             "path_switches",
             "joint_rounds",
             "lp_bound_us",
-            "serve_event_us",
-            "snapshots_taken",
-            "snapshots_restored",
-            "tenant_served_bw",
-            "tenant_degraded_bw",
             "batches",
             "batch_apply_us",
             "boxes_moved",
@@ -57,11 +52,6 @@ fn named_constants_point_into_the_registry() {
         keys::PATH_SWITCHES,
         keys::JOINT_ROUNDS,
         keys::LP_BOUND_US,
-        keys::SERVE_EVENT_US,
-        keys::SNAPSHOTS_TAKEN,
-        keys::SNAPSHOTS_RESTORED,
-        keys::TENANT_SERVED_BW,
-        keys::TENANT_DEGRADED_BW,
         keys::BATCHES,
         keys::BATCH_APPLY_US,
         keys::BOXES_MOVED,

@@ -28,7 +28,11 @@
 //! 4. **Unserved census** — `unserved` counts exactly the active
 //!    flows with `assigned == None`. Those flows ride at full rate
 //!    (their whole `r_f · cost(p_f)` stays in the objective); the
-//!    failure layer reads this as its degraded-flow census.
+//!    failure layer reads this as its degraded-flow census. Every
+//!    change of an active flow between served and unserved is also
+//!    appended to the flip log ([`DeltaState::flips`]), so a reader
+//!    can keep per-flow-group sums of served and degraded rate without
+//!    walking the flows.
 //!
 //! All four are restored by every mutation (insert, remove, commit,
 //! rehome/failover, rebuild); the engine's repair logic relies on
@@ -252,6 +256,9 @@ pub struct DeltaState {
     /// around each repair move to price flow reassignments, so the
     /// absolute value carries no meaning and is not serialized.
     reassignments: u64,
+    /// `(key, now_served)` of every served↔unserved change since the
+    /// last [`DeltaState::clear_flips`], in the order made.
+    flips: Vec<(FlowKey, bool)>,
 }
 
 /// `(gain, smaller id)` assignment preference (invariant 2).
@@ -282,6 +289,7 @@ impl DeltaState {
             next_seq: 0,
             dirty: Vec::new(),
             reassignments: 0,
+            flips: Vec::new(),
         }
     }
 
@@ -290,6 +298,27 @@ impl DeltaState {
     #[inline]
     pub fn reassignments(&self) -> u64 {
         self.reassignments
+    }
+
+    /// `(key, now_served)` of every change of an active flow between
+    /// served (`assigned` is `Some`) and unserved since the last
+    /// [`DeltaState::clear_flips`], in the order made. Only
+    /// [`DeltaState::commit`], [`DeltaState::fail_rehome`] and
+    /// [`DeltaState::rebuild_assignments`] append — the three places
+    /// that move the unserved census — so arrivals and departures,
+    /// which enter and leave with their own status, never appear.
+    /// [`OnlineEngine`](crate::OnlineEngine) clears the log at the start
+    /// of every public mutating call, so there it holds the flips of
+    /// the last call only.
+    #[inline]
+    pub fn flips(&self) -> &[(FlowKey, bool)] {
+        &self.flips
+    }
+
+    /// Empties the flip log (keeping its allocation).
+    #[inline]
+    pub fn clear_flips(&mut self) {
+        self.flips.clear();
     }
 
     /// Resolves `key` to its live slot, validating the generation
@@ -644,6 +673,7 @@ impl DeltaState {
                 self.primary_load[ix(ov)] -= s;
             } else {
                 self.unserved -= 1;
+                self.flips.push((f.key, true));
             }
             let s = approx_f64(f.rate) * factor * g;
             self.saved.add(s);
@@ -704,6 +734,7 @@ impl DeltaState {
                 out.reassigned += 1;
             } else {
                 self.unserved += 1;
+                self.flips.push((f.key, false));
                 out.degraded += 1;
             }
             f.assigned = next;
@@ -759,6 +790,9 @@ impl DeltaState {
             }
             if f.assigned.map(|(v, _)| v) != best.map(|(v, _)| v) {
                 self.reassignments += 1;
+            }
+            if f.assigned.is_some() != best.is_some() {
+                self.flips.push((f.key, best.is_some()));
             }
             f.assigned = best;
             unprocessed += approx_f64(f.rate) * f.cost;
@@ -1158,6 +1192,69 @@ mod tests {
         rebuilt.rebuild_assignments(&dep);
         assert!((rebuilt.objective() - incremental).abs() < 1e-9);
         assert_eq!(rebuilt.exact_objective(), st.exact_objective());
+    }
+
+    /// The flip log after one call names exactly the flows whose
+    /// `assigned` went `None`↔`Some` in it, with their new status.
+    #[test]
+    fn flip_log_names_exactly_the_status_changes_of_the_last_call() {
+        fn served(st: &DeltaState) -> Vec<(FlowKey, bool)> {
+            let mut v: Vec<_> = st
+                .active_flows()
+                .map(|f| (f.key, f.assigned.is_some()))
+                .collect();
+            v.sort_unstable();
+            v
+        }
+        fn check(st: &mut DeltaState, call: impl FnOnce(&mut DeltaState)) -> Vec<(FlowKey, bool)> {
+            let before = served(st);
+            st.clear_flips();
+            call(st);
+            let changed: Vec<_> = served(st)
+                .into_iter()
+                .zip(before)
+                .filter(|(after, before)| after.1 != before.1)
+                .map(|(after, _)| after)
+                .collect();
+            let mut log = st.flips().to_vec();
+            log.sort_unstable();
+            assert_eq!(log, changed);
+            log
+        }
+        let mut st = DeltaState::new(6, 0.5);
+        let mut dep = Deployment::empty(6);
+        add(&mut st, 0, 1, vec![0, 1, 2], &dep);
+        add(&mut st, 1, 2, vec![3, 1, 4], &dep);
+        add(&mut st, 2, 3, vec![5, 4], &dep);
+        add(&mut st, 3, 4, vec![2, 5], &dep);
+        assert!(
+            st.flips().is_empty(),
+            "arrivals enter with their own status"
+        );
+        dep.insert(1);
+        let log = check(&mut st, |st| {
+            st.commit(1);
+        });
+        assert_eq!(log, [(0, true), (1, true)]);
+        dep.insert(4);
+        let log = check(&mut st, |st| {
+            st.commit(4);
+        });
+        assert_eq!(log, [(2, true)], "flow 1 keeps its better box at v1");
+        dep.remove(1);
+        let log = check(&mut st, |st| {
+            st.fail_rehome(1, &dep);
+        });
+        assert_eq!(log, [(0, false)], "flow 1 re-homes to v4 and stays served");
+        let dep = Deployment::from_vertices(6, [2, 3]);
+        let log = check(&mut st, |st| st.rebuild_assignments(&dep));
+        assert_eq!(log, [(0, true), (2, false), (3, true)]);
+        add(&mut st, 4, 1, vec![5, 4], &dep);
+        let log = check(&mut st, |st| st.rebuild_assignments(&dep));
+        assert!(
+            log.is_empty(),
+            "a rebuild against the same deployment moves nothing"
+        );
     }
 
     #[test]

@@ -442,6 +442,13 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
     /// Rejects malformed events ([`OnlineError`]); the engine state
     /// is unchanged on error.
     pub fn apply(&mut self, event: &Event) -> Result<(), OnlineError> {
+        self.state.clear_flips();
+        self.apply_one(event)
+    }
+
+    /// [`OnlineEngine::apply`] without clearing the flip log, so that
+    /// [`OnlineEngine::apply_all`] keeps the flips of its whole stream.
+    fn apply_one(&mut self, event: &Event) -> Result<(), OnlineError> {
         let sw = R::ENABLED.then(Stopwatch::start);
         let failure = self.ingest(event)?;
         self.repair(failure);
@@ -478,6 +485,7 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
     /// the same state as applying that prefix — never with dangling
     /// unrepaired mutations.
     pub fn apply_batch(&mut self, events: &[Event]) -> Result<(), OnlineError> {
+        self.state.clear_flips();
         let sw = R::ENABLED.then(Stopwatch::start);
         let events_before = self.stats.events;
         let mut failure = false;
@@ -516,8 +524,9 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
     /// # Errors
     /// Stops at the first malformed event.
     pub fn apply_all(&mut self, events: &[TimedEvent]) -> Result<(), OnlineError> {
+        self.state.clear_flips();
         for ev in events {
-            self.apply(&ev.event)?;
+            self.apply_one(&ev.event)?;
         }
         Ok(())
     }
@@ -803,6 +812,7 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
     /// bitwise the from-scratch GTP answer — the
     /// recovery-transparency property.
     pub fn replan_now(&mut self) -> bool {
+        self.state.clear_flips();
         self.drift_check(true)
     }
 
@@ -1214,6 +1224,34 @@ mod tests {
         assert_eq!(e.objective(), 8.0);
         let inst = e.snapshot_instance().unwrap();
         assert_eq!(bandwidth_of(&inst, e.deployment()), 8.0);
+    }
+
+    /// Every public mutating call starts a fresh flip log.
+    #[test]
+    fn the_flip_log_holds_the_last_call_only() {
+        let mut e = engine(3, RepairPolicy::local_only(0));
+        let arrivals = fig1_arrivals();
+        for ev in &arrivals[..3] {
+            e.apply(ev).unwrap();
+        }
+        assert_eq!(
+            e.state().flips(),
+            [(3, true)],
+            "flow 3 is served by a new box"
+        );
+        e.apply(&arrivals[3]).unwrap();
+        assert_eq!(e.deployment().vertices(), &[3, 4, 5]);
+        assert!(
+            e.state().flips().is_empty(),
+            "an arrival that moved nothing"
+        );
+        e.apply(&Event::VertexDown { vertex: 5 }).unwrap();
+        assert!(
+            e.state().flips().contains(&(4, false)),
+            "flow 4 lost its box"
+        );
+        e.apply_all(&[]).unwrap();
+        assert!(e.state().flips().is_empty());
     }
 
     #[test]

@@ -18,25 +18,38 @@
 //! same remaining events yields identical deployments and objectives
 //! (`exact_objective` bit-for-bit — the engine-level property test
 //! pins this; the serve-level test pins it through the full NDJSON
-//! pipeline). Per-tenant latency samples are deliberately *not*
+//! pipeline). Per-tenant latency histograms are deliberately *not*
 //! carried across a restore — they are measurements of a process
 //! lifetime, not replayable state.
 //!
 //! # Fairness accounting
 //!
-//! Per-tenant served/degraded bandwidth is recomputed from the engine
-//! state on every telemetry tick by summing integer rates — an
-//! order-independent sum, so it never depends on event history.
-//! Per-tenant apply latency attributes arrivals/departures to the
-//! flow's tenant and failure-class events to every tenant with active
-//! flows at that moment.
+//! Each tenant's served and degraded bandwidth is an integer sum of
+//! its flows' rates, kept up to date on every event, so a telemetry
+//! tick costs O(tenants) however many flows are active or events were
+//! served. An arrival adds its rate on the side of its status after
+//! the engine call, a departure subtracts the rate and status it had
+//! before, and every served↔degraded change the engine made in
+//! between comes from its flip log ([`DeltaState::flips`]). Integer
+//! sums do not depend on the order of these updates, so they equal a
+//! from-scratch pass over the live flows at every step.
+//!
+//! Apply latencies go into log-linear [`Histogram`]s: one for every
+//! event handed to the engine, and one per tenant. Arrivals and
+//! departures count toward the flow's tenant, failure-class events
+//! toward every tenant with active flows at that moment. Memory is a
+//! few hundred buckets per tenant, however long the session runs.
+//!
+//! [`DeltaState::flips`]: tdmd_online::DeltaState::flips
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::io::{BufRead, Error, ErrorKind, Read, Write};
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
-use tdmd_obs::{keys, normalize_zero, percentile_opt, Recorder, StatsRecorder, Stopwatch};
+use tdmd_graph::NodeId;
+use tdmd_obs::{normalize_zero, round_metric, Histogram, Stopwatch};
 use tdmd_online::{Event, FlowKey, OnlineEngine, PathPricer, RepairPolicy, SnapshotError};
 use tdmd_traffic::TenantId;
 
@@ -80,8 +93,8 @@ pub struct ServeSnapshot {
     pub tenants: Vec<(FlowKey, TenantId)>,
     /// Every tenant the session had ever seen, ascending — restored
     /// sessions keep reporting these in telemetry even when a tenant
-    /// has no activity after the restore (their latency *samples* are
-    /// process-lifetime measurements and are not carried).
+    /// has no activity after the restore (their latency histograms
+    /// are process-lifetime measurements and are not carried).
     pub known_tenants: Vec<TenantId>,
     /// Events the session had applied when the snapshot was taken.
     pub events: u64,
@@ -92,21 +105,66 @@ pub struct ServeSnapshot {
     pub snapshots_restored: u64,
 }
 
+/// One tenant's running figures.
+#[derive(Debug, Default)]
+struct TenantSums {
+    /// Attributed apply latencies in µs.
+    latency: Histogram,
+    /// Rate of the tenant's served flows. No sum of `u64` rates over
+    /// fewer than 2^64 flows overflows a `u128`.
+    served: u128,
+    /// Rate of the tenant's degraded flows.
+    degraded: u128,
+}
+
+impl TenantSums {
+    fn side(&mut self, served: bool) -> &mut u128 {
+        if served {
+            &mut self.served
+        } else {
+            &mut self.degraded
+        }
+    }
+
+    fn add(&mut self, rate: u64, served: bool) {
+        *self.side(served) += u128::from(rate);
+    }
+
+    fn sub(&mut self, rate: u64, served: bool) {
+        *self.side(served) -= u128::from(rate);
+    }
+
+    /// Whether the tenant has an active flow (every rate is positive).
+    fn is_active(&self) -> bool {
+        self.served != 0 || self.degraded != 0
+    }
+}
+
+/// A sum as the wire reports it: saturated at `u64::MAX`.
+fn saturate(sum: u128) -> u64 {
+    u64::try_from(sum).unwrap_or(u64::MAX)
+}
+
+/// A latency percentile as the wire reports it: rounded to ns.
+fn report_us(h: &Histogram, p: f64) -> Option<f64> {
+    h.percentile(p).map(|us| round_metric(us, 3))
+}
+
 /// The long-running placement service: an [`OnlineEngine`] plus
 /// tenant accounting, telemetry and snapshot scheduling.
 pub struct ServeSession<P: PathPricer> {
     engine: OnlineEngine<P>,
     config: ServeConfig,
     /// Tenant of every active flow (arrivals insert, departures
-    /// remove). Ordered so that snapshots and telemetry iterate it
-    /// deterministically — see the `map-iter-order` lint.
+    /// remove). Ordered so that snapshots iterate it deterministically
+    /// — see the `map-iter-order` lint.
     tenants: BTreeMap<FlowKey, TenantId>,
-    /// Session telemetry (event-loop latencies, snapshot counters,
-    /// per-tenant bandwidth samples) — the engine itself runs the
-    /// zero-cost [`NoopRecorder`](tdmd_obs::NoopRecorder).
-    recorder: StatsRecorder,
-    /// Per-tenant attributed apply-latency samples in µs.
-    latencies: BTreeMap<TenantId, Vec<f64>>,
+    /// Every tenant the session line has seen, with its latency
+    /// histogram and rate sums.
+    sums: BTreeMap<TenantId, TenantSums>,
+    /// `engine.apply` latency in µs of every event handed to the
+    /// engine, rejected ones included.
+    event_latency: Histogram,
     events: u64,
     snapshots_taken: u64,
     snapshots_restored: u64,
@@ -120,8 +178,8 @@ impl<P: PathPricer> ServeSession<P> {
             engine,
             config,
             tenants: BTreeMap::new(),
-            recorder: StatsRecorder::new(),
-            latencies: BTreeMap::new(),
+            sums: BTreeMap::new(),
+            event_latency: Histogram::new(),
             events: 0,
             snapshots_taken: 0,
             snapshots_restored: 0,
@@ -131,7 +189,10 @@ impl<P: PathPricer> ServeSession<P> {
 
     /// Rebuilds a session from a snapshot. Topology, pricer and
     /// policy are supplied by the caller exactly as at construction,
-    /// like [`OnlineEngine::restore`].
+    /// like [`OnlineEngine::restore`]. The tenant sums are derived once
+    /// from the snapshot's tenant list; an active flow the list does
+    /// not name counts as tenant 0, as an arrival without a tenant
+    /// does.
     ///
     /// # Errors
     /// Rejects unknown versions and structurally invalid engine state
@@ -150,18 +211,34 @@ impl<P: PathPricer> ServeSession<P> {
         }
         let engine =
             OnlineEngine::restore(graph, pricer, policy, tdmd_obs::NoopRecorder, &snap.engine)?;
-        let recorder = StatsRecorder::new();
-        recorder.count(keys::SNAPSHOTS_RESTORED, 1);
+        let mut tenants: BTreeMap<FlowKey, TenantId> = snap.tenants.iter().copied().collect();
+        let mut sums: BTreeMap<TenantId, TenantSums> = snap
+            .known_tenants
+            .iter()
+            .map(|&t| (t, TenantSums::default()))
+            .collect();
+        let state = engine.state();
+        let mut named = 0;
+        for (&key, &t) in &tenants {
+            if let Some(f) = state.flow(key) {
+                sums.entry(t).or_default().add(f.rate, f.assigned.is_some());
+                named += 1;
+            }
+        }
+        if named < state.active_count() {
+            for f in state.active_flows() {
+                if let Entry::Vacant(slot) = tenants.entry(f.key) {
+                    slot.insert(0);
+                    sums.entry(0).or_default().add(f.rate, f.assigned.is_some());
+                }
+            }
+        }
         Ok(Self {
             engine,
             config,
-            tenants: snap.tenants.iter().copied().collect(),
-            recorder,
-            latencies: snap
-                .known_tenants
-                .iter()
-                .map(|&t| (t, Vec::new()))
-                .collect(),
+            tenants,
+            sums,
+            event_latency: Histogram::new(),
             events: snap.events,
             snapshots_taken: snap.snapshots_taken,
             snapshots_restored: snap.snapshots_restored + 1,
@@ -181,13 +258,6 @@ impl<P: PathPricer> ServeSession<P> {
         self.events
     }
 
-    /// The session's telemetry recorder (event-loop latencies,
-    /// snapshot counters, per-tenant bandwidth samples).
-    #[inline]
-    pub fn recorder(&self) -> &StatsRecorder {
-        &self.recorder
-    }
-
     /// The most recent snapshot taken by this session, if any.
     #[inline]
     pub fn last_snapshot(&self) -> Option<&ServeSnapshot> {
@@ -201,22 +271,15 @@ impl<P: PathPricer> ServeSession<P> {
     /// configured [`ServeConfig::snapshot_path`].
     pub fn snapshot(&mut self) -> ServeSnapshot {
         self.snapshots_taken += 1;
-        self.recorder.count(keys::SNAPSHOTS_TAKEN, 1);
         // BTreeMap iteration is already ascending by key — exactly
         // the snapshot's documented order.
         let tenants: Vec<(FlowKey, TenantId)> =
             self.tenants.iter().map(|(&k, &t)| (k, t)).collect();
-        let known: BTreeSet<TenantId> = self
-            .latencies
-            .keys()
-            .copied()
-            .chain(self.tenants.values().copied())
-            .collect();
         let snap = ServeSnapshot {
             version: SERVE_SNAPSHOT_VERSION,
             engine: self.engine.snapshot(),
             tenants,
-            known_tenants: known.into_iter().collect(),
+            known_tenants: self.sums.keys().copied().collect(),
             events: self.events,
             snapshots_taken: self.snapshots_taken,
             snapshots_restored: self.snapshots_restored,
@@ -225,51 +288,31 @@ impl<P: PathPricer> ServeSession<P> {
         snap
     }
 
-    /// Builds a telemetry record — and *ticks* the fairness samplers:
-    /// each call records one [`keys::TENANT_SERVED_BW`] /
-    /// [`keys::TENANT_DEGRADED_BW`] sample per tenant.
+    /// Builds a telemetry record. Costs O(tenants): the bandwidth sums
+    /// are kept up to date per event, and each percentile walks one
+    /// bounded histogram. Every tenant the session line has seen is
+    /// listed, even when its flows have all drained.
     pub fn telemetry(&self) -> Telemetry {
-        // Order-independent integer sums over the live engine state
-        // (saturating, so still order-independent).
-        // Every tenant the session has ever seen is listed, even when
-        // its flows have all drained.
-        let mut per: BTreeMap<TenantId, (u64, u64)> = BTreeMap::new();
-        for t in self.latencies.keys().chain(self.tenants.values()) {
-            per.entry(*t).or_insert((0, 0));
-        }
-        for f in self.engine.state().active_flows() {
-            let t = self.tenants.get(&f.key).copied().unwrap_or(0);
-            let entry = per.entry(t).or_insert((0, 0));
-            if f.assigned.is_some() {
-                entry.0 = entry.0.saturating_add(f.rate);
-            } else {
-                entry.1 = entry.1.saturating_add(f.rate);
-            }
-        }
-        let mut tenants = Vec::with_capacity(per.len());
-        for (t, (served, degraded)) in per {
-            self.recorder.sample(keys::TENANT_SERVED_BW, served as f64);
-            self.recorder
-                .sample(keys::TENANT_DEGRADED_BW, degraded as f64);
-            let mut lat = self.latencies.get(&t).cloned().unwrap_or_default();
-            lat.sort_by(f64::total_cmp);
-            tenants.push(TenantTelemetry {
-                tenant: t,
-                served_bw: served,
-                degraded_bw: degraded,
-                events: lat.len() as u64,
-                apply_p50_us: percentile_opt(&lat, 50.0),
-                apply_p99_us: percentile_opt(&lat, 99.0),
-            });
-        }
+        let tenants = self
+            .sums
+            .iter()
+            .map(|(&tenant, s)| TenantTelemetry {
+                tenant,
+                served_bw: saturate(s.served),
+                degraded_bw: saturate(s.degraded),
+                events: s.latency.count(),
+                apply_p50_us: report_us(&s.latency, 50.0),
+                apply_p99_us: report_us(&s.latency, 99.0),
+            })
+            .collect();
         Telemetry {
             events: self.events,
             active_flows: self.engine.active_count() as u64,
             deployment: self.engine.deployment().vertices().to_vec(),
             objective: normalize_zero(self.engine.exact_objective()),
             degraded_flows: self.engine.degraded_count() as u64,
-            event_p50_us: self.recorder.percentile_of(keys::SERVE_EVENT_US, 50.0),
-            event_p99_us: self.recorder.percentile_of(keys::SERVE_EVENT_US, 99.0),
+            event_p50_us: report_us(&self.event_latency, 50.0),
+            event_p99_us: report_us(&self.event_latency, 99.0),
             snapshots_taken: self.snapshots_taken,
             snapshots_restored: self.snapshots_restored,
             boxes_moved: self.engine.stats().boxes_moved,
@@ -289,59 +332,94 @@ impl<P: PathPricer> ServeSession<P> {
     /// Returns the engine's verdict; tenant bookkeeping only happens
     /// on success.
     pub fn apply(&mut self, ev: &WireEvent) -> Result<(), tdmd_online::OnlineError> {
-        let (event, tenant) = match ev {
+        let event = match ev {
             WireEvent::Arrive {
-                key,
-                rate,
-                path,
-                tenant,
-            } => (
-                Event::FlowArrived {
-                    key: *key,
-                    rate: *rate,
-                    path: path.clone(),
-                },
-                Some(*tenant),
-            ),
-            WireEvent::Depart { key } => (
-                Event::FlowDeparted { key: *key },
-                self.tenants.get(key).copied(),
-            ),
-            WireEvent::Fail { vertex } => (Event::MiddleboxFailed { vertex: *vertex }, None),
-            WireEvent::Down { vertex } => (Event::VertexDown { vertex: *vertex }, None),
-            WireEvent::Recover { vertex } => (Event::MiddleboxRecovered { vertex: *vertex }, None),
+                key, rate, path, ..
+            } => Event::FlowArrived {
+                key: *key,
+                rate: *rate,
+                path: path.clone(),
+            },
+            WireEvent::Depart { key } => Event::FlowDeparted { key: *key },
+            WireEvent::Fail { vertex } => Event::MiddleboxFailed { vertex: *vertex },
+            WireEvent::Down { vertex } => Event::VertexDown { vertex: *vertex },
+            WireEvent::Recover { vertex } => Event::MiddleboxRecovered { vertex: *vertex },
             // Control lines carry no engine event.
             WireEvent::Snapshot | WireEvent::Telemetry | WireEvent::Shutdown => return Ok(()),
+        };
+        // A departing flow leaves with the rate and status it has now.
+        let leaving = match ev {
+            WireEvent::Depart { key } => self
+                .engine
+                .state()
+                .flow(*key)
+                .map(|f| (f.rate, f.assigned.is_some())),
+            _ => None,
         };
         let sw = Stopwatch::start();
         let result = self.engine.apply(&event);
         let us = sw.elapsed_us();
-        self.recorder.sample(keys::SERVE_EVENT_US, us);
-        if result.is_ok() {
-            self.events += 1;
-            match ev {
-                WireEvent::Arrive { key, tenant, .. } => {
-                    self.tenants.insert(*key, *tenant);
-                }
-                WireEvent::Depart { key } => {
-                    self.tenants.remove(key);
-                }
-                _ => {}
+        self.event_latency.record(us);
+        let arriving = match ev {
+            WireEvent::Arrive { key, .. } => Some(*key),
+            _ => None,
+        };
+        self.account_flips(arriving);
+        result?;
+        self.events += 1;
+        let owner = match ev {
+            WireEvent::Arrive {
+                key, rate, tenant, ..
+            } => {
+                self.tenants.insert(*key, *tenant);
+                let served = self
+                    .engine
+                    .state()
+                    .flow(*key)
+                    .is_some_and(|f| f.assigned.is_some());
+                self.sums.entry(*tenant).or_default().add(*rate, served);
+                Some(*tenant)
             }
-            match tenant {
-                Some(t) => self.latencies.entry(t).or_default().push(us),
-                None => {
-                    // Failure-class events repair every tenant's
-                    // flows; attribute the latency to each active
-                    // tenant.
-                    let affected: BTreeSet<TenantId> = self.tenants.values().copied().collect();
-                    for t in affected {
-                        self.latencies.entry(t).or_default().push(us);
-                    }
+            WireEvent::Depart { key } => {
+                let tenant = self.tenants.remove(key);
+                if let (Some(t), Some((rate, served))) = (tenant, leaving) {
+                    self.sums.entry(t).or_default().sub(rate, served);
                 }
+                tenant
+            }
+            _ => None,
+        };
+        match owner {
+            Some(t) => self.sums.entry(t).or_default().latency.record(us),
+            // Failure-class events repair every tenant's flows;
+            // attribute the latency to each active tenant.
+            None => self
+                .sums
+                .values_mut()
+                .filter(|s| s.is_active())
+                .for_each(|s| s.latency.record(us)),
+        }
+        Ok(())
+    }
+
+    /// Moves the rate of every flow the last engine call flipped
+    /// between served and degraded to the other side of its tenant's
+    /// sums. The arriving flow is skipped: it is added once, by its
+    /// status after the call.
+    fn account_flips(&mut self, arriving: Option<FlowKey>) {
+        let state = self.engine.state();
+        for &(key, now_served) in state.flips() {
+            if Some(key) == arriving {
+                continue;
+            }
+            let (Some(f), Some(t)) = (state.flow(key), self.tenants.get(&key)) else {
+                continue;
+            };
+            if let Some(sums) = self.sums.get_mut(t) {
+                sums.sub(f.rate, !now_served);
+                sums.add(f.rate, now_served);
             }
         }
-        result
     }
 
     /// Serializes `record` as one NDJSON output line.
@@ -387,6 +465,8 @@ impl<P: PathPricer> ServeSession<P> {
     /// are 1-based and count every physical line, blank ones included.
     pub fn run(&mut self, mut reader: impl BufRead, mut writer: impl Write) -> std::io::Result<()> {
         let mut buf = Vec::new();
+        // The deployment before each event, to tell whether it moved.
+        let mut before: Vec<NodeId> = Vec::new();
         let mut line_no = 0u64;
         while let Some(line) = next_line(&mut reader, &mut buf)? {
             line_no += 1;
@@ -424,7 +504,8 @@ impl<P: PathPricer> ServeSession<P> {
                     self.emit(&mut writer, &WireRecord::Telemetry { telemetry })?;
                 }
                 ref event => {
-                    let before = self.engine.deployment().vertices().to_vec();
+                    before.clear();
+                    before.extend_from_slice(self.engine.deployment().vertices());
                     match self.apply(event) {
                         Ok(()) => {
                             if self.engine.deployment().vertices() != before.as_slice() {

@@ -76,9 +76,12 @@ pub struct TenantTelemetry {
     pub events: u64,
     /// p50 of the attributed per-event apply latency in µs; `None`
     /// until the first attributed event (absent data never reads as a
-    /// measured 0).
+    /// measured 0). Read off a log-linear histogram: at most 1/16
+    /// above the exact nearest-rank sample, never above the largest,
+    /// rounded to 3 decimals.
     pub apply_p50_us: Option<f64>,
-    /// p99 of the attributed per-event apply latency in µs.
+    /// p99 of the attributed per-event apply latency in µs, read like
+    /// `apply_p50_us`.
     pub apply_p99_us: Option<f64>,
 }
 
@@ -99,10 +102,15 @@ pub struct Telemetry {
     pub objective: f64,
     /// Active flows with no serving middlebox.
     pub degraded_flows: u64,
-    /// p50 of the whole event-loop latency in µs (decode + apply +
-    /// accounting).
+    /// p50 in µs of the time `engine.apply` takes per event, over
+    /// every event handed to the engine (rejected ones included); not
+    /// line decode or the session's accounting. Read off a log-linear
+    /// histogram: at most 1/16 above the exact nearest-rank sample,
+    /// never above the largest, rounded to 3 decimals. `None` before
+    /// the first event.
     pub event_p50_us: Option<f64>,
-    /// p99 of the whole event-loop latency in µs.
+    /// p99 of the same `engine.apply` latency, read like
+    /// `event_p50_us`.
     pub event_p99_us: Option<f64>,
     /// State snapshots taken over the session's history (carried
     /// through snapshot/restore).

@@ -8,9 +8,14 @@
 //! * **NDJSON pipeline** — the same property through the full
 //!   reader/writer loop: pipe the whole stream into one session and
 //!   the tail into a restored one, compare the `Bye` telemetry.
+//! * **Incremental sums ≡ a from-scratch pass** — after every line,
+//!   each tenant's served and degraded bandwidth equals a sum over
+//!   the engine's active flows, through failures, rejected events,
+//!   replans and a mid-stream restore.
 //! * **Robustness** — bad lines and engine-rejected events produce
 //!   `Rejected` records and never kill the loop.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufRead;
 
 use proptest::prelude::*;
@@ -173,6 +178,139 @@ proptest! {
         prop_assert_eq!(b.snapshots_restored, 1);
         live.engine().audit_now().expect("live session passes the audit");
         restored.engine().audit_now().expect("restored session passes the audit");
+    }
+}
+
+/// A seeded stream of valid and engine-rejected events: arrivals
+/// (some with a duplicate key or a zero rate), departures (some of
+/// unknown keys), and `Fail`, `Down` and `Recover` at random vertices,
+/// which the engine rejects where there is no box, the vertex is
+/// already down, or it is not down.
+fn noisy_wire_events(g: &DiGraph, seed: u64, len: usize) -> Vec<WireEvent> {
+    let n = g.node_count() as NodeId;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut keys: Vec<FlowKey> = Vec::new();
+    let mut out = Vec::with_capacity(len);
+    for _ in 0..len {
+        let v = rng.gen_range(0..n);
+        out.push(match rng.gen_range(0..12) {
+            0..=4 => {
+                let mut dst = rng.gen_range(0..n);
+                while dst == v {
+                    dst = rng.gen_range(0..n);
+                }
+                let key = if !keys.is_empty() && rng.gen_range(0..8) == 0 {
+                    keys[rng.gen_range(0..keys.len())]
+                } else {
+                    keys.push(keys.len() as FlowKey);
+                    keys.len() as FlowKey - 1
+                };
+                WireEvent::Arrive {
+                    key,
+                    rate: rng.gen_range(0..=20),
+                    path: shortest_path(g, v, dst),
+                    tenant: rng.gen_range(0..4),
+                }
+            }
+            5..=7 => WireEvent::Depart {
+                key: rng.gen_range(0..keys.len() as FlowKey + 2),
+            },
+            8 => WireEvent::Fail { vertex: v },
+            9 => WireEvent::Down { vertex: v },
+            _ => WireEvent::Recover { vertex: v },
+        });
+    }
+    out
+}
+
+/// Asserts that every tenant's served and degraded bandwidth in the
+/// session's telemetry equals a from-scratch sum over the engine's
+/// active flows, and that the listed tenants are exactly `known`.
+fn assert_sums_match(
+    s: &ServeSession<HopPricer>,
+    owner: &BTreeMap<FlowKey, u16>,
+    known: &BTreeSet<u16>,
+) {
+    let mut expect: BTreeMap<u16, (u128, u128)> = known.iter().map(|&t| (t, (0, 0))).collect();
+    for f in s.engine().state().active_flows() {
+        let sums = expect.get_mut(&owner[&f.key]).expect("owners are known");
+        if f.assigned.is_some() {
+            sums.0 += u128::from(f.rate);
+        } else {
+            sums.1 += u128::from(f.rate);
+        }
+    }
+    let saturate = |x: u128| u64::try_from(x).unwrap_or(u64::MAX);
+    let expect: Vec<(u16, u64, u64)> = expect
+        .into_iter()
+        .map(|(t, (served, degraded))| (t, saturate(served), saturate(degraded)))
+        .collect();
+    let got: Vec<(u16, u64, u64)> = s
+        .telemetry()
+        .tenants
+        .iter()
+        .map(|t| (t.tenant, t.served_bw, t.degraded_bw))
+        .collect();
+    assert_eq!(got, expect);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The session's per-tenant sums, kept from arrivals, departures
+    /// and the engine's flip log, equal a from-scratch pass after
+    /// every line — under local repair, the sampled drift oracle and a
+    /// forced replan on every event, across a snapshot→restore.
+    #[test]
+    fn incremental_tenant_sums_equal_a_from_scratch_pass(
+        seed in any::<u64>(),
+        n in 4usize..12,
+        len in 20usize..120,
+        k in 1usize..4,
+        which in 0usize..3,
+    ) {
+        let policy = [policy(), RepairPolicy::forced_replan(), RepairPolicy::local_only(2)][which];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = erdos_renyi_connected(n, 0.3, &mut rng);
+        let events = noisy_wire_events(&g, seed ^ 0xF1, len);
+        let cut = len / 2;
+        let engine = OnlineEngine::new(g.clone(), 0.5, k, HopPricer::default(), policy)
+            .expect("valid engine parameters");
+        let mut s = ServeSession::new(engine, ServeConfig::default());
+        let mut owner: BTreeMap<FlowKey, u16> = BTreeMap::new();
+        let mut known: BTreeSet<u16> = BTreeSet::new();
+        let (mut applied, mut rejected) = (0, 0);
+        for (i, ev) in events.iter().enumerate() {
+            if i == cut {
+                let json = serde_json::to_string(&s.snapshot()).expect("snapshots serialize");
+                let snap: ServeSnapshot = serde_json::from_str(&json).expect("snapshots parse");
+                s = ServeSession::restore(
+                    g.clone(),
+                    HopPricer::default(),
+                    policy,
+                    ServeConfig::default(),
+                    &snap,
+                )
+                .expect("session-produced snapshots restore");
+                assert_sums_match(&s, &owner, &known);
+            }
+            match (s.apply(ev), ev) {
+                (Err(_), _) => rejected += 1,
+                (Ok(()), WireEvent::Arrive { key, tenant, .. }) => {
+                    owner.insert(*key, *tenant);
+                    known.insert(*tenant);
+                    applied += 1;
+                }
+                (Ok(()), WireEvent::Depart { key }) => {
+                    owner.remove(key);
+                    applied += 1;
+                }
+                (Ok(()), _) => applied += 1,
+            }
+            assert_sums_match(&s, &owner, &known);
+        }
+        prop_assert!(applied > 0 && rejected > 0, "{applied} applied, {rejected} rejected");
+        s.engine().audit_now().expect("the session passes the audit");
     }
 }
 

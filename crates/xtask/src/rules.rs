@@ -867,7 +867,6 @@ fn round_metric_routing(f: &SourceFile, out: &mut Vec<Violation>) {
             x.kind == Kind::Float
                 || x.is_ident("f64")
                 || x.is_ident("percentile")
-                || x.is_ident("percentile_opt")
                 || x.is_ident("elapsed_us")
         });
         if float_evidence {
