@@ -38,14 +38,13 @@ use serde::{Deserialize, Serialize};
 use tdmd_core::algorithms::gtp::gtp_budgeted;
 use tdmd_core::algorithms::joint::{joint_solve_with, JointConfig};
 use tdmd_core::objective::bandwidth_of;
-use tdmd_core::Instance;
+use tdmd_core::{HopCount, Instance};
 use tdmd_experiments::scenarios::{
     general_instance, general_pathset_instance, tree_instance, Scenario,
 };
 use tdmd_obs::{normalize_zero, percentile, round_metric, StatsRecorder, Stopwatch};
 use tdmd_online::{
-    events_from_spans, obs_keys, Event, FlowSpan, HopPricer, OnlineEngine, ReconfigBudget,
-    RepairPolicy,
+    events_from_spans, obs_keys, Event, FlowSpan, OnlineEngine, ReconfigBudget, RepairPolicy,
 };
 use tdmd_traffic::GatewayWorkload;
 
@@ -453,7 +452,7 @@ pub fn scale_bench(seed: u64, params: ScaleParams) -> Result<ScaleBench, String>
         graph.clone(),
         params.lambda,
         params.k,
-        HopPricer::default(),
+        HopCount,
         RepairPolicy::local_only(4),
     )
     .map_err(|e| e.to_string())?;
@@ -633,7 +632,7 @@ pub fn stream_bench(seed: u64) -> Result<StreamBench, String> {
                 inst.graph().clone(),
                 s.lambda,
                 s.k,
-                HopPricer::default(),
+                HopCount,
                 policy,
                 &recorder,
             )
@@ -713,14 +712,8 @@ pub fn reconfig_bench(seed: u64) -> Result<ReconfigBench, String> {
             budget,
             ..RepairPolicy::default()
         };
-        let mut engine = OnlineEngine::new(
-            inst.graph().clone(),
-            s.lambda,
-            s.k,
-            HopPricer::default(),
-            policy,
-        )
-        .map_err(|e| format!("reconfig/{name}: {e}"))?;
+        let mut engine = OnlineEngine::new(inst.graph().clone(), s.lambda, s.k, HopCount, policy)
+            .map_err(|e| format!("reconfig/{name}: {e}"))?;
         let mut obj_sum = 0.0;
         for ev in &events {
             engine
@@ -848,8 +841,8 @@ pub fn serve_bench(seed: u64, target_events: usize) -> Result<ServeBench, String
     let config = ServeConfig::default();
     let policy = RepairPolicy::default();
 
-    let engine = OnlineEngine::new(graph.clone(), 0.5, 8, HopPricer::default(), policy)
-        .map_err(|e| e.to_string())?;
+    let engine =
+        OnlineEngine::new(graph.clone(), 0.5, 8, HopCount, policy).map_err(|e| e.to_string())?;
     let mut live = ServeSession::new(engine, config.clone());
     let mut live_out = Vec::new();
     let sw = Stopwatch::start();
@@ -861,7 +854,7 @@ pub fn serve_bench(seed: u64, target_events: usize) -> Result<ServeBench, String
     let snap = live
         .last_snapshot()
         .ok_or("the Snapshot control line left no snapshot")?;
-    let mut restored = ServeSession::restore(graph, HopPricer::default(), policy, config, snap)
+    let mut restored = ServeSession::restore(graph, HopCount, policy, config, snap)
         .map_err(|e| format!("serve restore: {e}"))?;
     let mut tail_out = Vec::new();
     restored

@@ -44,7 +44,7 @@ pub fn evaluate(args: &Args) -> Result<String, String> {
     match args.optional("cost-model").unwrap_or("hops") {
         "hops" => {}
         "weighted" => {
-            let wi = FlowIndex::build(&instance, &WeightedEdges::new(&instance));
+            let wi = FlowIndex::build(&instance, &WeightedEdges::new(instance.graph()));
             report.push_str(&format!(
                 "weighted bw:     {:.2} (unprocessed {:.2})\n",
                 wi.bandwidth_of(&instance, &plan),

@@ -61,7 +61,7 @@ pub fn place(args: &Args) -> Result<String, String> {
     let plan = match cost_model {
         "hops" => alg.run(&instance, &mut rng).map_err(|e| e.to_string())?,
         "weighted" => {
-            let model = WeightedEdges::new(&instance);
+            let model = WeightedEdges::new(instance.graph());
             match alg {
                 Algorithm::Gtp => gtp_budgeted_with(&instance, k, &model),
                 Algorithm::GtpLs => gtp_with_local_search_with(&instance, k, &model),
@@ -101,7 +101,7 @@ pub fn place(args: &Args) -> Result<String, String> {
         out.push_str("audit:        instance + solution invariants hold\n");
     }
     if cost_model == "weighted" {
-        let wi = FlowIndex::build(&instance, &WeightedEdges::new(&instance));
+        let wi = FlowIndex::build(&instance, &WeightedEdges::new(instance.graph()));
         out.push_str(&format!(
             "weighted bw:  {:.2} (unprocessed {:.2})\n",
             wi.bandwidth_of(&instance, &plan),

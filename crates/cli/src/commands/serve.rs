@@ -13,8 +13,9 @@ use crate::args::Args;
 use crate::commands::load_topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tdmd_core::HopCount;
 use tdmd_graph::NodeId;
-use tdmd_online::{events_from_spans, Event, FlowSpan, HopPricer, RepairPolicy};
+use tdmd_online::{events_from_spans, Event, FlowSpan, RepairPolicy};
 use tdmd_serve::{ServeConfig, ServeSession, ServeSnapshot, WireEvent};
 use tdmd_traffic::{gravity_workload, GravityConfig, TenantProfile};
 
@@ -193,13 +194,12 @@ pub fn run(args: &Args) -> Result<String, String> {
     let mut session = match args.optional("restore-from") {
         Some(path) => {
             let snap = load_snapshot(path)?;
-            ServeSession::restore(graph, HopPricer::default(), policy, config, &snap)
+            ServeSession::restore(graph, HopCount, policy, config, &snap)
                 .map_err(|e| format!("restore {path}: {e}"))?
         }
         None => {
-            let engine =
-                tdmd_online::OnlineEngine::new(graph, lambda, k, HopPricer::default(), policy)
-                    .map_err(|e| e.to_string())?;
+            let engine = tdmd_online::OnlineEngine::new(graph, lambda, k, HopCount, policy)
+                .map_err(|e| e.to_string())?;
             ServeSession::new(engine, config)
         }
     };

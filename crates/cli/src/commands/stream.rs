@@ -13,8 +13,9 @@ use crate::args::Args;
 use crate::commands::{budget_from, load_topology, load_workload, write_out};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tdmd_core::HopCount;
 use tdmd_obs::{normalize_zero, percentile, StatsRecorder, Stopwatch};
-use tdmd_online::{events_from_spans, obs_keys, FlowSpan, HopPricer, OnlineEngine, RepairPolicy};
+use tdmd_online::{events_from_spans, obs_keys, FlowSpan, OnlineEngine, RepairPolicy};
 use tdmd_sim::chaos::{run_chaos, ChaosConfig, ChaosMode};
 use tdmd_sim::timeline::DynamicScenario;
 
@@ -100,9 +101,8 @@ pub fn run(args: &Args) -> Result<String, String> {
     let audit = args.flag("audit")?;
 
     let recorder = StatsRecorder::new();
-    let mut engine =
-        OnlineEngine::with_recorder(graph, lambda, k, HopPricer::default(), policy, &recorder)
-            .map_err(|e| e.to_string())?;
+    let mut engine = OnlineEngine::with_recorder(graph, lambda, k, HopCount, policy, &recorder)
+        .map_err(|e| e.to_string())?;
     if audit {
         engine.enable_audit();
     }

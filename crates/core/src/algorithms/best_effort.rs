@@ -155,7 +155,7 @@ mod tests {
         use crate::cost::WeightedEdges;
         for k in 2..=4 {
             let inst = fig1_instance(k);
-            let d = best_effort_with(&inst, k, &WeightedEdges::new(&inst)).unwrap();
+            let d = best_effort_with(&inst, k, &WeightedEdges::new(inst.graph())).unwrap();
             assert!(is_feasible(&inst, &d));
         }
     }

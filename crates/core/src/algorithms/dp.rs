@@ -595,7 +595,7 @@ mod weighted_tests {
         // weighted objective.
         for k in 1..=3 {
             let inst = weighted_star(k);
-            let index = FlowIndex::build(&inst, &WeightedEdges::new(&inst));
+            let index = FlowIndex::build(&inst, &WeightedEdges::new(inst.graph()));
             let n = inst.node_count();
             let mut best = f64::INFINITY;
             for mask in 0u32..(1 << n) {

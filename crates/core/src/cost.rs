@@ -20,15 +20,18 @@
 //! Three implementations live here or nearby: [`HopCount`] (the
 //! paper's Eq. 1, unit edge weights), [`WeightedEdges`] (per-edge
 //! weights, the repo's priced-links extension), and the chain-aware
-//! stack model in the `tdmd-chain` crate.
+//! stack model in the `tdmd-chain` crate. All three price a flow from
+//! its rate and path alone, so the same model object serves a static
+//! [`Instance`] and the online engine, which prices each arriving
+//! flow once ([`CostModel::gains`]).
 //!
 //! A model is *compiled* into a [`FlowIndex`], the greedy kernel's
 //! whole input: one flat CSR arena of `(flow, gain)` entries grouped
 //! by vertex, plus per-flow weights `r_f · (1 − λ)`, unprocessed costs
 //! and paths (one flat arena too), so the kernel's inner loops scan
 //! contiguous memory and never read the [`Instance`]. Flows priced
-//! elsewhere (the online engine prices each flow once, at arrival)
-//! compile through [`FlowIndex::compile`] into the same index.
+//! elsewhere (the online engine's stored gains) compile through
+//! [`FlowIndex::compile`] into the same index.
 //!
 //! Models always price the **active** path of each flow. Under the
 //! joint routing extension a flow's active path is one pick from its
@@ -56,6 +59,10 @@ use crate::plan::Deployment;
 /// serving gain of the same flow. Both [`HopCount`] and
 /// [`WeightedEdges`] satisfy this by construction (suffix sums of
 /// non-negative edge prices).
+///
+/// The online engine prices each arrival as `Flow::new(0, rate, path)`
+/// (id 0, tenant 0), so a model it runs must price from the rate and
+/// the path alone.
 pub trait CostModel {
     /// Metric credited for serving `flow` at path position `pos`
     /// (0 = source). Eq. (1)'s downstream hop count `l_v(f)`,
@@ -72,6 +79,16 @@ pub trait CostModel {
     /// feasibility); models built on exact re-evaluation may opt out.
     fn coverage_tiebreak(&self) -> bool {
         true
+    }
+
+    /// [`CostModel::serving_gain`] at every position of `flow`'s path,
+    /// source first — bit for bit, so the vector the online engine
+    /// stores at arrival prices the flow exactly as a static
+    /// [`FlowIndex::build`] would.
+    fn gains(&self, flow: &Flow) -> Vec<f64> {
+        (0..flow.path.len())
+            .map(|pos| self.serving_gain(flow, pos))
+            .collect()
     }
 }
 
@@ -146,41 +163,40 @@ impl EdgeWeights {
 /// edge weights from its position to the destination (a suffix sum,
 /// so the metric is non-increasing along the path as Theorem 2
 /// requires).
+///
+/// The model holds only the graph's [`EdgeWeights`], so it prices any
+/// flow of that graph by its path, whatever the flow's id: one object
+/// serves a static [`Instance`] and an online stream alike.
 #[derive(Debug, Clone)]
 pub struct WeightedEdges {
-    /// `down[f][i]` = total edge weight downstream of path position
-    /// `i` of flow `f` (indexed by dense flow id).
-    down: Vec<Vec<f64>>,
+    weights: EdgeWeights,
 }
 
 impl WeightedEdges {
-    /// Prices every flow path of `instance` against its graph's edge
-    /// weights. `O(|E| + Σ|p_f|)` — the old per-edge neighbor scan
-    /// made this `O(Σ|p_f| · deg)`.
-    pub fn new(instance: &Instance) -> Self {
-        let weights = EdgeWeights::new(instance.graph());
-        let mut down = Vec::with_capacity(instance.flows().len());
-        for f in instance.flows() {
-            let m = f.path.len();
-            let mut d = vec![0.0f64; m];
-            for i in (0..m - 1).rev() {
-                d[i] = d[i + 1] + weights.get(f.path[i], f.path[i + 1]);
-            }
-            down.push(d);
+    /// Prices paths of `g` by its edge weights, indexed once in
+    /// `O(|E| log |E|)`.
+    pub fn new(g: &DiGraph) -> Self {
+        Self {
+            weights: EdgeWeights::new(g),
         }
-        Self { down }
     }
 }
 
 impl CostModel for WeightedEdges {
+    /// The suffix sum from `pos` to the destination, accumulated from
+    /// the destination backward, so every position reproduces the same
+    /// float it would get from one backward pass over the whole path.
     #[inline]
     fn serving_gain(&self, flow: &Flow, pos: usize) -> f64 {
-        self.down[flow.id as usize][pos]
+        flow.path[pos..]
+            .windows(2)
+            .rev()
+            .fold(0.0, |down, w| down + self.weights.get(w[0], w[1]))
     }
 
     #[inline]
     fn unprocessed_cost(&self, flow: &Flow) -> f64 {
-        self.down[flow.id as usize][0]
+        self.serving_gain(flow, 0)
     }
 }
 
@@ -635,7 +651,7 @@ mod tests {
         // fig1's builder uses unit weights, so the weighted suffix
         // sums must coincide with downstream hop counts exactly.
         let inst = fig1_instance(2);
-        let weighted = WeightedEdges::new(&inst);
+        let weighted = WeightedEdges::new(inst.graph());
         for f in inst.flows() {
             for pos in 0..f.path.len() {
                 assert_eq!(
@@ -648,17 +664,25 @@ mod tests {
         }
     }
 
+    #[test]
+    fn weighted_edges_price_by_path_not_by_id() {
+        // The line 3 -> 2 -> 1 -> 0 weighs 1, 10, 1 and holds one flow.
+        let inst = weighted_line(1);
+        let model = WeightedEdges::new(inst.graph());
+        let long = Flow::new(0, 2, vec![3, 2, 1, 0]);
+        let short = Flow::new(0, 2, vec![1, 2, 3]);
+        assert_eq!(model.gains(&long), vec![12.0, 11.0, 1.0, 0.0]);
+        assert_eq!(model.gains(&short), vec![11.0, 1.0, 0.0]);
+        assert_eq!(model.unprocessed_cost(&short), 11.0);
+        let stray = Flow::new(99, 5, vec![2, 1]);
+        assert!(ix(stray.id) >= inst.flows().len());
+        assert_eq!(model.gains(&stray), vec![10.0, 0.0]);
+        assert_eq!(model.unprocessed_cost(&stray), 10.0);
+    }
+
     /// Prices `inst`'s flows with `model` by hand and compiles them.
     fn compiled_by_hand<M: CostModel>(inst: &Instance, model: &M) -> FlowIndex {
-        let gains: Vec<Vec<f64>> = inst
-            .flows()
-            .iter()
-            .map(|f| {
-                (0..f.path.len())
-                    .map(|p| model.serving_gain(f, p))
-                    .collect()
-            })
-            .collect();
+        let gains: Vec<Vec<f64>> = inst.flows().iter().map(|f| model.gains(f)).collect();
         FlowIndex::compile(
             inst.node_count(),
             inst.lambda(),
@@ -676,7 +700,7 @@ mod tests {
     fn compile_equals_build_bit_for_bit() {
         let fig1 = fig1_instance(2);
         let line = weighted_line(1).with_lambda(0.3);
-        let weighted = WeightedEdges::new(&line);
+        let weighted = WeightedEdges::new(line.graph());
         for (inst, a, b) in [
             (
                 &fig1,
@@ -840,7 +864,7 @@ mod tests {
     #[test]
     fn weighted_path_costs_are_suffix_sums() {
         let inst = weighted_line(1);
-        let index = FlowIndex::build(&inst, &WeightedEdges::new(&inst));
+        let index = FlowIndex::build(&inst, &WeightedEdges::new(inst.graph()));
         assert_eq!(index.path_cost(0), 12.0);
         assert_eq!(index.unprocessed(&inst), 24.0);
     }
@@ -848,7 +872,7 @@ mod tests {
     #[test]
     fn weighted_objective_prices_the_expensive_link() {
         let inst = weighted_line(1);
-        let index = FlowIndex::build(&inst, &WeightedEdges::new(&inst));
+        let index = FlowIndex::build(&inst, &WeightedEdges::new(inst.graph()));
         // Box at the source: everything diminished: 0.5·2·12 = 12.
         assert_eq!(
             index.bandwidth_of(&inst, &Deployment::from_vertices(4, [3])),
@@ -870,7 +894,7 @@ mod tests {
     #[test]
     fn weighted_gtp_picks_the_source_on_the_line() {
         let inst = weighted_line(1);
-        let d = gtp_budgeted_with(&inst, 1, &WeightedEdges::new(&inst)).unwrap();
+        let d = gtp_budgeted_with(&inst, 1, &WeightedEdges::new(inst.graph())).unwrap();
         assert_eq!(d.vertices(), &[3]);
     }
 
@@ -896,7 +920,7 @@ mod tests {
             Flow::new(2, 1, vec![6, 4, 0]),
         ];
         let inst = Instance::new(g, flows, 0.5, 2).unwrap();
-        let model = WeightedEdges::new(&inst);
+        let model = WeightedEdges::new(inst.graph());
         let index = FlowIndex::build(&inst, &model);
         let w = gtp_budgeted_with(&inst, 2, &model).unwrap();
         let u = gtp_budgeted(&inst, 2).unwrap();
@@ -918,7 +942,7 @@ mod tests {
     #[test]
     fn weighted_infeasibility_matches_unweighted() {
         let inst = fig1_instance(1);
-        assert!(gtp_budgeted_with(&inst, 1, &WeightedEdges::new(&inst)).is_err());
+        assert!(gtp_budgeted_with(&inst, 1, &WeightedEdges::new(inst.graph())).is_err());
         assert!(gtp_budgeted(&inst, 1).is_err());
     }
 

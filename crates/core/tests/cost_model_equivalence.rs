@@ -65,7 +65,7 @@ proptest! {
                                                 n in 3usize..14,
                                                 k in 1usize..5) {
         let inst = unit_weight_instance(seed, n, 5, k);
-        let model = WeightedEdges::new(&inst);
+        let model = WeightedEdges::new(inst.graph());
         prop_assert_eq!(gtp_budgeted(&inst, k), gtp_budgeted_with(&inst, k, &model));
     }
 

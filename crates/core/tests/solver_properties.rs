@@ -73,7 +73,7 @@ proptest! {
     #[test]
     fn weighted_decrement_is_submodular(seed in any::<u64>(), n in 3usize..14) {
         let inst = weighted_instance(seed, n, 5, 3);
-        let index = FlowIndex::build(&inst, &WeightedEdges::new(&inst));
+        let index = FlowIndex::build(&inst, &WeightedEdges::new(inst.graph()));
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         let small = Deployment::from_vertices(n, (0..2).map(|_| rng.gen_range(0..n) as NodeId));
         let mut big = small.clone();

@@ -16,14 +16,13 @@ pub mod fig17;
 
 use tdmd_sim::TrialConfig;
 
-/// The default evaluation protocol: 5 seeded trials per point,
-/// sequential (so execution times are honest).
+/// The default evaluation protocol: 5 seeded trials per point, run
+/// one after another (so execution times are honest).
 pub fn default_protocol() -> TrialConfig {
     TrialConfig {
         trials: 5,
         seed: 0x7D_D0,
         resample_limit: 25,
-        parallel: false,
     }
 }
 
@@ -33,6 +32,5 @@ pub fn quick_protocol() -> TrialConfig {
         trials: 2,
         seed: 0x7D_D0,
         resample_limit: 10,
-        parallel: false,
     }
 }

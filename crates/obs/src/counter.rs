@@ -56,8 +56,7 @@ mod tests {
 
     #[test]
     fn concurrent_increments_never_lose_updates() {
-        // Real OS threads (the vendored rayon stand-in is sequential,
-        // so it alone cannot exercise contention).
+        // Real OS threads, so increments genuinely contend.
         let c = Counter::new();
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -69,15 +68,5 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 80_000);
-    }
-
-    #[test]
-    fn rayon_style_parallel_iteration_counts_exactly() {
-        use rayon::prelude::*;
-        let c = Counter::new();
-        (0..1000u64).collect::<Vec<_>>().par_iter().for_each(|_| {
-            c.incr();
-        });
-        assert_eq!(c.get(), 1000);
     }
 }

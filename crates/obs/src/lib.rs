@@ -4,8 +4,8 @@
 //! cheap enough to leave compiled into every hot path:
 //!
 //! * [`Counter`] — a relaxed [`AtomicU64`](std::sync::atomic::AtomicU64)
-//!   wrapper; one `fetch_add` per increment, safe to bump from rayon
-//!   workers.
+//!   wrapper; one `fetch_add` per increment, safe to bump from any
+//!   thread.
 //! * [`Histogram`] — a log-linear latency histogram (16 buckets per
 //!   power of two) whose memory is the range of buckets it has
 //!   touched, never the sample count; its percentiles sit at most

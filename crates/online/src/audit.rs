@@ -13,7 +13,7 @@
 pub use tdmd_core::audit::{enforce, AuditError};
 
 use crate::engine::OnlineEngine;
-use crate::pricer::PathPricer;
+use tdmd_core::CostModel;
 use tdmd_obs::Recorder;
 
 /// Validates every engine invariant now (see [`OnlineEngine::audit_now`]).
@@ -26,8 +26,8 @@ use tdmd_obs::Recorder;
 /// `engine-deployment-bounds`, `engine-deployed-failed`,
 /// `engine-over-budget`, `engine-failed-census` and
 /// `engine-blocked-sync`.
-pub fn check_engine<P: PathPricer, R: Recorder>(
-    engine: &OnlineEngine<P, R>,
+pub fn check_engine<M: CostModel, R: Recorder>(
+    engine: &OnlineEngine<M, R>,
 ) -> Result<(), AuditError> {
     engine.audit_now()
 }

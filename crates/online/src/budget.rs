@@ -63,15 +63,15 @@
 ///
 /// ```
 /// use tdmd_graph::DiGraph;
-/// use tdmd_online::{Event, HopPricer, OnlineEngine, ReconfigBudget, RepairPolicy};
+/// use tdmd_core::HopCount;
+/// use tdmd_online::{Event, OnlineEngine, ReconfigBudget, RepairPolicy};
 ///
 /// let budget = ReconfigBudget::windowed(4.0, 8).with_hysteresis(0.1);
 /// assert!(!budget.is_unlimited());
 /// let policy = RepairPolicy { budget, ..RepairPolicy::default() };
 ///
 /// let graph = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
-/// let mut engine =
-///     OnlineEngine::new(graph, 0.5, 1, HopPricer::default(), policy)?;
+/// let mut engine = OnlineEngine::new(graph, 0.5, 1, HopCount, policy)?;
 /// engine.apply(&Event::FlowArrived { key: 1, rate: 4, path: vec![0, 1, 2] })?;
 ///
 /// // The greedy add that deployed the box charged one token.

@@ -55,7 +55,8 @@ pub struct ActiveFlow {
     pub rate: u64,
     /// Path `p_f`.
     pub path: Vec<NodeId>,
-    /// Per-position serving gains (pricer output, fixed at arrival).
+    /// Per-position serving gains ([`CostModel::gains`](tdmd_core::CostModel::gains),
+    /// fixed at arrival).
     pub gains: Vec<f64>,
     /// Unprocessed metric of the whole path.
     pub cost: f64,
@@ -434,7 +435,7 @@ impl DeltaState {
     /// the densified snapshot ([`DeltaState::active_snapshot`]) under
     /// the model those gains came from: the same flows, in the same
     /// order, through the same fill. `coverage_tiebreak` is the
-    /// pricer's [`PathPricer::coverage_tiebreak`](crate::PathPricer::coverage_tiebreak).
+    /// model's [`CostModel::coverage_tiebreak`](tdmd_core::CostModel::coverage_tiebreak).
     pub fn flow_index(&self, coverage_tiebreak: bool) -> FlowIndex {
         let slots = self.slots_in_seq_order();
         FlowIndex::compile(
@@ -1061,14 +1062,13 @@ impl DeltaState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pricer::{HopPricer, PathPricer};
+    use tdmd_core::{CostModel, HopCount};
 
     /// Inserts a flow priced by hop count.
     fn add(state: &mut DeltaState, key: FlowKey, rate: u64, path: Vec<NodeId>, dep: &Deployment) {
         let f = Flow::new(0, rate, path.clone());
-        let pricer = HopPricer::default();
-        let gains = pricer.gains(&f);
-        let cost = pricer.unprocessed_cost(&f);
+        let gains = HopCount.gains(&f);
+        let cost = HopCount.unprocessed_cost(&f);
         state.insert(key, rate, path, gains, cost, dep);
     }
 
@@ -1105,8 +1105,7 @@ mod tests {
         assert_eq!(st.unserved_count(), 1);
         // Switch to the covered candidate 0 → 4 → 2.
         let f = Flow::new(0, 2, vec![0, 4, 2]);
-        let pricer = HopPricer::default();
-        let (gains, cost) = (pricer.gains(&f), pricer.unprocessed_cost(&f));
+        let (gains, cost) = (HopCount.gains(&f), HopCount.unprocessed_cost(&f));
         let mut dirty = st.reroute(7, vec![0, 4, 2], gains, cost, &dep);
         dirty.sort_unstable();
         assert_eq!(dirty, vec![0, 1, 2, 4]); // old ∪ new path

@@ -48,14 +48,13 @@
 
 use tdmd_core::algorithms::gtp::gtp_budgeted_index;
 use tdmd_core::num::{approx_f64, big_ix, id32, ix, wide};
-use tdmd_core::{Deployment, Instance, TdmdError};
+use tdmd_core::{CostModel, Deployment, Instance, TdmdError};
 use tdmd_graph::{DiGraph, NodeId};
 use tdmd_obs::{NoopRecorder, Recorder, Stopwatch};
 use tdmd_traffic::Flow;
 
 use crate::delta::DeltaState;
 use crate::event::{Event, FlowKey, TimedEvent};
-use crate::pricer::PathPricer;
 use crate::queue::LazyQueue;
 use crate::repair::{RepairPolicy, RepairStats};
 use crate::snapshot::{EngineSnapshot, SnapshotError, SnapshotFlow, SNAPSHOT_VERSION};
@@ -153,15 +152,15 @@ pub mod obs_keys {
 }
 
 /// Event-driven incremental placement engine, generic over the
-/// pricing (and thereby over PR 1's cost models) and over the
+/// [`CostModel`] that prices each arriving flow and over the
 /// telemetry [`Recorder`] — the default [`NoopRecorder`]
 /// monomorphizes every recording call (and its clock reads, guarded
 /// by [`Recorder::ENABLED`]) away.
-pub struct OnlineEngine<P: PathPricer, R: Recorder = NoopRecorder> {
+pub struct OnlineEngine<M: CostModel, R: Recorder = NoopRecorder> {
     graph: DiGraph,
     lambda: f64,
     k: usize,
-    pricer: P,
+    model: M,
     policy: RepairPolicy,
     state: DeltaState,
     queue: LazyQueue,
@@ -181,7 +180,7 @@ pub struct OnlineEngine<P: PathPricer, R: Recorder = NoopRecorder> {
     audit: bool,
 }
 
-impl<P: PathPricer> OnlineEngine<P> {
+impl<M: CostModel> OnlineEngine<M> {
     /// Creates an engine over `graph` with budget `k` and telemetry
     /// disabled.
     ///
@@ -191,14 +190,14 @@ impl<P: PathPricer> OnlineEngine<P> {
         graph: DiGraph,
         lambda: f64,
         k: usize,
-        pricer: P,
+        model: M,
         policy: RepairPolicy,
     ) -> Result<Self, OnlineError> {
-        Self::with_recorder(graph, lambda, k, pricer, policy, NoopRecorder)
+        Self::with_recorder(graph, lambda, k, model, policy, NoopRecorder)
     }
 }
 
-impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
+impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
     /// Creates an engine reporting per-event latency samples and
     /// counters (see [`obs_keys`]) through `recorder`.
     ///
@@ -208,7 +207,7 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
         graph: DiGraph,
         lambda: f64,
         k: usize,
-        pricer: P,
+        model: M,
         policy: RepairPolicy,
         recorder: R,
     ) -> Result<Self, OnlineError> {
@@ -223,7 +222,7 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
             graph,
             lambda,
             k,
-            pricer,
+            model,
             policy,
             state: DeltaState::new(n, lambda),
             queue: LazyQueue::new(n),
@@ -346,7 +345,7 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
     /// [`TdmdError::Infeasible`] when the budget cannot cover the
     /// active flows.
     pub fn solve_oracle(&self) -> Result<Deployment, TdmdError> {
-        let index = self.state.flow_index(self.pricer.coverage_tiebreak());
+        let index = self.state.flow_index(self.model.coverage_tiebreak());
         gtp_budgeted_index(&index, self.k)
     }
 
@@ -561,8 +560,8 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
     fn on_arrival(&mut self, key: FlowKey, rate: u64, path: &[NodeId]) -> Result<(), OnlineError> {
         self.validate_arrival(key, rate, path)?;
         let probe = Flow::new(0, rate, path.to_vec());
-        let gains = self.pricer.gains(&probe);
-        let cost = self.pricer.unprocessed_cost(&probe);
+        let gains = self.model.gains(&probe);
+        let cost = self.model.unprocessed_cost(&probe);
         let factor = 1.0 - self.lambda;
         // Gains can only *rise* at the new flow's own vertices; bump
         // each bound by the flow's maximum contribution there.
@@ -991,7 +990,7 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
         }
     }
 
-    /// Rebuilds an engine from a snapshot. The topology, pricer,
+    /// Rebuilds an engine from a snapshot. The topology, model,
     /// policy and recorder are supplied by the caller exactly as at
     /// construction — only the replayable state (flows, deployment,
     /// failure mask, stats) comes from the snapshot. The restored
@@ -1000,10 +999,12 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
     ///
     /// # Errors
     /// Rejects version/topology mismatches and structurally invalid
-    /// documents ([`SnapshotError`]).
+    /// documents ([`SnapshotError`]), including stored gains that break
+    /// the [`CostModel`] contract or a total `Σ rate·cost` that is not
+    /// finite ([`SnapshotError::InvalidFlow`]).
     pub fn restore(
         graph: DiGraph,
-        pricer: P,
+        model: M,
         policy: RepairPolicy,
         recorder: R,
         snap: &EngineSnapshot,
@@ -1044,7 +1045,7 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
         if !snap.stats.budget_spent.is_finite() {
             return Err(SnapshotError::BadBudgetState(snap.stats.budget_spent));
         }
-        let mut engine = Self::with_recorder(graph, snap.lambda, k, pricer, policy, recorder)
+        let mut engine = Self::with_recorder(graph, snap.lambda, k, model, policy, recorder)
             .map_err(|_| SnapshotError::BadLambda(snap.lambda))?;
         engine.deployment = Deployment::from_vertices(n, snap.deployment.iter().copied());
         for &v in &snap.failed {
@@ -1052,6 +1053,9 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
             engine.failed_count += 1;
             engine.queue.block(v);
         }
+        // Σ rate·cost in arrival order: every running sum the engine
+        // keeps is bounded by it, so it must stay finite.
+        let mut load = 0.0f64;
         for f in &snap.flows {
             engine
                 .validate_arrival(f.key, f.rate, &f.path)
@@ -1059,9 +1063,10 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
                     OnlineError::DuplicateKey { key } => SnapshotError::DuplicateKey { key },
                     _ => SnapshotError::InvalidFlow { key: f.key },
                 })?;
+            load += approx_f64(f.rate) * f.cost;
             if f.gains.len() != f.path.len()
-                || f.gains.iter().any(|g| !g.is_finite())
-                || !f.cost.is_finite()
+                || !obeys_contract(&f.gains, f.cost)
+                || !load.is_finite()
             {
                 return Err(SnapshotError::InvalidFlow { key: f.key });
             }
@@ -1093,9 +1098,18 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
     }
 }
 
+/// Whether stored gains obey the [`CostModel`] contract that Theorem 2
+/// needs: every gain lies in `[0, cost]` for a finite `cost`, and no
+/// gain rises along the path.
+fn obeys_contract(gains: &[f64], cost: f64) -> bool {
+    cost.is_finite()
+        && gains.iter().all(|g| (0.0..=cost).contains(g))
+        && gains.windows(2).all(|w| w[1] <= w[0])
+}
+
 /// Structural auditor (tdmd-audit): the engine-level invariant stack.
 #[cfg(any(debug_assertions, feature = "audit", test))]
-impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
+impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
     /// Turns on per-event auditing: every [`OnlineEngine::apply`]
     /// re-validates the full invariant stack and panics with the
     /// diagnostic on the first violation (`tdmd stream run --audit`).
@@ -1186,17 +1200,17 @@ impl<P: PathPricer, R: Recorder> OnlineEngine<P, R> {
 mod tests {
     use super::*;
     use crate::event::{events_from_spans, FlowSpan};
-    use crate::pricer::HopPricer;
     use tdmd_core::algorithms::gtp::gtp_budgeted;
     use tdmd_core::objective::bandwidth_of;
     use tdmd_core::paper::fig1_instance;
+    use tdmd_core::HopCount;
 
     fn fig1_graph() -> tdmd_graph::DiGraph {
         fig1_instance(2).graph().clone()
     }
 
-    fn engine(k: usize, policy: RepairPolicy) -> OnlineEngine<HopPricer> {
-        OnlineEngine::new(fig1_graph(), 0.5, k, HopPricer::default(), policy).unwrap()
+    fn engine(k: usize, policy: RepairPolicy) -> OnlineEngine<HopCount> {
+        OnlineEngine::new(fig1_graph(), 0.5, k, HopCount, policy).unwrap()
     }
 
     fn arrive(key: FlowKey, rate: u64, path: Vec<NodeId>) -> Event {
@@ -1364,7 +1378,7 @@ mod tests {
             fig1_graph(),
             0.5,
             2,
-            HopPricer::default(),
+            HopCount,
             RepairPolicy::forced_replan(),
             &rec,
         )
@@ -1397,7 +1411,7 @@ mod tests {
             fig1_graph(),
             0.5,
             3,
-            HopPricer::default(),
+            HopCount,
             RepairPolicy::default(),
             &rec,
         )
@@ -1453,7 +1467,7 @@ mod tests {
     /// densified snapshot (flow id = arrival rank).
     struct StoredGains(Vec<(Vec<f64>, f64)>);
 
-    impl tdmd_core::CostModel for StoredGains {
+    impl CostModel for StoredGains {
         fn serving_gain(&self, flow: &Flow, pos: usize) -> f64 {
             self.0[ix(flow.id)].0[pos]
         }
@@ -1483,7 +1497,7 @@ mod tests {
         );
         let r = OnlineEngine::restore(
             fig1_graph(),
-            HopPricer::default(),
+            HopCount,
             RepairPolicy::local_only(0),
             NoopRecorder,
             &snap,
@@ -1592,14 +1606,7 @@ mod tests {
     #[test]
     fn bad_lambda_is_rejected() {
         assert_eq!(
-            OnlineEngine::new(
-                fig1_graph(),
-                1.5,
-                2,
-                HopPricer::default(),
-                RepairPolicy::default()
-            )
-            .err(),
+            OnlineEngine::new(fig1_graph(), 1.5, 2, HopCount, RepairPolicy::default()).err(),
             Some(OnlineError::BadLambda(1.5))
         );
     }

@@ -10,12 +10,16 @@
 //! middlebox-plane loss: orphaned flows are re-pinned or degraded, and
 //! the repair policy re-spends the freed budget.
 //!
+//! Flows are priced by the same [`CostModel`](tdmd_core::CostModel)
+//! the static solvers use (hop count, weighted edges, the chain
+//! crate's stack model): the engine calls
+//! [`CostModel::gains`](tdmd_core::CostModel::gains) once per arrival
+//! and stores the result for the flow's lifetime, and the drift oracle
+//! compiles those stored gains, so it optimizes exactly the objective
+//! the stream prices.
+//!
 //! * [`event`] — the churn + failure event stream and the serializable
 //!   [`FlowSpan`] records a stream is replayed from.
-//! * [`pricer`] — [`PathPricer`], the streaming face of PR 1's
-//!   [`CostModel`](tdmd_core::CostModel): prices one path at arrival
-//!   time, so hop-count, weighted-edge and chain pricing all get
-//!   incremental maintenance through the same engine.
 //! * [`delta`] — [`DeltaState`], the incrementally-maintained mirror
 //!   of the static CSR flow index: per-vertex flow rows with O(1)
 //!   removal, per-flow assignments, and the objective as a running
@@ -39,7 +43,8 @@
 //! * [`snapshot`] — versioned engine state capture and restore
 //!   ([`OnlineEngine::snapshot`] / [`OnlineEngine::restore`]) with a
 //!   bitwise-restore contract: the restored engine is float-for-float
-//!   interchangeable with the one that took the snapshot.
+//!   interchangeable with the one that took the snapshot. Restore
+//!   rejects stored gains that break the cost-model contract.
 //!
 //! # Example
 //!
@@ -48,11 +53,11 @@
 //!
 //! ```
 //! use tdmd_graph::DiGraph;
-//! use tdmd_online::{Event, HopPricer, OnlineEngine, RepairPolicy};
+//! use tdmd_core::HopCount;
+//! use tdmd_online::{Event, OnlineEngine, RepairPolicy};
 //!
 //! let graph = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
-//! let mut engine =
-//!     OnlineEngine::new(graph, 0.5, 1, HopPricer::default(), RepairPolicy::default())?;
+//! let mut engine = OnlineEngine::new(graph, 0.5, 1, HopCount, RepairPolicy::default())?;
 //!
 //! // A rate-4 flow over both hops: the single box lands at the
 //! // source (gain 2 hops), so 4·2 − 0.5·4·2 = 4 units remain.
@@ -82,7 +87,6 @@ pub mod budget;
 pub mod delta;
 pub mod engine;
 pub mod event;
-pub mod pricer;
 pub mod queue;
 pub mod repair;
 pub mod snapshot;
@@ -91,7 +95,13 @@ pub use budget::ReconfigBudget;
 pub use delta::{DeltaState, Failover};
 pub use engine::{obs_keys, OnlineEngine, OnlineError};
 pub use event::{events_from_spans, merge_events, Event, FlowKey, FlowSpan, TimedEvent};
-pub use pricer::{HopPricer, ModelPricer, PathPricer, WeightedPathPricer};
 pub use queue::LazyQueue;
 pub use repair::{RepairPolicy, RepairStats};
 pub use snapshot::{EngineSnapshot, SnapshotError, SnapshotFlow, SNAPSHOT_VERSION};
+
+/// Hop-count pricing under the name the benchmark (`perfbench/`) still
+/// imports; goes with the benchmark's next change.
+pub type HopPricer = tdmd_core::HopCount;
+/// [`tdmd_core::CostModel`] under the name the benchmark still
+/// imports; goes with the benchmark's next change.
+pub use tdmd_core::CostModel as PathPricer;

@@ -5,7 +5,7 @@
 //! from its constructor arguments: the active flows with their
 //! arrival-time pricing, the deployment, the failure mask, and the
 //! repair telemetry (whose event counter drives the drift-sampling
-//! schedule). The topology, pricer, repair policy and recorder are
+//! schedule). The topology, cost model, repair policy and recorder are
 //! *not* serialized — the caller supplies them again at restore time,
 //! exactly like at construction. (The policy in particular may carry
 //! `drift_eps = ∞`, which JSON cannot round-trip.)
@@ -35,6 +35,19 @@
 //! the rebuilt queue holds exact bounds — a superset of the coherence
 //! the auditor demands.
 //!
+//! # What restore checks
+//!
+//! A document is external input, so [`OnlineEngine::restore`] checks
+//! its structure (version, topology, λ, vertex ids, budget, every
+//! flow's path and rate) and also the stored pricing it will not
+//! re-derive. Each flow's gains must obey the
+//! [`CostModel`](tdmd_core::CostModel) contract: every gain in
+//! `[0, cost]` for a finite cost, none rising along the path. And
+//! `Σ rate·cost` over the flows, in arrival order, must stay finite,
+//! because every running sum the engine keeps is bounded by it. A
+//! snapshot a live engine took always passes; a flow that fails is
+//! [`SnapshotError::InvalidFlow`].
+//!
 //! [`OnlineEngine`]: crate::OnlineEngine
 //! [`OnlineEngine::snapshot`]: crate::OnlineEngine::snapshot
 //! [`OnlineEngine::restore`]: crate::OnlineEngine::restore
@@ -61,9 +74,10 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 /// One active flow as serialized in a snapshot, in arrival order.
 ///
 /// The arrival-time pricing (`gains`, `cost`) is stored verbatim
-/// rather than re-derived from the pricer at restore time: bitwise
-/// restore must reproduce the exact floats the live engine computed,
-/// whatever pricer state produced them.
+/// rather than re-derived from the model at restore time: bitwise
+/// restore must reproduce the exact floats the live engine computed.
+/// Restore checks them against the [`CostModel`](tdmd_core::CostModel)
+/// contract, since nothing else guards a document's floats.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotFlow {
     /// Stream-stable flow key.
@@ -72,7 +86,9 @@ pub struct SnapshotFlow {
     pub rate: u64,
     /// Active path as a vertex sequence.
     pub path: Vec<NodeId>,
-    /// Per-position serving gains (pricer output, fixed at arrival).
+    /// Per-position serving gains
+    /// ([`CostModel::gains`](tdmd_core::CostModel::gains), fixed at
+    /// arrival).
     pub gains: Vec<f64>,
     /// Unprocessed metric of the whole path.
     pub cost: f64,
@@ -132,8 +148,11 @@ pub enum SnapshotError {
     /// accepts one).
     BadLambda(f64),
     /// A flow's path is degenerate, non-simple, off the supplied
-    /// topology, its rate is zero, or its gains do not match its
-    /// path length.
+    /// topology, or its rate is zero; its gains do not match its path
+    /// length or break the [`CostModel`](tdmd_core::CostModel)
+    /// contract (negative, rising along the path, above a finite
+    /// cost); or the snapshot's `Σ rate·cost` stops being finite at
+    /// it.
     InvalidFlow {
         /// Offending flow key.
         key: FlowKey,

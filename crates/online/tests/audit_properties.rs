@@ -14,13 +14,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tdmd_core::Deployment;
+use tdmd_core::{CostModel, Deployment, HopCount};
 use tdmd_graph::generators::random::erdos_renyi_connected;
 use tdmd_graph::traversal::bfs;
 use tdmd_graph::{DiGraph, NodeId};
-use tdmd_online::{
-    DeltaState, Event, FlowKey, HopPricer, LazyQueue, OnlineEngine, PathPricer, RepairPolicy,
-};
+use tdmd_online::{DeltaState, Event, FlowKey, LazyQueue, OnlineEngine, RepairPolicy};
 
 /// BFS shortest path `src → dst` (the generator guarantees
 /// connectivity).
@@ -92,11 +90,10 @@ fn random_events(g: &DiGraph, seed: u64, len: usize) -> Vec<Event> {
 fn seeded_state() -> (DeltaState, Deployment) {
     let mut st = DeltaState::new(4, 0.5);
     let dep = Deployment::from_vertices(4, [1]);
-    let pricer = HopPricer::default();
     for (key, rate, path) in [(7u64, 2u64, vec![3, 2, 1, 0]), (8, 4, vec![2, 1, 0])] {
         let probe = tdmd_traffic::Flow::new(0, rate, path.clone());
-        let gains = pricer.gains(&probe);
-        let cost = pricer.unprocessed_cost(&probe);
+        let gains = HopCount.gains(&probe);
+        let cost = HopCount.unprocessed_cost(&probe);
         st.insert(key, rate, path, gains, cost, &dep);
     }
     st.check_invariants(&dep).expect("seed state is clean");
@@ -201,7 +198,7 @@ proptest! {
             RepairPolicy::local_only(2)
         };
         let mut engine = OnlineEngine::new(
-            g.clone(), 0.5, k, HopPricer::default(), policy,
+            g.clone(), 0.5, k, HopCount, policy,
         ).unwrap();
         engine.enable_audit();
         for ev in random_events(&g, seed ^ 0x7E, len) {

@@ -12,10 +12,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tdmd_core::HopCount;
 use tdmd_graph::generators::random::erdos_renyi_connected;
 use tdmd_graph::traversal::bfs;
 use tdmd_graph::{DiGraph, NodeId};
-use tdmd_online::{Event, FlowKey, HopPricer, OnlineEngine, RepairPolicy};
+use tdmd_online::{Event, FlowKey, OnlineEngine, RepairPolicy};
 
 /// BFS shortest path `src → dst` (the generator guarantees
 /// connectivity).
@@ -97,8 +98,8 @@ fn random_partition(events: &[Event], seed: u64) -> Vec<&[Event]> {
     out
 }
 
-fn engine(g: &DiGraph, k: usize, policy: RepairPolicy) -> OnlineEngine<HopPricer> {
-    OnlineEngine::new(g.clone(), 0.5, k, HopPricer::default(), policy).unwrap()
+fn engine(g: &DiGraph, k: usize, policy: RepairPolicy) -> OnlineEngine<HopCount> {
+    OnlineEngine::new(g.clone(), 0.5, k, HopCount, policy).unwrap()
 }
 
 proptest! {

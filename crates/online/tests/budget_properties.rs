@@ -20,11 +20,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdmd_core::algorithms::gtp::gtp_budgeted;
-use tdmd_core::Instance;
+use tdmd_core::{HopCount, Instance};
 use tdmd_graph::generators::random::erdos_renyi_connected;
 use tdmd_graph::traversal::bfs;
 use tdmd_graph::{DiGraph, NodeId};
-use tdmd_online::{Event, FlowKey, HopPricer, OnlineEngine, ReconfigBudget, RepairPolicy};
+use tdmd_online::{Event, FlowKey, OnlineEngine, ReconfigBudget, RepairPolicy};
 
 /// BFS shortest path `src → dst` (the generator guarantees
 /// connectivity).
@@ -125,7 +125,7 @@ fn random_churn_events(g: &DiGraph, seed: u64, len: usize) -> Vec<Event> {
 }
 
 /// Asserts two engines are bitwise interchangeable right now.
-fn assert_bitwise(a: &OnlineEngine<HopPricer>, b: &OnlineEngine<HopPricer>) {
+fn assert_bitwise(a: &OnlineEngine<HopCount>, b: &OnlineEngine<HopCount>) {
     assert_eq!(a.deployment(), b.deployment());
     assert_eq!(a.objective().to_bits(), b.objective().to_bits());
     assert_eq!(a.exact_objective().to_bits(), b.exact_objective().to_bits());
@@ -176,11 +176,11 @@ proptest! {
             ..RepairPolicy::default()
         };
         let mut unbudgeted =
-            OnlineEngine::new(g.clone(), 0.5, k, HopPricer::default(), base).unwrap();
+            OnlineEngine::new(g.clone(), 0.5, k, HopCount, base).unwrap();
         let mut free =
-            OnlineEngine::new(g.clone(), 0.5, k, HopPricer::default(), zero_cost).unwrap();
+            OnlineEngine::new(g.clone(), 0.5, k, HopCount, zero_cost).unwrap();
         let mut rich =
-            OnlineEngine::new(g.clone(), 0.5, k, HopPricer::default(), generous).unwrap();
+            OnlineEngine::new(g.clone(), 0.5, k, HopCount, generous).unwrap();
         for ev in random_events(&g, seed ^ 0xB1, len) {
             prop_assert_eq!(unbudgeted.apply(&ev), free.apply(&ev));
             assert_bitwise(&unbudgeted, &free);
@@ -228,7 +228,7 @@ proptest! {
             ..RepairPolicy::default()
         };
         let mut engine = OnlineEngine::new(
-            g.clone(), lambda, k, HopPricer::default(), policy,
+            g.clone(), lambda, k, HopCount, policy,
         ).unwrap();
         for ev in random_churn_events(&g, seed ^ 0x5A, len) {
             engine.apply(&ev).unwrap();
@@ -272,7 +272,7 @@ proptest! {
             ..RepairPolicy::default()
         };
         let mut engine = OnlineEngine::new(
-            g.clone(), lambda, k, HopPricer::default(), policy,
+            g.clone(), lambda, k, HopCount, policy,
         ).unwrap();
         for ev in random_churn_events(&g, seed ^ 0x71, len) {
             engine.apply(&ev).unwrap();
@@ -322,7 +322,7 @@ proptest! {
         };
         let policy = RepairPolicy { budget, ..RepairPolicy::default() };
         let mut engine = OnlineEngine::new(
-            g.clone(), 0.5, k, HopPricer::default(), policy,
+            g.clone(), 0.5, k, HopCount, policy,
         ).unwrap();
         let events = random_events(&g, seed ^ 0x9D, len);
         for ev in &events {

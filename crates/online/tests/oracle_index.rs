@@ -8,21 +8,22 @@
 //! * `OnlineEngine::solve_oracle` returns what `gtp_budgeted_with`
 //!   returns on that instance,
 //!
-//! under hop-count pricing and under weighted-edge pricing with
-//! non-unit weights, at λ values that include non-dyadic ones, where a
-//! different summation order would show in the low bits.
+//! under hop-count pricing, hop-count pricing without the coverage
+//! tie-break, and weighted-edge pricing with non-unit weights, at λ
+//! values that include non-dyadic ones, where a different summation
+//! order would show in the low bits. The engine and the static path
+//! price with the same model object.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdmd_core::algorithms::gtp::gtp_budgeted_with;
-use tdmd_core::{CostModel, FlowIndex, HopCount, Instance, WeightedEdges};
+use tdmd_core::{CostModel, FlowIndex, HopCount, WeightedEdges};
 use tdmd_graph::generators::random::erdos_renyi_connected;
 use tdmd_graph::traversal::bfs;
 use tdmd_graph::{DiGraph, GraphBuilder, NodeId};
-use tdmd_online::{
-    Event, FlowKey, HopPricer, OnlineEngine, PathPricer, RepairPolicy, WeightedPathPricer,
-};
+use tdmd_online::{Event, FlowKey, OnlineEngine, RepairPolicy};
+use tdmd_traffic::Flow;
 
 const LAMBDAS: [f64; 6] = [0.3, 0.7, 0.1, 0.5, 0.0, 1.0];
 
@@ -55,8 +56,8 @@ fn shortest_path(g: &DiGraph, src: NodeId, dst: NodeId) -> Vec<NodeId> {
 
 /// The next valid event for `engine`: mostly arrivals and departures,
 /// with box failures, vertex outages and recoveries mixed in.
-fn next_event<P: PathPricer>(
-    engine: &OnlineEngine<P>,
+fn next_event<M: CostModel>(
+    engine: &OnlineEngine<M>,
     g: &DiGraph,
     active: &mut Vec<FlowKey>,
     next_key: &mut FlowKey,
@@ -129,34 +130,48 @@ fn assert_bitwise(compiled: &FlowIndex, built: &FlowIndex) {
     }
 }
 
-/// Drives one stream through an engine priced by `pricer`, checking
+/// Hop-count gains without the coverage tie-break: the oracle must
+/// pass the model's flag to the kernel, not assume the default.
+#[derive(Clone, Copy)]
+struct NoTies;
+
+impl CostModel for NoTies {
+    fn serving_gain(&self, flow: &Flow, pos: usize) -> f64 {
+        HopCount.serving_gain(flow, pos)
+    }
+
+    fn unprocessed_cost(&self, flow: &Flow) -> f64 {
+        HopCount.unprocessed_cost(flow)
+    }
+
+    fn coverage_tiebreak(&self) -> bool {
+        false
+    }
+}
+
+/// Drives one stream through an engine priced by `model`, checking
 /// after every event that the compiled index and the oracle match the
-/// static path under `model_of(snapshot)`.
-fn check_stream<P, M>(
+/// static path under the same `model`.
+fn check_stream<M: CostModel + Clone>(
     g: DiGraph,
     lambda: f64,
     k: usize,
-    pricer: P,
-    model_of: impl Fn(&Instance) -> M,
+    model: M,
     seed: u64,
     len: usize,
-) where
-    P: PathPricer,
-    M: CostModel,
-{
-    let ties = pricer.coverage_tiebreak();
+) {
+    let ties = model.coverage_tiebreak();
     let policy = RepairPolicy {
         sample_every: 3,
         ..RepairPolicy::default()
     };
-    let mut engine = OnlineEngine::new(g.clone(), lambda, k, pricer, policy).unwrap();
+    let mut engine = OnlineEngine::new(g.clone(), lambda, k, model.clone(), policy).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     let (mut active, mut next_key) = (Vec::new(), 0);
     for _ in 0..len {
         let ev = next_event(&engine, &g, &mut active, &mut next_key, &mut rng);
         engine.apply(&ev).unwrap();
         let inst = engine.snapshot_instance().unwrap();
-        let model = model_of(&inst);
         assert_bitwise(
             &engine.state().flow_index(ties),
             &FlowIndex::build(&inst, &model),
@@ -183,7 +198,20 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = erdos_renyi_connected(n, 0.3, &mut rng);
-        check_stream(g, LAMBDAS[li], k, HopPricer::default(), |_| HopCount, seed ^ 0x0C, len);
+        check_stream(g, LAMBDAS[li], k, HopCount, seed ^ 0x0C, len);
+    }
+
+    #[test]
+    fn untied_oracle_index_is_the_snapshot_index(
+        seed in any::<u64>(),
+        n in 4usize..16,
+        len in 1usize..40,
+        k in 1usize..5,
+        li in 0usize..LAMBDAS.len(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = erdos_renyi_connected(n, 0.3, &mut rng);
+        check_stream(g, LAMBDAS[li], k, NoTies, seed ^ 0x0E, len);
     }
 
     #[test]
@@ -196,7 +224,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = weighted_graph(n, &mut rng);
-        let pricer = WeightedPathPricer::new(&g);
-        check_stream(g, LAMBDAS[li], k, pricer, WeightedEdges::new, seed ^ 0x0D, len);
+        let model = WeightedEdges::new(&g);
+        check_stream(g, LAMBDAS[li], k, model, seed ^ 0x0D, len);
     }
 }

@@ -20,7 +20,7 @@ use tdmd_core::{HopCount, Instance};
 use tdmd_graph::generators::random::erdos_renyi_connected;
 use tdmd_graph::traversal::bfs;
 use tdmd_graph::{DiGraph, NodeId};
-use tdmd_online::{Event, FlowKey, HopPricer, OnlineEngine, RepairPolicy};
+use tdmd_online::{Event, FlowKey, OnlineEngine, RepairPolicy};
 
 /// BFS shortest path `src → dst` (both reachable: the generator
 /// guarantees connectivity).
@@ -69,7 +69,7 @@ fn random_events(g: &DiGraph, seed: u64, len: usize) -> Vec<Event> {
     out
 }
 
-fn snapshot(engine: &OnlineEngine<HopPricer>, g: &DiGraph, lambda: f64, k: usize) -> Instance {
+fn snapshot(engine: &OnlineEngine<HopCount>, g: &DiGraph, lambda: f64, k: usize) -> Instance {
     Instance::new(g.clone(), engine.state().active_snapshot(), lambda, k)
         .expect("engine-accepted flows form a valid instance")
 }
@@ -92,7 +92,7 @@ proptest! {
         let g = erdos_renyi_connected(n, 0.3, &mut rng);
         let lambda = 0.5;
         let mut engine = OnlineEngine::new(
-            g.clone(), lambda, k, HopPricer::default(), RepairPolicy::forced_replan(),
+            g.clone(), lambda, k, HopCount, RepairPolicy::forced_replan(),
         ).unwrap();
         for ev in random_events(&g, seed ^ 0xA5, len) {
             engine.apply(&ev).unwrap();
@@ -142,7 +142,7 @@ proptest! {
             ..RepairPolicy::default()
         };
         let mut engine = OnlineEngine::new(
-            g.clone(), lambda, k, HopPricer::default(), policy,
+            g.clone(), lambda, k, HopCount, policy,
         ).unwrap();
         for ev in random_events(&g, seed ^ 0x5A, len) {
             engine.apply(&ev).unwrap();
@@ -173,7 +173,7 @@ proptest! {
         let g = erdos_renyi_connected(n, 0.3, &mut rng);
         let lambda = 0.5;
         let mut engine = OnlineEngine::new(
-            g.clone(), lambda, k, HopPricer::default(), RepairPolicy::local_only(2),
+            g.clone(), lambda, k, HopCount, RepairPolicy::local_only(2),
         ).unwrap();
         // Shadow the active key set in arrival order — the same order
         // the snapshot densifies to.
@@ -220,7 +220,7 @@ proptest! {
         let g = erdos_renyi_connected(n, 0.3, &mut rng);
         let lambda = if dyadic { 0.5 } else { 0.3 };
         let mut engine = OnlineEngine::new(
-            g.clone(), lambda, 3, HopPricer::default(), RepairPolicy::local_only(2),
+            g.clone(), lambda, 3, HopCount, RepairPolicy::local_only(2),
         ).unwrap();
         for ev in random_events(&g, seed ^ 0xD81F7, len) {
             engine.apply(&ev).unwrap();
@@ -247,7 +247,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = erdos_renyi_connected(n, 0.3, &mut rng);
         let mut engine = OnlineEngine::new(
-            g.clone(), 0.5, 2, HopPricer::default(), RepairPolicy::default(),
+            g.clone(), 0.5, 2, HopCount, RepairPolicy::default(),
         ).unwrap();
         let nn = g.node_count() as NodeId;
         for key in 0..arrivals as FlowKey {

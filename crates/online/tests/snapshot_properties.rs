@@ -12,18 +12,20 @@
 //!   one.
 //! * **Validation** — corrupt documents (bad version, wrong topology,
 //!   duplicate keys, over-budget deployments, deployed-while-failed
-//!   vertices) are rejected with the right error.
+//!   vertices, stored gains that break the cost-model contract, an
+//!   overflowing total load) are rejected with the right error.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tdmd_core::HopCount;
 use tdmd_graph::generators::random::erdos_renyi_connected;
 use tdmd_graph::traversal::bfs;
 use tdmd_graph::{DiGraph, NodeId};
 use tdmd_obs::NoopRecorder;
 use tdmd_online::{
-    EngineSnapshot, Event, FlowKey, HopPricer, OnlineEngine, ReconfigBudget, RepairPolicy,
-    SnapshotError, SNAPSHOT_VERSION,
+    EngineSnapshot, Event, FlowKey, OnlineEngine, ReconfigBudget, RepairPolicy, SnapshotError,
+    SNAPSHOT_VERSION,
 };
 
 /// BFS shortest path `src → dst` (the generator guarantees
@@ -106,15 +108,9 @@ fn sampling_policy() -> RepairPolicy {
     }
 }
 
-fn restore(g: &DiGraph, snap: &EngineSnapshot) -> OnlineEngine<HopPricer> {
-    OnlineEngine::restore(
-        g.clone(),
-        HopPricer::default(),
-        sampling_policy(),
-        NoopRecorder,
-        snap,
-    )
-    .expect("engine-produced snapshots restore")
+fn restore(g: &DiGraph, snap: &EngineSnapshot) -> OnlineEngine<HopCount> {
+    OnlineEngine::restore(g.clone(), HopCount, sampling_policy(), NoopRecorder, snap)
+        .expect("engine-produced snapshots restore")
 }
 
 proptest! {
@@ -134,7 +130,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = erdos_renyi_connected(n, 0.3, &mut rng);
         let mut live = OnlineEngine::new(
-            g.clone(), 0.5, k, HopPricer::default(), sampling_policy(),
+            g.clone(), 0.5, k, HopCount, sampling_policy(),
         ).unwrap();
         let events = random_events(&g, seed ^ 0xC3, prefix + suffix);
         for ev in &events[..prefix.min(events.len())] {
@@ -181,7 +177,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = erdos_renyi_connected(n, 0.3, &mut rng);
         let mut live = OnlineEngine::new(
-            g.clone(), 0.5, k, HopPricer::default(), sampling_policy(),
+            g.clone(), 0.5, k, HopCount, sampling_policy(),
         ).unwrap();
         for ev in random_events(&g, seed ^ 0x7E, len) {
             live.apply(&ev).unwrap();
@@ -226,7 +222,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = erdos_renyi_connected(n, 0.3, &mut rng);
         let mut live = OnlineEngine::new(
-            g.clone(), 0.5, k, HopPricer::default(), budgeted_policy(),
+            g.clone(), 0.5, k, HopCount, budgeted_policy(),
         ).unwrap();
         let events = random_events(&g, seed ^ 0xBD, prefix + suffix);
         for ev in &events[..prefix.min(events.len())] {
@@ -239,7 +235,7 @@ proptest! {
         );
         let mut restored = OnlineEngine::restore(
             g.clone(),
-            HopPricer::default(),
+            HopCount,
             budgeted_policy(),
             NoopRecorder,
             &snap,
@@ -265,14 +261,7 @@ proptest! {
 fn small_snapshot() -> (DiGraph, EngineSnapshot) {
     let mut rng = StdRng::seed_from_u64(7);
     let g = erdos_renyi_connected(6, 0.4, &mut rng);
-    let mut e = OnlineEngine::new(
-        g.clone(),
-        0.5,
-        2,
-        HopPricer::default(),
-        RepairPolicy::default(),
-    )
-    .unwrap();
+    let mut e = OnlineEngine::new(g.clone(), 0.5, 2, HopCount, RepairPolicy::default()).unwrap();
     for ev in random_events(&g, 7, 12) {
         e.apply(&ev).unwrap();
     }
@@ -283,15 +272,9 @@ fn small_snapshot() -> (DiGraph, EngineSnapshot) {
 fn unsupported_versions_are_rejected() {
     let (g, mut snap) = small_snapshot();
     snap.version = SNAPSHOT_VERSION + 1;
-    let err = OnlineEngine::restore(
-        g,
-        HopPricer::default(),
-        RepairPolicy::default(),
-        NoopRecorder,
-        &snap,
-    )
-    .err()
-    .expect("restore must fail");
+    let err = OnlineEngine::restore(g, HopCount, RepairPolicy::default(), NoopRecorder, &snap)
+        .err()
+        .expect("restore must fail");
     assert_eq!(
         err,
         SnapshotError::UnsupportedVersion {
@@ -326,15 +309,9 @@ fn pre_budget_v1_documents_are_rejected_not_silently_upgraded() {
     let v1: EngineSnapshot = serde_json::from_str(&json).unwrap();
     assert_eq!(v1.version, 1);
     assert_eq!(v1.budget_tokens, 0.0, "the serde default fills the gap");
-    let err = OnlineEngine::restore(
-        g,
-        HopPricer::default(),
-        RepairPolicy::default(),
-        NoopRecorder,
-        &v1,
-    )
-    .err()
-    .expect("restore must fail");
+    let err = OnlineEngine::restore(g, HopCount, RepairPolicy::default(), NoopRecorder, &v1)
+        .err()
+        .expect("restore must fail");
     assert_eq!(err, SnapshotError::UnsupportedVersion { found: 1 });
 }
 
@@ -342,15 +319,9 @@ fn pre_budget_v1_documents_are_rejected_not_silently_upgraded() {
 fn non_finite_budget_state_is_rejected() {
     let (g, mut snap) = small_snapshot();
     snap.budget_tokens = f64::NAN;
-    let err = OnlineEngine::restore(
-        g,
-        HopPricer::default(),
-        RepairPolicy::default(),
-        NoopRecorder,
-        &snap,
-    )
-    .err()
-    .expect("restore must fail");
+    let err = OnlineEngine::restore(g, HopCount, RepairPolicy::default(), NoopRecorder, &snap)
+        .err()
+        .expect("restore must fail");
     assert!(matches!(err, SnapshotError::BadBudgetState(_)));
 }
 
@@ -360,7 +331,7 @@ fn topology_mismatches_are_rejected() {
     let other = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
     let err = OnlineEngine::restore(
         other,
-        HopPricer::default(),
+        HopCount,
         RepairPolicy::default(),
         NoopRecorder,
         &snap,
@@ -382,7 +353,7 @@ fn structurally_corrupt_documents_are_rejected() {
     let restore_err = |s: &EngineSnapshot| {
         OnlineEngine::restore(
             g.clone(),
-            HopPricer::default(),
+            HopCount,
             RepairPolicy::default(),
             NoopRecorder,
             s,
@@ -434,6 +405,47 @@ fn structurally_corrupt_documents_are_rejected() {
         let key = f.key;
         f.gains.pop();
         assert_eq!(restore_err(&gains), SnapshotError::InvalidFlow { key });
+    }
+
+    // Stored gains must obey the cost-model contract: none negative,
+    // none rising along the path, none above the flow's cost.
+    if let Some(f) = snap.flows.first() {
+        let (key, m, cost) = (f.key, f.path.len(), f.cost);
+        let ending = |body: f64, last: f64| {
+            let mut gains = vec![body; m - 1];
+            gains.push(last);
+            gains
+        };
+        for (gains, cost) in [
+            (ending(1e308, 0.0), 1.0),
+            (ending(-7.0, 0.0), cost),
+            (ending(0.0, -1.0), cost),
+            (ending(0.0, cost), cost),
+            ((0..m).map(|i| 4.5 * i as f64).collect(), cost),
+        ] {
+            let mut bad = snap.clone();
+            bad.flows[0].gains = gains;
+            bad.flows[0].cost = cost;
+            assert_eq!(restore_err(&bad), SnapshotError::InvalidFlow { key });
+        }
+    }
+
+    // Each flow alone obeys the contract, but Σ rate·cost overflows at
+    // the second one.
+    if snap.flows.len() >= 2 {
+        let mut huge = snap.clone();
+        for f in &mut huge.flows[..2] {
+            f.rate = 1;
+            f.gains = vec![1e308; f.path.len() - 1];
+            f.gains.push(0.0);
+            f.cost = 1e308;
+        }
+        assert_eq!(
+            restore_err(&huge),
+            SnapshotError::InvalidFlow {
+                key: snap.flows[1].key
+            }
+        );
     }
 
     let mut lambda = snap.clone();

@@ -21,13 +21,13 @@
 //!
 //! ```
 //! use tdmd_graph::DiGraph;
-//! use tdmd_online::{HopPricer, OnlineEngine, RepairPolicy};
+//! use tdmd_core::HopCount;
+//! use tdmd_online::{OnlineEngine, RepairPolicy};
 //! use tdmd_serve::{ServeConfig, ServeSession};
 //!
 //! let graph = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
-//! let engine =
-//!     OnlineEngine::new(graph, 0.5, 1, HopPricer::default(), RepairPolicy::default())
-//!         .expect("valid parameters");
+//! let engine = OnlineEngine::new(graph, 0.5, 1, HopCount, RepairPolicy::default())
+//!     .expect("valid parameters");
 //! let mut session = ServeSession::new(engine, ServeConfig::default());
 //!
 //! let input = concat!(

@@ -12,7 +12,7 @@
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, ToSocketAddrs};
 
-use tdmd_online::PathPricer;
+use tdmd_core::CostModel;
 
 use crate::session::ServeSession;
 
@@ -24,8 +24,8 @@ use crate::session::ServeSession;
 ///
 /// # Errors
 /// Propagates bind/accept failures and per-connection I/O errors.
-pub fn serve_tcp<P: PathPricer>(
-    session: &mut ServeSession<P>,
+pub fn serve_tcp<M: CostModel>(
+    session: &mut ServeSession<M>,
     addr: impl ToSocketAddrs,
     max_connections: u64,
 ) -> std::io::Result<()> {
@@ -37,8 +37,8 @@ pub fn serve_tcp<P: PathPricer>(
 ///
 /// # Errors
 /// Propagates accept failures and per-connection I/O errors.
-pub fn serve_listener<P: PathPricer>(
-    session: &mut ServeSession<P>,
+pub fn serve_listener<M: CostModel>(
+    session: &mut ServeSession<M>,
     listener: TcpListener,
     max_connections: u64,
 ) -> std::io::Result<()> {
@@ -60,15 +60,14 @@ mod tests {
     use crate::session::ServeConfig;
     use std::io::{BufRead, BufReader as StdBufReader};
     use std::net::TcpStream;
+    use tdmd_core::HopCount;
     use tdmd_graph::DiGraph;
-    use tdmd_online::{HopPricer, OnlineEngine, RepairPolicy};
+    use tdmd_online::{OnlineEngine, RepairPolicy};
 
     #[test]
     fn tcp_roundtrip_speaks_the_ndjson_protocol() {
         let graph = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
-        let engine =
-            OnlineEngine::new(graph, 0.5, 1, HopPricer::default(), RepairPolicy::default())
-                .unwrap();
+        let engine = OnlineEngine::new(graph, 0.5, 1, HopCount, RepairPolicy::default()).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
 
@@ -103,9 +102,7 @@ mod tests {
     #[test]
     fn hostile_lines_over_tcp_are_rejected_and_the_connection_continues() {
         let graph = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
-        let engine =
-            OnlineEngine::new(graph, 0.5, 1, HopPricer::default(), RepairPolicy::default())
-                .unwrap();
+        let engine = OnlineEngine::new(graph, 0.5, 1, HopCount, RepairPolicy::default()).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
 

@@ -48,9 +48,10 @@ use std::io::{BufRead, Error, ErrorKind, Read, Write};
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
+use tdmd_core::CostModel;
 use tdmd_graph::NodeId;
 use tdmd_obs::{normalize_zero, round_metric, Histogram, Stopwatch};
-use tdmd_online::{Event, FlowKey, OnlineEngine, PathPricer, RepairPolicy, SnapshotError};
+use tdmd_online::{Event, FlowKey, OnlineEngine, RepairPolicy, SnapshotError};
 use tdmd_traffic::TenantId;
 
 use crate::wire::{Telemetry, TenantTelemetry, WireEvent, WireRecord};
@@ -152,8 +153,8 @@ fn report_us(h: &Histogram, p: f64) -> Option<f64> {
 
 /// The long-running placement service: an [`OnlineEngine`] plus
 /// tenant accounting, telemetry and snapshot scheduling.
-pub struct ServeSession<P: PathPricer> {
-    engine: OnlineEngine<P>,
+pub struct ServeSession<M: CostModel> {
+    engine: OnlineEngine<M>,
     config: ServeConfig,
     /// Tenant of every active flow (arrivals insert, departures
     /// remove). Ordered so that snapshots iterate it deterministically
@@ -171,9 +172,9 @@ pub struct ServeSession<P: PathPricer> {
     last_snapshot: Option<ServeSnapshot>,
 }
 
-impl<P: PathPricer> ServeSession<P> {
+impl<M: CostModel> ServeSession<M> {
     /// Wraps a fresh engine.
-    pub fn new(engine: OnlineEngine<P>, config: ServeConfig) -> Self {
+    pub fn new(engine: OnlineEngine<M>, config: ServeConfig) -> Self {
         Self {
             engine,
             config,
@@ -187,7 +188,7 @@ impl<P: PathPricer> ServeSession<P> {
         }
     }
 
-    /// Rebuilds a session from a snapshot. Topology, pricer and
+    /// Rebuilds a session from a snapshot. Topology, model and
     /// policy are supplied by the caller exactly as at construction,
     /// like [`OnlineEngine::restore`]. The tenant sums are derived once
     /// from the snapshot's tenant list; an active flow the list does
@@ -199,7 +200,7 @@ impl<P: PathPricer> ServeSession<P> {
     /// ([`SnapshotError`]).
     pub fn restore(
         graph: tdmd_graph::DiGraph,
-        pricer: P,
+        model: M,
         policy: RepairPolicy,
         config: ServeConfig,
         snap: &ServeSnapshot,
@@ -210,7 +211,7 @@ impl<P: PathPricer> ServeSession<P> {
             });
         }
         let engine =
-            OnlineEngine::restore(graph, pricer, policy, tdmd_obs::NoopRecorder, &snap.engine)?;
+            OnlineEngine::restore(graph, model, policy, tdmd_obs::NoopRecorder, &snap.engine)?;
         let mut tenants: BTreeMap<FlowKey, TenantId> = snap.tenants.iter().copied().collect();
         let mut sums: BTreeMap<TenantId, TenantSums> = snap
             .known_tenants
@@ -248,7 +249,7 @@ impl<P: PathPricer> ServeSession<P> {
 
     /// The wrapped engine.
     #[inline]
-    pub fn engine(&self) -> &OnlineEngine<P> {
+    pub fn engine(&self) -> &OnlineEngine<M> {
         &self.engine
     }
 

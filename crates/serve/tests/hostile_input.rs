@@ -22,12 +22,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::de::MAX_DEPTH;
 use serde::{Deserialize, Serialize};
-use tdmd_core::Instance;
+use tdmd_core::{HopCount, Instance};
 use tdmd_graph::generators::random::erdos_renyi_connected;
 use tdmd_graph::io::TopologyDoc;
 use tdmd_graph::traversal::bfs;
 use tdmd_graph::{DiGraph, NodeId};
-use tdmd_online::{HopPricer, OnlineEngine, RepairPolicy};
+use tdmd_online::{OnlineEngine, RepairPolicy};
 use tdmd_serve::{ServeConfig, ServeSession, ServeSnapshot, WireEvent, WireRecord, MAX_LINE_BYTES};
 use tdmd_traffic::Flow;
 
@@ -38,15 +38,9 @@ fn graph(seed: u64) -> DiGraph {
     erdos_renyi_connected(NODES, 0.3, &mut StdRng::seed_from_u64(seed))
 }
 
-fn session(g: &DiGraph) -> ServeSession<HopPricer> {
-    let mut engine = OnlineEngine::new(
-        g.clone(),
-        0.5,
-        K,
-        HopPricer::default(),
-        RepairPolicy::default(),
-    )
-    .expect("valid engine parameters");
+fn session(g: &DiGraph) -> ServeSession<HopCount> {
+    let mut engine = OnlineEngine::new(g.clone(), 0.5, K, HopCount, RepairPolicy::default())
+        .expect("valid engine parameters");
     engine.enable_audit();
     ServeSession::new(engine, ServeConfig::default())
 }
@@ -297,7 +291,7 @@ proptest! {
                 assert_round_trip(&snap);
                 let policy = RepairPolicy::default();
                 let config = ServeConfig::default();
-                let _ = ServeSession::restore(g.clone(), HopPricer::default(), policy, config, &snap);
+                let _ = ServeSession::restore(g.clone(), HopCount, policy, config, &snap);
             }
         }
     }

@@ -21,10 +21,11 @@ use std::io::BufRead;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tdmd_core::HopCount;
 use tdmd_graph::generators::random::erdos_renyi_connected;
 use tdmd_graph::traversal::bfs;
 use tdmd_graph::{DiGraph, NodeId};
-use tdmd_online::{FlowKey, HopPricer, OnlineEngine, RepairPolicy};
+use tdmd_online::{FlowKey, OnlineEngine, RepairPolicy};
 use tdmd_serve::{
     ServeConfig, ServeSession, ServeSnapshot, Telemetry, WireEvent, WireRecord, MAX_LINE_BYTES,
 };
@@ -106,9 +107,9 @@ fn policy() -> RepairPolicy {
     }
 }
 
-fn session(g: &DiGraph, k: usize) -> ServeSession<HopPricer> {
-    let engine = OnlineEngine::new(g.clone(), 0.5, k, HopPricer::default(), policy())
-        .expect("valid engine parameters");
+fn session(g: &DiGraph, k: usize) -> ServeSession<HopCount> {
+    let engine =
+        OnlineEngine::new(g.clone(), 0.5, k, HopCount, policy()).expect("valid engine parameters");
     ServeSession::new(engine, ServeConfig::default())
 }
 
@@ -161,7 +162,7 @@ proptest! {
 
         let mut restored = ServeSession::restore(
             g.clone(),
-            HopPricer::default(),
+            HopCount,
             policy(),
             ServeConfig::default(),
             &back,
@@ -227,7 +228,7 @@ fn noisy_wire_events(g: &DiGraph, seed: u64, len: usize) -> Vec<WireEvent> {
 /// session's telemetry equals a from-scratch sum over the engine's
 /// active flows, and that the listed tenants are exactly `known`.
 fn assert_sums_match(
-    s: &ServeSession<HopPricer>,
+    s: &ServeSession<HopCount>,
     owner: &BTreeMap<FlowKey, u16>,
     known: &BTreeSet<u16>,
 ) {
@@ -274,7 +275,7 @@ proptest! {
         let g = erdos_renyi_connected(n, 0.3, &mut rng);
         let events = noisy_wire_events(&g, seed ^ 0xF1, len);
         let cut = len / 2;
-        let engine = OnlineEngine::new(g.clone(), 0.5, k, HopPricer::default(), policy)
+        let engine = OnlineEngine::new(g.clone(), 0.5, k, HopCount, policy)
             .expect("valid engine parameters");
         let mut s = ServeSession::new(engine, ServeConfig::default());
         let mut owner: BTreeMap<FlowKey, u16> = BTreeMap::new();
@@ -286,7 +287,7 @@ proptest! {
                 let snap: ServeSnapshot = serde_json::from_str(&json).expect("snapshots parse");
                 s = ServeSession::restore(
                     g.clone(),
-                    HopPricer::default(),
+                    HopCount,
                     policy,
                     ServeConfig::default(),
                     &snap,
@@ -372,14 +373,9 @@ fn ndjson_pipeline_snapshot_restore_roundtrip() {
     let snap = live.last_snapshot().expect("snapshot was retained").clone();
     assert_eq!(snap.events, cut as u64);
 
-    let mut restored = ServeSession::restore(
-        g.clone(),
-        HopPricer::default(),
-        policy(),
-        ServeConfig::default(),
-        &snap,
-    )
-    .expect("pipeline snapshots restore");
+    let mut restored =
+        ServeSession::restore(g.clone(), HopCount, policy(), ServeConfig::default(), &snap)
+            .expect("pipeline snapshots restore");
     let mut tail_out = Vec::new();
     restored
         .run(tail.as_bytes(), &mut tail_out)
@@ -397,7 +393,7 @@ fn ndjson_pipeline_snapshot_restore_roundtrip() {
 #[test]
 fn bad_lines_are_rejected_without_killing_the_loop() {
     let g = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
-    let engine = OnlineEngine::new(g, 0.5, 1, HopPricer::default(), RepairPolicy::default())
+    let engine = OnlineEngine::new(g, 0.5, 1, HopCount, RepairPolicy::default())
         .expect("valid engine parameters");
     let mut s = ServeSession::new(engine, ServeConfig::default());
     let too_deep = "[".repeat(1_000_000);
@@ -437,7 +433,7 @@ fn bad_lines_are_rejected_without_killing_the_loop() {
 #[test]
 fn line_cap_is_exact_and_line_numbers_are_physical() {
     let g = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
-    let engine = OnlineEngine::new(g, 0.5, 1, HopPricer::default(), RepairPolicy::default())
+    let engine = OnlineEngine::new(g, 0.5, 1, HopCount, RepairPolicy::default())
         .expect("valid engine parameters");
     let mut s = ServeSession::new(engine, ServeConfig::default());
     let padded = |key: u64, len: usize| {
@@ -474,7 +470,7 @@ fn line_cap_is_exact_and_line_numbers_are_physical() {
 #[test]
 fn tenant_rate_sums_saturate_at_u64_max() {
     let g = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
-    let engine = OnlineEngine::new(g, 0.5, 1, HopPricer::default(), RepairPolicy::default())
+    let engine = OnlineEngine::new(g, 0.5, 1, HopCount, RepairPolicy::default())
         .expect("valid engine parameters");
     let mut s = ServeSession::new(engine, ServeConfig::default());
     let input = concat!(
@@ -496,7 +492,7 @@ fn tenant_rate_sums_saturate_at_u64_max() {
 #[test]
 fn periodic_telemetry_and_snapshots_fire_on_schedule() {
     let g = DiGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
-    let engine = OnlineEngine::new(g, 0.5, 1, HopPricer::default(), RepairPolicy::default())
+    let engine = OnlineEngine::new(g, 0.5, 1, HopCount, RepairPolicy::default())
         .expect("valid engine parameters");
     let mut s = ServeSession::new(
         engine,

@@ -31,11 +31,11 @@ use std::collections::BinaryHeap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdmd_core::error::TdmdError;
+use tdmd_core::HopCount;
 use tdmd_graph::NodeId;
 use tdmd_obs::StatsRecorder;
 use tdmd_online::{
-    events_from_spans, merge_events, obs_keys, Event, HopPricer, OnlineEngine, RepairPolicy,
-    TimedEvent,
+    events_from_spans, merge_events, obs_keys, Event, OnlineEngine, RepairPolicy, TimedEvent,
 };
 
 use crate::timeline::{lift, DynamicScenario};
@@ -166,7 +166,7 @@ pub fn independent_failure_schedule(
 
 /// The replay loop's accounting shell around the engine.
 struct ChaosRun<'a> {
-    engine: OnlineEngine<HopPricer, &'a StatsRecorder>,
+    engine: OnlineEngine<HopCount, &'a StatsRecorder>,
     last_us: u64,
     degraded_flow_us: u64,
     points: Vec<ChaosPoint>,
@@ -266,7 +266,7 @@ pub fn run_chaos(
         scn.graph.clone(),
         scn.lambda,
         scn.k,
-        HopPricer::default(),
+        HopCount,
         policy,
         &recorder,
     )

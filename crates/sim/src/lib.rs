@@ -12,8 +12,8 @@
 //!   bandwidth (the independent check of Eq. 1).
 //! * [`metrics`] — aggregate link metrics (total/max/mean load,
 //!   utilization, coverage feasibility) over a replay.
-//! * [`runner`] — the seeded multi-trial experiment runner,
-//!   Rayon-parallel over trials.
+//! * [`runner`] — the seeded multi-trial experiment runner, one
+//!   trial after another so measured execution times are honest.
 //! * [`validate`] — invariant checks (replay == analytic objective,
 //!   Lemma-1 bounds, coverage).
 //! * [`timeline`] — dynamic flow timelines replayed under the

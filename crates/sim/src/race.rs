@@ -22,11 +22,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tdmd_core::Deployment;
+use tdmd_core::{Deployment, HopCount};
 use tdmd_graph::generators::random::erdos_renyi_connected;
 use tdmd_graph::traversal::bfs;
 use tdmd_graph::{DiGraph, NodeId};
-use tdmd_online::{Event, FlowKey, HopPricer, OnlineEngine, OnlineError, RepairPolicy};
+use tdmd_online::{Event, FlowKey, OnlineEngine, OnlineError, RepairPolicy};
 
 /// Tuning for [`run_race`]: how many seeded scenarios, how large, and
 /// how many batch partitions per stream.
@@ -124,7 +124,7 @@ struct EngineFingerprint {
 }
 
 impl EngineFingerprint {
-    fn of(e: &OnlineEngine<HopPricer>) -> Self {
+    fn of(e: &OnlineEngine<HopCount>) -> Self {
         Self {
             deployment: e.deployment().clone(),
             active: e.active_count(),
@@ -147,14 +147,8 @@ impl std::fmt::Display for EngineFingerprint {
     }
 }
 
-fn fresh_engine(g: &DiGraph, k: usize) -> Result<OnlineEngine<HopPricer>, OnlineError> {
-    OnlineEngine::new(
-        g.clone(),
-        0.5,
-        k,
-        HopPricer::default(),
-        RepairPolicy::forced_replan(),
-    )
+fn fresh_engine(g: &DiGraph, k: usize) -> Result<OnlineEngine<HopCount>, OnlineError> {
+    OnlineEngine::new(g.clone(), 0.5, k, HopCount, RepairPolicy::forced_replan())
 }
 
 /// Races `applier` against the one-by-one sequential oracle: the same
@@ -176,7 +170,7 @@ pub fn batch_race_with<F>(
     mut applier: F,
 ) -> (usize, Vec<Divergence>)
 where
-    F: FnMut(&mut OnlineEngine<HopPricer>, &[Event]) -> Result<(), OnlineError>,
+    F: FnMut(&mut OnlineEngine<HopCount>, &[Event]) -> Result<(), OnlineError>,
 {
     let mut divergences = Vec::new();
     let mut trials = 0usize;

@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use tdmd_core::algorithms::Algorithm;
 use tdmd_core::objective::bandwidth_of;
 use tdmd_core::Instance;
@@ -22,9 +21,6 @@ pub struct TrialConfig {
     /// How many workload regenerations to attempt per trial before
     /// giving the trial up.
     pub resample_limit: usize,
-    /// Run trials on the Rayon pool. Keep `false` when the measured
-    /// execution times matter (parallel trials contend for cores).
-    pub parallel: bool,
 }
 
 impl Default for TrialConfig {
@@ -33,7 +29,6 @@ impl Default for TrialConfig {
             trials: 10,
             seed: 0xC0FFEE,
             resample_limit: 25,
-            parallel: false,
         }
     }
 }
@@ -110,32 +105,18 @@ pub fn run_comparison<F>(
     cfg: &TrialConfig,
 ) -> Vec<AlgoStats>
 where
-    F: Fn(&mut StdRng) -> Instance + Sync,
+    F: Fn(&mut StdRng) -> Instance,
 {
-    let rows: Vec<Vec<(f64, f64)>> = if cfg.parallel {
-        (0..cfg.trials)
-            .into_par_iter()
-            .filter_map(|t| {
-                one_trial(
-                    &make_instance,
-                    algorithms,
-                    cfg.seed + t as u64,
-                    cfg.resample_limit,
-                )
-            })
-            .collect()
-    } else {
-        (0..cfg.trials)
-            .filter_map(|t| {
-                one_trial(
-                    &make_instance,
-                    algorithms,
-                    cfg.seed + t as u64,
-                    cfg.resample_limit,
-                )
-            })
-            .collect()
-    };
+    let rows: Vec<Vec<(f64, f64)>> = (0..cfg.trials)
+        .filter_map(|t| {
+            one_trial(
+                &make_instance,
+                algorithms,
+                cfg.seed + t as u64,
+                cfg.resample_limit,
+            )
+        })
+        .collect();
     algorithms
         .iter()
         .enumerate()
@@ -192,26 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree_on_bandwidth() {
-        let base = TrialConfig {
-            trials: 4,
-            seed: 11,
-            ..Default::default()
-        };
-        let seq = run_comparison(make_tree_instance, &[Algorithm::Gtp], &base);
-        let par = run_comparison(
-            make_tree_instance,
-            &[Algorithm::Gtp],
-            &TrialConfig {
-                parallel: true,
-                ..base
-            },
-        );
-        assert_eq!(seq[0].mean_bandwidth, par[0].mean_bandwidth);
-        assert_eq!(seq[0].std_bandwidth, par[0].std_bandwidth);
-    }
-
-    #[test]
     fn stats_are_deterministic_under_seed() {
         let cfg = TrialConfig {
             trials: 3,
@@ -245,7 +206,6 @@ mod tests {
             trials: 2,
             seed: 3,
             resample_limit: 3,
-            ..Default::default()
         };
         let stats = run_comparison(make, &[Algorithm::Dp], &cfg);
         assert_eq!(stats[0].trials, 0);

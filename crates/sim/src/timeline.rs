@@ -31,9 +31,9 @@ use tdmd_core::algorithms::Algorithm;
 use tdmd_core::error::TdmdError;
 use tdmd_core::feasibility::is_feasible;
 use tdmd_core::objective::bandwidth_of;
-use tdmd_core::{Deployment, Instance};
+use tdmd_core::{Deployment, HopCount, Instance};
 use tdmd_graph::DiGraph;
-use tdmd_online::{events_from_spans, Event, HopPricer, OnlineEngine, OnlineError};
+use tdmd_online::{events_from_spans, Event, OnlineEngine, OnlineError};
 use tdmd_traffic::Flow;
 
 pub use tdmd_online::{FlowSpan, RepairPolicy};
@@ -242,14 +242,8 @@ pub fn simulate_incremental(
     scn: &DynamicScenario,
     policy: RepairPolicy,
 ) -> Result<Vec<TimelinePoint>, TdmdError> {
-    let mut engine = OnlineEngine::new(
-        scn.graph.clone(),
-        scn.lambda,
-        scn.k,
-        HopPricer::default(),
-        policy,
-    )
-    .map_err(lift)?;
+    let mut engine =
+        OnlineEngine::new(scn.graph.clone(), scn.lambda, scn.k, HopCount, policy).map_err(lift)?;
     let events = events_from_spans(&scn.spans);
     let mut next = 0usize;
     let mut out = Vec::new();

@@ -33,7 +33,7 @@ fn main() {
         Flow::new(2, 1, vec![6, 4, 0]),    // satellite + 1 hop
     ];
     let inst = Instance::new(graph, flows, 0.5, 2).expect("valid");
-    let model = WeightedEdges::new(&inst);
+    let model = WeightedEdges::new(inst.graph());
     let index = FlowIndex::build(&inst, &model);
 
     println!("k = 2, λ = 0.5, one 100-cost satellite uplink (6 -> 4):\n");

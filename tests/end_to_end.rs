@@ -21,7 +21,6 @@ fn quick() -> TrialConfig {
         trials: 2,
         seed: 1234,
         resample_limit: 10,
-        parallel: false,
     }
 }
 

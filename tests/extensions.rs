@@ -53,7 +53,7 @@ fn branch_and_bound_certifies_gtp_ls_quality() {
 fn weighted_pipeline_on_unit_weights_equals_hop_pipeline() {
     let inst = random_tree_instance(42, 14, 8, 4);
     let hop = gtp_budgeted(&inst, 4).unwrap();
-    let model = WeightedEdges::new(&inst);
+    let model = WeightedEdges::new(inst.graph());
     let wtd = gtp_budgeted_with(&inst, 4, &model).unwrap();
     let index = FlowIndex::build(&inst, &model);
     assert_eq!(index.bandwidth_of(&inst, &wtd), bandwidth_of(&inst, &hop));
@@ -79,7 +79,7 @@ fn weighted_dp_lower_bounds_weighted_gtp_on_weighted_trees() {
         let t = RootedTree::from_digraph(&g, 0).unwrap();
         let flows = tree_workload(&g, &t, &WorkloadConfig::with_count(5), &mut rng);
         let inst = Instance::new(g, flows, 0.5, 3).unwrap();
-        let model = WeightedEdges::new(&inst);
+        let model = WeightedEdges::new(inst.graph());
         let index = FlowIndex::build(&inst, &model);
         let dp = dp_optimal_weighted(&inst).unwrap();
         let greedy = gtp_budgeted_with(&inst, 3, &model).unwrap();

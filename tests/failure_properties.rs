@@ -13,10 +13,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdmd::core::algorithms::gtp::gtp_budgeted;
 use tdmd::core::objective::bandwidth_of;
+use tdmd::core::HopCount;
 use tdmd::graph::generators::random::erdos_renyi_connected;
 use tdmd::graph::traversal::bfs_path;
 use tdmd::graph::{DiGraph, NodeId};
-use tdmd::online::{Event, FlowKey, HopPricer, OnlineEngine, RepairPolicy};
+use tdmd::online::{Event, FlowKey, OnlineEngine, RepairPolicy};
 use tdmd::sim::chaos::{run_chaos, ChaosConfig, ChaosMode};
 use tdmd::sim::prelude::{DynamicScenario, FlowSpan};
 use tdmd::traffic::Flow;
@@ -84,7 +85,7 @@ fn random_valid_events(g: &DiGraph, seed: u64, len: usize) -> Vec<Event> {
 }
 
 /// Safety invariants that must hold after *every* applied event.
-fn assert_safe(e: &OnlineEngine<HopPricer>, k: usize) {
+fn assert_safe(e: &OnlineEngine<HopCount>, k: usize) {
     assert!(e.deployment().len() <= k, "budget respected");
     for &v in e.deployment().vertices() {
         assert!(!e.is_failed(v), "deployed vertex {v} is failed");
@@ -126,7 +127,7 @@ proptest! {
             RepairPolicy::forced_replan(),
         ][policy_ix];
         let mut engine = OnlineEngine::new(
-            g.clone(), 0.5, k, HopPricer::default(), policy,
+            g.clone(), 0.5, k, HopCount, policy,
         ).unwrap();
         for ev in random_valid_events(&g, seed ^ 0xFA11, len) {
             engine.apply(&ev).unwrap();
