@@ -15,8 +15,8 @@
 //!   LP lower bound.
 //! * `BENCH_scale.json` ([`SCALE_SCHEMA`], via `tdmd bench --scale
 //!   true`) — the million-flow scale tier: one GTP solve plus a
-//!   batched churn replay, pinning `events_per_sec` and
-//!   `gain_evals_per_sec`.
+//!   batched churn replay, pinning the solve's wall time and gain
+//!   evaluations and the replay's `events_per_sec`.
 //! * `BENCH_reconfig.json` ([`RECONFIG_SCHEMA`]) — the
 //!   migration-budget sweep: the same churn stream replayed at
 //!   decreasing [`ReconfigBudget`] levels, pinning the moves/event
@@ -57,7 +57,7 @@ pub const JOINT_SCHEMA: &str = "tdmd-bench-joint/v1";
 /// Schema tag of `BENCH_serve.json`.
 pub const SERVE_SCHEMA: &str = "tdmd-bench-serve/v1";
 /// Schema tag of `BENCH_scale.json`.
-pub const SCALE_SCHEMA: &str = "tdmd-bench-scale/v1";
+pub const SCALE_SCHEMA: &str = "tdmd-bench-scale/v2";
 /// Schema tag of `BENCH_reconfig.json`.
 pub const RECONFIG_SCHEMA: &str = "tdmd-bench-reconfig/v1";
 
@@ -392,8 +392,6 @@ pub struct ScaleBench {
     pub solve_wall_us: f64,
     /// Marginal-gain evaluations the solve spent.
     pub solve_gain_evals: u64,
-    /// Gain evaluations per second sustained by the solve.
-    pub gain_evals_per_sec: f64,
     /// Exact objective of the static solve.
     pub solve_objective: f64,
     /// Wall-clock µs of the bulk load (all flows arriving through
@@ -519,10 +517,6 @@ pub fn scale_bench(seed: u64, params: ScaleParams) -> Result<ScaleBench, String>
         params,
         solve_wall_us: round_metric(solve_wall_us, 3),
         solve_gain_evals,
-        gain_evals_per_sec: round_metric(
-            solve_gain_evals as f64 / (solve_wall_us / 1e6).max(1e-9),
-            3,
-        ),
         solve_objective,
         load_wall_us: round_metric(load_wall_us, 3),
         load_events_per_sec: round_metric(params.flows as f64 / (load_wall_us / 1e6).max(1e-9), 3),
@@ -921,14 +915,14 @@ pub fn bench(args: &Args) -> Result<String, String> {
         )?;
         return Ok(format!(
             "seed {seed}\n== scale ({scale_path}) ==\n  {} nodes  {} flows  k={}\n  \
-             solve {:.0} µs  {:.0} gain evals/sec  objective {:.2}\n  \
+             solve {:.0} µs  {} gain evals  objective {:.2}\n  \
              load {:.0} events/sec  churn {:.0} events/sec  batch p99 {:.1} µs\n  \
              drift {:e}  final flows {}\n",
             scale.params.nodes,
             scale.params.flows,
             scale.params.k,
             scale.solve_wall_us,
-            scale.gain_evals_per_sec,
+            scale.solve_gain_evals,
             scale.solve_objective,
             scale.load_events_per_sec,
             scale.events_per_sec,
@@ -1064,7 +1058,6 @@ mod tests {
         assert_eq!(b.schema, SCALE_SCHEMA);
         assert_eq!(b.params.flows, 1_500);
         assert!(b.solve_gain_evals > 0);
-        assert!(b.gain_evals_per_sec > 0.0);
         assert!(b.events_per_sec > 0.0);
         assert!(b.load_events_per_sec > 0.0);
         assert!(b.solve_objective > 0.0);

@@ -10,11 +10,23 @@
 //! ([`FlowIndex::build`]) or from flows priced elsewhere
 //! ([`FlowIndex::compile`], the online drift oracle's live state).
 //!
+//! Each round's argmax is lazy, after CELF (Leskovec et al., KDD
+//! 2007): a max-heap holds every open candidate under the score key
+//! it last computed, and only a top computed in an earlier round is
+//! scored again. Thm. 2 makes that exact. A vertex's key never rises
+//! between rounds, so a stale key is an upper bound, and the first
+//! top computed in the current round is the argmax a scan of every
+//! candidate would find, bit for bit.
+//!
 //! The tight-budget **feasibility guard** (the paper's "can only
 //! deploy on v2" rule, generalized) lives once in
 //! [`crate::feasibility`] and is shared by GTP, the capacitated
 //! greedy, and the best-effort baseline; each keeps its served flows
-//! in one incrementally updated coverage state the guard reads.
+//! in one incrementally updated coverage state the guard reads. GTP
+//! asks it about heap tops only: its cheap exact stop before a top is
+//! scored again, its cover trial only on the top that would win. The
+//! winner's trial is the next round's greedy cover, so that cover is
+//! passed forward instead of run again.
 //!
 //! [`run_move_greedy`] is the engine's second face: a budgeted
 //! best-move loop over an arbitrary [`MoveGreedy`] driver, used by the
@@ -24,15 +36,21 @@
 //! [`Instance`]: crate::instance::Instance
 
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use tdmd_graph::NodeId;
 
 use crate::cost::FlowIndex;
 use crate::error::TdmdError;
-use crate::feasibility::{guard_candidates, open_candidates, Coverage};
+use crate::feasibility::{guard, Coverage, Guard};
 use crate::num::ix;
 use crate::order::TotalGain;
 use crate::plan::Deployment;
+
+/// The score ladder as one comparable key: decrement gain, then
+/// coverage, then the smaller vertex id (`Reverse` makes the smaller
+/// id the larger key).
+type Key = (TotalGain, usize, Reverse<NodeId>);
 
 /// Lexicographic greedy score: decrement gain, then coverage, then
 /// smaller vertex id.
@@ -44,14 +62,13 @@ struct Score {
 }
 
 impl Score {
-    /// The full tie-break ladder as one comparable key; `Reverse` on
-    /// the vertex id makes the *smaller* id the larger key.
+    /// The full tie-break ladder as one comparable key.
     #[inline]
-    fn key(&self) -> (TotalGain, usize, Reverse<NodeId>) {
+    fn key(&self) -> Key {
         (TotalGain::new(self.gain), self.coverage, Reverse(self.v))
     }
 
-    #[inline]
+    #[cfg(test)]
     fn better_than(&self, other: &Score) -> bool {
         self.key() > other.key()
     }
@@ -93,18 +110,6 @@ impl State {
         }
     }
 
-    /// The best-scoring candidate, scanned in `cands` order.
-    fn best_of(&self, index: &FlowIndex, cands: &[NodeId]) -> Option<Score> {
-        let mut best: Option<Score> = None;
-        for &v in cands {
-            let s = self.score(index, v);
-            if best.as_ref().is_none_or(|b| s.better_than(b)) {
-                best = Some(s);
-            }
-        }
-        best
-    }
-
     fn commit(&mut self, index: &FlowIndex, v: NodeId) {
         self.deployment.insert(v);
         self.coverage.serve(index, v);
@@ -119,80 +124,196 @@ impl State {
 
 /// A round's committed choice, with the audit-trace metadata the
 /// submodularity witness needs ([`crate::audit::check_greedy_trace`]).
+#[derive(Debug, Clone, Copy)]
 struct Picked {
     v: NodeId,
-    // Only the cfg-gated trace reads these two; without the auditor
-    // compiled in they are write-only.
-    #[cfg_attr(not(any(debug_assertions, feature = "audit", test)), allow(dead_code))]
     gain: f64,
     /// Whether the feasibility guard restricted this round.
+    // Only the cfg-gated trace and the tests read this and the two
+    // tallies below; without them they are write-only.
     #[cfg_attr(not(any(debug_assertions, feature = "audit", test)), allow(dead_code))]
     guarded: bool,
+    /// The winner's [`Guard::allows`] cover, in a guarded round: the
+    /// greedy cover of what the pick leaves unserved.
+    cover: Option<usize>,
+    /// Heap tops the guard ruled out this round without a trial.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pruned: usize,
+    /// Heap tops the guard's trial turned down this round.
+    #[cfg_attr(not(test), allow(dead_code))]
+    rejected: usize,
 }
 
-/// One guarded greedy round; returns the pick to deploy or an error.
+/// A heap entry: a vertex's score key and the round that computed it.
+/// Keys end in the vertex id, so no two entries share one and the
+/// derived order is the key's alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
+    key: Key,
+    round: usize,
+}
+
+/// The round stamp of an entry that was never scored; no round has it.
+const UNSCORED: usize = usize::MAX;
+
+/// The lazy argmax: every open candidate once, keyed by an upper bound
+/// on its current score.
 ///
-/// Once every flow is served the guard is skipped and only a positive
-/// gain is worth a box; the error then tells the caller to stop.
-fn pick(index: &FlowIndex, state: &State, remaining: usize) -> Result<Picked, TdmdError> {
-    let all_served = state.all_served();
-    let feasible = if all_served {
-        None
-    } else {
-        guard_candidates(index, &state.coverage, &state.deployment, remaining)?
-    };
-    let guarded = feasible.is_some();
-    let cands = feasible.unwrap_or_else(|| open_candidates(index, &state.deployment));
-    state
-        .best_of(index, &cands)
-        .filter(|s| !all_served || s.gain > 0.0)
-        .map(|s| Picked {
-            v: s.v,
-            gain: s.gain,
-            guarded,
-        })
-        .ok_or(TdmdError::Infeasible { budget: remaining })
+/// A key never rises between rounds. The decrement falls by
+/// submodularity, and so does its float sum: each term shrinks or
+/// drops out as `cur` rises, and rounding is monotone. Coverage counts
+/// only fall. So a popped key from an earlier round is scored again
+/// and pushed back, and the first top computed in the current round
+/// beats every other open candidate.
+struct Lazy {
+    heap: BinaryHeap<Entry>,
+    /// Tops the guard turned down this round, with their keys; they
+    /// go back on the heap when the round ends.
+    aside: Vec<Entry>,
 }
 
-/// GTP (Alg. 1): eager best-candidate rounds under the feasibility
+impl Lazy {
+    /// Every candidate vertex, unscored, under a key above any score.
+    fn new(index: &FlowIndex) -> Self {
+        let top = TotalGain::new(f64::INFINITY);
+        let heap = index
+            .candidate_vertices()
+            .into_iter()
+            .map(|v| Entry {
+                key: (top, usize::MAX, Reverse(v)),
+                round: UNSCORED,
+            })
+            .collect();
+        Self {
+            heap,
+            aside: Vec::new(),
+        }
+    }
+
+    /// Round `round`'s pick: the best-scoring open candidate that
+    /// `tight` allows (any, when the round is not guarded), taken off
+    /// the heap. `None` when no candidate is left or allowed.
+    ///
+    /// The guard's cheap check runs before a top is scored again, so
+    /// a vertex it rules out costs no gain evaluation; its trial runs
+    /// only on a top computed in this round, the round's would-be
+    /// pick.
+    fn pick(
+        &mut self,
+        index: &FlowIndex,
+        state: &State,
+        round: usize,
+        mut tight: Option<Guard<'_>>,
+    ) -> Option<Picked> {
+        let (mut pruned, mut rejected) = (0, 0);
+        let picked = loop {
+            let Some(top) = self.heap.pop() else {
+                break None;
+            };
+            let Reverse(v) = top.key.2;
+            if tight.as_ref().is_some_and(|g| g.rules_out(v)) {
+                pruned += 1;
+                self.aside.push(top);
+                continue;
+            }
+            if top.round != round {
+                let key = state.score(index, v).key();
+                self.heap.push(Entry { key, round });
+                continue;
+            }
+            let cover = match tight.as_mut() {
+                None => None,
+                Some(g) => match g.allows(v) {
+                    Some(cover) => Some(cover),
+                    None => {
+                        rejected += 1;
+                        self.aside.push(top);
+                        continue;
+                    }
+                },
+            };
+            break Some(Picked {
+                v,
+                gain: top.key.0.get(),
+                guarded: tight.is_some(),
+                cover,
+                pruned,
+                rejected,
+            });
+        };
+        self.heap.extend(self.aside.drain(..));
+        picked
+    }
+}
+
+/// GTP (Alg. 1): lazy best-candidate rounds under the feasibility
 /// guard; `budget = None` derives `k` (stop at full coverage).
 pub(crate) fn run_gtp(index: &FlowIndex, budget: Option<usize>) -> Result<Deployment, TdmdError> {
     #[cfg(any(debug_assertions, feature = "audit", test))]
     crate::audit::enforce(crate::audit::check_index(index));
     #[cfg(any(debug_assertions, feature = "audit", test))]
     let mut trace: Vec<crate::audit::TraceRound> = Vec::new();
+    let deployment = rounds(index, budget, |_p| {
+        #[cfg(any(debug_assertions, feature = "audit", test))]
+        trace.push(crate::audit::TraceRound {
+            gain: _p.gain,
+            guarded: _p.guarded,
+        });
+    })?;
+    #[cfg(any(debug_assertions, feature = "audit", test))]
+    {
+        crate::audit::enforce(crate::audit::check_greedy_trace(&trace));
+        crate::audit::enforce(crate::audit::check_index_solution(
+            index,
+            &deployment,
+            budget.unwrap_or(index.node_count()),
+        ));
+    }
+    Ok(deployment)
+}
+
+/// Alg. 1's rounds, reporting each committed pick to `on_pick`.
+///
+/// A round with flows left unserved asks the guard first; an
+/// uncoverable remainder, or a guarded round with no allowed vertex,
+/// is [`TdmdError::Infeasible`] with the budget left. Once every flow
+/// is served the guard is skipped and only a positive gain is worth a
+/// box; without one the run stops early.
+fn rounds(
+    index: &FlowIndex,
+    budget: Option<usize>,
+    mut on_pick: impl FnMut(&Picked),
+) -> Result<Deployment, TdmdError> {
     let mut state = State::new(index);
+    let mut lazy = Lazy::new(index);
     let limit = budget.unwrap_or(index.node_count());
+    let mut known_cover = None;
     for round in 0..limit {
         let remaining = limit - round;
-        match pick(index, &state, remaining) {
-            Ok(p) => {
-                #[cfg(any(debug_assertions, feature = "audit", test))]
-                trace.push(crate::audit::TraceRound {
-                    gain: p.gain,
-                    guarded: p.guarded,
-                });
-                state.commit(index, p.v);
+        let all_served = state.all_served();
+        let tight = if all_served {
+            None
+        } else {
+            guard(index, &state.coverage, remaining, known_cover)?
+        };
+        let Some(p) = lazy
+            .pick(index, &state, round, tight)
+            .filter(|p| !all_served || p.gain > 0.0)
+        else {
+            if all_served {
+                break;
             }
-            // No useful vertex left and everything served: done early.
-            Err(_) if state.all_served() => break,
-            Err(e) => return Err(e),
-        }
+            return Err(TdmdError::Infeasible { budget: remaining });
+        };
+        on_pick(&p);
+        known_cover = p.cover;
+        state.commit(index, p.v);
         if budget.is_none() && state.all_served() {
             break;
         }
     }
     if !state.all_served() {
         return Err(TdmdError::Infeasible { budget: limit });
-    }
-    #[cfg(any(debug_assertions, feature = "audit", test))]
-    {
-        crate::audit::enforce(crate::audit::check_greedy_trace(&trace));
-        crate::audit::enforce(crate::audit::check_index_solution(
-            index,
-            &state.deployment,
-            limit,
-        ));
     }
     Ok(state.deployment)
 }
@@ -248,6 +369,179 @@ pub fn run_move_greedy<D: MoveGreedy>(driver: &mut D, budget: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{CostModel, HopCount, TenantCostModel, WeightedEdges};
+    use crate::feasibility::greedy_cover;
+    use crate::feasibility::tests::random_instance;
+    use crate::instance::Instance;
+    use proptest::TestRng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use tdmd_graph::DiGraph;
+    use tdmd_traffic::Flow;
+
+    /// The kernel as it was before the lazy argmax: every open
+    /// candidate the guard allows is scored in every round. Kept as the
+    /// reference the lazy kernel must reproduce exactly.
+    mod reference {
+        use super::super::{Score, State};
+        use crate::cost::FlowIndex;
+        use crate::error::TdmdError;
+        use crate::feasibility::{guard_candidates, open_candidates};
+        use crate::plan::Deployment;
+
+        /// Eager GTP: the deployment or error, and each committed
+        /// round's `(gain bits, guarded)`.
+        pub fn run_gtp(
+            index: &FlowIndex,
+            budget: Option<usize>,
+        ) -> (Result<Deployment, TdmdError>, Vec<(u64, bool)>) {
+            let mut trace = Vec::new();
+            let result = rounds(index, budget, &mut trace);
+            (result, trace)
+        }
+
+        fn rounds(
+            index: &FlowIndex,
+            budget: Option<usize>,
+            trace: &mut Vec<(u64, bool)>,
+        ) -> Result<Deployment, TdmdError> {
+            let mut state = State::new(index);
+            let limit = budget.unwrap_or(index.node_count());
+            for round in 0..limit {
+                let remaining = limit - round;
+                let all_served = state.all_served();
+                let allowed = if all_served {
+                    None
+                } else {
+                    guard_candidates(index, &state.coverage, &state.deployment, remaining)?
+                };
+                let guarded = allowed.is_some();
+                let cands = allowed.unwrap_or_else(|| open_candidates(index, &state.deployment));
+                let mut best: Option<Score> = None;
+                for &v in &cands {
+                    let s = state.score(index, v);
+                    if best.as_ref().is_none_or(|b| s.better_than(b)) {
+                        best = Some(s);
+                    }
+                }
+                match best.filter(|s| !all_served || s.gain > 0.0) {
+                    Some(s) => {
+                        trace.push((s.gain.to_bits(), guarded));
+                        state.commit(index, s.v);
+                    }
+                    None if all_served => break,
+                    None => return Err(TdmdError::Infeasible { budget: remaining }),
+                }
+                if budget.is_none() && state.all_served() {
+                    break;
+                }
+            }
+            if !state.all_served() {
+                return Err(TdmdError::Infeasible { budget: limit });
+            }
+            Ok(state.deployment)
+        }
+    }
+
+    /// Hop-count pricing without the coverage tie-break.
+    struct NoCoverage;
+
+    impl CostModel for NoCoverage {
+        fn serving_gain(&self, flow: &Flow, pos: usize) -> f64 {
+            HopCount.serving_gain(flow, pos)
+        }
+
+        fn unprocessed_cost(&self, flow: &Flow) -> f64 {
+            HopCount.unprocessed_cost(flow)
+        }
+
+        fn coverage_tiebreak(&self) -> bool {
+            false
+        }
+    }
+
+    /// `inst` under `lambda`, compiled by hop count, by random edge
+    /// weights, by random tenant weights and by [`NoCoverage`].
+    fn indexes(inst: &Instance, lambda: f64, rng: &mut StdRng) -> Vec<FlowIndex> {
+        let g = inst.graph();
+        let edges: Vec<_> = g
+            .edges()
+            .map(|(u, v, _)| (u, v, rng.gen_range(1..=9)))
+            .collect();
+        let weighted = Instance::new(
+            DiGraph::from_edges(g.node_count(), &edges),
+            inst.flows().to_vec(),
+            lambda,
+            1,
+        )
+        .expect("same paths, same edges");
+        let tenants: Vec<f64> = (0..3).map(|_| rng.gen_range(0.25..4.0)).collect();
+        let flows = inst
+            .flows()
+            .iter()
+            .map(|f| Flow {
+                tenant: rng.gen_range(0..4),
+                ..f.clone()
+            })
+            .collect();
+        let tenanted = Instance::new(g.clone(), flows, lambda, 1).expect("same paths");
+        let inst = inst.with_lambda(lambda);
+        vec![
+            FlowIndex::build(&inst, &HopCount),
+            FlowIndex::build(&weighted, &WeightedEdges::new(weighted.graph())),
+            FlowIndex::build(&tenanted, &TenantCostModel::new(HopCount, tenants)),
+            FlowIndex::build(&inst, &NoCoverage),
+        ]
+    }
+
+    /// On random gateway and all-pairs ER instances, under four cost
+    /// models and λ ∈ {0.5, 1}, for every budget from 1 to twice the
+    /// greedy cover and in derive-k mode, the lazy kernel returns the
+    /// eager reference's deployment or error and commits the same
+    /// `(gain, guarded)` rounds, bit for bit. At λ = 1 every gain is
+    /// zero and coverage decides. The tallies prove that guarded
+    /// rounds, both kinds of guard-rejected heap tops, covers passed
+    /// forward and `Infeasible` results all occurred.
+    #[test]
+    fn lazy_kernel_matches_the_eager_reference() {
+        let seed = proptest::fnv1a("lazy_kernel_matches_the_eager_reference");
+        let (mut guarded, mut pruned, mut rejected, mut forward, mut infeasible) =
+            (0usize, 0usize, 0usize, 0usize, 0usize);
+        for case in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(TestRng::for_case(seed, case).next_u64());
+            let inst = random_instance(&mut rng);
+            let cover =
+                greedy_cover(&inst, &vec![false; inst.flows().len()]).map_or(0, |c| c.len());
+            for lambda in [0.5, 1.0] {
+                for index in indexes(&inst, lambda, &mut rng) {
+                    for budget in (1..=(2 * cover).max(1)).map(Some).chain([None]) {
+                        let mut picks: Vec<Picked> = Vec::new();
+                        let got = rounds(&index, budget, |p| picks.push(*p));
+                        let (want, trace) = reference::run_gtp(&index, budget);
+                        let at = format!("case {case}, lambda {lambda}, budget {budget:?}");
+                        assert_eq!(got, want, "{at}");
+                        let got_trace: Vec<(u64, bool)> = picks
+                            .iter()
+                            .map(|p| (p.gain.to_bits(), p.guarded))
+                            .collect();
+                        assert_eq!(got_trace, trace, "{at}");
+                        infeasible += usize::from(got.is_err());
+                        for p in &picks {
+                            guarded += usize::from(p.guarded);
+                            pruned += p.pruned;
+                            rejected += p.rejected;
+                            forward += usize::from(p.cover.is_some_and(|c| c > 0));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            guarded > 0 && pruned > 0 && rejected > 0 && forward > 0 && infeasible > 0,
+            "vacuous run: {guarded} guarded rounds, {pruned} pruned and {rejected} rejected \
+             tops, {forward} covers passed forward, {infeasible} infeasible"
+        );
+    }
 
     #[test]
     fn score_ladder_orders_lexicographically() {

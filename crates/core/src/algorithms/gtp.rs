@@ -4,9 +4,11 @@
 //! greedily adding the vertex with the largest marginal decrement
 //! `d_P(v)` achieves `(1 − 1/e)` of the maximum decrement (Thm. 3).
 //! The bound belongs to the greedy itself, not to how a round's
-//! argmax is found, so there is one driver: eager evaluation of every
-//! open candidate each round, in [`gtp_budgeted`] (hard budget `k`)
-//! and [`gtp_derive_k`] (the Thm. 3 setting).
+//! argmax is found. There is one driver, in [`gtp_budgeted`] (hard
+//! budget `k`) and [`gtp_derive_k`] (the Thm. 3 setting). Its argmax
+//! is lazy: a candidate is scored again only while its last score
+//! still tops every other bound. By submodularity a score never rises,
+//! so this picks exactly the vertex a full scan would.
 //!
 //! Both are thin wrappers over the generic engine in
 //! [`super::engine`] instantiated with the paper's [`HopCount`]

@@ -1,8 +1,9 @@
 //! Placement algorithms.
 //!
 //! * [`engine`] — the generic greedy core every objective variant
-//!   shares: the cost-model-agnostic GTP loop, the tight-budget
-//!   feasibility guard, and a budgeted best-move loop.
+//!   shares: the cost-model-agnostic GTP loop with its lazy argmax
+//!   under the tight-budget feasibility guard, and a budgeted
+//!   best-move loop.
 //! * [`gtp`] — Alg. 1, the `(1 − 1/e)` submodular greedy for general
 //!   topologies.
 //! * [`dp`] — the optimal tree DP of §5.1 (Eqs. 7–10), generalized to
@@ -40,7 +41,7 @@ pub enum Algorithm {
     /// Volume-greedy baseline (see module docs for the
     /// interpretation).
     BestEffort,
-    /// Alg. 1 budgeted greedy (eager marginal decrements).
+    /// Alg. 1 budgeted greedy (lazily re-scored marginal decrements).
     Gtp,
     /// Alg. 2 tree heuristic.
     Hat,

@@ -8,9 +8,9 @@
 //! bound and as the feasibility fallback the budgeted algorithms use.
 //!
 //! The budgeted greedies keep one `Coverage` state up to date as they
-//! deploy, and the tight-budget guard (`guard_candidates`) runs its
-//! greedy covers on that state's per-vertex counts, never on a copied
-//! `served` vector. Both read the vertex rows and flow paths of a
+//! deploy, and the tight-budget guard (`guard`) runs its greedy covers
+//! on that state's per-vertex counts, never on a copied `served`
+//! vector. Both read the vertex rows and flow paths of a
 //! compiled [`FlowIndex`], never the [`Instance`].
 
 use std::cmp::Reverse;
@@ -253,52 +253,102 @@ pub(crate) fn open_candidates(index: &FlowIndex, deployment: &Deployment) -> Vec
 ///
 /// * uncoverable, or a greedy cover needs *more* than `remaining`
 ///   boxes → [`TdmdError::Infeasible`];
-/// * a cover needs *exactly* `remaining` boxes → `Ok(Some(allowed))`,
-///   the open candidates after which a greedy cover of the rest fits
-///   in `remaining − 1` boxes (the paper's "we can only deploy a
+/// * a cover needs *exactly* `remaining` boxes → `Ok(Some(guard))`:
+///   the round may only deploy where [`Guard::allows`], that is on
+///   an open candidate after which a greedy cover of the rest fits in
+///   `remaining − 1` boxes (the paper's "we can only deploy a
 ///   middlebox on v2" rule, generalized);
 /// * otherwise (slack budget, or everything already served) →
 ///   `Ok(None)`: pick freely.
 ///
-/// Every cover here is a [`Trial`] limited to the picks that matter,
+/// `known_cover` is the size of the greedy cover of the unserved
+/// flows when the caller already has it, as the kernel does after a
+/// guarded round: the winner's [`Guard::allows`] trial is that cover.
+/// `None` runs the cover here, limited to `remaining` picks.
+pub(crate) fn guard<'a>(
+    index: &'a FlowIndex,
+    coverage: &'a Coverage,
+    remaining: usize,
+    known_cover: Option<usize>,
+) -> Result<Option<Guard<'a>>, TdmdError> {
+    crate::obs::ENGINE.guard_checks.incr();
+    if coverage.all_served() {
+        return Ok(None);
+    }
+    let mut trial = None;
+    let cover = match known_cover {
+        Some(cover) => Some(cover).filter(|&c| c <= remaining),
+        None => trial
+            .insert(Trial::new(index, coverage))
+            .cover(remaining, |_| {}),
+    }
+    .ok_or(TdmdError::Infeasible { budget: remaining })?;
+    if cover < remaining {
+        return Ok(None);
+    }
+    crate::obs::ENGINE.guard_activations.incr();
+    let picks = remaining - 1;
+    Ok(Some(Guard {
+        bound: TopCounts::new(&coverage.count, picks),
+        picks,
+        trial: trial.unwrap_or_else(|| Trial::new(index, coverage)),
+    }))
+}
+
+/// One tight round of the guard: which vertices the round may deploy
+/// on. Every check is a [`Trial`] limited to the picks that matter,
 /// so a candidate that cannot fit stops early, most of them before
-/// their trial starts ([`TopCounts`]).
+/// their trial starts ([`Guard::rules_out`]).
+pub(crate) struct Guard<'a> {
+    bound: Option<TopCounts>,
+    /// Boxes left after this round's: `remaining − 1`.
+    picks: usize,
+    trial: Trial<'a>,
+}
+
+impl Guard<'_> {
+    /// Whether [`TopCounts`] already rules `v` out, in O(1) and
+    /// without a trial. Exact: a vertex it rules out is never allowed.
+    pub(crate) fn rules_out(&self, v: NodeId) -> bool {
+        let base = self.trial.base;
+        let c = base.count(v);
+        self.bound
+            .as_ref()
+            .is_some_and(|b| b.without(c) < base.unserved.saturating_sub(c))
+    }
+
+    /// The full check: `Some(cover)` when the round may deploy on `v`,
+    /// where `cover ≤ remaining − 1` is the size of the greedy cover
+    /// of the flows `v` leaves unserved, or `None`.
+    pub(crate) fn allows(&mut self, v: NodeId) -> Option<usize> {
+        if self.rules_out(v) {
+            return None;
+        }
+        self.trial.reset();
+        self.trial.serve(v);
+        self.trial.cover(self.picks, |_| {})
+    }
+}
+
+/// [`guard`] as an eager filter: `Ok(Some(allowed))` lists every open
+/// candidate the tight round allows. The capacitated and best-effort
+/// greedies score each of them; GTP's kernel asks the [`Guard`] about
+/// its heap tops instead.
 pub(crate) fn guard_candidates(
     index: &FlowIndex,
     coverage: &Coverage,
     deployment: &Deployment,
     remaining: usize,
 ) -> Result<Option<Vec<NodeId>>, TdmdError> {
-    crate::obs::ENGINE.guard_checks.incr();
-    if coverage.all_served() {
+    let Some(mut guard) = guard(index, coverage, remaining, None)? else {
         return Ok(None);
-    }
-    let mut trial = Trial::new(index, coverage);
-    let cover = trial
-        .cover(remaining, |_| {})
-        .ok_or(TdmdError::Infeasible { budget: remaining })?;
-    if cover < remaining {
-        return Ok(None);
-    }
-    crate::obs::ENGINE.guard_activations.incr();
-    let picks = remaining - 1;
-    let bound = TopCounts::new(&coverage.count, picks);
-    let allowed = open_candidates(index, deployment)
-        .into_iter()
-        .filter(|&v| {
-            let c = coverage.count(v);
-            if bound
-                .as_ref()
-                .is_some_and(|b| b.without(c) < coverage.unserved.saturating_sub(c))
-            {
-                return false;
-            }
-            trial.reset();
-            trial.serve(v);
-            trial.cover(picks, |_| {}).is_some()
-        })
-        .collect();
-    Ok(Some(allowed))
+    };
+    Ok(Some(
+        open_candidates(index, deployment)
+            .into_iter()
+            .filter(|&v| guard.allows(v).is_some())
+            .collect(),
+    ))
 }
 
 /// The stop of [`Trial::pick`] applied to a candidate before its
@@ -344,9 +394,39 @@ impl TopCounts {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::paper::fig1_instance;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+    use tdmd_graph::generators::random::erdos_renyi_connected;
+    use tdmd_graph::traversal::bfs_path;
+    use tdmd_traffic::scale::GatewayWorkload;
+    use tdmd_traffic::Flow;
+
+    /// A random ER instance with either gateway traffic (few shared
+    /// destinations, long shared path tails) or all-pairs traffic
+    /// (random source and destination per flow).
+    pub(crate) fn random_instance(rng: &mut StdRng) -> Instance {
+        let n = rng.gen_range(4..24);
+        let g = erdos_renyi_connected(n, rng.gen_range(0.1..0.5), rng);
+        let count = rng.gen_range(1..60);
+        let flows = if rng.gen_bool(0.5) {
+            let gateways = GatewayWorkload::pick_gateways(n, rng.gen_range(1..4), rng);
+            GatewayWorkload::new(&g, gateways, 8).flows(&g, 0, count, rng)
+        } else {
+            let mut flows = Vec::new();
+            while flows.len() < count {
+                let src = rng.gen_range(0..n) as NodeId;
+                let dst = rng.gen_range(0..n) as NodeId;
+                if let Some(path) = bfs_path(&g, src, dst).filter(|p| p.len() >= 2) {
+                    flows.push(Flow::new(flows.len() as u32, rng.gen_range(1..=8), path));
+                }
+            }
+            flows
+        };
+        Instance::new(g, flows, 0.5, 1).expect("generated paths follow edges")
+    }
 
     #[test]
     fn fig1_feasibility() {
@@ -461,36 +541,7 @@ mod tests {
         use super::*;
         use crate::objective::coverage_gain;
         use proptest::TestRng;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        use tdmd_graph::generators::random::erdos_renyi_connected;
-        use tdmd_graph::traversal::bfs_path;
-        use tdmd_traffic::scale::GatewayWorkload;
-        use tdmd_traffic::Flow;
-
-        /// A random ER instance with either gateway traffic (few
-        /// shared destinations, long shared path tails) or all-pairs
-        /// traffic (random source and destination per flow).
-        fn random_instance(rng: &mut StdRng) -> Instance {
-            let n = rng.gen_range(4..24);
-            let g = erdos_renyi_connected(n, rng.gen_range(0.1..0.5), rng);
-            let count = rng.gen_range(1..60);
-            let flows = if rng.gen_bool(0.5) {
-                let gateways = GatewayWorkload::pick_gateways(n, rng.gen_range(1..4), rng);
-                GatewayWorkload::new(&g, gateways, 8).flows(&g, 0, count, rng)
-            } else {
-                let mut flows = Vec::new();
-                while flows.len() < count {
-                    let src = rng.gen_range(0..n) as NodeId;
-                    let dst = rng.gen_range(0..n) as NodeId;
-                    if let Some(path) = bfs_path(&g, src, dst).filter(|p| p.len() >= 2) {
-                        flows.push(Flow::new(flows.len() as u32, rng.gen_range(1..=8), path));
-                    }
-                }
-                flows
-            };
-            Instance::new(g, flows, 0.5, 1).expect("generated paths follow edges")
-        }
+        use rand::SeedableRng;
 
         /// A random deployment of up to three boxes and the flows it
         /// serves, built through [`Coverage::serve`].

@@ -94,11 +94,11 @@ mod tests {
         let inst = fig1_instance(2);
         let before = snapshot();
         gtp_budgeted(&inst, 2).unwrap();
-        let eager = snapshot().delta_since(&before);
-        assert!(eager.gain_evals > 0, "eager GTP scores candidates");
-        assert!(eager.guard_checks > 0, "budgeted GTP consults the guard");
+        let spent = snapshot().delta_since(&before);
+        assert!(spent.gain_evals > 0, "GTP scores candidates");
+        assert!(spent.guard_checks > 0, "budgeted GTP consults the guard");
         assert!(
-            eager.guard_activations > 0,
+            spent.guard_activations > 0,
             "fig1 k=2 is the paper's tight-budget walk-through"
         );
     }
