@@ -19,7 +19,7 @@
 //!   event-stream generation and the long-running placement service
 //!   (`tdmd-serve`), with snapshot/restore across runs.
 //! * [`commands::bench`] — `tdmd bench`: the machine-readable solver
-//!   and stream benchmark JSON (`tdmd-bench-solve/v2`,
+//!   and stream benchmark JSON (`tdmd-bench-solve/v3`,
 //!   `tdmd-bench-stream/v1`, `tdmd-bench-joint/v1`,
 //!   `tdmd-bench-serve/v1`).
 

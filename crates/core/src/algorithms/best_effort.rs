@@ -55,7 +55,7 @@ pub fn best_effort_with<M: CostModel>(
             let volume: u64 = instance
                 .flows_through(v)
                 .iter()
-                .filter(|&&(fi, _)| !coverage.is_served(fi))
+                .filter(|&&(fi, _)| !coverage.is_served(&index, fi))
                 .map(|&(fi, _)| flows[ix(fi)].rate)
                 .sum();
             let tie = index.marginal_decrement(instance, &cur, v);

@@ -418,22 +418,37 @@ pub fn check_solution(
 
 /// Validates a compiled [`FlowIndex`] on its own, the way
 /// [`check_instance`] validates the instance CSR: offsets are monotone
-/// prefix-sum fences over the rows and the path arena, every row is
+/// prefix-sum fences over the rows and the class arena, every row is
 /// strictly ascending by flow id, every entry names a flow whose path
 /// crosses the vertex, and each flow has exactly one entry per path
-/// position. An index compiled from live state
+/// position. The path classes must partition the flows: every flow
+/// names a class, each class's size is the number of flows naming it
+/// (so the sizes sum to the flow count), no two classes share a path,
+/// and each class row is strictly ascending with one entry per
+/// class-path position. An index compiled from live state
 /// ([`FlowIndex::compile`]) has no instance to check against, so this
 /// is its structural audit.
 ///
 /// # Errors
 /// Returns the first violated check among `index-shape`,
-/// `index-offsets-monotone`, `index-path-bounds`, `index-row-sorted`,
-/// `index-entry-bounds`, `index-entry-offpath` and `index-bijective`.
+/// `index-class-fence`, `index-offsets-monotone`, `index-path-bounds`,
+/// `index-class-bounds`, `index-class-sizes`, `index-class-distinct`,
+/// `index-row-sorted`, `index-entry-bounds`, `index-entry-offpath`,
+/// `index-bijective` and `index-class-rows`.
 pub fn check_index(index: &FlowIndex) -> Result<(), AuditError> {
-    let (offsets, entries) = index.audit_rows();
-    let (path_offsets, path_nodes) = index.audit_paths();
+    let crate::cost::IndexParts {
+        offsets,
+        entries,
+        class_of,
+        class_size,
+        class_offsets,
+        class_nodes,
+        class_row_offsets,
+        class_rows,
+    } = index.audit_parts();
     let n = index.node_count();
     let flows = index.flow_count();
+    let classes = class_size.len();
     let spans = |fence: &[u32], len: usize| {
         fence.first() == Some(&0) && fence.last().map(|&o| o as usize) == Some(len)
     };
@@ -445,15 +460,37 @@ pub fn check_index(index: &FlowIndex) -> Result<(), AuditError> {
             entries.len()
         );
     }
-    if path_offsets.len() != flows + 1 || !spans(path_offsets, path_nodes.len()) {
+    if class_of.len() != flows
+        || class_offsets.len() != classes + 1
+        || class_row_offsets.len() != n + 1
+    {
         fail!(
             "index-shape",
-            "path fence of length {} does not span {} path vertices of {flows} flows",
-            path_offsets.len(),
-            path_nodes.len()
+            "{} class ids for {flows} flows; class fence of length {} for {classes} classes; \
+             class-row fence of length {} for {n} vertices",
+            class_of.len(),
+            class_offsets.len(),
+            class_row_offsets.len()
         );
     }
-    for (fence, name) in [(offsets, "row"), (path_offsets, "path")] {
+    for (fence, len, name) in [
+        (class_offsets, class_nodes.len(), "class"),
+        (class_row_offsets, class_rows.len(), "class-row"),
+    ] {
+        if !spans(fence, len) {
+            fail!(
+                "index-class-fence",
+                "{name} fence {:?}..{:?} does not span its {len} entries",
+                fence.first(),
+                fence.last()
+            );
+        }
+    }
+    for (fence, name) in [
+        (offsets, "row"),
+        (class_offsets, "class"),
+        (class_row_offsets, "class-row"),
+    ] {
         if let Some(i) = fence.windows(2).position(|w| w[0] > w[1]) {
             fail!(
                 "index-offsets-monotone",
@@ -463,10 +500,44 @@ pub fn check_index(index: &FlowIndex) -> Result<(), AuditError> {
             );
         }
     }
-    if let Some(&v) = path_nodes.iter().find(|&&v| v as usize >= n) {
+    if let Some(&v) = class_nodes.iter().find(|&&v| v as usize >= n) {
         fail!(
             "index-path-bounds",
             "path vertex {v} out of bounds (n = {n})"
+        );
+    }
+    if let Some(fi) = class_of.iter().position(|&c| c as usize >= classes) {
+        fail!(
+            "index-class-bounds",
+            "flow {fi} names class {} of {classes}",
+            class_of[fi]
+        );
+    }
+    let mut members = vec![0usize; classes];
+    for &c in class_of {
+        members[c as usize] += 1;
+    }
+    if let Some(c) = (0..classes).find(|&c| members[c] == 0 || class_size[c] as usize != members[c])
+    {
+        fail!(
+            "index-class-sizes",
+            "class {c} has size {} but {} flows name it",
+            class_size[c],
+            members[c]
+        );
+    }
+    let mut by_path: Vec<u32> = (0..classes as u32).collect();
+    by_path.sort_unstable_by(|&a, &b| index.class_path(a).cmp(index.class_path(b)).then(a.cmp(&b)));
+    if let Some(w) = by_path
+        .windows(2)
+        .find(|w| index.class_path(w[0]) == index.class_path(w[1]))
+    {
+        fail!(
+            "index-class-distinct",
+            "classes {} and {} share the path {:?}",
+            w[0],
+            w[1],
+            index.class_path(w[0])
         );
     }
     let mut per_flow = vec![0usize; flows];
@@ -501,6 +572,33 @@ pub fn check_index(index: &FlowIndex) -> Result<(), AuditError> {
             fail!(
                 "index-bijective",
                 "flow {fi}: {got} row entries for {want} path vertices"
+            );
+        }
+    }
+    let mut per_class = vec![0usize; classes];
+    for v in 0..n as tdmd_graph::NodeId {
+        let mut prev: Option<u32> = None;
+        for &c in index.classes_through(v) {
+            if prev.is_some_and(|p| c <= p)
+                || c as usize >= classes
+                || !index.class_path(c).contains(&v)
+            {
+                fail!(
+                    "index-class-rows",
+                    "vertex {v} class row lists class {c} after {prev:?}, out of order, \
+                     out of range or off its path"
+                );
+            }
+            prev = Some(c);
+            per_class[c as usize] += 1;
+        }
+    }
+    for (c, &got) in per_class.iter().enumerate() {
+        let want = index.class_path(c as u32).len();
+        if got != want {
+            fail!(
+                "index-class-rows",
+                "class {c}: {got} class-row entries for {want} path vertices"
             );
         }
     }

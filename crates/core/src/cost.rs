@@ -28,9 +28,10 @@
 //! A model is *compiled* into a [`FlowIndex`], the greedy kernel's
 //! whole input: one flat CSR arena of `(flow, gain)` entries grouped
 //! by vertex, plus per-flow weights `r_f · (1 − λ)`, unprocessed costs
-//! and paths (one flat arena too), so the kernel's inner loops scan
-//! contiguous memory and never read the [`Instance`]. Flows priced
-//! elsewhere (the online engine's stored gains) compile through
+//! and path classes (each distinct path stored once, with a second CSR
+//! of the classes through each vertex), so the kernel's inner loops
+//! scan contiguous memory and never read the [`Instance`]. Flows
+//! priced elsewhere (the online engine's stored gains) compile through
 //! [`FlowIndex::compile`] into the same index.
 //!
 //! Models always price the **active** path of each flow. Under the
@@ -339,13 +340,22 @@ impl<M: CostModel + ?Sized> IndexSource for Modeled<'_, M> {
 /// nothing else: for every vertex, the flows crossing it with their
 /// serving gains, stored as one flat CSR arena (`offsets[v] ..
 /// offsets[v + 1]` slices `entries`); per flow, the weight
-/// `r_f · (1 − λ)`, the unprocessed cost and the path (one flat arena
-/// too); and whether the model breaks gain ties by coverage.
+/// `r_f · (1 − λ)`, the unprocessed cost and its path class; per path
+/// class, its path (one flat arena) and its size; for every vertex,
+/// the classes crossing it (a second CSR); and whether the model
+/// breaks gain ties by coverage.
+///
+/// A *path class* is one distinct path and the flows that follow it.
+/// A box on `v` serves every flow whose path crosses `v`, so which
+/// flows a deployment serves depends on paths alone: the feasibility
+/// guard counts, covers and trials classes, not flows. Classes are
+/// numbered in the order their path first appears among the flows.
 ///
 /// Entry order within a vertex follows ascending flow id (flows are
 /// indexed in order, and each visits a vertex at most once), which
 /// pins the floating-point summation order of every aggregate below —
 /// the greedy engines rely on this for reproducible tie-breaking.
+/// Class rows ascend by class id the same way.
 #[derive(Debug, Clone)]
 pub struct FlowIndex {
     /// CSR row offsets, length `node_count + 1`.
@@ -356,12 +366,131 @@ pub struct FlowIndex {
     weight: Vec<f64>,
     /// Per-flow unprocessed cost, indexed by dense flow id.
     path_cost: Vec<f64>,
-    /// Path arena fence, length `flow_count + 1`: flow `f`'s path is
-    /// `path_nodes[path_offsets[f] .. path_offsets[f + 1]]`.
-    path_offsets: Vec<u32>,
-    path_nodes: Vec<NodeId>,
+    /// Per-flow path class.
+    class_of: Vec<u32>,
+    /// Flows in each class.
+    class_size: Vec<u32>,
+    /// Class arena fence, length `class_count + 1`: class `c`'s path
+    /// is `class_nodes[class_offsets[c] .. class_offsets[c + 1]]`.
+    class_offsets: Vec<u32>,
+    class_nodes: Vec<NodeId>,
+    /// Class CSR row offsets, length `node_count + 1`: the classes
+    /// whose path crosses `v` are `class_rows[class_row_offsets[v] ..
+    /// class_row_offsets[v + 1]]`, ascending.
+    class_row_offsets: Vec<u32>,
+    class_rows: Vec<u32>,
     /// [`CostModel::coverage_tiebreak`] of the compiled model.
     coverage_ties: bool,
+}
+
+/// Every array of a [`FlowIndex`], for the structural auditor.
+#[cfg(any(debug_assertions, feature = "audit", test))]
+pub(crate) struct IndexParts<'a> {
+    pub offsets: &'a [u32],
+    pub entries: &'a [(u32, f64)],
+    pub class_of: &'a [u32],
+    pub class_size: &'a [u32],
+    pub class_offsets: &'a [u32],
+    pub class_nodes: &'a [NodeId],
+    pub class_row_offsets: &'a [u32],
+    pub class_rows: &'a [u32],
+}
+
+/// The path classes of a fill as it walks the flows: each new path is
+/// appended to the class arena, and a flat open-addressing table maps
+/// a path to its class. The table is built like the online engine's
+/// flow-key index, not as a `HashMap` (the `map-iter-order` lint): a
+/// power-of-two array probed linearly. A bucket packs the top half of
+/// its class's path hash above the class id, so a probe compares paths
+/// only on equal hashes and growth never hashes a path again.
+struct Classes {
+    /// Power-of-two bucket array; [`Classes::EMPTY`] ends a probe.
+    table: Vec<u64>,
+    size: Vec<u32>,
+    offsets: Vec<u32>,
+    nodes: Vec<NodeId>,
+}
+
+impl Classes {
+    const EMPTY: u64 = u64::MAX;
+    const MIN_CAPACITY: usize = 64;
+    /// The table grows past one class per `LOAD` buckets.
+    const LOAD: usize = 4;
+
+    fn new() -> Self {
+        Self {
+            table: vec![Self::EMPTY; Self::MIN_CAPACITY],
+            size: Vec::new(),
+            offsets: vec![0],
+            nodes: Vec::new(),
+        }
+    }
+
+    /// One step of the FxHash-style path hash: fold `v` into `h`. The
+    /// final multiply leaves the best-mixed bits on top, where
+    /// [`Classes::home`] reads them.
+    #[inline]
+    fn mix(h: u64, v: NodeId) -> u64 {
+        (h.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    }
+
+    /// Home bucket of a bucket word (or hash) `h` in a table of `len`
+    /// buckets: its top bits.
+    #[inline]
+    fn home(h: u64, len: usize) -> usize {
+        // The shifted value is below `len`, so the narrowing is exact.
+        (h >> (64 - len.trailing_zeros())) as usize
+    }
+
+    fn path(&self, c: u32) -> &[NodeId] {
+        &self.nodes[ix(self.offsets[ix(c)])..ix(self.offsets[ix(c) + 1])]
+    }
+
+    /// The class of `path`, whose hash is `h`, opened when the path
+    /// is new.
+    #[inline]
+    fn classify(&mut self, path: &[NodeId], h: u64) -> u32 {
+        let tag = h & !u64::from(u32::MAX);
+        let mask = self.table.len() - 1;
+        let mut i = Self::home(h, self.table.len());
+        loop {
+            let word = self.table[i];
+            if word == Self::EMPTY {
+                break;
+            }
+            // The low half of a bucket word is its class id.
+            let c = word as u32;
+            if word & !u64::from(u32::MAX) == tag && same(self.path(c), path) {
+                self.size[ix(c)] += 1;
+                return c;
+            }
+            i = (i + 1) & mask;
+        }
+        let c = id32(self.size.len());
+        self.table[i] = tag | u64::from(c);
+        self.size.push(1);
+        self.nodes.extend_from_slice(path);
+        self.offsets.push(id32(self.nodes.len()));
+        if Self::LOAD * self.size.len() > self.table.len() {
+            self.grow();
+        }
+        c
+    }
+
+    /// Doubles the table, placing every class by its bucket word's
+    /// hash half.
+    fn grow(&mut self) {
+        let len = 2 * self.table.len();
+        let mut table = vec![Self::EMPTY; len];
+        for &word in self.table.iter().filter(|&&w| w != Self::EMPTY) {
+            let mut i = Self::home(word, len);
+            while table[i] != Self::EMPTY {
+                i = (i + 1) & (len - 1);
+            }
+            table[i] = word;
+        }
+        self.table = table;
+    }
 }
 
 impl FlowIndex {
@@ -396,54 +525,60 @@ impl FlowIndex {
         Self::fill(node_count, lambda, coverage_tiebreak, flows.into_iter())
     }
 
-    /// The one fill: a counting pass sizing each CSR row, then a pass
-    /// walking flows in id order with per-vertex write cursors.
+    /// The one fill: a walk classifying each flow's path, the rows
+    /// sized from the classes, then a walk over the flows in id order
+    /// with per-vertex write cursors.
     fn fill<S: IndexSource>(
         n: usize,
         lambda: f64,
         coverage_ties: bool,
         flows: impl Iterator<Item = S> + Clone,
     ) -> Self {
-        let mut offsets = vec![0u32; n + 1];
-        let mut flow_count = 0usize;
+        let (hint, _) = flows.size_hint();
+        let mut classes = Classes::new();
+        let mut class_of = Vec::with_capacity(hint);
         for f in flows.clone() {
-            for &v in f.path() {
-                offsets[ix(v) + 1] += 1;
+            let path = f.path();
+            let h = path.iter().fold(0, |h, &v| Classes::mix(h, v));
+            class_of.push(classes.classify(path, h));
+        }
+        // Row `v` holds every member of every class through `v`.
+        let mut offsets = vec![0u32; n + 1];
+        for c in 0..id32(classes.size.len()) {
+            for &v in classes.path(c) {
+                offsets[ix(v) + 1] += classes.size[ix(c)];
             }
-            flow_count += 1;
         }
         for i in 1..=n {
             offsets[i] += offsets[i - 1];
         }
-        let total = ix(offsets[n]);
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut entries = vec![(0u32, 0.0f64); total];
-        let mut weight = Vec::with_capacity(flow_count);
-        let mut path_cost = Vec::with_capacity(flow_count);
-        let mut path_offsets = Vec::with_capacity(flow_count + 1);
-        let mut path_nodes = Vec::with_capacity(total);
-        path_offsets.push(0u32);
+        let mut entries = vec![(0u32, 0.0f64); ix(offsets[n])];
+        let mut weight = Vec::with_capacity(class_of.len());
+        let mut path_cost = Vec::with_capacity(class_of.len());
         let factor = 1.0 - lambda;
         for (fi, f) in flows.enumerate() {
             let fi = id32(fi);
             weight.push(approx_f64(f.rate()) * factor);
             path_cost.push(f.cost());
-            let path = f.path();
-            for (pos, &v) in path.iter().enumerate() {
+            for (pos, &v) in f.path().iter().enumerate() {
                 let slot = &mut cursor[ix(v)];
                 entries[ix(*slot)] = (fi, f.gain(pos));
                 *slot += 1;
             }
-            path_nodes.extend_from_slice(path);
-            path_offsets.push(id32(path_nodes.len()));
         }
+        let (class_row_offsets, class_rows) = class_rows(n, &classes);
         Self {
             offsets,
             entries,
             weight,
             path_cost,
-            path_offsets,
-            path_nodes,
+            class_of,
+            class_size: classes.size,
+            class_offsets: classes.offsets,
+            class_nodes: classes.nodes,
+            class_row_offsets,
+            class_rows,
             coverage_ties,
         }
     }
@@ -469,12 +604,44 @@ impl FlowIndex {
         self.weight[ix(f)]
     }
 
-    /// The path of flow `f`.
+    /// The path of flow `f`: its class's path.
     #[inline]
     pub fn path(&self, f: u32) -> &[NodeId] {
-        let lo = ix(self.path_offsets[ix(f)]);
-        let hi = ix(self.path_offsets[ix(f) + 1]);
-        &self.path_nodes[lo..hi]
+        self.class_path(self.class_of[ix(f)])
+    }
+
+    /// The path class of flow `f`.
+    #[inline]
+    pub fn class_of(&self, f: u32) -> u32 {
+        self.class_of[ix(f)]
+    }
+
+    /// The path every flow of class `c` follows.
+    #[inline]
+    pub fn class_path(&self, c: u32) -> &[NodeId] {
+        let lo = ix(self.class_offsets[ix(c)]);
+        let hi = ix(self.class_offsets[ix(c) + 1]);
+        &self.class_nodes[lo..hi]
+    }
+
+    /// Number of flows in class `c`.
+    #[inline]
+    pub fn class_size(&self, c: u32) -> u32 {
+        self.class_size[ix(c)]
+    }
+
+    /// Number of path classes: the distinct paths among the flows.
+    #[inline]
+    pub fn class_count(&self) -> usize {
+        self.class_size.len()
+    }
+
+    /// The classes whose path crosses `v`, ascending.
+    #[inline]
+    pub fn classes_through(&self, v: NodeId) -> &[u32] {
+        let lo = ix(self.class_row_offsets[ix(v)]);
+        let hi = ix(self.class_row_offsets[ix(v) + 1]);
+        &self.class_rows[lo..hi]
     }
 
     /// Number of flows indexed.
@@ -504,16 +671,19 @@ impl FlowIndex {
             .collect()
     }
 
-    /// The row fence and the row arena, for the structural auditor.
+    /// Every array, for the structural auditor.
     #[cfg(any(debug_assertions, feature = "audit", test))]
-    pub(crate) fn audit_rows(&self) -> (&[u32], &[(u32, f64)]) {
-        (&self.offsets, &self.entries)
-    }
-
-    /// The path fence and the path arena, for the structural auditor.
-    #[cfg(any(debug_assertions, feature = "audit", test))]
-    pub(crate) fn audit_paths(&self) -> (&[u32], &[NodeId]) {
-        (&self.path_offsets, &self.path_nodes)
+    pub(crate) fn audit_parts(&self) -> IndexParts<'_> {
+        IndexParts {
+            offsets: &self.offsets,
+            entries: &self.entries,
+            class_of: &self.class_of,
+            class_size: &self.class_size,
+            class_offsets: &self.class_offsets,
+            class_nodes: &self.class_nodes,
+            class_row_offsets: &self.class_row_offsets,
+            class_rows: &self.class_rows,
+        }
     }
 
     /// Total cost with no middleboxes: `Σ r_f · cost(p_f)`.
@@ -577,6 +747,34 @@ impl FlowIndex {
             .map(|&(fi, g)| self.weight[ix(fi)] * (g - current[ix(fi)]))
             .sum()
     }
+}
+
+#[inline]
+fn same(a: &[NodeId], b: &[NodeId]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).fold(0, |acc, (x, y)| acc | (x ^ y)) == 0
+}
+
+/// The class CSR of `classes` over `n` vertices: a counting pass and
+/// a pass walking classes in id order with per-vertex write cursors,
+/// so every row ascends.
+fn class_rows(n: usize, classes: &Classes) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = vec![0u32; n + 1];
+    for &v in &classes.nodes {
+        offsets[ix(v) + 1] += 1;
+    }
+    for i in 1..=n {
+        offsets[i] += offsets[i - 1];
+    }
+    let mut cursor: Vec<u32> = offsets[..n].to_vec();
+    let mut rows = vec![0u32; classes.nodes.len()];
+    for c in 0..id32(classes.size.len()) {
+        for &v in classes.path(c) {
+            let slot = &mut cursor[ix(v)];
+            rows[ix(*slot)] = c;
+            *slot += 1;
+        }
+    }
+    (offsets, rows)
 }
 
 #[cfg(test)]
@@ -730,8 +928,72 @@ mod tests {
                 assert_eq!(a.path(f.id), &f.path[..]);
                 assert_eq!(b.path(f.id), &f.path[..]);
             }
+            assert_same_classes(&a, &b);
             assert_eq!(a.candidate_vertices(), inst.candidate_vertices());
         }
+    }
+
+    /// `a` and `b` hold the same path classes, class rows included.
+    fn assert_same_classes(a: &FlowIndex, b: &FlowIndex) {
+        assert_eq!(a.class_of, b.class_of);
+        assert_eq!(a.class_size, b.class_size);
+        assert_eq!(a.class_offsets, b.class_offsets);
+        assert_eq!(a.class_nodes, b.class_nodes);
+        assert_eq!(a.class_row_offsets, b.class_row_offsets);
+        assert_eq!(a.class_rows, b.class_rows);
+    }
+
+    /// On random gateway and all-pairs instances, the index holds one
+    /// class per distinct path, numbered in first-appearance order,
+    /// each with its members and its path; a vertex's class row lists
+    /// exactly the classes crossing it, ascending; and `compile`
+    /// builds the same classes as `build`.
+    #[test]
+    fn classes_are_the_distinct_paths_in_first_appearance_order() {
+        use crate::feasibility::tests::random_instance;
+        use proptest::TestRng;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let seed = proptest::fnv1a("classes_are_the_distinct_paths_in_first_appearance_order");
+        let mut shared = 0;
+        for case in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(TestRng::for_case(seed, case).next_u64());
+            let inst = random_instance(&mut rng);
+            let index = FlowIndex::build(&inst, &HopCount);
+            let mut paths: Vec<&[NodeId]> = Vec::new();
+            let mut sizes: Vec<u32> = Vec::new();
+            for f in inst.flows() {
+                let c = match paths.iter().position(|&p| p == &f.path[..]) {
+                    Some(c) => c,
+                    None => {
+                        paths.push(&f.path);
+                        sizes.push(0);
+                        paths.len() - 1
+                    }
+                };
+                sizes[c] += 1;
+                assert_eq!(index.class_of(f.id), id32(c), "case {case}, flow {}", f.id);
+                assert_eq!(index.path(f.id), &f.path[..]);
+            }
+            assert_eq!(index.class_count(), paths.len(), "case {case}");
+            for (c, (&path, &size)) in paths.iter().zip(&sizes).enumerate() {
+                assert_eq!(index.class_path(id32(c)), path);
+                assert_eq!(index.class_size(id32(c)), size);
+            }
+            for v in 0..inst.node_count() as NodeId {
+                let crossing: Vec<u32> = (0..id32(paths.len()))
+                    .filter(|&c| paths[ix(c)].contains(&v))
+                    .collect();
+                assert_eq!(
+                    index.classes_through(v),
+                    &crossing[..],
+                    "case {case}, vertex {v}"
+                );
+            }
+            assert_same_classes(&index, &compiled_by_hand(&inst, &HopCount));
+            shared += usize::from(paths.len() < inst.flows().len());
+        }
+        assert!(shared > 0, "no instance had two flows on one path");
     }
 
     #[test]
@@ -780,7 +1042,7 @@ mod tests {
         );
 
         let mut short = clean.clone();
-        short.path_offsets.pop();
+        short.class_offsets.pop();
         assert_eq!(check_index(&short).unwrap_err().check, "index-shape");
 
         // The solution audit: {v5} alone strands f3.
@@ -795,6 +1057,66 @@ mod tests {
             check_index_solution(&clean, &full, 1).unwrap_err().check,
             "deployment-over-budget"
         );
+    }
+
+    /// Fig. 1's graph with six flows on four paths: flows 0 and 2
+    /// share a path, and so do flows 1 and 4.
+    fn fig1_shared_paths() -> Instance {
+        let fig1 = fig1_instance(2);
+        let paths: [&[NodeId]; 6] = [
+            &[4, 2, 0],
+            &[5, 2, 1],
+            &[4, 2, 0],
+            &[3, 1],
+            &[5, 2, 1],
+            &[5, 1],
+        ];
+        let flows = paths
+            .iter()
+            .enumerate()
+            .map(|(i, p)| Flow::new(id32(i), 1 + i as u64, p.to_vec()))
+            .collect();
+        Instance::new(fig1.graph().clone(), flows, 0.5, 2).unwrap()
+    }
+
+    /// One corruption per class check, each caught under its own name.
+    #[test]
+    fn structural_audit_catches_corrupt_classes() {
+        use crate::audit::check_index;
+        let inst = fig1_shared_paths();
+        let clean = FlowIndex::build(&inst, &HopCount);
+        check_index(&clean).unwrap();
+        assert_eq!(clean.class_of, [0, 1, 0, 2, 1, 3]);
+        assert_eq!(clean.class_size, [2, 2, 1, 1]);
+        let check = |corrupt: &dyn Fn(&mut FlowIndex)| {
+            let mut index = clean.clone();
+            corrupt(&mut index);
+            check_index(&index).unwrap_err().check
+        };
+
+        assert_eq!(check(&|x| x.class_nodes.push(0)), "index-class-fence");
+        assert_eq!(check(&|x| x.class_rows.push(0)), "index-class-fence");
+        assert_eq!(check(&|x| x.class_of[3] = 4), "index-class-bounds");
+        assert_eq!(check(&|x| x.class_size[0] = 3), "index-class-sizes");
+        // Flow 2 moved to class 1: both sizes disagree with `class_of`.
+        assert_eq!(check(&|x| x.class_of[2] = 1), "index-class-sizes");
+        // Class 3's path [5, 1] rewritten to class 2's [3, 1].
+        assert_eq!(
+            check(&|x| {
+                let at = ix(x.class_offsets[3]);
+                x.class_nodes[at] = 3;
+            }),
+            "index-class-distinct"
+        );
+        // Vertex 2 is crossed by classes 0 and 1.
+        let at = ix(clean.class_row_offsets[2]);
+        assert_eq!(clean.class_rows[at..at + 2], [0, 1]);
+        assert_eq!(
+            check(&|x| x.class_rows.swap(at, at + 1)),
+            "index-class-rows"
+        );
+        // Class 2's path [3, 1] avoids vertex 2.
+        assert_eq!(check(&|x| x.class_rows[at + 1] = 2), "index-class-rows");
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! The budgeted greedies keep one `Coverage` state up to date as they
 //! deploy, and the tight-budget guard (`guard`) runs its greedy covers
 //! on that state's per-vertex counts, never on a copied `served`
-//! vector. Both read the vertex rows and flow paths of a
-//! compiled [`FlowIndex`], never the [`Instance`].
+//! vector. Both work on the path classes of a compiled [`FlowIndex`]
+//! (each distinct path once, however many flows follow it), never on
+//! the [`Instance`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -48,14 +49,21 @@ pub fn greedy_cover(instance: &Instance, already_served: &[bool]) -> Option<Vec<
 }
 
 /// Which flows a deployment serves, kept up to date one vertex at a
-/// time: the served flags, the number of unserved flows through each
-/// vertex, and the unserved total.
+/// time: the unserved members of each path class, the number of
+/// unserved flows through each vertex, and the unserved total.
+///
+/// A box on `v` serves every flow whose path crosses `v`, so serving
+/// a vertex serves whole classes: it takes each class through `v` off
+/// the count of every vertex on the class's path, once, by the
+/// class's unserved members. Only [`greedy_cover`] starts from
+/// per-flow flags, where a class may be partly served.
 #[derive(Debug)]
 pub(crate) struct Coverage {
-    served: Vec<bool>,
+    /// Unserved members of each path class.
+    left: Vec<usize>,
     /// Unserved flows through each vertex, one per row entry: always
     /// equal to [`coverage_gain`](crate::objective::coverage_gain)
-    /// over `served`.
+    /// over the served flows.
     count: Vec<usize>,
     unserved: usize,
 }
@@ -63,45 +71,44 @@ pub(crate) struct Coverage {
 impl Coverage {
     /// Nothing served yet.
     pub(crate) fn new(index: &FlowIndex) -> Self {
-        let flows = index.flow_count();
         Self {
-            served: vec![false; flows],
+            left: (0..id32(index.class_count()))
+                .map(|c| ix(index.class_size(c)))
+                .collect(),
             count: (0..id32(index.node_count()))
                 .map(|v| index.flows_through(v).len())
                 .collect(),
-            unserved: flows,
+            unserved: index.flow_count(),
         }
     }
 
     /// The state with exactly the `served` flows served, its counts
-    /// seeded from the vertex rows.
+    /// seeded from the class rows.
     fn from_served(index: &FlowIndex, served: &[bool]) -> Self {
+        let mut left = vec![0usize; index.class_count()];
+        for (fi, _) in served.iter().enumerate().filter(|&(_, &s)| !s) {
+            left[ix(index.class_of(id32(fi)))] += 1;
+        }
         Self {
-            served: served.to_vec(),
             count: (0..id32(index.node_count()))
-                .map(|v| {
-                    index
-                        .flows_through(v)
-                        .iter()
-                        .filter(|&&(fi, _)| !served[ix(fi)])
-                        .count()
-                })
+                .map(|v| index.classes_through(v).iter().map(|&c| left[ix(c)]).sum())
                 .collect(),
-            unserved: served.iter().filter(|&&s| !s).count(),
+            unserved: left.iter().sum(),
+            left,
         }
     }
 
     /// Marks every flow through `v` served.
     pub(crate) fn serve(&mut self, index: &FlowIndex, v: NodeId) {
-        let served = &mut self.served;
-        self.unserved -= serve_row(index, v, &mut self.count, |fi| {
-            !std::mem::replace(&mut served[fi], true)
-        });
+        let left = &mut self.left;
+        self.unserved -= serve_row(index, v, &mut self.count, |c| std::mem::take(&mut left[c]));
     }
 
-    /// Whether flow `fi` is served.
-    pub(crate) fn is_served(&self, fi: u32) -> bool {
-        self.served[ix(fi)]
+    /// Whether flow `fi` is served: whether its class has no unserved
+    /// member, which is exact because [`Coverage::serve`] serves whole
+    /// classes.
+    pub(crate) fn is_served(&self, index: &FlowIndex, fi: u32) -> bool {
+        self.left[ix(index.class_of(fi))] == 0
     }
 
     /// Unserved flows that deploying on `v` would cover.
@@ -115,21 +122,23 @@ impl Coverage {
     }
 }
 
-/// Takes every flow of `v`'s row that `claim` newly serves off the
-/// count of each vertex on its path (one decrement per path position,
-/// matching the row entries), and returns how many it claimed.
+/// Takes the members `claim` newly serves of every class through `v`
+/// off the count of each vertex on the class's path (one decrement per
+/// member and path position, matching the row entries), and returns
+/// how many members it claimed.
 fn serve_row(
     index: &FlowIndex,
     v: NodeId,
     count: &mut [usize],
-    mut claim: impl FnMut(usize) -> bool,
+    mut claim: impl FnMut(usize) -> usize,
 ) -> usize {
     let mut claimed = 0;
-    for &(fi, _) in index.flows_through(v) {
-        if claim(ix(fi)) {
-            claimed += 1;
-            for &u in index.path(fi) {
-                count[ix(u)] -= 1;
+    for &c in index.classes_through(v) {
+        let members = claim(ix(c));
+        if members > 0 {
+            claimed += members;
+            for &u in index.class_path(c) {
+                count[ix(u)] -= members;
             }
         }
     }
@@ -137,13 +146,13 @@ fn serve_row(
 }
 
 /// Greedy-cover trials from a fixed [`Coverage`]. Each trial copies
-/// the base counts and marks the flows it covers with its own epoch
-/// stamp, so no trial copies the `|F|`-sized served flags.
+/// the base counts and marks the classes it serves with its own epoch
+/// stamp, so no trial copies the base's per-class members.
 struct Trial<'a> {
     index: &'a FlowIndex,
     base: &'a Coverage,
-    /// A flow is served in the current trial when the base serves it
-    /// or its stamp equals `epoch`.
+    /// A class is served in the current trial when the base serves
+    /// all its members or its stamp equals `epoch`.
     stamp: Vec<u32>,
     epoch: u32,
     count: Vec<usize>,
@@ -158,7 +167,7 @@ impl<'a> Trial<'a> {
         Self {
             index,
             base,
-            stamp: vec![0; base.served.len()],
+            stamp: vec![0; base.left.len()],
             epoch: 1,
             count: base.count.clone(),
             unserved: base.unserved,
@@ -175,13 +184,13 @@ impl<'a> Trial<'a> {
 
     /// Marks every flow through `v` served in this trial.
     fn serve(&mut self, v: NodeId) {
-        let (base, stamp, epoch) = (&self.base.served, &mut self.stamp, self.epoch);
-        self.unserved -= serve_row(self.index, v, &mut self.count, |fi| {
-            let fresh = !base[fi] && stamp[fi] != epoch;
-            if fresh {
-                stamp[fi] = epoch;
+        let (left, stamp, epoch) = (&self.base.left, &mut self.stamp, self.epoch);
+        self.unserved -= serve_row(self.index, v, &mut self.count, |c| {
+            if std::mem::replace(&mut stamp[c], epoch) == epoch {
+                0
+            } else {
+                left[c]
             }
-            fresh
         });
     }
 
@@ -428,6 +437,33 @@ pub(crate) mod tests {
         Instance::new(g, flows, 0.5, 1).expect("generated paths follow edges")
     }
 
+    /// A random ER instance at the path-class extremes: with `shared`,
+    /// every flow follows one path (one class); without, no two flows
+    /// share a path (one class per flow: distinct endpoints, so
+    /// distinct paths).
+    fn class_edge_instance(rng: &mut StdRng, shared: bool) -> Instance {
+        use rand::seq::SliceRandom;
+        let n = rng.gen_range(4..24);
+        let g = erdos_renyi_connected(n, rng.gen_range(0.1..0.5), rng);
+        let mut pairs: Vec<(NodeId, NodeId)> = (0..n as NodeId)
+            .flat_map(|s| {
+                (0..n as NodeId)
+                    .filter(move |&d| d != s)
+                    .map(move |d| (s, d))
+            })
+            .collect();
+        pairs.shuffle(rng);
+        let count = rng.gen_range(1..60usize).min(pairs.len());
+        let flows = (0..count)
+            .map(|i| {
+                let (src, dst) = pairs[if shared { 0 } else { i }];
+                let path = bfs_path(&g, src, dst).expect("connected graph");
+                Flow::new(i as u32, rng.gen_range(1..=8), path)
+            })
+            .collect();
+        Instance::new(g, flows, 0.5, 1).expect("generated paths follow edges")
+    }
+
     #[test]
     fn fig1_feasibility() {
         let inst = fig1_instance(2);
@@ -568,23 +604,44 @@ pub(crate) mod tests {
             (deployment, coverage, served)
         }
 
-        /// On gateway and all-pairs instances with random served
-        /// states, [`Coverage::serve`] keeps every count equal to the
-        /// row scan, the count-based cover equals the reference vertex
-        /// for vertex, and the guard returns what the from-scratch
-        /// guard returns for budgets from 1 to twice the cover size.
-        /// The tallies prove both the activation and the infeasible
-        /// branch ran.
+        /// On gateway and all-pairs instances, and on instances where
+        /// every flow shares one path or no two flows do, with random
+        /// served states, [`Coverage::serve`] keeps every count equal
+        /// to the row scan, the count-based cover equals the reference
+        /// vertex for vertex, and the guard returns what the
+        /// from-scratch guard returns for budgets from 1 to twice the
+        /// cover size. Served states come from deployments, which
+        /// serve whole path classes, and from random per-flow flags,
+        /// which split them. The tallies prove both the activation and
+        /// the infeasible branch ran, and that classes were split.
         #[test]
         fn guard_and_cover_match_the_from_scratch_reference() {
             let seed = proptest::fnv1a("guard_and_cover_match_the_from_scratch_reference");
-            let (mut activations, mut infeasible, mut free) = (0usize, 0usize, 0usize);
-            for case in 0..400u64 {
+            let (mut activations, mut infeasible, mut free, mut split) =
+                (0usize, 0usize, 0usize, 0usize);
+            for case in 0..600u64 {
                 let mut rng = StdRng::seed_from_u64(TestRng::for_case(seed, case).next_u64());
-                let inst = random_instance(&mut rng);
+                let inst = match case {
+                    0..400 => random_instance(&mut rng),
+                    _ => class_edge_instance(&mut rng, case % 2 == 0),
+                };
                 let index = FlowIndex::build(&inst, &HopCount);
-                for _ in 0..4 {
-                    let (deployment, coverage, served) = random_state(&inst, &index, &mut rng);
+                for round in 0..8 {
+                    let (deployment, coverage, served) = if round % 2 == 0 {
+                        random_state(&inst, &index, &mut rng)
+                    } else {
+                        let p = rng.gen_range(0.0..1.0);
+                        let served: Vec<bool> =
+                            inst.flows().iter().map(|_| rng.gen_bool(p)).collect();
+                        // A class is split when its members' flags differ.
+                        let mut flag: Vec<Option<bool>> = vec![None; index.class_count()];
+                        split += usize::from(inst.flows().iter().any(|f| {
+                            let s = served[ix(f.id)];
+                            *flag[ix(index.class_of(f.id))].get_or_insert(s) != s
+                        }));
+                        let coverage = Coverage::from_served(&index, &served);
+                        (Deployment::empty(inst.node_count()), coverage, served)
+                    };
                     for v in 0..inst.node_count() as NodeId {
                         assert_eq!(coverage.count(v), coverage_gain(&inst, &served, v));
                     }
@@ -606,8 +663,9 @@ pub(crate) mod tests {
                 }
             }
             assert!(
-                activations > 0 && infeasible > 0 && free > 0,
-                "vacuous run: {activations} activations, {infeasible} infeasible, {free} free"
+                activations > 0 && infeasible > 0 && free > 0 && split > 0,
+                "vacuous run: {activations} activations, {infeasible} infeasible, {free} free, \
+                 {split} split states"
             );
         }
     }

@@ -393,7 +393,7 @@ impl DeltaState {
     /// densification order for oracle snapshots. Sorts `(seq, slot)`
     /// pairs, so the sort never dereferences a flow; seqs are unique,
     /// so the order is the seq order exactly.
-    fn slots_in_seq_order(&self) -> Vec<u32> {
+    pub(crate) fn slots_in_seq_order(&self) -> Vec<u32> {
         let mut order: Vec<(u64, u32)> = self
             .flows
             .iter()
@@ -437,12 +437,18 @@ impl DeltaState {
     /// order, through the same fill. `coverage_tiebreak` is the
     /// model's [`CostModel::coverage_tiebreak`](tdmd_core::CostModel::coverage_tiebreak).
     pub fn flow_index(&self, coverage_tiebreak: bool) -> FlowIndex {
-        let slots = self.slots_in_seq_order();
+        self.flow_index_in(&self.slots_in_seq_order(), coverage_tiebreak)
+    }
+
+    /// [`DeltaState::flow_index`] over `order`, the live slots in seq
+    /// order ([`DeltaState::slots_in_seq_order`]), so a caller that
+    /// also evaluates the same flows sorts them once.
+    pub(crate) fn flow_index_in(&self, order: &[u32], coverage_tiebreak: bool) -> FlowIndex {
         FlowIndex::compile(
             self.rows.len(),
             self.lambda,
             coverage_tiebreak,
-            slots.iter().map(|&s| {
+            order.iter().map(|&s| {
                 let f = self.flows[ix(s)].as_ref().expect("live slot");
                 PricedFlow {
                     rate: f.rate,
@@ -817,10 +823,16 @@ impl DeltaState {
     /// read-only without materializing the copy. Term-for-term the
     /// same arrival-order sum, so the agreement is bitwise.
     pub fn objective_under(&self, deployment: &Deployment) -> f64 {
+        self.objective_in(&self.slots_in_seq_order(), deployment)
+    }
+
+    /// [`DeltaState::objective_under`] over `order`, the live slots in
+    /// seq order ([`DeltaState::slots_in_seq_order`]).
+    pub(crate) fn objective_in(&self, order: &[u32], deployment: &Deployment) -> f64 {
         let factor = self.factor();
-        self.slots_in_seq_order()
-            .into_iter()
-            .map(|s| {
+        order
+            .iter()
+            .map(|&s| {
                 let f = self.flows[ix(s)].as_ref().expect("live slot");
                 let mut best: Option<(NodeId, f64)> = None;
                 for (pos, &u) in f.path.iter().enumerate() {

@@ -345,7 +345,15 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
     /// [`TdmdError::Infeasible`] when the budget cannot cover the
     /// active flows.
     pub fn solve_oracle(&self) -> Result<Deployment, TdmdError> {
-        let index = self.state.flow_index(self.model.coverage_tiebreak());
+        self.solve_oracle_in(&self.state.slots_in_seq_order())
+    }
+
+    /// [`OnlineEngine::solve_oracle`] over `order`, the live slots in
+    /// arrival order.
+    fn solve_oracle_in(&self, order: &[u32]) -> Result<Deployment, TdmdError> {
+        let index = self
+            .state
+            .flow_index_in(order, self.model.coverage_tiebreak());
         gtp_budgeted_index(&index, self.k)
     }
 
@@ -822,12 +830,14 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
     /// deferred and the caller falls back to budget-capped local
     /// repair. While failures are active the oracle's deployment is
     /// stripped of failed vertices before evaluation, and stripped
-    /// budget is re-spent by a greedy fill after adoption. Returns
-    /// whether a replan was adopted.
+    /// budget is re-spent by a greedy fill after adoption. The oracle
+    /// is compiled and its deployment evaluated over one arrival-order
+    /// sort of the live slots. Returns whether a replan was adopted.
     fn drift_check(&mut self, force: bool) -> bool {
         self.stats.drift_samples += 1;
         let sw = R::ENABLED.then(Stopwatch::start);
-        let mut oracle = match self.solve_oracle() {
+        let order = self.state.slots_in_seq_order();
+        let mut oracle = match self.solve_oracle_in(&order) {
             Ok(dep) => dep,
             Err(_) => {
                 self.stats.oracle_failures += 1;
@@ -846,7 +856,7 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
                 }
             }
         }
-        let oracle_obj = self.evaluate_deployment(&oracle);
+        let oracle_obj = self.state.objective_in(&order, &oracle);
         let current = self.state.objective();
         self.stats.last_drift = if oracle_obj > 0.0 {
             current / oracle_obj - 1.0
@@ -1510,6 +1520,63 @@ mod tests {
         // stored gains make v3 worth a box.
         assert_eq!(gtp_budgeted(&inst, 2).unwrap().vertices(), &[1, 4]);
         assert_eq!(oracle.vertices(), &[1, 2]);
+    }
+
+    /// A drift sample sorts the live flows once, for both the oracle's
+    /// compile and the evaluation of its deployment: `last_drift` is
+    /// bit for bit the ratio the public `objective_under` gives for the
+    /// same deployment, failed vertices stripped, after churn has left
+    /// the slot order unlike the arrival order.
+    #[test]
+    fn drift_samples_price_the_oracle_like_objective_under() {
+        use rand::{rngs::StdRng, SeedableRng};
+        use tdmd_graph::generators::random::erdos_renyi_connected;
+        use tdmd_traffic::GatewayWorkload;
+        let mut rng = StdRng::seed_from_u64(7);
+        let g = erdos_renyi_connected(24, 0.2, &mut rng);
+        let gateways = GatewayWorkload::pick_gateways(24, 3, &mut rng);
+        let flows = GatewayWorkload::new(&g, gateways, 8).flows(&g, 0, 400, &mut rng);
+        // λ = 0.3 makes the terms inexact, so the sum's bits depend on
+        // its order.
+        let mut e = OnlineEngine::new(g, 0.3, 6, HopCount, RepairPolicy::local_only(0)).unwrap();
+        for f in &flows[..300] {
+            e.apply(&arrive(f.id.into(), f.rate, f.path.clone()))
+                .unwrap();
+        }
+        for key in (0..300).step_by(3) {
+            e.apply(&Event::FlowDeparted { key }).unwrap();
+        }
+        for f in &flows[300..] {
+            e.apply(&arrive(f.id.into(), f.rate, f.path.clone()))
+                .unwrap();
+        }
+        let mut drifts = Vec::new();
+        for failure in [false, true] {
+            if failure {
+                let victim = e.deployment().vertices()[0];
+                e.apply(&Event::MiddleboxFailed { vertex: victim }).unwrap();
+            }
+            let mut oracle = e.solve_oracle().unwrap();
+            for v in oracle.vertices().to_vec() {
+                if e.is_failed(v) {
+                    oracle.remove(v);
+                }
+            }
+            assert_eq!(oracle.len() < e.k(), failure, "stripped only under failure");
+            let oracle_obj = e.state().objective_under(&oracle);
+            let want = e.objective() / oracle_obj - 1.0;
+            assert!(e.replan_now());
+            assert_eq!(
+                e.stats().last_drift.to_bits(),
+                want.to_bits(),
+                "failure {failure}"
+            );
+            drifts.push(want);
+        }
+        assert!(
+            drifts.iter().all(|&d| d != 0.0),
+            "vacuous: drifts {drifts:?}"
+        );
     }
 
     #[test]

@@ -105,7 +105,7 @@ fn next_event<M: CostModel>(
     }
 }
 
-/// Asserts two indexes are equal bit for bit.
+/// Asserts two indexes are equal bit for bit, path classes included.
 fn assert_bitwise(compiled: &FlowIndex, built: &FlowIndex) {
     assert_eq!(compiled.node_count(), built.node_count());
     assert_eq!(compiled.flow_count(), built.flow_count());
@@ -127,6 +127,15 @@ fn assert_bitwise(compiled: &FlowIndex, built: &FlowIndex) {
             built.path_cost(f).to_bits()
         );
         assert_eq!(compiled.path(f), built.path(f));
+        assert_eq!(compiled.class_of(f), built.class_of(f));
+    }
+    assert_eq!(compiled.class_count(), built.class_count());
+    for c in 0..compiled.class_count() as u32 {
+        assert_eq!(compiled.class_path(c), built.class_path(c));
+        assert_eq!(compiled.class_size(c), built.class_size(c));
+    }
+    for v in 0..compiled.node_count() as NodeId {
+        assert_eq!(compiled.classes_through(v), built.classes_through(v));
     }
 }
 
