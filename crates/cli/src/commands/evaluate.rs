@@ -2,10 +2,31 @@
 
 use crate::args::Args;
 use crate::commands::{load_topology, load_workload};
+use serde::Deserialize;
 use tdmd_core::{Deployment, FlowIndex, Instance, WeightedEdges};
+use tdmd_graph::NodeId;
 use tdmd_sim::metrics::LinkMetrics;
 use tdmd_sim::replay;
 use tdmd_sim::validate::validate_deployment;
+
+/// A saved plan as `tdmd place --out` writes it. Only the vertex list
+/// is read; the plan is rebuilt from it.
+#[derive(Deserialize)]
+struct PlanDoc {
+    vertices: Vec<NodeId>,
+}
+
+/// Reads the plan at `path` over a topology of `n` vertices.
+pub(crate) fn load_plan(path: &str, n: usize) -> Result<Deployment, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let doc: PlanDoc = serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))?;
+    if let Some(&v) = doc.vertices.iter().find(|&&v| v as usize >= n) {
+        return Err(format!(
+            "parse {path}: plan vertex {v} is not in the topology ({n} vertices)"
+        ));
+    }
+    Ok(Deployment::from_vertices(n, doc.vertices))
+}
 
 /// `tdmd evaluate --topo t.json --workload wl.json --lambda L --k K
 /// --plan plan.json [--capacity C] [--cost-model hops|weighted]`
@@ -18,11 +39,7 @@ pub fn evaluate(args: &Args) -> Result<String, String> {
     let flows = load_workload(args.required("workload")?)?;
     let lambda: f64 = args.num_required("lambda")?;
     let k: usize = args.num("k", usize::MAX)?;
-    let plan_path = args.required("plan")?;
-    let plan: Deployment = serde_json::from_str(
-        &std::fs::read_to_string(plan_path).map_err(|e| format!("read {plan_path}: {e}"))?,
-    )
-    .map_err(|e| format!("parse {plan_path}: {e}"))?;
+    let plan = load_plan(args.required("plan")?, g.node_count())?;
     let capacity: u64 = args.num("capacity", tdmd_traffic::density::DEFAULT_LINK_CAPACITY)?;
 
     let instance = Instance::new(g, flows, lambda, k).map_err(|e| e.to_string())?;
@@ -152,5 +169,41 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("validation failed"));
+    }
+
+    /// A plan document's bitmap is never read: a vertex outside the
+    /// topology is a typed error naming it, and a list whose bitmap
+    /// disagrees evaluates as the list.
+    #[test]
+    fn plan_documents_are_read_through_their_vertex_list() {
+        let topo_path = tmp("eval-topo3.json");
+        topo::generate(&args(&[
+            ("kind", "tree"),
+            ("size", "10"),
+            ("out", &topo_path),
+        ]))
+        .unwrap();
+        let wl_path = tmp("eval-wl3.json");
+        workload::generate(&args(&[
+            ("topo", &topo_path),
+            ("count", "6"),
+            ("out", &wl_path),
+        ]))
+        .unwrap();
+        let run = |doc: &str| {
+            let plan_path = tmp("eval-plan3.json");
+            std::fs::write(&plan_path, doc).unwrap();
+            evaluate(&args(&[
+                ("topo", &topo_path),
+                ("workload", &wl_path),
+                ("lambda", "0.5"),
+                ("plan", &plan_path),
+            ]))
+        };
+        let err = run(r#"{"vertices":[999],"member":[]}"#).unwrap_err();
+        assert!(err.contains("plan vertex 999"), "{err}");
+        let listed = run(r#"{"vertices":[0],"member":[]}"#).unwrap();
+        assert!(listed.starts_with("plan:            [0]\n"), "{listed}");
+        assert_eq!(run(r#"{"vertices":[0]}"#).unwrap(), listed);
     }
 }

@@ -277,8 +277,8 @@ mod tests {
         .unwrap();
         assert!(report.contains("algorithm:    DP"));
         assert!(report.contains("bandwidth:"));
-        let plan: tdmd_core::Deployment =
-            serde_json::from_str(&std::fs::read_to_string(&plan_path).unwrap()).unwrap();
+        let n = load_topology(&topo_path).unwrap().node_count();
+        let plan = crate::commands::evaluate::load_plan(&plan_path, n).unwrap();
         assert!(plan.len() <= 4);
     }
 

@@ -20,8 +20,8 @@ use tdmd_serve::{ServeConfig, ServeSession, ServeSnapshot, WireEvent};
 use tdmd_traffic::{gravity_workload, GravityConfig, TenantProfile};
 
 /// Builds the tenant profile set for `serve gen`: tenant 0 is a
-/// premium class (larger share, bursty rate, higher weight), the last
-/// is best-effort, classes in between interpolate linearly.
+/// premium class (bursty rate), the last is best-effort, classes in
+/// between interpolate linearly.
 fn tenant_profiles(count: usize) -> Vec<TenantProfile> {
     assert!(count > 0, "need at least one tenant");
     if count == 1 {
@@ -34,8 +34,7 @@ fn tenant_profiles(count: usize) -> Vec<TenantProfile> {
             let rank = 1.0 - t as f64 / (count - 1) as f64;
             TenantProfile {
                 share,
-                rate_scale: 0.5 + rank,   // 1.5 premium … 0.5 best-effort
-                weight: 0.5 + 1.5 * rank, // 2.0 premium … 0.5 best-effort
+                rate_scale: 0.5 + rank, // 1.5 premium … 0.5 best-effort
             }
         })
         .collect()

@@ -52,7 +52,7 @@ pub fn best_effort_with<M: CostModel>(
         // coverage still progresses when λ = 1 zeroes all savings).
         let mut best: Option<(u64, f64, NodeId)> = None;
         for v in cands {
-            let volume: u64 = instance
+            let volume: u64 = index
                 .flows_through(v)
                 .iter()
                 .filter(|&&(fi, _)| !coverage.is_served(&index, fi))

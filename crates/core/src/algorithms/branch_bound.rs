@@ -14,7 +14,6 @@ use crate::cost::{FlowIndex, HopCount};
 use crate::error::TdmdError;
 use crate::instance::Instance;
 use crate::num::ix;
-use crate::objective::coverage_gain;
 use crate::plan::Deployment;
 use tdmd_graph::NodeId;
 
@@ -70,9 +69,10 @@ impl Search<'_> {
         let mut gains: Vec<(f64, usize)> = self.cands[from..]
             .iter()
             .map(|&v| {
+                let row = self.index.flows_through(v);
                 (
                     self.index.marginal_decrement(self.instance, cur, v),
-                    coverage_gain(self.instance, served, v),
+                    row.iter().filter(|&&(fi, _)| !served[ix(fi)]).count(),
                 )
             })
             .collect();

@@ -369,7 +369,7 @@ pub fn run_move_greedy<D: MoveGreedy>(driver: &mut D, budget: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{CostModel, HopCount, TenantCostModel, WeightedEdges};
+    use crate::cost::{CostModel, HopCount, PricedFlow, WeightedEdges};
     use crate::feasibility::greedy_cover;
     use crate::feasibility::tests::random_instance;
     use crate::instance::Instance;
@@ -461,7 +461,8 @@ mod tests {
     }
 
     /// `inst` under `lambda`, compiled by hop count, by random edge
-    /// weights, by random tenant weights and by [`NoCoverage`].
+    /// weights, by hop counts scaled by a random weight per flow and
+    /// by [`NoCoverage`].
     fn indexes(inst: &Instance, lambda: f64, rng: &mut StdRng) -> Vec<FlowIndex> {
         let g = inst.graph();
         let edges: Vec<_> = g
@@ -475,27 +476,50 @@ mod tests {
             1,
         )
         .expect("same paths, same edges");
-        let tenants: Vec<f64> = (0..3).map(|_| rng.gen_range(0.25..4.0)).collect();
-        let flows = inst
+        // Flows on one path can carry different gains, as in a
+        // restored snapshot: each flow's hop gains and cost are scaled
+        // by one of three random weights, or by 1.
+        let weights: Vec<f64> = (0..3).map(|_| rng.gen_range(0.25..4.0)).collect();
+        let scale: Vec<f64> = inst
             .flows()
             .iter()
-            .map(|f| Flow {
-                tenant: rng.gen_range(0..4),
-                ..f.clone()
+            .map(|_| {
+                let pick: u16 = rng.gen_range(0..4);
+                weights.get(usize::from(pick)).copied().unwrap_or(1.0)
             })
             .collect();
-        let tenanted = Instance::new(g.clone(), flows, lambda, 1).expect("same paths");
+        let gains: Vec<Vec<f64>> = inst
+            .flows()
+            .iter()
+            .zip(&scale)
+            .map(|(f, w)| HopCount.gains(f).into_iter().map(|g| w * g).collect())
+            .collect();
+        let scaled = FlowIndex::compile(
+            inst.node_count(),
+            lambda,
+            true,
+            inst.flows()
+                .iter()
+                .zip(&gains)
+                .zip(&scale)
+                .map(|((f, gains), w)| PricedFlow {
+                    rate: f.rate,
+                    path: &f.path,
+                    gains,
+                    cost: w * HopCount.unprocessed_cost(f),
+                }),
+        );
         let inst = inst.with_lambda(lambda);
         vec![
             FlowIndex::build(&inst, &HopCount),
             FlowIndex::build(&weighted, &WeightedEdges::new(weighted.graph())),
-            FlowIndex::build(&tenanted, &TenantCostModel::new(HopCount, tenants)),
+            scaled,
             FlowIndex::build(&inst, &NoCoverage),
         ]
     }
 
-    /// On random gateway and all-pairs ER instances, under four cost
-    /// models and λ ∈ {0.5, 1}, for every budget from 1 to twice the
+    /// On random gateway and all-pairs ER instances, under four
+    /// pricings and λ ∈ {0.5, 1}, for every budget from 1 to twice the
     /// greedy cover and in derive-k mode, the lazy kernel returns the
     /// eager reference's deployment or error and commits the same
     /// `(gain, guarded)` rounds, bit for bit. At λ = 1 every gain is

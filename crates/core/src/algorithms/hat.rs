@@ -19,6 +19,7 @@
 //!   affected flows re-home), instead of trusting the stale key.
 
 use crate::algorithms::dp::validate_tree_instance;
+use crate::cost::{FlowIndex, HopCount};
 use crate::error::TdmdError;
 use crate::instance::Instance;
 use crate::num::{approx_f64, id32, ix};
@@ -31,6 +32,8 @@ use tdmd_graph::{Lca, NodeId};
 /// Mutable merge state.
 struct MergeState<'a> {
     instance: &'a Instance,
+    /// Hop-count rows: the flows crossing each vertex.
+    index: FlowIndex,
     /// Deployment bitmap (kept separate from `Deployment` for cheap
     /// temporary flips while evaluating a merge).
     member: Vec<bool>,
@@ -59,11 +62,11 @@ impl MergeState<'_> {
     /// `lca`: everything crossing `i`, `j` or `lca`.
     fn affected(&self, i: NodeId, j: NodeId, lca: NodeId) -> Vec<u32> {
         let mut out: Vec<u32> = self
-            .instance
+            .index
             .flows_through(i)
             .iter()
-            .chain(self.instance.flows_through(j))
-            .chain(self.instance.flows_through(lca))
+            .chain(self.index.flows_through(j))
+            .chain(self.index.flows_through(lca))
             .map(|&(fi, _)| fi)
             .collect();
         out.sort_unstable();
@@ -151,6 +154,7 @@ pub fn hat(instance: &Instance, k: usize) -> Result<Deployment, TdmdError> {
     let best_l = instance.flows().iter().map(|f| id32(f.hops())).collect();
     let mut state = MergeState {
         instance,
+        index: FlowIndex::build(instance, &HopCount),
         member,
         live: sources.clone(),
         best_l,

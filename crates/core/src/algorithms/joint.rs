@@ -4,7 +4,8 @@
 //! al.'s multi-commodity flow with in-network processing (PAPERS.md)
 //! shows that choosing routes and processing sites jointly is
 //! strictly better. This module implements the alternation scheme on
-//! top of the candidate sets in [`Instance::path_sets`]:
+//! top of the candidate sets in [`Instance::path_sets`] (an instance
+//! without them is solved as one candidate per flow, its path):
 //!
 //! 1. **Placement round** — run budgeted GTP (Alg. 1) on the current
 //!    active-path view.
@@ -117,6 +118,8 @@ pub fn joint_solve_with<R: Recorder>(
     cfg: &JointConfig,
     recorder: &R,
 ) -> Result<JointSolution, TdmdError> {
+    let joint = instance.with_candidates();
+    let instance: &Instance = &joint;
     let sw = Stopwatch::start();
     let lp_bound = lp_lower_bound(instance, cfg.lp_mu_grid);
     recorder.sample(LP_BOUND_US, sw.elapsed_us());
@@ -136,7 +139,7 @@ pub fn joint_solve_with<R: Recorder>(
         Ok(dep) => {
             let obj = bandwidth_of(instance, &dep);
             fixed_objective = obj;
-            best = Some((dep, instance.path_sets().actives().to_vec(), obj));
+            best = Some((dep, sets(instance).actives().to_vec(), obj));
         }
         Err(e) => first_err = Some(e),
     }
@@ -224,7 +227,7 @@ fn run_chain<R: Recorder>(
         // Strict improvement only: on ties the earlier incumbent wins,
         // which pins the singleton case to the legacy GTP deployment.
         if best.as_ref().is_none_or(|b| obj < b.2 - EPS) {
-            *best = Some((dep.clone(), inst.path_sets().actives().to_vec(), obj));
+            *best = Some((dep.clone(), sets(inst).actives().to_vec(), obj));
         }
         if round + 1 == cfg.max_rounds {
             break;
@@ -241,6 +244,19 @@ fn run_chain<R: Recorder>(
         *switches += moved;
     }
     None
+}
+
+/// The candidate sets of a working instance.
+///
+/// # Panics
+/// Panics if `inst` has none: [`joint_solve_with`] and
+/// [`lp_lower_bound`] give every instance its sets before any helper
+/// runs.
+fn sets(inst: &Instance) -> &PathSets {
+    let Some(ps) = inst.path_sets() else {
+        panic!("the joint solver runs on instances with candidate path sets");
+    };
+    ps
 }
 
 /// Per-candidate serving statistics under a deployment: whether any
@@ -265,7 +281,7 @@ fn candidate_cover(ps: &PathSets, dep: &Deployment) -> (Vec<bool>, Vec<u32>) {
 /// under `dep`. Returns the switches (current selections are never
 /// re-emitted), so an empty result means the routing is stable.
 fn reselect(inst: &Instance, dep: &Deployment) -> Vec<(u32, u32)> {
-    let ps = inst.path_sets();
+    let ps = sets(inst);
     let lambda = inst.lambda();
     let (covered, best_l) = candidate_cover(ps, dep);
     let mut out = Vec::new();
@@ -305,7 +321,7 @@ fn reselect(inst: &Instance, dep: &Deployment) -> Vec<(u32, u32)> {
 /// This is greedy max-coverage on the LP relaxation's gains — only a
 /// warm start; exact GTP rounds refine it on the routed view.
 fn optimistic_deployment(inst: &Instance) -> Deployment {
-    let ps = inst.path_sets();
+    let ps = sets(inst);
     let n = inst.node_count();
     let factor = 1.0 - inst.lambda();
     let flows = inst.flows();
@@ -369,9 +385,12 @@ fn optimistic_deployment(inst: &Instance) -> Deployment {
 /// where `D(μ)` prices the budget Lagrangian via one min-cost-flow
 /// transportation solve per grid point (see the module docs for the
 /// validity argument). Both terms hold for *every* candidate routing
-/// and deployment within budget, so the max does too.
+/// and deployment within budget, so the max does too. An instance
+/// without path sets is bounded over one candidate per flow, its path.
 pub fn lp_lower_bound(inst: &Instance, mu_grid: usize) -> f64 {
-    let ps = inst.path_sets();
+    let joint = inst.with_candidates();
+    let inst: &Instance = &joint;
+    let ps = sets(inst);
     let flows = inst.flows();
     if flows.is_empty() {
         return 0.0;

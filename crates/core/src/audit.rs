@@ -7,12 +7,11 @@
 //! diagnostic detail, so corruption tests can assert on the exact
 //! failure mode:
 //!
-//! * [`check_instance`] — the [`Instance`] CSR flow index is
-//!   well-formed (offsets monotone, rows sorted and deduped, entries
-//!   in bounds) and *bijective* with the flow paths: entry `(f, l)` at
-//!   vertex `v` exists iff `v` sits on `p_f` with `l = l_v(f)`
-//!   downstream hops (the paper's §3.1 scoring quantity). Paths must
-//!   be simple and edge-connected on the topology.
+//! * [`check_instance`] — the [`Instance`]'s input is well-formed: `λ`
+//!   in range, dense flow ids, positive rates, and paths that are
+//!   simple and edge-connected on the topology; on instances with
+//!   candidate path sets, the sets and their membership index agree
+//!   with the flows.
 //! * [`check_solution`] — a deployment respects the budget `k`
 //!   (Eq. 3's constraint), every assignment is an on-path deployed
 //!   vertex with the maximal `l_v(f)` (the forced optimal allocation
@@ -35,7 +34,7 @@
 use std::fmt;
 
 use crate::cost::FlowIndex;
-use crate::instance::Instance;
+use crate::instance::{Instance, PathSets};
 use crate::plan::{Allocation, Deployment};
 
 /// A violated structural invariant.
@@ -44,7 +43,7 @@ use crate::plan::{Allocation, Deployment};
 /// on it); `detail` is the human diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditError {
-    /// Stable name of the violated check, e.g. `"csr-row-sorted"`.
+    /// Stable name of the violated check, e.g. `"path-simple"`.
     pub check: &'static str,
     /// Human-readable description of the violation site.
     pub detail: String,
@@ -80,18 +79,16 @@ pub fn enforce(result: Result<(), AuditError>) {
     }
 }
 
-/// Validates the instance: simple connected flow paths and a CSR flow
-/// index bijective with them.
+/// Validates the instance: `λ` in range, dense ids, positive rates,
+/// simple connected flow paths and, when the instance has them, its
+/// candidate path sets.
 ///
 /// # Errors
 /// Returns the first violated check among `lambda-range`,
 /// `flow-id-dense`, `flow-rate-positive`, `path-vertex-bounds`,
-/// `path-simple`, `path-connected`, `csr-offsets-shape`,
-/// `csr-offsets-monotone`, `csr-entry-bounds`, `csr-row-sorted`,
-/// `csr-entry-offpath`, `csr-entry-hops`, `csr-bijective`, and the
-/// candidate-path-set checks `pathset-shape`, `pathset-active-range`,
-/// `pathset-active-mirror`, `pathset-endpoints` and
-/// `pathset-member-roundtrip`.
+/// `path-simple`, `path-connected`, and the candidate-path-set checks
+/// `pathset-shape`, `pathset-active-range`, `pathset-active-mirror`,
+/// `pathset-endpoints` and `pathset-member-roundtrip`.
 pub fn check_instance(instance: &Instance) -> Result<(), AuditError> {
     let graph = instance.graph();
     let n = graph.node_count();
@@ -135,90 +132,10 @@ pub fn check_instance(instance: &Instance) -> Result<(), AuditError> {
             }
         }
     }
-    // CSR shape: offsets are a monotone prefix-sum fence.
-    let (offsets, entries) = instance.audit_csr();
-    if offsets.len() != n + 1 {
-        fail!(
-            "csr-offsets-shape",
-            "offsets length {} != node_count + 1 = {}",
-            offsets.len(),
-            n + 1
-        );
+    match instance.path_sets() {
+        Some(ps) => check_path_sets(instance, ps),
+        None => Ok(()),
     }
-    if offsets[0] != 0 {
-        fail!("csr-offsets-shape", "offsets[0] = {} != 0", offsets[0]);
-    }
-    if offsets[n] as usize != entries.len() {
-        fail!(
-            "csr-offsets-shape",
-            "offsets[n] = {} != entries length {}",
-            offsets[n],
-            entries.len()
-        );
-    }
-    for v in 0..n {
-        if offsets[v] > offsets[v + 1] {
-            fail!(
-                "csr-offsets-monotone",
-                "offsets decrease across vertex {v}: {} > {}",
-                offsets[v],
-                offsets[v + 1]
-            );
-        }
-    }
-    // Rows: sorted strictly by flow id (sorted + deduped), entries in
-    // bounds, and every entry's l equal to the flow's true downstream
-    // hop count at that vertex (no off-path or mislabeled entries).
-    let mut per_flow = vec![0usize; flows.len()];
-    for v in 0..n {
-        let row = &entries[offsets[v] as usize..offsets[v + 1] as usize];
-        let mut prev: Option<u32> = None;
-        for &(fi, l) in row {
-            if let Some(p) = prev {
-                if fi <= p {
-                    fail!(
-                        "csr-row-sorted",
-                        "vertex {v} row not strictly sorted: flow {fi} after {p}"
-                    );
-                }
-            }
-            prev = Some(fi);
-            let Some(f) = flows.get(fi as usize) else {
-                fail!(
-                    "csr-entry-bounds",
-                    "vertex {v} row references flow {fi} of {}",
-                    flows.len()
-                );
-            };
-            let Some(true_l) = f.downstream_hops(v as tdmd_graph::NodeId) else {
-                fail!(
-                    "csr-entry-offpath",
-                    "vertex {v} row lists flow {fi}, whose path avoids it"
-                );
-            };
-            if l as usize != true_l {
-                fail!(
-                    "csr-entry-hops",
-                    "vertex {v} flow {fi}: stored l = {l}, true l_v(f) = {true_l}"
-                );
-            }
-            per_flow[fi as usize] += 1;
-        }
-    }
-    // Bijectivity: each flow contributes exactly one entry per path
-    // vertex. Combined with the per-entry checks above (on-path,
-    // correct l, deduped rows) this pins entries <-> path vertices 1:1.
-    for (idx, f) in flows.iter().enumerate() {
-        if per_flow[idx] != f.path.len() {
-            fail!(
-                "csr-bijective",
-                "flow {idx}: {} index entries for {} path vertices",
-                per_flow[idx],
-                f.path.len()
-            );
-        }
-    }
-    check_path_sets(instance)
 }
 
 /// Validates the candidate path sets and their two-level membership
@@ -226,11 +143,10 @@ pub fn check_instance(instance: &Instance) -> Result<(), AuditError> {
 /// active candidate mirrored by its `Flow::path`, every candidate
 /// connects the flow's `(src, dst)` over existing edges, and the
 /// membership index round-trips the candidate vertices exactly.
-fn check_path_sets(instance: &Instance) -> Result<(), AuditError> {
+fn check_path_sets(instance: &Instance, ps: &PathSets) -> Result<(), AuditError> {
     let graph = instance.graph();
     let n = graph.node_count();
     let flows = instance.flows();
-    let ps = instance.path_sets();
     if ps.flow_count() != flows.len() {
         fail!(
             "pathset-shape",
@@ -416,8 +332,7 @@ pub fn check_solution(
     Ok(())
 }
 
-/// Validates a compiled [`FlowIndex`] on its own, the way
-/// [`check_instance`] validates the instance CSR: offsets are monotone
+/// Validates a compiled [`FlowIndex`] on its own: offsets are monotone
 /// prefix-sum fences over the rows and the class arena, every row is
 /// strictly ascending by flow id, every entry names a flow whose path
 /// crosses the vertex, and each flow has exactly one entry per path
@@ -718,45 +633,34 @@ mod tests {
         check_instance(&fig1_instance(2)).unwrap();
     }
 
-    #[test]
-    fn swapped_csr_entries_are_caught() {
-        let mut inst = fig1_instance(2);
-        {
-            let (offsets, entries) = inst.audit_csr_mut();
-            // Swapping two entries *within* a row breaks the
-            // sorted-by-flow-id invariant.
-            let lo = offsets
-                .windows(2)
-                .map(|w| (w[0] as usize, w[1] as usize))
-                .find(|&(lo, hi)| hi - lo >= 2)
-                .expect("fig1 has a multi-flow row")
-                .0;
-            entries.swap(lo, lo + 1);
-        }
-        let err = check_instance(&inst).unwrap_err();
-        assert_eq!(err.check, "csr-row-sorted", "{err}");
+    /// Fig. 1's flows as singleton candidate sets.
+    fn fig1_with_path_sets() -> Instance {
+        let inst = fig1_instance(2);
+        let sets = inst
+            .flows()
+            .iter()
+            .map(tdmd_traffic::FlowPaths::singleton)
+            .collect();
+        Instance::with_path_sets(inst.graph().clone(), sets, 0.5, 2).unwrap()
     }
 
     #[test]
-    fn mislabeled_hop_count_is_caught() {
-        let mut inst = fig1_instance(2);
-        inst.audit_csr_mut().1[0].1 += 1;
-        let err = check_instance(&inst).unwrap_err();
-        assert_eq!(err.check, "csr-entry-hops", "{err}");
+    fn clean_path_sets_pass() {
+        check_instance(&fig1_with_path_sets()).unwrap();
     }
 
     #[test]
     fn corrupted_active_index_is_caught() {
-        let mut inst = fig1_instance(2);
-        inst.audit_path_sets_mut().audit_parts_mut().0[0] = 7;
+        let mut inst = fig1_with_path_sets();
+        inst.audit_path_sets_mut().unwrap().audit_parts_mut().0[0] = 7;
         let err = check_instance(&inst).unwrap_err();
         assert_eq!(err.check, "pathset-active-range", "{err}");
     }
 
     #[test]
     fn corrupted_membership_hops_are_caught() {
-        let mut inst = fig1_instance(2);
-        inst.audit_path_sets_mut().audit_parts_mut().1[0].l += 1;
+        let mut inst = fig1_with_path_sets();
+        inst.audit_path_sets_mut().unwrap().audit_parts_mut().1[0].l += 1;
         let err = check_instance(&inst).unwrap_err();
         assert_eq!(err.check, "pathset-member-roundtrip", "{err}");
     }
@@ -779,7 +683,7 @@ mod tests {
         let mut inst = Instance::with_path_sets(b.build(), sets, 0.5, 1).unwrap();
         check_instance(&inst).unwrap();
         // Arena layout: [0,1,3, 0,2,3]; slot 5 is candidate 1's dst.
-        inst.audit_path_sets_mut().audit_parts_mut().2[5] = 1;
+        inst.audit_path_sets_mut().unwrap().audit_parts_mut().2[5] = 1;
         let err = check_instance(&inst).unwrap_err();
         assert_eq!(err.check, "pathset-endpoints", "{err}");
     }

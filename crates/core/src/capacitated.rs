@@ -48,6 +48,22 @@ pub fn evaluate_capacitated(
     deployment: &Deployment,
     cap: usize,
 ) -> CapacitatedEval {
+    evaluate_in(
+        instance,
+        &FlowIndex::build(instance, &HopCount),
+        deployment,
+        cap,
+    )
+}
+
+/// [`evaluate_capacitated`] over `index`, the hop-count index of
+/// `instance`, whose rows list each box's flows with their `l_v(f)`.
+fn evaluate_in(
+    instance: &Instance,
+    index: &FlowIndex,
+    deployment: &Deployment,
+    cap: usize,
+) -> CapacitatedEval {
     let n_flows = instance.flows().len();
     if n_flows == 0 {
         return CapacitatedEval {
@@ -85,8 +101,8 @@ pub fn evaluate_capacitated(
     // indices are captured explicitly at insertion time.
     let mut arc_box: Vec<Vec<(usize, NodeId)>> = vec![Vec::new(); n_flows];
     for (bi, &v) in boxes.iter().enumerate() {
-        for &(fi, l) in instance.flows_through(v) {
-            let gain = instance.flows()[fi as usize].rate as f64 * factor * l as f64;
+        for &(fi, l) in index.flows_through(v) {
+            let gain = instance.flows()[fi as usize].rate as f64 * factor * l;
             let cost = -(gain * SCALE).round() as i64;
             let idx = net.out_arc_count(flow_base + fi as usize);
             net.add_arc(flow_base + fi as usize, box_base + bi, 1, cost);
@@ -161,7 +177,7 @@ pub fn gtp_capacitated(
     let mut deployment = Deployment::empty(instance.node_count());
     let index = FlowIndex::build(instance, &HopCount);
     let mut coverage = Coverage::new(&index);
-    let mut cur = evaluate_capacitated(instance, &deployment, cap);
+    let mut cur = evaluate_in(instance, &index, &deployment, cap);
     for round in 0..k {
         let remaining = k - round;
         // Capacity-blind coverage guard, shared with the uncapacitated
@@ -173,7 +189,7 @@ pub fn gtp_capacitated(
         for v in cands {
             let mut trial = deployment.clone();
             trial.insert(v);
-            let eval = evaluate_capacitated(instance, &trial, cap);
+            let eval = evaluate_in(instance, &index, &trial, cap);
             let cov = coverage.count(v);
             let better = match &best {
                 None => true,

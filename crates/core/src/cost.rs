@@ -26,22 +26,25 @@
 //! flow once ([`CostModel::gains`]).
 //!
 //! A model is *compiled* into a [`FlowIndex`], the greedy kernel's
-//! whole input: one flat CSR arena of `(flow, gain)` entries grouped
-//! by vertex, plus per-flow weights `r_f · (1 − λ)`, unprocessed costs
-//! and path classes (each distinct path stored once, with a second CSR
-//! of the classes through each vertex), so the kernel's inner loops
-//! scan contiguous memory and never read the [`Instance`]. Flows
-//! priced elsewhere (the online engine's stored gains) compile through
+//! whole input and the one vertex → flow index of the solvers: one
+//! flat CSR arena of `(flow, gain)` entries grouped by vertex, plus
+//! per-flow weights `r_f · (1 − λ)`, unprocessed costs and path classes
+//! (each distinct path stored once, with a second CSR of the classes
+//! through each vertex), so the kernel's inner loops scan contiguous
+//! memory and never read the [`Instance`]. Solvers that need the flows
+//! crossing a vertex without a model (HAT, Best-effort's volume, the
+//! capacitated matching, branch-and-bound) read a [`HopCount`] index,
+//! whose gains are the downstream hop counts `l_v(f)`. Flows priced
+//! elsewhere (the online engine's stored gains) compile through
 //! [`FlowIndex::compile`] into the same index.
 //!
-//! Models always price the **active** path of each flow. Under the
-//! joint routing extension a flow's active path is one pick from its
-//! [`PathSets`](crate::instance::PathSets) candidates;
-//! [`Instance::set_active_paths`] rebuilds the underlying vertex →
-//! `(flow, l)` index after a switch, so a [`FlowIndex`] compiled
-//! before the switch is stale and must be recompiled — the joint
-//! solver re-runs its placement rounds on the fresh view for exactly
-//! this reason.
+//! Models always price each flow's current path. Under the joint
+//! routing extension that path is one pick from the flow's
+//! [`PathSets`](crate::instance::PathSets) candidates, and
+//! [`Instance::set_active_paths`] switches it, so a [`FlowIndex`]
+//! compiled before a switch is stale and must be recompiled — the
+//! joint solver re-runs its placement rounds on the switched instance
+//! for exactly this reason.
 
 use tdmd_graph::{DiGraph, NodeId};
 use tdmd_traffic::Flow;
@@ -198,76 +201,6 @@ impl CostModel for WeightedEdges {
     #[inline]
     fn unprocessed_cost(&self, flow: &Flow) -> f64 {
         self.serving_gain(flow, 0)
-    }
-}
-
-/// Per-tenant weighting adapter over any [`CostModel`]: every metric
-/// of a flow is multiplied by its tenant's weight, so placement
-/// optimizes *weighted* bandwidth (premium tenants pull middleboxes
-/// toward their paths in proportion to their weight).
-///
-/// The Theorem 2 contract survives: multiplying a flow's whole gain
-/// profile by one non-negative constant keeps it non-negative,
-/// non-increasing along the path, and dominated by the (equally
-/// scaled) unprocessed cost — so the `(1 − 1/e)` greedy guarantee
-/// applies to the weighted objective unchanged.
-///
-/// Weights are indexed by [`Flow::tenant`]; tenants beyond the table
-/// fall back to the neutral weight `1.0`. With every weight exactly
-/// `1.0` the adapter is *bitwise* transparent (IEEE 754 guarantees
-/// `1.0 * x == x` for every finite `x`), so single-tenant pipelines
-/// can wrap unconditionally without perturbing placement.
-#[derive(Debug, Clone)]
-pub struct TenantCostModel<M> {
-    inner: M,
-    weights: Vec<f64>,
-}
-
-impl<M: CostModel> TenantCostModel<M> {
-    /// Wraps `inner`, weighting tenant `t` by `weights[t]` (missing
-    /// entries weigh `1.0`).
-    ///
-    /// # Panics
-    /// Panics if any weight is negative or non-finite (the Theorem 2
-    /// contract needs non-negative gains).
-    pub fn new(inner: M, weights: Vec<f64>) -> Self {
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "tenant weights must be finite and non-negative"
-        );
-        Self { inner, weights }
-    }
-
-    /// The weight applied to `tenant`'s flows.
-    #[inline]
-    pub fn weight_of(&self, tenant: tdmd_traffic::TenantId) -> f64 {
-        self.weights
-            .get(usize::from(tenant))
-            .copied()
-            .unwrap_or(1.0)
-    }
-
-    /// The wrapped model.
-    #[inline]
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-}
-
-impl<M: CostModel> CostModel for TenantCostModel<M> {
-    #[inline]
-    fn serving_gain(&self, flow: &Flow, pos: usize) -> f64 {
-        self.weight_of(flow.tenant) * self.inner.serving_gain(flow, pos)
-    }
-
-    #[inline]
-    fn unprocessed_cost(&self, flow: &Flow) -> f64 {
-        self.weight_of(flow.tenant) * self.inner.unprocessed_cost(flow)
-    }
-
-    #[inline]
-    fn coverage_tiebreak(&self) -> bool {
-        self.inner.coverage_tiebreak()
     }
 }
 
@@ -797,54 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn neutral_tenant_weights_are_bitwise_transparent() {
-        let inst = fig1_instance(2);
-        let model = TenantCostModel::new(HopCount, vec![1.0; 4]);
-        for f in inst.flows() {
-            assert_eq!(
-                model.unprocessed_cost(f).to_bits(),
-                HopCount.unprocessed_cost(f).to_bits()
-            );
-            for pos in 0..f.path.len() {
-                assert_eq!(
-                    model.serving_gain(f, pos).to_bits(),
-                    HopCount.serving_gain(f, pos).to_bits(),
-                    "flow {} pos {pos}",
-                    f.id
-                );
-            }
-        }
-        assert!(model.coverage_tiebreak());
-    }
-
-    #[test]
-    fn missing_tenants_fall_back_to_weight_one() {
-        let model = TenantCostModel::new(HopCount, vec![2.0]);
-        assert_eq!(model.weight_of(0), 2.0);
-        assert_eq!(model.weight_of(7), 1.0);
-        let f = Flow::new(0, 3, vec![0, 1, 2]).with_tenant(7);
-        assert_eq!(
-            model.serving_gain(&f, 0).to_bits(),
-            HopCount.serving_gain(&f, 0).to_bits()
-        );
-    }
-
-    #[test]
-    fn tenant_weights_scale_the_metric() {
-        let model = TenantCostModel::new(HopCount, vec![1.0, 3.0]);
-        let f = Flow::new(0, 2, vec![0, 1, 2]).with_tenant(1);
-        assert_eq!(model.unprocessed_cost(&f), 6.0);
-        assert_eq!(model.serving_gain(&f, 1), 3.0);
-        assert_eq!(model.inner().serving_gain(&f, 1), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_tenant_weights_are_rejected() {
-        TenantCostModel::new(HopCount, vec![1.0, -0.5]);
-    }
-
-    #[test]
     fn unit_weight_edges_price_like_hops() {
         // fig1's builder uses unit weights, so the weighted suffix
         // sums must coincide with downstream hop counts exactly.
@@ -1120,23 +1005,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_index_matches_instance_index() {
-        // The f64 CSR compiled from HopCount must mirror the u32 hop
-        // index stored on the instance, entry for entry.
-        let inst = fig1_instance(2);
-        let index = FlowIndex::build(&inst, &HopCount);
-        for v in 0..inst.node_count() as NodeId {
-            let ours = index.flows_through(v);
-            let theirs = inst.flows_through(v);
-            assert_eq!(ours.len(), theirs.len(), "vertex {v}");
-            for (&(fi, g), &(fj, l)) in ours.iter().zip(theirs) {
-                assert_eq!(fi, fj);
-                assert_eq!(g, l as f64);
-            }
-        }
-    }
-
-    #[test]
     fn bandwidth_of_matches_hop_objective() {
         let inst = fig1_instance(2);
         let index = FlowIndex::build(&inst, &HopCount);
@@ -1266,52 +1134,5 @@ mod tests {
         let inst = fig1_instance(1);
         assert!(gtp_budgeted_with(&inst, 1, &WeightedEdges::new(inst.graph())).is_err());
         assert!(gtp_budgeted(&inst, 1).is_err());
-    }
-
-    mod tenant_props {
-        use super::*;
-        use proptest::prelude::*;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use tdmd_graph::generators::random::erdos_renyi_connected;
-        use tdmd_traffic::tenant::{gravity_workload, GravityConfig, TenantProfile};
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-
-            /// Satellite pin: with every tenant weighted `1.0`, the
-            /// wrapped model compiles to a bitwise-identical CSR and
-            /// GTP picks the identical deployment on the default
-            /// (gravity) multi-tenant workload.
-            #[test]
-            fn weight_one_model_is_bitwise_equal_on_gravity_workload(seed in any::<u64>()) {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let g = erdos_renyi_connected(16, 0.25, &mut rng);
-                let cfg = GravityConfig::with_total_rate(20_000)
-                    .tenants(TenantProfile::uniform(3));
-                let flows =
-                    gravity_workload(&g, &[1, 2, 3, 5], &[0, 4], &cfg, &mut rng);
-                prop_assume!(!flows.is_empty());
-                let inst = Instance::new(g, flows, 0.5, 3).expect("gravity flows are valid");
-                let neutral = TenantCostModel::new(HopCount, vec![1.0; 3]);
-                let a = FlowIndex::build(&inst, &HopCount);
-                let b = FlowIndex::build(&inst, &neutral);
-                for v in 0..inst.node_count() as NodeId {
-                    let (xs, ys) = (a.flows_through(v), b.flows_through(v));
-                    prop_assert_eq!(xs.len(), ys.len());
-                    for (&(fi, gi), &(fj, gj)) in xs.iter().zip(ys) {
-                        prop_assert_eq!(fi, fj);
-                        prop_assert_eq!(gi.to_bits(), gj.to_bits(), "vertex {}", v);
-                    }
-                }
-                let plain = gtp_budgeted_with(&inst, 3, &HopCount);
-                let wrapped = gtp_budgeted_with(&inst, 3, &neutral);
-                match (plain, wrapped) {
-                    (Ok(p), Ok(w)) => prop_assert_eq!(p.vertices(), w.vertices()),
-                    (Err(_), Err(_)) => {}
-                    (p, w) => prop_assert!(false, "feasibility diverged: {:?} vs {:?}", p, w),
-                }
-            }
-        }
     }
 }

@@ -530,19 +530,22 @@ pub(crate) mod tests {
                 }
                 let (gain, v) = best?;
                 chosen.push(v);
-                for &(fi, _) in instance.flows_through(v) {
-                    served[fi as usize] = true;
-                }
+                serve(instance, &mut served, v);
                 remaining -= gain;
             }
             Some(chosen)
         }
 
+        /// Marks every flow whose path crosses `v` served.
+        pub fn serve(instance: &Instance, served: &mut [bool], v: NodeId) {
+            for f in instance.flows().iter().filter(|f| f.path.contains(&v)) {
+                served[ix(f.id)] = true;
+            }
+        }
+
         fn cover_after(instance: &Instance, served: &[bool], extra: NodeId) -> usize {
             let mut served = served.to_vec();
-            for &(fi, _) in instance.flows_through(extra) {
-                served[ix(fi)] = true;
-            }
+            serve(instance, &mut served, extra);
             greedy_cover(instance, &served).map_or(usize::MAX, |c| c.len())
         }
 
@@ -597,9 +600,7 @@ pub(crate) mod tests {
                 }
                 deployment.insert(v);
                 coverage.serve(index, v);
-                for &(fi, _) in inst.flows_through(v) {
-                    served[ix(fi)] = true;
-                }
+                reference::serve(inst, &mut served, v);
             }
             (deployment, coverage, served)
         }

@@ -1,75 +1,32 @@
-//! A TDMD problem instance and its precomputed indices.
+//! A TDMD problem instance: validated input, nothing precomputed.
+
+use std::borrow::Cow;
 
 use crate::error::TdmdError;
-use serde::{Deserialize, Serialize};
+use crate::num::{id32, ix};
 use tdmd_graph::{DiGraph, NodeId};
 use tdmd_traffic::{Flow, FlowPaths};
 
 /// A complete TDMD problem: topology, flows, traffic-changing ratio
-/// `λ` and the middlebox budget `k` (Eq. 3).
+/// `λ` and the middlebox budget `k` (Eq. 3), each checked once at
+/// construction.
 ///
-/// Every flow carries a *candidate path set* ([`PathSets`]) with one
-/// **active** path — the paper's fixed-path model is the singleton
-/// case, which [`Instance::new`] constructs (one candidate per flow,
-/// always active), preserving the legacy index bit for bit.
-///
-/// Construction precomputes two CSR arenas:
-///
-/// * the **active index** — for every vertex `v`, the flows whose
-///   active path crosses `v` with the downstream hop count `l_v(f)`
-///   (the quantity every placement algorithm scores with). One flat
-///   arena (`flow_offsets` slicing `flow_entries`): a single
-///   allocation, and the greedy inner loops scan contiguous memory.
-/// * the **candidate index** — the two-level CSR of [`PathSets`]:
-///   vertex → `(flow, candidate, l)` memberships over *all* candidate
-///   paths, which the joint routing + placement solver scans to price
-///   path switches without re-walking candidate lists.
-///
-/// [`Instance::set_active_paths`] switches active paths in a batch
-/// and rebuilds the active index once, so fixed-path algorithms keep
-/// operating on plain `flows_through` rows under re-routing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// [`Instance::new`] builds the paper's fixed-path model: one path per
+/// flow, and nothing else. Solvers compile the vertex → flow index
+/// they score with, [`FlowIndex`](crate::cost::FlowIndex), from the
+/// flows. Only [`Instance::with_path_sets`] adds candidate
+/// [`PathSets`] for the joint routing extension, where each flow's
+/// *active* candidate is its path; [`Instance::set_active_paths`]
+/// switches them.
+#[derive(Debug, Clone)]
 pub struct Instance {
     graph: DiGraph,
     flows: Vec<Flow>,
     lambda: f64,
     k: usize,
-    /// CSR row offsets, length `node_count + 1`: vertex `v`'s flows
-    /// live at `flow_entries[flow_offsets[v] .. flow_offsets[v + 1]]`.
-    flow_offsets: Vec<u32>,
-    /// `(flow index, l_v(f))` entries grouped by vertex, where
-    /// `l_v(f)` counts the path edges downstream of `v`. Within a
-    /// vertex, entries are in ascending flow-id order.
-    flow_entries: Vec<(u32, u32)>,
-    /// Candidate path sets with the active-path selection.
-    paths: PathSets,
-}
-
-/// Builds the active-path CSR exactly as the legacy single-path
-/// constructor did: count each vertex's row, prefix-sum into offsets,
-/// fill with per-vertex write cursors. Walking flows in id order
-/// keeps every row sorted by flow id.
-fn build_active_csr(n: usize, flows: &[Flow]) -> (Vec<u32>, Vec<(u32, u32)>) {
-    let mut flow_offsets = vec![0u32; n + 1];
-    for f in flows {
-        for &v in &f.path {
-            flow_offsets[v as usize + 1] += 1;
-        }
-    }
-    for i in 1..=n {
-        flow_offsets[i] += flow_offsets[i - 1];
-    }
-    let mut cursor: Vec<u32> = flow_offsets[..n].to_vec();
-    let mut flow_entries = vec![(0u32, 0u32); flow_offsets[n] as usize];
-    for (idx, f) in flows.iter().enumerate() {
-        let hops = f.hops() as u32;
-        for (pos, &v) in f.path.iter().enumerate() {
-            let slot = &mut cursor[v as usize];
-            flow_entries[*slot as usize] = (idx as u32, hops - pos as u32);
-            *slot += 1;
-        }
-    }
-    (flow_offsets, flow_entries)
+    /// Candidate path sets with the active-path selection, on
+    /// instances built by [`Instance::with_path_sets`] only.
+    paths: Option<PathSets>,
 }
 
 /// Validates flow paths against one topology without allocating per
@@ -101,7 +58,7 @@ impl<'g> PathCheck<'g> {
         }
         self.mark += 1;
         for &v in path {
-            let seen = self.stamp.get_mut(crate::num::ix(v)).ok_or_else(err)?;
+            let seen = self.stamp.get_mut(ix(v)).ok_or_else(err)?;
             if *seen == self.mark {
                 return Err(err());
             }
@@ -115,8 +72,8 @@ impl<'g> PathCheck<'g> {
 }
 
 impl Instance {
-    /// Builds and validates a fixed-path (singleton candidate set)
-    /// instance — the paper's original model.
+    /// Builds and validates a fixed-path instance — the paper's
+    /// original model. It carries no path sets.
     ///
     /// # Errors
     /// * [`TdmdError::BadLambda`] if `λ ∉ [0, 1]`.
@@ -138,17 +95,12 @@ impl Instance {
             }
             check.validate_path(f.id, &f.path)?;
         }
-        let n = graph.node_count();
-        let (flow_offsets, flow_entries) = build_active_csr(n, &flows);
-        let paths = PathSets::singletons(n, &flows);
         Ok(Self {
             graph,
             flows,
             lambda,
             k,
-            flow_offsets,
-            flow_entries,
-            paths,
+            paths: None,
         })
     }
 
@@ -185,17 +137,13 @@ impl Instance {
             }
         }
         let flows: Vec<Flow> = sets.iter().map(FlowPaths::primary_flow).collect();
-        let n = graph.node_count();
-        let (flow_offsets, flow_entries) = build_active_csr(n, &flows);
-        let paths = PathSets::build(n, &sets);
+        let paths = PathSets::build(graph.node_count(), &sets);
         Ok(Self {
             graph,
             flows,
             lambda,
             k,
-            flow_offsets,
-            flow_entries,
-            paths,
+            paths: Some(paths),
         })
     }
 
@@ -241,25 +189,33 @@ impl Instance {
         c
     }
 
-    /// Flows whose *active* path crosses `v`, as
-    /// `(flow index, l_v(f))` pairs.
+    /// The candidate path sets and their two-level membership index,
+    /// on instances built by [`Instance::with_path_sets`]; `None` on
+    /// fixed-path instances.
     #[inline]
-    pub fn flows_through(&self, v: NodeId) -> &[(u32, u32)] {
-        let lo = self.flow_offsets[v as usize] as usize;
-        let hi = self.flow_offsets[v as usize + 1] as usize;
-        &self.flow_entries[lo..hi]
+    pub fn path_sets(&self) -> Option<&PathSets> {
+        self.paths.as_ref()
     }
 
-    /// The candidate path sets and their two-level membership index.
-    #[inline]
-    pub fn path_sets(&self) -> &PathSets {
-        &self.paths
+    /// This instance with path sets: itself when it has them, else a
+    /// copy whose sets hold each flow's path as its one candidate — the
+    /// fixed-path model as a joint routing instance.
+    pub(crate) fn with_candidates(&self) -> Cow<'_, Self> {
+        if self.paths.is_some() {
+            return Cow::Borrowed(self);
+        }
+        let sets: Vec<FlowPaths> = self.flows.iter().map(FlowPaths::singleton).collect();
+        Cow::Owned(Self {
+            paths: Some(PathSets::build(self.node_count(), &sets)),
+            ..self.clone()
+        })
     }
 
-    /// Switches the active paths of a batch of flows and rebuilds the
-    /// active index once. `switches` holds `(flow index, candidate
-    /// index)` pairs; entries equal to the current selection are
-    /// no-ops. Returns the number of flows whose route changed.
+    /// Switches the active paths of a batch of flows. `switches` holds
+    /// `(flow index, candidate index)` pairs; entries equal to the
+    /// current selection are no-ops. A fixed-path instance has one
+    /// candidate per flow, its path. Returns the number of flows whose
+    /// route changed.
     ///
     /// # Panics
     /// Panics if a flow or candidate index is out of range (callers
@@ -268,23 +224,20 @@ impl Instance {
     pub fn set_active_paths(&mut self, switches: &[(u32, u32)]) -> usize {
         let mut changed = 0usize;
         for &(f, j) in switches {
-            let fi = f as usize;
+            let fi = ix(f);
             assert!(fi < self.flows.len(), "flow index {f} out of range");
+            let count = self.paths.as_ref().map_or(1, |ps| ps.candidate_count(fi));
             assert!(
-                (j as usize) < self.paths.candidate_count(fi),
+                ix(j) < count,
                 "candidate index {j} out of range for flow {f}"
             );
-            if self.paths.active[fi] == j {
+            // A fixed-path flow's one candidate is always active.
+            let Some(ps) = self.paths.as_mut().filter(|ps| ps.active[fi] != j) else {
                 continue;
-            }
-            self.paths.active[fi] = j;
-            self.flows[fi].path = self.paths.path(fi, j as usize).to_vec();
+            };
+            ps.active[fi] = j;
+            self.flows[fi].path = ps.path(fi, ix(j)).to_vec();
             changed += 1;
-        }
-        if changed > 0 {
-            let (o, e) = build_active_csr(self.graph.node_count(), &self.flows);
-            self.flow_offsets = o;
-            self.flow_entries = e;
         }
         changed
     }
@@ -305,17 +258,21 @@ impl Instance {
     }
 
     /// Vertices that lie on at least one active flow path — the only
-    /// useful middlebox locations for a fixed routing.
+    /// useful middlebox locations for a fixed routing — ascending.
     pub fn candidate_vertices(&self) -> Vec<NodeId> {
-        (0..self.node_count() as NodeId)
-            .filter(|&v| self.flow_offsets[v as usize] < self.flow_offsets[v as usize + 1])
+        let mut on_path = vec![false; self.node_count()];
+        for &v in self.flows.iter().flat_map(|f| &f.path) {
+            on_path[ix(v)] = true;
+        }
+        (0..id32(self.node_count()))
+            .filter(|&v| on_path[ix(v)])
             .collect()
     }
 }
 
 /// One vertex-membership record of the candidate index: candidate
 /// `path` of flow `flow` crosses the vertex with `l` downstream hops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathMember {
     /// Flow index.
     pub flow: u32,
@@ -333,9 +290,8 @@ pub struct PathMember {
 /// path_offsets[p + 1]]`. Level 2 is the membership index: vertex
 /// `v`'s [`PathMember`] records sit at `member_entries[member_offsets
 /// [v] .. member_offsets[v + 1]]`, sorted by `(flow, path)`. `active`
-/// selects one candidate per flow; [`Instance::flows_through`] is the
-/// restriction of this index to the active selection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// selects one candidate per flow, whose path is the flow's path.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathSets {
     /// Level-1 fence over flows: candidate global ids per flow.
     flow_offsets: Vec<u32>,
@@ -383,8 +339,7 @@ impl PathSets {
             member_offsets[n] as usize
         ];
         // Filling in (flow, candidate, position) order keeps every
-        // vertex row sorted by (flow, path), same argument as the
-        // active CSR's sorted-by-flow rows.
+        // vertex row sorted by (flow, path).
         for (fi, s) in sets.iter().enumerate() {
             for (j, p) in s.candidates.iter().enumerate() {
                 let hops = (p.len() - 1) as u32;
@@ -407,12 +362,6 @@ impl PathSets {
             member_offsets,
             member_entries,
         }
-    }
-
-    /// Singleton sets mirroring fixed-path flows.
-    fn singletons(n: usize, flows: &[Flow]) -> Self {
-        let sets: Vec<FlowPaths> = flows.iter().map(FlowPaths::singleton).collect();
-        Self::build(n, &sets)
     }
 
     /// Number of flows.
@@ -484,27 +433,16 @@ impl PathSets {
     }
 }
 
-/// Raw CSR access for the structural auditor and its corruption tests.
+/// Corruption hook for the structural auditor's tests.
 #[cfg(any(debug_assertions, feature = "audit", test))]
 impl Instance {
-    /// The raw CSR arena `(flow_offsets, flow_entries)` for
-    /// [`crate::audit::check_instance`].
-    pub fn audit_csr(&self) -> (&[u32], &[(u32, u32)]) {
-        (&self.flow_offsets, &self.flow_entries)
-    }
-
-    /// Mutable CSR access — a corruption hook for audit tests only.
-    /// Breaking the invariants here puts every algorithm off spec;
-    /// the only legitimate use is seeding violations that
+    /// Mutable candidate-index access, `None` on fixed-path instances —
+    /// the corruption hook for the path-set audit checks. Breaking the
+    /// invariants here puts every algorithm off spec; the only
+    /// legitimate use is seeding violations that
     /// [`crate::audit::check_instance`] must catch.
-    pub fn audit_csr_mut(&mut self) -> (&mut Vec<u32>, &mut Vec<(u32, u32)>) {
-        (&mut self.flow_offsets, &mut self.flow_entries)
-    }
-
-    /// Mutable candidate-index access — the corruption hook for the
-    /// path-set audit checks.
-    pub fn audit_path_sets_mut(&mut self) -> &mut PathSets {
-        &mut self.paths
+    pub fn audit_path_sets_mut(&mut self) -> Option<&mut PathSets> {
+        self.paths.as_mut()
     }
 }
 
@@ -569,23 +507,15 @@ mod tests {
     }
 
     #[test]
-    fn vertex_flow_index_has_downstream_hops() {
+    fn fixed_path_instances_carry_no_path_sets() {
         let inst = line_instance(0.5, 2).unwrap();
-        // Vertex 3 is f0's source: l = 3. Vertex 0 is everyone's dst: l = 0.
-        assert_eq!(inst.flows_through(3), &[(0, 3)]);
-        let mut at0 = inst.flows_through(0).to_vec();
-        at0.sort_unstable();
-        assert_eq!(at0, vec![(0, 0), (1, 0)]);
-        // Vertex 2 carries f0 (l=2) and f1 (l=2).
-        let mut at2 = inst.flows_through(2).to_vec();
-        at2.sort_unstable();
-        assert_eq!(at2, vec![(0, 2), (1, 2)]);
-    }
-
-    #[test]
-    fn singleton_path_sets_mirror_the_flows() {
-        let inst = line_instance(0.5, 2).unwrap();
-        let ps = inst.path_sets();
+        assert!(inst.path_sets().is_none());
+        // The same flows as singleton sets: one candidate each, active,
+        // with the flows' paths and the same flows.
+        let sets = inst.flows().iter().map(FlowPaths::singleton).collect();
+        let single = Instance::with_path_sets(inst.graph().clone(), sets, 0.5, 2).unwrap();
+        assert_eq!(single.flows(), inst.flows());
+        let ps = single.path_sets().unwrap();
         assert_eq!(ps.flow_count(), 2);
         assert_eq!(ps.total_paths(), 2);
         for (i, f) in inst.flows().iter().enumerate() {
@@ -594,16 +524,21 @@ mod tests {
             assert_eq!(ps.path(i, 0), &f.path[..]);
             assert_eq!(ps.min_hops(i), f.hops() as u32);
         }
-        // Memberships at vertex 2 match the active index rows.
-        let members = ps.memberships_through(2);
-        assert_eq!(members.len(), 2);
+        // Vertex 2 carries f0 (l = 2) and f1 (l = 2).
         assert_eq!(
-            members[0],
-            PathMember {
-                flow: 0,
-                path: 0,
-                l: 2
-            }
+            ps.memberships_through(2),
+            &[
+                PathMember {
+                    flow: 0,
+                    path: 0,
+                    l: 2
+                },
+                PathMember {
+                    flow: 1,
+                    path: 0,
+                    l: 2
+                }
+            ]
         );
     }
 
@@ -611,7 +546,8 @@ mod tests {
     fn with_path_sets_activates_the_primary() {
         let inst = diamond_instance();
         assert_eq!(inst.flows()[0].path, vec![0, 1, 3]);
-        let ps = inst.path_sets();
+        let ps = inst.path_sets().unwrap();
+        assert_eq!(ps.active(0), 0);
         assert_eq!(ps.candidate_count(0), 3);
         assert_eq!(ps.global_id(0, 2), 2);
         assert_eq!(ps.path(0, 2), &[0, 4, 5, 3]);
@@ -621,35 +557,46 @@ mod tests {
         assert_eq!(ls, vec![2, 2, 3]);
         // Vertex 4 only sits on the detour candidate.
         assert_eq!(
-            inst.path_sets().memberships_through(4),
+            ps.memberships_through(4),
             &[PathMember {
                 flow: 0,
                 path: 2,
                 l: 2
             }]
         );
-        // The active index only sees the primary.
-        assert!(inst.flows_through(4).is_empty());
-        assert_eq!(inst.flows_through(1), &[(0, 1)]);
     }
 
     #[test]
-    fn set_active_paths_switches_and_rebuilds() {
+    fn set_active_paths_switches_paths() {
         let mut inst = diamond_instance();
         // No-op switch: already active.
         assert_eq!(inst.set_active_paths(&[(0, 0)]), 0);
-        // Switch to the detour: flows, active index and bandwidth all follow.
+        // Switch to the detour: flows, candidate vertices and bandwidth
+        // all follow.
         assert_eq!(inst.set_active_paths(&[(0, 2)]), 1);
-        assert_eq!(inst.path_sets().active(0), 2);
+        assert_eq!(inst.path_sets().unwrap().active(0), 2);
         assert_eq!(inst.flows()[0].path, vec![0, 4, 5, 3]);
-        assert_eq!(inst.flows_through(4), &[(0, 2)]);
-        assert!(inst.flows_through(1).is_empty());
+        assert_eq!(inst.candidate_vertices(), vec![0, 3, 4, 5]);
         assert_eq!(inst.unprocessed_bandwidth(), 12.0);
-        // Switch back: bitwise identical to a fresh build.
+        // Switch back: equal to a fresh build.
         inst.set_active_paths(&[(0, 0)]);
         let fresh = diamond_instance();
-        assert_eq!(inst.audit_csr(), fresh.audit_csr());
+        assert_eq!(inst.path_sets(), fresh.path_sets());
         assert_eq!(inst.flows(), fresh.flows());
+    }
+
+    #[test]
+    fn fixed_path_switches_keep_the_one_path() {
+        let mut inst = line_instance(0.5, 2).unwrap();
+        assert_eq!(inst.set_active_paths(&[(0, 0), (1, 0)]), 0);
+        assert_eq!(inst.flows()[0].path, vec![3, 2, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate index")]
+    fn fixed_path_switch_to_a_second_candidate_panics() {
+        let mut inst = line_instance(0.5, 2).unwrap();
+        inst.set_active_paths(&[(1, 1)]);
     }
 
     #[test]
@@ -724,15 +671,5 @@ mod tests {
         assert_eq!(inst.with_k(7).k(), 7);
         assert_eq!(inst.with_lambda(0.0).lambda(), 0.0);
         assert_eq!(inst.k(), 2, "original untouched");
-    }
-
-    #[test]
-    fn serde_round_trip_keeps_path_sets() {
-        let inst = diamond_instance();
-        let json = serde_json::to_string(&inst).unwrap();
-        let back: Instance = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.flows(), inst.flows());
-        assert_eq!(back.path_sets(), inst.path_sets());
-        assert_eq!(back.audit_csr(), inst.audit_csr());
     }
 }

@@ -3,13 +3,13 @@
 //! Implements the paper's contribution end to end:
 //!
 //! * [`instance`] — a TDMD problem [`Instance`]: topology + flows +
-//!   traffic-changing ratio `λ` + middlebox budget `k`, with the
-//!   per-vertex flow index the algorithms share. Each flow carries a
-//!   candidate [`PathSets`] entry (a singleton for classic fixed-path
-//!   instances); the index always reflects the *active* selection.
+//!   traffic-changing ratio `λ` + middlebox budget `k`, validated once
+//!   and holding nothing else. Only joint routing instances add
+//!   candidate [`PathSets`], whose active picks are the flows' paths.
 //! * [`cost`] — the [`CostModel`] trait generalizing Eq. (1)'s
 //!   pricing ([`HopCount`], [`WeightedEdges`], chain-aware models),
-//!   compiled into the CSR [`FlowIndex`] the greedy engine scans.
+//!   compiled into the CSR [`FlowIndex`]: the one vertex → flow index,
+//!   which the greedy engine scans and every other solver reads.
 //! * [`objective`] — Eq. (1): flow allocation, bandwidth consumption
 //!   `b(P)` and the decrement function `d(P)` (Def. 1), plus the
 //!   Lemma-1 envelope. Marginal decrements `d_P(v)` (Def. 2) live on
@@ -70,7 +70,7 @@ pub mod order;
 pub mod paper;
 pub mod plan;
 
-pub use cost::{CostModel, FlowIndex, HopCount, PricedFlow, TenantCostModel, WeightedEdges};
+pub use cost::{CostModel, FlowIndex, HopCount, PricedFlow, WeightedEdges};
 pub use error::TdmdError;
 pub use instance::{Instance, PathMember, PathSets};
 pub use order::TotalGain;

@@ -4,50 +4,43 @@
 //! (§3.1): every flow uses the deployed middlebox nearest its source,
 //! i.e. the one maximizing the downstream hop count `l_v(f)`, because
 //! `b(f) = r_f(|p_f| − (1 − λ)·l_v(f))` strictly decreases in `l`.
-//! All routines below work in terms of per-flow best-`l` vectors.
+//! All routines below work in terms of per-flow best-`l` vectors,
+//! found by walking each flow's path from its source: `l` falls along
+//! the path, so the first deployed vertex met is the best one.
 //! Marginal decrements `d_P(v)` (Def. 2) are scored on the compiled
 //! [`FlowIndex`](crate::cost::FlowIndex), under any cost model.
 
 use crate::instance::Instance;
+use crate::num::{id32, ix};
 use crate::plan::{Allocation, Deployment};
 use tdmd_graph::NodeId;
 
 /// Optimal allocation under `deployment`: each flow is served by the
-/// on-path middlebox with the largest `l_v(f)` (nearest the source);
-/// ties break toward the smaller vertex id. Unserved flows get `None`.
+/// on-path middlebox with the largest `l_v(f)` (nearest the source).
+/// Distinct on-path vertices of one flow have distinct `l`, so the
+/// choice is unique. Unserved flows get `None`.
 pub fn allocate(instance: &Instance, deployment: &Deployment) -> Allocation {
-    // Scan only the deployed vertices' flow-index rows instead of
-    // rescanning every flow path: O(Σ_{v∈P} |flows(v)|) versus
-    // O(Σ_f |p_f|). Distinct on-path vertices of one flow have
-    // distinct l, so the strict `>` plus the ascending vertex order
-    // keeps the result deterministic.
-    let mut assigned = vec![None; instance.flows().len()];
-    let mut best_l = vec![0u32; instance.flows().len()];
-    for &v in deployment.vertices() {
-        for &(fi, l) in instance.flows_through(v) {
-            let slot = fi as usize;
-            if assigned[slot].is_none() || l > best_l[slot] {
-                assigned[slot] = Some(v);
-                best_l[slot] = l;
-            }
-        }
-    }
+    let assigned = instance
+        .flows()
+        .iter()
+        .map(|f| f.path.iter().copied().find(|&v| deployment.contains(v)))
+        .collect();
     Allocation { assigned }
 }
 
 /// Per-flow best downstream hop counts under `deployment` —
 /// `Some(l)` for served flows, `None` for unserved ones.
 pub fn best_hops(instance: &Instance, deployment: &Deployment) -> Vec<Option<u32>> {
-    let mut best = vec![None; instance.flows().len()];
-    for &v in deployment.vertices() {
-        for &(fi, l) in instance.flows_through(v) {
-            let slot = &mut best[fi as usize];
-            if slot.is_none_or(|cur| l > cur) {
-                *slot = Some(l);
-            }
-        }
-    }
-    best
+    instance
+        .flows()
+        .iter()
+        .map(|f| {
+            f.path
+                .iter()
+                .position(|&v| deployment.contains(v))
+                .map(|pos| id32(f.hops() - pos))
+        })
+        .collect()
 }
 
 /// Total bandwidth consumption `b(P, F)` of an allocation (Eq. 1);
@@ -89,13 +82,15 @@ pub fn decrement(instance: &Instance, deployment: &Deployment) -> f64 {
 }
 
 /// Number of currently-unserved flows that placing a middlebox on `v`
-/// would newly cover. Used as the greedy tie-break that keeps GTP
-/// making coverage progress even when `λ = 1` flattens the decrement.
+/// would newly cover: the coverage term of the greedy tie-break that
+/// keeps GTP making coverage progress even when `λ = 1` flattens the
+/// decrement. The greedies keep these counts incrementally; this is
+/// their definition, counted from the paths.
 pub fn coverage_gain(instance: &Instance, served: &[bool], v: NodeId) -> usize {
     instance
-        .flows_through(v)
+        .flows()
         .iter()
-        .filter(|&&(fi, _)| !served[fi as usize])
+        .filter(|f| !served[ix(f.id)] && f.path.contains(&v))
         .count()
 }
 
@@ -174,6 +169,81 @@ mod tests {
                 other => panic!("mismatch {other:?}"),
             }
         }
+    }
+
+    /// On random gateway and all-pairs ER instances, under empty
+    /// deployments, random ones and ones that cover every flow,
+    /// `best_hops` equals the hop-count index's `best_down` bit for
+    /// bit, `allocate` serves each flow at the deployed on-path vertex
+    /// with that `l`, and `is_feasible` agrees with the index.
+    #[test]
+    fn path_walks_agree_with_the_hop_count_index() {
+        use crate::cost::{FlowIndex, HopCount};
+        use crate::feasibility::tests::random_instance;
+        use crate::feasibility::{greedy_cover, is_feasible};
+        use proptest::TestRng;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let seed = proptest::fnv1a("path_walks_agree_with_the_hop_count_index");
+        let (mut empty, mut partial, mut full) = (0usize, 0usize, 0usize);
+        for case in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(TestRng::for_case(seed, case).next_u64());
+            let inst = random_instance(&mut rng);
+            let n = inst.node_count();
+            let random_boxes = |rng: &mut StdRng| -> Vec<NodeId> {
+                let count = rng.gen_range(1..=n);
+                (0..count).map(|_| id32(rng.gen_range(0..n))).collect()
+            };
+            let deployment = match case % 3 {
+                0 => Deployment::empty(n),
+                1 => Deployment::from_vertices(n, random_boxes(&mut rng)),
+                _ => {
+                    let unserved = vec![false; inst.flows().len()];
+                    let cover = greedy_cover(&inst, &unserved).expect("every path has a vertex");
+                    let extra = if rng.gen_bool(0.5) {
+                        random_boxes(&mut rng)
+                    } else {
+                        Vec::new()
+                    };
+                    Deployment::from_vertices(n, cover.into_iter().chain(extra))
+                }
+            };
+            let index = FlowIndex::build(&inst, &HopCount);
+            let want: Vec<Option<u64>> = index
+                .best_down(&deployment)
+                .into_iter()
+                .map(|g| g.map(f64::to_bits))
+                .collect();
+            let hops = best_hops(&inst, &deployment);
+            let got: Vec<Option<u64>> = hops
+                .iter()
+                .map(|l| l.map(|l| f64::from(l).to_bits()))
+                .collect();
+            assert_eq!(got, want, "case {case}");
+            let alloc = allocate(&inst, &deployment);
+            for (f, (a, l)) in inst.flows().iter().zip(alloc.assigned.iter().zip(&hops)) {
+                match (*a, *l) {
+                    (Some(v), Some(l)) => {
+                        assert!(deployment.contains(v), "case {case}, flow {}", f.id);
+                        assert_eq!(f.downstream_hops(v), Some(ix(l)), "case {case}");
+                    }
+                    (None, None) => {}
+                    other => panic!("case {case}, flow {}: {other:?}", f.id),
+                }
+            }
+            let covered = want.iter().all(Option::is_some);
+            assert_eq!(is_feasible(&inst, &deployment), covered, "case {case}");
+            assert_eq!(alloc.is_complete(), covered, "case {case}");
+            match (deployment.is_empty(), covered) {
+                (true, _) => empty += 1,
+                (false, false) => partial += 1,
+                (false, true) => full += 1,
+            }
+        }
+        assert!(
+            empty > 0 && partial > 0 && full > 0,
+            "vacuous run: {empty} empty, {partial} partial, {full} covering deployments"
+        );
     }
 
     #[test]

@@ -6,8 +6,10 @@ use tdmd_graph::NodeId;
 
 /// A deployment plan `P ⊆ V`: the set of vertices carrying a
 /// middlebox. Stored as a sorted vertex list plus a membership bitmap
-/// for `O(1)` tests.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// for `O(1)` tests. It serializes both but does not deserialize: a
+/// decoded list and bitmap could disagree, so a saved plan is read
+/// back through [`Deployment::from_vertices`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Deployment {
     vertices: Vec<NodeId>,
     member: Vec<bool>,

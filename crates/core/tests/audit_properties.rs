@@ -1,10 +1,11 @@
 //! tdmd-audit corruption properties for the static layer.
 //!
-//! Soundness: every randomly generated instance passes
-//! [`check_instance`], and every GTP solve with its forced §3.1
-//! allocation passes [`check_solution`]. Completeness: each seeded
-//! corruption of the CSR flow index, the deployment or the allocation
-//! is rejected with the expected check name.
+//! Soundness: every randomly generated instance, with or without
+//! candidate path sets, passes [`check_instance`], and every GTP solve
+//! with its forced §3.1 allocation passes [`check_solution`].
+//! Completeness: each seeded corruption of the candidate path sets,
+//! the deployment or the allocation is rejected with the expected
+//! check name.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,11 +16,11 @@ use tdmd_core::objective::{allocate, best_hops};
 use tdmd_core::{Deployment, Instance};
 use tdmd_graph::traversal::bfs_path;
 use tdmd_graph::{GraphBuilder, NodeId};
-use tdmd_traffic::Flow;
+use tdmd_traffic::{candidate_sets, Flow};
 
-/// Random connected instance with BFS-routed flows (same shape as the
+/// Random connected graph with BFS-routed flows (same shape as the
 /// solver property tests).
-fn random_instance(seed: u64, n: usize, n_flows: usize, k: usize) -> Instance {
+fn random_parts(seed: u64, n: usize, n_flows: usize) -> (tdmd_graph::DiGraph, Vec<Flow>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(n);
     for v in 1..n {
@@ -47,7 +48,20 @@ fn random_instance(seed: u64, n: usize, n_flows: usize, k: usize) -> Instance {
             id += 1;
         }
     }
+    (g, flows)
+}
+
+/// Random fixed-path instance.
+fn random_instance(seed: u64, n: usize, n_flows: usize, k: usize) -> Instance {
+    let (g, flows) = random_parts(seed, n, n_flows);
     Instance::new(g, flows, 0.5, k).expect("valid")
+}
+
+/// The same flows with up to two candidate paths each.
+fn random_path_set_instance(seed: u64, n: usize, n_flows: usize) -> Instance {
+    let (g, flows) = random_parts(seed, n, n_flows);
+    let sets = candidate_sets(&flows, &g, 2);
+    Instance::with_path_sets(g, sets, 0.5, 2).expect("Yen candidates are valid")
 }
 
 proptest! {
@@ -61,58 +75,11 @@ proptest! {
     ) {
         let inst = random_instance(seed, n, 5, k);
         check_instance(&inst).unwrap();
+        check_instance(&random_path_set_instance(seed, n, 5)).unwrap();
         if let Ok(dep) = gtp_budgeted(&inst, k) {
             let alloc = allocate(&inst, &dep);
             check_solution(&inst, &dep, k, Some(&alloc)).unwrap();
         }
-    }
-
-    /// Swapping two adjacent entries inside a CSR row breaks the
-    /// strict flow-id sort.
-    #[test]
-    fn swapped_csr_row_entries_are_rejected(
-        seed in any::<u64>(), n in 3usize..14,
-    ) {
-        let mut inst = random_instance(seed, n, 6, 2);
-        let (offsets, entries) = inst.audit_csr_mut();
-        let row = offsets
-            .windows(2)
-            .map(|w| (w[0] as usize, w[1] as usize))
-            .find(|&(lo, hi)| hi - lo >= 2);
-        prop_assume!(row.is_some());
-        let (lo, _) = row.unwrap();
-        entries.swap(lo, lo + 1);
-        let err = check_instance(&inst).unwrap_err();
-        prop_assert_eq!(err.check, "csr-row-sorted", "{}", err);
-    }
-
-    /// Mislabelling a stored downstream-hop count `l_v(f)` is caught
-    /// against the recomputed path position.
-    #[test]
-    fn mislabelled_hop_count_is_rejected(
-        seed in any::<u64>(), n in 3usize..14, slot in any::<u64>(),
-    ) {
-        let mut inst = random_instance(seed, n, 6, 2);
-        let (_, entries) = inst.audit_csr_mut();
-        prop_assume!(!entries.is_empty());
-        let i = (slot as usize) % entries.len();
-        entries[i].1 += 1;
-        let err = check_instance(&inst).unwrap_err();
-        prop_assert_eq!(err.check, "csr-entry-hops", "{}", err);
-    }
-
-    /// A truncated offsets array no longer spans the entry list.
-    #[test]
-    fn truncated_csr_offsets_are_rejected(
-        seed in any::<u64>(), n in 3usize..14,
-    ) {
-        let mut inst = random_instance(seed, n, 6, 2);
-        let (offsets, entries) = inst.audit_csr_mut();
-        prop_assume!(!entries.is_empty());
-        let last = offsets.len() - 1;
-        offsets[last] -= 1;
-        let err = check_instance(&inst).unwrap_err();
-        prop_assert_eq!(err.check, "csr-offsets-shape", "{}", err);
     }
 
     /// Corrupting a flow's active-candidate index out of range is
@@ -121,10 +88,10 @@ proptest! {
     fn out_of_range_active_index_is_rejected(
         seed in any::<u64>(), n in 3usize..14, slot in any::<u64>(),
     ) {
-        let mut inst = random_instance(seed, n, 6, 2);
+        let mut inst = random_path_set_instance(seed, n, 6);
         let f = (slot as usize) % inst.flows().len();
-        let bad = inst.path_sets().candidate_count(f) as u32;
-        let ps = inst.audit_path_sets_mut();
+        let bad = inst.path_sets().unwrap().candidate_count(f) as u32;
+        let ps = inst.audit_path_sets_mut().unwrap();
         let (active, _, _) = ps.audit_parts_mut();
         active[f] = bad;
         let err = check_instance(&inst).unwrap_err();
@@ -137,8 +104,8 @@ proptest! {
     fn corrupted_membership_hops_are_rejected(
         seed in any::<u64>(), n in 3usize..14, slot in any::<u64>(),
     ) {
-        let mut inst = random_instance(seed, n, 6, 2);
-        let ps = inst.audit_path_sets_mut();
+        let mut inst = random_path_set_instance(seed, n, 6);
+        let ps = inst.audit_path_sets_mut().unwrap();
         let (_, members, _) = ps.audit_parts_mut();
         prop_assume!(!members.is_empty());
         let i = (slot as usize) % members.len();

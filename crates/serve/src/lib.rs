@@ -12,8 +12,6 @@
 //!   `BufRead`/`Write` pair (stdin/stdout in the CLI), plus
 //!   [`ServeSnapshot`] with the same bitwise-restore contract the
 //!   engine gives: restore + replay ≡ never stopping.
-//! * `net` (feature `net`) — an optional TCP front-end speaking the
-//!   same protocol, one connection at a time.
 //!
 //! # Example
 //!
@@ -46,8 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "net")]
-pub mod net;
 pub mod session;
 pub mod wire;
 

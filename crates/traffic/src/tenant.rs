@@ -6,12 +6,11 @@
 //! ingress `i` and egress `j` is proportional to the product of their
 //! populations, scaled so the whole matrix sums to a configured total
 //! volume. On top of the matrix, every demand is split across a set of
-//! [`TenantProfile`]s — traffic classes with a volume share, a rate
-//! multiplier and a cost weight (consumed by
-//! `tdmd_core::cost::TenantCostModel`) — and each `(ingress, egress,
-//! tenant)` cell becomes one [`Flow`] tagged with its
-//! [`TenantId`], routed along a BFS shortest path like the paper's
-//! general workload.
+//! [`TenantProfile`]s — traffic classes with a volume share and a rate
+//! multiplier — and each `(ingress, egress, tenant)` cell becomes one
+//! [`Flow`] tagged with its [`TenantId`], routed along a BFS shortest
+//! path like the paper's general workload. Placement prices every
+//! tenant's traffic alike; the tag feeds per-tenant telemetry.
 //!
 //! Generation is seed-deterministic: populations are the only random
 //! draw, and the matrix → flow lowering iterates in fixed
@@ -32,24 +31,20 @@ pub struct TenantProfile {
     /// Rate multiplier applied after the share split (premium tenants
     /// may burst above their share, best-effort ones below).
     pub rate_scale: f64,
-    /// Cost-model weight for placement (`TenantCostModel`); `1.0` is
-    /// the neutral weight of the paper's anonymous objective.
-    pub weight: f64,
 }
 
 impl TenantProfile {
-    /// Neutral profile: share `s`, no rate scaling, weight 1.
+    /// Neutral profile: share `s`, no rate scaling.
     pub fn even(s: f64) -> Self {
         Self {
             share: s,
             rate_scale: 1.0,
-            weight: 1.0,
         }
     }
 
-    /// `count` identical tenants splitting the volume evenly, all
-    /// weight 1 — the multi-tenant workload that must be
-    /// placement-equivalent to the anonymous one.
+    /// `count` identical tenants splitting the volume evenly — the
+    /// multi-tenant workload that must be placement-equivalent to the
+    /// anonymous one.
     ///
     /// # Panics
     /// Panics if `count` is zero.
@@ -255,7 +250,6 @@ mod tests {
             TenantProfile {
                 share: 0.5,
                 rate_scale: 2.0,
-                weight: 4.0,
             },
             TenantProfile::even(0.5),
         ];
