@@ -15,7 +15,10 @@
 //! Ties break by the positional decrement under the active cost
 //! model, then by smaller id. The same tight-budget feasibility guard
 //! as GTP applies (shared via [`crate::feasibility`]; the paper only
-//! evaluates feasible plans).
+//! evaluates feasible plans). Like GTP it keeps its state per path
+//! class: which classes are served, each class's best gain so far, and
+//! a vertex's volume as the exact rate sums `R_c` of the unserved
+//! classes through it.
 
 use crate::cost::{CostModel, FlowIndex, HopCount};
 use crate::error::TdmdError;
@@ -40,8 +43,7 @@ pub fn best_effort_with<M: CostModel>(
     let index = FlowIndex::build(instance, model);
     let mut deployment = Deployment::empty(instance.node_count());
     let mut coverage = Coverage::new(&index);
-    let mut cur = vec![0.0f64; instance.flows().len()];
-    let flows = instance.flows();
+    let mut cur = vec![0.0f64; index.class_count()];
 
     for round in 0..k {
         let remaining = k - round;
@@ -50,15 +52,15 @@ pub fn best_effort_with<M: CostModel>(
             .unwrap_or_else(|| open_candidates(&index, &deployment));
         // Volume score: unserved traffic through v (λ-independent so
         // coverage still progresses when λ = 1 zeroes all savings).
-        let mut best: Option<(u64, f64, NodeId)> = None;
+        let mut best: Option<(u128, f64, NodeId)> = None;
         for v in cands {
-            let volume: u64 = index
-                .flows_through(v)
+            let volume: u128 = index
+                .classes_through(v)
                 .iter()
-                .filter(|&&(fi, _)| !coverage.is_served(&index, fi))
-                .map(|&(fi, _)| flows[ix(fi)].rate)
+                .filter(|&&c| !coverage.is_served(c))
+                .map(|&c| index.class_rate(c))
                 .sum();
-            let tie = index.marginal_decrement(instance, &cur, v);
+            let tie = index.decrement(&cur, v);
             let better = match &best {
                 None => true,
                 Some((bv, bt, bid)) => {
@@ -75,9 +77,9 @@ pub fn best_effort_with<M: CostModel>(
         }
         deployment.insert(v);
         coverage.serve(&index, v);
-        for &(fi, g) in index.flows_through(v) {
-            if g > cur[ix(fi)] {
-                cur[ix(fi)] = g;
+        for (c, g) in index.row_entries(v) {
+            if g > cur[ix(c)] {
+                cur[ix(c)] = g;
             }
         }
     }

@@ -8,12 +8,14 @@
 //! Thm. 2). It returns exactly the same optimum as
 //! [`crate::algorithms::exhaustive`] while visiting a fraction of the
 //! tree, which pushes the certified-optimal frontier from ~15 to ~40
-//! vertices at small `k`.
+//! vertices at small `k`. The search state is per path class (each
+//! class's best gain so far and whether it is served), read from the
+//! hop-count [`FlowIndex`]'s class rows.
 
 use crate::cost::{FlowIndex, HopCount};
 use crate::error::TdmdError;
 use crate::instance::Instance;
-use crate::num::ix;
+use crate::num::{id32, ix};
 use crate::plan::Deployment;
 use tdmd_graph::NodeId;
 
@@ -26,8 +28,7 @@ pub struct BnbStats {
     pub pruned: u64,
 }
 
-struct Search<'a> {
-    instance: &'a Instance,
+struct Search {
     index: FlowIndex,
     cands: Vec<NodeId>,
     k: usize,
@@ -37,7 +38,7 @@ struct Search<'a> {
     node_budget: u64,
 }
 
-impl Search<'_> {
+impl Search {
     /// Depth-first over candidate indices with the submodular bound.
     fn recurse(
         &mut self,
@@ -66,20 +67,27 @@ impl Search<'_> {
         // Submodular upper bound: current decrement + top `slots`
         // marginals among the remaining candidates (valid because
         // d(P ∪ S) ≤ d(P) + Σ_{v ∈ S} d_P(v), Thm. 2).
+        let unserved_in = |c: u32| {
+            if served[ix(c)] {
+                0
+            } else {
+                ix(self.index.class_size(c))
+            }
+        };
         let mut gains: Vec<(f64, usize)> = self.cands[from..]
             .iter()
             .map(|&v| {
-                let row = self.index.flows_through(v);
+                let row = self.index.classes_through(v);
                 (
-                    self.index.marginal_decrement(self.instance, cur, v),
-                    row.iter().filter(|&&(fi, _)| !served[ix(fi)]).count(),
+                    self.index.decrement(cur, v),
+                    row.iter().map(|&c| unserved_in(c)).sum(),
                 )
             })
             .collect();
         gains.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
         let bound: f64 = decrement + gains.iter().take(slots).map(|&(g, _)| g).sum::<f64>();
         let coverable: usize = gains.iter().map(|&(_, c)| c).sum();
-        let unserved = served.iter().filter(|&&s| !s).count();
+        let unserved: usize = (0..id32(served.len())).map(unserved_in).sum();
         if (self.best.is_some() && bound <= self.best_decrement + 1e-12) || coverable < unserved {
             self.stats.pruned += 1;
             return Ok(());
@@ -87,21 +95,21 @@ impl Search<'_> {
         // Branch in candidate order (include / skip each).
         for i in from..self.cands.len() {
             let v = self.cands[i];
-            let gain = self.index.marginal_decrement(self.instance, cur, v);
+            let gain = self.index.decrement(cur, v);
             // Record deltas to undo after the recursive call.
             let mut touched: Vec<(usize, f64, bool)> = Vec::new();
-            for &(fi, g) in self.index.flows_through(v) {
-                let fi = ix(fi);
-                touched.push((fi, cur[fi], served[fi]));
-                served[fi] = true;
-                cur[fi] = cur[fi].max(g);
+            for (c, g) in self.index.row_entries(v) {
+                let c = ix(c);
+                touched.push((c, cur[c], served[c]));
+                served[c] = true;
+                cur[c] = cur[c].max(g);
             }
             chosen.push(v);
             self.recurse(i + 1, chosen, cur, served, decrement + gain)?;
             chosen.pop();
-            for (fi, old_g, old_s) in touched.into_iter().rev() {
-                cur[fi] = old_g;
-                served[fi] = old_s;
+            for (c, old_g, old_s) in touched.into_iter().rev() {
+                cur[c] = old_g;
+                served[c] = old_s;
             }
         }
         Ok(())
@@ -129,9 +137,10 @@ pub fn branch_and_bound(
             },
         ));
     }
+    let index = FlowIndex::build(instance, &HopCount);
+    let classes = index.class_count();
     let mut search = Search {
-        instance,
-        index: FlowIndex::build(instance, &HopCount),
+        index,
         cands: instance.candidate_vertices(),
         k,
         best_decrement: f64::NEG_INFINITY,
@@ -143,8 +152,8 @@ pub fn branch_and_bound(
         node_budget,
     };
     let mut chosen = Vec::with_capacity(k);
-    let mut cur = vec![0.0; instance.flows().len()];
-    let mut served = vec![false; instance.flows().len()];
+    let mut cur = vec![0.0; classes];
+    let mut served = vec![false; classes];
     search.recurse(0, &mut chosen, &mut cur, &mut served, 0.0)?;
     match search.best {
         Some(vs) => {

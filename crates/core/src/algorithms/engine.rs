@@ -10,6 +10,16 @@
 //! ([`FlowIndex::build`]) or from flows priced elsewhere
 //! ([`FlowIndex::compile`], the online drift oracle's live state).
 //!
+//! The kernel works per path class, never per flow. Members of a class
+//! share every gain and every best-so-far gain, so `cur` holds one
+//! value per class, a score sums `R_c · (1 − λ) · (g − cur[c])` over
+//! the classes in the vertex's row, and a commit raises `cur` once per
+//! class. The scores are the same real numbers as the per-flow sums.
+//! Where every term is exact (integer rates, integral gains such as
+//! hop counts or `u64` edge weights, a dyadic `1 − λ`) they are the
+//! same floats too, so no pick moves; elsewhere only the summation
+//! order differs, and a pick can move only on a tie within rounding.
+//!
 //! Each round's argmax is lazy, after CELF (Leskovec et al., KDD
 //! 2007): a max-heap holds every open candidate under the score key
 //! it last computed, and only a top computed in an earlier round is
@@ -77,8 +87,8 @@ impl Score {
 /// Mutable greedy state of one GTP run.
 struct State {
     deployment: Deployment,
-    /// Best serving gain per flow so far (0.0 = unserved or served at
-    /// the destination — both contribute zero decrement).
+    /// Best serving gain per class so far (0.0 = unserved or served
+    /// at the destination — both contribute zero decrement).
     cur: Vec<f64>,
     /// Served flows and per-vertex unserved counts.
     coverage: Coverage,
@@ -88,7 +98,7 @@ impl State {
     fn new(index: &FlowIndex) -> Self {
         Self {
             deployment: Deployment::empty(index.node_count()),
-            cur: vec![0.0; index.flow_count()],
+            cur: vec![0.0; index.class_count()],
             coverage: Coverage::new(index),
         }
     }
@@ -113,10 +123,10 @@ impl State {
     fn commit(&mut self, index: &FlowIndex, v: NodeId) {
         self.deployment.insert(v);
         self.coverage.serve(index, v);
-        for &(fi, g) in index.flows_through(v) {
-            let fi = ix(fi);
-            if g > self.cur[fi] {
-                self.cur[fi] = g;
+        for (c, g) in index.row_entries(v) {
+            let c = ix(c);
+            if g > self.cur[c] {
+                self.cur[c] = g;
             }
         }
     }
@@ -380,8 +390,9 @@ mod tests {
     use tdmd_traffic::Flow;
 
     /// The kernel as it was before the lazy argmax: every open
-    /// candidate the guard allows is scored in every round. Kept as the
-    /// reference the lazy kernel must reproduce exactly.
+    /// candidate the guard allows is scored in every round, per path
+    /// class like the lazy kernel. Kept as the reference the lazy
+    /// kernel must reproduce exactly.
     mod reference {
         use super::super::{Score, State};
         use crate::cost::FlowIndex;
@@ -478,7 +489,8 @@ mod tests {
         .expect("same paths, same edges");
         // Flows on one path can carry different gains, as in a
         // restored snapshot: each flow's hop gains and cost are scaled
-        // by one of three random weights, or by 1.
+        // by one of three random weights, or by 1, so `compile` splits
+        // a path into one class per weight its flows drew.
         let weights: Vec<f64> = (0..3).map(|_| rng.gen_range(0.25..4.0)).collect();
         let scale: Vec<f64> = inst
             .flows()
@@ -522,22 +534,29 @@ mod tests {
     /// pricings and λ ∈ {0.5, 1}, for every budget from 1 to twice the
     /// greedy cover and in derive-k mode, the lazy kernel returns the
     /// eager reference's deployment or error and commits the same
-    /// `(gain, guarded)` rounds, bit for bit. At λ = 1 every gain is
-    /// zero and coverage decides. The tallies prove that guarded
-    /// rounds, both kinds of guard-rejected heap tops, covers passed
-    /// forward and `Infeasible` results all occurred.
+    /// `(gain, guarded)` rounds, bit for bit. Both kernels score per
+    /// path class. At λ = 1 every gain is zero and coverage decides.
+    /// The tallies prove that guarded rounds, both kinds of
+    /// guard-rejected heap tops, covers passed forward, `Infeasible`
+    /// results and paths split into several classes by their pricing
+    /// all occurred.
     #[test]
     fn lazy_kernel_matches_the_eager_reference() {
         let seed = proptest::fnv1a("lazy_kernel_matches_the_eager_reference");
         let (mut guarded, mut pruned, mut rejected, mut forward, mut infeasible) =
             (0usize, 0usize, 0usize, 0usize, 0usize);
+        let mut split = 0usize;
         for case in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(TestRng::for_case(seed, case).next_u64());
             let inst = random_instance(&mut rng);
             let cover =
                 greedy_cover(&inst, &vec![false; inst.flows().len()]).map_or(0, |c| c.len());
             for lambda in [0.5, 1.0] {
-                for index in indexes(&inst, lambda, &mut rng) {
+                let indexes = indexes(&inst, lambda, &mut rng);
+                // The hop-count build has one class per distinct path.
+                let paths = indexes[0].class_count();
+                for index in indexes {
+                    split += usize::from(index.class_count() > paths);
                     for budget in (1..=(2 * cover).max(1)).map(Some).chain([None]) {
                         let mut picks: Vec<Picked> = Vec::new();
                         let got = rounds(&index, budget, |p| picks.push(*p));
@@ -561,9 +580,10 @@ mod tests {
             }
         }
         assert!(
-            guarded > 0 && pruned > 0 && rejected > 0 && forward > 0 && infeasible > 0,
+            guarded > 0 && pruned > 0 && rejected > 0 && forward > 0 && infeasible > 0 && split > 0,
             "vacuous run: {guarded} guarded rounds, {pruned} pruned and {rejected} rejected \
-             tops, {forward} covers passed forward, {infeasible} infeasible"
+             tops, {forward} covers passed forward, {infeasible} infeasible, {split} split \
+             indexes"
         );
     }
 

@@ -17,12 +17,16 @@
 //! * `Δb(i, j)` is recomputed against the *current* deployment when a
 //!   heap entry is popped stale (merges elsewhere can change where the
 //!   affected flows re-home), instead of trusting the stale key.
+//!
+//! Flows on one path re-home together, so the merge state is kept per
+//! path class: each class's best downstream hops, and `Δb` summed over
+//! the affected classes weighted by their exact rate sums.
 
 use crate::algorithms::dp::validate_tree_instance;
 use crate::cost::{FlowIndex, HopCount};
 use crate::error::TdmdError;
 use crate::instance::Instance;
-use crate::num::{approx_f64, id32, ix};
+use crate::num::{id32, ix, rate_sum_f64};
 use crate::order::TotalGain;
 use crate::plan::Deployment;
 use std::cmp::Reverse;
@@ -30,26 +34,27 @@ use std::collections::BinaryHeap;
 use tdmd_graph::{Lca, NodeId};
 
 /// Mutable merge state.
-struct MergeState<'a> {
-    instance: &'a Instance,
-    /// Hop-count rows: the flows crossing each vertex.
+struct MergeState {
+    /// `1 − λ`.
+    factor: f64,
+    /// Hop-count rows: the classes crossing each vertex.
     index: FlowIndex,
     /// Deployment bitmap (kept separate from `Deployment` for cheap
     /// temporary flips while evaluating a merge).
     member: Vec<bool>,
     /// Live middlebox vertices.
     live: Vec<NodeId>,
-    /// Per-flow current best downstream hops under `member`.
+    /// Per-class current best downstream hops under `member`.
     best_l: Vec<u32>,
 }
 
-impl MergeState<'_> {
-    /// Best downstream hops of flow `fi` under the current bitmap.
-    fn flow_best(&self, fi: usize) -> u32 {
-        let f = &self.instance.flows()[fi];
-        let hops = id32(f.hops());
+impl MergeState {
+    /// Best downstream hops of class `c` under the current bitmap.
+    fn class_best(&self, c: u32) -> u32 {
+        let path = self.index.class_path(c);
+        let hops = id32(path.len() - 1);
         let mut best = 0;
-        for (pos, &v) in f.path.iter().enumerate() {
+        for (pos, &v) in path.iter().enumerate() {
             if self.member[ix(v)] {
                 best = best.max(hops - id32(pos));
                 break; // first on-path box from the source is the max l
@@ -58,16 +63,16 @@ impl MergeState<'_> {
         best
     }
 
-    /// Flows whose serving box could change when `{i, j}` merge into
+    /// Classes whose serving box could change when `{i, j}` merge into
     /// `lca`: everything crossing `i`, `j` or `lca`.
     fn affected(&self, i: NodeId, j: NodeId, lca: NodeId) -> Vec<u32> {
         let mut out: Vec<u32> = self
             .index
-            .flows_through(i)
+            .classes_through(i)
             .iter()
-            .chain(self.index.flows_through(j))
-            .chain(self.index.flows_through(lca))
-            .map(|&(fi, _)| fi)
+            .chain(self.index.classes_through(j))
+            .chain(self.index.classes_through(lca))
+            .copied()
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -77,7 +82,6 @@ impl MergeState<'_> {
     /// Exact `Δb(i, j)`: bandwidth change of merging `i, j → lca`
     /// against the current deployment (positive = worse).
     fn delta_b(&mut self, i: NodeId, j: NodeId, lca: NodeId) -> f64 {
-        let factor = 1.0 - self.instance.lambda();
         let affected = self.affected(i, j, lca);
         // `member` mirrors `live` outside the flip window, so the
         // pre-flip bit is exactly `live.contains(&lca)` — saving it
@@ -85,12 +89,11 @@ impl MergeState<'_> {
         let lca_was_member = self.member[ix(lca)];
         self.flip(i, j, lca);
         let mut delta = 0.0;
-        for &fi in &affected {
-            let fi = ix(fi);
-            let new_l = self.flow_best(fi);
-            let old_l = self.best_l[fi];
-            delta += approx_f64(self.instance.flows()[fi].rate)
-                * factor
+        for &c in &affected {
+            let new_l = self.class_best(c);
+            let old_l = self.best_l[ix(c)];
+            delta += rate_sum_f64(self.index.class_rate(c))
+                * self.factor
                 * (f64::from(old_l) - f64::from(new_l));
         }
         self.unflip(i, j, lca, lca_was_member);
@@ -109,7 +112,7 @@ impl MergeState<'_> {
         self.member[ix(j)] = true;
     }
 
-    /// Commits the merge and refreshes per-flow assignments.
+    /// Commits the merge and refreshes per-class assignments.
     fn commit(&mut self, i: NodeId, j: NodeId, lca: NodeId) {
         let affected = self.affected(i, j, lca);
         self.member[ix(i)] = false;
@@ -119,9 +122,8 @@ impl MergeState<'_> {
         if !self.live.contains(&lca) {
             self.live.push(lca);
         }
-        for &fi in &affected {
-            let fi = ix(fi);
-            self.best_l[fi] = self.flow_best(fi);
+        for &c in &affected {
+            self.best_l[ix(c)] = self.class_best(c);
         }
     }
 }
@@ -151,10 +153,13 @@ pub fn hat(instance: &Instance, k: usize) -> Result<Deployment, TdmdError> {
     for &s in &sources {
         member[ix(s)] = true;
     }
-    let best_l = instance.flows().iter().map(|f| id32(f.hops())).collect();
+    let index = FlowIndex::build(instance, &HopCount);
+    let best_l = (0..id32(index.class_count()))
+        .map(|c| id32(index.class_path(c).len() - 1))
+        .collect();
     let mut state = MergeState {
-        instance,
-        index: FlowIndex::build(instance, &HopCount),
+        factor: 1.0 - instance.lambda(),
+        index,
         member,
         live: sources.clone(),
         best_l,

@@ -19,8 +19,11 @@
 //!   lower bound).
 //! * [`check_index`] and [`check_index_solution`] — the same two
 //!   layers for a compiled [`FlowIndex`], the greedy kernel's whole
-//!   input: rows, weights and paths consistent with each other, and a
-//!   result within budget that serves every flow.
+//!   input: rows, path classes, rate sums and weights consistent with
+//!   each other, and a result within budget that serves every flow.
+//! * [`check_class_pricing`] — a [`FlowIndex::build`] priced each path
+//!   class through its first member; every other member must price the
+//!   same under the model ([`CostModel`]'s path-only contract).
 //! * [`check_greedy_trace`] — the greedy's per-round marginal gains
 //!   are non-negative and monotone non-increasing across unguarded
 //!   rounds: a live submodularity witness for Thm. 2. Guard rounds
@@ -33,7 +36,7 @@
 
 use std::fmt;
 
-use crate::cost::FlowIndex;
+use crate::cost::{CostModel, FlowIndex};
 use crate::instance::{Instance, PathSets};
 use crate::plan::{Allocation, Deployment};
 
@@ -333,79 +336,81 @@ pub fn check_solution(
 }
 
 /// Validates a compiled [`FlowIndex`] on its own: offsets are monotone
-/// prefix-sum fences over the rows and the class arena, every row is
-/// strictly ascending by flow id, every entry names a flow whose path
-/// crosses the vertex, and each flow has exactly one entry per path
-/// position. The path classes must partition the flows: every flow
-/// names a class, each class's size is the number of flows naming it
-/// (so the sizes sum to the flow count), no two classes share a path,
-/// and each class row is strictly ascending with one entry per
-/// class-path position. An index compiled from live state
-/// ([`FlowIndex::compile`]) has no instance to check against, so this
-/// is its structural audit.
+/// prefix-sum fences over the rows and the class arena, and every
+/// per-class array has one slot per class. The path classes must
+/// partition the flows: every flow names a class, each class's size is
+/// the number of flows naming it (so the sizes sum to the flow count)
+/// and its first member is the lowest of them, and its rate sum is at
+/// least its size (rates are positive) with a weight between 0 and that
+/// sum. Every row is strictly ascending by class and names classes
+/// whose path crosses the vertex, each class has exactly one row entry
+/// per path position, and no two classes share both a path and a
+/// pricing (the bits of their gains and cost). An index compiled from
+/// live state ([`FlowIndex::compile`]) has no instance to check
+/// against, so this is its structural audit.
 ///
 /// # Errors
 /// Returns the first violated check among `index-shape`,
 /// `index-class-fence`, `index-offsets-monotone`, `index-path-bounds`,
-/// `index-class-bounds`, `index-class-sizes`, `index-class-distinct`,
-/// `index-row-sorted`, `index-entry-bounds`, `index-entry-offpath`,
-/// `index-bijective` and `index-class-rows`.
+/// `index-class-bounds`, `index-class-sizes`, `index-class-first`,
+/// `index-class-rates`, `index-row-sorted`, `index-entry-bounds`,
+/// `index-entry-offpath`, `index-bijective` and
+/// `index-class-distinct`.
 pub fn check_index(index: &FlowIndex) -> Result<(), AuditError> {
     let crate::cost::IndexParts {
         offsets,
-        entries,
+        row_class,
+        row_gain,
         class_of,
         class_size,
+        class_first,
+        class_rate,
+        class_weight,
+        class_cost,
         class_offsets,
         class_nodes,
-        class_row_offsets,
-        class_rows,
     } = index.audit_parts();
     let n = index.node_count();
-    let flows = index.flow_count();
     let classes = class_size.len();
     let spans = |fence: &[u32], len: usize| {
         fence.first() == Some(&0) && fence.last().map(|&o| o as usize) == Some(len)
     };
-    if offsets.len() != n + 1 || !spans(offsets, entries.len()) {
-        fail!(
-            "index-shape",
-            "row fence of length {} does not span {} entries",
-            offsets.len(),
-            entries.len()
-        );
-    }
-    if class_of.len() != flows
-        || class_offsets.len() != classes + 1
-        || class_row_offsets.len() != n + 1
+    if offsets.len() != n + 1
+        || !spans(offsets, row_class.len())
+        || row_gain.len() != row_class.len()
     {
         fail!(
             "index-shape",
-            "{} class ids for {flows} flows; class fence of length {} for {classes} classes; \
-             class-row fence of length {} for {n} vertices",
-            class_of.len(),
-            class_offsets.len(),
-            class_row_offsets.len()
+            "row fence of length {} does not span {} classes and {} gains",
+            offsets.len(),
+            row_class.len(),
+            row_gain.len()
         );
     }
-    for (fence, len, name) in [
-        (class_offsets, class_nodes.len(), "class"),
-        (class_row_offsets, class_rows.len(), "class-row"),
-    ] {
-        if !spans(fence, len) {
-            fail!(
-                "index-class-fence",
-                "{name} fence {:?}..{:?} does not span its {len} entries",
-                fence.first(),
-                fence.last()
-            );
-        }
+    let lengths = [
+        class_first.len(),
+        class_rate.len(),
+        class_weight.len(),
+        class_cost.len(),
+        class_offsets.len().saturating_sub(1),
+    ];
+    if class_offsets.is_empty() || lengths.iter().any(|&l| l != classes) {
+        fail!(
+            "index-shape",
+            "per-class arrays (first, rate, weight, cost, fence − 1) of lengths {lengths:?} \
+             for {classes} classes"
+        );
     }
-    for (fence, name) in [
-        (offsets, "row"),
-        (class_offsets, "class"),
-        (class_row_offsets, "class-row"),
-    ] {
+    if !spans(class_offsets, class_nodes.len()) {
+        fail!(
+            "index-class-fence",
+            "class fence {:?}..{:?} does not span its {} entries",
+            class_offsets.first(),
+            class_offsets.last(),
+            class_nodes.len()
+        );
+    }
+    for (fence, name) in [(offsets, "row"), (class_offsets, "class")] {
         if let Some(i) = fence.windows(2).position(|w| w[0] > w[1]) {
             fail!(
                 "index-offsets-monotone",
@@ -429,8 +434,10 @@ pub fn check_index(index: &FlowIndex) -> Result<(), AuditError> {
         );
     }
     let mut members = vec![0usize; classes];
-    for &c in class_of {
+    let mut first = vec![None; classes];
+    for (fi, &c) in class_of.iter().enumerate() {
         members[c as usize] += 1;
+        first[c as usize].get_or_insert(fi as u32);
     }
     if let Some(c) = (0..classes).find(|&c| members[c] == 0 || class_size[c] as usize != members[c])
     {
@@ -441,70 +448,49 @@ pub fn check_index(index: &FlowIndex) -> Result<(), AuditError> {
             members[c]
         );
     }
-    let mut by_path: Vec<u32> = (0..classes as u32).collect();
-    by_path.sort_unstable_by(|&a, &b| index.class_path(a).cmp(index.class_path(b)).then(a.cmp(&b)));
-    if let Some(w) = by_path
-        .windows(2)
-        .find(|w| index.class_path(w[0]) == index.class_path(w[1]))
-    {
+    if let Some(c) = (0..classes).find(|&c| first[c] != Some(class_first[c])) {
         fail!(
-            "index-class-distinct",
-            "classes {} and {} share the path {:?}",
-            w[0],
-            w[1],
-            index.class_path(w[0])
+            "index-class-first",
+            "class {c} names flow {} first, but its lowest member is {:?}",
+            class_first[c],
+            first[c]
         );
     }
-    let mut per_flow = vec![0usize; flows];
-    for v in 0..n as tdmd_graph::NodeId {
-        let mut prev: Option<u32> = None;
-        for &(fi, _) in index.flows_through(v) {
-            if prev.is_some_and(|p| fi <= p) {
-                fail!(
-                    "index-row-sorted",
-                    "vertex {v} row not strictly ascending: flow {fi} after {prev:?}"
-                );
-            }
-            prev = Some(fi);
-            if fi as usize >= flows {
-                fail!(
-                    "index-entry-bounds",
-                    "vertex {v} row references flow {fi} of {flows}"
-                );
-            }
-            if !index.path(fi).contains(&v) {
-                fail!(
-                    "index-entry-offpath",
-                    "vertex {v} row lists flow {fi}, whose path avoids it"
-                );
-            }
-            per_flow[fi as usize] += 1;
-        }
-    }
-    for (fi, &got) in per_flow.iter().enumerate() {
-        let want = index.path(fi as u32).len();
-        if got != want {
-            fail!(
-                "index-bijective",
-                "flow {fi}: {got} row entries for {want} path vertices"
-            );
-        }
+    if let Some(c) = (0..classes).find(|&c| {
+        class_rate[c] < u128::from(class_size[c])
+            || !(0.0..=crate::num::rate_sum_f64(class_rate[c])).contains(&class_weight[c])
+    }) {
+        fail!(
+            "index-class-rates",
+            "class {c}: rate sum {} for {} members, weight {}",
+            class_rate[c],
+            class_size[c],
+            class_weight[c]
+        );
     }
     let mut per_class = vec![0usize; classes];
     for v in 0..n as tdmd_graph::NodeId {
         let mut prev: Option<u32> = None;
         for &c in index.classes_through(v) {
-            if prev.is_some_and(|p| c <= p)
-                || c as usize >= classes
-                || !index.class_path(c).contains(&v)
-            {
+            if prev.is_some_and(|p| c <= p) {
                 fail!(
-                    "index-class-rows",
-                    "vertex {v} class row lists class {c} after {prev:?}, out of order, \
-                     out of range or off its path"
+                    "index-row-sorted",
+                    "vertex {v} row not strictly ascending: class {c} after {prev:?}"
                 );
             }
             prev = Some(c);
+            if c as usize >= classes {
+                fail!(
+                    "index-entry-bounds",
+                    "vertex {v} row references class {c} of {classes}"
+                );
+            }
+            if !index.class_path(c).contains(&v) {
+                fail!(
+                    "index-entry-offpath",
+                    "vertex {v} row lists class {c}, whose path avoids it"
+                );
+            }
             per_class[c as usize] += 1;
         }
     }
@@ -512,18 +498,112 @@ pub fn check_index(index: &FlowIndex) -> Result<(), AuditError> {
         let want = index.class_path(c as u32).len();
         if got != want {
             fail!(
-                "index-class-rows",
-                "class {c}: {got} class-row entries for {want} path vertices"
+                "index-bijective",
+                "class {c}: {got} row entries for {want} path vertices"
             );
+        }
+    }
+    // A class's pricing, read back from the rows: its gains in path
+    // order, then its cost.
+    let gains = class_gains(index);
+    let pricing = |c: u32| {
+        let span = class_offsets[c as usize] as usize..class_offsets[c as usize + 1] as usize;
+        gains[span]
+            .iter()
+            .chain([&class_cost[c as usize]])
+            .map(|g| g.to_bits())
+            .collect::<Vec<u64>>()
+    };
+    let mut by_key: Vec<u32> = (0..classes as u32).collect();
+    by_key.sort_by_cached_key(|&c| (index.class_path(c), pricing(c), c));
+    if let Some(w) = by_key.windows(2).find(|w| {
+        index.class_path(w[0]) == index.class_path(w[1]) && pricing(w[0]) == pricing(w[1])
+    }) {
+        fail!(
+            "index-class-distinct",
+            "classes {} and {} share the path {:?} and its pricing",
+            w[0],
+            w[1],
+            index.class_path(w[0])
+        );
+    }
+    Ok(())
+}
+
+/// The serving gains of every class, parallel to the class arena,
+/// read back from the rows: the entry of class `c` on the `i`-th vertex
+/// of its path is its gain at position `i`.
+fn class_gains(index: &FlowIndex) -> Vec<f64> {
+    let parts = index.audit_parts();
+    let mut gains = vec![0.0; parts.class_nodes.len()];
+    for v in 0..index.node_count() as tdmd_graph::NodeId {
+        for (c, g) in index.row_entries(v) {
+            let lo = parts.class_offsets[c as usize] as usize;
+            for (pos, &u) in index.class_path(c).iter().enumerate() {
+                if u == v {
+                    gains[lo + pos] = g;
+                }
+            }
+        }
+    }
+    gains
+}
+
+/// Validates that `model` prices every flow of `instance` as `index`,
+/// its [`FlowIndex::build`], priced the flow's class through the
+/// class's first member: the same cost and the same gain at every path
+/// position, bit for bit. That is the [`CostModel`] contract that a
+/// model prices from the path alone; a model that prices by rate, id or
+/// tenant breaks it.
+///
+/// # Errors
+/// `index-class-pricing`, naming the first flow priced apart from its
+/// class.
+pub fn check_class_pricing<M: CostModel + ?Sized>(
+    instance: &Instance,
+    model: &M,
+    index: &FlowIndex,
+) -> Result<(), AuditError> {
+    let parts = index.audit_parts();
+    for f in instance.flows() {
+        let c = index.class_of(f.id);
+        let cost = model.unprocessed_cost(f);
+        if cost.to_bits() != index.class_cost(c).to_bits() {
+            fail!(
+                "index-class-pricing",
+                "flow {} costs {cost} but its class {c} costs {}",
+                f.id,
+                index.class_cost(c)
+            );
+        }
+        for (pos, &v) in f.path.iter().enumerate() {
+            // Rows ascend by class, so the class's entry is found by
+            // binary search; its gain sits at the same offset.
+            let lo = parts.offsets[v as usize] as usize;
+            let held = index
+                .classes_through(v)
+                .binary_search(&c)
+                .ok()
+                .map(|i| parts.row_gain[lo + i]);
+            let gain = model.serving_gain(f, pos);
+            if held.map(f64::to_bits) != Some(gain.to_bits()) {
+                fail!(
+                    "index-class-pricing",
+                    "flow {} gains {gain} at position {pos} (vertex {v}) but its class {c} \
+                     holds {held:?}",
+                    f.id
+                );
+            }
         }
     }
     Ok(())
 }
 
 /// Validates a GTP result against the index it was solved on: vertex
-/// bounds, the budget, every flow served by a deployed vertex on its
-/// path, and a non-negative decrement `Σ r_f (1 − λ) · best gain`
-/// (Lemma 1's lower bound under the compiled model).
+/// bounds, the budget, every class (so every flow) served by a deployed
+/// vertex on its path, and a non-negative decrement `Σ R_c (1 − λ) ·
+/// best gain` over the classes (Lemma 1's lower bound under the
+/// compiled model).
 ///
 /// # Errors
 /// Returns the first violated check among `deployment-bounds`,
@@ -550,14 +630,18 @@ pub fn check_index_solution(
             deployment.len()
         );
     }
-    let best = index.best_down(deployment);
-    if let Some(fi) = best.iter().position(Option::is_none) {
-        fail!("flow-unserved", "flow {fi} crosses no deployed vertex");
+    let best = index.class_best(deployment);
+    if let Some(c) = best.iter().position(Option::is_none) {
+        fail!(
+            "flow-unserved",
+            "flow {} (class {c}) crosses no deployed vertex",
+            index.class_first(c as u32)
+        );
     }
     let d: f64 = best
         .iter()
         .enumerate()
-        .map(|(fi, g)| index.weight(fi as u32) * g.unwrap_or(0.0))
+        .map(|(c, g)| index.class_weight(c as u32) * g.unwrap_or(0.0))
         .sum();
     if d < -DECREMENT_EPS {
         fail!("decrement-negative", "d(P) = {d} < 0 violates Lemma 1");

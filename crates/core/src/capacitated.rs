@@ -23,6 +23,7 @@ use crate::cost::{FlowIndex, HopCount};
 use crate::error::TdmdError;
 use crate::feasibility::{guard_candidates, open_candidates, Coverage};
 use crate::instance::Instance;
+use crate::num::{id32, ix};
 use crate::plan::{Allocation, Deployment};
 use tdmd_graph::flownet::FlowNetwork;
 use tdmd_graph::NodeId;
@@ -48,19 +49,56 @@ pub fn evaluate_capacitated(
     deployment: &Deployment,
     cap: usize,
 ) -> CapacitatedEval {
-    evaluate_in(
-        instance,
-        &FlowIndex::build(instance, &HopCount),
-        deployment,
-        cap,
-    )
+    let index = FlowIndex::build(instance, &HopCount);
+    evaluate_in(instance, &index, &Members::new(&index), deployment, cap)
+}
+
+/// The members of each path class of an index, ascending: the
+/// per-flow view the matching needs, since capacity can split a class
+/// across boxes. Built on demand, once per evaluation or greedy run.
+struct Members {
+    /// Class `c`'s flows are `flows[offsets[c] .. offsets[c + 1]]`.
+    offsets: Vec<u32>,
+    flows: Vec<u32>,
+}
+
+impl Members {
+    fn new(index: &FlowIndex) -> Self {
+        let mut offsets = vec![0u32; index.class_count() + 1];
+        for c in 0..id32(index.class_count()) {
+            offsets[ix(c) + 1] = offsets[ix(c)] + index.class_size(c);
+        }
+        let mut cursor: Vec<u32> = offsets[..index.class_count()].to_vec();
+        let mut flows = vec![0u32; index.flow_count()];
+        for fi in 0..id32(index.flow_count()) {
+            let slot = &mut cursor[ix(index.class_of(fi))];
+            flows[ix(*slot)] = fi;
+            *slot += 1;
+        }
+        Self { offsets, flows }
+    }
+
+    /// The flows crossing `v` with their `l_v(f)`, ascending by flow
+    /// id.
+    fn through(&self, index: &FlowIndex, v: NodeId) -> Vec<(u32, f64)> {
+        let mut out: Vec<(u32, f64)> = index
+            .row_entries(v)
+            .flat_map(|(c, l)| {
+                let span = ix(self.offsets[ix(c)])..ix(self.offsets[ix(c) + 1]);
+                self.flows[span].iter().map(move |&fi| (fi, l))
+            })
+            .collect();
+        out.sort_unstable_by_key(|&(fi, _)| fi);
+        out
+    }
 }
 
 /// [`evaluate_capacitated`] over `index`, the hop-count index of
-/// `instance`, whose rows list each box's flows with their `l_v(f)`.
+/// `instance`, and its class `members`.
 fn evaluate_in(
     instance: &Instance,
     index: &FlowIndex,
+    members: &Members,
     deployment: &Deployment,
     cap: usize,
 ) -> CapacitatedEval {
@@ -101,7 +139,7 @@ fn evaluate_in(
     // indices are captured explicitly at insertion time.
     let mut arc_box: Vec<Vec<(usize, NodeId)>> = vec![Vec::new(); n_flows];
     for (bi, &v) in boxes.iter().enumerate() {
-        for &(fi, l) in index.flows_through(v) {
+        for (fi, l) in members.through(index, v) {
             let gain = instance.flows()[fi as usize].rate as f64 * factor * l;
             let cost = -(gain * SCALE).round() as i64;
             let idx = net.out_arc_count(flow_base + fi as usize);
@@ -176,8 +214,9 @@ pub fn gtp_capacitated(
     }
     let mut deployment = Deployment::empty(instance.node_count());
     let index = FlowIndex::build(instance, &HopCount);
+    let members = Members::new(&index);
     let mut coverage = Coverage::new(&index);
-    let mut cur = evaluate_in(instance, &index, &deployment, cap);
+    let mut cur = evaluate_in(instance, &index, &members, &deployment, cap);
     for round in 0..k {
         let remaining = k - round;
         // Capacity-blind coverage guard, shared with the uncapacitated
@@ -189,7 +228,7 @@ pub fn gtp_capacitated(
         for v in cands {
             let mut trial = deployment.clone();
             trial.insert(v);
-            let eval = evaluate_in(instance, &index, &trial, cap);
+            let eval = evaluate_in(instance, &index, &members, &trial, cap);
             let cov = coverage.count(v);
             let better = match &best {
                 None => true,

@@ -21,22 +21,27 @@
 //! paper's Eq. 1, unit edge weights), [`WeightedEdges`] (per-edge
 //! weights, the repo's priced-links extension), and the chain-aware
 //! stack model in the `tdmd-chain` crate. All three price a flow from
-//! its rate and path alone, so the same model object serves a static
-//! [`Instance`] and the online engine, which prices each arriving
-//! flow once ([`CostModel::gains`]).
+//! its path alone, as the contract requires, so the same model object
+//! serves a static [`Instance`] and the online engine, which prices
+//! each arriving flow once ([`CostModel::gains`]).
 //!
 //! A model is *compiled* into a [`FlowIndex`], the greedy kernel's
-//! whole input and the one vertex → flow index of the solvers: one
-//! flat CSR arena of `(flow, gain)` entries grouped by vertex, plus
-//! per-flow weights `r_f · (1 − λ)`, unprocessed costs and path classes
-//! (each distinct path stored once, with a second CSR of the classes
-//! through each vertex), so the kernel's inner loops scan contiguous
-//! memory and never read the [`Instance`]. Solvers that need the flows
-//! crossing a vertex without a model (HAT, Best-effort's volume, the
-//! capacitated matching, branch-and-bound) read a [`HopCount`] index,
-//! whose gains are the downstream hop counts `l_v(f)`. Flows priced
-//! elsewhere (the online engine's stored gains) compile through
-//! [`FlowIndex::compile`] into the same index.
+//! whole input and the one vertex → flow index of the solvers. Eq. 1
+//! and Def. 2 see a flow only through its path and its rate, so the
+//! index works on *path classes*: the flows that follow one path share
+//! every gain and every best-so-far gain, and a class stands for all
+//! of them, weighted by its exact rate sum. One flat CSR arena holds
+//! `(class, gain)` entries grouped by vertex, as two parallel arrays;
+//! per class the index
+//! keeps the path, the unprocessed cost, the member count, the rate
+//! sum and the weight `R_c · (1 − λ)`; per flow only its class. The
+//! kernel's inner loops scan contiguous memory and never read the
+//! [`Instance`]. Solvers that need the flows crossing a vertex without
+//! a model (HAT, Best-effort's volume, the capacitated matching,
+//! branch-and-bound) read a [`HopCount`] index, whose gains are the
+//! downstream hop counts `l_v(f)`. Flows priced elsewhere (the online
+//! engine's stored gains) compile through [`FlowIndex::compile`] into
+//! the same layout.
 //!
 //! Models always price each flow's current path. Under the joint
 //! routing extension that path is one pick from the flow's
@@ -50,7 +55,7 @@ use tdmd_graph::{DiGraph, NodeId};
 use tdmd_traffic::Flow;
 
 use crate::instance::Instance;
-use crate::num::{approx_f64, id32, ix};
+use crate::num::{id32, ix, rate_sum_f64};
 use crate::plan::Deployment;
 
 /// A pricing of flow traffic along its path.
@@ -64,9 +69,14 @@ use crate::plan::Deployment;
 /// [`WeightedEdges`] satisfy this by construction (suffix sums of
 /// non-negative edge prices).
 ///
-/// The online engine prices each arrival as `Flow::new(0, rate, path)`
-/// (id 0, tenant 0), so a model it runs must price from the rate and
-/// the path alone.
+/// A model prices from the path alone: two flows on the same path get
+/// the same gains and the same cost, bit for bit, whatever their ids,
+/// rates or tenants. [`FlowIndex::build`] relies on it, pricing each
+/// path class once through its first member (audit builds check every
+/// member against it, check `index-class-pricing`), and the online
+/// engine prices each arrival as `Flow::new(0, rate, path)`. The
+/// methods still take a [`Flow`], not a path, so callers that hold
+/// flows keep pricing them directly.
 pub trait CostModel {
     /// Metric credited for serving `flow` at path position `pos`
     /// (0 = source). Eq. (1)'s downstream hop count `l_v(f)`,
@@ -225,6 +235,9 @@ trait IndexSource {
     fn path(&self) -> &[NodeId];
     fn gain(&self, pos: usize) -> f64;
     fn cost(&self) -> f64;
+    /// Whether the flow is priced as a class of its path whose gains
+    /// and cost are `gains` and `cost`.
+    fn priced_as(&self, gains: &[f64], cost: f64) -> bool;
 }
 
 impl IndexSource for PricedFlow<'_> {
@@ -242,6 +255,18 @@ impl IndexSource for PricedFlow<'_> {
 
     fn cost(&self) -> f64 {
         self.cost
+    }
+
+    /// Stored pricings compare bit for bit: a restored snapshot may
+    /// hold flows on one path with different gains.
+    fn priced_as(&self, gains: &[f64], cost: f64) -> bool {
+        self.cost.to_bits() == cost.to_bits()
+            && self.gains.len() == gains.len()
+            && self
+                .gains
+                .iter()
+                .zip(gains)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 }
 
@@ -267,51 +292,72 @@ impl<M: CostModel + ?Sized> IndexSource for Modeled<'_, M> {
     fn cost(&self) -> f64 {
         self.model.unprocessed_cost(self.flow)
     }
+
+    /// A model prices from the path alone ([`CostModel`]'s contract),
+    /// so a flow is priced as its path's class without being priced.
+    fn priced_as(&self, _gains: &[f64], _cost: f64) -> bool {
+        true
+    }
 }
 
 /// A priced workload compiled for the greedy kernel, which reads
-/// nothing else: for every vertex, the flows crossing it with their
-/// serving gains, stored as one flat CSR arena (`offsets[v] ..
-/// offsets[v + 1]` slices `entries`); per flow, the weight
-/// `r_f · (1 − λ)`, the unprocessed cost and its path class; per path
-/// class, its path (one flat arena) and its size; for every vertex,
-/// the classes crossing it (a second CSR); and whether the model
-/// breaks gain ties by coverage.
+/// nothing else.
 ///
-/// A *path class* is one distinct path and the flows that follow it.
-/// A box on `v` serves every flow whose path crosses `v`, so which
-/// flows a deployment serves depends on paths alone: the feasibility
-/// guard counts, covers and trials classes, not flows. Classes are
-/// numbered in the order their path first appears among the flows.
+/// A *path class* is a set of flows that follow one path and carry one
+/// pricing. Eq. 1 and Def. 2 see a flow only through its path and its
+/// rate, so every member of a class has the same gain at each vertex
+/// and the same best deployed gain, and a greedy step can weigh one
+/// entry per class by the class's rate sum. A box on `v` serves every
+/// flow whose path crosses `v`, so the feasibility guard counts,
+/// covers and trials classes too. [`FlowIndex::build`] opens one class
+/// per distinct path (a model prices from the path alone);
+/// [`FlowIndex::compile`] keys a class by path *and* pricing, the bits
+/// of its gains and cost, so flows on one path priced differently fall
+/// into separate classes. Classes are numbered in the order they first
+/// appear among the flows.
 ///
-/// Entry order within a vertex follows ascending flow id (flows are
-/// indexed in order, and each visits a vertex at most once), which
-/// pins the floating-point summation order of every aggregate below —
-/// the greedy engines rely on this for reproducible tie-breaking.
-/// Class rows ascend by class id the same way.
+/// The index holds:
+/// * for every vertex, the classes crossing it with their serving
+///   gains there, stored as one flat CSR arena in two parallel arrays
+///   (`offsets[v] .. offsets[v + 1]` slices `row_class` and
+///   `row_gain`), ascending by class;
+/// * per class, its path (one flat arena), unprocessed cost, member
+///   count, lowest member, exact rate sum `R_c` and weight
+///   `R_c · (1 − λ)`;
+/// * per flow, its class;
+/// * whether the model breaks gain ties by coverage.
+///
+/// Entry order within a row pins the floating-point summation order
+/// of every aggregate below, which the greedy engines rely on for
+/// reproducible tie-breaking.
 #[derive(Debug, Clone)]
 pub struct FlowIndex {
     /// CSR row offsets, length `node_count + 1`.
     offsets: Vec<u32>,
-    /// `(flow id, serving gain)` entries grouped by vertex.
-    entries: Vec<(u32, f64)>,
-    /// Per-flow `r_f · (1 − λ)`, indexed by dense flow id.
-    weight: Vec<f64>,
-    /// Per-flow unprocessed cost, indexed by dense flow id.
-    path_cost: Vec<f64>,
+    /// The class of each row entry, grouped by vertex. Kept apart from
+    /// the gains because the feasibility guard's covers read the
+    /// classes alone.
+    row_class: Vec<u32>,
+    /// The serving gain of each row entry, parallel to `row_class`.
+    row_gain: Vec<f64>,
     /// Per-flow path class.
     class_of: Vec<u32>,
     /// Flows in each class.
     class_size: Vec<u32>,
+    /// The lowest flow id in each class.
+    class_first: Vec<u32>,
+    /// Exact rate sum `R_c` of each class. A `u128` cannot overflow for
+    /// fewer than 2^64 flows of `u64` rates.
+    class_rate: Vec<u128>,
+    /// `R_c · (1 − λ)`: what one unit of serving gain saves on class
+    /// `c`.
+    class_weight: Vec<f64>,
+    /// Unprocessed cost of each class's path.
+    class_cost: Vec<f64>,
     /// Class arena fence, length `class_count + 1`: class `c`'s path
     /// is `class_nodes[class_offsets[c] .. class_offsets[c + 1]]`.
     class_offsets: Vec<u32>,
     class_nodes: Vec<NodeId>,
-    /// Class CSR row offsets, length `node_count + 1`: the classes
-    /// whose path crosses `v` are `class_rows[class_row_offsets[v] ..
-    /// class_row_offsets[v + 1]]`, ascending.
-    class_row_offsets: Vec<u32>,
-    class_rows: Vec<u32>,
     /// [`CostModel::coverage_tiebreak`] of the compiled model.
     coverage_ties: bool,
 }
@@ -320,28 +366,39 @@ pub struct FlowIndex {
 #[cfg(any(debug_assertions, feature = "audit", test))]
 pub(crate) struct IndexParts<'a> {
     pub offsets: &'a [u32],
-    pub entries: &'a [(u32, f64)],
+    pub row_class: &'a [u32],
+    pub row_gain: &'a [f64],
     pub class_of: &'a [u32],
     pub class_size: &'a [u32],
+    pub class_first: &'a [u32],
+    pub class_rate: &'a [u128],
+    pub class_weight: &'a [f64],
+    pub class_cost: &'a [f64],
     pub class_offsets: &'a [u32],
     pub class_nodes: &'a [NodeId],
-    pub class_row_offsets: &'a [u32],
-    pub class_rows: &'a [u32],
 }
 
-/// The path classes of a fill as it walks the flows: each new path is
-/// appended to the class arena, and a flat open-addressing table maps
-/// a path to its class. The table is built like the online engine's
-/// flow-key index, not as a `HashMap` (the `map-iter-order` lint): a
+/// The path classes of a fill as it walks the flows: each new class
+/// is appended to the class arena with the pricing of the flow that
+/// opened it, and a flat open-addressing table maps a path to its
+/// classes. The table is built like the online engine's flow-key
+/// index, not as a `HashMap` (the `map-iter-order` lint): a
 /// power-of-two array probed linearly. A bucket packs the top half of
 /// its class's path hash above the class id, so a probe compares paths
-/// only on equal hashes and growth never hashes a path again.
+/// only on equal hashes and growth never hashes a path again. Classes
+/// of one path with different pricings share a hash and sit further
+/// along the same probe sequence.
 struct Classes {
     /// Power-of-two bucket array; [`Classes::EMPTY`] ends a probe.
     table: Vec<u64>,
     size: Vec<u32>,
+    first: Vec<u32>,
+    rate: Vec<u128>,
+    cost: Vec<f64>,
     offsets: Vec<u32>,
     nodes: Vec<NodeId>,
+    /// Serving gains, parallel to `nodes`.
+    gains: Vec<f64>,
 }
 
 impl Classes {
@@ -354,8 +411,12 @@ impl Classes {
         Self {
             table: vec![Self::EMPTY; Self::MIN_CAPACITY],
             size: Vec::new(),
+            first: Vec::new(),
+            rate: Vec::new(),
+            cost: Vec::new(),
             offsets: vec![0],
             nodes: Vec::new(),
+            gains: Vec::new(),
         }
     }
 
@@ -375,14 +436,15 @@ impl Classes {
         (h >> (64 - len.trailing_zeros())) as usize
     }
 
-    fn path(&self, c: u32) -> &[NodeId] {
-        &self.nodes[ix(self.offsets[ix(c)])..ix(self.offsets[ix(c) + 1])]
+    fn span(&self, c: u32) -> std::ops::Range<usize> {
+        ix(self.offsets[ix(c)])..ix(self.offsets[ix(c) + 1])
     }
 
-    /// The class of `path`, whose hash is `h`, opened when the path
-    /// is new.
+    /// The class of flow `fi`, `f`, whose path hashes to `h`: an open
+    /// class of its path priced as `f`, or a new one.
     #[inline]
-    fn classify(&mut self, path: &[NodeId], h: u64) -> u32 {
+    fn classify<S: IndexSource>(&mut self, f: &S, fi: u32, h: u64) -> u32 {
+        let path = f.path();
         let tag = h & !u64::from(u32::MAX);
         let mask = self.table.len() - 1;
         let mut i = Self::home(h, self.table.len());
@@ -393,8 +455,13 @@ impl Classes {
             }
             // The low half of a bucket word is its class id.
             let c = word as u32;
-            if word & !u64::from(u32::MAX) == tag && same(self.path(c), path) {
+            let span = self.span(c);
+            if word & !u64::from(u32::MAX) == tag
+                && same(&self.nodes[span.clone()], path)
+                && f.priced_as(&self.gains[span], self.cost[ix(c)])
+            {
                 self.size[ix(c)] += 1;
+                self.rate[ix(c)] += u128::from(f.rate());
                 return c;
             }
             i = (i + 1) & mask;
@@ -402,7 +469,11 @@ impl Classes {
         let c = id32(self.size.len());
         self.table[i] = tag | u64::from(c);
         self.size.push(1);
+        self.first.push(fi);
+        self.rate.push(u128::from(f.rate()));
+        self.cost.push(f.cost());
         self.nodes.extend_from_slice(path);
+        self.gains.extend((0..path.len()).map(|pos| f.gain(pos)));
         self.offsets.push(id32(self.nodes.len()));
         if Self::LOAD * self.size.len() > self.table.len() {
             self.grow();
@@ -427,20 +498,27 @@ impl Classes {
 }
 
 impl FlowIndex {
-    /// Compiles `model` against `instance`.
+    /// Compiles `model` against `instance`, pricing each path class
+    /// once, through its first member. Audit builds check every other
+    /// member against that pricing (`index-class-pricing`).
     pub fn build<M: CostModel + ?Sized>(instance: &Instance, model: &M) -> Self {
-        Self::fill(
+        let index = Self::fill(
             instance.node_count(),
             instance.lambda(),
             model.coverage_tiebreak(),
             instance.flows().iter().map(|flow| Modeled { flow, model }),
-        )
+        );
+        #[cfg(any(debug_assertions, feature = "audit", test))]
+        crate::audit::enforce(crate::audit::check_class_pricing(instance, model, &index));
+        index
     }
 
     /// Compiles flows the caller has already priced, numbered `0..` in
     /// iteration order, over `node_count` vertices with
     /// traffic-changing ratio `lambda`. `coverage_tiebreak` plays the
-    /// role of [`CostModel::coverage_tiebreak`]. Equal to
+    /// role of [`CostModel::coverage_tiebreak`]. A class is keyed by
+    /// path and pricing (the bits of its gains and cost), so flows on
+    /// one path with different gains open separate classes. Equal to
     /// [`FlowIndex::build`] when the flows, gains and costs are the
     /// ones `build` would price.
     ///
@@ -453,88 +531,87 @@ impl FlowIndex {
     pub fn compile<'a, I>(node_count: usize, lambda: f64, coverage_tiebreak: bool, flows: I) -> Self
     where
         I: IntoIterator<Item = PricedFlow<'a>>,
-        I::IntoIter: Clone,
     {
         Self::fill(node_count, lambda, coverage_tiebreak, flows.into_iter())
     }
 
-    /// The one fill: a walk classifying each flow's path, the rows
-    /// sized from the classes, then a walk over the flows in id order
-    /// with per-vertex write cursors.
+    /// The one fill: a walk classifying each flow, then the rows
+    /// filled from the class arena, walking the classes in id order
+    /// with per-vertex write cursors so every row ascends.
     fn fill<S: IndexSource>(
         n: usize,
         lambda: f64,
         coverage_ties: bool,
-        flows: impl Iterator<Item = S> + Clone,
+        flows: impl Iterator<Item = S>,
     ) -> Self {
         let (hint, _) = flows.size_hint();
         let mut classes = Classes::new();
         let mut class_of = Vec::with_capacity(hint);
-        for f in flows.clone() {
-            let path = f.path();
-            let h = path.iter().fold(0, |h, &v| Classes::mix(h, v));
-            class_of.push(classes.classify(path, h));
+        for (fi, f) in flows.enumerate() {
+            let h = f.path().iter().fold(0, |h, &v| Classes::mix(h, v));
+            class_of.push(classes.classify(&f, id32(fi), h));
         }
-        // Row `v` holds every member of every class through `v`.
         let mut offsets = vec![0u32; n + 1];
-        for c in 0..id32(classes.size.len()) {
-            for &v in classes.path(c) {
-                offsets[ix(v) + 1] += classes.size[ix(c)];
-            }
+        for &v in &classes.nodes {
+            offsets[ix(v) + 1] += 1;
         }
         for i in 1..=n {
             offsets[i] += offsets[i - 1];
         }
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut entries = vec![(0u32, 0.0f64); ix(offsets[n])];
-        let mut weight = Vec::with_capacity(class_of.len());
-        let mut path_cost = Vec::with_capacity(class_of.len());
-        let factor = 1.0 - lambda;
-        for (fi, f) in flows.enumerate() {
-            let fi = id32(fi);
-            weight.push(approx_f64(f.rate()) * factor);
-            path_cost.push(f.cost());
-            for (pos, &v) in f.path().iter().enumerate() {
+        let mut row_class = vec![0u32; classes.nodes.len()];
+        let mut row_gain = vec![0.0f64; classes.nodes.len()];
+        for c in 0..id32(classes.size.len()) {
+            let span = classes.span(c);
+            for (&v, &g) in classes.nodes[span.clone()].iter().zip(&classes.gains[span]) {
                 let slot = &mut cursor[ix(v)];
-                entries[ix(*slot)] = (fi, f.gain(pos));
+                row_class[ix(*slot)] = c;
+                row_gain[ix(*slot)] = g;
                 *slot += 1;
             }
         }
-        let (class_row_offsets, class_rows) = class_rows(n, &classes);
+        let factor = 1.0 - lambda;
         Self {
             offsets,
-            entries,
-            weight,
-            path_cost,
+            row_class,
+            row_gain,
             class_of,
+            class_weight: classes
+                .rate
+                .iter()
+                .map(|&r| rate_sum_f64(r) * factor)
+                .collect(),
             class_size: classes.size,
+            class_first: classes.first,
+            class_rate: classes.rate,
+            class_cost: classes.cost,
             class_offsets: classes.offsets,
             class_nodes: classes.nodes,
-            class_row_offsets,
-            class_rows,
             coverage_ties,
         }
     }
 
-    /// Flows crossing `v` with their serving gains at that position.
+    /// The classes whose path crosses `v`, ascending.
     #[inline]
-    pub fn flows_through(&self, v: NodeId) -> &[(u32, f64)] {
-        let lo = ix(self.offsets[ix(v)]);
-        let hi = ix(self.offsets[ix(v) + 1]);
-        &self.entries[lo..hi]
+    pub fn classes_through(&self, v: NodeId) -> &[u32] {
+        &self.row_class[self.row(v)]
     }
 
-    /// Unprocessed cost of flow `f` (the model's `|p_f|` analogue).
+    /// Row `v`'s span of the row arrays.
     #[inline]
-    pub fn path_cost(&self, f: u32) -> f64 {
-        self.path_cost[ix(f)]
+    fn row(&self, v: NodeId) -> std::ops::Range<usize> {
+        ix(self.offsets[ix(v)])..ix(self.offsets[ix(v) + 1])
     }
 
-    /// `r_f · (1 − λ)`: what one unit of serving gain saves on flow
-    /// `f`.
+    /// Row `v`: the classes crossing `v` with their serving gains at
+    /// that position, ascending by class.
     #[inline]
-    pub fn weight(&self, f: u32) -> f64 {
-        self.weight[ix(f)]
+    pub fn row_entries(&self, v: NodeId) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let span = self.row(v);
+        self.row_class[span.clone()]
+            .iter()
+            .copied()
+            .zip(self.row_gain[span].iter().copied())
     }
 
     /// The path of flow `f`: its class's path.
@@ -563,24 +640,43 @@ impl FlowIndex {
         self.class_size[ix(c)]
     }
 
-    /// Number of path classes: the distinct paths among the flows.
+    /// The lowest flow id in class `c`: the member it was priced
+    /// through.
+    #[inline]
+    pub fn class_first(&self, c: u32) -> u32 {
+        self.class_first[ix(c)]
+    }
+
+    /// Exact rate sum `R_c` of class `c`.
+    #[inline]
+    pub fn class_rate(&self, c: u32) -> u128 {
+        self.class_rate[ix(c)]
+    }
+
+    /// `R_c · (1 − λ)`: what one unit of serving gain saves on class
+    /// `c`.
+    #[inline]
+    pub fn class_weight(&self, c: u32) -> f64 {
+        self.class_weight[ix(c)]
+    }
+
+    /// Unprocessed cost of class `c`'s path (the model's `|p_f|`
+    /// analogue), shared by every member.
+    #[inline]
+    pub fn class_cost(&self, c: u32) -> f64 {
+        self.class_cost[ix(c)]
+    }
+
+    /// Number of path classes.
     #[inline]
     pub fn class_count(&self) -> usize {
         self.class_size.len()
     }
 
-    /// The classes whose path crosses `v`, ascending.
-    #[inline]
-    pub fn classes_through(&self, v: NodeId) -> &[u32] {
-        let lo = ix(self.class_row_offsets[ix(v)]);
-        let hi = ix(self.class_row_offsets[ix(v) + 1]);
-        &self.class_rows[lo..hi]
-    }
-
     /// Number of flows indexed.
     #[inline]
     pub fn flow_count(&self) -> usize {
-        self.path_cost.len()
+        self.class_of.len()
     }
 
     /// Number of vertices indexed.
@@ -609,32 +705,36 @@ impl FlowIndex {
     pub(crate) fn audit_parts(&self) -> IndexParts<'_> {
         IndexParts {
             offsets: &self.offsets,
-            entries: &self.entries,
+            row_class: &self.row_class,
+            row_gain: &self.row_gain,
             class_of: &self.class_of,
             class_size: &self.class_size,
+            class_first: &self.class_first,
+            class_rate: &self.class_rate,
+            class_weight: &self.class_weight,
+            class_cost: &self.class_cost,
             class_offsets: &self.class_offsets,
             class_nodes: &self.class_nodes,
-            class_row_offsets: &self.class_row_offsets,
-            class_rows: &self.class_rows,
         }
     }
 
-    /// Total cost with no middleboxes: `Σ r_f · cost(p_f)`.
+    /// Total cost with no middleboxes: `Σ r_f · cost(p_f)`, flow by
+    /// flow in id order.
     pub fn unprocessed(&self, instance: &Instance) -> f64 {
         instance
             .flows()
             .iter()
-            .map(|f| f.rate as f64 * self.path_cost[f.id as usize])
+            .map(|f| f.rate as f64 * self.class_cost[ix(self.class_of[ix(f.id)])])
             .sum()
     }
 
-    /// Best (largest) serving gain each flow attains over the
-    /// deployment, or `None` for unserved flows.
-    pub fn best_down(&self, deployment: &Deployment) -> Vec<Option<f64>> {
-        let mut best: Vec<Option<f64>> = vec![None; self.path_cost.len()];
+    /// Best (largest) serving gain each class attains over the
+    /// deployment, or `None` for unserved classes.
+    pub(crate) fn class_best(&self, deployment: &Deployment) -> Vec<Option<f64>> {
+        let mut best: Vec<Option<f64>> = vec![None; self.class_count()];
         for &v in deployment.vertices() {
-            for &(fi, g) in self.flows_through(v) {
-                let slot = &mut best[fi as usize];
+            for (c, g) in self.row_entries(v) {
+                let slot = &mut best[ix(c)];
                 if slot.is_none_or(|b| g > b) {
                     *slot = Some(g);
                 }
@@ -643,17 +743,26 @@ impl FlowIndex {
         best
     }
 
+    /// Best (largest) serving gain each flow attains over the
+    /// deployment, or `None` for unserved flows: its class's.
+    pub fn best_down(&self, deployment: &Deployment) -> Vec<Option<f64>> {
+        let best = self.class_best(deployment);
+        self.class_of.iter().map(|&c| best[ix(c)]).collect()
+    }
+
     /// Total cost under `deployment`: each served flow saves
-    /// `r_f · (1 − λ) · gain` off its unprocessed cost.
+    /// `r_f · (1 − λ) · gain` off its unprocessed cost, summed flow by
+    /// flow in id order.
     pub fn bandwidth_of(&self, instance: &Instance, deployment: &Deployment) -> f64 {
         let factor = 1.0 - instance.lambda();
-        let best = self.best_down(deployment);
+        let best = self.class_best(deployment);
         instance
             .flows()
             .iter()
             .map(|f| {
-                let full = f.rate as f64 * self.path_cost[f.id as usize];
-                match best[f.id as usize] {
+                let c = ix(self.class_of[ix(f.id)]);
+                let full = f.rate as f64 * self.class_cost[c];
+                match best[c] {
                     Some(g) => full - f.rate as f64 * factor * g,
                     None => full,
                 }
@@ -665,19 +774,40 @@ impl FlowIndex {
     /// far is `current[f]` (0.0 for unserved flows): Def. 2
     /// generalized to the compiled model. `instance` must be the one
     /// the index was built from; only debug builds look at it.
+    ///
+    /// `current` must be constant on each class, and the sum reads it
+    /// at each class's first member. Every `current` a deployment
+    /// induces is: members of a class share their gains, so they share
+    /// their best one ([`FlowIndex::best_down`]). Debug builds assert
+    /// it.
     pub fn marginal_decrement(&self, instance: &Instance, current: &[f64], v: NodeId) -> f64 {
         debug_assert_eq!(self.flow_count(), instance.flows().len());
         debug_assert_eq!(self.node_count(), instance.node_count());
-        self.decrement(current, v)
+        debug_assert!(
+            self.class_of
+                .iter()
+                .zip(current)
+                .all(|(&c, x)| x.to_bits() == current[ix(self.class_first[ix(c)])].to_bits()),
+            "`current` differs between members of one path class"
+        );
+        self.score(v, |c| current[ix(self.class_first[ix(c)])])
     }
 
-    /// [`FlowIndex::marginal_decrement`] from the index alone.
+    /// [`FlowIndex::marginal_decrement`] from the index alone, with
+    /// `cur[c]` the best gain of class `c` so far.
     #[inline]
-    pub(crate) fn decrement(&self, current: &[f64], v: NodeId) -> f64 {
-        self.flows_through(v)
-            .iter()
-            .filter(|&&(fi, g)| g > current[ix(fi)])
-            .map(|&(fi, g)| self.weight[ix(fi)] * (g - current[ix(fi)]))
+    pub(crate) fn decrement(&self, cur: &[f64], v: NodeId) -> f64 {
+        self.score(v, |c| cur[ix(c)])
+    }
+
+    /// `Σ weight[c] · (g − cur(c))` over the classes through `v` whose
+    /// gain there beats `cur(c)`, in row order.
+    #[inline]
+    fn score(&self, v: NodeId, cur: impl Fn(u32) -> f64) -> f64 {
+        self.row_entries(v)
+            .map(|(c, g)| (c, g, cur(c)))
+            .filter(|&(_, g, now)| g > now)
+            .map(|(c, g, now)| self.class_weight[ix(c)] * (g - now))
             .sum()
     }
 }
@@ -687,35 +817,17 @@ fn same(a: &[NodeId], b: &[NodeId]) -> bool {
     a.len() == b.len() && a.iter().zip(b).fold(0, |acc, (x, y)| acc | (x ^ y)) == 0
 }
 
-/// The class CSR of `classes` over `n` vertices: a counting pass and
-/// a pass walking classes in id order with per-vertex write cursors,
-/// so every row ascends.
-fn class_rows(n: usize, classes: &Classes) -> (Vec<u32>, Vec<u32>) {
-    let mut offsets = vec![0u32; n + 1];
-    for &v in &classes.nodes {
-        offsets[ix(v) + 1] += 1;
-    }
-    for i in 1..=n {
-        offsets[i] += offsets[i - 1];
-    }
-    let mut cursor: Vec<u32> = offsets[..n].to_vec();
-    let mut rows = vec![0u32; classes.nodes.len()];
-    for c in 0..id32(classes.size.len()) {
-        for &v in classes.path(c) {
-            let slot = &mut cursor[ix(v)];
-            rows[ix(*slot)] = c;
-            *slot += 1;
-        }
-    }
-    (offsets, rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::gtp::{gtp_budgeted, gtp_budgeted_with};
+    use crate::feasibility::tests::random_instance;
+    use crate::num::approx_f64;
     use crate::objective::bandwidth_of;
     use crate::paper::fig1_instance;
+    use proptest::TestRng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use tdmd_graph::GraphBuilder;
 
     #[test]
@@ -763,20 +875,65 @@ mod tests {
         assert_eq!(model.unprocessed_cost(&stray), 10.0);
     }
 
-    /// Prices `inst`'s flows with `model` by hand and compiles them.
-    fn compiled_by_hand<M: CostModel>(inst: &Instance, model: &M) -> FlowIndex {
-        let gains: Vec<Vec<f64>> = inst.flows().iter().map(|f| model.gains(f)).collect();
+    /// Prices `inst`'s flows with `model` by hand, each flow's gains
+    /// scaled by `scale(f)`, and compiles them.
+    fn compiled_scaled<M: CostModel + ?Sized>(
+        inst: &Instance,
+        model: &M,
+        scale: impl Fn(&Flow) -> f64,
+    ) -> FlowIndex {
+        let priced: Vec<(Vec<f64>, f64)> = inst
+            .flows()
+            .iter()
+            .map(|f| {
+                let w = scale(f);
+                let gains = model.gains(f).into_iter().map(|g| w * g).collect();
+                (gains, w * model.unprocessed_cost(f))
+            })
+            .collect();
         FlowIndex::compile(
             inst.node_count(),
             inst.lambda(),
             model.coverage_tiebreak(),
-            inst.flows().iter().zip(&gains).map(|(f, g)| PricedFlow {
-                rate: f.rate,
-                path: &f.path,
-                gains: g,
-                cost: model.unprocessed_cost(f),
-            }),
+            inst.flows()
+                .iter()
+                .zip(&priced)
+                .map(|(f, (gains, cost))| PricedFlow {
+                    rate: f.rate,
+                    path: &f.path,
+                    gains,
+                    cost: *cost,
+                }),
         )
+    }
+
+    /// Prices `inst`'s flows with `model` by hand and compiles them.
+    fn compiled_by_hand<M: CostModel + ?Sized>(inst: &Instance, model: &M) -> FlowIndex {
+        compiled_scaled(inst, model, |_| 1.0)
+    }
+
+    /// `a` and `b` are the same index, bit for bit: rows, per-class
+    /// arrays and `class_of`.
+    fn assert_same_index(a: &FlowIndex, b: &FlowIndex) {
+        let bits = |x: &FlowIndex| -> Vec<(u32, u64)> {
+            x.row_class
+                .iter()
+                .zip(&x.row_gain)
+                .map(|(&c, g)| (c, g.to_bits()))
+                .collect()
+        };
+        let floats = |xs: &[f64]| -> Vec<u64> { xs.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(a.offsets, b.offsets);
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a.class_of, b.class_of);
+        assert_eq!(a.class_size, b.class_size);
+        assert_eq!(a.class_first, b.class_first);
+        assert_eq!(a.class_rate, b.class_rate);
+        assert_eq!(floats(&a.class_weight), floats(&b.class_weight));
+        assert_eq!(floats(&a.class_cost), floats(&b.class_cost));
+        assert_eq!(a.class_offsets, b.class_offsets);
+        assert_eq!(a.class_nodes, b.class_nodes);
+        assert_eq!(a.coverage_ties, b.coverage_ties);
     }
 
     #[test]
@@ -796,152 +953,78 @@ mod tests {
                 compiled_by_hand(&line, &weighted),
             ),
         ] {
-            assert_eq!(a.node_count(), b.node_count());
-            assert_eq!(a.flow_count(), b.flow_count());
-            for v in 0..inst.node_count() as NodeId {
-                let bits = |x: &FlowIndex| -> Vec<(u32, u64)> {
-                    x.flows_through(v)
-                        .iter()
-                        .map(|&(f, g)| (f, g.to_bits()))
-                        .collect()
-                };
-                assert_eq!(bits(&a), bits(&b));
-            }
+            assert_same_index(&a, &b);
             for f in inst.flows() {
-                assert_eq!(a.weight(f.id).to_bits(), b.weight(f.id).to_bits());
-                assert_eq!(a.path_cost(f.id).to_bits(), b.path_cost(f.id).to_bits());
                 assert_eq!(a.path(f.id), &f.path[..]);
-                assert_eq!(b.path(f.id), &f.path[..]);
             }
-            assert_same_classes(&a, &b);
             assert_eq!(a.candidate_vertices(), inst.candidate_vertices());
         }
     }
 
-    /// `a` and `b` hold the same path classes, class rows included.
-    fn assert_same_classes(a: &FlowIndex, b: &FlowIndex) {
-        assert_eq!(a.class_of, b.class_of);
-        assert_eq!(a.class_size, b.class_size);
-        assert_eq!(a.class_offsets, b.class_offsets);
-        assert_eq!(a.class_nodes, b.class_nodes);
-        assert_eq!(a.class_row_offsets, b.class_row_offsets);
-        assert_eq!(a.class_rows, b.class_rows);
-    }
-
     /// On random gateway and all-pairs instances, the index holds one
     /// class per distinct path, numbered in first-appearance order,
-    /// each with its members and its path; a vertex's class row lists
-    /// exactly the classes crossing it, ascending; and `compile`
-    /// builds the same classes as `build`.
+    /// each with its members, lowest member, rate sum, weight and
+    /// path; a vertex's row lists exactly the classes crossing it,
+    /// ascending, each with its hop gain there; and `compile` of the
+    /// same flows, priced by hand, builds the same index bit for bit.
     #[test]
     fn classes_are_the_distinct_paths_in_first_appearance_order() {
-        use crate::feasibility::tests::random_instance;
-        use proptest::TestRng;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let seed = proptest::fnv1a("classes_are_the_distinct_paths_in_first_appearance_order");
         let mut shared = 0;
         for case in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(TestRng::for_case(seed, case).next_u64());
-            let inst = random_instance(&mut rng);
+            let inst = random_instance(&mut rng).with_lambda(0.3);
             let index = FlowIndex::build(&inst, &HopCount);
             let mut paths: Vec<&[NodeId]> = Vec::new();
-            let mut sizes: Vec<u32> = Vec::new();
+            let mut members: Vec<Vec<u32>> = Vec::new();
+            let mut rates: Vec<u128> = Vec::new();
             for f in inst.flows() {
                 let c = match paths.iter().position(|&p| p == &f.path[..]) {
                     Some(c) => c,
                     None => {
                         paths.push(&f.path);
-                        sizes.push(0);
+                        members.push(Vec::new());
+                        rates.push(0);
                         paths.len() - 1
                     }
                 };
-                sizes[c] += 1;
+                members[c].push(f.id);
+                rates[c] += u128::from(f.rate);
                 assert_eq!(index.class_of(f.id), id32(c), "case {case}, flow {}", f.id);
                 assert_eq!(index.path(f.id), &f.path[..]);
             }
             assert_eq!(index.class_count(), paths.len(), "case {case}");
-            for (c, (&path, &size)) in paths.iter().zip(&sizes).enumerate() {
-                assert_eq!(index.class_path(id32(c)), path);
-                assert_eq!(index.class_size(id32(c)), size);
+            for (c, path) in paths.iter().enumerate() {
+                let c32 = id32(c);
+                assert_eq!(index.class_path(c32), *path);
+                assert_eq!(ix(index.class_size(c32)), members[c].len());
+                assert_eq!(index.class_first(c32), members[c][0]);
+                assert_eq!(index.class_rate(c32), rates[c]);
+                assert_eq!(
+                    index.class_weight(c32).to_bits(),
+                    (rate_sum_f64(rates[c]) * (1.0 - 0.3)).to_bits()
+                );
+                assert_eq!(index.class_cost(c32), (path.len() - 1) as f64);
             }
             for v in 0..inst.node_count() as NodeId {
-                let crossing: Vec<u32> = (0..id32(paths.len()))
-                    .filter(|&c| paths[ix(c)].contains(&v))
+                let crossing: Vec<(u32, f64)> = paths
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(c, p)| {
+                        let pos = p.iter().position(|&u| u == v)?;
+                        Some((id32(c), (p.len() - 1 - pos) as f64))
+                    })
                     .collect();
                 assert_eq!(
-                    index.classes_through(v),
-                    &crossing[..],
+                    index.row_entries(v).collect::<Vec<_>>(),
+                    crossing,
                     "case {case}, vertex {v}"
                 );
             }
-            assert_same_classes(&index, &compiled_by_hand(&inst, &HopCount));
+            assert_same_index(&index, &compiled_by_hand(&inst, &HopCount));
             shared += usize::from(paths.len() < inst.flows().len());
         }
         assert!(shared > 0, "no instance had two flows on one path");
-    }
-
-    #[test]
-    fn weights_fold_rate_and_lambda() {
-        let inst = weighted_line(1).with_lambda(0.3);
-        let index = FlowIndex::build(&inst, &HopCount);
-        // Bitwise the product `marginal_decrement` used to form.
-        assert_eq!(index.weight(0).to_bits(), (2.0 * (1.0 - 0.3f64)).to_bits());
-        let cur = vec![0.0];
-        assert_eq!(
-            index.marginal_decrement(&inst, &cur, 3).to_bits(),
-            (2.0 * (1.0 - 0.3f64) * 3.0).to_bits()
-        );
-    }
-
-    #[test]
-    fn structural_audit_accepts_a_clean_index_and_catches_corruption() {
-        use crate::audit::{check_index, check_index_solution};
-        let inst = fig1_instance(2);
-        let clean = FlowIndex::build(&inst, &HopCount);
-        check_index(&clean).unwrap();
-        let (lo, _) = clean
-            .offsets
-            .windows(2)
-            .map(|w| (w[0] as usize, w[1] as usize))
-            .find(|&(lo, hi)| hi - lo >= 2)
-            .expect("fig1 has a multi-flow row");
-
-        let mut swapped = clean.clone();
-        swapped.entries.swap(lo, lo + 1);
-        assert_eq!(check_index(&swapped).unwrap_err().check, "index-row-sorted");
-
-        // Flow 0's path misses some vertex whose row we point at it.
-        let mut offpath = clean.clone();
-        let v = (0..inst.node_count() as NodeId)
-            .find(|&v| {
-                !inst.flows()[0].path.contains(&v)
-                    && clean.flows_through(v).first().is_some_and(|e| e.0 > 0)
-            })
-            .expect("some row starts past flow 0 off its path");
-        let at = clean.offsets[v as usize] as usize;
-        offpath.entries[at].0 = 0;
-        assert_eq!(
-            check_index(&offpath).unwrap_err().check,
-            "index-entry-offpath"
-        );
-
-        let mut short = clean.clone();
-        short.class_offsets.pop();
-        assert_eq!(check_index(&short).unwrap_err().check, "index-shape");
-
-        // The solution audit: {v5} alone strands f3.
-        let partial = Deployment::from_vertices(6, [4]);
-        assert_eq!(
-            check_index_solution(&clean, &partial, 2).unwrap_err().check,
-            "flow-unserved"
-        );
-        let full = Deployment::from_vertices(6, [1, 4]);
-        check_index_solution(&clean, &full, 2).unwrap();
-        assert_eq!(
-            check_index_solution(&clean, &full, 1).unwrap_err().check,
-            "deployment-over-budget"
-        );
     }
 
     /// Fig. 1's graph with six flows on four paths: flows 0 and 2
@@ -964,7 +1047,241 @@ mod tests {
         Instance::new(fig1.graph().clone(), flows, 0.5, 2).unwrap()
     }
 
-    /// One corruption per class check, each caught under its own name.
+    /// [`fig1_shared_paths`] compiled with flow 2's hop gains and cost
+    /// doubled: it shares flow 0's path but not its pricing.
+    fn fig1_split_class() -> FlowIndex {
+        compiled_scaled(&fig1_shared_paths(), &HopCount, |f| {
+            if f.id == 2 {
+                2.0
+            } else {
+                1.0
+            }
+        })
+    }
+
+    /// `compile` keys a class by path and pricing: flow 2 opens a
+    /// class of its own on flow 0's path, classes keep first-appearance
+    /// order, and flows 1 and 4, priced alike, still share one.
+    #[test]
+    fn compile_splits_a_path_whose_flows_are_priced_differently() {
+        use crate::audit::check_index;
+        let index = fig1_split_class();
+        check_index(&index).unwrap();
+        assert_eq!(index.class_of, [0, 1, 2, 3, 1, 4]);
+        assert_eq!(index.class_size, [1, 2, 1, 1, 1]);
+        assert_eq!(index.class_first, [0, 1, 2, 3, 5]);
+        assert_eq!(index.class_rate, [1, 7, 3, 4, 6]);
+        assert_eq!(index.class_path(0), index.class_path(2));
+        assert_eq!(index.class_cost, [2.0, 2.0, 4.0, 1.0, 1.0]);
+        // Vertex 2 sits mid-path on classes 0, 1 and 2.
+        assert_eq!(
+            index.row_entries(2).collect::<Vec<_>>(),
+            [(0, 1.0), (1, 1.0), (2, 2.0)]
+        );
+        // Served at vertex 4 (gain 2 for flow 0, 4 for flow 2), the
+        // split path saves 0.5 · (1 · 2 + 3 · 4) = 7.
+        let cur = vec![0.0; 5];
+        assert_eq!(index.decrement(&cur, 4), 7.0);
+        // Priced alike, the same flows share one class per path.
+        let inst = fig1_shared_paths();
+        assert_same_index(
+            &compiled_by_hand(&inst, &HopCount),
+            &FlowIndex::build(&inst, &HopCount),
+        );
+    }
+
+    #[test]
+    fn weights_fold_rate_and_lambda() {
+        let inst = weighted_line(1).with_lambda(0.3);
+        let index = FlowIndex::build(&inst, &HopCount);
+        // Bitwise the product the per-flow kernel formed.
+        assert_eq!(
+            index.class_weight(0).to_bits(),
+            (2.0 * (1.0 - 0.3f64)).to_bits()
+        );
+        let cur = vec![0.0];
+        assert_eq!(
+            index.marginal_decrement(&inst, &cur, 3).to_bits(),
+            (2.0 * (1.0 - 0.3f64) * 3.0).to_bits()
+        );
+    }
+
+    /// Hop counts scaled by a float saving, as `tdmd-chain`'s
+    /// `ChainStackModel` prices: gains that are not integers.
+    struct StackSaving(f64);
+
+    impl CostModel for StackSaving {
+        fn serving_gain(&self, flow: &Flow, pos: usize) -> f64 {
+            self.0 * (flow.hops() - pos) as f64
+        }
+
+        fn unprocessed_cost(&self, flow: &Flow) -> f64 {
+            flow.hops() as f64
+        }
+    }
+
+    /// Def. 2 as the per-flow kernel summed it: flow by flow in id
+    /// order, each flow priced itself, `r_f · (1 − λ) · (g − cur[f])`.
+    fn per_flow_decrement<M: CostModel + ?Sized>(
+        inst: &Instance,
+        model: &M,
+        current: &[f64],
+        v: NodeId,
+    ) -> f64 {
+        let factor = 1.0 - inst.lambda();
+        inst.flows()
+            .iter()
+            .filter_map(|f| {
+                let pos = f.path.iter().position(|&u| u == v)?;
+                let (g, now) = (model.serving_gain(f, pos), current[ix(f.id)]);
+                (g > now).then(|| approx_f64(f.rate) * factor * (g - now))
+            })
+            .sum()
+    }
+
+    /// On random gateway and all-pairs ER instances, under hop, random
+    /// integer edge-weight and float-saving (chain) pricing, at
+    /// λ ∈ {0.5, 0.3, 0.7, 1} and under random deployments, the class
+    /// decrement of every vertex equals the per-flow sum within 1e-12
+    /// relative, and bit for bit where every term is exact: integral
+    /// gains and a dyadic `1 − λ`. `marginal_decrement` on the
+    /// deployment's per-flow `current` equals the class decrement bit
+    /// for bit.
+    #[test]
+    fn class_decrement_matches_the_per_flow_sum() {
+        let seed = proptest::fnv1a("class_decrement_matches_the_per_flow_sum");
+        let (mut exact, mut close) = (0usize, 0usize);
+        for case in 0..150u64 {
+            let mut rng = StdRng::seed_from_u64(TestRng::for_case(seed, case).next_u64());
+            let base = random_instance(&mut rng);
+            let g = base.graph();
+            let n = g.node_count();
+            let edges: Vec<_> = g
+                .edges()
+                .map(|(u, v, _)| (u, v, rng.gen_range(1..=9)))
+                .collect();
+            let weighted_graph = tdmd_graph::DiGraph::from_edges(n, &edges);
+            let weighted = WeightedEdges::new(&weighted_graph);
+            let stack = StackSaving(rng.gen_range(0.05..0.95));
+            for lambda in [0.5, 0.3, 0.7, 1.0] {
+                let hop_inst = base.with_lambda(lambda);
+                let weighted_inst =
+                    Instance::new(weighted_graph.clone(), base.flows().to_vec(), lambda, 1)
+                        .expect("same paths, same edges");
+                let pricings: [(&Instance, &dyn CostModel, bool); 3] = [
+                    (&hop_inst, &HopCount, true),
+                    (&weighted_inst, &weighted, true),
+                    (&hop_inst, &stack, false),
+                ];
+                for (inst, model, integral) in pricings {
+                    let index = FlowIndex::build(inst, model);
+                    for _ in 0..3 {
+                        let boxes: Vec<NodeId> = (0..rng.gen_range(0..4))
+                            .map(|_| id32(rng.gen_range(0..n)))
+                            .collect();
+                        let d = Deployment::from_vertices(n, boxes);
+                        let current: Vec<f64> = index
+                            .best_down(&d)
+                            .into_iter()
+                            .map(|g| g.unwrap_or(0.0))
+                            .collect();
+                        let cur: Vec<f64> = index
+                            .class_best(&d)
+                            .into_iter()
+                            .map(|g| g.unwrap_or(0.0))
+                            .collect();
+                        for v in 0..id32(n) {
+                            let class = index.decrement(&cur, v);
+                            let via_flows = index.marginal_decrement(inst, &current, v);
+                            assert_eq!(class.to_bits(), via_flows.to_bits(), "case {case}");
+                            let want = per_flow_decrement(inst, model, &current, v);
+                            let at = format!("case {case}, λ {lambda}, vertex {v}");
+                            if integral && (lambda == 0.5 || lambda == 1.0) {
+                                assert_eq!(class.to_bits(), want.to_bits(), "{at}");
+                                exact += 1;
+                            } else {
+                                let scale = class.abs().max(want.abs());
+                                assert!((class - want).abs() <= 1e-12 * scale, "{at}");
+                                close += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            exact > 0 && close > 0,
+            "vacuous: {exact} exact, {close} close"
+        );
+    }
+
+    /// Prices a flow by its rate, which breaks the contract that a
+    /// model prices from the path alone.
+    struct ByRate;
+
+    impl CostModel for ByRate {
+        fn serving_gain(&self, flow: &Flow, pos: usize) -> f64 {
+            (flow.rate * (flow.hops() - pos) as u64) as f64
+        }
+
+        fn unprocessed_cost(&self, flow: &Flow) -> f64 {
+            (flow.rate * flow.hops() as u64) as f64
+        }
+    }
+
+    /// A model that prices two members of one class apart is caught at
+    /// build, whether the gains or only the cost differ.
+    #[test]
+    fn class_pricing_audit_catches_a_model_that_prices_by_flow() {
+        use crate::audit::check_class_pricing;
+        let inst = fig1_shared_paths();
+        let fill = |model: &dyn CostModel| {
+            FlowIndex::fill(
+                inst.node_count(),
+                inst.lambda(),
+                true,
+                inst.flows().iter().map(|flow| Modeled { flow, model }),
+            )
+        };
+        check_class_pricing(&inst, &HopCount, &fill(&HopCount)).unwrap();
+        let err = check_class_pricing(&inst, &ByRate, &fill(&ByRate)).unwrap_err();
+        assert_eq!(err.check, "index-class-pricing", "{err}");
+        // Flow 2 is the first member priced apart from its class.
+        assert!(err.detail.starts_with("flow 2 "), "{err}");
+        // The rate-priced index read against hop pricing: class 0 was
+        // priced at rate 1 and matches, class 1 at rate 2 does not.
+        let err = check_class_pricing(&inst, &HopCount, &fill(&ByRate)).unwrap_err();
+        assert_eq!(err.check, "index-class-pricing", "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "index-class-pricing")]
+    fn build_enforces_the_class_pricing_audit() {
+        FlowIndex::build(&fig1_shared_paths(), &ByRate);
+    }
+
+    #[test]
+    fn structural_audit_accepts_a_clean_index_and_catches_corruption() {
+        use crate::audit::{check_index, check_index_solution};
+        let inst = fig1_instance(2);
+        let clean = FlowIndex::build(&inst, &HopCount);
+        check_index(&clean).unwrap();
+
+        // The solution audit: {v5} alone strands f3.
+        let partial = Deployment::from_vertices(6, [4]);
+        assert_eq!(
+            check_index_solution(&clean, &partial, 2).unwrap_err().check,
+            "flow-unserved"
+        );
+        let full = Deployment::from_vertices(6, [1, 4]);
+        check_index_solution(&clean, &full, 2).unwrap();
+        assert_eq!(
+            check_index_solution(&clean, &full, 1).unwrap_err().check,
+            "deployment-over-budget"
+        );
+    }
+
+    /// One corruption per index check, each caught under its own name.
     #[test]
     fn structural_audit_catches_corrupt_classes() {
         use crate::audit::check_index;
@@ -973,35 +1290,74 @@ mod tests {
         check_index(&clean).unwrap();
         assert_eq!(clean.class_of, [0, 1, 0, 2, 1, 3]);
         assert_eq!(clean.class_size, [2, 2, 1, 1]);
-        let check = |corrupt: &dyn Fn(&mut FlowIndex)| {
-            let mut index = clean.clone();
+        assert_eq!(clean.class_first, [0, 1, 3, 5]);
+        assert_eq!(clean.class_rate, [4, 7, 4, 6]);
+        let check_on = |base: &FlowIndex, corrupt: &dyn Fn(&mut FlowIndex)| {
+            let mut index = base.clone();
             corrupt(&mut index);
             check_index(&index).unwrap_err().check
         };
+        let check = |corrupt: &dyn Fn(&mut FlowIndex)| check_on(&clean, corrupt);
 
+        assert_eq!(
+            check(&|x| {
+                x.class_weight.pop();
+            }),
+            "index-shape"
+        );
+        assert_eq!(check(&|x| x.offsets.push(0)), "index-shape");
+        assert_eq!(
+            check(&|x| {
+                x.row_gain.pop();
+            }),
+            "index-shape"
+        );
         assert_eq!(check(&|x| x.class_nodes.push(0)), "index-class-fence");
-        assert_eq!(check(&|x| x.class_rows.push(0)), "index-class-fence");
+        assert_eq!(check(&|x| x.offsets.swap(1, 2)), "index-offsets-monotone");
+        assert_eq!(check(&|x| x.class_nodes[0] = 9), "index-path-bounds");
         assert_eq!(check(&|x| x.class_of[3] = 4), "index-class-bounds");
         assert_eq!(check(&|x| x.class_size[0] = 3), "index-class-sizes");
         // Flow 2 moved to class 1: both sizes disagree with `class_of`.
         assert_eq!(check(&|x| x.class_of[2] = 1), "index-class-sizes");
-        // Class 3's path [5, 1] rewritten to class 2's [3, 1].
+        // Class 0's lowest member is flow 0, not flow 2.
+        assert_eq!(check(&|x| x.class_first[0] = 2), "index-class-first");
+        assert_eq!(check(&|x| x.class_rate[2] = 0), "index-class-rates");
+        assert_eq!(check(&|x| x.class_weight[1] = 8.0), "index-class-rates");
+        assert_eq!(check(&|x| x.class_weight[1] = -1.0), "index-class-rates");
+        // Vertex 2 is crossed by classes 0 and 1.
+        let at = ix(clean.offsets[2]);
+        assert_eq!(clean.row_class[at..at + 2], [0, 1]);
+        assert_eq!(check(&|x| x.row_class.swap(at, at + 1)), "index-row-sorted");
+        assert_eq!(check(&|x| x.row_class[at + 1] = 9), "index-entry-bounds");
+        // Class 2's path [3, 1] avoids vertex 2.
+        assert_eq!(check(&|x| x.row_class[at + 1] = 2), "index-entry-offpath");
+        // Class 1's entry on vertex 2 dropped: every row is still
+        // sorted and on-path, but class 1 has two entries for three
+        // path vertices.
         assert_eq!(
             check(&|x| {
-                let at = ix(x.class_offsets[3]);
-                x.class_nodes[at] = 3;
+                x.row_class.remove(at + 1);
+                x.row_gain.remove(at + 1);
+                for o in &mut x.offsets[3..] {
+                    *o -= 1;
+                }
+            }),
+            "index-bijective"
+        );
+        // On the split index, class 2 given class 0's gains and cost:
+        // one path, one pricing, two classes.
+        let split = fig1_split_class();
+        assert_eq!(
+            check_on(&split, &|x| {
+                for (c, g) in x.row_class.iter().zip(&mut x.row_gain) {
+                    if *c == 2 {
+                        *g /= 2.0;
+                    }
+                }
+                x.class_cost[2] = 2.0;
             }),
             "index-class-distinct"
         );
-        // Vertex 2 is crossed by classes 0 and 1.
-        let at = ix(clean.class_row_offsets[2]);
-        assert_eq!(clean.class_rows[at..at + 2], [0, 1]);
-        assert_eq!(
-            check(&|x| x.class_rows.swap(at, at + 1)),
-            "index-class-rows"
-        );
-        // Class 2's path [3, 1] avoids vertex 2.
-        assert_eq!(check(&|x| x.class_rows[at + 1] = 2), "index-class-rows");
     }
 
     #[test]
@@ -1055,7 +1411,7 @@ mod tests {
     fn weighted_path_costs_are_suffix_sums() {
         let inst = weighted_line(1);
         let index = FlowIndex::build(&inst, &WeightedEdges::new(inst.graph()));
-        assert_eq!(index.path_cost(0), 12.0);
+        assert_eq!(index.class_cost(0), 12.0);
         assert_eq!(index.unprocessed(&inst), 24.0);
     }
 

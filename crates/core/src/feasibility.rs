@@ -10,9 +10,12 @@
 //! The budgeted greedies keep one `Coverage` state up to date as they
 //! deploy, and the tight-budget guard (`guard`) runs its greedy covers
 //! on that state's per-vertex counts, never on a copied `served`
-//! vector. Both work on the path classes of a compiled [`FlowIndex`]
-//! (each distinct path once, however many flows follow it), never on
-//! the [`Instance`].
+//! vector. Both work on the path classes of a compiled [`FlowIndex`],
+//! whose rows list classes, not flows (each distinct path once,
+//! however many flows follow it), never on the [`Instance`]. A class
+//! of [`FlowIndex::compile`] is keyed by path and pricing, so one path
+//! may hold several classes; a box serves them all alike, so every
+//! count below stays exact.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -61,9 +64,10 @@ pub fn greedy_cover(instance: &Instance, already_served: &[bool]) -> Option<Vec<
 pub(crate) struct Coverage {
     /// Unserved members of each path class.
     left: Vec<usize>,
-    /// Unserved flows through each vertex, one per row entry: always
-    /// equal to [`coverage_gain`](crate::objective::coverage_gain)
-    /// over the served flows.
+    /// Unserved flows through each vertex, the unserved members of the
+    /// classes in its row: always equal to
+    /// [`coverage_gain`](crate::objective::coverage_gain) over the
+    /// served flows.
     count: Vec<usize>,
     unserved: usize,
 }
@@ -71,24 +75,26 @@ pub(crate) struct Coverage {
 impl Coverage {
     /// Nothing served yet.
     pub(crate) fn new(index: &FlowIndex) -> Self {
-        Self {
-            left: (0..id32(index.class_count()))
+        Self::from_left(
+            index,
+            (0..id32(index.class_count()))
                 .map(|c| ix(index.class_size(c)))
                 .collect(),
-            count: (0..id32(index.node_count()))
-                .map(|v| index.flows_through(v).len())
-                .collect(),
-            unserved: index.flow_count(),
-        }
+        )
     }
 
-    /// The state with exactly the `served` flows served, its counts
-    /// seeded from the class rows.
+    /// The state with exactly the `served` flows served.
     fn from_served(index: &FlowIndex, served: &[bool]) -> Self {
         let mut left = vec![0usize; index.class_count()];
         for (fi, _) in served.iter().enumerate().filter(|&(_, &s)| !s) {
             left[ix(index.class_of(id32(fi)))] += 1;
         }
+        Self::from_left(index, left)
+    }
+
+    /// The state whose class `c` has `left[c]` unserved members, its
+    /// counts summed over the rows.
+    fn from_left(index: &FlowIndex, left: Vec<usize>) -> Self {
         Self {
             count: (0..id32(index.node_count()))
                 .map(|v| index.classes_through(v).iter().map(|&c| left[ix(c)]).sum())
@@ -104,11 +110,11 @@ impl Coverage {
         self.unserved -= serve_row(index, v, &mut self.count, |c| std::mem::take(&mut left[c]));
     }
 
-    /// Whether flow `fi` is served: whether its class has no unserved
-    /// member, which is exact because [`Coverage::serve`] serves whole
+    /// Whether class `c` is served: whether it has no unserved member,
+    /// which is exact because [`Coverage::serve`] serves whole
     /// classes.
-    pub(crate) fn is_served(&self, index: &FlowIndex, fi: u32) -> bool {
-        self.left[ix(index.class_of(fi))] == 0
+    pub(crate) fn is_served(&self, c: u32) -> bool {
+        self.left[ix(c)] == 0
     }
 
     /// Unserved flows that deploying on `v` would cover.
@@ -124,7 +130,7 @@ impl Coverage {
 
 /// Takes the members `claim` newly serves of every class through `v`
 /// off the count of each vertex on the class's path (one decrement per
-/// member and path position, matching the row entries), and returns
+/// member and path position), and returns
 /// how many members it claimed.
 fn serve_row(
     index: &FlowIndex,

@@ -8,8 +8,9 @@
 //!   candidate [`PathSets`], whose active picks are the flows' paths.
 //! * [`cost`] — the [`CostModel`] trait generalizing Eq. (1)'s
 //!   pricing ([`HopCount`], [`WeightedEdges`], chain-aware models),
-//!   compiled into the CSR [`FlowIndex`]: the one vertex → flow index,
-//!   which the greedy engine scans and every other solver reads.
+//!   compiled into the CSR [`FlowIndex`] over path classes (the flows
+//!   that share a path): the one vertex → flow index, which the greedy
+//!   engine scans and every other solver reads.
 //! * [`objective`] — Eq. (1): flow allocation, bandwidth consumption
 //!   `b(P)` and the decrement function `d(P)` (Def. 1), plus the
 //!   Lemma-1 envelope. Marginal decrements `d_P(v)` (Def. 2) live on

@@ -17,6 +17,7 @@
 //!   `usize → u64` for the pseudo-polynomial DP's rate-indexed tables;
 //! * [`approx_f64`] — `u64 → f64` for rate arithmetic (exact below
 //!   2⁵³, the IEEE double integer range; rates live far below it);
+//! * [`rate_sum_f64`] — `u128 → f64` for a path class's rate sum;
 //! * [`usize_f64`] — `usize → f64` for averaging counts.
 //!
 //! `u32 → f64` needs no helper: `f64::from` is lossless and explicit.
@@ -98,6 +99,15 @@ pub fn wide(i: usize) -> u64 {
 #[inline(always)]
 #[allow(clippy::cast_precision_loss)] // rates ≪ 2^53; documented above
 pub fn approx_f64(x: u64) -> f64 {
+    x as f64
+}
+
+/// `u128 → f64` for the exact rate sum of a path class. Rounds to the
+/// nearest double, like [`approx_f64`] on the same value, so a class of
+/// one flow weighs exactly what the flow does; exact below 2⁵³.
+#[inline(always)]
+#[allow(clippy::cast_precision_loss)] // rounds to nearest; documented above
+pub fn rate_sum_f64(x: u128) -> f64 {
     x as f64
 }
 
@@ -190,6 +200,12 @@ mod tests {
     #[test]
     fn float_conversions_are_exact_in_range() {
         assert_eq!(approx_f64(12345), 12345.0);
+        assert_eq!(rate_sum_f64(12345), 12345.0);
+        let big = u64::MAX - 1;
+        assert_eq!(
+            rate_sum_f64(u128::from(big)).to_bits(),
+            approx_f64(big).to_bits()
+        );
         assert_eq!(usize_f64(0), 0.0);
         assert_eq!(usize_f64(1 << 20), 1048576.0);
     }

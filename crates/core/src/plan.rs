@@ -1,18 +1,22 @@
 //! Deployment and allocation plans (the paper's `P` and `F`).
 
 use crate::instance::Instance;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use tdmd_graph::NodeId;
 
 /// A deployment plan `P ⊆ V`: the set of vertices carrying a
-/// middlebox. Stored as a sorted vertex list plus a membership bitmap
-/// for `O(1)` tests. It serializes both but does not deserialize: a
-/// decoded list and bitmap could disagree, so a saved plan is read
-/// back through [`Deployment::from_vertices`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// middlebox. Stored as a sorted vertex list plus a membership bitset
+/// (one bit per vertex, in `u64` words) for `O(1)` tests. It
+/// serializes the list and the membership as a list of `n` booleans,
+/// but does not deserialize: a decoded list and bitmap could disagree,
+/// so a saved plan is read back through [`Deployment::from_vertices`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Deployment {
     vertices: Vec<NodeId>,
-    member: Vec<bool>,
+    /// Bit `v % 64` of word `v / 64` is set iff `v` is deployed.
+    member: Vec<u64>,
+    /// Vertex count of the graph.
+    n: usize,
 }
 
 impl Deployment {
@@ -20,7 +24,8 @@ impl Deployment {
     pub fn empty(n: usize) -> Self {
         Self {
             vertices: Vec::new(),
-            member: vec![false; n],
+            member: vec![0; n.div_ceil(64)],
+            n,
         }
     }
 
@@ -36,25 +41,46 @@ impl Deployment {
         d
     }
 
+    /// The word holding `v`'s bit and the bit's mask.
+    ///
+    /// # Panics
+    /// Panics if `v` is not below the vertex count.
+    #[inline]
+    fn bit(&self, v: NodeId) -> (usize, u64) {
+        let i = v as usize;
+        assert!(
+            i < self.n,
+            "vertex {v} out of range for {} vertices",
+            self.n
+        );
+        (i / 64, 1 << (i % 64))
+    }
+
     /// Adds a middlebox on `v` (idempotent). Returns true if new.
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
     pub fn insert(&mut self, v: NodeId) -> bool {
-        let slot = &mut self.member[v as usize];
-        if *slot {
+        let (w, mask) = self.bit(v);
+        if self.member[w] & mask != 0 {
             return false;
         }
-        *slot = true;
+        self.member[w] |= mask;
         let pos = self.vertices.partition_point(|&x| x < v);
         self.vertices.insert(pos, v);
         true
     }
 
     /// Removes the middlebox on `v`. Returns true if present.
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
     pub fn remove(&mut self, v: NodeId) -> bool {
-        let slot = &mut self.member[v as usize];
-        if !*slot {
+        let (w, mask) = self.bit(v);
+        if self.member[w] & mask == 0 {
             return false;
         }
-        *slot = false;
+        self.member[w] &= !mask;
         let pos = self
             .vertices
             .binary_search(&v)
@@ -64,9 +90,13 @@ impl Deployment {
     }
 
     /// Membership test `m_v = 1`.
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
     #[inline]
     pub fn contains(&self, v: NodeId) -> bool {
-        self.member[v as usize]
+        let (w, mask) = self.bit(v);
+        self.member[w] & mask != 0
     }
 
     /// Number of deployed middleboxes `|P|`.
@@ -85,6 +115,20 @@ impl Deployment {
     #[inline]
     pub fn vertices(&self) -> &[NodeId] {
         &self.vertices
+    }
+}
+
+/// `{"vertices": [..], "member": [bool; n]}`, the shape plans have
+/// always been written in.
+impl Serialize for Deployment {
+    fn to_value(&self) -> Value {
+        let member = (0..self.n)
+            .map(|i| Value::Bool((self.member[i / 64] >> (i % 64)) & 1 == 1))
+            .collect();
+        Value::Map(vec![
+            ("vertices".to_owned(), self.vertices.to_value()),
+            ("member".to_owned(), Value::Seq(member)),
+        ])
     }
 }
 
@@ -158,6 +202,40 @@ mod tests {
         assert!(d.remove(3));
         assert!(!d.remove(3));
         assert_eq!(d.vertices(), &[1]);
+    }
+
+    #[test]
+    fn membership_spans_word_boundaries() {
+        let mut d = Deployment::from_vertices(130, [0, 63, 64, 129]);
+        for v in 0..130 {
+            assert_eq!(d.contains(v), [0, 63, 64, 129].contains(&v), "vertex {v}");
+        }
+        assert!(d.remove(64));
+        assert!(!d.contains(64) && d.contains(63));
+        assert_eq!(d.vertices(), &[0, 63, 129]);
+        assert_eq!(d, Deployment::from_vertices(130, [129, 63, 0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_vertices_panic() {
+        // Vertex 6 would fit in the first word, but the graph has 6.
+        Deployment::empty(6).contains(6);
+    }
+
+    /// A plan serializes as the vertex list and one boolean per vertex,
+    /// as `tdmd place --out` has always written it.
+    #[test]
+    fn serializes_membership_as_a_bool_list() {
+        let d = Deployment::from_vertices(4, [3, 1]);
+        assert_eq!(
+            serde_json::to_string(&d).unwrap(),
+            r#"{"vertices":[1,3],"member":[false,true,false,true]}"#
+        );
+        assert_eq!(
+            serde_json::to_string(&Deployment::empty(0)).unwrap(),
+            r#"{"vertices":[],"member":[]}"#
+        );
     }
 
     #[test]

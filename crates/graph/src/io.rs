@@ -23,6 +23,14 @@ pub struct TopologyDoc {
 }
 
 impl TopologyDoc {
+    /// The most vertices a document may declare: 2^24. [`to_graph`]
+    /// allocates about 16 bytes per vertex before it reads an edge, so
+    /// a 45-byte document naming 4·10^9 vertices would ask for 64 GB;
+    /// at the limit it asks for about 256 MB.
+    ///
+    /// [`to_graph`]: TopologyDoc::to_graph
+    pub const MAX_NODES: usize = 1 << 24;
+
     /// Captures a graph into a document.
     pub fn from_graph(g: &DiGraph, name: impl Into<String>) -> Self {
         Self {
@@ -50,18 +58,19 @@ impl TopologyDoc {
     /// Parses from JSON and checks that the document describes a graph.
     ///
     /// # Errors
-    /// Malformed JSON, a `nodes` beyond the [`NodeId`] range, or an
-    /// edge endpoint not below `nodes`.
+    /// Malformed JSON, a `nodes` beyond [`TopologyDoc::MAX_NODES`], or
+    /// an edge endpoint not below `nodes`.
     pub fn from_json(s: &str) -> Result<Self, TopologyError> {
         let doc: Self = serde_json::from_str(s).map_err(TopologyError::Json)?;
         doc.validate()?;
         Ok(doc)
     }
 
-    /// Checks that `nodes` fits the [`NodeId`] range and that every edge
-    /// endpoint is a vertex; reports the first field that does not.
+    /// Checks that `nodes` is at most [`TopologyDoc::MAX_NODES`] and
+    /// that every edge endpoint is a vertex; reports the first field
+    /// that does not.
     fn validate(&self) -> Result<(), TopologyError> {
-        if NodeId::try_from(self.nodes).is_err() {
+        if self.nodes > Self::MAX_NODES {
             return Err(TopologyError::TooManyNodes { nodes: self.nodes });
         }
         for (edge, &(u, v, _)) in self.edges.iter().enumerate() {
@@ -82,7 +91,7 @@ impl TopologyDoc {
 pub enum TopologyError {
     /// The text is not a well-formed topology document.
     Json(serde_json::Error),
-    /// `nodes` exceeds the [`NodeId`] range.
+    /// `nodes` exceeds [`TopologyDoc::MAX_NODES`].
     TooManyNodes {
         /// The declared vertex count.
         nodes: usize,
@@ -104,8 +113,8 @@ impl std::fmt::Display for TopologyError {
             Self::Json(e) => write!(f, "{e}"),
             Self::TooManyNodes { nodes } => write!(
                 f,
-                "field `nodes`: {nodes} vertices exceed the NodeId range (at most {})",
-                NodeId::MAX
+                "field `nodes`: {nodes} vertices exceed the limit of {}",
+                TopologyDoc::MAX_NODES
             ),
             Self::EdgeOutOfRange {
                 edge,
@@ -169,10 +178,20 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("`edges`"), "{err}");
-        let err = TopologyDoc::from_json(r#"{"nodes": 100000000000, "edges": []}"#).unwrap_err();
-        assert!(matches!(err, TopologyError::TooManyNodes { .. }));
-        assert!(err.to_string().contains("`nodes`"), "{err}");
-        let largest = format!(r#"{{"nodes": {}, "edges": []}}"#, NodeId::MAX);
-        assert!(TopologyDoc::from_json(&largest).is_ok());
+        for nodes in ["100000000000", "4000000000"] {
+            let doc = format!(r#"{{"nodes": {nodes}, "edges": []}}"#);
+            let err = TopologyDoc::from_json(&doc).unwrap_err();
+            assert!(matches!(err, TopologyError::TooManyNodes { .. }));
+            assert!(err.to_string().contains("`nodes`"), "{err}");
+            assert!(err.to_string().contains("16777216"), "{err}");
+        }
+        let doc = |nodes: usize| format!(r#"{{"nodes": {nodes}, "edges": []}}"#);
+        assert!(TopologyDoc::from_json(&doc(TopologyDoc::MAX_NODES)).is_ok());
+        assert_eq!(
+            TopologyDoc::from_json(&doc(TopologyDoc::MAX_NODES + 1)).unwrap_err(),
+            TopologyError::TooManyNodes {
+                nodes: TopologyDoc::MAX_NODES + 1
+            }
+        );
     }
 }

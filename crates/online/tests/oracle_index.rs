@@ -3,8 +3,9 @@
 //! event of random arrival, departure, failure and recovery streams,
 //!
 //! * `DeltaState::flow_index` equals `FlowIndex::build` on the
-//!   densified `snapshot_instance()` bit for bit (rows, weights, costs
-//!   and paths), and
+//!   densified `snapshot_instance()` bit for bit (rows, path classes
+//!   with their rate sums, weights and costs, and each flow's class),
+//!   and
 //! * `OnlineEngine::solve_oracle` returns what `gtp_budgeted_with`
 //!   returns on that instance,
 //!
@@ -105,37 +106,39 @@ fn next_event<M: CostModel>(
     }
 }
 
-/// Asserts two indexes are equal bit for bit, path classes included.
+/// Asserts two indexes are equal bit for bit: every row's `(class,
+/// gain)` entries, every per-class array (path, size, first member,
+/// rate sum, weight, cost) and every flow's class.
 fn assert_bitwise(compiled: &FlowIndex, built: &FlowIndex) {
     assert_eq!(compiled.node_count(), built.node_count());
     assert_eq!(compiled.flow_count(), built.flow_count());
+    assert_eq!(compiled.class_count(), built.class_count());
     assert_eq!(compiled.coverage_tiebreak(), built.coverage_tiebreak());
     for v in 0..compiled.node_count() as NodeId {
         let bits = |index: &FlowIndex| -> Vec<(u32, u64)> {
             index
-                .flows_through(v)
-                .iter()
-                .map(|&(f, g)| (f, g.to_bits()))
+                .row_entries(v)
+                .map(|(c, g)| (c, g.to_bits()))
                 .collect()
         };
         assert_eq!(bits(compiled), bits(built), "row of vertex {}", v);
     }
-    for f in 0..compiled.flow_count() as u32 {
-        assert_eq!(compiled.weight(f).to_bits(), built.weight(f).to_bits());
-        assert_eq!(
-            compiled.path_cost(f).to_bits(),
-            built.path_cost(f).to_bits()
-        );
-        assert_eq!(compiled.path(f), built.path(f));
-        assert_eq!(compiled.class_of(f), built.class_of(f));
-    }
-    assert_eq!(compiled.class_count(), built.class_count());
     for c in 0..compiled.class_count() as u32 {
         assert_eq!(compiled.class_path(c), built.class_path(c));
         assert_eq!(compiled.class_size(c), built.class_size(c));
+        assert_eq!(compiled.class_first(c), built.class_first(c));
+        assert_eq!(compiled.class_rate(c), built.class_rate(c));
+        assert_eq!(
+            compiled.class_weight(c).to_bits(),
+            built.class_weight(c).to_bits()
+        );
+        assert_eq!(
+            compiled.class_cost(c).to_bits(),
+            built.class_cost(c).to_bits()
+        );
     }
-    for v in 0..compiled.node_count() as NodeId {
-        assert_eq!(compiled.classes_through(v), built.classes_through(v));
+    for f in 0..compiled.flow_count() as u32 {
+        assert_eq!(compiled.class_of(f), built.class_of(f));
     }
 }
 

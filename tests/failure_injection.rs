@@ -194,7 +194,7 @@ fn degenerate_paths_are_rejected_everywhere() {
 #[test]
 fn hostile_topology_documents_fail_with_a_typed_error() {
     // An edge endpoint at `nodes` used to panic in `DiGraph::from_edges`;
-    // a `nodes` beyond the NodeId range used to abort on the allocation.
+    // a `nodes` beyond the vertex limit used to abort on the allocation.
     let out_of_range = r#"{"nodes": 3, "edges": [[0, 1, 1], [2, 3, 1]]}"#;
     let err = TopologyDoc::from_json(out_of_range).unwrap_err();
     assert_eq!(
