@@ -708,8 +708,8 @@ pub fn reconfig_bench(seed: u64) -> Result<ReconfigBench, String> {
         ("windowed-4/64", ReconfigBudget::windowed(4.0, 64)),
         ("windowed-2/256", ReconfigBudget::windowed(2.0, 256)),
         (
-            "windowed-2/256+hyst-0.25",
-            ReconfigBudget::windowed(2.0, 256).with_hysteresis(0.25),
+            "windowed-8/16+hyst-0.25",
+            ReconfigBudget::windowed(8.0, 16).with_hysteresis(0.25),
         ),
         (
             "windowed-8/16+flow-cost",
@@ -1205,6 +1205,14 @@ mod tests {
         // At least one tight point actually deferred something,
         // otherwise the sweep is not exercising the budget.
         assert!(b.entries[1..].iter().any(|e| e.budget_deferrals > 0));
+        // A hysteresis row binds: it moves a different number of
+        // boxes than its control, the same budget without the margin.
+        for e in &b.entries {
+            if let Some((control, _)) = e.name.split_once("+hyst-") {
+                let c = b.entries.iter().find(|c| c.name == control).unwrap();
+                assert_ne!(e.boxes_moved, c.boxes_moved, "{}", e.name);
+            }
+        }
         // Determinism: the committed artifact never churns.
         let again = reconfig_bench(42).unwrap();
         let a = serde_json::to_string(&b).unwrap();

@@ -35,6 +35,10 @@ pub fn algorithm_by_name(name: &str) -> Result<Algorithm, String> {
 /// --algorithm NAME [--routing fixed|joint] [--k-paths N]
 /// [--cost-model hops|weighted] [--seed S] [--audit true]
 /// [--out plan.json]` (also reachable as `tdmd solve`)
+///
+/// `--audit true` checks the instance and the plan, and turns on
+/// tdmd-core's solver seams ([`tdmd_core::audit::enable`]) for the
+/// rest of the process.
 pub fn place(args: &Args) -> Result<String, String> {
     let g = load_topology(args.required("topo")?)?;
     let flows = load_workload(args.required("workload")?)?;
@@ -44,6 +48,9 @@ pub fn place(args: &Args) -> Result<String, String> {
     let cost_model = args.optional("cost-model").unwrap_or("hops");
     let seed: u64 = args.num("seed", 0)?;
     let audit = args.flag("audit")?;
+    if audit {
+        tdmd_core::audit::enable();
+    }
     let routing = args.optional("routing").unwrap_or("fixed");
 
     match routing {

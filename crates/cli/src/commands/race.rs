@@ -3,8 +3,9 @@
 //!
 //! Replays the online batch path under randomized batch partitions
 //! and hard-fails (non-zero exit) on any bitwise divergence from the
-//! one-by-one sequential oracle. CI invokes it through
-//! `cargo xtask race`.
+//! one-by-one sequential oracle, with tdmd-core's solver seams
+//! ([`tdmd_core::audit::enable`]) on in every solve. CI invokes it
+//! through `cargo xtask race`.
 //!
 //! ```text
 //! tdmd race [--seeds 1,2,3,4] [--nodes 12] [--events 48] [--partitions 6]
@@ -40,6 +41,7 @@ pub fn run(args: &Args) -> Result<String, String> {
     if cfg.nodes < 4 {
         return Err("--nodes: need at least 4 vertices".to_string());
     }
+    tdmd_core::audit::enable();
     let report = run_race(&cfg);
     let text = report.render();
     if report.passed() {

@@ -79,7 +79,9 @@ pub fn load_spans(path: &str) -> Result<Vec<FlowSpan>, String> {
 /// is always sampled). With `--budget`, repair moves are admitted
 /// against a migration token bucket (see
 /// [`tdmd_online::ReconfigBudget`]) and the report adds the
-/// moves/deferral/spend accounting.
+/// moves/deferral/spend accounting. `--audit true` checks the engine
+/// after every event and turns on tdmd-core's solver seams
+/// ([`tdmd_core::audit::enable`]) for the rest of the process.
 pub fn run(args: &Args) -> Result<String, String> {
     let graph = load_topology(args.required("topo")?)?;
     let spans = load_spans(args.required("spans")?)?;
@@ -104,6 +106,7 @@ pub fn run(args: &Args) -> Result<String, String> {
     let mut engine = OnlineEngine::with_recorder(graph, lambda, k, HopCount, policy, &recorder)
         .map_err(|e| e.to_string())?;
     if audit {
+        tdmd_core::audit::enable();
         engine.enable_audit();
     }
     let events = events_from_spans(&spans);
@@ -181,7 +184,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         engine.deployment().len()
     ));
     if audit {
-        tdmd_online::audit::check_engine(&engine).map_err(|e| format!("audit: {e}"))?;
+        engine.audit_now().map_err(|e| format!("audit: {e}"))?;
         out.push_str(&format!(
             "audit:        engine invariants held after every one of {total} events\n"
         ));

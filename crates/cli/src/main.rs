@@ -101,6 +101,7 @@ fn usage() -> String {
      evaluate|chain place|stream gen|stream run|stream inject|serve gen|serve run|\
      bench|race> [--flag value ...]\n\
      pass --audit true to place/solve and stream run to re-validate the structural\n\
-     invariants (see tdmd-core::audit); see the crate docs for the full flag list"
+     invariants in every solve and event (release builds skip them otherwise; see\n\
+     tdmd-core::audit); see the crate docs for the full flag list"
         .to_string()
 }

@@ -139,14 +139,13 @@ struct Picked {
     v: NodeId,
     gain: f64,
     /// Whether the feasibility guard restricted this round.
-    // Only the cfg-gated trace and the tests read this and the two
-    // tallies below; without them they are write-only.
-    #[cfg_attr(not(any(debug_assertions, feature = "audit", test)), allow(dead_code))]
     guarded: bool,
     /// The winner's [`Guard::allows`] cover, in a guarded round: the
     /// greedy cover of what the pick leaves unserved.
     cover: Option<usize>,
     /// Heap tops the guard ruled out this round without a trial.
+    // Only the tests read this tally and the next; without them they
+    // are write-only.
     #[cfg_attr(not(test), allow(dead_code))]
     pruned: usize,
     /// Heap tops the guard's trial turned down this round.
@@ -257,21 +256,24 @@ impl Lazy {
 }
 
 /// GTP (Alg. 1): lazy best-candidate rounds under the feasibility
-/// guard; `budget = None` derives `k` (stop at full coverage).
+/// guard; `budget = None` derives `k` (stop at full coverage). With the
+/// audit switch on, the index, the round gains and the result are
+/// checked.
 pub(crate) fn run_gtp(index: &FlowIndex, budget: Option<usize>) -> Result<Deployment, TdmdError> {
-    #[cfg(any(debug_assertions, feature = "audit", test))]
-    crate::audit::enforce(crate::audit::check_index(index));
-    #[cfg(any(debug_assertions, feature = "audit", test))]
-    let mut trace: Vec<crate::audit::TraceRound> = Vec::new();
-    let deployment = rounds(index, budget, |_p| {
-        #[cfg(any(debug_assertions, feature = "audit", test))]
-        trace.push(crate::audit::TraceRound {
-            gain: _p.gain,
-            guarded: _p.guarded,
-        });
+    let audit = crate::audit::enabled();
+    if audit {
+        crate::audit::enforce(crate::audit::check_index(index));
+    }
+    let mut trace = Vec::new();
+    let deployment = rounds(index, budget, |p| {
+        if audit {
+            trace.push(crate::audit::TraceRound {
+                gain: p.gain,
+                guarded: p.guarded,
+            });
+        }
     })?;
-    #[cfg(any(debug_assertions, feature = "audit", test))]
-    {
+    if audit {
         crate::audit::enforce(crate::audit::check_greedy_trace(&trace));
         crate::audit::enforce(crate::audit::check_index_solution(
             index,

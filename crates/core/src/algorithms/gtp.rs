@@ -45,8 +45,9 @@ fn solve<M: CostModel>(
     model: &M,
     budget: Option<usize>,
 ) -> Result<Deployment, TdmdError> {
-    #[cfg(any(debug_assertions, feature = "audit", test))]
-    crate::audit::enforce(crate::audit::check_instance(instance));
+    if crate::audit::enabled() {
+        crate::audit::enforce(crate::audit::check_instance(instance));
+    }
     engine::run_gtp(&FlowIndex::build(instance, model), budget)
 }
 

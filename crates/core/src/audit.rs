@@ -30,11 +30,18 @@
 //!   (the tight-budget feasibility rule) restrict the candidate set
 //!   and are exempt from the monotone comparison.
 //!
-//! The module is compiled under `debug_assertions`, the `audit` cargo
-//! feature, or tests; release builds without the feature pay nothing.
-//! Solver seams call [`enforce`] which panics with the diagnostic.
+//! The module always compiles. The solver seams (`check_instance` in
+//! every GTP solve, `check_class_pricing` in [`FlowIndex::build`], and
+//! `check_index`, the greedy trace and `check_index_solution` around
+//! the greedy kernel) run while the process-wide switch is on
+//! ([`enabled`]): always under `debug_assertions` and in this crate's
+//! unit tests, and in release builds once [`enable`] has run, as
+//! `tdmd place --audit true`, `tdmd stream run --audit true` and
+//! `tdmd race` do. A seam calls [`enforce`], which panics with the
+//! diagnostic; with the switch off it costs one relaxed load.
 
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::cost::{CostModel, FlowIndex};
 use crate::instance::{Instance, PathSets};
@@ -59,6 +66,26 @@ impl fmt::Display for AuditError {
 }
 
 impl std::error::Error for AuditError {}
+
+/// The seam switch: see [`enabled`].
+static SEAMS: AtomicBool = AtomicBool::new(cfg!(any(debug_assertions, test)));
+
+/// Whether the solver seams run: always under `debug_assertions` and
+/// in this crate's unit tests, otherwise once [`enable`] has run.
+///
+/// The greedy kernel sits under every solver entry point, so like
+/// [`crate::obs::ENGINE`] the switch is one always-compiled global.
+/// The load is relaxed because the switch publishes no other data.
+#[inline]
+pub fn enabled() -> bool {
+    SEAMS.load(Ordering::Relaxed)
+}
+
+/// Turns the solver seams on for every later solve in the process,
+/// on every thread. Nothing turns them off again.
+pub fn enable() {
+    SEAMS.store(true, Ordering::Relaxed);
+}
 
 /// Shorthand for building an `Err(AuditError)`.
 macro_rules! fail {

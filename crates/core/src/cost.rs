@@ -72,11 +72,11 @@ use crate::plan::Deployment;
 /// A model prices from the path alone: two flows on the same path get
 /// the same gains and the same cost, bit for bit, whatever their ids,
 /// rates or tenants. [`FlowIndex::build`] relies on it, pricing each
-/// path class once through its first member (audit builds check every
-/// member against it, check `index-class-pricing`), and the online
-/// engine prices each arrival as `Flow::new(0, rate, path)`. The
-/// methods still take a [`Flow`], not a path, so callers that hold
-/// flows keep pricing them directly.
+/// path class once through its first member (with the audit switch
+/// on, it checks every member against it, check
+/// `index-class-pricing`), and the online engine prices each arrival
+/// as `Flow::new(0, rate, path)`. The methods still take a [`Flow`],
+/// not a path, so callers that hold flows keep pricing them directly.
 pub trait CostModel {
     /// Metric credited for serving `flow` at path position `pos`
     /// (0 = source). Eq. (1)'s downstream hop count `l_v(f)`,
@@ -363,7 +363,6 @@ pub struct FlowIndex {
 }
 
 /// Every array of a [`FlowIndex`], for the structural auditor.
-#[cfg(any(debug_assertions, feature = "audit", test))]
 pub(crate) struct IndexParts<'a> {
     pub offsets: &'a [u32],
     pub row_class: &'a [u32],
@@ -499,8 +498,13 @@ impl Classes {
 
 impl FlowIndex {
     /// Compiles `model` against `instance`, pricing each path class
-    /// once, through its first member. Audit builds check every other
-    /// member against that pricing (`index-class-pricing`).
+    /// once, through its first member. While the audit switch is on
+    /// ([`crate::audit::enabled`]), every other member is checked
+    /// against that pricing (`index-class-pricing`).
+    ///
+    /// # Panics
+    /// Panics, with the switch on, if `model` prices two flows on one
+    /// path apart.
     pub fn build<M: CostModel + ?Sized>(instance: &Instance, model: &M) -> Self {
         let index = Self::fill(
             instance.node_count(),
@@ -508,8 +512,9 @@ impl FlowIndex {
             model.coverage_tiebreak(),
             instance.flows().iter().map(|flow| Modeled { flow, model }),
         );
-        #[cfg(any(debug_assertions, feature = "audit", test))]
-        crate::audit::enforce(crate::audit::check_class_pricing(instance, model, &index));
+        if crate::audit::enabled() {
+            crate::audit::enforce(crate::audit::check_class_pricing(instance, model, &index));
+        }
         index
     }
 
@@ -701,7 +706,6 @@ impl FlowIndex {
     }
 
     /// Every array, for the structural auditor.
-    #[cfg(any(debug_assertions, feature = "audit", test))]
     pub(crate) fn audit_parts(&self) -> IndexParts<'_> {
         IndexParts {
             offsets: &self.offsets,

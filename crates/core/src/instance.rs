@@ -434,7 +434,6 @@ impl PathSets {
 }
 
 /// Corruption hook for the structural auditor's tests.
-#[cfg(any(debug_assertions, feature = "audit", test))]
 impl Instance {
     /// Mutable candidate-index access, `None` on fixed-path instances —
     /// the corruption hook for the path-set audit checks. Breaking the
@@ -447,7 +446,6 @@ impl Instance {
 }
 
 /// Raw arena access for audit corruption tests.
-#[cfg(any(debug_assertions, feature = "audit", test))]
 impl PathSets {
     /// Mutable access to `(active, member_entries, path_vertices)`,
     /// for seeding violations the auditor must catch.

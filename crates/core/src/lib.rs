@@ -57,7 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod algorithms;
-#[cfg(any(debug_assertions, feature = "audit", test))]
 pub mod audit;
 pub mod capacitated;
 pub mod cost;

@@ -12,7 +12,7 @@
 //! * ordering is [`f64::total_cmp`] — a genuine total order (IEEE 754
 //!   `totalOrder`), so `Ord`/`Eq` are honest and `PartialOrd` is the
 //!   paired `Some(self.cmp(other))`;
-//! * NaN is *rejected at construction* in debug/audit builds
+//! * NaN is *rejected at construction* in debug builds
 //!   ([`TotalGain::new`] debug-asserts) — gains are sums of products
 //!   of finite rates and finite metrics, so a NaN is always an
 //!   upstream bug, never data.

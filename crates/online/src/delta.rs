@@ -125,7 +125,6 @@ impl KeyIndex {
     const MIN_CAPACITY: usize = 8;
 
     /// Number of mapped keys.
-    #[cfg(any(debug_assertions, feature = "audit", test))]
     #[inline]
     fn len(&self) -> usize {
         self.len
@@ -858,7 +857,6 @@ impl DeltaState {
 /// invariant from scratch and compares it against the incremental
 /// bookkeeping; the `audit_*` hooks deliberately break one invariant
 /// each so the corruption proptests can assert the auditor catches it.
-#[cfg(any(debug_assertions, feature = "audit", test))]
 impl DeltaState {
     /// Validates invariants 1–4 (module docs) against a from-scratch
     /// recomputation under `deployment`.

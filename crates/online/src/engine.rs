@@ -54,7 +54,7 @@ use tdmd_obs::{NoopRecorder, Recorder, Stopwatch};
 use tdmd_traffic::Flow;
 
 use crate::delta::DeltaState;
-use crate::event::{Event, FlowKey, TimedEvent};
+use crate::event::{Event, FlowKey};
 use crate::queue::LazyQueue;
 use crate::repair::{RepairPolicy, RepairStats};
 use crate::snapshot::{EngineSnapshot, SnapshotError, SnapshotFlow, SNAPSHOT_VERSION};
@@ -176,7 +176,6 @@ pub struct OnlineEngine<M: CostModel, R: Recorder = NoopRecorder> {
     recorder: R,
     /// Per-event auditing ([`OnlineEngine::enable_audit`]): every
     /// `apply` re-validates the full invariant stack.
-    #[cfg(any(debug_assertions, feature = "audit", test))]
     audit: bool,
 }
 
@@ -232,7 +231,6 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
             stats: RepairStats::default(),
             tokens: policy.budget.initial_tokens(),
             recorder,
-            #[cfg(any(debug_assertions, feature = "audit", test))]
             audit: false,
         })
     }
@@ -450,12 +448,6 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
     /// is unchanged on error.
     pub fn apply(&mut self, event: &Event) -> Result<(), OnlineError> {
         self.state.clear_flips();
-        self.apply_one(event)
-    }
-
-    /// [`OnlineEngine::apply`] without clearing the flip log, so that
-    /// [`OnlineEngine::apply_all`] keeps the flips of its whole stream.
-    fn apply_one(&mut self, event: &Event) -> Result<(), OnlineError> {
         let sw = R::ENABLED.then(Stopwatch::start);
         let failure = self.ingest(event)?;
         self.repair(failure);
@@ -463,7 +455,6 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
             self.recorder
                 .sample(obs_keys::EVENT_APPLY_US, sw.elapsed_us());
         }
-        #[cfg(any(debug_assertions, feature = "audit", test))]
         if self.audit {
             tdmd_core::audit::enforce(self.audit_now());
         }
@@ -519,23 +510,10 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
             self.recorder
                 .sample(obs_keys::BATCH_APPLY_US, sw.elapsed_us());
         }
-        #[cfg(any(debug_assertions, feature = "audit", test))]
         if self.audit {
             tdmd_core::audit::enforce(self.audit_now());
         }
         result
-    }
-
-    /// Applies a whole timed stream in order.
-    ///
-    /// # Errors
-    /// Stops at the first malformed event.
-    pub fn apply_all(&mut self, events: &[TimedEvent]) -> Result<(), OnlineError> {
-        self.state.clear_flips();
-        for ev in events {
-            self.apply_one(&ev.event)?;
-        }
-        Ok(())
     }
 
     fn validate_arrival(
@@ -1118,7 +1096,6 @@ fn obeys_contract(gains: &[f64], cost: f64) -> bool {
 }
 
 /// Structural auditor (tdmd-audit): the engine-level invariant stack.
-#[cfg(any(debug_assertions, feature = "audit", test))]
 impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
     /// Turns on per-event auditing: every [`OnlineEngine::apply`]
     /// re-validates the full invariant stack and panics with the
@@ -1134,8 +1111,9 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
     /// against exact marginal gains.
     ///
     /// # Errors
-    /// Returns the first violated check (see
-    /// [`crate::audit::check_engine`]).
+    /// Returns the first violated check: an `engine-*` check, then
+    /// those of [`DeltaState::check_invariants`] and
+    /// [`LazyQueue::check_coherence`].
     pub fn audit_now(&self) -> Result<(), tdmd_core::audit::AuditError> {
         use tdmd_core::audit::AuditError;
         let err = |check: &'static str, detail: String| Err(AuditError { check, detail });
@@ -1274,7 +1252,7 @@ mod tests {
             e.state().flips().contains(&(4, false)),
             "flow 4 lost its box"
         );
-        e.apply_all(&[]).unwrap();
+        e.apply_batch(&[]).unwrap();
         assert!(e.state().flips().is_empty());
     }
 
@@ -1374,7 +1352,9 @@ mod tests {
             },
         ];
         let mut e = engine(2, RepairPolicy::default());
-        e.apply_all(&events_from_spans(&spans)).unwrap();
+        for ev in events_from_spans(&spans) {
+            e.apply(&ev.event).unwrap();
+        }
         assert_eq!(e.active_count(), 0);
         assert_eq!(e.stats().events, 4);
         assert_eq!(e.objective(), 0.0);

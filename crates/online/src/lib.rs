@@ -81,8 +81,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(any(debug_assertions, feature = "audit", test))]
-pub mod audit;
 pub mod budget;
 pub mod delta;
 pub mod engine;

@@ -218,7 +218,6 @@ impl LazyQueue {
 }
 
 /// Structural auditor and corruption hooks (tdmd-audit).
-#[cfg(any(debug_assertions, feature = "audit", test))]
 impl LazyQueue {
     /// Validates epoch coherence against a from-scratch gain
     /// evaluation: per-vertex bookkeeping shapes agree, no heap entry

@@ -204,6 +204,6 @@ proptest! {
         for ev in random_events(&g, seed ^ 0x7E, len) {
             engine.apply(&ev).unwrap();
         }
-        tdmd_online::audit::check_engine(&engine).unwrap();
+        engine.audit_now().unwrap();
     }
 }

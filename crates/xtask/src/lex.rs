@@ -16,10 +16,9 @@
 //! which pattern-match short token windows.
 //!
 //! [`attr_regions`] derives line masks for attribute-gated items
-//! (`#[cfg(test)]`, `#[cfg(any(debug_assertions, feature = "audit",
-//! …))]`) by brace-matching over tokens, so nested test modules and
-//! audit-gated blocks mask correctly even when a stray `}` sits in a
-//! string literal somewhere above them.
+//! (`#[cfg(test)]`, `#[cfg(debug_assertions)]`) by brace-matching over
+//! tokens, so nested test modules and debug-only blocks mask correctly
+//! even when a stray `}` sits in a string literal somewhere above them.
 
 /// What a token is — just enough classification for the rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -569,18 +568,9 @@ pub fn is_cfg_test(pred: &[String]) -> bool {
 }
 
 /// Is this a `cfg(…)` attribute whose predicate mentions
-/// `debug_assertions` or `feature = "audit"` — i.e. code that only
-/// exists in debug/audit builds (the runtime auditor's own layer)?
-pub fn is_cfg_debug_or_audit(pred: &[String]) -> bool {
-    if pred.first().map(String::as_str) != Some("cfg") {
-        return false;
-    }
-    pred.iter().enumerate().any(|(i, t)| {
-        t == "debug_assertions"
-            || (t == "feature"
-                && pred.get(i + 1).map(String::as_str) == Some("=")
-                && pred.get(i + 2).is_some_and(|v| v.contains("audit")))
-    })
+/// `debug_assertions` — i.e. code that only exists in debug builds?
+pub fn is_cfg_debug_assertions(pred: &[String]) -> bool {
+    pred.first().map(String::as_str) == Some("cfg") && pred.iter().any(|t| t == "debug_assertions")
 }
 
 #[cfg(test)]
@@ -683,11 +673,13 @@ mod tests {
     }
 
     #[test]
-    fn cfg_any_with_test_is_not_cfg_test_but_is_debug_audit() {
-        let src = "#[cfg(any(debug_assertions, feature = \"audit\", test))]\nfn audit() { x.unwrap(); }\n";
+    fn cfg_any_with_test_is_not_cfg_test_but_is_debug() {
+        let src = "#[cfg(any(debug_assertions, test))]\nfn check() { x.unwrap(); }\n\
+                   #[cfg(feature = \"extra\")]\nfn gated() { x.unwrap(); }\n";
         let toks = lex(src);
         assert!(attr_regions(&toks, is_cfg_test).is_empty());
-        let dbg = attr_regions(&toks, is_cfg_debug_or_audit);
+        // A cargo feature is not a debug build: only the first item masks.
+        let dbg = attr_regions(&toks, is_cfg_debug_assertions);
         assert_eq!(dbg.len(), 1);
         assert_eq!((dbg[0].first_line, dbg[0].last_line), (0, 1));
     }

@@ -28,8 +28,8 @@
 //!     time comes from the event stream, latency from the obs
 //!     `Stopwatch` at the boundaries.
 //!   * `panic-path` — no panic-family macros or literal indexing in
-//!     non-test, non-`debug_assertions`/audit regions of library
-//!     crates; surface the typed error enums instead.
+//!     non-test, non-`debug_assertions` regions of library crates;
+//!     surface the typed error enums instead.
 //!   * `dead-obs-key` — every registry key is emitted somewhere, and
 //!     every float serialization site in the bench writer routes
 //!     through `round_metric`.

@@ -52,9 +52,9 @@ pub struct SourceFile {
     /// Per-line membership of exact `#[cfg(test)]` regions.
     pub test_mask: Vec<bool>,
     /// Per-line membership of `cfg` regions gated on
-    /// `debug_assertions` or `feature = "audit"` — the runtime
-    /// auditor's own layer, exempt from `panic-path` (its whole job
-    /// is to panic on corrupted structure).
+    /// `debug_assertions` — debug-only checks, exempt from
+    /// `panic-path` (their whole job is to panic on corrupted
+    /// structure).
     pub debug_mask: Vec<bool>,
     /// Per-line membership of items carrying a `# Panics` doc
     /// contract — a documented panic is a published precondition, so
@@ -71,7 +71,7 @@ impl SourceFile {
         let test_mask = lex::region_mask(n_lines, &lex::attr_regions(&tokens, lex::is_cfg_test));
         let debug_mask = lex::region_mask(
             n_lines,
-            &lex::attr_regions(&tokens, lex::is_cfg_debug_or_audit),
+            &lex::attr_regions(&tokens, lex::is_cfg_debug_assertions),
         );
         let panics_doc_mask = lex::region_mask(n_lines, &lex::doc_panic_regions(&raw, &tokens));
         Self {
@@ -558,7 +558,7 @@ const PANIC_MACROS: &[&str] = &[
 /// `unreachable!`, `todo!`, `unimplemented!`, the `assert!` family)
 /// and no literal-index expressions (`xs[0]` — the classic
 /// "first element exists" shape that panics on empty input) in
-/// non-test, non-`debug_assertions`/audit regions of library crates.
+/// non-test, non-`debug_assertions` regions of library crates.
 /// Surface `TdmdError` / `OnlineError` / `AuditError` instead.
 ///
 /// Sanctioned and exempt:
@@ -569,8 +569,8 @@ const PANIC_MACROS: &[&str] = &[
 ///   `.windows(`/`.chunks_exact(` call, whose chunk length is
 ///   guaranteed by the iterator;
 /// * computed CSR indexing — its bounds are the runtime auditor's job
-///   (`check_instance` / `check_engine`), which a static token scan
-///   cannot re-prove.
+///   (`check_instance` / `OnlineEngine::audit_now`), which a static
+///   token scan cannot re-prove.
 fn panic_path(f: &SourceFile, out: &mut Vec<Violation>) {
     if !PANIC_PATH_DIRS.iter().any(|d| f.rel_path.starts_with(d)) {
         return;
@@ -1061,11 +1061,11 @@ mod tests {
     }
 
     #[test]
-    fn panic_path_exempts_test_and_audit_regions() {
+    fn panic_path_exempts_test_and_debug_regions() {
         let src = "#[cfg(test)]\nmod t { fn a() { assert_eq!(1, 1); } }\n\
-                   #[cfg(any(debug_assertions, feature = \"audit\", test))]\n\
-                   fn enforce() { panic!(\"audit\"); }\n";
-        let v = rules_on("crates/core/src/audit.rs", src);
+                   #[cfg(debug_assertions)]\n\
+                   fn check() { panic!(\"corrupt\"); }\n";
+        let v = rules_on("crates/core/src/order.rs", src);
         assert!(rules_named(&v, "panic-path").is_empty(), "{v:?}");
         // Drivers (cli) are not library crates.
         let cli = "fn main() { panic!(\"usage\"); }\n";
