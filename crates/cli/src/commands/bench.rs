@@ -37,16 +37,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use tdmd_core::algorithms::gtp::gtp_budgeted;
-use tdmd_core::algorithms::joint::{joint_solve_with, JointConfig};
+use tdmd_core::algorithms::joint::{joint_solve, lp_lower_bound};
 use tdmd_core::objective::bandwidth_of;
 use tdmd_core::{HopCount, Instance};
 use tdmd_experiments::scenarios::{
     general_instance, general_pathset_instance, tree_instance, Scenario,
 };
-use tdmd_obs::{normalize_zero, percentile, round_metric, StatsRecorder, Stopwatch};
-use tdmd_online::{
-    events_from_spans, obs_keys, Event, FlowSpan, OnlineEngine, ReconfigBudget, RepairPolicy,
-};
+use tdmd_obs::{normalize_zero, percentile, round_metric, Stopwatch};
+use tdmd_online::{events_from_spans, Event, FlowSpan, OnlineEngine, ReconfigBudget, RepairPolicy};
 use tdmd_traffic::GatewayWorkload;
 
 /// Schema tag of `BENCH_solve.json`.
@@ -198,7 +196,9 @@ pub struct JointEntry {
     pub rounds: usize,
     /// Active-path switches applied.
     pub path_switches: u64,
-    /// Wall-clock µs of the LP bound computation alone.
+    /// Wall-clock µs of one `lp_lower_bound` call on the instance,
+    /// timed apart from the solve (which computes the same bound
+    /// once).
     pub lp_bound_us: f64,
 }
 
@@ -448,8 +448,7 @@ pub fn scale_bench(seed: u64, params: ScaleParams) -> Result<ScaleBench, String>
 
     // Online replay under local-only repair: the oracle is what the
     // static solve above measures; here the meter is on the batched
-    // event path itself, so telemetry stays off (NoopRecorder) and the
-    // bench times whole `apply_batch` calls externally.
+    // event path itself, timed one whole `apply_batch` call at a time.
     let mut engine = OnlineEngine::new(
         graph.clone(),
         params.lambda,
@@ -639,24 +638,20 @@ pub fn stream_bench(seed: u64) -> Result<StreamBench, String> {
             ("incremental", RepairPolicy::default()),
             ("replanned", RepairPolicy::forced_replan()),
         ] {
-            let recorder = StatsRecorder::new();
-            let mut engine = OnlineEngine::with_recorder(
-                inst.graph().clone(),
-                s.lambda,
-                s.k,
-                HopCount,
-                policy,
-                &recorder,
-            )
-            .map_err(|e| e.to_string())?;
+            let mut engine =
+                OnlineEngine::new(inst.graph().clone(), s.lambda, s.k, HopCount, policy)
+                    .map_err(|e| e.to_string())?;
+            let mut lat = Vec::with_capacity(events.len());
             let sw = Stopwatch::start();
             for ev in &events {
+                let event_sw = Stopwatch::start();
                 engine
                     .apply(&ev.event)
                     .map_err(|e| format!("{name}/{policy_name}: {e}"))?;
+                lat.push(event_sw.elapsed_us());
             }
             let wall_us = sw.elapsed_us();
-            let lat = recorder.sorted_samples(obs_keys::EVENT_APPLY_US);
+            lat.sort_by(f64::total_cmp);
             let stats = engine.stats();
             entries.push(StreamEntry {
                 scenario: name.to_string(),
@@ -671,12 +666,12 @@ pub fn stream_bench(seed: u64) -> Result<StreamBench, String> {
                     max: round_metric(lat.last().copied().unwrap_or(0.0), 3),
                 },
                 counters: StreamCounters {
-                    arrivals: recorder.counter(obs_keys::ARRIVALS),
-                    departures: recorder.counter(obs_keys::DEPARTURES),
+                    arrivals: stats.arrivals,
+                    departures: stats.departures,
                     adds: stats.adds,
                     drops: stats.drops,
                     swaps: stats.swaps,
-                    replans: recorder.counter(obs_keys::REPLANS),
+                    replans: stats.replans,
                 },
             });
         }
@@ -784,12 +779,20 @@ pub fn joint_bench(seed: u64) -> Result<JointBench, String> {
     for k_paths in 1..=4usize {
         let mut rng = StdRng::seed_from_u64(seed);
         let inst = general_pathset_instance(&mut rng, s, k_paths);
-        let recorder = StatsRecorder::new();
         let sw = Stopwatch::start();
-        let sol = joint_solve_with(&inst, &JointConfig::default(), &recorder)
-            .map_err(|e| format!("joint/k_paths={k_paths}: {e}"))?;
+        let sol = joint_solve(&inst).map_err(|e| format!("joint/k_paths={k_paths}: {e}"))?;
         let wall_us = sw.elapsed_us();
-        let lp_samples = recorder.sorted_samples(tdmd_obs::keys::LP_BOUND_US);
+        // The solve computes its certificate once; time that same call
+        // on its own, and fail unless it reproduces the solve's bound.
+        let lp_sw = Stopwatch::start();
+        let lp_bound = lp_lower_bound(&inst);
+        let lp_bound_us = lp_sw.elapsed_us();
+        if lp_bound.to_bits() != sol.lp_bound.to_bits() {
+            return Err(format!(
+                "joint/k_paths={k_paths}: lp_lower_bound {lp_bound} differs from the solve's {}",
+                sol.lp_bound
+            ));
+        }
         entries.push(JointEntry {
             scenario: "general-default".to_string(),
             k_paths,
@@ -803,7 +806,7 @@ pub fn joint_bench(seed: u64) -> Result<JointBench, String> {
             lp_bound: normalize_zero(sol.lp_bound),
             rounds: sol.rounds,
             path_switches: sol.path_switches,
-            lp_bound_us: round_metric(lp_samples.last().copied().unwrap_or(0.0), 3),
+            lp_bound_us: round_metric(lp_bound_us, 3),
         });
     }
     Ok(JointBench {

@@ -14,8 +14,8 @@ use crate::commands::{budget_from, load_topology, load_workload, write_out};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdmd_core::HopCount;
-use tdmd_obs::{normalize_zero, percentile, StatsRecorder, Stopwatch};
-use tdmd_online::{events_from_spans, obs_keys, FlowSpan, OnlineEngine, RepairPolicy};
+use tdmd_obs::{normalize_zero, percentile, Stopwatch};
+use tdmd_online::{events_from_spans, FlowSpan, OnlineEngine, RepairPolicy};
 use tdmd_sim::chaos::{run_chaos, ChaosConfig, ChaosMode};
 use tdmd_sim::timeline::DynamicScenario;
 
@@ -73,7 +73,8 @@ pub fn load_spans(path: &str) -> Result<Vec<FlowSpan>, String> {
 /// [--flow-cost C] [--hysteresis M] [--oracle-every N] [--audit true]`
 ///
 /// Replays the span file event by event, measuring the wall-clock
-/// latency of each apply+repair step, and samples the gap between the
+/// latency of each `apply` call (the event and its repair, plus the
+/// engine check under `--audit true`), and samples the gap between the
 /// maintained objective and a from-scratch GTP solve every
 /// `--oracle-every` events (0 disables gap sampling; the final event
 /// is always sampled). With `--budget`, repair moves are admitted
@@ -102,9 +103,8 @@ pub fn run(args: &Args) -> Result<String, String> {
     let oracle_every: u64 = args.num("oracle-every", 0)?;
     let audit = args.flag("audit")?;
 
-    let recorder = StatsRecorder::new();
-    let mut engine = OnlineEngine::with_recorder(graph, lambda, k, HopCount, policy, &recorder)
-        .map_err(|e| e.to_string())?;
+    let mut engine =
+        OnlineEngine::new(graph, lambda, k, HopCount, policy).map_err(|e| e.to_string())?;
     if audit {
         tdmd_core::audit::enable();
         engine.enable_audit();
@@ -115,10 +115,13 @@ pub fn run(args: &Args) -> Result<String, String> {
     }
 
     let mut gaps: Vec<f64> = Vec::new();
+    let mut latencies_us = Vec::with_capacity(events.len());
     let total = events.len() as u64;
     let replay_start = Stopwatch::start();
     for (i, ev) in events.iter().enumerate() {
+        let sw = Stopwatch::start();
         engine.apply(&ev.event).map_err(|e| e.to_string())?;
+        latencies_us.push(sw.elapsed_us());
 
         let is_last = i as u64 + 1 == total;
         let sampled = oracle_every > 0 && (i as u64 + 1).is_multiple_of(oracle_every);
@@ -133,7 +136,7 @@ pub fn run(args: &Args) -> Result<String, String> {
     }
     let replay_secs = replay_start.elapsed_secs();
 
-    let latencies_us = recorder.sorted_samples(obs_keys::EVENT_APPLY_US);
+    latencies_us.sort_by(f64::total_cmp);
     let stats = engine.stats();
     let mut out = format!(
         "policy:       {policy_name}\nevents:       {total} ({} arrivals, {} departures)\n\

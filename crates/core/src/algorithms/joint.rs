@@ -49,8 +49,6 @@ use crate::objective::bandwidth_of;
 use crate::plan::Deployment;
 use tdmd_graph::flownet::FlowNetwork;
 use tdmd_graph::NodeId;
-use tdmd_obs::keys::{JOINT_ROUNDS, LP_BOUND_US, PATH_SWITCHES};
-use tdmd_obs::{NoopRecorder, Recorder, Stopwatch};
 
 /// Float tolerance for objective comparisons.
 const EPS: f64 = 1e-9;
@@ -60,24 +58,12 @@ const EPS: f64 = 1e-9;
 /// bound valid).
 const LP_SCALE: f64 = 1_048_576.0;
 
-/// Knobs of the alternation loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JointConfig {
-    /// Maximum GTP placement rounds per warm-start chain.
-    pub max_rounds: usize,
-    /// Grid points for the Lagrangian price `μ` of the LP bound
-    /// (besides `μ = 0`).
-    pub lp_mu_grid: usize,
-}
+/// Maximum GTP placement rounds per warm-start chain.
+const MAX_ROUNDS: usize = 8;
 
-impl Default for JointConfig {
-    fn default() -> Self {
-        Self {
-            max_rounds: 8,
-            lp_mu_grid: 16,
-        }
-    }
-}
+/// Grid points for the Lagrangian price `μ` of the LP bound (besides
+/// `μ = 0`).
+const LP_MU_GRID: usize = 16;
 
 /// Result of a joint solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,30 +85,18 @@ pub struct JointSolution {
     pub path_switches: u64,
 }
 
-/// Joint solve with default knobs and no telemetry.
+/// Joint routing + placement: the alternation of the module docs,
+/// from both warm starts, with the LP certificate
+/// ([`lp_lower_bound`]). The solution counts its own rounds and path
+/// switches.
 ///
 /// # Errors
 /// [`TdmdError::Infeasible`] if no routing reachable by the
 /// alternation admits a feasible placement within the budget.
 pub fn joint_solve(instance: &Instance) -> Result<JointSolution, TdmdError> {
-    joint_solve_with(instance, &JointConfig::default(), &NoopRecorder)
-}
-
-/// Joint solve recording `joint_rounds`, `path_switches` and
-/// `lp_bound_us` telemetry.
-///
-/// # Errors
-/// See [`joint_solve`].
-pub fn joint_solve_with<R: Recorder>(
-    instance: &Instance,
-    cfg: &JointConfig,
-    recorder: &R,
-) -> Result<JointSolution, TdmdError> {
     let joint = instance.with_candidates();
     let instance: &Instance = &joint;
-    let sw = Stopwatch::start();
-    let lp_bound = lp_lower_bound(instance, cfg.lp_mu_grid);
-    recorder.sample(LP_BOUND_US, sw.elapsed_us());
+    let lp_bound = lp_lower_bound(instance);
 
     let mut rounds = 0usize;
     let mut switches = 0u64;
@@ -148,14 +122,7 @@ pub fn joint_solve_with<R: Recorder>(
     // first placement round re-derives the baseline; later rounds
     // explore the routing neighborhood around it).
     let mut work = instance.clone();
-    if let Some(e) = run_chain(
-        &mut work,
-        cfg,
-        recorder,
-        &mut rounds,
-        &mut switches,
-        &mut best,
-    ) {
+    if let Some(e) = run_chain(&mut work, &mut rounds, &mut switches, &mut best) {
         first_err.get_or_insert(e);
     }
 
@@ -165,20 +132,9 @@ pub fn joint_solve_with<R: Recorder>(
     let opt = optimistic_deployment(&work);
     let pre = reselect(&work, &opt);
     if !pre.is_empty() {
-        let moved = wide(work.set_active_paths(&pre));
-        if moved > 0 {
-            recorder.count(PATH_SWITCHES, moved);
-            switches += moved;
-        }
+        switches += wide(work.set_active_paths(&pre));
     }
-    if let Some(e) = run_chain(
-        &mut work,
-        cfg,
-        recorder,
-        &mut rounds,
-        &mut switches,
-        &mut best,
-    ) {
+    if let Some(e) = run_chain(&mut work, &mut rounds, &mut switches, &mut best) {
         first_err.get_or_insert(e);
     }
 
@@ -208,17 +164,14 @@ type Incumbent = Option<(Deployment, Vec<u32>, f64)>;
 /// switches, the round budget is exhausted, or placement fails.
 /// Updates the shared incumbent; returns the placement error (if any)
 /// so the caller can surface it when *no* chain produced a solution.
-fn run_chain<R: Recorder>(
+fn run_chain(
     inst: &mut Instance,
-    cfg: &JointConfig,
-    recorder: &R,
     rounds: &mut usize,
     switches: &mut u64,
     best: &mut Incumbent,
 ) -> Option<TdmdError> {
-    for round in 0..cfg.max_rounds {
+    for round in 0..MAX_ROUNDS {
         *rounds += 1;
-        recorder.count(JOINT_ROUNDS, 1);
         let dep = match gtp_budgeted(inst, inst.k()) {
             Ok(d) => d,
             Err(e) => return Some(e),
@@ -229,7 +182,7 @@ fn run_chain<R: Recorder>(
         if best.as_ref().is_none_or(|b| obj < b.2 - EPS) {
             *best = Some((dep.clone(), sets(inst).actives().to_vec(), obj));
         }
-        if round + 1 == cfg.max_rounds {
+        if round + 1 == MAX_ROUNDS {
             break;
         }
         let sel = reselect(inst, &dep);
@@ -240,7 +193,6 @@ fn run_chain<R: Recorder>(
         if moved == 0 {
             break;
         }
-        recorder.count(PATH_SWITCHES, moved);
         *switches += moved;
     }
     None
@@ -249,7 +201,7 @@ fn run_chain<R: Recorder>(
 /// The candidate sets of a working instance.
 ///
 /// # Panics
-/// Panics if `inst` has none: [`joint_solve_with`] and
+/// Panics if `inst` has none: [`joint_solve`] and
 /// [`lp_lower_bound`] give every instance its sets before any helper
 /// runs.
 fn sets(inst: &Instance) -> &PathSets {
@@ -383,11 +335,12 @@ fn optimistic_deployment(inst: &Instance) -> Deployment {
 ///
 /// `max(λ · Σ_f r_f · minlen_f, Σ_f r_f · minlen_f − min_μ D(μ))`
 /// where `D(μ)` prices the budget Lagrangian via one min-cost-flow
-/// transportation solve per grid point (see the module docs for the
+/// transportation solve per point of a fixed 17-point grid
+/// `μ ∈ {0, 1/16, …, 1} · max g*` (see the module docs for the
 /// validity argument). Both terms hold for *every* candidate routing
 /// and deployment within budget, so the max does too. An instance
 /// without path sets is bounded over one candidate per flow, its path.
-pub fn lp_lower_bound(inst: &Instance, mu_grid: usize) -> f64 {
+pub fn lp_lower_bound(inst: &Instance) -> f64 {
     let joint = inst.with_candidates();
     let inst: &Instance = &joint;
     let ps = sets(inst);
@@ -435,8 +388,8 @@ pub fn lp_lower_bound(inst: &Instance, mu_grid: usize) -> f64 {
     let voff = 1 + f_count;
     let t = voff + n;
     let mut d_ub = f64::INFINITY;
-    for i in 0..=mu_grid {
-        let mu = g_max * usize_f64(i) / usize_f64(mu_grid.max(1));
+    for i in 0..=LP_MU_GRID {
+        let mu = g_max * usize_f64(i) / usize_f64(LP_MU_GRID);
         let mut net = FlowNetwork::new(t + 1);
         for f in 0..f_count {
             net.add_arc(s, 1 + f, 1, 0);
@@ -573,15 +526,5 @@ mod tests {
             joint_solve(&inst),
             Err(TdmdError::Infeasible { budget: 1 })
         ));
-    }
-
-    #[test]
-    fn recorder_sees_rounds_and_switches() {
-        let inst = funnel_instance();
-        let rec = tdmd_obs::StatsRecorder::new();
-        let sol = joint_solve_with(&inst, &JointConfig::default(), &rec).unwrap();
-        assert_eq!(rec.counter(JOINT_ROUNDS), sol.rounds as u64);
-        assert_eq!(rec.counter(PATH_SWITCHES), sol.path_switches);
-        assert_eq!(rec.sample_count(LP_BOUND_US), 1);
     }
 }

@@ -29,45 +29,46 @@ pub struct Instance {
     paths: Option<PathSets>,
 }
 
-/// Validates flow paths against one topology without allocating per
-/// path: a per-vertex stamp marks the vertices of the path being
-/// checked, so a revisit is a stamp that already holds the path's
-/// mark.
-struct PathCheck<'g> {
-    graph: &'g DiGraph,
+/// Validates flow paths without allocating per path: a per-vertex
+/// stamp marks the vertices of the path being checked, so a revisit
+/// is a stamp that already holds the path's mark. It owns only the
+/// stamps and takes the topology per call, so one checker serves
+/// [`Instance`] construction and the online engine's arrivals alike.
+#[derive(Debug, Clone)]
+pub struct PathCheck {
     stamp: Vec<usize>,
     mark: usize,
 }
 
-impl<'g> PathCheck<'g> {
-    fn new(graph: &'g DiGraph) -> Self {
+impl PathCheck {
+    /// A checker with stamps for a topology of `node_count` vertices
+    /// (a larger topology grows them on first use).
+    pub fn new(node_count: usize) -> Self {
         Self {
-            graph,
-            stamp: vec![0; graph.node_count()],
+            stamp: vec![0; node_count],
             mark: 0,
         }
     }
 
-    /// Validates one path of flow `flow`: at least two vertices, every
-    /// vertex in range, none twice (the paper's paths are simple), and
-    /// every hop an edge of the topology.
-    fn validate_path(&mut self, flow: u32, path: &[NodeId]) -> Result<(), TdmdError> {
-        let err = || TdmdError::InvalidPath { flow };
+    /// Whether `path` is a valid flow path in `graph`: at least two
+    /// vertices, every vertex in range, none twice (the paper's paths
+    /// are simple), and every hop an edge of the topology.
+    pub fn is_valid(&mut self, graph: &DiGraph, path: &[NodeId]) -> bool {
+        let n = graph.node_count();
         if path.len() < 2 {
-            return Err(err());
+            return false;
+        }
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
         }
         self.mark += 1;
         for &v in path {
-            let seen = self.stamp.get_mut(ix(v)).ok_or_else(err)?;
-            if *seen == self.mark {
-                return Err(err());
+            if ix(v) >= n || self.stamp[ix(v)] == self.mark {
+                return false;
             }
-            *seen = self.mark;
+            self.stamp[ix(v)] = self.mark;
         }
-        if path.windows(2).any(|w| !self.graph.has_edge(w[0], w[1])) {
-            return Err(err());
-        }
-        Ok(())
+        path.windows(2).all(|w| graph.has_edge(w[0], w[1]))
     }
 }
 
@@ -86,14 +87,13 @@ impl Instance {
         if !(0.0..=1.0).contains(&lambda) || lambda.is_nan() {
             return Err(TdmdError::BadLambda(lambda));
         }
-        let mut check = PathCheck::new(&graph);
+        let mut check = PathCheck::new(graph.node_count());
         for (idx, f) in flows.iter().enumerate() {
             // Flow ids double as dense indices into per-flow state
             // everywhere downstream; enforce it here once.
-            if f.rate == 0 || f.id as usize != idx {
+            if f.rate == 0 || f.id as usize != idx || !check.is_valid(&graph, &f.path) {
                 return Err(TdmdError::InvalidPath { flow: f.id });
             }
-            check.validate_path(f.id, &f.path)?;
         }
         Ok(Self {
             graph,
@@ -123,14 +123,16 @@ impl Instance {
         if !(0.0..=1.0).contains(&lambda) || lambda.is_nan() {
             return Err(TdmdError::BadLambda(lambda));
         }
-        let mut check = PathCheck::new(&graph);
+        let mut check = PathCheck::new(graph.node_count());
         for (idx, s) in sets.iter().enumerate() {
             let err = || TdmdError::InvalidPath { flow: s.id };
             if s.id as usize != idx || s.rate == 0 || s.candidates.is_empty() {
                 return Err(err());
             }
             for p in &s.candidates {
-                check.validate_path(s.id, p)?;
+                if !check.is_valid(&graph, p) {
+                    return Err(err());
+                }
                 if p[0] != s.candidates[0][0] || p.last() != s.candidates[0].last() {
                     return Err(err());
                 }
@@ -669,5 +671,87 @@ mod tests {
         assert_eq!(inst.with_k(7).k(), 7);
         assert_eq!(inst.with_lambda(0.0).lambda(), 0.0);
         assert_eq!(inst.k(), 2, "original untouched");
+    }
+
+    /// The same four conditions as [`PathCheck`], checked by copying
+    /// and sorting the path.
+    fn sorted_reference(g: &DiGraph, path: &[NodeId]) -> bool {
+        if path.len() < 2 || path.iter().any(|&v| ix(v) >= g.node_count()) {
+            return false;
+        }
+        let mut seen = path.to_vec();
+        seen.sort_unstable();
+        seen.windows(2).all(|w| w[0] != w[1]) && path.windows(2).all(|w| g.has_edge(w[0], w[1]))
+    }
+
+    /// Random walks on a random graph, corrupted now and then by an
+    /// out-of-range vertex or a jump along no edge, and cut to any
+    /// length from 0: `PathCheck` must agree with the sorting
+    /// reference on every one. After each rejected path, its longest
+    /// valid prefix, whose vertices still hold the stamps of a walk the
+    /// checker may have left mid-way, must pass.
+    #[test]
+    fn path_check_agrees_with_a_sorting_reference() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9A7C_4EC4);
+        let n = 12u32;
+        let g = tdmd_graph::generators::erdos_renyi_connected(ix(n), 0.25, &mut rng);
+        // Sized for no vertices, so the first path grows the stamps.
+        let mut check = PathCheck::new(0);
+        // Accepted paths, then rejections by: length < 2, out of
+        // range, a repeated vertex, a missing edge.
+        let mut seen = [0usize; 5];
+        for _ in 0..4_000 {
+            let len = rng.gen_range(0..9usize);
+            let mut path: Vec<NodeId> = Vec::with_capacity(len);
+            for _ in 0..len {
+                let v = match (rng.gen_range(0..20), path.last()) {
+                    (0, _) => n + rng.gen_range(0..3u32),
+                    (r, Some(&u)) if r > 1 && u < n => {
+                        let nbrs = g.out_neighbors(u);
+                        nbrs[rng.gen_range(0..nbrs.len())]
+                    }
+                    // The first vertex, a jump, or a step on from a
+                    // vertex out of range.
+                    _ => rng.gen_range(0..n),
+                };
+                path.push(v);
+            }
+            let want = sorted_reference(&g, &path);
+            assert_eq!(check.is_valid(&g, &path), want, "{path:?}");
+            let mut sorted = path.clone();
+            sorted.sort_unstable();
+            let cause = if want {
+                0
+            } else if path.len() < 2 {
+                1
+            } else if path.iter().any(|&v| v >= n) {
+                2
+            } else if sorted.windows(2).any(|w| w[0] == w[1]) {
+                3
+            } else {
+                4
+            };
+            seen[cause] += 1;
+            if !want && path.len() >= 2 {
+                let prefix = (2..path.len())
+                    .rev()
+                    .map(|j| &path[..j])
+                    .find(|p| sorted_reference(&g, p));
+                if let Some(p) = prefix {
+                    assert!(check.is_valid(&g, p), "stale stamps after {path:?}");
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&c| c > 0),
+            "every case exercised: {seen:?}"
+        );
+        // The same rejection followed by its own valid prefix, by hand.
+        let (a, b) = (0, g.out_neighbors(0)[0]);
+        assert!(!check.is_valid(&g, &[a, b, a]));
+        assert!(check.is_valid(&g, &[a, b]));
+        assert!(!check.is_valid(&g, &[]));
+        assert!(!check.is_valid(&g, &[a]));
     }
 }

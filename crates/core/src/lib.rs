@@ -72,7 +72,7 @@ pub mod plan;
 
 pub use cost::{CostModel, FlowIndex, HopCount, PricedFlow, WeightedEdges};
 pub use error::TdmdError;
-pub use instance::{Instance, PathMember, PathSets};
+pub use instance::{Instance, PathCheck, PathMember, PathSets};
 pub use order::TotalGain;
 pub use plan::{Allocation, Deployment, PlanReport};
 
@@ -85,7 +85,7 @@ pub mod prelude {
         exhaustive::exhaustive_optimal,
         gtp::{gtp_budgeted, gtp_derive_k},
         hat::hat,
-        joint::{joint_solve, joint_solve_with, JointConfig, JointSolution},
+        joint::{joint_solve, JointSolution},
         local_search::{gtp_with_local_search, local_search},
         random::random_feasible,
         Algorithm,

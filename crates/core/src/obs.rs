@@ -1,10 +1,12 @@
 //! Engine telemetry: process-global counters on the greedy hot paths.
 //!
 //! The static engine ([`crate::algorithms::engine`]) runs deep inside
-//! every solver API, so instead of threading a recorder through each
-//! public entry point the counters live in one always-compiled global
+//! every solver API and returns only a deployment, so its counters
+//! live in one always-compiled global instead of in any return value
 //! — relaxed atomic increments, safe across threads, costing one
-//! `fetch_add` next to loops that already scan whole CSR rows.
+//! `fetch_add` next to loops that already scan whole CSR rows. This
+//! is tdmd-core's one record; the joint solver counts its rounds in
+//! its `JointSolution`, and callers time their own calls.
 //!
 //! Usage pattern (the `tdmd bench` command, perf tests):
 //!

@@ -13,11 +13,6 @@
 //! * [`Stopwatch`] — a monotonic-clock span timer
 //!   ([`Instant`](std::time::Instant)-based, never affected by wall
 //!   clock adjustments).
-//! * [`Recorder`] — the sink trait instrumented code reports through.
-//!   The default [`NoopRecorder`] has [`Recorder::ENABLED`]` = false`
-//!   and empty inlined methods, so a monomorphized hot path costs
-//!   nothing when telemetry is off; [`StatsRecorder`] collects named
-//!   counters and raw samples for exact percentile reporting.
 //! * [`percentile`] — exact nearest-rank percentile over a sorted
 //!   sample (the one true implementation; callers must not hand-roll
 //!   it). [`Histogram::percentile`] ranks the same way.
@@ -28,21 +23,21 @@
 //!   serialization boundary, so committed bench JSON carries `8.55`
 //!   rather than `8.549999999999999`.
 //!
-//! The crate is deliberately dependency-free; serialization of
-//! snapshots (e.g. the `tdmd bench` JSON) is the caller's concern.
+//! The crate is deliberately dependency-free and holds no sink: each
+//! layer keeps its own record (tdmd-core's `ENGINE` counters, the
+//! online engine's `RepairStats`, the joint solver's `JointSolution`),
+//! and a caller times the call it makes with a [`Stopwatch`].
+//! Serialization (e.g. the `tdmd bench` JSON) is the caller's concern.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod counter;
 mod hist;
-pub mod keys;
-mod recorder;
 mod timer;
 
 pub use counter::Counter;
 pub use hist::Histogram;
-pub use recorder::{NoopRecorder, Recorder, StatsRecorder};
 pub use timer::Stopwatch;
 
 /// Exact nearest-rank percentile of an ascending-sorted sample.

@@ -270,6 +270,23 @@ fn better_assignment(cand: (NodeId, f64), cur: Option<(NodeId, f64)>) -> bool {
     }
 }
 
+/// The best deployed vertex on `path` under the `(gain, smaller id)`
+/// preference, with its gain, or `None` when no deployed vertex lies
+/// on the path (invariant 2).
+fn best_assignment(
+    path: &[NodeId],
+    gains: &[f64],
+    deployment: &Deployment,
+) -> Option<(NodeId, f64)> {
+    let mut best = None;
+    for (&v, &g) in path.iter().zip(gains) {
+        if deployment.contains(v) && better_assignment((v, g), best) {
+            best = Some((v, g));
+        }
+    }
+    best
+}
+
 impl DeltaState {
     /// Empty state over a topology of `n` vertices with
     /// traffic-changing ratio `lambda`.
@@ -521,14 +538,7 @@ impl DeltaState {
         assert!(self.lookup(key).is_none(), "duplicate flow key");
         assert_eq!(gains.len(), path.len(), "one gain per path position");
         let factor = self.factor();
-        // Best deployed on-path vertex under the (gain, smaller id)
-        // preference.
-        let mut assigned: Option<(NodeId, f64)> = None;
-        for (pos, &v) in path.iter().enumerate() {
-            if deployment.contains(v) && better_assignment((v, gains[pos]), assigned) {
-                assigned = Some((v, gains[pos]));
-            }
-        }
+        let assigned = best_assignment(&path, &gains, deployment);
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -724,12 +734,7 @@ impl DeltaState {
         for slot in orphans {
             let f = self.flows[ix(slot)].as_mut().expect("orphan is live");
             let old = f.assigned.expect("orphan was assigned").1;
-            let mut next: Option<(NodeId, f64)> = None;
-            for (pos, &u) in f.path.iter().enumerate() {
-                if deployment.contains(u) && better_assignment((u, f.gains[pos]), next) {
-                    next = Some((u, f.gains[pos]));
-                }
-            }
+            let next = best_assignment(&f.path, &f.gains, deployment);
             let s_old = approx_f64(f.rate) * factor * old;
             self.saved.sub(s_old);
             self.primary_load[ix(v)] -= s_old;
@@ -788,12 +793,7 @@ impl DeltaState {
         self.unserved = 0;
         for slot in self.slots_in_seq_order() {
             let f = self.flows[ix(slot)].as_mut().expect("live slot");
-            let mut best: Option<(NodeId, f64)> = None;
-            for (pos, &u) in f.path.iter().enumerate() {
-                if deployment.contains(u) && better_assignment((u, f.gains[pos]), best) {
-                    best = Some((u, f.gains[pos]));
-                }
-            }
+            let best = best_assignment(&f.path, &f.gains, deployment);
             if f.assigned.map(|(v, _)| v) != best.map(|(v, _)| v) {
                 self.reassignments += 1;
             }
@@ -833,14 +833,8 @@ impl DeltaState {
             .iter()
             .map(|&s| {
                 let f = self.flows[ix(s)].as_ref().expect("live slot");
-                let mut best: Option<(NodeId, f64)> = None;
-                for (pos, &u) in f.path.iter().enumerate() {
-                    if deployment.contains(u) && better_assignment((u, f.gains[pos]), best) {
-                        best = Some((u, f.gains[pos]));
-                    }
-                }
                 let full = approx_f64(f.rate) * f.cost;
-                match best {
+                match best_assignment(&f.path, &f.gains, deployment) {
                     Some((_, g)) => full - approx_f64(f.rate) * factor * g,
                     None => full,
                 }

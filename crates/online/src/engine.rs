@@ -48,9 +48,8 @@
 
 use tdmd_core::algorithms::gtp::gtp_budgeted_index;
 use tdmd_core::num::{approx_f64, big_ix, id32, ix, wide};
-use tdmd_core::{CostModel, Deployment, Instance, TdmdError};
+use tdmd_core::{CostModel, Deployment, Instance, PathCheck, TdmdError};
 use tdmd_graph::{DiGraph, NodeId};
-use tdmd_obs::{NoopRecorder, Recorder, Stopwatch};
 use tdmd_traffic::Flow;
 
 use crate::delta::DeltaState;
@@ -137,26 +136,10 @@ impl std::fmt::Display for OnlineError {
 
 impl std::error::Error for OnlineError {}
 
-/// Telemetry keys the engine reports through its [`Recorder`] — the
-/// stable schema of the `tdmd bench` stream JSON. Re-exported from
-/// the workspace registry ([`tdmd_obs::keys`]) so the `cargo xtask
-/// lint` `obs-keys` rule can check emitted keys against one source of
-/// truth; kept as a module here for the crate's historical public
-/// API.
-pub mod obs_keys {
-    pub use tdmd_obs::keys::{
-        ARRIVALS, BATCHES, BATCH_APPLY_US, BOXES_MOVED, BUDGET_DEFERRALS, BUDGET_SPEND, DEPARTURES,
-        EVENT_APPLY_US, FAILURES, FAILURE_REPAIR_US, FLOWS_DEGRADED, FLOWS_ORPHANED,
-        FLOWS_REASSIGNED, RECOVERIES, REPAIR_US, REPLANS, REPLAN_US,
-    };
-}
-
 /// Event-driven incremental placement engine, generic over the
-/// [`CostModel`] that prices each arriving flow and over the
-/// telemetry [`Recorder`] — the default [`NoopRecorder`]
-/// monomorphizes every recording call (and its clock reads, guarded
-/// by [`Recorder::ENABLED`]) away.
-pub struct OnlineEngine<M: CostModel, R: Recorder = NoopRecorder> {
+/// [`CostModel`] that prices each arriving flow. Its one record is
+/// [`RepairStats`]; callers time the calls they make.
+pub struct OnlineEngine<M: CostModel> {
     graph: DiGraph,
     lambda: f64,
     k: usize,
@@ -173,15 +156,15 @@ pub struct OnlineEngine<M: CostModel, R: Recorder = NoopRecorder> {
     /// `≤ policy.budget.burst` always; may overdraw below zero by the
     /// post-hoc flow cost of the last admitted move).
     tokens: f64,
-    recorder: R,
+    /// Validates arriving paths without allocating.
+    paths: PathCheck,
     /// Per-event auditing ([`OnlineEngine::enable_audit`]): every
     /// `apply` re-validates the full invariant stack.
     audit: bool,
 }
 
 impl<M: CostModel> OnlineEngine<M> {
-    /// Creates an engine over `graph` with budget `k` and telemetry
-    /// disabled.
+    /// Creates an engine over `graph` with budget `k`.
     ///
     /// # Errors
     /// [`OnlineError::BadLambda`] if `λ ∉ [0, 1]`.
@@ -191,24 +174,6 @@ impl<M: CostModel> OnlineEngine<M> {
         k: usize,
         model: M,
         policy: RepairPolicy,
-    ) -> Result<Self, OnlineError> {
-        Self::with_recorder(graph, lambda, k, model, policy, NoopRecorder)
-    }
-}
-
-impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
-    /// Creates an engine reporting per-event latency samples and
-    /// counters (see [`obs_keys`]) through `recorder`.
-    ///
-    /// # Errors
-    /// [`OnlineError::BadLambda`] if `λ ∉ [0, 1]`.
-    pub fn with_recorder(
-        graph: DiGraph,
-        lambda: f64,
-        k: usize,
-        model: M,
-        policy: RepairPolicy,
-        recorder: R,
     ) -> Result<Self, OnlineError> {
         if !(0.0..=1.0).contains(&lambda) || lambda.is_nan() {
             return Err(OnlineError::BadLambda(lambda));
@@ -230,7 +195,7 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
             failed_count: 0,
             stats: RepairStats::default(),
             tokens: policy.budget.initial_tokens(),
-            recorder,
+            paths: PathCheck::new(n),
             audit: false,
         })
     }
@@ -365,20 +330,17 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
     }
 
     /// Ingests one event — state mutation, queue dirtying, per-event
-    /// counters — without running the repair policy. Shared by
-    /// [`OnlineEngine::apply`] (repair after every event) and
-    /// [`OnlineEngine::apply_batch`] (one repair per batch). Returns
+    /// counters — without running the repair policy, which
+    /// [`OnlineEngine::apply_batch`] runs once per batch. Returns
     /// whether the event was a failure event.
     fn ingest(&mut self, event: &Event) -> Result<bool, OnlineError> {
         let mut failure = false;
         match event {
             Event::FlowArrived { key, rate, path } => {
                 self.on_arrival(*key, *rate, path)?;
-                self.recorder.count(obs_keys::ARRIVALS, 1);
             }
             Event::FlowDeparted { key } => {
                 self.on_departure(*key)?;
-                self.recorder.count(obs_keys::DEPARTURES, 1);
             }
             Event::MiddleboxFailed { vertex } => {
                 self.on_failure(*vertex, true)?;
@@ -427,38 +389,24 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
         if cost > 0.0 {
             self.tokens -= cost;
             self.stats.budget_spent += cost;
-            self.recorder.sample(obs_keys::BUDGET_SPEND, cost);
         }
         self.stats.boxes_moved += boxes;
         self.stats.flows_reassigned += flows;
-        self.recorder.count(obs_keys::BOXES_MOVED, boxes);
-        self.recorder.count(obs_keys::FLOWS_REASSIGNED, flows);
     }
 
     /// Records a move the bucket could not admit.
     fn defer(&mut self) {
         self.stats.budget_deferrals += 1;
-        self.recorder.count(obs_keys::BUDGET_DEFERRALS, 1);
     }
 
-    /// Applies one event and repairs.
+    /// Applies one event and repairs: a batch of one
+    /// ([`OnlineEngine::apply_batch`]).
     ///
     /// # Errors
     /// Rejects malformed events ([`OnlineError`]); the engine state
     /// is unchanged on error.
     pub fn apply(&mut self, event: &Event) -> Result<(), OnlineError> {
-        self.state.clear_flips();
-        let sw = R::ENABLED.then(Stopwatch::start);
-        let failure = self.ingest(event)?;
-        self.repair(failure);
-        if let Some(sw) = sw {
-            self.recorder
-                .sample(obs_keys::EVENT_APPLY_US, sw.elapsed_us());
-        }
-        if self.audit {
-            tdmd_core::audit::enforce(self.audit_now());
-        }
-        Ok(())
+        self.apply_batch(std::slice::from_ref(event))
     }
 
     /// Applies `events` as one batch: every event is ingested back to
@@ -469,7 +417,7 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
     /// amortized over the batch, and a sampled policy's replan
     /// schedule is preserved by counting events, not calls — the pass
     /// is sampled iff the batch crossed a `sample_every` boundary, so
-    /// a batch of one is exactly [`OnlineEngine::apply`].
+    /// a batch of one is sampled at every `sample_every`-th event.
     ///
     /// Under a forced-replan policy the final state is bitwise
     /// identical to applying the same events one by one (the repair
@@ -484,7 +432,6 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
     /// unrepaired mutations.
     pub fn apply_batch(&mut self, events: &[Event]) -> Result<(), OnlineError> {
         self.state.clear_flips();
-        let sw = R::ENABLED.then(Stopwatch::start);
         let events_before = self.stats.events;
         let mut failure = false;
         let mut result = Ok(());
@@ -503,12 +450,7 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
                 || (policy.sample_every > 0
                     && self.stats.events / policy.sample_every
                         != events_before / policy.sample_every);
-            self.repair_with(failure, sampled);
-            self.recorder.count(obs_keys::BATCHES, 1);
-        }
-        if let Some(sw) = sw {
-            self.recorder
-                .sample(obs_keys::BATCH_APPLY_US, sw.elapsed_us());
+            self.repair(failure, sampled);
         }
         if self.audit {
             tdmd_core::audit::enforce(self.audit_now());
@@ -516,8 +458,10 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
         result
     }
 
+    /// Rejects an arrival whose key is active, whose rate is zero or
+    /// whose path fails [`PathCheck`].
     fn validate_arrival(
-        &self,
+        &mut self,
         key: FlowKey,
         rate: u64,
         path: &[NodeId],
@@ -525,20 +469,8 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
         if self.state.is_active(key) {
             return Err(OnlineError::DuplicateKey { key });
         }
-        let invalid = OnlineError::InvalidFlow { key };
-        if rate == 0 || path.len() < 2 {
-            return Err(invalid);
-        }
-        if path.iter().any(|&v| ix(v) >= self.graph.node_count()) {
-            return Err(invalid);
-        }
-        let mut seen = path.to_vec();
-        seen.sort_unstable();
-        if seen.windows(2).any(|w| w[0] == w[1]) {
-            return Err(invalid);
-        }
-        if path.windows(2).any(|w| !self.graph.has_edge(w[0], w[1])) {
-            return Err(invalid);
+        if rate == 0 || !self.paths.is_valid(&self.graph, path) {
+            return Err(OnlineError::InvalidFlow { key });
         }
         Ok(())
     }
@@ -595,15 +527,10 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
         self.failed_count += 1;
         self.queue.block(v);
         self.stats.failures += 1;
-        self.recorder.count(obs_keys::FAILURES, 1);
         if self.deployment.remove(v) {
             let fo = self.state.fail_rehome(v, &self.deployment);
-            let orphaned = wide(fo.reassigned + fo.degraded);
-            self.stats.flows_orphaned += orphaned;
+            self.stats.flows_orphaned += wide(fo.reassigned + fo.degraded);
             self.stats.flows_degraded += wide(fo.degraded);
-            self.recorder.count(obs_keys::FLOWS_ORPHANED, orphaned);
-            self.recorder
-                .count(obs_keys::FLOWS_DEGRADED, wide(fo.degraded));
             let mut dirty = fo.dirty;
             dirty.sort_unstable();
             dirty.dedup();
@@ -633,25 +560,14 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
         self.queue.unblock(v);
         self.queue.reinsert(v, self.state.marginal_gain(v));
         self.stats.recoveries += 1;
-        self.recorder.count(obs_keys::RECOVERIES, 1);
         Ok(())
     }
 
-    /// Post-event repair per the policy (see [`crate::repair`]).
-    /// `failure` flags a failure event, enabling the degradation-aware
-    /// off-schedule drift check and the failure-repair-latency sample.
-    fn repair(&mut self, failure: bool) {
-        let policy = self.policy;
-        let sampled = policy.force_replan
-            || (policy.sample_every > 0 && self.stats.events.is_multiple_of(policy.sample_every));
-        self.repair_with(failure, sampled);
-    }
-
-    /// Repair pass with the sampling decision already made (the batch
-    /// path computes it from crossed event-count boundaries rather
-    /// than the current count alone).
-    fn repair_with(&mut self, failure: bool, sampled: bool) {
-        let sw = R::ENABLED.then(Stopwatch::start);
+    /// Post-batch repair per the policy (see [`crate::repair`]).
+    /// `failure` flags a failure event in the batch, enabling the
+    /// degradation-aware off-schedule drift check; `sampled` is the
+    /// batch's crossed-boundary sampling decision.
+    fn repair(&mut self, failure: bool, sampled: bool) {
         let policy = self.policy;
         let replanned = sampled && self.drift_check(policy.force_replan);
         if !replanned {
@@ -662,13 +578,6 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
             // sample.
             if failure && policy.replan_on_degraded && !sampled && self.state.unserved_count() > 0 {
                 self.drift_check(false);
-            }
-        }
-        if let Some(sw) = sw {
-            let us = sw.elapsed_us();
-            self.recorder.sample(obs_keys::REPAIR_US, us);
-            if failure {
-                self.recorder.sample(obs_keys::FAILURE_REPAIR_US, us);
             }
         }
     }
@@ -813,7 +722,6 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
     /// sort of the live slots. Returns whether a replan was adopted.
     fn drift_check(&mut self, force: bool) -> bool {
         self.stats.drift_samples += 1;
-        let sw = R::ENABLED.then(Stopwatch::start);
         let order = self.state.slots_in_seq_order();
         let mut oracle = match self.solve_oracle_in(&order) {
             Ok(dep) => dep,
@@ -822,9 +730,6 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
                 return false;
             }
         };
-        if let Some(sw) = sw {
-            self.recorder.sample(obs_keys::REPLAN_US, sw.elapsed_us());
-        }
         let mut stripped = false;
         if self.failed_count > 0 {
             for v in oracle.vertices().to_vec() {
@@ -900,7 +805,6 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
             }
         }
         self.stats.replans += 1;
-        self.recorder.count(obs_keys::REPLANS, 1);
     }
 
     /// Rebuilds the delta state and the CELF queue into their
@@ -978,8 +882,8 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
         }
     }
 
-    /// Rebuilds an engine from a snapshot. The topology, model,
-    /// policy and recorder are supplied by the caller exactly as at
+    /// Rebuilds an engine from a snapshot. The topology, model and
+    /// policy are supplied by the caller exactly as at
     /// construction — only the replayable state (flows, deployment,
     /// failure mask, stats) comes from the snapshot. The restored
     /// engine is bitwise interchangeable with the engine that took
@@ -994,7 +898,6 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
         graph: DiGraph,
         model: M,
         policy: RepairPolicy,
-        recorder: R,
         snap: &EngineSnapshot,
     ) -> Result<Self, SnapshotError> {
         if snap.version != SNAPSHOT_VERSION {
@@ -1033,7 +936,7 @@ impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
         if !snap.stats.budget_spent.is_finite() {
             return Err(SnapshotError::BadBudgetState(snap.stats.budget_spent));
         }
-        let mut engine = Self::with_recorder(graph, snap.lambda, k, model, policy, recorder)
+        let mut engine = Self::new(graph, snap.lambda, k, model, policy)
             .map_err(|_| SnapshotError::BadLambda(snap.lambda))?;
         engine.deployment = Deployment::from_vertices(n, snap.deployment.iter().copied());
         for &v in &snap.failed {
@@ -1096,7 +999,7 @@ fn obeys_contract(gains: &[f64], cost: f64) -> bool {
 }
 
 /// Structural auditor (tdmd-audit): the engine-level invariant stack.
-impl<M: CostModel, R: Recorder> OnlineEngine<M, R> {
+impl<M: CostModel> OnlineEngine<M> {
     /// Turns on per-event auditing: every [`OnlineEngine::apply`]
     /// re-validates the full invariant stack and panics with the
     /// diagnostic on the first violation (`tdmd stream run --audit`).
@@ -1361,60 +1264,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_sees_every_event_and_replan() {
-        use tdmd_obs::StatsRecorder;
-        let rec = StatsRecorder::new();
-        let mut e = OnlineEngine::with_recorder(
-            fig1_graph(),
-            0.5,
-            2,
-            HopCount,
-            RepairPolicy::forced_replan(),
-            &rec,
-        )
-        .unwrap();
-        for ev in fig1_arrivals() {
-            e.apply(&ev).unwrap();
-        }
-        e.apply(&Event::FlowDeparted { key: 4 }).unwrap();
-        assert_eq!(rec.counter(obs_keys::ARRIVALS), 4);
-        assert_eq!(rec.counter(obs_keys::DEPARTURES), 1);
-        assert_eq!(rec.counter(obs_keys::REPLANS), e.stats().replans);
-        assert_eq!(rec.sample_count(obs_keys::EVENT_APPLY_US), 5);
-        assert_eq!(rec.sample_count(obs_keys::REPAIR_US), 5);
-        assert_eq!(
-            rec.sample_count(obs_keys::REPLAN_US) as u64,
-            e.stats().drift_samples - e.stats().oracle_failures
-        );
-        assert!(rec
-            .sorted_samples(obs_keys::EVENT_APPLY_US)
-            .iter()
-            .all(|&us| us >= 0.0));
-    }
-
-    #[test]
-    fn noop_recorder_engine_matches_recorded_engine() {
-        use tdmd_obs::StatsRecorder;
-        let rec = StatsRecorder::new();
-        let mut plain = engine(3, RepairPolicy::default());
-        let mut recorded = OnlineEngine::with_recorder(
-            fig1_graph(),
-            0.5,
-            3,
-            HopCount,
-            RepairPolicy::default(),
-            &rec,
-        )
-        .unwrap();
-        for ev in fig1_arrivals() {
-            plain.apply(&ev).unwrap();
-            recorded.apply(&ev).unwrap();
-        }
-        assert_eq!(plain.deployment(), recorded.deployment());
-        assert_eq!(plain.objective(), recorded.objective());
-    }
-
-    #[test]
     fn failure_orphans_and_repair_respends_the_slot() {
         let mut e = engine(2, RepairPolicy::local_only(0));
         for ev in fig1_arrivals() {
@@ -1485,14 +1334,8 @@ mod tests {
                 .map(|f| (f.gains.clone(), f.cost))
                 .collect(),
         );
-        let r = OnlineEngine::restore(
-            fig1_graph(),
-            HopCount,
-            RepairPolicy::local_only(0),
-            NoopRecorder,
-            &snap,
-        )
-        .unwrap();
+        let r = OnlineEngine::restore(fig1_graph(), HopCount, RepairPolicy::local_only(0), &snap)
+            .unwrap();
         let inst = r.snapshot_instance().unwrap();
         let oracle = r.solve_oracle().unwrap();
         assert_eq!(oracle, gtp_budgeted_with(&inst, 2, &stored).unwrap());

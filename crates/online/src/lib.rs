@@ -91,7 +91,7 @@ pub mod snapshot;
 
 pub use budget::ReconfigBudget;
 pub use delta::{DeltaState, Failover};
-pub use engine::{obs_keys, OnlineEngine, OnlineError};
+pub use engine::{OnlineEngine, OnlineError};
 pub use event::{events_from_spans, merge_events, Event, FlowKey, FlowSpan, TimedEvent};
 pub use queue::LazyQueue;
 pub use repair::{RepairPolicy, RepairStats};

@@ -5,8 +5,8 @@
 //! from its constructor arguments: the active flows with their
 //! arrival-time pricing, the deployment, the failure mask, and the
 //! repair telemetry (whose event counter drives the drift-sampling
-//! schedule). The topology, cost model, repair policy and recorder are
-//! *not* serialized — the caller supplies them again at restore time,
+//! schedule). The topology, cost model and repair policy are *not*
+//! serialized — the caller supplies them again at restore time,
 //! exactly like at construction. (The policy in particular may carry
 //! `drift_eps = ∞`, which JSON cannot round-trip.)
 //!

@@ -4,10 +4,7 @@
 //!   arrival/departure/failure/recovery stream in **any** partition of
 //!   batches ends bitwise-identical (deployment, maintained and exact
 //!   objectives, active count) to applying it event by event — the
-//!   batch boundary is an amortization knob, never a semantic one;
-//! * a batch of one **is** [`OnlineEngine::apply`] under the default
-//!   drift-sampled policy: the crossed-boundary sampling rule reduces
-//!   exactly to the `is_multiple_of` rule for single events.
+//!   batch boundary is an amortization knob, never a semantic one.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -140,39 +137,6 @@ proptest! {
         prop_assert_eq!(
             seq.objective().to_bits(),
             batched.objective().to_bits()
-        );
-    }
-
-    /// Batches of one are exactly `apply`, default (drift-sampled)
-    /// policy included: the batch path's crossed-boundary sampling
-    /// rule must collapse to the per-event `is_multiple_of` rule.
-    #[test]
-    fn batch_of_one_is_apply(
-        seed in any::<u64>(),
-        n in 4usize..12,
-        len in 1usize..40,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = erdos_renyi_connected(n, 0.3, &mut rng);
-        let events = mixed_events(&g, seed ^ 0x0B1, len);
-        // A small sample_every so the stream actually crosses
-        // boundaries; everything else the stock default.
-        let policy = RepairPolicy { sample_every: 4, ..RepairPolicy::default() };
-        let mut one_by_one = engine(&g, 3, policy);
-        let mut batched = engine(&g, 3, policy);
-        for ev in &events {
-            one_by_one.apply(ev).unwrap();
-            batched.apply_batch(std::slice::from_ref(ev)).unwrap();
-            prop_assert_eq!(one_by_one.deployment(), batched.deployment());
-            prop_assert_eq!(
-                one_by_one.objective().to_bits(),
-                batched.objective().to_bits()
-            );
-        }
-        prop_assert_eq!(one_by_one.active_count(), batched.active_count());
-        prop_assert_eq!(
-            one_by_one.exact_objective().to_bits(),
-            batched.exact_objective().to_bits()
         );
     }
 }

@@ -22,7 +22,6 @@ use tdmd_core::HopCount;
 use tdmd_graph::generators::random::erdos_renyi_connected;
 use tdmd_graph::traversal::bfs;
 use tdmd_graph::{DiGraph, NodeId};
-use tdmd_obs::NoopRecorder;
 use tdmd_online::{
     EngineSnapshot, Event, FlowKey, OnlineEngine, ReconfigBudget, RepairPolicy, SnapshotError,
     SNAPSHOT_VERSION,
@@ -109,7 +108,7 @@ fn sampling_policy() -> RepairPolicy {
 }
 
 fn restore(g: &DiGraph, snap: &EngineSnapshot) -> OnlineEngine<HopCount> {
-    OnlineEngine::restore(g.clone(), HopCount, sampling_policy(), NoopRecorder, snap)
+    OnlineEngine::restore(g.clone(), HopCount, sampling_policy(), snap)
         .expect("engine-produced snapshots restore")
 }
 
@@ -237,7 +236,6 @@ proptest! {
             g.clone(),
             HopCount,
             budgeted_policy(),
-            NoopRecorder,
             &snap,
         ).expect("engine-produced snapshots restore");
         prop_assert_eq!(
@@ -272,7 +270,7 @@ fn small_snapshot() -> (DiGraph, EngineSnapshot) {
 fn unsupported_versions_are_rejected() {
     let (g, mut snap) = small_snapshot();
     snap.version = SNAPSHOT_VERSION + 1;
-    let err = OnlineEngine::restore(g, HopCount, RepairPolicy::default(), NoopRecorder, &snap)
+    let err = OnlineEngine::restore(g, HopCount, RepairPolicy::default(), &snap)
         .err()
         .expect("restore must fail");
     assert_eq!(
@@ -309,7 +307,7 @@ fn pre_budget_v1_documents_are_rejected_not_silently_upgraded() {
     let v1: EngineSnapshot = serde_json::from_str(&json).unwrap();
     assert_eq!(v1.version, 1);
     assert_eq!(v1.budget_tokens, 0.0, "the serde default fills the gap");
-    let err = OnlineEngine::restore(g, HopCount, RepairPolicy::default(), NoopRecorder, &v1)
+    let err = OnlineEngine::restore(g, HopCount, RepairPolicy::default(), &v1)
         .err()
         .expect("restore must fail");
     assert_eq!(err, SnapshotError::UnsupportedVersion { found: 1 });
@@ -319,7 +317,7 @@ fn pre_budget_v1_documents_are_rejected_not_silently_upgraded() {
 fn non_finite_budget_state_is_rejected() {
     let (g, mut snap) = small_snapshot();
     snap.budget_tokens = f64::NAN;
-    let err = OnlineEngine::restore(g, HopCount, RepairPolicy::default(), NoopRecorder, &snap)
+    let err = OnlineEngine::restore(g, HopCount, RepairPolicy::default(), &snap)
         .err()
         .expect("restore must fail");
     assert!(matches!(err, SnapshotError::BadBudgetState(_)));
@@ -329,15 +327,9 @@ fn non_finite_budget_state_is_rejected() {
 fn topology_mismatches_are_rejected() {
     let (_, snap) = small_snapshot();
     let other = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
-    let err = OnlineEngine::restore(
-        other,
-        HopCount,
-        RepairPolicy::default(),
-        NoopRecorder,
-        &snap,
-    )
-    .err()
-    .expect("restore must fail");
+    let err = OnlineEngine::restore(other, HopCount, RepairPolicy::default(), &snap)
+        .err()
+        .expect("restore must fail");
     assert_eq!(
         err,
         SnapshotError::TopologyMismatch {
@@ -351,15 +343,9 @@ fn topology_mismatches_are_rejected() {
 fn structurally_corrupt_documents_are_rejected() {
     let (g, snap) = small_snapshot();
     let restore_err = |s: &EngineSnapshot| {
-        OnlineEngine::restore(
-            g.clone(),
-            HopCount,
-            RepairPolicy::default(),
-            NoopRecorder,
-            s,
-        )
-        .err()
-        .expect("restore must fail")
+        OnlineEngine::restore(g.clone(), HopCount, RepairPolicy::default(), s)
+            .err()
+            .expect("restore must fail")
     };
 
     let mut dup = snap.clone();

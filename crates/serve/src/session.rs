@@ -210,8 +210,7 @@ impl<M: CostModel> ServeSession<M> {
                 found: snap.version,
             });
         }
-        let engine =
-            OnlineEngine::restore(graph, model, policy, tdmd_obs::NoopRecorder, &snap.engine)?;
+        let engine = OnlineEngine::restore(graph, model, policy, &snap.engine)?;
         let mut tenants: BTreeMap<FlowKey, TenantId> = snap.tenants.iter().copied().collect();
         let mut sums: BTreeMap<TenantId, TenantSums> = snap
             .known_tenants

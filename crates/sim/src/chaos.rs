@@ -33,10 +33,8 @@ use rand::{Rng, SeedableRng};
 use tdmd_core::error::TdmdError;
 use tdmd_core::HopCount;
 use tdmd_graph::NodeId;
-use tdmd_obs::StatsRecorder;
-use tdmd_online::{
-    events_from_spans, merge_events, obs_keys, Event, OnlineEngine, RepairPolicy, TimedEvent,
-};
+use tdmd_obs::Stopwatch;
+use tdmd_online::{events_from_spans, merge_events, Event, OnlineEngine, RepairPolicy, TimedEvent};
 
 use crate::timeline::{lift, DynamicScenario};
 
@@ -102,8 +100,9 @@ pub struct ChaosReport {
     /// Integral of the degraded-flow count over time (flow·µs) — the
     /// degraded-seconds metric, in microsecond units.
     pub degraded_flow_us: u64,
-    /// Ascending-sorted wall-clock µs of each post-failure repair pass
-    /// (feed to [`tdmd_obs::percentile`]).
+    /// Ascending-sorted wall-clock µs of each failure event's `apply`
+    /// — orphan re-pinning plus the repair pass, one sample per
+    /// failure (feed to [`tdmd_obs::percentile`]).
     pub repair_latency_us: Vec<f64>,
     /// Middleboxes moved by repair and replans across the run —
     /// degraded repair charges the same migration budget as churn
@@ -165,21 +164,27 @@ pub fn independent_failure_schedule(
 }
 
 /// The replay loop's accounting shell around the engine.
-struct ChaosRun<'a> {
-    engine: OnlineEngine<HopCount, &'a StatsRecorder>,
+struct ChaosRun {
+    engine: OnlineEngine<HopCount>,
     last_us: u64,
     degraded_flow_us: u64,
+    /// Wall-clock µs of each failure event's `apply`.
+    repair_latency_us: Vec<f64>,
     points: Vec<ChaosPoint>,
 }
 
-impl ChaosRun<'_> {
-    /// Integrates degraded-seconds up to `t`, applies the event, and
-    /// records a timeline point.
+impl ChaosRun {
+    /// Integrates degraded-seconds up to `t`, applies the event (timing
+    /// it when it is a failure), and records a timeline point.
     fn step(&mut self, t: u64, ev: &Event) -> Result<(), TdmdError> {
         let t = t.max(self.last_us);
         self.degraded_flow_us += self.engine.degraded_count() as u64 * (t - self.last_us);
         self.last_us = t;
+        let sw = Stopwatch::start();
         self.engine.apply(ev).map_err(lift)?;
+        if matches!(ev, Event::MiddleboxFailed { .. } | Event::VertexDown { .. }) {
+            self.repair_latency_us.push(sw.elapsed_us());
+        }
         self.points.push(ChaosPoint {
             time_us: t,
             active_flows: self.engine.active_count(),
@@ -209,7 +214,7 @@ impl ChaosRun<'_> {
 /// stream. Kills stop at the horizon; scheduled recoveries always
 /// drain, so the run ends fully recovered.
 fn run_targeted(
-    run: &mut ChaosRun<'_>,
+    run: &mut ChaosRun,
     flow_events: &[TimedEvent],
     period_us: u64,
     mttr_us: u64,
@@ -261,22 +266,15 @@ pub fn run_chaos(
     policy: RepairPolicy,
     cfg: &ChaosConfig,
 ) -> Result<ChaosReport, TdmdError> {
-    let recorder = StatsRecorder::new();
-    let engine = OnlineEngine::with_recorder(
-        scn.graph.clone(),
-        scn.lambda,
-        scn.k,
-        HopCount,
-        policy,
-        &recorder,
-    )
-    .map_err(lift)?;
+    let engine =
+        OnlineEngine::new(scn.graph.clone(), scn.lambda, scn.k, HopCount, policy).map_err(lift)?;
     let flow_events = events_from_spans(&scn.spans);
     let horizon_us = flow_events.last().map_or(0, |e| e.time_us);
     let mut run = ChaosRun {
         engine,
         last_us: 0,
         degraded_flow_us: 0,
+        repair_latency_us: Vec::new(),
         points: Vec::new(),
     };
     match cfg.mode {
@@ -297,13 +295,14 @@ pub fn run_chaos(
         }
     }
     let stats = *run.engine.stats();
+    run.repair_latency_us.sort_by(f64::total_cmp);
     Ok(ChaosReport {
         failures: stats.failures,
         recoveries: stats.recoveries,
         flows_orphaned: stats.flows_orphaned,
         flows_degraded: stats.flows_degraded,
         degraded_flow_us: run.degraded_flow_us,
-        repair_latency_us: recorder.sorted_samples(obs_keys::FAILURE_REPAIR_US),
+        repair_latency_us: run.repair_latency_us,
         boxes_moved: stats.boxes_moved,
         flows_reassigned: stats.flows_reassigned,
         budget_deferrals: stats.budget_deferrals,

@@ -60,18 +60,6 @@ impl Token {
     pub fn is_punct(&self, s: &str) -> bool {
         self.kind == Kind::Punct && self.text == s
     }
-
-    /// For [`Kind::Str`] tokens: the literal's content with prefix,
-    /// hashes and quotes stripped (escapes are left verbatim).
-    pub fn str_content(&self) -> &str {
-        let t = self.text.as_str();
-        let t = t.strip_prefix('b').unwrap_or(t);
-        let t = t.strip_prefix('r').unwrap_or(t);
-        let t = t.trim_matches('#');
-        t.strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .unwrap_or(t)
-    }
 }
 
 /// Multi-character punctuation, longest first so `==` beats `=`.
@@ -598,7 +586,7 @@ mod tests {
         let src = "let r = r#\"x.unwrap()\"#; let c = '='; fn f<'a>(x: &'a str) {}";
         let toks = lex(src);
         let raw = toks.iter().find(|t| t.kind == Kind::Str).unwrap();
-        assert_eq!(raw.str_content(), "x.unwrap()");
+        assert_eq!(raw.text, "r#\"x.unwrap()\"#");
         assert!(!toks
             .iter()
             .any(|t| t.kind == Kind::Ident && t.text == "unwrap"));

@@ -6,7 +6,7 @@
 //!   analysis pass: a zero-dependency, multi-pass token-level analyzer
 //!   over every workspace crate's `src/` tree (no `syn`, no rustc
 //!   plumbing — it must build instantly and run before clippy in CI).
-//!   All nine rules consume one shared comment/string/raw-string-aware
+//!   All eight rules consume one shared comment/string/raw-string-aware
 //!   lexer ([`lex`]), so none can fire inside a doc comment or string
 //!   literal. Rules:
 //!
@@ -18,8 +18,6 @@
 //!   * `as-cast` — no numeric `as` casts in the algorithm kernels.
 //!   * `partial-cmp` — hand-written `partial_cmp` must delegate to a
 //!     total order.
-//!   * `obs-keys` — telemetry keys emitted anywhere must round-trip
-//!     through the `crates/obs/src/keys.rs` registry.
 //!   * `map-iter-order` — no `HashMap`/`HashSet` in the
 //!     determinism-governed crates (core, online, serve); their
 //!     process-seeded iteration order breaks the bitwise
@@ -30,9 +28,8 @@
 //!   * `panic-path` — no panic-family macros or literal indexing in
 //!     non-test, non-`debug_assertions` regions of library crates;
 //!     surface the typed error enums instead.
-//!   * `dead-obs-key` — every registry key is emitted somewhere, and
-//!     every float serialization site in the bench writer routes
-//!     through `round_metric`.
+//!   * `round-metric` — every float serialization site in the bench
+//!     writer routes through `round_metric`.
 //!
 //!   Suppressions live in `crates/xtask/lint.toml`; every entry needs
 //!   a written `reason`, and stale entries fail the run. Diagnostics
@@ -446,7 +443,7 @@ mod tests {
             &[&stale],
             false,
         );
-        let expected = "{\n  \"schema\": \"tdmd-lint/v1\",\n  \"clean\": false,\n  \"files_scanned\": 42,\n  \"rules\": [\"unwrap-expect\", \"float-eq\", \"as-cast\", \"partial-cmp\", \"obs-keys\", \"map-iter-order\", \"wall-clock\", \"panic-path\", \"dead-obs-key\"],\n  \"violations\": [\n    {\"rule\": \"float-eq\", \"file\": \"crates/core/src/x.rs\", \"line\": 7, \"message\": \"m \\\"float-eq\\\"\"}\n  ],\n  \"suppressed\": [\n    {\"rule\": \"unwrap-expect\", \"file\": \"crates/graph/src/y.rs\", \"line\": 3, \"allow_line\": 12, \"reason\": \"poison recovery\"}\n  ],\n  \"stale_allows\": [\n    {\"rule\": \"as-cast\", \"path\": \"crates/online/src/z.rs\", \"allow_line\": 20}\n  ]\n}";
+        let expected = "{\n  \"schema\": \"tdmd-lint/v1\",\n  \"clean\": false,\n  \"files_scanned\": 42,\n  \"rules\": [\"unwrap-expect\", \"float-eq\", \"as-cast\", \"partial-cmp\", \"map-iter-order\", \"wall-clock\", \"panic-path\", \"round-metric\"],\n  \"violations\": [\n    {\"rule\": \"float-eq\", \"file\": \"crates/core/src/x.rs\", \"line\": 7, \"message\": \"m \\\"float-eq\\\"\"}\n  ],\n  \"suppressed\": [\n    {\"rule\": \"unwrap-expect\", \"file\": \"crates/graph/src/y.rs\", \"line\": 3, \"allow_line\": 12, \"reason\": \"poison recovery\"}\n  ],\n  \"stale_allows\": [\n    {\"rule\": \"as-cast\", \"path\": \"crates/online/src/z.rs\", \"allow_line\": 20}\n  ]\n}";
         assert_eq!(report, expected);
     }
 

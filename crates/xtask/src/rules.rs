@@ -1,4 +1,4 @@
-//! The nine tdmd-audit lint rules, all consuming the shared
+//! The eight tdmd-audit lint rules, all consuming the shared
 //! [`crate::lex`] token stream — no rule ever re-scans raw source, so
 //! none can match inside a string literal or a doc comment.
 //!
@@ -18,11 +18,10 @@ pub const RULES: &[&str] = &[
     "float-eq",
     "as-cast",
     "partial-cmp",
-    "obs-keys",
     "map-iter-order",
     "wall-clock",
     "panic-path",
-    "dead-obs-key",
+    "round-metric",
 ];
 
 /// One rule hit, pointing at a repo-relative `file:line`.
@@ -116,9 +115,8 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Violation> {
         map_iter_order(f, &mut out);
         wall_clock(f, &mut out);
         panic_path(f, &mut out);
-        round_metric_routing(f, &mut out);
+        round_metric_rule(f, &mut out);
     }
-    obs_keys(files, &mut out);
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     out
 }
@@ -501,8 +499,8 @@ const WALL_CLOCK_DIRS: &[&str] = &[
 /// inside solver kernels — time must come from the event stream
 /// (virtual timestamps), never the host clock, or replays and
 /// snapshot-restore stop being bitwise. Measure latency at the
-/// boundaries through `tdmd_obs::Stopwatch`, which the recorder can
-/// compile away.
+/// boundaries through `tdmd_obs::Stopwatch`, in the caller that
+/// reports it.
 fn wall_clock(f: &SourceFile, out: &mut Vec<Violation>) {
     if !WALL_CLOCK_DIRS.iter().any(|d| f.rel_path.starts_with(d)) {
         return;
@@ -641,168 +639,10 @@ fn panic_path(f: &SourceFile, out: &mut Vec<Violation>) {
 }
 
 // --------------------------------------------------------------------
-// obs-keys + dead-obs-key
+// round-metric
 // --------------------------------------------------------------------
 
-const REGISTRY: &str = "crates/obs/src/keys.rs";
-
-/// Rule `obs-keys` (forward direction): the telemetry schema lives in
-/// `crates/obs/src/keys.rs`. Every key emitted through
-/// `Recorder::count` / `Recorder::sample` must be a registry value and
-/// the registry must be self-consistent (every const listed in
-/// `keys::ALL` and vice versa). The reverse direction — keys that
-/// exist but are emitted nowhere — is rule `dead-obs-key`, so a dead
-/// key and a rogue emission suppress independently.
-fn obs_keys(files: &[SourceFile], out: &mut Vec<Violation>) {
-    let Some(reg_file) = files.iter().find(|f| f.rel_path.ends_with(REGISTRY)) else {
-        return; // nothing to check against (e.g. partial checkout)
-    };
-    let consts = parse_registry_consts(reg_file);
-    let all_block = parse_all_block(reg_file);
-
-    // Registry self-consistency: each const is listed in ALL and vice
-    // versa.
-    for (name, _, line0) in &consts {
-        if !all_block.contains(name) {
-            push(
-                out,
-                reg_file,
-                *line0,
-                "obs-keys",
-                format!("const {name} is not listed in keys::ALL"),
-            );
-        }
-    }
-    for name in &all_block {
-        if !consts.iter().any(|(n, _, _)| n == name) {
-            let line0 = reg_file
-                .tokens
-                .iter()
-                .find(|t| t.is_ident(name))
-                .map_or(0, |t| t.line);
-            push(
-                out,
-                reg_file,
-                line0,
-                "obs-keys",
-                format!("keys::ALL lists {name}, which is not a registry const"),
-            );
-        }
-    }
-
-    // Forward: every literal handed to count()/sample() outside the
-    // registry must be a registered value.
-    let values: Vec<&str> = consts.iter().map(|(_, v, _)| v.as_str()).collect();
-    for f in files {
-        if f.rel_path.ends_with(REGISTRY) {
-            continue;
-        }
-        for w in f.tokens.windows(4) {
-            if w[0].is_punct(".")
-                && (w[1].is_ident("count") || w[1].is_ident("sample"))
-                && w[2].is_punct("(")
-                && w[3].kind == Kind::Str
-                && !f.in_test(w[1].line)
-            {
-                let value = w[3].str_content();
-                if !values.contains(&value) {
-                    push(
-                        out,
-                        f,
-                        w[1].line,
-                        "obs-keys",
-                        format!(
-                            "telemetry key \"{value}\" is not in the keys.rs registry — \
-                             add it there and emit via the named const"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // Reverse (rule `dead-obs-key`): every registry const is
-    // referenced outside keys.rs — a key emitted nowhere is dead
-    // schema that bench consumers will read as silently-zero.
-    for (name, _, line0) in &consts {
-        let used = files
-            .iter()
-            .any(|f| !f.rel_path.ends_with(REGISTRY) && f.tokens.iter().any(|t| t.is_ident(name)));
-        if !used {
-            push(
-                out,
-                reg_file,
-                *line0,
-                "dead-obs-key",
-                format!("registry key {name} is never referenced by emitting code"),
-            );
-        }
-    }
-}
-
-/// `pub const NAME: &str = "value";` triples (name, value, 0-based
-/// line), token-matched so commented-out consts cannot register.
-fn parse_registry_consts(f: &SourceFile) -> Vec<(String, String, usize)> {
-    let mut out = Vec::new();
-    let t = &f.tokens;
-    for i in 0..t.len().saturating_sub(8) {
-        if t[i].is_ident("pub")
-            && t[i + 1].is_ident("const")
-            && t[i + 2].kind == Kind::Ident
-            && t[i + 3].is_punct(":")
-            && t[i + 4].is_punct("&")
-            && t[i + 5].is_ident("str")
-            && t[i + 6].is_punct("=")
-            && t[i + 7].kind == Kind::Str
-        {
-            out.push((
-                t[i + 2].text.clone(),
-                t[i + 7].str_content().to_string(),
-                t[i + 2].line,
-            ));
-        }
-    }
-    out
-}
-
-/// Identifier list inside the `pub const ALL: &[&str] = [...]` block.
-fn parse_all_block(f: &SourceFile) -> Vec<String> {
-    let t = &f.tokens;
-    let Some(at) = t
-        .windows(3)
-        .position(|w| w[0].is_ident("const") && w[1].is_ident("ALL") && w[2].is_punct(":"))
-    else {
-        return Vec::new();
-    };
-    // Find the `=`, then collect idents inside the bracket block.
-    let Some(eq) = t[at..].iter().position(|x| x.is_punct("=")).map(|i| at + i) else {
-        return Vec::new();
-    };
-    let Some(open) = t[eq..].iter().position(|x| x.is_punct("[")).map(|i| eq + i) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for x in &t[open + 1..] {
-        if x.is_punct("]") {
-            break;
-        }
-        if x.kind == Kind::Ident
-            && x.text
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_uppercase())
-        {
-            out.push(x.text.clone());
-        }
-    }
-    out
-}
-
-// --------------------------------------------------------------------
-// dead-obs-key: round_metric routing
-// --------------------------------------------------------------------
-
-/// The committed-artifact serializer rule `dead-obs-key` also audits:
+/// The committed-artifact serializer rule `round-metric` audits:
 /// every float metric field written into a `BENCH_*.json` struct here
 /// must route through `tdmd_obs::round_metric`, or the committed
 /// artifacts churn on sub-ULP timing noise.
@@ -815,14 +655,14 @@ fn is_metric_field(name: &str) -> bool {
         || matches!(name, "p50" | "p90" | "p99" | "max" | "mean")
 }
 
-/// Rule `dead-obs-key` (serialization direction): in the bench
-/// serializer, a struct-literal field named like a timing/throughput
-/// metric whose value expression computes a float (a float literal,
+/// Rule `round-metric`: in the bench serializer, a struct-literal
+/// field named like a timing/throughput metric whose value expression
+/// computes a float (a float literal,
 /// an `f64` cast, a `percentile`/`elapsed_us` call) must wrap it in
 /// `round_metric`. Integer timestamps (`end_us: start + hold`) carry
 /// no float evidence and pass; `pub name: f64` declarations are
 /// skipped by the leading-`pub` check.
-fn round_metric_routing(f: &SourceFile, out: &mut Vec<Violation>) {
+fn round_metric_rule(f: &SourceFile, out: &mut Vec<Violation>) {
     if !SERIALIZATION_FILES.contains(&f.rel_path.as_str()) {
         return;
     }
@@ -874,7 +714,7 @@ fn round_metric_routing(f: &SourceFile, out: &mut Vec<Violation>) {
                 out,
                 f,
                 t[i].line,
-                "dead-obs-key",
+                "round-metric",
                 format!(
                     "float serialization site `{}` bypasses round_metric — committed \
                      bench artifacts must round at the boundary",
@@ -1115,48 +955,6 @@ mod tests {
         assert!(rules_on("crates/graph/src/tree.rs", ty).is_empty());
     }
 
-    // ---------------------------------------------- obs-keys + dead key
-
-    #[test]
-    fn obs_keys_registry_and_emissions_are_cross_checked() {
-        let registry = "pub const GOOD: &str = \"good\";\npub const DEAD: &str = \"dead\";\n\
-                        pub const ALL: &[&str] = &[GOOD, DEAD];\n";
-        let emitter =
-            "fn e(r: &impl Recorder) { r.count(\"good\", 1); r.sample(\"rogue\", 2.0); GOOD; }\n";
-        let v = run_all(&[
-            file("crates/obs/src/keys.rs", registry),
-            file("crates/online/src/engine.rs", emitter),
-        ]);
-        let rogue = rules_named(&v, "obs-keys");
-        assert!(
-            rogue.iter().any(|m| m.message.contains("\"rogue\"")),
-            "unregistered emission must be flagged: {v:?}"
-        );
-        let dead = rules_named(&v, "dead-obs-key");
-        assert!(
-            dead.iter().any(|m| m.message.contains("DEAD")),
-            "dead registry key must be flagged under dead-obs-key: {v:?}"
-        );
-        assert_eq!(rogue.len() + dead.len(), 2, "{v:?}");
-    }
-
-    #[test]
-    fn all_block_and_const_listing_are_both_checked() {
-        let registry = "pub const A: &str = \"a\";\npub const ALL: &[&str] = &[A, GHOST];\n\
-                        pub const B: &str = \"b\";\n";
-        let user = "fn e(r: &impl Recorder) { r.count(\"a\", 1); A; B; }\n";
-        let v = run_all(&[
-            file("crates/obs/src/keys.rs", registry),
-            file("crates/core/src/engine.rs", user),
-        ]);
-        let msgs: Vec<&str> = v.iter().map(|x| x.message.as_str()).collect();
-        assert!(msgs.iter().any(|m| m.contains("GHOST")), "{msgs:?}");
-        assert!(
-            msgs.iter().any(|m| m.contains("const B is not listed")),
-            "{msgs:?}"
-        );
-    }
-
     // ---------------------------------------------- round_metric routing
 
     #[test]
@@ -1165,7 +963,7 @@ mod tests {
                    Out { wall_us: round_metric(wall, 3), events_per_sec: wall / 1e6, end_us: start + hold.max(1) }\n\
                    }\n";
         let v = rules_on("crates/cli/src/commands/bench.rs", src);
-        let hits = rules_named(&v, "dead-obs-key");
+        let hits = rules_named(&v, "round-metric");
         assert_eq!(hits.len(), 1, "{v:?}");
         assert!(hits[0].message.contains("events_per_sec"), "{hits:?}");
         // Declarations are not serialization sites.
