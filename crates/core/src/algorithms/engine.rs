@@ -8,7 +8,8 @@
 //! path, which [`CostModel`](crate::cost::CostModel) implementations
 //! guarantee). The index may be compiled from an [`Instance`]
 //! ([`FlowIndex::build`]) or from flows priced elsewhere
-//! ([`FlowIndex::compile`], the online drift oracle's live state).
+//! ([`FlowIndex::compile`]; [`FlowIndex::compile_classified`] for the
+//! online drift oracle's live path classes).
 //!
 //! The kernel works per path class, never per flow. Members of a class
 //! share every gain and every best-so-far gain, so `cur` holds one

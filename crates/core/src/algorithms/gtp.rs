@@ -38,22 +38,22 @@ use crate::error::TdmdError;
 use crate::instance::Instance;
 use crate::plan::Deployment;
 
-/// Audits `instance`, compiles `model` into a [`FlowIndex`] and runs
-/// the engine's GTP loop over it.
+/// Compiles `model` into a [`FlowIndex`] and runs the engine's GTP
+/// loop over it. The instance was validated when it was built; a
+/// caller that audits it ([`crate::audit::check_instance`], as
+/// `tdmd place --audit true` does) checks it once, before the solve.
 fn solve<M: CostModel>(
     instance: &Instance,
     model: &M,
     budget: Option<usize>,
 ) -> Result<Deployment, TdmdError> {
-    if crate::audit::enabled() {
-        crate::audit::enforce(crate::audit::check_instance(instance));
-    }
     engine::run_gtp(&FlowIndex::build(instance, model), budget)
 }
 
 /// GTP with a hard budget of `k` middleboxes on an already compiled
 /// index — what [`gtp_budgeted_with`] runs after compiling, for
-/// callers that compile their own flows ([`FlowIndex::compile`]).
+/// callers that compile their own flows ([`FlowIndex::compile`],
+/// [`FlowIndex::compile_classified`]).
 pub fn gtp_budgeted_index(index: &FlowIndex, k: usize) -> Result<Deployment, TdmdError> {
     engine::run_gtp(index, Some(k))
 }

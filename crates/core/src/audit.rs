@@ -30,15 +30,19 @@
 //!   (the tight-budget feasibility rule) restrict the candidate set
 //!   and are exempt from the monotone comparison.
 //!
-//! The module always compiles. The solver seams (`check_instance` in
-//! every GTP solve, `check_class_pricing` in [`FlowIndex::build`], and
-//! `check_index`, the greedy trace and `check_index_solution` around
-//! the greedy kernel) run while the process-wide switch is on
+//! The module always compiles. The solver seams (`check_class_pricing`
+//! in [`FlowIndex::build`], the member check of
+//! [`FlowIndex::compile_classified`], and `check_index`, the greedy
+//! trace and `check_index_solution` around the greedy kernel) run
+//! while the process-wide switch is on
 //! ([`enabled`]): always under `debug_assertions` and in this crate's
 //! unit tests, and in release builds once [`enable`] has run, as
 //! `tdmd place --audit true`, `tdmd stream run --audit true` and
 //! `tdmd race` do. A seam calls [`enforce`], which panics with the
 //! diagnostic; with the switch off it costs one relaxed load.
+//! `check_instance` is no seam: an [`Instance`] is validated when it
+//! is built, and a caller that audits one (`tdmd place --audit true`)
+//! checks it once, where a violation can become a typed error.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -373,7 +377,8 @@ pub fn check_solution(
 /// whose path crosses the vertex, each class has exactly one row entry
 /// per path position, and no two classes share both a path and a
 /// pricing (the bits of their gains and cost). An index compiled from
-/// live state ([`FlowIndex::compile`]) has no instance to check
+/// live state ([`FlowIndex::compile`],
+/// [`FlowIndex::compile_classified`]) has no instance to check
 /// against, so this is its structural audit.
 ///
 /// # Errors

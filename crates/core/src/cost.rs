@@ -39,9 +39,11 @@
 //! [`Instance`]. Solvers that need the flows crossing a vertex without
 //! a model (HAT, Best-effort's volume, the capacitated matching,
 //! branch-and-bound) read a [`HopCount`] index, whose gains are the
-//! downstream hop counts `l_v(f)`. Flows priced elsewhere (the online
-//! engine's stored gains) compile through [`FlowIndex::compile`] into
-//! the same layout.
+//! downstream hop counts `l_v(f)`. Flows priced elsewhere compile
+//! through [`FlowIndex::compile`] into the same layout, and flows whose
+//! caller already keeps them in classes (the online engine's live path
+//! classes) through [`FlowIndex::compile_classified`], which hashes no
+//! path.
 //!
 //! Models always price each flow's current path. Under the joint
 //! routing extension that path is one pick from the flow's
@@ -313,7 +315,8 @@ impl<M: CostModel + ?Sized> IndexSource for Modeled<'_, M> {
 /// per distinct path (a model prices from the path alone);
 /// [`FlowIndex::compile`] keys a class by path *and* pricing, the bits
 /// of its gains and cost, so flows on one path priced differently fall
-/// into separate classes. Classes are numbered in the order they first
+/// into separate classes; [`FlowIndex::compile_classified`] takes the
+/// caller's classes. Classes are numbered in the order they first
 /// appear among the flows.
 ///
 /// The index holds:
@@ -379,17 +382,10 @@ pub(crate) struct IndexParts<'a> {
 
 /// The path classes of a fill as it walks the flows: each new class
 /// is appended to the class arena with the pricing of the flow that
-/// opened it, and a flat open-addressing table maps a path to its
-/// classes. The table is built like the online engine's flow-key
-/// index, not as a `HashMap` (the `map-iter-order` lint): a
-/// power-of-two array probed linearly. A bucket packs the top half of
-/// its class's path hash above the class id, so a probe compares paths
-/// only on equal hashes and growth never hashes a path again. Classes
-/// of one path with different pricings share a hash and sit further
-/// along the same probe sequence.
+/// opened it, and every later member adds its rate. A front end names
+/// each flow's class: [`PathTable`] by hashing its path, or the caller
+/// ([`FlowIndex::compile_classified`]).
 struct Classes {
-    /// Power-of-two bucket array; [`Classes::EMPTY`] ends a probe.
-    table: Vec<u64>,
     size: Vec<u32>,
     first: Vec<u32>,
     rate: Vec<u128>,
@@ -401,14 +397,8 @@ struct Classes {
 }
 
 impl Classes {
-    const EMPTY: u64 = u64::MAX;
-    const MIN_CAPACITY: usize = 64;
-    /// The table grows past one class per `LOAD` buckets.
-    const LOAD: usize = 4;
-
     fn new() -> Self {
         Self {
-            table: vec![Self::EMPTY; Self::MIN_CAPACITY],
             size: Vec::new(),
             first: Vec::new(),
             rate: Vec::new(),
@@ -419,9 +409,76 @@ impl Classes {
         }
     }
 
+    /// Number of classes opened so far.
+    #[inline]
+    fn count(&self) -> usize {
+        self.size.len()
+    }
+
+    fn span(&self, c: u32) -> std::ops::Range<usize> {
+        ix(self.offsets[ix(c)])..ix(self.offsets[ix(c) + 1])
+    }
+
+    /// Whether `f` follows class `c`'s path with its pricing.
+    #[inline]
+    fn holds<S: IndexSource>(&self, c: u32, f: &S) -> bool {
+        let span = self.span(c);
+        same(&self.nodes[span.clone()], f.path())
+            && f.priced_as(&self.gains[span], self.cost[ix(c)])
+    }
+
+    /// Adds a member of rate `rate` to class `c`.
+    #[inline]
+    fn join(&mut self, c: u32, rate: u64) {
+        self.size[ix(c)] += 1;
+        self.rate[ix(c)] += u128::from(rate);
+    }
+
+    /// Opens the next class with flow `fi`, `f`, as its first member,
+    /// priced as `f`.
+    fn open<S: IndexSource>(&mut self, f: &S, fi: u32) -> u32 {
+        let c = id32(self.count());
+        let path = f.path();
+        self.size.push(1);
+        self.first.push(fi);
+        self.rate.push(u128::from(f.rate()));
+        self.cost.push(f.cost());
+        self.nodes.extend_from_slice(path);
+        self.gains.extend((0..path.len()).map(|pos| f.gain(pos)));
+        self.offsets.push(id32(self.nodes.len()));
+        c
+    }
+}
+
+/// The hashing front end of the fill, used by [`FlowIndex::build`] and
+/// [`FlowIndex::compile`]: a flat open-addressing table mapping a path
+/// to its classes. It is built like the online engine's flow-key
+/// index, not as a `HashMap` (the `map-iter-order` lint): a
+/// power-of-two array probed linearly. A bucket packs the top half of
+/// its class's path hash above the class id, so a probe compares paths
+/// only on equal hashes and growth never hashes a path again. Classes
+/// of one path with different pricings share a hash and sit further
+/// along the same probe sequence.
+struct PathTable {
+    /// Power-of-two bucket array; [`PathTable::EMPTY`] ends a probe.
+    table: Vec<u64>,
+}
+
+impl PathTable {
+    const EMPTY: u64 = u64::MAX;
+    const MIN_CAPACITY: usize = 64;
+    /// The table grows past one class per `LOAD` buckets.
+    const LOAD: usize = 4;
+
+    fn new() -> Self {
+        Self {
+            table: vec![Self::EMPTY; Self::MIN_CAPACITY],
+        }
+    }
+
     /// One step of the FxHash-style path hash: fold `v` into `h`. The
     /// final multiply leaves the best-mixed bits on top, where
-    /// [`Classes::home`] reads them.
+    /// [`PathTable::home`] reads them.
     #[inline]
     fn mix(h: u64, v: NodeId) -> u64 {
         (h.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95)
@@ -435,15 +492,11 @@ impl Classes {
         (h >> (64 - len.trailing_zeros())) as usize
     }
 
-    fn span(&self, c: u32) -> std::ops::Range<usize> {
-        ix(self.offsets[ix(c)])..ix(self.offsets[ix(c) + 1])
-    }
-
-    /// The class of flow `fi`, `f`, whose path hashes to `h`: an open
-    /// class of its path priced as `f`, or a new one.
+    /// The class of flow `fi`, `f`: an open class of its path priced
+    /// as `f`, or a new one.
     #[inline]
-    fn classify<S: IndexSource>(&mut self, f: &S, fi: u32, h: u64) -> u32 {
-        let path = f.path();
+    fn classify<S: IndexSource>(&mut self, classes: &mut Classes, f: &S, fi: u32) -> u32 {
+        let h = f.path().iter().fold(0, |h, &v| Self::mix(h, v));
         let tag = h & !u64::from(u32::MAX);
         let mask = self.table.len() - 1;
         let mut i = Self::home(h, self.table.len());
@@ -454,27 +507,15 @@ impl Classes {
             }
             // The low half of a bucket word is its class id.
             let c = word as u32;
-            let span = self.span(c);
-            if word & !u64::from(u32::MAX) == tag
-                && same(&self.nodes[span.clone()], path)
-                && f.priced_as(&self.gains[span], self.cost[ix(c)])
-            {
-                self.size[ix(c)] += 1;
-                self.rate[ix(c)] += u128::from(f.rate());
+            if word & !u64::from(u32::MAX) == tag && classes.holds(c, f) {
+                classes.join(c, f.rate());
                 return c;
             }
             i = (i + 1) & mask;
         }
-        let c = id32(self.size.len());
+        let c = classes.open(f, fi);
         self.table[i] = tag | u64::from(c);
-        self.size.push(1);
-        self.first.push(fi);
-        self.rate.push(u128::from(f.rate()));
-        self.cost.push(f.cost());
-        self.nodes.extend_from_slice(path);
-        self.gains.extend((0..path.len()).map(|pos| f.gain(pos)));
-        self.offsets.push(id32(self.nodes.len()));
-        if Self::LOAD * self.size.len() > self.table.len() {
+        if Self::LOAD * classes.count() > self.table.len() {
             self.grow();
         }
         c
@@ -506,11 +547,13 @@ impl FlowIndex {
     /// Panics, with the switch on, if `model` prices two flows on one
     /// path apart.
     pub fn build<M: CostModel + ?Sized>(instance: &Instance, model: &M) -> Self {
+        let mut table = PathTable::new();
         let index = Self::fill(
             instance.node_count(),
             instance.lambda(),
             model.coverage_tiebreak(),
             instance.flows().iter().map(|flow| Modeled { flow, model }),
+            |classes, f, fi| table.classify(classes, &f, fi),
         );
         if crate::audit::enabled() {
             crate::audit::enforce(crate::audit::check_class_pricing(instance, model, &index));
@@ -537,24 +580,83 @@ impl FlowIndex {
     where
         I: IntoIterator<Item = PricedFlow<'a>>,
     {
-        Self::fill(node_count, lambda, coverage_tiebreak, flows.into_iter())
+        let mut table = PathTable::new();
+        Self::fill(
+            node_count,
+            lambda,
+            coverage_tiebreak,
+            flows.into_iter(),
+            |classes, f, fi| table.classify(classes, &f, fi),
+        )
     }
 
-    /// The one fill: a walk classifying each flow, then the rows
-    /// filled from the class arena, walking the classes in id order
-    /// with per-vertex write cursors so every row ascends.
-    fn fill<S: IndexSource>(
+    /// [`FlowIndex::compile`] for flows the caller has already put into
+    /// classes: each item is a flow's class and the flow. Classes must
+    /// be numbered `0..` in the order they first appear, so a flow's
+    /// class is either one an earlier flow opened or the next new one;
+    /// only the flow that opens a class is read for its path, gains and
+    /// cost, and every later member must carry the same path and
+    /// pricing. Numbered as `compile` would number them, the flows
+    /// build `compile`'s index bit for bit, without hashing a path.
+    /// With the audit switch on ([`crate::audit::enabled`]) every
+    /// member is checked against its class (`index-class-pricing`).
+    ///
+    /// # Panics
+    /// Panics as [`FlowIndex::compile`] does, if a class number skips
+    /// ahead of the next new class, and, with the switch on, if a
+    /// member's path or pricing differs from its class's.
+    pub fn compile_classified<'a, I>(
+        node_count: usize,
+        lambda: f64,
+        coverage_tiebreak: bool,
+        flows: I,
+    ) -> Self
+    where
+        I: IntoIterator<Item = (u32, PricedFlow<'a>)>,
+    {
+        let audit = crate::audit::enabled();
+        Self::fill(
+            node_count,
+            lambda,
+            coverage_tiebreak,
+            flows.into_iter(),
+            |classes, (c, f), fi| {
+                let next = classes.count();
+                assert!(
+                    ix(c) <= next,
+                    "flow {fi} names class {c} before class {next}"
+                );
+                if ix(c) == next {
+                    return classes.open(&f, fi);
+                }
+                if audit && !classes.holds(c, &f) {
+                    crate::audit::enforce(Err(crate::audit::AuditError {
+                        check: "index-class-pricing",
+                        detail: format!("flow {fi} joins class {c} with another path or pricing"),
+                    }));
+                }
+                classes.join(c, f.rate);
+                c
+            },
+        )
+    }
+
+    /// The one fill: a walk in which `classify` names each flow's class
+    /// (opening it in the arena if new), then the rows filled from the
+    /// class arena, walking the classes in id order with per-vertex
+    /// write cursors so every row ascends.
+    fn fill<T>(
         n: usize,
         lambda: f64,
         coverage_ties: bool,
-        flows: impl Iterator<Item = S>,
+        flows: impl Iterator<Item = T>,
+        mut classify: impl FnMut(&mut Classes, T, u32) -> u32,
     ) -> Self {
         let (hint, _) = flows.size_hint();
         let mut classes = Classes::new();
         let mut class_of = Vec::with_capacity(hint);
         for (fi, f) in flows.enumerate() {
-            let h = f.path().iter().fold(0, |h, &v| Classes::mix(h, v));
-            class_of.push(classes.classify(&f, id32(fi), h));
+            class_of.push(classify(&mut classes, f, id32(fi)));
         }
         let mut offsets = vec![0u32; n + 1];
         for &v in &classes.nodes {
@@ -566,7 +668,7 @@ impl FlowIndex {
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
         let mut row_class = vec![0u32; classes.nodes.len()];
         let mut row_gain = vec![0.0f64; classes.nodes.len()];
-        for c in 0..id32(classes.size.len()) {
+        for c in 0..id32(classes.count()) {
             let span = classes.span(c);
             for (&v, &g) in classes.nodes[span.clone()].iter().zip(&classes.gains[span]) {
                 let slot = &mut cursor[ix(v)];
@@ -879,6 +981,39 @@ mod tests {
         assert_eq!(model.unprocessed_cost(&stray), 10.0);
     }
 
+    /// The gains and cost of each of `inst`'s flows under `model`,
+    /// scaled by `scale(f)`.
+    fn priced_scaled<M: CostModel + ?Sized>(
+        inst: &Instance,
+        model: &M,
+        scale: impl Fn(&Flow) -> f64,
+    ) -> Vec<(Vec<f64>, f64)> {
+        inst.flows()
+            .iter()
+            .map(|f| {
+                let w = scale(f);
+                let gains = model.gains(f).into_iter().map(|g| w * g).collect();
+                (gains, w * model.unprocessed_cost(f))
+            })
+            .collect()
+    }
+
+    /// `inst`'s flows with the gains and costs `priced` gives them.
+    fn as_priced<'a>(
+        inst: &'a Instance,
+        priced: &'a [(Vec<f64>, f64)],
+    ) -> impl Iterator<Item = PricedFlow<'a>> {
+        inst.flows()
+            .iter()
+            .zip(priced)
+            .map(|(f, (gains, cost))| PricedFlow {
+                rate: f.rate,
+                path: &f.path,
+                gains,
+                cost: *cost,
+            })
+    }
+
     /// Prices `inst`'s flows with `model` by hand, each flow's gains
     /// scaled by `scale(f)`, and compiles them.
     fn compiled_scaled<M: CostModel + ?Sized>(
@@ -886,29 +1021,87 @@ mod tests {
         model: &M,
         scale: impl Fn(&Flow) -> f64,
     ) -> FlowIndex {
-        let priced: Vec<(Vec<f64>, f64)> = inst
-            .flows()
-            .iter()
-            .map(|f| {
-                let w = scale(f);
-                let gains = model.gains(f).into_iter().map(|g| w * g).collect();
-                (gains, w * model.unprocessed_cost(f))
-            })
-            .collect();
+        let priced = priced_scaled(inst, model, scale);
         FlowIndex::compile(
             inst.node_count(),
             inst.lambda(),
             model.coverage_tiebreak(),
-            inst.flows()
-                .iter()
-                .zip(&priced)
-                .map(|(f, (gains, cost))| PricedFlow {
-                    rate: f.rate,
-                    path: &f.path,
-                    gains,
-                    cost: *cost,
-                }),
+            as_priced(inst, &priced),
         )
+    }
+
+    /// Flow 2 of [`fig1_shared_paths`] priced at twice its hop counts,
+    /// as [`fig1_split_class`] compiles it.
+    fn doubled_flow_2(f: &Flow) -> f64 {
+        if f.id == 2 {
+            2.0
+        } else {
+            1.0
+        }
+    }
+
+    /// `compile_classified`, handed the classes `compile` or `build`
+    /// found, builds the same index bit for bit: on a path split by
+    /// pricing and on random gateway and all-pairs instances.
+    #[test]
+    fn compile_classified_takes_the_callers_classes() {
+        let classified = |inst: &Instance, priced: &[(Vec<f64>, f64)], of: &FlowIndex| {
+            FlowIndex::compile_classified(
+                inst.node_count(),
+                inst.lambda(),
+                true,
+                as_priced(inst, priced)
+                    .zip(&of.class_of)
+                    .map(|(f, &c)| (c, f)),
+            )
+        };
+        let shared = fig1_shared_paths();
+        let split = fig1_split_class();
+        let priced = priced_scaled(&shared, &HopCount, doubled_flow_2);
+        assert_same_index(&classified(&shared, &priced, &split), &split);
+        let seed = proptest::fnv1a("compile_classified_takes_the_callers_classes");
+        for case in 0..100u64 {
+            let mut rng = StdRng::seed_from_u64(TestRng::for_case(seed, case).next_u64());
+            let inst = random_instance(&mut rng).with_lambda(0.3);
+            let built = FlowIndex::build(&inst, &HopCount);
+            let priced = priced_scaled(&inst, &HopCount, |_| 1.0);
+            assert_same_index(&classified(&inst, &priced, &built), &built);
+        }
+    }
+
+    /// A caller must number classes in first-appearance order.
+    #[test]
+    #[should_panic(expected = "flow 1 names class 2 before class 1")]
+    fn compile_classified_rejects_a_class_numbered_ahead() {
+        let inst = fig1_shared_paths();
+        let priced = priced_scaled(&inst, &HopCount, |_| 1.0);
+        FlowIndex::compile_classified(
+            inst.node_count(),
+            inst.lambda(),
+            true,
+            as_priced(&inst, &priced)
+                .enumerate()
+                .map(|(i, f)| (2 * id32(i), f)),
+        );
+    }
+
+    /// With the audit switch on, a member whose pricing differs from
+    /// its class's is caught: flow 2, priced double, named as a member
+    /// of flow 0's class.
+    #[test]
+    #[should_panic(expected = "index-class-pricing")]
+    fn compile_classified_audits_each_member_against_its_class() {
+        let inst = fig1_shared_paths();
+        let priced = priced_scaled(&inst, &HopCount, doubled_flow_2);
+        let merged = FlowIndex::build(&inst, &HopCount);
+        FlowIndex::compile_classified(
+            inst.node_count(),
+            inst.lambda(),
+            true,
+            as_priced(&inst, &priced)
+                .zip(&merged.class_of)
+                .map(|(f, &c)| (c, f)),
+        );
     }
 
     /// Prices `inst`'s flows with `model` by hand and compiles them.
@@ -1054,13 +1247,7 @@ mod tests {
     /// [`fig1_shared_paths`] compiled with flow 2's hop gains and cost
     /// doubled: it shares flow 0's path but not its pricing.
     fn fig1_split_class() -> FlowIndex {
-        compiled_scaled(&fig1_shared_paths(), &HopCount, |f| {
-            if f.id == 2 {
-                2.0
-            } else {
-                1.0
-            }
-        })
+        compiled_scaled(&fig1_shared_paths(), &HopCount, doubled_flow_2)
     }
 
     /// `compile` keys a class by path and pricing: flow 2 opens a
@@ -1240,11 +1427,13 @@ mod tests {
         use crate::audit::check_class_pricing;
         let inst = fig1_shared_paths();
         let fill = |model: &dyn CostModel| {
+            let mut table = PathTable::new();
             FlowIndex::fill(
                 inst.node_count(),
                 inst.lambda(),
                 true,
                 inst.flows().iter().map(|flow| Modeled { flow, model }),
+                |classes, f, fi| table.classify(classes, &f, fi),
             )
         };
         check_class_pricing(&inst, &HopCount, &fill(&HopCount)).unwrap();

@@ -5,7 +5,11 @@
 //! CSR arena; a stream cannot. `DeltaState` keeps the same
 //! information — per-vertex `(flow, gain)` rows, per-flow serving
 //! assignments, and the objective — under churn, with every update
-//! touching only the affected flow's path:
+//! touching only the affected flow's path. Eq. 1 and Def. 2 see a flow
+//! only through its path and its rate, so a flow keeps its key, rate,
+//! arrival order, assignment and row back-pointers, and names a *live
+//! path class* for the rest: the path, the gains and the cost it was
+//! priced with at arrival, held once per class.
 //!
 //! # Invariants
 //!
@@ -13,7 +17,8 @@
 //!    one entry per *active* flow whose path crosses `v`, and the
 //!    flow's `row_pos` back-pointers index those entries (so a
 //!    departure removes its entries by `swap_remove` in O(path
-//!    length) without scanning).
+//!    length) without scanning). An entry reads its gain through the
+//!    flow's class.
 //! 2. **Assignment optimality** — each active flow's `assigned` is
 //!    the deployed on-path vertex maximizing `(gain, smaller id)`, or
 //!    `None` when no deployed vertex lies on its path; this matches
@@ -33,8 +38,14 @@
 //!    appended to the flip log ([`DeltaState::flips`]), so a reader
 //!    can keep per-flow-group sums of served and degraded rate without
 //!    walking the flows.
+//! 5. **Class census** — every active flow names a live class, each
+//!    live class counts exactly the active flows naming it (so none is
+//!    empty), and the class table maps each live class's path and
+//!    pricing (the bits of its gains and cost) to that class alone —
+//!    the key [`FlowIndex::compile`] classifies by. A class that
+//!    empties leaves the table, and its id is reused.
 //!
-//! All four are restored by every mutation (insert, remove, commit,
+//! All five are restored by every mutation (insert, remove, commit,
 //! rehome/failover, rebuild); the engine's repair logic relies on
 //! them.
 
@@ -45,7 +56,7 @@ use tdmd_traffic::Flow;
 
 use crate::event::FlowKey;
 
-/// An active flow with its arrival-time pricing and current serving
+/// An active flow with its live path class and current serving
 /// assignment.
 #[derive(Debug, Clone)]
 pub struct ActiveFlow {
@@ -53,18 +64,14 @@ pub struct ActiveFlow {
     pub key: FlowKey,
     /// Rate `r_f`.
     pub rate: u64,
-    /// Path `p_f`.
-    pub path: Vec<NodeId>,
-    /// Per-position serving gains ([`CostModel::gains`](tdmd_core::CostModel::gains),
-    /// fixed at arrival).
-    pub gains: Vec<f64>,
-    /// Unprocessed metric of the whole path.
-    pub cost: f64,
     /// Serving middlebox and its gain, if any deployed vertex lies on
     /// the path.
     pub assigned: Option<(NodeId, f64)>,
     /// Arrival sequence number — the canonical densification order.
     pub seq: u64,
+    /// The live class holding the flow's path and the pricing it
+    /// arrived with ([`DeltaState::priced`]).
+    class: u32,
     /// `row_pos[i]` = index of this flow's entry within
     /// `rows[path[i]]`.
     row_pos: Vec<u32>,
@@ -86,8 +93,8 @@ pub struct Failover {
 }
 
 /// One per-vertex row entry: which flow slot, at which path position.
-/// The gain is read through the slot (`flows[slot].gains[pos]`) so a
-/// row entry never goes stale.
+/// The gain is read through the slot's class, at `pos` of its gains,
+/// so a row entry never goes stale.
 #[derive(Debug, Clone, Copy)]
 struct RowEntry {
     slot: u32,
@@ -224,6 +231,267 @@ impl KeyIndex {
     }
 }
 
+/// One path class of the live flows: a path, the pricing its members
+/// arrived with, and how many active flows name it. The path and the
+/// gains sit in a span of the class table's arenas.
+#[derive(Debug, Clone, Copy)]
+struct LiveClass {
+    /// Start of the class's span in [`ClassTable::nodes`] and
+    /// [`ClassTable::gains`].
+    at: u32,
+    /// Path length: the span's length.
+    len: u32,
+    /// Unprocessed metric of the whole path.
+    cost: f64,
+    /// Active flows naming the class; 0 marks a freed id awaiting
+    /// reuse.
+    members: u32,
+}
+
+/// The live path classes, keyed by path and pricing as
+/// [`FlowIndex::compile`] keys a class: a flat open-addressing map
+/// built like [`KeyIndex`] and tdmd-core's class table, not a
+/// `HashMap`. A bucket word packs the high half of its class's path
+/// hash above the class id, so a probe compares paths only on equal
+/// hashes and growth never hashes a path again; classes of one path
+/// with different pricings sit further along the same probe sequence.
+/// Paths and gains live in two parallel arenas, one span per class,
+/// so opening a class allocates nothing once the arenas have grown.
+/// A class that empties leaves the table by backward-shift deletion;
+/// its id joins one free list and its span another, kept per length,
+/// for the next class of that length. A freed span keeps its path
+/// until then, so [`DeltaState::remove`] can lend the path out.
+#[derive(Debug, Clone, Default)]
+struct ClassTable {
+    /// Power-of-two bucket array; [`ClassTable::EMPTY`] ends a probe.
+    buckets: Vec<u64>,
+    classes: Vec<LiveClass>,
+    /// Freed class ids awaiting reuse.
+    free: Vec<u32>,
+    /// Path arena.
+    nodes: Vec<NodeId>,
+    /// Serving gains, parallel to `nodes`.
+    gains: Vec<f64>,
+    /// `spans[len]`: starts of the freed arena spans of `len`
+    /// positions.
+    spans: Vec<Vec<u32>>,
+}
+
+impl ClassTable {
+    const EMPTY: u64 = u64::MAX;
+    /// The low half of a bucket word: its class id.
+    const ID: u64 = 0xFFFF_FFFF;
+    const MIN_CAPACITY: usize = 16;
+
+    /// FxHash-style path hash; the final multiply leaves the
+    /// best-mixed bits on top, where [`ClassTable::home`] reads them.
+    fn hash(path: &[NodeId]) -> u64 {
+        path.iter().fold(0, |h: u64, &v| {
+            (h.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95)
+        })
+    }
+
+    /// Home bucket of a bucket word (or hash) in the current table:
+    /// its top bits.
+    #[inline]
+    fn home(&self, word: u64) -> usize {
+        big_ix(word >> (64 - self.buckets.len().trailing_zeros()))
+    }
+
+    /// The class id a bucket word names.
+    #[inline]
+    fn id(word: u64) -> u32 {
+        id32(big_ix(word & Self::ID))
+    }
+
+    /// Class `c`'s span of the arenas.
+    #[inline]
+    fn span(&self, c: u32) -> std::ops::Range<usize> {
+        let class = &self.classes[ix(c)];
+        ix(class.at)..ix(class.at) + ix(class.len)
+    }
+
+    /// The path of class `c`.
+    #[inline]
+    fn path(&self, c: u32) -> &[NodeId] {
+        &self.nodes[self.span(c)]
+    }
+
+    /// The per-position serving gains of class `c`
+    /// ([`CostModel::gains`](tdmd_core::CostModel::gains), fixed at
+    /// arrival).
+    #[inline]
+    fn gains(&self, c: u32) -> &[f64] {
+        &self.gains[self.span(c)]
+    }
+
+    /// The unprocessed metric of class `c`'s whole path.
+    #[inline]
+    fn cost(&self, c: u32) -> f64 {
+        self.classes[ix(c)].cost
+    }
+
+    /// Number of live classes.
+    fn live(&self) -> usize {
+        self.classes.len() - self.free.len()
+    }
+
+    /// Whether class `c` is `path` priced as `gains` and `cost`, bit
+    /// for bit.
+    fn holds(&self, c: u32, path: &[NodeId], gains: &[f64], cost: f64) -> bool {
+        self.path(c) == path
+            && self.cost(c).to_bits() == cost.to_bits()
+            && self
+                .gains(c)
+                .iter()
+                .zip(gains)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// Probes for the class of `path` priced as `gains` and `cost`,
+    /// whose path hashes to `h`: `Ok` with the class, or `Err` with
+    /// the empty bucket that ended the probe.
+    fn probe(&self, h: u64, path: &[NodeId], gains: &[f64], cost: f64) -> Result<u32, usize> {
+        let tag = h & !Self::ID;
+        let mask = self.buckets.len() - 1;
+        let mut i = self.home(h);
+        loop {
+            let word = self.buckets[i];
+            if word == Self::EMPTY {
+                return Err(i);
+            }
+            let c = Self::id(word);
+            if word & !Self::ID == tag && self.holds(c, path, gains, cost) {
+                return Ok(c);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The live class of `path` priced as `gains` and `cost`, if any.
+    fn find(&self, path: &[NodeId], gains: &[f64], cost: f64) -> Option<u32> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        self.probe(Self::hash(path), path, gains, cost).ok()
+    }
+
+    /// Joins one more member to the class of `path` priced as `gains`
+    /// and `cost` (one gain per path position): an open class, or a
+    /// new one, under a freed id and in a freed span of its length
+    /// when there are.
+    fn intern(&mut self, path: &[NodeId], gains: &[f64], cost: f64) -> u32 {
+        self.grow_if_needed();
+        let h = Self::hash(path);
+        let bucket = match self.probe(h, path, gains, cost) {
+            Ok(c) => {
+                self.classes[ix(c)].members += 1;
+                return c;
+            }
+            Err(bucket) => bucket,
+        };
+        let len = path.len();
+        let at = match self.spans.get_mut(len).and_then(Vec::pop) {
+            Some(at) => {
+                let span = ix(at)..ix(at) + len;
+                self.nodes[span.clone()].copy_from_slice(path);
+                self.gains[span].copy_from_slice(gains);
+                at
+            }
+            None => {
+                let at = id32(self.nodes.len());
+                self.nodes.extend_from_slice(path);
+                self.gains.extend_from_slice(gains);
+                at
+            }
+        };
+        let class = LiveClass {
+            at,
+            len: id32(len),
+            cost,
+            members: 1,
+        };
+        let c = match self.free.pop() {
+            Some(c) => {
+                self.classes[ix(c)] = class;
+                c
+            }
+            None => {
+                self.classes.push(class);
+                id32(self.classes.len() - 1)
+            }
+        };
+        self.buckets[bucket] = (h & !Self::ID) | u64::from(c);
+        c
+    }
+
+    /// Removes one member from class `c`. A class left empty leaves
+    /// the table, and its id and span are freed.
+    fn release(&mut self, c: u32) {
+        let class = &mut self.classes[ix(c)];
+        class.members -= 1;
+        if class.members > 0 {
+            return;
+        }
+        let (at, len) = (class.at, ix(class.len));
+        self.unlink(c);
+        self.free.push(c);
+        if self.spans.len() <= len {
+            self.spans.resize_with(len + 1, Vec::new);
+        }
+        self.spans[len].push(at);
+    }
+
+    /// Takes class `c`'s bucket out of the table, if the table holds
+    /// it, sliding the rest of its probe chain back over the gap as
+    /// [`KeyIndex::remove`] does.
+    fn unlink(&mut self, c: u32) {
+        let mask = self.buckets.len() - 1;
+        let mut gap = self.home(Self::hash(self.path(c)));
+        loop {
+            let word = self.buckets[gap];
+            if word == Self::EMPTY {
+                return;
+            }
+            if Self::id(word) == c {
+                break;
+            }
+            gap = (gap + 1) & mask;
+        }
+        let mut j = (gap + 1) & mask;
+        while self.buckets[j] != Self::EMPTY {
+            let home = self.home(self.buckets[j]);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(gap) & mask) {
+                self.buckets[gap] = self.buckets[j];
+                gap = j;
+            }
+            j = (j + 1) & mask;
+        }
+        self.buckets[gap] = Self::EMPTY;
+    }
+
+    /// Doubles the bucket array before one more class would pass 7/8
+    /// load (and bootstraps the first allocation).
+    fn grow_if_needed(&mut self) {
+        if self.buckets.is_empty() {
+            self.buckets = vec![Self::EMPTY; Self::MIN_CAPACITY];
+            return;
+        }
+        if (self.live() + 1) * 8 < self.buckets.len() * 7 {
+            return;
+        }
+        let doubled = 2 * self.buckets.len();
+        let old = std::mem::replace(&mut self.buckets, vec![Self::EMPTY; doubled]);
+        for word in old.into_iter().filter(|&w| w != Self::EMPTY) {
+            let mut i = self.home(word);
+            while self.buckets[i] != Self::EMPTY {
+                i = (i + 1) & (doubled - 1);
+            }
+            self.buckets[i] = word;
+        }
+    }
+}
+
 /// Incrementally-maintained flow index, assignments and objective.
 #[derive(Debug, Clone)]
 pub struct DeltaState {
@@ -235,6 +503,8 @@ pub struct DeltaState {
     gens: Vec<u32>,
     free: Vec<u32>,
     key_index: KeyIndex,
+    /// The live path classes the flows name (invariant 5).
+    classes: ClassTable,
     /// Per-vertex rows — the mutable analogue of the CSR arena.
     rows: Vec<Vec<RowEntry>>,
     unprocessed: KahanSum,
@@ -297,6 +567,7 @@ impl DeltaState {
             gens: Vec::new(),
             free: Vec::new(),
             key_index: KeyIndex::default(),
+            classes: ClassTable::default(),
             rows: vec![Vec::new(); n],
             unprocessed: KahanSum::default(),
             saved: KahanSum::default(),
@@ -361,6 +632,14 @@ impl DeltaState {
         self.active
     }
 
+    /// Number of live path classes: distinct paths among the active
+    /// flows, one per pricing where flows on one path carry different
+    /// stored gains.
+    #[inline]
+    pub fn class_count(&self) -> usize {
+        self.classes.live()
+    }
+
     /// Number of active flows with no serving middlebox — whether
     /// because no deployed vertex lies on their path or because a
     /// failure orphaned them. These flows are accounted at full rate.
@@ -399,6 +678,17 @@ impl DeltaState {
         self.flows[ix(slot)].as_ref()
     }
 
+    /// Flow `f` with its path and the gains and cost it arrived with,
+    /// read through its class.
+    pub(crate) fn priced(&self, f: &ActiveFlow) -> PricedFlow<'_> {
+        PricedFlow {
+            rate: f.rate,
+            path: self.classes.path(f.class),
+            gains: self.classes.gains(f.class),
+            cost: self.classes.cost(f.class),
+        }
+    }
+
     /// Per-vertex saved share (the swap-repair victim metric).
     #[inline]
     pub fn primary_load(&self, v: NodeId) -> f64 {
@@ -420,6 +710,12 @@ impl DeltaState {
         order.into_iter().map(|(_, slot)| slot).collect()
     }
 
+    /// The live flow in `slot`.
+    #[inline]
+    fn live(&self, slot: u32) -> &ActiveFlow {
+        self.flows[ix(slot)].as_ref().expect("live slot")
+    }
+
     /// Active flows in arrival (seq) order — the canonical order
     /// engine snapshots serialize and restores replay, so both sides
     /// of a snapshot/restore round trip rebuild bitwise-identical
@@ -427,7 +723,7 @@ impl DeltaState {
     pub fn flows_in_seq_order(&self) -> Vec<&ActiveFlow> {
         self.slots_in_seq_order()
             .into_iter()
-            .map(|s| self.flows[ix(s)].as_ref().expect("live slot"))
+            .map(|s| self.live(s))
             .collect()
     }
 
@@ -439,39 +735,46 @@ impl DeltaState {
             .into_iter()
             .enumerate()
             .map(|(i, s)| {
-                let f = self.flows[ix(s)].as_ref().expect("live slot");
-                Flow::new(id32(i), f.rate, f.path.clone())
+                let f = self.live(s);
+                Flow::new(id32(i), f.rate, self.classes.path(f.class).to_vec())
             })
             .collect()
     }
 
     /// The active flows compiled for the greedy kernel, numbered in
     /// arrival order from the gains and costs stored at arrival — no
-    /// flow is priced again. Bitwise equal to [`FlowIndex::build`] of
-    /// the densified snapshot ([`DeltaState::active_snapshot`]) under
-    /// the model those gains came from: the same flows, in the same
-    /// order, through the same fill. `coverage_tiebreak` is the
-    /// model's [`CostModel::coverage_tiebreak`](tdmd_core::CostModel::coverage_tiebreak).
+    /// flow is priced again and no path is hashed. Bitwise equal to
+    /// [`FlowIndex::build`] of the densified snapshot
+    /// ([`DeltaState::active_snapshot`]) under the model those gains
+    /// came from, and to [`FlowIndex::compile`] of the snapshot with
+    /// the stored gains whatever they are. `coverage_tiebreak` is the
+    /// model's
+    /// [`CostModel::coverage_tiebreak`](tdmd_core::CostModel::coverage_tiebreak).
     pub fn flow_index(&self, coverage_tiebreak: bool) -> FlowIndex {
         self.flow_index_in(&self.slots_in_seq_order(), coverage_tiebreak)
     }
 
     /// [`DeltaState::flow_index`] over `order`, the live slots in seq
     /// order ([`DeltaState::slots_in_seq_order`]), so a caller that
-    /// also evaluates the same flows sorts them once.
+    /// also evaluates the same flows sorts them once. One pass numbers
+    /// the live classes in the order they first appear, which is how
+    /// `compile` numbers them, whatever ids the table reused, and hands
+    /// the classified flows to [`FlowIndex::compile_classified`].
     pub(crate) fn flow_index_in(&self, order: &[u32], coverage_tiebreak: bool) -> FlowIndex {
-        FlowIndex::compile(
+        let mut number = vec![u32::MAX; self.classes.classes.len()];
+        let mut next = 0u32;
+        FlowIndex::compile_classified(
             self.rows.len(),
             self.lambda,
             coverage_tiebreak,
             order.iter().map(|&s| {
-                let f = self.flows[ix(s)].as_ref().expect("live slot");
-                PricedFlow {
-                    rate: f.rate,
-                    path: &f.path,
-                    gains: &f.gains,
-                    cost: f.cost,
+                let f = self.live(s);
+                let n = &mut number[ix(f.class)];
+                if *n == u32::MAX {
+                    *n = next;
+                    next += 1;
                 }
+                (*n, self.priced(f))
             }),
         )
     }
@@ -485,8 +788,8 @@ impl DeltaState {
         self.slots_in_seq_order()
             .into_iter()
             .map(|s| {
-                let f = self.flows[ix(s)].as_ref().expect("live slot");
-                let full = approx_f64(f.rate) * f.cost;
+                let f = self.live(s);
+                let full = approx_f64(f.rate) * self.classes.cost(f.class);
                 match f.assigned {
                     Some((_, g)) => full - approx_f64(f.rate) * factor * g,
                     None => full,
@@ -507,7 +810,7 @@ impl DeltaState {
             .iter()
             .map(|e| {
                 let f = self.flows[ix(e.slot)].as_ref().expect("row entry is live");
-                let g = f.gains[ix(e.pos)];
+                let g = self.classes.gains(f.class)[ix(e.pos)];
                 let cur = f.assigned.map_or(0.0, |(_, cg)| cg);
                 if g > cur {
                     approx_f64(f.rate) * factor * (g - cur)
@@ -518,10 +821,10 @@ impl DeltaState {
             .sum()
     }
 
-    /// Inserts an arriving flow and computes its assignment against
-    /// `deployment`. The caller dirties the path vertices it already
-    /// holds — no copy is returned. O(path length), zero allocation
-    /// beyond the flow's own storage.
+    /// Inserts an arriving flow into the class of its path and
+    /// pricing, opening one if it is the first, and computes its
+    /// assignment against `deployment`. The vectors are only read: a
+    /// new class copies them into its table's arenas. O(path length).
     ///
     /// # Panics
     /// Panics if `key` is already active or `gains` does not match the
@@ -535,10 +838,47 @@ impl DeltaState {
         cost: f64,
         deployment: &Deployment,
     ) {
+        self.insert_priced(
+            key,
+            PricedFlow {
+                rate,
+                path: &path,
+                gains: &gains,
+                cost,
+            },
+            deployment,
+        );
+    }
+
+    /// Inserts the flow `f` under `key` into the class of its path and
+    /// pricing, opening one if it is the first, and computes its
+    /// assignment against `deployment`. The caller dirties the path
+    /// vertices it already holds — no copy is returned. O(path
+    /// length); allocates only the flow's row back-pointers, once the
+    /// class arenas have grown.
+    ///
+    /// # Panics
+    /// Panics if `key` is already active or `f.gains` does not match
+    /// the path length.
+    pub(crate) fn insert_priced(
+        &mut self,
+        key: FlowKey,
+        f: PricedFlow<'_>,
+        deployment: &Deployment,
+    ) {
+        let PricedFlow {
+            rate,
+            path,
+            gains,
+            cost,
+        } = f;
         assert!(self.lookup(key).is_none(), "duplicate flow key");
         assert_eq!(gains.len(), path.len(), "one gain per path position");
         let factor = self.factor();
-        let assigned = best_assignment(&path, &gains, deployment);
+        // A joined class holds these very bits, so the arguments stand
+        // for it below.
+        let class = self.classes.intern(path, gains, cost);
+        let assigned = best_assignment(path, gains, deployment);
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -567,11 +907,9 @@ impl DeltaState {
         self.flows[ix(slot)] = Some(ActiveFlow {
             key,
             rate,
-            path,
-            gains,
-            cost,
             assigned,
             seq: self.next_seq,
+            class,
             row_pos,
         });
         self.next_seq += 1;
@@ -585,13 +923,15 @@ impl DeltaState {
         self.active += 1;
     }
 
-    /// Removes a departing flow, subtracting its contributions and
-    /// unlinking its row entries. Returns its path vertices (the
-    /// caller dirties them). O(path length).
+    /// Removes a departing flow, subtracting its contributions,
+    /// unlinking its row entries and leaving its class (which frees the
+    /// class if it was the last member). Returns its path, which the
+    /// caller dirties; the slice stays valid until the next mutation.
+    /// O(path length).
     ///
     /// # Panics
     /// Panics if `key` is not active.
-    pub fn remove(&mut self, key: FlowKey) -> Vec<NodeId> {
+    pub fn remove(&mut self, key: FlowKey) -> &[NodeId] {
         let r = self
             .key_index
             .remove(key)
@@ -603,7 +943,8 @@ impl DeltaState {
         // flow can never resolve against the slot's next tenant.
         self.gens[ix(slot)] = self.gens[ix(slot)].wrapping_add(1);
         let factor = self.factor();
-        self.unprocessed.sub(approx_f64(flow.rate) * flow.cost);
+        self.unprocessed
+            .sub(approx_f64(flow.rate) * self.classes.cost(flow.class));
         if let Some((v, g)) = flow.assigned {
             let s = approx_f64(flow.rate) * factor * g;
             self.saved.sub(s);
@@ -611,8 +952,8 @@ impl DeltaState {
         } else {
             self.unserved -= 1;
         }
-        for (pos, &v) in flow.path.iter().enumerate() {
-            let idx = ix(flow.row_pos[pos]);
+        for (&v, &idx) in self.classes.path(flow.class).iter().zip(&flow.row_pos) {
+            let idx = ix(idx);
             let row = &mut self.rows[ix(v)];
             row.swap_remove(idx);
             if idx < row.len() {
@@ -628,37 +969,10 @@ impl DeltaState {
         }
         self.free.push(slot);
         self.active -= 1;
-        flow.path
-    }
-
-    /// Switches an active flow to a different route — a remove + insert
-    /// that preserves the key, rate and sequence-independent identity.
-    /// Used when a candidate-path re-selection (the joint solver's
-    /// routing rounds) changes a flow's active path while it is live in
-    /// the online engine. Returns the union of dirtied vertices: the
-    /// old path and the new one.
-    ///
-    /// # Panics
-    /// Panics if `key` is not active or `gains` does not match the new
-    /// path length.
-    pub fn reroute(
-        &mut self,
-        key: FlowKey,
-        path: Vec<NodeId>,
-        gains: Vec<f64>,
-        cost: f64,
-        deployment: &Deployment,
-    ) -> Vec<NodeId> {
-        let slot = self.lookup(key).expect("reroute of an unknown flow key");
-        let rate = self.flows[ix(slot)].as_ref().expect("slot is live").rate;
-        let mut dirty = self.remove(key);
-        for &v in &path {
-            if !dirty.contains(&v) {
-                dirty.push(v);
-            }
-        }
-        self.insert(key, rate, path, gains, cost, deployment);
-        dirty
+        self.classes.release(flow.class);
+        // A freed class keeps its span until the next class of its
+        // length opens.
+        self.classes.path(flow.class)
     }
 
     /// Re-homes every flow whose serving gain improves under a newly
@@ -679,7 +993,7 @@ impl DeltaState {
         for i in 0..self.rows[ix(v)].len() {
             let e = self.rows[ix(v)][i];
             let f = self.flows[ix(e.slot)].as_mut().expect("row entry is live");
-            let g = f.gains[ix(e.pos)];
+            let g = self.classes.gains(f.class)[ix(e.pos)];
             if !better_assignment((v, g), f.assigned) {
                 continue;
             }
@@ -696,7 +1010,7 @@ impl DeltaState {
             self.primary_load[ix(v)] += s;
             f.assigned = Some((v, g));
             self.reassignments += 1;
-            self.dirty.extend_from_slice(&f.path);
+            self.dirty.extend_from_slice(self.classes.path(f.class));
         }
         &self.dirty
     }
@@ -734,7 +1048,8 @@ impl DeltaState {
         for slot in orphans {
             let f = self.flows[ix(slot)].as_mut().expect("orphan is live");
             let old = f.assigned.expect("orphan was assigned").1;
-            let next = best_assignment(&f.path, &f.gains, deployment);
+            let (path, gains) = (self.classes.path(f.class), self.classes.gains(f.class));
+            let next = best_assignment(path, gains, deployment);
             let s_old = approx_f64(f.rate) * factor * old;
             self.saved.sub(s_old);
             self.primary_load[ix(v)] -= s_old;
@@ -750,7 +1065,7 @@ impl DeltaState {
             }
             f.assigned = next;
             self.reassignments += 1;
-            out.dirty.extend_from_slice(&f.path);
+            out.dirty.extend_from_slice(path);
         }
         out
     }
@@ -769,14 +1084,34 @@ impl DeltaState {
                 continue;
             }
             let mut second = 0.0f64;
-            for (pos, &u) in f.path.iter().enumerate() {
-                if u != v && deployment.contains(u) && f.gains[pos] > second {
-                    second = f.gains[pos];
+            for (&u, &g) in self
+                .classes
+                .path(f.class)
+                .iter()
+                .zip(self.classes.gains(f.class))
+            {
+                if u != v && deployment.contains(u) && g > second {
+                    second = g;
                 }
             }
             loss += approx_f64(f.rate) * factor * (ag - second);
         }
         loss
+    }
+
+    /// The best assignment of every live class under `deployment`,
+    /// indexed by class id (`None` for freed ids as for unserved
+    /// classes): what [`best_assignment`] gives each member, found once
+    /// per class.
+    fn class_best(&self, deployment: &Deployment) -> Vec<Option<(NodeId, f64)>> {
+        let table = &self.classes;
+        (0..id32(table.classes.len()))
+            .map(|c| {
+                (table.classes[ix(c)].members > 0)
+                    .then(|| best_assignment(table.path(c), table.gains(c), deployment))
+                    .flatten()
+            })
+            .collect()
     }
 
     /// Recomputes every assignment and all running sums from scratch
@@ -787,13 +1122,14 @@ impl DeltaState {
     /// [`DeltaState::exact_objective`] bitwise right after a rebuild.
     pub fn rebuild_assignments(&mut self, deployment: &Deployment) {
         let factor = self.factor();
+        let best_of = self.class_best(deployment);
         self.primary_load.iter_mut().for_each(|l| *l = 0.0);
         let mut unprocessed = 0.0f64;
         let mut saved = 0.0f64;
         self.unserved = 0;
         for slot in self.slots_in_seq_order() {
             let f = self.flows[ix(slot)].as_mut().expect("live slot");
-            let best = best_assignment(&f.path, &f.gains, deployment);
+            let best = best_of[ix(f.class)];
             if f.assigned.map(|(v, _)| v) != best.map(|(v, _)| v) {
                 self.reassignments += 1;
             }
@@ -801,7 +1137,7 @@ impl DeltaState {
                 self.flips.push((f.key, best.is_some()));
             }
             f.assigned = best;
-            unprocessed += approx_f64(f.rate) * f.cost;
+            unprocessed += approx_f64(f.rate) * self.classes.cost(f.class);
             if let Some((v, g)) = best {
                 let s = approx_f64(f.rate) * factor * g;
                 saved += s;
@@ -826,15 +1162,18 @@ impl DeltaState {
     }
 
     /// [`DeltaState::objective_under`] over `order`, the live slots in
-    /// seq order ([`DeltaState::slots_in_seq_order`]).
+    /// seq order ([`DeltaState::slots_in_seq_order`]). Each live
+    /// class's best gain is found once; the terms are then summed flow
+    /// by flow in arrival order.
     pub(crate) fn objective_in(&self, order: &[u32], deployment: &Deployment) -> f64 {
         let factor = self.factor();
+        let best_of = self.class_best(deployment);
         order
             .iter()
             .map(|&s| {
-                let f = self.flows[ix(s)].as_ref().expect("live slot");
-                let full = approx_f64(f.rate) * f.cost;
-                match best_assignment(&f.path, &f.gains, deployment) {
+                let f = self.live(s);
+                let full = approx_f64(f.rate) * self.classes.cost(f.class);
+                match best_of[ix(f.class)] {
                     Some((_, g)) => full - approx_f64(f.rate) * factor * g,
                     None => full,
                 }
@@ -852,12 +1191,13 @@ impl DeltaState {
 /// bookkeeping; the `audit_*` hooks deliberately break one invariant
 /// each so the corruption proptests can assert the auditor catches it.
 impl DeltaState {
-    /// Validates invariants 1–4 (module docs) against a from-scratch
+    /// Validates invariants 1–5 (module docs) against a from-scratch
     /// recomputation under `deployment`.
     ///
     /// # Errors
     /// Returns the first violated check among `delta-key-map`,
-    /// `delta-flow-shape`, `delta-active-census`, `delta-row-dead-slot`,
+    /// `delta-class-census`, `delta-class-key`, `delta-flow-shape`,
+    /// `delta-active-census`, `delta-row-dead-slot`,
     /// `delta-row-mirror`, `delta-row-backpointer`, `delta-assignment`,
     /// `delta-sum-unprocessed`, `delta-sum-saved`,
     /// `delta-primary-load` and `delta-unserved-census`.
@@ -868,11 +1208,9 @@ impl DeltaState {
         use tdmd_core::audit::AuditError;
         let err = |check: &'static str, detail: String| Err(AuditError { check, detail });
         let tol = |x: f64| 1e-6 * x.abs().max(1.0);
-        // Slot table vs key map vs census.
-        let mut live = 0usize;
+        // Slot table vs key map.
         for (slot, f) in self.flows.iter().enumerate() {
             let Some(f) = f else { continue };
-            live += 1;
             let expected = SlotRef {
                 slot: id32(slot),
                 gen: self.gens[slot],
@@ -886,19 +1224,119 @@ impl DeltaState {
                     ),
                 );
             }
-            if f.gains.len() != f.path.len() || f.row_pos.len() != f.path.len() {
+        }
+        // Invariant 5 — the class census, recounted from the flows.
+        let table = &self.classes;
+        let mut freed = vec![false; table.classes.len()];
+        for &c in &table.free {
+            match freed.get_mut(ix(c)) {
+                Some(seen) if !*seen => *seen = true,
+                _ => {
+                    return err(
+                        "delta-class-census",
+                        format!("free list names class {c} twice or out of range"),
+                    )
+                }
+            }
+        }
+        let mut members = vec![0u32; table.classes.len()];
+        for f in self.active_flows() {
+            if freed.get(ix(f.class)) != Some(&false) {
+                return err(
+                    "delta-class-census",
+                    format!("flow key {} names freed class {}", f.key, f.class),
+                );
+            }
+            members[ix(f.class)] += 1;
+        }
+        for (c, (class, &counted)) in table.classes.iter().zip(&members).enumerate() {
+            // A freed class counts no flow, a live one at least one.
+            if class.members != counted || (counted == 0) != freed[c] {
+                return err(
+                    "delta-class-census",
+                    format!(
+                        "class {c} counts {} members, {counted} live flows name it{}",
+                        class.members,
+                        if freed[c] { " (freed)" } else { "" }
+                    ),
+                );
+            }
+        }
+        // Each live class owns its span of the arenas, as does each
+        // freed span awaiting reuse.
+        if table.gains.len() != table.nodes.len() {
+            return err(
+                "delta-class-census",
+                format!(
+                    "path arena holds {}, gain arena {}",
+                    table.nodes.len(),
+                    table.gains.len()
+                ),
+            );
+        }
+        let mut owned = vec![false; table.nodes.len()];
+        let live_spans = table
+            .classes
+            .iter()
+            .zip(&freed)
+            .filter(|(_, &freed)| !freed)
+            .map(|(class, _)| (ix(class.at), ix(class.len)));
+        let freed_spans = table
+            .spans
+            .iter()
+            .enumerate()
+            .flat_map(|(len, starts)| starts.iter().map(move |&at| (ix(at), len)));
+        for (at, len) in live_spans.chain(freed_spans) {
+            let cells = owned.get_mut(at..at + len);
+            if cells.as_ref().is_none_or(|c| c.contains(&true)) {
+                return err(
+                    "delta-class-census",
+                    format!(
+                        "arena span {at}..{} overlaps another or leaves the arenas",
+                        at + len
+                    ),
+                );
+            }
+            cells.into_iter().for_each(|c| c.fill(true));
+        }
+        // Invariant 5 — the table maps each live class's key to it.
+        let mapped = table
+            .buckets
+            .iter()
+            .filter(|&&w| w != ClassTable::EMPTY)
+            .count();
+        if mapped != table.live() {
+            return err(
+                "delta-class-key",
+                format!("{mapped} table buckets for {} live classes", table.live()),
+            );
+        }
+        for c in (0..id32(table.classes.len())).filter(|&c| !freed[ix(c)]) {
+            let found = table.find(table.path(c), table.gains(c), table.cost(c));
+            if found != Some(c) {
+                return err(
+                    "delta-class-key",
+                    format!(
+                        "class {c}'s path and pricing map to {found:?}: unmapped, or shared \
+                         with another live class"
+                    ),
+                );
+            }
+        }
+        for f in self.active_flows() {
+            if f.row_pos.len() != table.path(f.class).len() {
                 return err(
                     "delta-flow-shape",
                     format!(
-                        "flow key {}: path {}, gains {}, row_pos {}",
+                        "flow key {}: path {}, row_pos {}",
                         f.key,
-                        f.path.len(),
-                        f.gains.len(),
+                        table.path(f.class).len(),
                         f.row_pos.len()
                     ),
                 );
             }
         }
+        let live = self.active_flows().count();
         if live != self.active || self.key_index.len() != live {
             return err(
                 "delta-active-census",
@@ -921,7 +1359,7 @@ impl DeltaState {
                         format!("rows[{v}][{idx}] references dead slot {}", e.slot),
                     );
                 };
-                if f.path.get(ix(e.pos)) != Some(&id32(v)) {
+                if table.path(f.class).get(ix(e.pos)) != Some(&id32(v)) {
                     return err(
                         "delta-row-mirror",
                         format!(
@@ -946,7 +1384,7 @@ impl DeltaState {
         }
         // Reverse: one entry per (active flow, path vertex). Combined
         // with the forward direction this pins the mirror 1:1.
-        let path_total: usize = self.active_flows().map(|f| f.path.len()).sum();
+        let path_total: usize = self.active_flows().map(|f| f.row_pos.len()).sum();
         if total_entries != path_total {
             return err(
                 "delta-row-mirror",
@@ -958,9 +1396,9 @@ impl DeltaState {
         // so the comparison is exact (bit-level, not float ==).
         for f in self.active_flows() {
             let mut best: Option<(NodeId, f64)> = None;
-            for (pos, &u) in f.path.iter().enumerate() {
-                if deployment.contains(u) && better_assignment((u, f.gains[pos]), best) {
-                    best = Some((u, f.gains[pos]));
+            for (&u, &g) in table.path(f.class).iter().zip(table.gains(f.class)) {
+                if deployment.contains(u) && better_assignment((u, g), best) {
+                    best = Some((u, g));
                 }
             }
             let agree = match (f.assigned, best) {
@@ -986,8 +1424,8 @@ impl DeltaState {
         let mut primary = vec![0.0f64; self.rows.len()];
         let mut unserved = 0usize;
         for slot in self.slots_in_seq_order() {
-            let f = self.flows[ix(slot)].as_ref().expect("live slot");
-            unprocessed += approx_f64(f.rate) * f.cost;
+            let f = self.live(slot);
+            unprocessed += approx_f64(f.rate) * table.cost(f.class);
             match f.assigned {
                 Some((v, g)) => {
                     let s = approx_f64(f.rate) * factor * g;
@@ -1044,6 +1482,33 @@ impl DeltaState {
             .assigned = assigned;
     }
 
+    /// Corruption hook: counts one member too many in `key`'s class —
+    /// breaks invariant 5 (`delta-class-census`).
+    ///
+    /// # Panics
+    /// Panics if `key` is not active.
+    pub fn audit_miscount_class(&mut self, key: FlowKey) {
+        let Some(f) = self.flow(key) else {
+            panic!("corrupting an unknown flow key")
+        };
+        let c = f.class;
+        self.classes.classes[ix(c)].members += 1;
+    }
+
+    /// Corruption hook: takes `key`'s class out of the class table
+    /// while its flows still name it — breaks invariant 5
+    /// (`delta-class-key`).
+    ///
+    /// # Panics
+    /// Panics if `key` is not active.
+    pub fn audit_unmap_class(&mut self, key: FlowKey) {
+        let Some(f) = self.flow(key) else {
+            panic!("corrupting an unknown flow key")
+        };
+        let c = f.class;
+        self.classes.unlink(c);
+    }
+
     /// Corruption hook: skews the running `saved` sum — breaks
     /// invariant 3.
     pub fn audit_skew_saved(&mut self, delta: f64) {
@@ -1088,8 +1553,7 @@ mod tests {
         add(&mut st, 8, 4, vec![2, 1, 0], &dep); // gain at v1 = 1
                                                  // + unprocessed 4*2 = 8, + saved 4*0.5*1 = 2.
         assert_eq!(st.objective(), 11.0);
-        let dirty = st.remove(7);
-        assert_eq!(dirty, vec![3, 2, 1, 0]);
+        assert_eq!(st.remove(7), [3, 2, 1, 0]);
         assert_eq!(st.objective(), 6.0);
         st.remove(8);
         assert_eq!(st.objective(), 0.0);
@@ -1097,28 +1561,6 @@ mod tests {
         // Not the empty `Sum<f64>`'s -0.0 — a drained state must
         // format as "0.00", not "-0.00".
         assert!(st.exact_objective().is_sign_positive());
-    }
-
-    #[test]
-    fn reroute_switches_path_and_preserves_identity() {
-        let mut st = DeltaState::new(5, 0.5);
-        let dep = Deployment::from_vertices(5, [4]);
-        // Active on 0 → 1 → 2: no deployed vertex on path, unserved.
-        add(&mut st, 7, 2, vec![0, 1, 2], &dep);
-        assert_eq!(st.objective(), 4.0); // 2·2, nothing saved
-        assert_eq!(st.unserved_count(), 1);
-        // Switch to the covered candidate 0 → 4 → 2.
-        let f = Flow::new(0, 2, vec![0, 4, 2]);
-        let (gains, cost) = (HopCount.gains(&f), HopCount.unprocessed_cost(&f));
-        let mut dirty = st.reroute(7, vec![0, 4, 2], gains, cost, &dep);
-        dirty.sort_unstable();
-        assert_eq!(dirty, vec![0, 1, 2, 4]); // old ∪ new path
-        assert_eq!(st.active_count(), 1);
-        assert_eq!(st.unserved_count(), 0);
-        assert_eq!(st.flow(7).unwrap().assigned, Some((4, 1.0)));
-        assert_eq!(st.objective(), 3.0); // 2·2 − 2·0.5·1
-                                         // The old route's rows are fully unlinked.
-        assert_eq!(st.marginal_gain(1), 0.0);
     }
 
     #[test]
@@ -1380,5 +1822,119 @@ mod tests {
         st.commit(1);
         st.rebuild_assignments(&dep);
         assert_eq!(st.objective().to_bits(), st.exact_objective().to_bits());
+    }
+
+    /// Flows on one path priced alike share one class; a second
+    /// pricing of that path opens its own; the last member's departure
+    /// frees the class, whose id the next new class takes, and
+    /// `remove` still lends out the freed class's path.
+    #[test]
+    fn classes_are_shared_split_by_pricing_freed_and_reused() {
+        let mut st = DeltaState::new(5, 0.5);
+        let dep = Deployment::from_vertices(5, [2]);
+        add(&mut st, 0, 1, vec![0, 1, 2], &dep);
+        add(&mut st, 1, 2, vec![0, 1, 2], &dep);
+        add(&mut st, 2, 3, vec![3, 2], &dep);
+        assert_eq!(st.class_count(), 2);
+        assert_eq!(st.flow(0).unwrap().class, st.flow(1).unwrap().class);
+        // The same path priced at twice the hop counts.
+        st.insert(3, 4, vec![0, 1, 2], vec![4.0, 2.0, 0.0], 4.0, &dep);
+        assert_eq!(st.class_count(), 3);
+        assert_ne!(st.flow(3).unwrap().class, st.flow(0).unwrap().class);
+        let priced = st.priced(st.flow(3).unwrap());
+        assert_eq!(
+            (priced.rate, priced.gains, priced.cost),
+            (4, &[4.0, 2.0, 0.0][..], 4.0)
+        );
+        st.check_invariants(&dep).unwrap();
+        let freed = st.flow(2).unwrap().class;
+        assert_eq!(st.remove(2), [3, 2], "the freed class's path");
+        assert_eq!(st.class_count(), 2);
+        st.check_invariants(&dep).unwrap();
+        add(&mut st, 4, 1, vec![4, 3], &dep);
+        assert_eq!(st.flow(4).unwrap().class, freed, "a freed id is reused");
+        assert_eq!(st.remove(0), [0, 1, 2]);
+        assert_eq!(st.class_count(), 3, "flow 1 keeps the class open");
+        st.check_invariants(&dep).unwrap();
+        for key in [1, 3, 4] {
+            st.remove(key);
+        }
+        assert_eq!(st.class_count(), 0);
+        st.check_invariants(&dep).unwrap();
+    }
+
+    /// The class checks catch what the public hooks cannot seed: a
+    /// flow naming a freed class, an emptied class left in the table,
+    /// two classes on one arena span, and two live classes with one
+    /// path and one pricing.
+    #[test]
+    fn class_audit_catches_freed_empty_and_duplicate_classes() {
+        let dep = Deployment::empty(4);
+        let mut clean = DeltaState::new(4, 0.5);
+        add(&mut clean, 0, 1, vec![0, 1, 2], &dep);
+        clean.insert(1, 2, vec![0, 1, 2], vec![4.0, 2.0, 0.0], 4.0, &dep);
+        add(&mut clean, 2, 3, vec![3, 2], &dep);
+        clean.remove(2);
+        clean.check_invariants(&dep).unwrap();
+        let (c0, c1) = (clean.flow(0).unwrap().class, clean.flow(1).unwrap().class);
+        let freed = clean.classes.free[0];
+        let check = |corrupt: &dyn Fn(&mut DeltaState)| {
+            let mut st = clean.clone();
+            corrupt(&mut st);
+            st.check_invariants(&dep).unwrap_err().check
+        };
+        let slot = |st: &DeltaState, key| ix(st.lookup(key).unwrap());
+        assert_eq!(
+            check(&|st| {
+                let s = slot(st, 0);
+                st.flows[s].as_mut().unwrap().class = freed;
+            }),
+            "delta-class-census"
+        );
+        assert_eq!(
+            check(&|st| st.classes.classes[ix(c0)].members = 0),
+            "delta-class-census"
+        );
+        // The drained class back off the free list: empty, yet live.
+        assert_eq!(check(&|st| st.classes.free.clear()), "delta-class-census");
+        assert_eq!(check(&|st| st.classes.free.push(c1)), "delta-class-census");
+        // Class 1 moved onto class 0's span of the arenas.
+        assert_eq!(
+            check(&|st| st.classes.classes[ix(c1)].at = st.classes.classes[ix(c0)].at),
+            "delta-class-census"
+        );
+        assert_eq!(
+            check(&|st| {
+                let twin = st.classes.gains(c0).to_vec();
+                let span = st.classes.span(c1);
+                st.classes.gains[span].copy_from_slice(&twin);
+                st.classes.classes[ix(c1)].cost = st.classes.cost(c0);
+            }),
+            "delta-class-key"
+        );
+    }
+
+    #[test]
+    fn class_table_survives_grow_and_backward_shift_churn() {
+        // 300 distinct two-hop paths through vertex 0 force growth;
+        // every third class then empties, and every survivor must stay
+        // reachable by its key across the backward shifts.
+        let mut st = DeltaState::new(301, 0.5);
+        let dep = Deployment::empty(301);
+        for v in 1..=300u32 {
+            add(&mut st, u64::from(v), 1, vec![v, 0], &dep);
+        }
+        assert_eq!(st.class_count(), 300);
+        for v in (1..=300u32).step_by(3) {
+            st.remove(u64::from(v));
+        }
+        assert_eq!(st.class_count(), 200);
+        st.check_invariants(&dep).unwrap();
+        for v in (1..=300u32).step_by(3) {
+            add(&mut st, 1000 + u64::from(v), 1, vec![v, 0], &dep);
+        }
+        assert_eq!(st.class_count(), 300);
+        assert!(st.classes.classes.len() == 300, "freed ids were reused");
+        st.check_invariants(&dep).unwrap();
     }
 }

@@ -48,7 +48,7 @@
 
 use tdmd_core::algorithms::gtp::gtp_budgeted_index;
 use tdmd_core::num::{approx_f64, big_ix, id32, ix, wide};
-use tdmd_core::{CostModel, Deployment, Instance, PathCheck, TdmdError};
+use tdmd_core::{CostModel, Deployment, Instance, PathCheck, PricedFlow, TdmdError};
 use tdmd_graph::{DiGraph, NodeId};
 use tdmd_traffic::Flow;
 
@@ -158,6 +158,11 @@ pub struct OnlineEngine<M: CostModel> {
     tokens: f64,
     /// Validates arriving paths without allocating.
     paths: PathCheck,
+    /// The arriving flow as the model prices it (id 0, tenant 0),
+    /// reused across arrivals.
+    probe: Flow,
+    /// The arriving flow's per-position gains, reused across arrivals.
+    gains: Vec<f64>,
     /// Per-event auditing ([`OnlineEngine::enable_audit`]): every
     /// `apply` re-validates the full invariant stack.
     audit: bool,
@@ -196,6 +201,13 @@ impl<M: CostModel> OnlineEngine<M> {
             stats: RepairStats::default(),
             tokens: policy.budget.initial_tokens(),
             paths: PathCheck::new(n),
+            probe: Flow {
+                id: 0,
+                rate: 0,
+                path: Vec::new(),
+                tenant: 0,
+            },
+            gains: Vec::new(),
             audit: false,
         })
     }
@@ -298,8 +310,10 @@ impl<M: CostModel> OnlineEngine<M> {
     }
 
     /// The drift oracle: budgeted GTP on the active flows, compiled
-    /// straight from the live state ([`DeltaState::flow_index`]) with
-    /// the gains the engine stored at arrival. Bitwise the deployment
+    /// straight from the live path classes ([`DeltaState::flow_index`])
+    /// with the gains the engine stored at arrival: the classes are
+    /// numbered by first arrival and no path is hashed or copied per
+    /// flow. Bitwise the deployment
     /// [`gtp_budgeted_with`](tdmd_core::algorithms::gtp::gtp_budgeted_with)
     /// returns on [`OnlineEngine::snapshot_instance`] under the model
     /// those gains came from, without building the instance.
@@ -475,22 +489,36 @@ impl<M: CostModel> OnlineEngine<M> {
         Ok(())
     }
 
+    /// Prices a validated arrival as the flow `Flow::new(0, rate, path)`
+    /// — gain by gain through [`CostModel::serving_gain`], which is how
+    /// [`CostModel::gains`] is defined — into the reused probe and gain
+    /// buffers, and inserts it. An arrival on a known class allocates
+    /// only its row back-pointers.
     fn on_arrival(&mut self, key: FlowKey, rate: u64, path: &[NodeId]) -> Result<(), OnlineError> {
         self.validate_arrival(key, rate, path)?;
-        let probe = Flow::new(0, rate, path.to_vec());
-        let gains = self.model.gains(&probe);
-        let cost = self.model.unprocessed_cost(&probe);
+        self.probe.rate = rate;
+        self.probe.path.clear();
+        self.probe.path.extend_from_slice(path);
+        let (model, probe) = (&self.model, &self.probe);
+        self.gains.clear();
+        self.gains
+            .extend((0..path.len()).map(|pos| model.serving_gain(probe, pos)));
+        let cost = model.unprocessed_cost(probe);
         let factor = 1.0 - self.lambda;
         // Gains can only *rise* at the new flow's own vertices; bump
         // each bound by the flow's maximum contribution there.
-        for (pos, &v) in path.iter().enumerate() {
+        for (&v, &g) in path.iter().zip(&self.gains) {
             if !self.deployment.contains(v) {
-                self.queue
-                    .touch_up(v, approx_f64(rate) * factor * gains[pos]);
+                self.queue.touch_up(v, approx_f64(rate) * factor * g);
             }
         }
-        self.state
-            .insert(key, rate, path.to_vec(), gains, cost, &self.deployment);
+        let f = PricedFlow {
+            rate,
+            path,
+            gains: &self.gains,
+            cost,
+        };
+        self.state.insert_priced(key, f, &self.deployment);
         self.stats.arrivals += 1;
         Ok(())
     }
@@ -499,10 +527,9 @@ impl<M: CostModel> OnlineEngine<M> {
         if !self.state.is_active(key) {
             return Err(OnlineError::UnknownKey { key });
         }
-        let dirty = self.state.remove(key);
         // A departure only shrinks marginal gains: cached bounds stay
         // valid, just stale.
-        for v in dirty {
+        for &v in self.state.remove(key) {
             self.queue.touch_down(v);
         }
         self.stats.departures += 1;
@@ -717,9 +744,13 @@ impl<M: CostModel> OnlineEngine<M> {
     /// deferred and the caller falls back to budget-capped local
     /// repair. While failures are active the oracle's deployment is
     /// stripped of failed vertices before evaluation, and stripped
-    /// budget is re-spent by a greedy fill after adoption. The oracle
-    /// is compiled and its deployment evaluated over one arrival-order
-    /// sort of the live slots. Returns whether a replan was adopted.
+    /// budget is re-spent by a greedy fill after adoption. One
+    /// arrival-order sort of the live slots serves both halves: the
+    /// oracle is compiled from the live classes numbered in that order
+    /// ([`DeltaState::flow_index`]), and its deployment is evaluated by
+    /// finding each live class's best gain once and summing the flows
+    /// in that order ([`DeltaState::objective_under`]). Returns whether
+    /// a replan was adopted.
     fn drift_check(&mut self, force: bool) -> bool {
         self.stats.drift_samples += 1;
         let order = self.state.slots_in_seq_order();
@@ -820,14 +851,8 @@ impl<M: CostModel> OnlineEngine<M> {
         let n = self.graph.node_count();
         let old = std::mem::replace(&mut self.state, DeltaState::new(n, self.lambda));
         for f in old.flows_in_seq_order() {
-            self.state.insert(
-                f.key,
-                f.rate,
-                f.path.clone(),
-                f.gains.clone(),
-                f.cost,
-                &self.deployment,
-            );
+            self.state
+                .insert_priced(f.key, old.priced(f), &self.deployment);
         }
         let mut queue = LazyQueue::new(n);
         for v in 0..id32(n) {
@@ -855,12 +880,15 @@ impl<M: CostModel> OnlineEngine<M> {
             .state
             .flows_in_seq_order()
             .into_iter()
-            .map(|f| SnapshotFlow {
-                key: f.key,
-                rate: f.rate,
-                path: f.path.clone(),
-                gains: f.gains.clone(),
-                cost: f.cost,
+            .map(|f| {
+                let p = self.state.priced(f);
+                SnapshotFlow {
+                    key: f.key,
+                    rate: f.rate,
+                    path: p.path.to_vec(),
+                    gains: p.gains.to_vec(),
+                    cost: p.cost,
+                }
             })
             .collect();
         EngineSnapshot {
@@ -961,14 +989,15 @@ impl<M: CostModel> OnlineEngine<M> {
             {
                 return Err(SnapshotError::InvalidFlow { key: f.key });
             }
-            engine.state.insert(
-                f.key,
-                f.rate,
-                f.path.clone(),
-                f.gains.clone(),
-                f.cost,
-                &engine.deployment,
-            );
+            let priced = PricedFlow {
+                rate: f.rate,
+                path: &f.path,
+                gains: &f.gains,
+                cost: f.cost,
+            };
+            engine
+                .state
+                .insert_priced(f.key, priced, &engine.deployment);
         }
         for v in 0..id32(n) {
             if !engine.failed[ix(v)] && !engine.deployment.contains(v) {

@@ -12,20 +12,20 @@
 //!
 //! Flows are priced by the same [`CostModel`](tdmd_core::CostModel)
 //! the static solvers use (hop count, weighted edges, the chain
-//! crate's stack model): the engine calls
-//! [`CostModel::gains`](tdmd_core::CostModel::gains) once per arrival
-//! and stores the result for the flow's lifetime, and the drift oracle
-//! compiles those stored gains, so it optimizes exactly the objective
-//! the stream prices.
+//! crate's stack model): the engine prices each arrival once
+//! ([`CostModel::gains`](tdmd_core::CostModel::gains), gain by gain)
+//! and stores the result with the flow's path class for the flow's
+//! lifetime, and the drift oracle compiles those stored gains, so it
+//! optimizes exactly the objective the stream prices.
 //!
 //! * [`event`] — the churn + failure event stream and the serializable
 //!   [`FlowSpan`] records a stream is replayed from.
 //! * [`delta`] — [`DeltaState`], the incrementally-maintained mirror
 //!   of the static CSR flow index: per-vertex flow rows with O(1)
-//!   removal, per-flow assignments, and the objective as a running
-//!   sum. Arrivals, departures and candidate-path reroutes (a live
-//!   flow switching to another candidate under the joint routing
-//!   extension) touch only the flow's own old and new paths.
+//!   removal, per-flow assignments, the objective as a running sum,
+//!   and a live table of path classes that holds each path with its
+//!   stored gains once. Arrivals and departures touch only the flow's
+//!   own path.
 //! * [`queue`] — [`LazyQueue`], a CELF-style lazy priority queue whose
 //!   cached marginal gains survive across events under epoch-stamped
 //!   invalidation.

@@ -9,7 +9,8 @@
 //! * **Completeness** — each corruption hook seeds one specific
 //!   invariant break, and the auditor rejects it with the expected
 //!   check name: off-path/suboptimal assignment, skewed running sums,
-//!   broken row mirror, stale queue epoch.
+//!   broken row mirror, miscounted or unmapped path class, stale queue
+//!   epoch.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -143,6 +144,24 @@ fn swapped_row_entries_break_the_mirror() {
     assert!(st.audit_swap_row_entries(1), "vertex 1 carries two flows");
     let err = st.check_invariants(&dep).unwrap_err();
     assert_eq!(err.check, "delta-row-backpointer", "{err}");
+}
+
+#[test]
+fn miscounted_class_breaks_the_census() {
+    let (mut st, dep) = seeded_state();
+    // Flow 8's class counts a member no flow is.
+    st.audit_miscount_class(8);
+    let err = st.check_invariants(&dep).unwrap_err();
+    assert_eq!(err.check, "delta-class-census", "{err}");
+}
+
+#[test]
+fn unmapped_class_breaks_the_key_map() {
+    let (mut st, dep) = seeded_state();
+    // Flow 7's class is still named but no longer found by its path.
+    st.audit_unmap_class(7);
+    let err = st.check_invariants(&dep).unwrap_err();
+    assert_eq!(err.check, "delta-class-key", "{err}");
 }
 
 #[test]

@@ -13,17 +13,23 @@
 //! tie-break, and weighted-edge pricing with non-unit weights, at λ
 //! values that include non-dyadic ones, where a different summation
 //! order would show in the low bits. The engine and the static path
-//! price with the same model object.
+//! price with the same model object. Streams over a few paths drain
+//! path classes and reopen them, so the live class table reuses ids
+//! that must not leak into the index's first-appearance numbering.
+//! A restored snapshot whose flows on one path carry different stored
+//! gains keeps one class per pricing, as `FlowIndex::compile` of the
+//! snapshot does, and a new arrival on that path joins the class its
+//! model prices.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tdmd_core::algorithms::gtp::gtp_budgeted_with;
-use tdmd_core::{CostModel, FlowIndex, HopCount, WeightedEdges};
+use tdmd_core::algorithms::gtp::{gtp_budgeted_index, gtp_budgeted_with};
+use tdmd_core::{CostModel, FlowIndex, HopCount, PricedFlow, WeightedEdges};
 use tdmd_graph::generators::random::erdos_renyi_connected;
 use tdmd_graph::traversal::bfs;
 use tdmd_graph::{DiGraph, GraphBuilder, NodeId};
-use tdmd_online::{Event, FlowKey, OnlineEngine, RepairPolicy};
+use tdmd_online::{EngineSnapshot, Event, FlowKey, OnlineEngine, RepairPolicy};
 use tdmd_traffic::Flow;
 
 const LAMBDAS: [f64; 6] = [0.3, 0.7, 0.1, 0.5, 0.0, 1.0];
@@ -161,9 +167,45 @@ impl CostModel for NoTies {
     }
 }
 
-/// Drives one stream through an engine priced by `model`, checking
-/// after every event that the compiled index and the oracle match the
-/// static path under the same `model`.
+/// Mostly [`next_event`]'s flow churn confined to the paths of `pool`,
+/// so path classes drain and reopen; one event in five is a free
+/// [`next_event`].
+fn pooled_event<M: CostModel>(
+    engine: &OnlineEngine<M>,
+    g: &DiGraph,
+    pool: &[Vec<NodeId>],
+    active: &mut Vec<FlowKey>,
+    next_key: &mut FlowKey,
+    rng: &mut StdRng,
+) -> Event {
+    match rng.gen_range(0..10) {
+        0..=1 => next_event(engine, g, active, next_key, rng),
+        2..=5 if !active.is_empty() => {
+            let i = rng.gen_range(0..active.len());
+            Event::FlowDeparted {
+                key: active.swap_remove(i),
+            }
+        }
+        _ => {
+            let key = *next_key;
+            *next_key += 1;
+            active.push(key);
+            Event::FlowArrived {
+                key,
+                rate: rng.gen_range(1..=12),
+                path: pool[rng.gen_range(0..pool.len())].clone(),
+            }
+        }
+    }
+}
+
+/// The event stream a check drives: the next event for the engine.
+type NextEvent<'a, M> =
+    dyn FnMut(&OnlineEngine<M>, &mut Vec<FlowKey>, &mut FlowKey, &mut StdRng) -> Event + 'a;
+
+/// Drives one stream of [`next_event`]s through an engine priced by
+/// `model`, checking after every event that the compiled index and
+/// the oracle match the static path under the same `model`.
 fn check_stream<M: CostModel + Clone>(
     g: DiGraph,
     lambda: f64,
@@ -172,16 +214,38 @@ fn check_stream<M: CostModel + Clone>(
     seed: u64,
     len: usize,
 ) {
+    let graph = g.clone();
+    check_events(
+        g,
+        lambda,
+        k,
+        model,
+        seed,
+        len,
+        &mut |e, active, key, rng| next_event(e, &graph, active, key, rng),
+    );
+}
+
+/// [`check_stream`] over the events `next` draws.
+fn check_events<M: CostModel + Clone>(
+    g: DiGraph,
+    lambda: f64,
+    k: usize,
+    model: M,
+    seed: u64,
+    len: usize,
+    next: &mut NextEvent<'_, M>,
+) {
     let ties = model.coverage_tiebreak();
     let policy = RepairPolicy {
         sample_every: 3,
         ..RepairPolicy::default()
     };
-    let mut engine = OnlineEngine::new(g.clone(), lambda, k, model.clone(), policy).unwrap();
+    let mut engine = OnlineEngine::new(g, lambda, k, model.clone(), policy).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     let (mut active, mut next_key) = (Vec::new(), 0);
     for _ in 0..len {
-        let ev = next_event(&engine, &g, &mut active, &mut next_key, &mut rng);
+        let ev = next(&engine, &mut active, &mut next_key, &mut rng);
         engine.apply(&ev).unwrap();
         let inst = engine.snapshot_instance().unwrap();
         assert_bitwise(
@@ -227,6 +291,31 @@ proptest! {
     }
 
     #[test]
+    fn drained_and_reopened_classes_keep_the_snapshot_index(
+        seed in any::<u64>(),
+        n in 5usize..16,
+        len in 1usize..60,
+        k in 1usize..5,
+        li in 0usize..LAMBDAS.len(),
+        paths in 1usize..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = weighted_graph(n, &mut rng);
+        let pool: Vec<Vec<NodeId>> = (0..paths)
+            .map(|_| {
+                let src = rng.gen_range(0..n as NodeId);
+                let dst = (src + rng.gen_range(1..n as NodeId)) % n as NodeId;
+                shortest_path(&g, src, dst)
+            })
+            .collect();
+        let model = WeightedEdges::new(&g);
+        let graph = g.clone();
+        check_events(g, LAMBDAS[li], k, model, seed ^ 0x0F, len, &mut |e, active, key, rng| {
+            pooled_event(e, &graph, &pool, active, key, rng)
+        });
+    }
+
+    #[test]
     fn weight_priced_oracle_index_is_the_snapshot_index(
         seed in any::<u64>(),
         n in 4usize..16,
@@ -239,4 +328,147 @@ proptest! {
         let model = WeightedEdges::new(&g);
         check_stream(g, LAMBDAS[li], k, model, seed ^ 0x0D, len);
     }
+}
+
+/// Four paths on a 6-vertex graph; the classes open, drain and reopen
+/// in an order where every reopened path takes a freed id that
+/// belonged to another path, and the index must still number the
+/// classes by first arrival among the live flows.
+#[test]
+fn reused_class_ids_do_not_leak_into_the_numbering() {
+    let mut b = GraphBuilder::new(6);
+    for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)] {
+        b.add_bidirectional_weighted(u, v, 1);
+    }
+    let g = b.build();
+    let [a, bb, c, d]: [Vec<NodeId>; 4] = [
+        vec![0, 1, 2],
+        vec![5, 4, 3],
+        vec![0, 1, 4, 5],
+        vec![3, 2, 1],
+    ];
+    let arrive = |key: FlowKey, rate: u64, path: &Vec<NodeId>| Event::FlowArrived {
+        key,
+        rate,
+        path: path.clone(),
+    };
+    let depart = |key: FlowKey| Event::FlowDeparted { key };
+    let events = [
+        arrive(0, 3, &a),
+        arrive(1, 5, &bb),
+        arrive(2, 2, &c),
+        arrive(3, 4, &a),
+        depart(0),
+        depart(3),         // a drains: its id is freed
+        arrive(4, 7, &d),  // d takes a's id but arrives after bb and c
+        arrive(5, 1, &a),  // a reopens under a new id
+        depart(1),         // bb drains
+        arrive(6, 6, &bb), // bb reopens under its own id, now last
+        arrive(7, 2, &c),
+        depart(2),
+        depart(7), // c drains
+        arrive(8, 9, &c),
+    ];
+    let counts = [1, 2, 3, 3, 3, 2, 3, 4, 3, 4, 4, 4, 3, 4];
+    for lambda in [0.3, 0.5] {
+        let model = WeightedEdges::new(&g);
+        let mut engine =
+            OnlineEngine::new(g.clone(), lambda, 2, model.clone(), RepairPolicy::default())
+                .unwrap();
+        for (ev, &count) in events.iter().zip(&counts) {
+            engine.apply(ev).unwrap();
+            assert_eq!(engine.state().class_count(), count, "after {ev:?}");
+            let inst = engine.snapshot_instance().unwrap();
+            assert_bitwise(
+                &engine.state().flow_index(true),
+                &FlowIndex::build(&inst, &model),
+            );
+            assert_eq!(
+                engine.solve_oracle(),
+                gtp_budgeted_with(&inst, 2, &model),
+                "oracle after {ev:?}"
+            );
+        }
+    }
+}
+
+/// The index `compile` builds from a snapshot's stored gains, in
+/// arrival order.
+fn compiled(snap: &EngineSnapshot, ties: bool) -> FlowIndex {
+    FlowIndex::compile(
+        snap.node_count as usize,
+        snap.lambda,
+        ties,
+        snap.flows.iter().map(|f| PricedFlow {
+            rate: f.rate,
+            path: &f.path,
+            gains: &f.gains,
+            cost: f.cost,
+        }),
+    )
+}
+
+/// Fig. 1's graph and four flows plus a second flow (key 5) on flow
+/// 2's path v6 → v3 → v2; the snapshot stores flow 2's gains and cost
+/// at fifty times its hop counts. Restored, the path keeps two
+/// classes, one per pricing, as `compile` of the snapshot has them; a
+/// hop-priced arrival on that path joins key 5's class; and after
+/// every step the live index is `compile`'s bit for bit and the oracle
+/// is the kernel's answer on it.
+#[test]
+fn a_restored_path_priced_two_ways_keeps_two_classes() {
+    let fig1 = tdmd_core::paper::fig1_instance(2);
+    let g = fig1.graph().clone();
+    let mut e =
+        OnlineEngine::new(g.clone(), 0.3, 2, HopCount, RepairPolicy::local_only(0)).unwrap();
+    let flows: [(FlowKey, u64, Vec<NodeId>); 5] = [
+        (1, 4, vec![4, 2, 0]),
+        (2, 2, vec![5, 2, 1]),
+        (3, 2, vec![3, 1]),
+        (4, 2, vec![5, 1]),
+        (5, 3, vec![5, 2, 1]),
+    ];
+    for (key, rate, path) in flows {
+        e.apply(&Event::FlowArrived { key, rate, path }).unwrap();
+    }
+    assert_eq!(e.state().class_count(), 4);
+    let mut snap = e.snapshot();
+    let f = snap.flows.iter_mut().find(|f| f.key == 2).unwrap();
+    f.gains = f.gains.iter().map(|g| 50.0 * g).collect();
+    f.cost *= 50.0;
+    let mut r = OnlineEngine::restore(g, HopCount, RepairPolicy::local_only(0), &snap).unwrap();
+    assert_eq!(r.state().class_count(), 5, "one class per pricing");
+    let check = |r: &OnlineEngine<HopCount>, snap: &EngineSnapshot| {
+        let want = compiled(snap, true);
+        let live = r.state().flow_index(true);
+        assert_bitwise(&live, &want);
+        assert_eq!(r.solve_oracle(), gtp_budgeted_index(&want, 2));
+        let on_path = (0..live.class_count() as u32)
+            .filter(|&c| live.class_path(c) == [5, 2, 1])
+            .count();
+        assert_eq!(on_path, 2);
+        live
+    };
+    let live = check(&r, &snap);
+    // Ranks are arrival order: keys 1..=5 are flows 0..=4.
+    assert_ne!(live.class_of(1), live.class_of(4));
+    r.apply(&Event::FlowArrived {
+        key: 6,
+        rate: 1,
+        path: vec![5, 2, 1],
+    })
+    .unwrap();
+    assert_eq!(r.state().class_count(), 5, "the arrival joins a class");
+    let mut grown = r.snapshot();
+    assert_eq!(grown.flows.last().map(|f| f.key), Some(6));
+    let live = check(&r, &grown);
+    assert_eq!(live.class_of(5), live.class_of(4), "key 6 joins key 5");
+    assert_eq!(live.class_size(live.class_of(4)), 2);
+    // Key 2 leaves: its class drains, and the hop-priced one remains.
+    r.apply(&Event::FlowDeparted { key: 2 }).unwrap();
+    assert_eq!(r.state().class_count(), 4);
+    grown.flows.retain(|f| f.key != 2);
+    let want = compiled(&grown, true);
+    assert_bitwise(&r.state().flow_index(true), &want);
+    assert_eq!(r.solve_oracle(), gtp_budgeted_index(&want, 2));
 }
