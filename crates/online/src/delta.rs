@@ -3,83 +3,96 @@
 //!
 //! The static engine compiles the whole workload into one immutable
 //! CSR arena; a stream cannot. `DeltaState` keeps the same
-//! information — per-vertex `(flow, gain)` rows, per-flow serving
-//! assignments, and the objective — under churn, with every update
-//! touching only the affected flow's path. Eq. 1 and Def. 2 see a flow
-//! only through its path and its rate, so a flow keeps its key, rate,
-//! arrival order, assignment and row back-pointers, and names a *live
-//! path class* for the rest: the path, the gains and the cost it was
-//! priced with at arrival, held once per class.
+//! information — per-vertex rows, serving assignments, and the
+//! objective — under churn. Eq. 1 and Def. 2 see a flow only through
+//! its path and its rate, so the members of one *live path class* (a
+//! path priced one way) share their gains, their assignment and their
+//! share of every marginal decrement. The class therefore holds the
+//! path and the gains and cost its members arrived with, the exact sum
+//! `R_c` of their rates (a `u128`), their assignment and the class's
+//! row entries. A flow keeps only its key, rate, arrival order and
+//! class, and its links in the class's *member list*, which holds the
+//! members in arrival order. An arrival on or a departure from a live
+//! class touches no row; commits and re-homes move whole classes.
 //!
 //! # Invariants
 //!
 //! 1. **Row mirror** — for every vertex `v`, `rows[v]` holds exactly
-//!    one entry per *active* flow whose path crosses `v`, and the
-//!    flow's `row_pos` back-pointers index those entries (so a
-//!    departure removes its entries by `swap_remove` in O(path
-//!    length) without scanning). An entry reads its gain through the
-//!    flow's class.
-//! 2. **Assignment optimality** — each active flow's `assigned` is
-//!    the deployed on-path vertex maximizing `(gain, smaller id)`, or
-//!    `None` when no deployed vertex lies on its path; this matches
-//!    the forced allocation of the static `allocate` (§3.1)
-//!    deterministically, tie-break included.
+//!    one `(class, pos)` entry per live class whose path crosses `v`,
+//!    and the class's row back-pointers index those entries. Entries
+//!    open and close with their class; a closing class removes its
+//!    entries by `swap_remove` in O(path length) without scanning.
+//!    An entry reads its gain through the class.
+//! 2. **Assignment optimality** — each live class's assignment is the
+//!    deployed on-path vertex maximizing `(gain, smaller id)`, or
+//!    `None` when no deployed vertex lies on its path, and it serves
+//!    every member; this matches the forced allocation of the static
+//!    `allocate` (§3.1) deterministically, tie-break included.
 //! 3. **Running objective** — `unprocessed = Σ r_f · cost(p_f)` and
-//!    `saved = Σ_{assigned} r_f · (1 − λ) · gain` over active flows,
+//!    `saved = Σ_{served f} r_f · (1 − λ) · gain` over active flows,
 //!    so `objective() = unprocessed − saved` in O(1). `primary_load[v]`
-//!    is the `saved` share of the flows assigned to `v` — an upper
-//!    bound on the objective loss of undeploying `v` (flows re-home
-//!    to their second-best box, recovering part of it).
+//!    is the `saved` share of the flows served at `v` — an upper bound
+//!    on the objective loss of undeploying `v` (flows re-home to their
+//!    second-best box, recovering part of it). An arrival or departure
+//!    adds or takes its own term; a class that moves moves
+//!    `R_c · (1 − λ) · gain`, which equals its members' terms exactly
+//!    whenever those products are exact (integer rates at λ = 0.5, for
+//!    one) and up to rounding otherwise.
 //! 4. **Unserved census** — `unserved` counts exactly the active
-//!    flows with `assigned == None`. Those flows ride at full rate
-//!    (their whole `r_f · cost(p_f)` stays in the objective); the
-//!    failure layer reads this as its degraded-flow census. Every
-//!    change of an active flow between served and unserved is also
-//!    appended to the flip log ([`DeltaState::flips`]), so a reader
-//!    can keep per-flow-group sums of served and degraded rate without
-//!    walking the flows.
-//! 5. **Class census** — every active flow names a live class, each
+//!    flows whose class has no assignment. Those flows ride at full
+//!    rate (their whole `r_f · cost(p_f)` stays in the objective); the
+//!    failure layer reads this as its degraded-flow census. A class
+//!    changes between served and unserved only when it gains its first
+//!    or loses its last deployed on-path vertex, and each such change
+//!    appends every member to the flip log ([`DeltaState::flips`]) in
+//!    arrival order, so a reader can keep per-flow-group sums of
+//!    served and degraded rate without walking the flows.
+//! 5. **Class census** — every active flow names a live class; each
 //!    live class counts exactly the active flows naming it (so none is
-//!    empty), and the class table maps each live class's path and
-//!    pricing (the bits of its gains and cost) to that class alone —
-//!    the key [`FlowIndex::compile`] classifies by. A class that
-//!    empties leaves the table, and its id is reused.
+//!    empty), sums their rates exactly in `R_c`, and links exactly
+//!    those flows, in arrival order, in its member list; and the class
+//!    table maps each live class's path and pricing (the bits of its
+//!    gains and cost) to that class alone — the key
+//!    [`FlowIndex::compile`] classifies by. A class that empties
+//!    leaves the table, and its id is reused.
 //!
 //! All five are restored by every mutation (insert, remove, commit,
-//! rehome/failover, rebuild); the engine's repair logic relies on
-//! them.
+//! failover, rebuild); the engine's repair logic relies on them.
 
-use tdmd_core::num::{approx_f64, big_ix, id32, ix, KahanSum};
+use tdmd_core::num::{approx_f64, big_ix, id32, ix, rate_sum_f64, KahanSum};
 use tdmd_core::{Deployment, FlowIndex, PricedFlow};
 use tdmd_graph::NodeId;
 use tdmd_traffic::Flow;
 
 use crate::event::FlowKey;
 
-/// An active flow with its live path class and current serving
-/// assignment.
+/// The end of a member list: no slot.
+const NIL: u32 = u32::MAX;
+
+/// An active flow: its key, rate and arrival order, and the live
+/// class that holds its path, pricing and assignment.
 #[derive(Debug, Clone)]
 pub struct ActiveFlow {
     /// Stream-stable key the flow arrived under.
     pub key: FlowKey,
     /// Rate `r_f`.
     pub rate: u64,
-    /// Serving middlebox and its gain, if any deployed vertex lies on
-    /// the path.
-    pub assigned: Option<(NodeId, f64)>,
     /// Arrival sequence number — the canonical densification order.
     pub seq: u64,
-    /// The live class holding the flow's path and the pricing it
-    /// arrived with ([`DeltaState::priced`]).
+    /// The live class holding the flow's path, the pricing it arrived
+    /// with ([`DeltaState::priced`]) and its assignment
+    /// ([`DeltaState::assigned`]).
     class: u32,
-    /// `row_pos[i]` = index of this flow's entry within
-    /// `rows[path[i]]`.
-    row_pos: Vec<u32>,
+    /// The previous member's slot in the class's member list, or
+    /// [`NIL`] at its head.
+    prev: u32,
+    /// The next member's slot, or [`NIL`] at the tail.
+    next: u32,
 }
 
 /// Outcome of orphaning the flows served at a failed/undeployed
 /// vertex (see [`DeltaState::fail_rehome`]).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Failover {
     /// Orphans re-pinned to a surviving deployed on-path vertex.
     pub reassigned: usize,
@@ -87,17 +100,14 @@ pub struct Failover {
     /// rate (degraded-unprocessed accounting) until repair or
     /// recovery re-covers them.
     pub degraded: usize,
-    /// Vertices whose marginal gains may have changed (the full paths
-    /// of every orphaned flow).
-    pub dirty: Vec<NodeId>,
 }
 
-/// One per-vertex row entry: which flow slot, at which path position.
-/// The gain is read through the slot's class, at `pos` of its gains,
-/// so a row entry never goes stale.
+/// One per-vertex row entry: which live class, at which position of
+/// its path. The gain is read through the class, at `pos` of its
+/// gains, so a row entry never goes stale.
 #[derive(Debug, Clone, Copy)]
 struct RowEntry {
-    slot: u32,
+    class: u32,
     pos: u32,
 }
 
@@ -232,12 +242,14 @@ impl KeyIndex {
 }
 
 /// One path class of the live flows: a path, the pricing its members
-/// arrived with, and how many active flows name it. The path and the
-/// gains sit in a span of the class table's arenas.
+/// arrived with, the members' exact rate sum and count, their
+/// assignment and the ends of their member list. The path, the gains
+/// and the row back-pointers sit in a span of the class table's
+/// arenas.
 #[derive(Debug, Clone, Copy)]
 struct LiveClass {
-    /// Start of the class's span in [`ClassTable::nodes`] and
-    /// [`ClassTable::gains`].
+    /// Start of the class's span in [`ClassTable::nodes`],
+    /// [`ClassTable::gains`] and [`ClassTable::row_pos`].
     at: u32,
     /// Path length: the span's length.
     len: u32,
@@ -246,6 +258,16 @@ struct LiveClass {
     /// Active flows naming the class; 0 marks a freed id awaiting
     /// reuse.
     members: u32,
+    /// `R_c`: the exact sum of the members' rates. No sum of `u64`
+    /// rates over fewer than 2^64 flows overflows a `u128`.
+    rate: u128,
+    /// Serving middlebox and its gain, shared by every member
+    /// (invariant 2).
+    assigned: Option<(NodeId, f64)>,
+    /// Slot of the earliest-arrived member, or [`NIL`].
+    head: u32,
+    /// Slot of the latest-arrived member, or [`NIL`].
+    tail: u32,
 }
 
 /// The live path classes, keyed by path and pricing as
@@ -255,12 +277,13 @@ struct LiveClass {
 /// hash above the class id, so a probe compares paths only on equal
 /// hashes and growth never hashes a path again; classes of one path
 /// with different pricings sit further along the same probe sequence.
-/// Paths and gains live in two parallel arenas, one span per class,
-/// so opening a class allocates nothing once the arenas have grown.
-/// A class that empties leaves the table by backward-shift deletion;
-/// its id joins one free list and its span another, kept per length,
-/// for the next class of that length. A freed span keeps its path
-/// until then, so [`DeltaState::remove`] can lend the path out.
+/// Paths, gains and row back-pointers live in three parallel arenas,
+/// one span per class, so opening a class allocates nothing once the
+/// arenas have grown. A class that empties leaves the table by
+/// backward-shift deletion; its id joins one free list and its span
+/// another, kept per length, for the next class of that length. A
+/// freed span keeps its path until then, so [`DeltaState::remove`]
+/// can lend the path out.
 #[derive(Debug, Clone, Default)]
 struct ClassTable {
     /// Power-of-two bucket array; [`ClassTable::EMPTY`] ends a probe.
@@ -272,6 +295,9 @@ struct ClassTable {
     nodes: Vec<NodeId>,
     /// Serving gains, parallel to `nodes`.
     gains: Vec<f64>,
+    /// Row back-pointers, parallel to `nodes`: the index of the
+    /// class's entry in `rows[v]` for the path vertex `v` beside it.
+    row_pos: Vec<u32>,
     /// `spans[len]`: starts of the freed arena spans of `len`
     /// positions.
     spans: Vec<Vec<u32>>,
@@ -304,10 +330,22 @@ impl ClassTable {
         id32(big_ix(word & Self::ID))
     }
 
+    /// Class `c`.
+    #[inline]
+    fn class(&self, c: u32) -> &LiveClass {
+        &self.classes[ix(c)]
+    }
+
+    /// Class `c`, mutably.
+    #[inline]
+    fn class_mut(&mut self, c: u32) -> &mut LiveClass {
+        &mut self.classes[ix(c)]
+    }
+
     /// Class `c`'s span of the arenas.
     #[inline]
     fn span(&self, c: u32) -> std::ops::Range<usize> {
-        let class = &self.classes[ix(c)];
+        let class = self.class(c);
         ix(class.at)..ix(class.at) + ix(class.len)
     }
 
@@ -325,10 +363,16 @@ impl ClassTable {
         &self.gains[self.span(c)]
     }
 
+    /// The gain of class `c` at position `pos` of its path.
+    #[inline]
+    fn gain_at(&self, c: u32, pos: u32) -> f64 {
+        self.gains[ix(self.class(c).at) + ix(pos)]
+    }
+
     /// The unprocessed metric of class `c`'s whole path.
     #[inline]
     fn cost(&self, c: u32) -> f64 {
-        self.classes[ix(c)].cost
+        self.class(c).cost
     }
 
     /// Number of live classes.
@@ -378,15 +422,16 @@ impl ClassTable {
 
     /// Joins one more member to the class of `path` priced as `gains`
     /// and `cost` (one gain per path position): an open class, or a
-    /// new one, under a freed id and in a freed span of its length
-    /// when there are.
-    fn intern(&mut self, path: &[NodeId], gains: &[f64], cost: f64) -> u32 {
+    /// new one — unassigned, with no rate and an empty member list —
+    /// under a freed id and in a freed span of its length when there
+    /// are. Returns the class and whether it is new.
+    fn intern(&mut self, path: &[NodeId], gains: &[f64], cost: f64) -> (u32, bool) {
         self.grow_if_needed();
         let h = Self::hash(path);
         let bucket = match self.probe(h, path, gains, cost) {
             Ok(c) => {
-                self.classes[ix(c)].members += 1;
-                return c;
+                self.class_mut(c).members += 1;
+                return (c, false);
             }
             Err(bucket) => bucket,
         };
@@ -402,6 +447,7 @@ impl ClassTable {
                 let at = id32(self.nodes.len());
                 self.nodes.extend_from_slice(path);
                 self.gains.extend_from_slice(gains);
+                self.row_pos.resize(self.nodes.len(), 0);
                 at
             }
         };
@@ -410,10 +456,14 @@ impl ClassTable {
             len: id32(len),
             cost,
             members: 1,
+            rate: 0,
+            assigned: None,
+            head: NIL,
+            tail: NIL,
         };
         let c = match self.free.pop() {
             Some(c) => {
-                self.classes[ix(c)] = class;
+                *self.class_mut(c) = class;
                 c
             }
             None => {
@@ -422,16 +472,18 @@ impl ClassTable {
             }
         };
         self.buckets[bucket] = (h & !Self::ID) | u64::from(c);
-        c
+        (c, true)
     }
 
     /// Removes one member from class `c`. A class left empty leaves
-    /// the table, and its id and span are freed.
-    fn release(&mut self, c: u32) {
-        let class = &mut self.classes[ix(c)];
+    /// the table, and its id and span are freed; returns whether it
+    /// was. A freed span keeps its path and back-pointers until the
+    /// next class of its length opens.
+    fn release(&mut self, c: u32) -> bool {
+        let class = self.class_mut(c);
         class.members -= 1;
         if class.members > 0 {
-            return;
+            return false;
         }
         let (at, len) = (class.at, ix(class.len));
         self.unlink(c);
@@ -440,6 +492,7 @@ impl ClassTable {
             self.spans.resize_with(len + 1, Vec::new);
         }
         self.spans[len].push(at);
+        true
     }
 
     /// Takes class `c`'s bucket out of the table, if the table holds
@@ -503,28 +556,33 @@ pub struct DeltaState {
     gens: Vec<u32>,
     free: Vec<u32>,
     key_index: KeyIndex,
-    /// The live path classes the flows name (invariant 5).
+    /// The live path classes the flows name, with their rate sums,
+    /// assignments, member lists and row back-pointers (invariants 1,
+    /// 2 and 5).
     classes: ClassTable,
-    /// Per-vertex rows — the mutable analogue of the CSR arena.
+    /// Per-vertex rows of live classes — the mutable analogue of the
+    /// CSR arena.
     rows: Vec<Vec<RowEntry>>,
     unprocessed: KahanSum,
     saved: KahanSum,
-    /// Per-vertex saved share of the flows assigned there.
+    /// Per-vertex saved share of the flows served there.
     primary_load: Vec<f64>,
     active: usize,
-    /// Active flows with no serving middlebox (`assigned == None`) —
-    /// they are accounted at full rate.
+    /// Active flows whose class has no serving middlebox — they are
+    /// accounted at full rate.
     unserved: usize,
     next_seq: u64,
-    /// Reusable dirty-vertex scratch; [`DeltaState::commit`] lends it
-    /// out as a slice so the hot repair path allocates nothing.
+    /// Reusable dirty-vertex scratch: [`DeltaState::commit`] and
+    /// [`DeltaState::fail_rehome`] fill it, sorted and deduplicated,
+    /// and lend it out, so the hot repair path allocates nothing.
     dirty: Vec<NodeId>,
-    /// Monotone census of assignment changes applied by
+    /// Monotone census of flow assignment changes applied by
     /// [`DeltaState::commit`], [`DeltaState::fail_rehome`] and
-    /// [`DeltaState::rebuild_assignments`] (arrival-time initial
-    /// assignments are not changes). The engine reads it differentially
-    /// around each repair move to price flow reassignments, so the
-    /// absolute value carries no meaning and is not serialized.
+    /// [`DeltaState::rebuild_assignments`] (a class that moves counts
+    /// each member; arrival-time initial assignments are not changes).
+    /// The engine reads it differentially around each repair move to
+    /// price flow reassignments, so the absolute value carries no
+    /// meaning and is not serialized.
     reassignments: u64,
     /// `(key, now_served)` of every served↔unserved change since the
     /// last [`DeltaState::clear_flips`], in the order made.
@@ -555,6 +613,12 @@ fn best_assignment(
         }
     }
     best
+}
+
+/// Whether two assignments name the same vertex with the same gain
+/// bits.
+fn same_assignment(a: Option<(NodeId, f64)>, b: Option<(NodeId, f64)>) -> bool {
+    a.map(|(v, g)| (v, g.to_bits())) == b.map(|(v, g)| (v, g.to_bits()))
 }
 
 impl DeltaState {
@@ -589,8 +653,9 @@ impl DeltaState {
     }
 
     /// `(key, now_served)` of every change of an active flow between
-    /// served (`assigned` is `Some`) and unserved since the last
-    /// [`DeltaState::clear_flips`], in the order made. Only
+    /// served (its class has an assignment) and unserved since the
+    /// last [`DeltaState::clear_flips`], in the order made: a class
+    /// that flips logs each member in arrival order. Only
     /// [`DeltaState::commit`], [`DeltaState::fail_rehome`] and
     /// [`DeltaState::rebuild_assignments`] append — the three places
     /// that move the unserved census — so arrivals and departures,
@@ -607,6 +672,15 @@ impl DeltaState {
     #[inline]
     pub fn clear_flips(&mut self) {
         self.flips.clear();
+    }
+
+    /// The vertices the last [`DeltaState::commit`] or
+    /// [`DeltaState::fail_rehome`] dirtied — the paths of every class
+    /// it moved — ascending, each once. Borrowed from an internal
+    /// scratch buffer, valid until the next of those calls.
+    #[inline]
+    pub fn dirty(&self) -> &[NodeId] {
+        &self.dirty
     }
 
     /// Resolves `key` to its live slot, validating the generation
@@ -650,8 +724,8 @@ impl DeltaState {
 
     /// Iterates over the active flows in unspecified order (use
     /// [`DeltaState::active_snapshot`] for the canonical arrival
-    /// order). Handy for invariant checks: every `assigned` vertex
-    /// must be deployed, never failed.
+    /// order). Handy for invariant checks: every vertex
+    /// [`DeltaState::assigned`] names must be deployed, never failed.
     pub fn active_flows(&self) -> impl Iterator<Item = &ActiveFlow> {
         self.flows.iter().filter_map(|f| f.as_ref())
     }
@@ -689,6 +763,14 @@ impl DeltaState {
         }
     }
 
+    /// The middlebox serving `f` and its gain there — its class's
+    /// assignment (invariant 2) — or `None` when no deployed vertex
+    /// lies on its path.
+    #[inline]
+    pub fn assigned(&self, f: &ActiveFlow) -> Option<(NodeId, f64)> {
+        self.classes.class(f.class).assigned
+    }
+
     /// Per-vertex saved share (the swap-repair victim metric).
     #[inline]
     pub fn primary_load(&self, v: NodeId) -> f64 {
@@ -714,6 +796,12 @@ impl DeltaState {
     #[inline]
     fn live(&self, slot: u32) -> &ActiveFlow {
         self.flows[ix(slot)].as_ref().expect("live slot")
+    }
+
+    /// The live flow in `slot`, mutably.
+    #[inline]
+    fn live_mut(&mut self, slot: u32) -> &mut ActiveFlow {
+        self.flows[ix(slot)].as_mut().expect("live slot")
     }
 
     /// Active flows in arrival (seq) order — the canonical order
@@ -789,8 +877,9 @@ impl DeltaState {
             .into_iter()
             .map(|s| {
                 let f = self.live(s);
-                let full = approx_f64(f.rate) * self.classes.cost(f.class);
-                match f.assigned {
+                let class = self.classes.class(f.class);
+                let full = approx_f64(f.rate) * class.cost;
+                match class.assigned {
                     Some((_, g)) => full - approx_f64(f.rate) * factor * g,
                     None => full,
                 }
@@ -803,17 +892,18 @@ impl DeltaState {
 
     /// Marginal objective decrement of deploying on `v` given the
     /// current assignments — Def. 2 maintained incrementally: only
-    /// `rows[v]` is scanned.
+    /// `rows[v]` is scanned, one term `R_c · (1 − λ) · (g − cur)` per
+    /// live class through `v`.
     pub fn marginal_gain(&self, v: NodeId) -> f64 {
         let factor = self.factor();
         self.rows[ix(v)]
             .iter()
             .map(|e| {
-                let f = self.flows[ix(e.slot)].as_ref().expect("row entry is live");
-                let g = self.classes.gains(f.class)[ix(e.pos)];
-                let cur = f.assigned.map_or(0.0, |(_, cg)| cg);
+                let class = self.classes.class(e.class);
+                let g = self.classes.gain_at(e.class, e.pos);
+                let cur = class.assigned.map_or(0.0, |(_, cg)| cg);
                 if g > cur {
-                    approx_f64(f.rate) * factor * (g - cur)
+                    rate_sum_f64(class.rate) * factor * (g - cur)
                 } else {
                     0.0
                 }
@@ -851,11 +941,13 @@ impl DeltaState {
     }
 
     /// Inserts the flow `f` under `key` into the class of its path and
-    /// pricing, opening one if it is the first, and computes its
-    /// assignment against `deployment`. The caller dirties the path
-    /// vertices it already holds — no copy is returned. O(path
-    /// length); allocates only the flow's row back-pointers, once the
-    /// class arenas have grown.
+    /// pricing. A new class takes its assignment against `deployment`
+    /// and opens its row entries; a flow joining a live class takes the
+    /// class's assignment, which must be the one `deployment` gives
+    /// (invariant 2; debug-asserted), and touches no row. The caller
+    /// dirties the path vertices it already holds — no copy is
+    /// returned. O(path length) to find the class; allocates nothing
+    /// once the slot table and the class arenas have grown.
     ///
     /// # Panics
     /// Panics if `key` is already active or `f.gains` does not match
@@ -874,11 +966,24 @@ impl DeltaState {
         } = f;
         assert!(self.lookup(key).is_none(), "duplicate flow key");
         assert_eq!(gains.len(), path.len(), "one gain per path position");
-        let factor = self.factor();
         // A joined class holds these very bits, so the arguments stand
         // for it below.
-        let class = self.classes.intern(path, gains, cost);
-        let assigned = best_assignment(path, gains, deployment);
+        let (class, opened) = self.classes.intern(path, gains, cost);
+        if opened {
+            self.classes.class_mut(class).assigned = best_assignment(path, gains, deployment);
+            self.open_rows(class);
+        } else {
+            debug_assert!(
+                same_assignment(
+                    self.classes.class(class).assigned,
+                    best_assignment(path, gains, deployment)
+                ),
+                "a joined class is assigned as `deployment` gives"
+            );
+        }
+        let c = self.classes.class_mut(class);
+        c.rate += u128::from(rate);
+        let assigned = c.assigned;
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -887,18 +992,9 @@ impl DeltaState {
                 id32(self.flows.len() - 1)
             }
         };
-        let mut row_pos = Vec::with_capacity(path.len());
-        for (pos, &v) in path.iter().enumerate() {
-            let row = &mut self.rows[ix(v)];
-            row_pos.push(id32(row.len()));
-            row.push(RowEntry {
-                slot,
-                pos: id32(pos),
-            });
-        }
         self.unprocessed.add(approx_f64(rate) * cost);
         if let Some((v, g)) = assigned {
-            let s = approx_f64(rate) * factor * g;
+            let s = approx_f64(rate) * self.factor() * g;
             self.saved.add(s);
             self.primary_load[ix(v)] += s;
         } else {
@@ -907,11 +1003,12 @@ impl DeltaState {
         self.flows[ix(slot)] = Some(ActiveFlow {
             key,
             rate,
-            assigned,
             seq: self.next_seq,
             class,
-            row_pos,
+            prev: NIL,
+            next: NIL,
         });
+        self.link(slot, class);
         self.next_seq += 1;
         self.key_index.insert(
             key,
@@ -923,11 +1020,11 @@ impl DeltaState {
         self.active += 1;
     }
 
-    /// Removes a departing flow, subtracting its contributions,
-    /// unlinking its row entries and leaving its class (which frees the
-    /// class if it was the last member). Returns its path, which the
-    /// caller dirties; the slice stays valid until the next mutation.
-    /// O(path length).
+    /// Removes a departing flow, subtracting its contributions and
+    /// leaving its class, which closes its row entries and frees the
+    /// class if the flow was its last member. Returns its path, which
+    /// the caller dirties; the slice stays valid until the next
+    /// mutation. O(path length) when the class closes, O(1) otherwise.
     ///
     /// # Panics
     /// Panics if `key` is not active.
@@ -942,159 +1039,222 @@ impl DeltaState {
         // Bump the generation so any reference minted for the departed
         // flow can never resolve against the slot's next tenant.
         self.gens[ix(slot)] = self.gens[ix(slot)].wrapping_add(1);
-        let factor = self.factor();
-        self.unprocessed
-            .sub(approx_f64(flow.rate) * self.classes.cost(flow.class));
-        if let Some((v, g)) = flow.assigned {
-            let s = approx_f64(flow.rate) * factor * g;
+        self.unlink(&flow);
+        let c = self.classes.class_mut(flow.class);
+        c.rate -= u128::from(flow.rate);
+        let (cost, assigned) = (c.cost, c.assigned);
+        self.unprocessed.sub(approx_f64(flow.rate) * cost);
+        if let Some((v, g)) = assigned {
+            let s = approx_f64(flow.rate) * self.factor() * g;
             self.saved.sub(s);
             self.primary_load[ix(v)] -= s;
         } else {
             self.unserved -= 1;
         }
-        for (&v, &idx) in self.classes.path(flow.class).iter().zip(&flow.row_pos) {
-            let idx = ix(idx);
-            let row = &mut self.rows[ix(v)];
-            row.swap_remove(idx);
-            if idx < row.len() {
-                // Fix the back-pointer of the entry that moved into
-                // `idx`. A simple path visits each vertex once, so the
-                // moved entry belongs to a *different* (live) flow.
-                let moved = row[idx];
-                self.flows[ix(moved.slot)]
-                    .as_mut()
-                    .expect("moved row entry is live")
-                    .row_pos[ix(moved.pos)] = id32(idx);
-            }
-        }
         self.free.push(slot);
         self.active -= 1;
-        self.classes.release(flow.class);
+        if self.classes.release(flow.class) {
+            self.close_rows(flow.class);
+        }
         // A freed class keeps its span until the next class of its
         // length opens.
         self.classes.path(flow.class)
     }
 
-    /// Re-homes every flow whose serving gain improves under a newly
-    /// deployed `v` (invariant 2 restoration after an insert into the
-    /// deployment). Returns the dirtied vertices: the full paths of
-    /// every re-homed flow (their marginal gains changed everywhere).
-    ///
-    /// The returned slice borrows an internal scratch buffer — the hot
-    /// repair path neither clones the vertex row nor allocates a fresh
-    /// dirty vector. The slice is valid until the next `commit`.
-    pub fn commit(&mut self, v: NodeId) -> &[NodeId] {
-        let factor = self.factor();
-        self.dirty.clear();
-        // Index-based row walk: `RowEntry` is `Copy`, so each entry is
-        // read out before the flow table is borrowed mutably — no
-        // snapshot clone of the row is needed, and `commit` itself
-        // never mutates the row.
-        for i in 0..self.rows[ix(v)].len() {
-            let e = self.rows[ix(v)][i];
-            let f = self.flows[ix(e.slot)].as_mut().expect("row entry is live");
-            let g = self.classes.gains(f.class)[ix(e.pos)];
-            if !better_assignment((v, g), f.assigned) {
-                continue;
-            }
-            if let Some((ov, og)) = f.assigned {
-                let s = approx_f64(f.rate) * factor * og;
-                self.saved.sub(s);
-                self.primary_load[ix(ov)] -= s;
-            } else {
-                self.unserved -= 1;
-                self.flips.push((f.key, true));
-            }
-            let s = approx_f64(f.rate) * factor * g;
-            self.saved.add(s);
-            self.primary_load[ix(v)] += s;
-            f.assigned = Some((v, g));
-            self.reassignments += 1;
-            self.dirty.extend_from_slice(self.classes.path(f.class));
+    /// Appends the member in `slot` to the tail of class `c`'s member
+    /// list.
+    fn link(&mut self, slot: u32, c: u32) {
+        let tail = std::mem::replace(&mut self.classes.class_mut(c).tail, slot);
+        if tail == NIL {
+            self.classes.class_mut(c).head = slot;
+        } else {
+            self.live_mut(tail).next = slot;
         }
-        &self.dirty
+        self.live_mut(slot).prev = tail;
     }
 
-    /// Re-homes every flow assigned to `v` after `v` was removed from
-    /// `deployment` (which must no longer contain `v`). Returns the
-    /// dirtied vertices. O(Σ path length of the affected flows).
-    pub fn rehome_from(&mut self, v: NodeId, deployment: &Deployment) -> Vec<NodeId> {
-        self.fail_rehome(v, deployment).dirty
+    /// Takes the departed flow `f` out of its class's member list,
+    /// joining its neighbours.
+    fn unlink(&mut self, f: &ActiveFlow) {
+        match f.prev {
+            NIL => self.classes.class_mut(f.class).head = f.next,
+            p => self.live_mut(p).next = f.next,
+        }
+        match f.next {
+            NIL => self.classes.class_mut(f.class).tail = f.prev,
+            n => self.live_mut(n).prev = f.prev,
+        }
+    }
+
+    /// Pushes one row entry per position of the new class `c` and
+    /// points its back-pointers at them (invariant 1).
+    fn open_rows(&mut self, c: u32) {
+        for (pos, at) in self.classes.span(c).enumerate() {
+            let row = &mut self.rows[ix(self.classes.nodes[at])];
+            self.classes.row_pos[at] = id32(row.len());
+            row.push(RowEntry {
+                class: c,
+                pos: id32(pos),
+            });
+        }
+    }
+
+    /// Removes the row entries of the closed class `c`, whose span
+    /// still holds its path and back-pointers, by `swap_remove`, and
+    /// re-points the back-pointer of each entry that moved.
+    fn close_rows(&mut self, c: u32) {
+        for at in self.classes.span(c) {
+            let idx = ix(self.classes.row_pos[at]);
+            let row = &mut self.rows[ix(self.classes.nodes[at])];
+            row.swap_remove(idx);
+            if let Some(&moved) = row.get(idx) {
+                // A simple path visits each vertex once, so the moved
+                // entry belongs to another, live class.
+                let back = ix(self.classes.class(moved.class).at) + ix(moved.pos);
+                self.classes.row_pos[back] = id32(idx);
+            }
+        }
+    }
+
+    /// Appends every member of the class whose member list starts at
+    /// `head` to the flip log as `now_served`, in arrival order.
+    fn log_flips(&mut self, head: u32, now_served: bool) {
+        let mut slot = head;
+        while slot != NIL {
+            let f = self.live(slot);
+            let (key, next) = (f.key, f.next);
+            self.flips.push((key, now_served));
+            slot = next;
+        }
+    }
+
+    /// Moves class `c` from its assignment to `next`: its whole saved
+    /// share `R_c · (1 − λ) · gain` leaves the old box and lands on the
+    /// new one, a class that turns served or unserved moves its members
+    /// across the census and logs each, every member counts as a
+    /// reassignment, and the class's path joins the dirty scratch.
+    fn move_class(&mut self, c: u32, next: Option<(NodeId, f64)>) {
+        let factor = self.factor();
+        let class = *self.classes.class(c);
+        let rate = rate_sum_f64(class.rate);
+        let members = ix(class.members);
+        match class.assigned {
+            Some((v, g)) => {
+                let s = rate * factor * g;
+                self.saved.sub(s);
+                self.primary_load[ix(v)] -= s;
+            }
+            None => self.unserved -= members,
+        }
+        match next {
+            Some((v, g)) => {
+                let s = rate * factor * g;
+                self.saved.add(s);
+                self.primary_load[ix(v)] += s;
+            }
+            None => self.unserved += members,
+        }
+        if class.assigned.is_some() != next.is_some() {
+            self.log_flips(class.head, next.is_some());
+        }
+        self.classes.class_mut(c).assigned = next;
+        self.reassignments += u64::from(class.members);
+        self.dirty.extend_from_slice(self.classes.path(c));
+    }
+
+    /// Sorts and deduplicates the dirty scratch.
+    fn settle_dirty(&mut self) {
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+    }
+
+    /// Re-homes every class whose serving gain improves under a newly
+    /// deployed `v` (invariant 2 restoration after an insert into the
+    /// deployment). Returns the dirtied vertices: the paths of every
+    /// re-homed class (their marginal gains changed everywhere),
+    /// ascending, each once.
+    ///
+    /// The returned slice borrows an internal scratch buffer
+    /// ([`DeltaState::dirty`]) — the hot repair path neither clones the
+    /// vertex row nor allocates a fresh dirty vector. The slice is
+    /// valid until the next `commit` or `fail_rehome`.
+    pub fn commit(&mut self, v: NodeId) -> &[NodeId] {
+        self.dirty.clear();
+        // Index-based row walk: `RowEntry` is `Copy`, so each entry is
+        // read out before the class table is borrowed mutably, and
+        // `commit` itself never mutates the row.
+        for i in 0..self.rows[ix(v)].len() {
+            let e = self.rows[ix(v)][i];
+            let g = self.classes.gain_at(e.class, e.pos);
+            if better_assignment((v, g), self.classes.class(e.class).assigned) {
+                self.move_class(e.class, Some((v, g)));
+            }
+        }
+        self.settle_dirty();
+        &self.dirty
     }
 
     /// Orphan reassignment after `v` stopped serving (failure or
     /// undeployment; `deployment` must no longer contain `v`): every
-    /// flow assigned to `v` is re-pinned to the best surviving
+    /// class assigned to `v` is re-pinned to the best surviving
     /// deployed vertex on its path under the `(gain, smaller id)`
     /// preference, or marked degraded-unprocessed (full-rate
     /// accounting, [`DeltaState::unserved_count`]) when none exists.
-    /// Returns how many orphans were reassigned vs degraded alongside
-    /// the dirtied vertices. O(Σ path length of the affected flows).
+    /// Returns how many orphaned flows were reassigned vs degraded; the
+    /// dirtied vertices — the paths of every orphaned class, ascending,
+    /// each once — are lent out by [`DeltaState::dirty`]. O(Σ path
+    /// length of the affected classes); allocates nothing.
     pub fn fail_rehome(&mut self, v: NodeId, deployment: &Deployment) -> Failover {
         debug_assert!(!deployment.contains(v), "remove v before re-homing");
-        let factor = self.factor();
-        let orphans: Vec<u32> = self.rows[ix(v)]
-            .iter()
-            .filter(|e| {
-                self.flows[ix(e.slot)]
-                    .as_ref()
-                    .expect("row entry is live")
-                    .assigned
-                    .is_some_and(|(av, _)| av == v)
-            })
-            .map(|e| e.slot)
-            .collect();
+        self.dirty.clear();
         let mut out = Failover::default();
-        for slot in orphans {
-            let f = self.flows[ix(slot)].as_mut().expect("orphan is live");
-            let old = f.assigned.expect("orphan was assigned").1;
-            let (path, gains) = (self.classes.path(f.class), self.classes.gains(f.class));
-            let next = best_assignment(path, gains, deployment);
-            let s_old = approx_f64(f.rate) * factor * old;
-            self.saved.sub(s_old);
-            self.primary_load[ix(v)] -= s_old;
-            if let Some((nv, ng)) = next {
-                let s = approx_f64(f.rate) * factor * ng;
-                self.saved.add(s);
-                self.primary_load[ix(nv)] += s;
-                out.reassigned += 1;
-            } else {
-                self.unserved += 1;
-                self.flips.push((f.key, false));
-                out.degraded += 1;
+        for i in 0..self.rows[ix(v)].len() {
+            let c = self.rows[ix(v)][i].class;
+            let class = self.classes.class(c);
+            if class.assigned.is_none_or(|(av, _)| av != v) {
+                continue;
             }
-            f.assigned = next;
-            self.reassignments += 1;
-            out.dirty.extend_from_slice(path);
+            let members = ix(class.members);
+            let next = best_assignment(self.classes.path(c), self.classes.gains(c), deployment);
+            if next.is_some() {
+                out.reassigned += members;
+            } else {
+                out.degraded += members;
+            }
+            self.move_class(c, next);
         }
+        self.settle_dirty();
         out
     }
 
     /// Exact objective increase of undeploying `v` under `deployment`
-    /// (which still contains `v`): each flow assigned to `v` falls
-    /// back to its second-best deployed box. Never exceeds
+    /// (which still contains `v`): each class assigned to `v` falls
+    /// back to its second-best deployed box, one term
+    /// `R_c · (1 − λ) · (gain − second)` per class. Never exceeds
     /// [`DeltaState::primary_load`] of `v`.
     pub fn removal_loss(&self, v: NodeId, deployment: &Deployment) -> f64 {
         let factor = self.factor();
         let mut loss = 0.0;
         for e in &self.rows[ix(v)] {
-            let f = self.flows[ix(e.slot)].as_ref().expect("row entry is live");
-            let Some((av, ag)) = f.assigned else { continue };
+            let class = self.classes.class(e.class);
+            let Some((av, ag)) = class.assigned else {
+                continue;
+            };
             if av != v {
                 continue;
             }
             let mut second = 0.0f64;
             for (&u, &g) in self
                 .classes
-                .path(f.class)
+                .path(e.class)
                 .iter()
-                .zip(self.classes.gains(f.class))
+                .zip(self.classes.gains(e.class))
             {
                 if u != v && deployment.contains(u) && g > second {
                     second = g;
                 }
             }
-            loss += approx_f64(f.rate) * factor * (ag - second);
+            loss += rate_sum_f64(class.rate) * factor * (ag - second);
         }
         loss
     }
@@ -1107,7 +1267,7 @@ impl DeltaState {
         let table = &self.classes;
         (0..id32(table.classes.len()))
             .map(|c| {
-                (table.classes[ix(c)].members > 0)
+                (table.class(c).members > 0)
                     .then(|| best_assignment(table.path(c), table.gains(c), deployment))
                     .flatten()
             })
@@ -1116,30 +1276,41 @@ impl DeltaState {
 
     /// Recomputes every assignment and all running sums from scratch
     /// against `deployment` (after a full replan adopts a new
-    /// deployment wholesale). Sums are rebuilt in arrival order and
-    /// adopted via [`KahanSum::reset`] (exact re-sync, zero
-    /// compensation), so the running objective coincides with
-    /// [`DeltaState::exact_objective`] bitwise right after a rebuild.
+    /// deployment wholesale). Each live class finds its best box once;
+    /// a class that moves counts each member as a reassignment, and one
+    /// that flips logs each member. The sums are then rebuilt flow by
+    /// flow in arrival order and adopted via [`KahanSum::reset`] (exact
+    /// re-sync, zero compensation), so the running objective coincides
+    /// with [`DeltaState::exact_objective`] bitwise right after a
+    /// rebuild.
     pub fn rebuild_assignments(&mut self, deployment: &Deployment) {
+        for c in 0..id32(self.classes.classes.len()) {
+            let class = *self.classes.class(c);
+            if class.members == 0 {
+                continue;
+            }
+            let best = best_assignment(self.classes.path(c), self.classes.gains(c), deployment);
+            if class.assigned.map(|(v, _)| v) != best.map(|(v, _)| v) {
+                self.reassignments += u64::from(class.members);
+            }
+            if class.assigned.is_some() != best.is_some() {
+                self.log_flips(class.head, best.is_some());
+            }
+            self.classes.class_mut(c).assigned = best;
+        }
         let factor = self.factor();
-        let best_of = self.class_best(deployment);
         self.primary_load.iter_mut().for_each(|l| *l = 0.0);
         let mut unprocessed = 0.0f64;
         let mut saved = 0.0f64;
         self.unserved = 0;
         for slot in self.slots_in_seq_order() {
-            let f = self.flows[ix(slot)].as_mut().expect("live slot");
-            let best = best_of[ix(f.class)];
-            if f.assigned.map(|(v, _)| v) != best.map(|(v, _)| v) {
-                self.reassignments += 1;
-            }
-            if f.assigned.is_some() != best.is_some() {
-                self.flips.push((f.key, best.is_some()));
-            }
-            f.assigned = best;
-            unprocessed += approx_f64(f.rate) * self.classes.cost(f.class);
-            if let Some((v, g)) = best {
-                let s = approx_f64(f.rate) * factor * g;
+            let f = self.live(slot);
+            let rate = approx_f64(f.rate);
+            let class = self.classes.class(f.class);
+            let (cost, assigned) = (class.cost, class.assigned);
+            unprocessed += rate * cost;
+            if let Some((v, g)) = assigned {
+                let s = rate * factor * g;
                 saved += s;
                 self.primary_load[ix(v)] += s;
             } else {
@@ -1196,8 +1367,8 @@ impl DeltaState {
     ///
     /// # Errors
     /// Returns the first violated check among `delta-key-map`,
-    /// `delta-class-census`, `delta-class-key`, `delta-flow-shape`,
-    /// `delta-active-census`, `delta-row-dead-slot`,
+    /// `delta-class-census`, `delta-class-key`, `delta-class-rate`,
+    /// `delta-class-members`, `delta-active-census`,
     /// `delta-row-mirror`, `delta-row-backpointer`, `delta-assignment`,
     /// `delta-sum-unprocessed`, `delta-sum-saved`,
     /// `delta-primary-load` and `delta-unserved-census`.
@@ -1240,6 +1411,7 @@ impl DeltaState {
             }
         }
         let mut members = vec![0u32; table.classes.len()];
+        let mut rates = vec![0u128; table.classes.len()];
         for f in self.active_flows() {
             if freed.get(ix(f.class)) != Some(&false) {
                 return err(
@@ -1248,6 +1420,7 @@ impl DeltaState {
                 );
             }
             members[ix(f.class)] += 1;
+            rates[ix(f.class)] += u128::from(f.rate);
         }
         for (c, (class, &counted)) in table.classes.iter().zip(&members).enumerate() {
             // A freed class counts no flow, a live one at least one.
@@ -1264,23 +1437,20 @@ impl DeltaState {
         }
         // Each live class owns its span of the arenas, as does each
         // freed span awaiting reuse.
-        if table.gains.len() != table.nodes.len() {
+        if table.gains.len() != table.nodes.len() || table.row_pos.len() != table.nodes.len() {
             return err(
                 "delta-class-census",
                 format!(
-                    "path arena holds {}, gain arena {}",
+                    "path arena holds {}, gain arena {}, back-pointer arena {}",
                     table.nodes.len(),
-                    table.gains.len()
+                    table.gains.len(),
+                    table.row_pos.len()
                 ),
             );
         }
+        let live_classes = || (0..id32(table.classes.len())).filter(|&c| !freed[ix(c)]);
         let mut owned = vec![false; table.nodes.len()];
-        let live_spans = table
-            .classes
-            .iter()
-            .zip(&freed)
-            .filter(|(_, &freed)| !freed)
-            .map(|(class, _)| (ix(class.at), ix(class.len)));
+        let live_spans = live_classes().map(|c| (ix(table.class(c).at), ix(table.class(c).len)));
         let freed_spans = table
             .spans
             .iter()
@@ -1311,7 +1481,7 @@ impl DeltaState {
                 format!("{mapped} table buckets for {} live classes", table.live()),
             );
         }
-        for c in (0..id32(table.classes.len())).filter(|&c| !freed[ix(c)]) {
+        for c in live_classes() {
             let found = table.find(table.path(c), table.gains(c), table.cost(c));
             if found != Some(c) {
                 return err(
@@ -1323,15 +1493,52 @@ impl DeltaState {
                 );
             }
         }
-        for f in self.active_flows() {
-            if f.row_pos.len() != table.path(f.class).len() {
+        // Invariant 5 — `R_c` against a recount of the members' rates.
+        for (c, (class, &rate)) in table.classes.iter().zip(&rates).enumerate() {
+            if class.rate != rate {
                 return err(
-                    "delta-flow-shape",
+                    "delta-class-rate",
+                    format!("class {c} sums rate {}, its members {rate}", class.rate),
+                );
+            }
+        }
+        // Invariant 5 — each member list links exactly its class's
+        // flows in seq order. The census fixed how many flows name the
+        // class, so a walk of that many distinct (seq-increasing)
+        // members that ends at the tail holds them all.
+        for c in live_classes() {
+            let class = table.class(c);
+            let (mut prev, mut slot, mut walked) = (NIL, class.head, 0u32);
+            let mut last_seq = None;
+            while slot != NIL && walked < class.members {
+                let f = self.flows.get(ix(slot)).and_then(Option::as_ref);
+                let Some(f) = f.filter(|f| {
+                    f.class == c && f.prev == prev && last_seq.is_none_or(|s| s < f.seq)
+                }) else {
+                    return err(
+                        "delta-class-members",
+                        format!(
+                            "class {c}'s member list breaks at slot {slot}: dead, another \
+                             class's, mislinked or out of arrival order"
+                        ),
+                    );
+                };
+                last_seq = Some(f.seq);
+                prev = slot;
+                slot = f.next;
+                walked += 1;
+            }
+            if slot != NIL || walked != class.members || class.tail != prev {
+                return err(
+                    "delta-class-members",
                     format!(
-                        "flow key {}: path {}, row_pos {}",
-                        f.key,
-                        table.path(f.class).len(),
-                        f.row_pos.len()
+                        "class {c}'s member list links {walked} of {} members{}",
+                        class.members,
+                        if class.tail == prev {
+                            ""
+                        } else {
+                            " and misses its tail"
+                        }
                     ),
                 );
             }
@@ -1348,76 +1555,68 @@ impl DeltaState {
             );
         }
         // Invariant 1 — row mirror, both directions. Forward: every
-        // row entry points at a live flow crossing this vertex, and
-        // the flow's back-pointer points back at it.
+        // row entry names a live class crossing this vertex, and the
+        // class's back-pointer points back at it.
         let mut total_entries = 0usize;
         for (v, row) in self.rows.iter().enumerate() {
             for (idx, e) in row.iter().enumerate() {
-                let Some(f) = self.flows.get(ix(e.slot)).and_then(|f| f.as_ref()) else {
-                    return err(
-                        "delta-row-dead-slot",
-                        format!("rows[{v}][{idx}] references dead slot {}", e.slot),
-                    );
-                };
-                if table.path(f.class).get(ix(e.pos)) != Some(&id32(v)) {
+                if freed.get(ix(e.class)) != Some(&false)
+                    || table.path(e.class).get(ix(e.pos)) != Some(&id32(v))
+                {
                     return err(
                         "delta-row-mirror",
                         format!(
-                            "rows[{v}][{idx}] claims position {} of flow key {}, whose path \
-                             disagrees",
-                            e.pos, f.key
+                            "rows[{v}][{idx}] claims position {} of class {}, which is not live \
+                             or whose path disagrees",
+                            e.pos, e.class
                         ),
                     );
                 }
-                if f.row_pos[ix(e.pos)] != id32(idx) {
+                let back = table.row_pos[ix(table.class(e.class).at) + ix(e.pos)];
+                if back != id32(idx) {
                     return err(
                         "delta-row-backpointer",
                         format!(
-                            "rows[{v}][{idx}]: flow key {} back-pointer says {}",
-                            f.key,
-                            f.row_pos[ix(e.pos)]
+                            "rows[{v}][{idx}]: class {} back-pointer says {back}",
+                            e.class
                         ),
                     );
                 }
                 total_entries += 1;
             }
         }
-        // Reverse: one entry per (active flow, path vertex). Combined
+        // Reverse: one entry per (live class, path vertex). Combined
         // with the forward direction this pins the mirror 1:1.
-        let path_total: usize = self.active_flows().map(|f| f.row_pos.len()).sum();
+        let path_total: usize = live_classes().map(|c| ix(table.class(c).len)).sum();
         if total_entries != path_total {
             return err(
                 "delta-row-mirror",
-                format!("{total_entries} row entries for {path_total} path vertices"),
+                format!("{total_entries} row entries for {path_total} class path vertices"),
             );
         }
-        // Invariant 2 — assignment optimality, recomputed per flow.
+        // Invariant 2 — assignment optimality, recomputed per class.
         // Gains are bitwise copies of the stored per-position gains,
         // so the comparison is exact (bit-level, not float ==).
-        for f in self.active_flows() {
+        for c in live_classes() {
             let mut best: Option<(NodeId, f64)> = None;
-            for (&u, &g) in table.path(f.class).iter().zip(table.gains(f.class)) {
+            for (&u, &g) in table.path(c).iter().zip(table.gains(c)) {
                 if deployment.contains(u) && better_assignment((u, g), best) {
                     best = Some((u, g));
                 }
             }
-            let agree = match (f.assigned, best) {
-                (None, None) => true,
-                (Some((av, ag)), Some((bv, bg))) => av == bv && ag.to_bits() == bg.to_bits(),
-                _ => false,
-            };
-            if !agree {
+            let assigned = table.class(c).assigned;
+            if !same_assignment(assigned, best) {
                 return err(
                     "delta-assignment",
                     format!(
-                        "flow key {}: assigned {:?}, optimal {best:?}",
-                        f.key, f.assigned
+                        "class {c} (path {:?}): assigned {assigned:?}, optimal {best:?}",
+                        table.path(c)
                     ),
                 );
             }
         }
         // Invariants 3–4 — running sums and unserved census, rebuilt
-        // in arrival order like `rebuild_assignments`.
+        // flow by flow in arrival order like `rebuild_assignments`.
         let factor = self.factor();
         let mut unprocessed = 0.0;
         let mut saved = 0.0;
@@ -1426,7 +1625,7 @@ impl DeltaState {
         for slot in self.slots_in_seq_order() {
             let f = self.live(slot);
             unprocessed += approx_f64(f.rate) * table.cost(f.class);
-            match f.assigned {
+            match self.assigned(f) {
                 Some((v, g)) => {
                     let s = approx_f64(f.rate) * factor * g;
                     saved += s;
@@ -1467,19 +1666,25 @@ impl DeltaState {
         Ok(())
     }
 
-    /// Corruption hook: repins `key`'s assignment without fixing the
-    /// running sums — breaks invariant 2 (and usually 3).
+    /// The class of the active flow `key`, for a corruption hook.
+    ///
+    /// # Panics
+    /// Panics if `key` is not active.
+    fn class_of(&self, key: FlowKey) -> u32 {
+        match self.flow(key) {
+            Some(f) => f.class,
+            None => panic!("corrupting an unknown flow key"),
+        }
+    }
+
+    /// Corruption hook: repins the assignment of `key`'s class without
+    /// fixing the running sums — breaks invariant 2 (and usually 3).
     ///
     /// # Panics
     /// Panics if `key` is not active.
     pub fn audit_force_assignment(&mut self, key: FlowKey, assigned: Option<(NodeId, f64)>) {
-        let Some(slot) = self.lookup(key) else {
-            panic!("corrupting an unknown flow key")
-        };
-        self.flows[ix(slot)]
-            .as_mut()
-            .expect("slot is live")
-            .assigned = assigned;
+        let c = self.class_of(key);
+        self.classes.class_mut(c).assigned = assigned;
     }
 
     /// Corruption hook: counts one member too many in `key`'s class —
@@ -1488,11 +1693,8 @@ impl DeltaState {
     /// # Panics
     /// Panics if `key` is not active.
     pub fn audit_miscount_class(&mut self, key: FlowKey) {
-        let Some(f) = self.flow(key) else {
-            panic!("corrupting an unknown flow key")
-        };
-        let c = f.class;
-        self.classes.classes[ix(c)].members += 1;
+        let c = self.class_of(key);
+        self.classes.class_mut(c).members += 1;
     }
 
     /// Corruption hook: takes `key`'s class out of the class table
@@ -1502,11 +1704,47 @@ impl DeltaState {
     /// # Panics
     /// Panics if `key` is not active.
     pub fn audit_unmap_class(&mut self, key: FlowKey) {
-        let Some(f) = self.flow(key) else {
-            panic!("corrupting an unknown flow key")
-        };
-        let c = f.class;
+        let c = self.class_of(key);
         self.classes.unlink(c);
+    }
+
+    /// Corruption hook: adds `by` to the rate sum `R_c` of `key`'s
+    /// class — breaks invariant 5 (`delta-class-rate`).
+    ///
+    /// # Panics
+    /// Panics if `key` is not active.
+    pub fn audit_skew_class_rate(&mut self, key: FlowKey, by: u64) {
+        let c = self.class_of(key);
+        self.classes.class_mut(c).rate += u128::from(by);
+    }
+
+    /// Corruption hook: swaps the first two members of `key`'s class's
+    /// member list, relinking both so that the list stays whole but
+    /// leaves arrival order — breaks invariant 5
+    /// (`delta-class-members`). Returns whether the class had two
+    /// members to swap.
+    ///
+    /// # Panics
+    /// Panics if `key` is not active.
+    pub fn audit_swap_members(&mut self, key: FlowKey) -> bool {
+        let c = self.class_of(key);
+        let first = self.classes.class(c).head;
+        let second = self.live(first).next;
+        if second == NIL {
+            return false;
+        }
+        let third = self.live(second).next;
+        self.classes.class_mut(c).head = second;
+        let f = self.live_mut(second);
+        (f.prev, f.next) = (NIL, first);
+        let f = self.live_mut(first);
+        (f.prev, f.next) = (second, third);
+        if third == NIL {
+            self.classes.class_mut(c).tail = first;
+        } else {
+            self.live_mut(third).prev = first;
+        }
+        true
     }
 
     /// Corruption hook: skews the running `saved` sum — breaks
@@ -1516,8 +1754,9 @@ impl DeltaState {
     }
 
     /// Corruption hook: swaps the first two entries of `v`'s row
-    /// without fixing the back-pointers — breaks invariant 1. Returns
-    /// whether the row had two entries to swap.
+    /// without fixing the back-pointers — breaks invariant 1
+    /// (`delta-row-backpointer`). Returns whether the row had two
+    /// entries to swap.
     pub fn audit_swap_row_entries(&mut self, v: NodeId) -> bool {
         let row = &mut self.rows[ix(v)];
         if row.len() < 2 {
@@ -1525,6 +1764,13 @@ impl DeltaState {
         }
         row.swap(0, 1);
         true
+    }
+
+    /// Corruption hook: drops the last entry of `v`'s row while its
+    /// class stays live — breaks invariant 1 (`delta-row-mirror`).
+    /// Returns whether the row had an entry to drop.
+    pub fn audit_drop_row_entry(&mut self, v: NodeId) -> bool {
+        self.rows[ix(v)].pop().is_some()
     }
 }
 
@@ -1563,6 +1809,11 @@ mod tests {
         assert!(st.exact_objective().is_sign_positive());
     }
 
+    /// The assignment of the active flow `key`.
+    fn assigned(state: &DeltaState, key: FlowKey) -> Option<(NodeId, f64)> {
+        state.assigned(state.flow(key).unwrap())
+    }
+
     #[test]
     fn commit_rehomes_to_better_boxes() {
         let mut st = DeltaState::new(4, 0.0);
@@ -1571,22 +1822,24 @@ mod tests {
         assert_eq!(st.objective(), 2.0); // 3 hops − gain 1
         dep.insert(3);
         let dirty = st.commit(3);
-        assert_eq!(dirty, vec![3, 2, 1, 0]);
+        assert_eq!(dirty, vec![0, 1, 2, 3], "the path, ascending");
         assert_eq!(st.objective(), 0.0); // served at the source
         assert_eq!(st.primary_load(3), 3.0);
         assert_eq!(st.primary_load(1), 0.0);
     }
 
     #[test]
-    fn rehome_from_falls_back_to_second_best() {
+    fn fail_rehome_falls_back_to_second_best() {
         let mut st = DeltaState::new(4, 0.0);
         let mut dep = Deployment::from_vertices(4, [1, 3]);
         add(&mut st, 0, 1, vec![3, 2, 1, 0], &dep);
-        assert_eq!(st.flow(0).unwrap().assigned, Some((3, 3.0)));
+        assert_eq!(assigned(&st, 0), Some((3, 3.0)));
         assert_eq!(st.removal_loss(3, &dep), 2.0); // falls to gain 1 at v1
         dep.remove(3);
-        st.rehome_from(3, &dep);
-        assert_eq!(st.flow(0).unwrap().assigned, Some((1, 1.0)));
+        let fo = st.fail_rehome(3, &dep);
+        assert_eq!((fo.reassigned, fo.degraded), (1, 0));
+        assert_eq!(st.dirty(), [0, 1, 2, 3]);
+        assert_eq!(assigned(&st, 0), Some((1, 1.0)));
         assert_eq!(st.objective(), 2.0);
         assert!(st.primary_load(3).abs() < 1e-12);
     }
@@ -1646,7 +1899,7 @@ mod tests {
         fn served(st: &DeltaState) -> Vec<(FlowKey, bool)> {
             let mut v: Vec<_> = st
                 .active_flows()
-                .map(|f| (f.key, f.assigned.is_some()))
+                .map(|f| (f.key, st.assigned(f).is_some()))
                 .collect();
             v.sort_unstable();
             v
@@ -1710,7 +1963,7 @@ mod tests {
         let mut st = DeltaState::new(3, 0.5);
         let dep = Deployment::from_vertices(3, [1, 2]);
         st.insert(0, 1, vec![2, 1, 0], vec![1.0, 1.0, 0.0], 2.0, &dep);
-        assert_eq!(st.flow(0).unwrap().assigned, Some((1, 1.0)));
+        assert_eq!(assigned(&st, 0), Some((1, 1.0)));
     }
 
     #[test]
@@ -1775,11 +2028,11 @@ mod tests {
         let mut dep = Deployment::from_vertices(4, [1]);
         add(&mut st, 0, 1, vec![3, 2, 1, 0], &dep);
         dep.insert(2);
-        assert_eq!(st.commit(2), vec![3, 2, 1, 0]);
+        assert_eq!(st.commit(2), vec![0, 1, 2, 3]);
         // The second commit clears and refills the same scratch; a
         // no-improvement commit yields an empty dirty set.
         dep.insert(3);
-        assert_eq!(st.commit(3), vec![3, 2, 1, 0]);
+        assert_eq!(st.commit(3), vec![0, 1, 2, 3]);
         assert_eq!(st.commit(1), &[] as &[NodeId]);
     }
 
@@ -1860,6 +2113,50 @@ mod tests {
             st.remove(key);
         }
         assert_eq!(st.class_count(), 0);
+        st.check_invariants(&dep).unwrap();
+    }
+
+    /// Flows on one path share one class: a member that joins or
+    /// leaves a live class touches no row, the class moves whole on a
+    /// commit or a failover, and a class that flips logs every member
+    /// in arrival order.
+    #[test]
+    fn members_share_rows_and_move_with_their_class() {
+        let mut st = DeltaState::new(4, 0.5);
+        let mut dep = Deployment::empty(4);
+        let entries = |st: &DeltaState| st.rows.iter().map(Vec::len).sum::<usize>();
+        add(&mut st, 5, 2, vec![3, 2, 1, 0], &dep);
+        assert_eq!(entries(&st), 4);
+        add(&mut st, 3, 1, vec![3, 2, 1, 0], &dep);
+        add(&mut st, 9, 4, vec![3, 2, 1, 0], &dep);
+        st.remove(3);
+        assert_eq!(entries(&st), 4, "joining and leaving members touch no row");
+        // R_c = 6 at gain 2: 0.5 · 6 · 2.
+        assert_eq!(st.marginal_gain(2), 6.0);
+        dep.insert(2);
+        st.commit(2);
+        assert_eq!(
+            st.flips(),
+            [(5, true), (9, true)],
+            "members in arrival order"
+        );
+        assert_eq!((st.reassignments(), st.primary_load(2)), (2, 6.0));
+        dep.remove(2);
+        st.clear_flips();
+        let fo = st.fail_rehome(2, &dep);
+        assert_eq!(
+            fo,
+            Failover {
+                reassigned: 0,
+                degraded: 2
+            }
+        );
+        assert_eq!(st.flips(), [(5, false), (9, false)]);
+        assert_eq!(st.unserved_count(), 2);
+        st.check_invariants(&dep).unwrap();
+        st.remove(5);
+        st.remove(9);
+        assert_eq!(entries(&st), 0, "the last member closes the class's rows");
         st.check_invariants(&dep).unwrap();
     }
 

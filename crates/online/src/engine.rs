@@ -281,7 +281,7 @@ impl<M: CostModel> OnlineEngine<M> {
         self.tokens
     }
 
-    /// The maintained per-flow/assignment state.
+    /// The maintained flow, class and assignment state.
     #[inline]
     pub fn state(&self) -> &DeltaState {
         &self.state
@@ -337,8 +337,8 @@ impl<M: CostModel> OnlineEngine<M> {
     /// Objective the active flows would cost under `dep` (each flow
     /// served by its best on-path vertex in `dep`), summed in arrival
     /// order like [`OnlineEngine::exact_objective`]. Evaluated
-    /// read-only against the live state — no clone of the per-flow
-    /// tables is materialized for the probe.
+    /// read-only against the live state — no clone of the flow and
+    /// class tables is materialized for the probe.
     pub fn evaluate_deployment(&self, dep: &Deployment) -> f64 {
         self.state.objective_under(dep)
     }
@@ -492,8 +492,9 @@ impl<M: CostModel> OnlineEngine<M> {
     /// Prices a validated arrival as the flow `Flow::new(0, rate, path)`
     /// — gain by gain through [`CostModel::serving_gain`], which is how
     /// [`CostModel::gains`] is defined — into the reused probe and gain
-    /// buffers, and inserts it. An arrival on a known class allocates
-    /// only its row back-pointers.
+    /// buffers, and inserts it. An arrival on a live class joins it
+    /// without touching a row, and allocates nothing once the state's
+    /// tables have grown.
     fn on_arrival(&mut self, key: FlowKey, rate: u64, path: &[NodeId]) -> Result<(), OnlineError> {
         self.validate_arrival(key, rate, path)?;
         self.probe.rate = rate;
@@ -558,10 +559,7 @@ impl<M: CostModel> OnlineEngine<M> {
             let fo = self.state.fail_rehome(v, &self.deployment);
             self.stats.flows_orphaned += wide(fo.reassigned + fo.degraded);
             self.stats.flows_degraded += wide(fo.degraded);
-            let mut dirty = fo.dirty;
-            dirty.sort_unstable();
-            dirty.dedup();
-            for u in dirty {
+            for &u in self.state.dirty() {
                 if u != v && !self.deployment.contains(u) && !self.failed[ix(u)] {
                     // Orphans lost serving quality, so gains here may
                     // have *risen*; restore the exact bound.
@@ -624,10 +622,8 @@ impl<M: CostModel> OnlineEngine<M> {
     /// candidate pool.
     fn uncommit(&mut self, v: NodeId) {
         self.deployment.remove(v);
-        let mut dirty = self.state.rehome_from(v, &self.deployment);
-        dirty.sort_unstable();
-        dirty.dedup();
-        for u in dirty {
+        self.state.fail_rehome(v, &self.deployment);
+        for &u in self.state.dirty() {
             if u != v && !self.deployment.contains(u) {
                 // Re-homed flows lost serving quality, so gains here
                 // may have *risen*; restore the exact bound.
@@ -1312,7 +1308,7 @@ mod tests {
         assert!(e
             .state()
             .active_flows()
-            .all(|f| f.assigned.is_none_or(|(v, _)| v != victim)));
+            .all(|f| e.state().assigned(f).is_none_or(|(v, _)| v != victim)));
         assert!((e.objective() - e.exact_objective()).abs() < 1e-9);
     }
 

@@ -21,11 +21,12 @@
 //! * [`event`] — the churn + failure event stream and the serializable
 //!   [`FlowSpan`] records a stream is replayed from.
 //! * [`delta`] — [`DeltaState`], the incrementally-maintained mirror
-//!   of the static CSR flow index: per-vertex flow rows with O(1)
-//!   removal, per-flow assignments, the objective as a running sum,
-//!   and a live table of path classes that holds each path with its
-//!   stored gains once. Arrivals and departures touch only the flow's
-//!   own path.
+//!   of the static CSR flow index over live path classes: a class
+//!   holds its path and stored gains once, the exact rate sum of its
+//!   members, their assignment and its per-vertex row entries, and a
+//!   flow keeps only its key, rate, arrival order and class. The
+//!   objective is a running sum. An arrival on or departure from a
+//!   live class touches no row; repair moves whole classes.
 //! * [`queue`] — [`LazyQueue`], a CELF-style lazy priority queue whose
 //!   cached marginal gains survive across events under epoch-stamped
 //!   invalidation.

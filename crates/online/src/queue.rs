@@ -24,10 +24,13 @@
 //!
 //! Every push carries an **epoch stamp**; bumping a vertex's stamp
 //! invalidates all of its older heap entries at once (they are
-//! skipped on pop), so the queue never scans or rebuilds the heap to
-//! invalidate. Per vertex at most one entry carries the current
-//! stamp, so the heap size stays O(total pushes), and each event
-//! pushes only O(path length) entries.
+//! skipped on pop), so the queue never scans the heap to invalidate.
+//! Per vertex at most one entry carries the current stamp. Dead
+//! entries of vertices that never reach the top would otherwise pile
+//! up for as long as the stream runs, so a push first drops every dead
+//! entry once they could outnumber the live ones: the heap stays
+//! within twice the vertex count plus a constant, at O(1) amortized
+//! per push, and each event pushes only O(path length) entries.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -94,6 +97,10 @@ pub struct LazyQueue {
 }
 
 impl LazyQueue {
+    /// Heap entries allowed beyond twice the vertex count before a
+    /// push drops the dead ones.
+    const SLACK: usize = 64;
+
     /// Empty queue over `n` vertices. Vertices enter the heap the
     /// first time a flow path touches them ([`LazyQueue::touch_up`]).
     pub fn new(n: usize) -> Self {
@@ -132,7 +139,7 @@ impl LazyQueue {
         self.cached[i] += bump;
         self.dirty[i] = true;
         self.stamp[i] += 1;
-        self.heap.push(QEntry {
+        self.push(QEntry {
             gain: self.cached[i],
             v,
             stamp: self.stamp[i],
@@ -154,7 +161,7 @@ impl LazyQueue {
         self.cached[i] = bound;
         self.dirty[i] = true;
         self.stamp[i] += 1;
-        self.heap.push(QEntry {
+        self.push(QEntry {
             gain: bound,
             v,
             stamp: self.stamp[i],
@@ -184,7 +191,7 @@ impl LazyQueue {
                 self.dirty[i] = false;
                 self.cached[i] = g;
                 self.stamp[i] += 1;
-                self.heap.push(QEntry {
+                self.push(QEntry {
                     gain: g,
                     v: top.v,
                     stamp: self.stamp[i],
@@ -193,6 +200,20 @@ impl LazyQueue {
             }
             return Some((top.v, top.gain));
         }
+    }
+
+    /// Pushes `e`, first dropping every dead entry (one whose stamp
+    /// is no longer its vertex's) once the heap holds twice the vertex
+    /// count plus [`LazyQueue::SLACK`]. At most one entry per vertex is
+    /// live, so a compaction leaves at most one per vertex and the next
+    /// one comes at least that many pushes later. Dropping dead entries
+    /// changes no outcome: [`LazyQueue::settle`] only ever skips them.
+    fn push(&mut self, e: QEntry) {
+        if self.heap.len() >= 2 * self.stamp.len() + Self::SLACK {
+            let stamp = &self.stamp;
+            self.heap.retain(|d| d.stamp == stamp[ix(d.v)]);
+        }
+        self.heap.push(e);
     }
 
     /// Removes the settled head (call right after
@@ -401,6 +422,22 @@ mod tests {
         q.reinsert(0, 4.0);
         let (v, g) = q.settle(&dep, |_| 3.0).unwrap();
         assert_eq!((v, g), (0, 3.0));
+    }
+
+    /// Repeated arrivals at low-gain vertices leave dead entries that
+    /// never reach the top; the heap drops them instead of growing
+    /// with the stream, and every live bound survives.
+    #[test]
+    fn dead_entries_never_outgrow_the_live_ones() {
+        let mut q = LazyQueue::new(4);
+        for i in 0..10_000u32 {
+            q.touch_up(i % 4, 1.0);
+            assert!(q.heap_len() <= 2 * 4 + LazyQueue::SLACK);
+        }
+        let dep = Deployment::empty(4);
+        let exact = |v: NodeId| f64::from(v);
+        q.check_coherence(&dep, exact).unwrap();
+        assert_eq!(q.settle(&dep, exact), Some((3, 3.0)));
     }
 
     #[test]

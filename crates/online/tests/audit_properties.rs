@@ -8,9 +8,10 @@
 //!   (the auditor panics otherwise).
 //! * **Completeness** — each corruption hook seeds one specific
 //!   invariant break, and the auditor rejects it with the expected
-//!   check name: off-path/suboptimal assignment, skewed running sums,
-//!   broken row mirror, miscounted or unmapped path class, stale queue
-//!   epoch.
+//!   check name: off-path/suboptimal class assignment, skewed running
+//!   sums, a dropped or misplaced class row entry, a miscounted,
+//!   unmapped or mis-summed path class, a member list out of arrival
+//!   order, stale queue epoch.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -86,17 +87,22 @@ fn random_events(g: &DiGraph, seed: u64, len: usize) -> Vec<Event> {
     out
 }
 
+/// Inserts a flow priced by hop count.
+fn insert(st: &mut DeltaState, key: FlowKey, rate: u64, path: Vec<NodeId>, dep: &Deployment) {
+    let probe = tdmd_traffic::Flow::new(0, rate, path.clone());
+    let gains = HopCount.gains(&probe);
+    let cost = HopCount.unprocessed_cost(&probe);
+    st.insert(key, rate, path, gains, cost, dep);
+}
+
 /// A small populated state for corruption seeding: two overlapping
-/// flows on a 4-line, one middlebox at vertex 1.
+/// flows, each its own path class, on a 4-line, one middlebox at
+/// vertex 1.
 fn seeded_state() -> (DeltaState, Deployment) {
     let mut st = DeltaState::new(4, 0.5);
     let dep = Deployment::from_vertices(4, [1]);
-    for (key, rate, path) in [(7u64, 2u64, vec![3, 2, 1, 0]), (8, 4, vec![2, 1, 0])] {
-        let probe = tdmd_traffic::Flow::new(0, rate, path.clone());
-        let gains = HopCount.gains(&probe);
-        let cost = HopCount.unprocessed_cost(&probe);
-        st.insert(key, rate, path, gains, cost, &dep);
-    }
+    insert(&mut st, 7, 2, vec![3, 2, 1, 0], &dep);
+    insert(&mut st, 8, 4, vec![2, 1, 0], &dep);
     st.check_invariants(&dep).expect("seed state is clean");
     (st, dep)
 }
@@ -144,6 +150,37 @@ fn swapped_row_entries_break_the_mirror() {
     assert!(st.audit_swap_row_entries(1), "vertex 1 carries two flows");
     let err = st.check_invariants(&dep).unwrap_err();
     assert_eq!(err.check, "delta-row-backpointer", "{err}");
+}
+
+#[test]
+fn dropped_row_entry_breaks_the_mirror() {
+    let (mut st, dep) = seeded_state();
+    // Both classes still cross vertex 1, but its row lists one.
+    assert!(st.audit_drop_row_entry(1), "vertex 1 carries two classes");
+    let err = st.check_invariants(&dep).unwrap_err();
+    assert_eq!(err.check, "delta-row-mirror", "{err}");
+}
+
+#[test]
+fn skewed_class_rate_breaks_the_recount() {
+    let (mut st, dep) = seeded_state();
+    // Flow 8's class sums a rate its one member does not carry.
+    st.audit_skew_class_rate(8, 3);
+    let err = st.check_invariants(&dep).unwrap_err();
+    assert_eq!(err.check, "delta-class-rate", "{err}");
+}
+
+#[test]
+fn swapped_members_break_the_member_list() {
+    let (mut st, dep) = seeded_state();
+    // A second member of flow 8's class; the class keeps one row
+    // entry per path vertex and serves both at vertex 1.
+    insert(&mut st, 9, 1, vec![2, 1, 0], &dep);
+    st.check_invariants(&dep).expect("a joined class is clean");
+    // Linked whole, but flow 9 now precedes flow 8.
+    assert!(st.audit_swap_members(8), "the class holds two members");
+    let err = st.check_invariants(&dep).unwrap_err();
+    assert_eq!(err.check, "delta-class-members", "{err}");
 }
 
 #[test]
@@ -200,7 +237,9 @@ proptest! {
 
     /// Every engine invariant holds after every event of an arbitrary
     /// churn + failure stream, under both local-only repair and
-    /// drift-sampled replanning (the auditor panics on violation).
+    /// drift-sampled replanning (the auditor panics on violation), at
+    /// λ = 0.5, where every class sum is exact, and at λ = 0.3, where
+    /// class commits, re-homes and flips round.
     #[test]
     fn audited_engine_survives_random_streams(
         seed in any::<u64>(),
@@ -216,13 +255,16 @@ proptest! {
         } else {
             RepairPolicy::local_only(2)
         };
-        let mut engine = OnlineEngine::new(
-            g.clone(), 0.5, k, HopCount, policy,
-        ).unwrap();
-        engine.enable_audit();
-        for ev in random_events(&g, seed ^ 0x7E, len) {
-            engine.apply(&ev).unwrap();
+        let events = random_events(&g, seed ^ 0x7E, len);
+        for lambda in [0.5, 0.3] {
+            let mut engine = OnlineEngine::new(
+                g.clone(), lambda, k, HopCount, policy,
+            ).unwrap();
+            engine.enable_audit();
+            for ev in &events {
+                engine.apply(ev).unwrap();
+            }
+            engine.audit_now().unwrap();
         }
-        engine.audit_now().unwrap();
     }
 }

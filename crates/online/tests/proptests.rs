@@ -189,11 +189,9 @@ proptest! {
             let alloc = allocate(&inst, engine.deployment());
             prop_assert_eq!(alloc.assigned.len(), active.len());
             for (i, key) in active.iter().enumerate() {
-                let maintained = engine
-                    .state()
-                    .flow(*key)
-                    .expect("shadowed key is active")
-                    .assigned
+                let state = engine.state();
+                let maintained = state
+                    .assigned(state.flow(*key).expect("shadowed key is active"))
                     .map(|(v, _)| v);
                 prop_assert_eq!(
                     maintained, alloc.assigned[i],

@@ -221,7 +221,9 @@ impl<M: CostModel> ServeSession<M> {
         let mut named = 0;
         for (&key, &t) in &tenants {
             if let Some(f) = state.flow(key) {
-                sums.entry(t).or_default().add(f.rate, f.assigned.is_some());
+                sums.entry(t)
+                    .or_default()
+                    .add(f.rate, state.assigned(f).is_some());
                 named += 1;
             }
         }
@@ -229,7 +231,9 @@ impl<M: CostModel> ServeSession<M> {
             for f in state.active_flows() {
                 if let Entry::Vacant(slot) = tenants.entry(f.key) {
                     slot.insert(0);
-                    sums.entry(0).or_default().add(f.rate, f.assigned.is_some());
+                    sums.entry(0)
+                        .or_default()
+                        .add(f.rate, state.assigned(f).is_some());
                 }
             }
         }
@@ -349,11 +353,12 @@ impl<M: CostModel> ServeSession<M> {
         };
         // A departing flow leaves with the rate and status it has now.
         let leaving = match ev {
-            WireEvent::Depart { key } => self
-                .engine
-                .state()
-                .flow(*key)
-                .map(|f| (f.rate, f.assigned.is_some())),
+            WireEvent::Depart { key } => {
+                let state = self.engine.state();
+                state
+                    .flow(*key)
+                    .map(|f| (f.rate, state.assigned(f).is_some()))
+            }
             _ => None,
         };
         let sw = Stopwatch::start();
@@ -372,11 +377,10 @@ impl<M: CostModel> ServeSession<M> {
                 key, rate, tenant, ..
             } => {
                 self.tenants.insert(*key, *tenant);
-                let served = self
-                    .engine
-                    .state()
+                let state = self.engine.state();
+                let served = state
                     .flow(*key)
-                    .is_some_and(|f| f.assigned.is_some());
+                    .is_some_and(|f| state.assigned(f).is_some());
                 self.sums.entry(*tenant).or_default().add(*rate, served);
                 Some(*tenant)
             }

@@ -233,9 +233,10 @@ fn assert_sums_match(
     known: &BTreeSet<u16>,
 ) {
     let mut expect: BTreeMap<u16, (u128, u128)> = known.iter().map(|&t| (t, (0, 0))).collect();
-    for f in s.engine().state().active_flows() {
+    let state = s.engine().state();
+    for f in state.active_flows() {
         let sums = expect.get_mut(&owner[&f.key]).expect("owners are known");
-        if f.assigned.is_some() {
+        if state.assigned(f).is_some() {
             sums.0 += u128::from(f.rate);
         } else {
             sums.1 += u128::from(f.rate);

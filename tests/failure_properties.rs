@@ -91,7 +91,7 @@ fn assert_safe(e: &OnlineEngine<HopCount>, k: usize) {
         assert!(!e.is_failed(v), "deployed vertex {v} is failed");
     }
     for f in e.state().active_flows() {
-        if let Some((v, _)) = f.assigned {
+        if let Some((v, _)) = e.state().assigned(f) {
             assert!(
                 e.deployment().contains(v),
                 "flow {} assigned to undeployed vertex {v}",
