@@ -31,9 +31,8 @@
 //!   and are exempt from the monotone comparison.
 //!
 //! The module always compiles. The solver seams (`check_class_pricing`
-//! in [`FlowIndex::build`], the member check of
-//! [`FlowIndex::compile_classified`], and `check_index`, the greedy
-//! trace and `check_index_solution` around the greedy kernel) run
+//! in [`FlowIndex::build`], and `check_index`, the greedy trace and
+//! `check_index_solution` around the greedy kernel) run
 //! while the process-wide switch is on
 //! ([`enabled`]): always under `debug_assertions` and in this crate's
 //! unit tests, and in release builds once [`enable`] has run, as
@@ -43,6 +42,15 @@
 //! `check_instance` is no seam: an [`Instance`] is validated when it
 //! is built, and a caller that audits one (`tdmd place --audit true`)
 //! checks it once, where a violation can become a typed error.
+//!
+//! [`FlowIndex::compile_classified`] has no seam of its own: it takes
+//! whole classes, one priced path each, so no member passes through it
+//! to be checked against its class (`index-class-pricing` runs only on
+//! `build`). That each class holds one path and one pricing is pinned
+//! where the classes live, by the online engine's `delta-class-key` and
+//! `delta-class-census` checks; that the counts it is handed agree
+//! with `class_of` is `check_index`'s `index-class-sizes` and
+//! `index-class-first`, at the kernel seam.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -40,10 +40,11 @@
 //! a model (HAT, Best-effort's volume, the capacitated matching,
 //! branch-and-bound) read a [`HopCount`] index, whose gains are the
 //! downstream hop counts `l_v(f)`. Flows priced elsewhere compile
-//! through [`FlowIndex::compile`] into the same layout, and flows whose
-//! caller already keeps them in classes (the online engine's live path
-//! classes) through [`FlowIndex::compile_classified`], which hashes no
-//! path.
+//! through [`FlowIndex::compile`] into the same layout, and a caller
+//! that already keeps its flows in classes (the online engine's live
+//! path classes) hands over each flow's class and one priced class per
+//! number through [`FlowIndex::compile_classified`], which reads no
+//! flow's path. Both front ends share one row builder.
 //!
 //! Models always price each flow's current path. Under the joint
 //! routing extension that path is one pick from the flow's
@@ -231,6 +232,26 @@ pub struct PricedFlow<'a> {
     pub cost: f64,
 }
 
+/// One path class as a caller that keeps its flows in classes hands it
+/// to [`FlowIndex::compile_classified`]: the path and pricing its
+/// members share, how many there are, the lowest of their flow ids,
+/// and the exact sum of their rates.
+#[derive(Debug, Clone, Copy)]
+pub struct PricedClass<'a> {
+    /// The path every member follows, source first.
+    pub path: &'a [NodeId],
+    /// `gains[i]` is the serving gain at `path[i]`.
+    pub gains: &'a [f64],
+    /// Unprocessed cost of the whole path.
+    pub cost: f64,
+    /// Number of member flows.
+    pub size: u32,
+    /// The lowest member's flow id.
+    pub first: u32,
+    /// `R_c`: the exact sum of the members' rates.
+    pub rate: u128,
+}
+
 /// What the index fill reads of one flow.
 trait IndexSource {
     fn rate(&self) -> u64;
@@ -316,8 +337,8 @@ impl<M: CostModel + ?Sized> IndexSource for Modeled<'_, M> {
 /// [`FlowIndex::compile`] keys a class by path *and* pricing, the bits
 /// of its gains and cost, so flows on one path priced differently fall
 /// into separate classes; [`FlowIndex::compile_classified`] takes the
-/// caller's classes. Classes are numbered in the order they first
-/// appear among the flows.
+/// caller's classes as they are. Classes are numbered in the order
+/// they first appear among the flows.
 ///
 /// The index holds:
 /// * for every vertex, the classes crossing it with their serving
@@ -380,11 +401,11 @@ pub(crate) struct IndexParts<'a> {
     pub class_nodes: &'a [NodeId],
 }
 
-/// The path classes of a fill as it walks the flows: each new class
-/// is appended to the class arena with the pricing of the flow that
-/// opened it, and every later member adds its rate. A front end names
-/// each flow's class: [`PathTable`] by hashing its path, or the caller
-/// ([`FlowIndex::compile_classified`]).
+/// The path classes of an index before its rows are built: the class
+/// arena. [`PathTable`] fills it as it walks the flows, appending each
+/// new class with the pricing of the flow that opened it and adding
+/// every later member's rate; [`FlowIndex::compile_classified`] fills
+/// it from the caller's classes.
 struct Classes {
     size: Vec<u32>,
     first: Vec<u32>,
@@ -547,13 +568,11 @@ impl FlowIndex {
     /// Panics, with the switch on, if `model` prices two flows on one
     /// path apart.
     pub fn build<M: CostModel + ?Sized>(instance: &Instance, model: &M) -> Self {
-        let mut table = PathTable::new();
         let index = Self::fill(
             instance.node_count(),
             instance.lambda(),
             model.coverage_tiebreak(),
             instance.flows().iter().map(|flow| Modeled { flow, model }),
-            |classes, f, fi| table.classify(classes, &f, fi),
         );
         if crate::audit::enabled() {
             crate::audit::enforce(crate::audit::check_class_pricing(instance, model, &index));
@@ -580,84 +599,84 @@ impl FlowIndex {
     where
         I: IntoIterator<Item = PricedFlow<'a>>,
     {
-        let mut table = PathTable::new();
-        Self::fill(
-            node_count,
-            lambda,
-            coverage_tiebreak,
-            flows.into_iter(),
-            |classes, f, fi| table.classify(classes, &f, fi),
-        )
+        Self::fill(node_count, lambda, coverage_tiebreak, flows.into_iter())
     }
 
-    /// [`FlowIndex::compile`] for flows the caller has already put into
-    /// classes: each item is a flow's class and the flow. Classes must
-    /// be numbered `0..` in the order they first appear, so a flow's
-    /// class is either one an earlier flow opened or the next new one;
-    /// only the flow that opens a class is read for its path, gains and
-    /// cost, and every later member must carry the same path and
-    /// pricing. Numbered as `compile` would number them, the flows
-    /// build `compile`'s index bit for bit, without hashing a path.
-    /// With the audit switch on ([`crate::audit::enabled`]) every
-    /// member is checked against its class (`index-class-pricing`).
+    /// [`FlowIndex::compile`] for flows the caller already keeps in
+    /// classes: `class_of[f]` is flow `f`'s class, and `classes` lists
+    /// one [`PricedClass`] per class, in number order. Numbered as
+    /// `compile` numbers them (by first appearance among the flows),
+    /// with the members, first member and exact rate sum `compile`
+    /// would count, the classes build `compile`'s index bit for bit,
+    /// without reading a flow's path, gains or rate. Nothing here
+    /// checks that the counts agree with `class_of`: with the audit
+    /// switch on, the kernel's index check does (`index-class-sizes`,
+    /// `index-class-first`), and the caller's own audit pins that each
+    /// class holds one path and pricing.
     ///
     /// # Panics
-    /// Panics as [`FlowIndex::compile`] does, if a class number skips
-    /// ahead of the next new class, and, with the switch on, if a
-    /// member's path or pricing differs from its class's.
+    /// Panics if `class_of` names a class past the list, a class has
+    /// fewer gains than path positions, or a path vertex is not below
+    /// `node_count`.
     pub fn compile_classified<'a, I>(
         node_count: usize,
         lambda: f64,
         coverage_tiebreak: bool,
-        flows: I,
+        class_of: Vec<u32>,
+        classes: I,
     ) -> Self
     where
-        I: IntoIterator<Item = (u32, PricedFlow<'a>)>,
+        I: IntoIterator<Item = PricedClass<'a>>,
     {
-        let audit = crate::audit::enabled();
-        Self::fill(
-            node_count,
-            lambda,
-            coverage_tiebreak,
-            flows.into_iter(),
-            |classes, (c, f), fi| {
-                let next = classes.count();
-                assert!(
-                    ix(c) <= next,
-                    "flow {fi} names class {c} before class {next}"
-                );
-                if ix(c) == next {
-                    return classes.open(&f, fi);
-                }
-                if audit && !classes.holds(c, &f) {
-                    crate::audit::enforce(Err(crate::audit::AuditError {
-                        check: "index-class-pricing",
-                        detail: format!("flow {fi} joins class {c} with another path or pricing"),
-                    }));
-                }
-                classes.join(c, f.rate);
-                c
-            },
-        )
+        let mut arena = Classes::new();
+        for c in classes {
+            arena.size.push(c.size);
+            arena.first.push(c.first);
+            arena.rate.push(c.rate);
+            arena.cost.push(c.cost);
+            arena.nodes.extend_from_slice(c.path);
+            arena.gains.extend_from_slice(&c.gains[..c.path.len()]);
+            arena.offsets.push(id32(arena.nodes.len()));
+        }
+        if let Some(fi) = class_of.iter().position(|&c| ix(c) >= arena.count()) {
+            panic!(
+                "flow {fi} names class {} of {} listed",
+                class_of[fi],
+                arena.count()
+            );
+        }
+        Self::from_classes(node_count, lambda, coverage_tiebreak, arena, class_of)
     }
 
-    /// The one fill: a walk in which `classify` names each flow's class
-    /// (opening it in the arena if new), then the rows filled from the
-    /// class arena, walking the classes in id order with per-vertex
-    /// write cursors so every row ascends.
-    fn fill<T>(
+    /// The fill of [`FlowIndex::build`] and [`FlowIndex::compile`]: a
+    /// walk in which the path table names each flow's class, opening it
+    /// in the arena if new, then the shared row builder.
+    fn fill<S: IndexSource>(
         n: usize,
         lambda: f64,
         coverage_ties: bool,
-        flows: impl Iterator<Item = T>,
-        mut classify: impl FnMut(&mut Classes, T, u32) -> u32,
+        flows: impl Iterator<Item = S>,
     ) -> Self {
         let (hint, _) = flows.size_hint();
+        let mut table = PathTable::new();
         let mut classes = Classes::new();
         let mut class_of = Vec::with_capacity(hint);
         for (fi, f) in flows.enumerate() {
-            class_of.push(classify(&mut classes, f, id32(fi)));
+            class_of.push(table.classify(&mut classes, &f, id32(fi)));
         }
+        Self::from_classes(n, lambda, coverage_ties, classes, class_of)
+    }
+
+    /// The one row builder: the rows filled from the class arena,
+    /// walking the classes in id order with per-vertex write cursors so
+    /// every row ascends, and the per-class arrays moved in.
+    fn from_classes(
+        n: usize,
+        lambda: f64,
+        coverage_ties: bool,
+        classes: Classes,
+        class_of: Vec<u32>,
+    ) -> Self {
         let mut offsets = vec![0u32; n + 1];
         for &v in &classes.nodes {
             offsets[ix(v) + 1] += 1;
@@ -1040,68 +1059,122 @@ mod tests {
         }
     }
 
-    /// `compile_classified`, handed the classes `compile` or `build`
-    /// found, builds the same index bit for bit: on a path split by
-    /// pricing and on random gateway and all-pairs instances.
+    /// One class as [`classes_by_search`] finds it: its first member,
+    /// its member count and its members' exact rate sum.
+    type Found = (u32, u32, u128);
+
+    /// `inst`'s flows priced as `priced`, put into classes by a linear
+    /// search over path and pricing bits, numbered by first appearance:
+    /// each flow's class, and every class found.
+    fn classes_by_search(inst: &Instance, priced: &[(Vec<f64>, f64)]) -> (Vec<u32>, Vec<Found>) {
+        let key = |f: &Flow| {
+            let (gains, cost) = &priced[ix(f.id)];
+            let bits: Vec<u64> = gains.iter().chain([cost]).map(|x| x.to_bits()).collect();
+            (f.path.clone(), bits)
+        };
+        let mut keys = Vec::new();
+        let mut class_of = Vec::new();
+        let mut classes: Vec<Found> = Vec::new();
+        for f in inst.flows() {
+            let k = key(f);
+            let c = keys.iter().position(|x| *x == k).unwrap_or_else(|| {
+                keys.push(k);
+                classes.push((f.id, 0, 0));
+                keys.len() - 1
+            });
+            classes[c].1 += 1;
+            classes[c].2 += u128::from(f.rate);
+            class_of.push(id32(c));
+        }
+        (class_of, classes)
+    }
+
+    /// `compile_classified` of `class_of` and `classes`, each class
+    /// priced through its first member as `priced` gives it.
+    fn classified(
+        inst: &Instance,
+        priced: &[(Vec<f64>, f64)],
+        class_of: Vec<u32>,
+        classes: &[Found],
+    ) -> FlowIndex {
+        FlowIndex::compile_classified(
+            inst.node_count(),
+            inst.lambda(),
+            true,
+            class_of,
+            classes.iter().map(|&(first, size, rate)| PricedClass {
+                path: &inst.flows()[ix(first)].path,
+                gains: &priced[ix(first)].0,
+                cost: priced[ix(first)].1,
+                size,
+                first,
+                rate,
+            }),
+        )
+    }
+
+    /// `compile_classified`, handed classes found by a linear search
+    /// over path and pricing, builds `compile`'s index of the same
+    /// flows bit for bit: on a path split by pricing and on random
+    /// gateway and all-pairs instances at a non-dyadic `1 − λ`.
     #[test]
     fn compile_classified_takes_the_callers_classes() {
-        let classified = |inst: &Instance, priced: &[(Vec<f64>, f64)], of: &FlowIndex| {
-            FlowIndex::compile_classified(
-                inst.node_count(),
-                inst.lambda(),
-                true,
-                as_priced(inst, priced)
-                    .zip(&of.class_of)
-                    .map(|(f, &c)| (c, f)),
-            )
+        let searched = |inst: &Instance, priced: &[(Vec<f64>, f64)]| {
+            let (class_of, classes) = classes_by_search(inst, priced);
+            classified(inst, priced, class_of, &classes)
         };
         let shared = fig1_shared_paths();
-        let split = fig1_split_class();
         let priced = priced_scaled(&shared, &HopCount, doubled_flow_2);
-        assert_same_index(&classified(&shared, &priced, &split), &split);
+        assert_same_index(&searched(&shared, &priced), &fig1_split_class());
         let seed = proptest::fnv1a("compile_classified_takes_the_callers_classes");
         for case in 0..100u64 {
             let mut rng = StdRng::seed_from_u64(TestRng::for_case(seed, case).next_u64());
             let inst = random_instance(&mut rng).with_lambda(0.3);
-            let built = FlowIndex::build(&inst, &HopCount);
             let priced = priced_scaled(&inst, &HopCount, |_| 1.0);
-            assert_same_index(&classified(&inst, &priced, &built), &built);
+            let want = FlowIndex::compile(
+                inst.node_count(),
+                inst.lambda(),
+                true,
+                as_priced(&inst, &priced),
+            );
+            assert_same_index(&searched(&inst, &priced), &want);
         }
     }
 
-    /// A caller must number classes in first-appearance order.
+    /// A flow must name a listed class.
     #[test]
-    #[should_panic(expected = "flow 1 names class 2 before class 1")]
-    fn compile_classified_rejects_a_class_numbered_ahead() {
-        let inst = fig1_shared_paths();
-        let priced = priced_scaled(&inst, &HopCount, |_| 1.0);
-        FlowIndex::compile_classified(
-            inst.node_count(),
-            inst.lambda(),
-            true,
-            as_priced(&inst, &priced)
-                .enumerate()
-                .map(|(i, f)| (2 * id32(i), f)),
-        );
-    }
-
-    /// With the audit switch on, a member whose pricing differs from
-    /// its class's is caught: flow 2, priced double, named as a member
-    /// of flow 0's class.
-    #[test]
-    #[should_panic(expected = "index-class-pricing")]
-    fn compile_classified_audits_each_member_against_its_class() {
+    #[should_panic(expected = "flow 2 names class 5 of 5 listed")]
+    fn compile_classified_rejects_a_class_past_the_list() {
         let inst = fig1_shared_paths();
         let priced = priced_scaled(&inst, &HopCount, doubled_flow_2);
-        let merged = FlowIndex::build(&inst, &HopCount);
-        FlowIndex::compile_classified(
-            inst.node_count(),
-            inst.lambda(),
-            true,
-            as_priced(&inst, &priced)
-                .zip(&merged.class_of)
-                .map(|(f, &c)| (c, f)),
-        );
+        let (mut class_of, classes) = classes_by_search(&inst, &priced);
+        class_of[2] = 5;
+        classified(&inst, &priced, class_of, &classes);
+    }
+
+    /// A class list whose counts disagree with `class_of` compiles, and
+    /// the kernel's index check catches it: a class counting one
+    /// member too many (`index-class-sizes`), or naming a later member
+    /// first (`index-class-first`). With the audit switch on, the
+    /// kernel checks before it solves.
+    #[test]
+    #[should_panic(expected = "index-class-sizes")]
+    fn compile_classified_miscounts_are_caught_at_the_kernel() {
+        use crate::algorithms::gtp::gtp_budgeted_index;
+        use crate::audit::check_index;
+        let inst = fig1_shared_paths();
+        let priced = priced_scaled(&inst, &HopCount, doubled_flow_2);
+        let (class_of, classes) = classes_by_search(&inst, &priced);
+        // Class 1 holds flows 1 and 4.
+        let skewed = |skew: fn(&mut Found)| {
+            let mut classes = classes.clone();
+            skew(&mut classes[1]);
+            classified(&inst, &priced, class_of.clone(), &classes)
+        };
+        check_index(&skewed(|_| {})).unwrap();
+        let late = skewed(|c| c.0 = 4);
+        assert_eq!(check_index(&late).unwrap_err().check, "index-class-first");
+        let _ = gtp_budgeted_index(&skewed(|c| c.1 += 1), 2);
     }
 
     /// Prices `inst`'s flows with `model` by hand and compiles them.
@@ -1427,13 +1500,11 @@ mod tests {
         use crate::audit::check_class_pricing;
         let inst = fig1_shared_paths();
         let fill = |model: &dyn CostModel| {
-            let mut table = PathTable::new();
             FlowIndex::fill(
                 inst.node_count(),
                 inst.lambda(),
                 true,
                 inst.flows().iter().map(|flow| Modeled { flow, model }),
-                |classes, f, fi| table.classify(classes, &f, fi),
             )
         };
         check_class_pricing(&inst, &HopCount, &fill(&HopCount)).unwrap();

@@ -70,7 +70,7 @@ pub mod order;
 pub mod paper;
 pub mod plan;
 
-pub use cost::{CostModel, FlowIndex, HopCount, PricedFlow, WeightedEdges};
+pub use cost::{CostModel, FlowIndex, HopCount, PricedClass, PricedFlow, WeightedEdges};
 pub use error::TdmdError;
 pub use instance::{Instance, PathCheck, PathMember, PathSets};
 pub use order::TotalGain;

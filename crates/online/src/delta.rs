@@ -10,10 +10,18 @@
 //! share of every marginal decrement. The class therefore holds the
 //! path and the gains and cost its members arrived with, the exact sum
 //! `R_c` of their rates (a `u128`), their assignment and the class's
-//! row entries. A flow keeps only its key, rate, arrival order and
-//! class, and its links in the class's *member list*, which holds the
-//! members in arrival order. An arrival on or a departure from a live
-//! class touches no row; commits and re-homes move whole classes.
+//! row entries. A flow keeps only its key, rate, class, its position in
+//! the *arrival log* and its links in the class's *member list*, which
+//! holds the members in arrival order. An arrival on or a departure
+//! from a live class touches no row; commits and re-homes move whole
+//! classes.
+//!
+//! Eq. 1 and Def. 2 sum flow by flow, and every such sum here runs in
+//! arrival order, so that the live state, a snapshot of it and static
+//! GTP on the densified flows add the same floats in the same order.
+//! The arrival log keeps that order without sorting: an append-only
+//! list of slots that a departure never touches, compacted in place
+//! once dead entries outnumber live ones (invariant 6).
 //!
 //! # Invariants
 //!
@@ -55,12 +63,24 @@
 //!    gains and cost) to that class alone — the key
 //!    [`FlowIndex::compile`] classifies by. A class that empties
 //!    leaves the table, and its id is reused.
+//! 6. **Arrival log** — `order` lists the slot of every arrival since
+//!    the last compaction, oldest first, and each active flow records
+//!    its entry's index as `pos`. Entry `p` is live iff the slot it
+//!    names holds a flow whose `pos` is `p`, so a departure writes
+//!    nothing to the log and a reused slot's new flow names its own,
+//!    later entry. The live entries, in log order, are the active
+//!    flows in arrival order, which every canonical-order reader walks
+//!    ([`DeltaState::flows_in_arrival_order`]). A departure that
+//!    leaves the log longer than `2 · active + 64` entries compacts it
+//!    in place, keeping the live entries in order and rewriting each
+//!    `pos`: amortized O(1) a departure, and the log never holds more
+//!    than twice the active flows plus 64.
 //!
-//! All five are restored by every mutation (insert, remove, commit,
+//! All six are restored by every mutation (insert, remove, commit,
 //! failover, rebuild); the engine's repair logic relies on them.
 
 use tdmd_core::num::{approx_f64, big_ix, id32, ix, rate_sum_f64, KahanSum};
-use tdmd_core::{Deployment, FlowIndex, PricedFlow};
+use tdmd_core::{Deployment, FlowIndex, PricedClass, PricedFlow};
 use tdmd_graph::NodeId;
 use tdmd_traffic::Flow;
 
@@ -69,16 +89,18 @@ use crate::event::FlowKey;
 /// The end of a member list: no slot.
 const NIL: u32 = u32::MAX;
 
-/// An active flow: its key, rate and arrival order, and the live
-/// class that holds its path, pricing and assignment.
+/// An active flow: its key, rate and place in the arrival log, and the
+/// live class that holds its path, pricing and assignment.
 #[derive(Debug, Clone)]
 pub struct ActiveFlow {
     /// Stream-stable key the flow arrived under.
     pub key: FlowKey,
     /// Rate `r_f`.
     pub rate: u64,
-    /// Arrival sequence number — the canonical densification order.
-    pub seq: u64,
+    /// Index of the flow's entry in the arrival log (invariant 6):
+    /// flows compare in arrival order by it, and a compaction rewrites
+    /// it.
+    pos: u32,
     /// The live class holding the flow's path, the pricing it arrived
     /// with ([`DeltaState::priced`]) and its assignment
     /// ([`DeltaState::assigned`]).
@@ -571,7 +593,9 @@ pub struct DeltaState {
     /// Active flows whose class has no serving middlebox — they are
     /// accounted at full rate.
     unserved: usize,
-    next_seq: u64,
+    /// The arrival log (invariant 6): the slot of each arrival, oldest
+    /// first, live where the slot's flow names the entry.
+    order: Vec<u32>,
     /// Reusable dirty-vertex scratch: [`DeltaState::commit`] and
     /// [`DeltaState::fail_rehome`] fill it, sorted and deduplicated,
     /// and lend it out, so the hot repair path allocates nothing.
@@ -621,6 +645,20 @@ fn same_assignment(a: Option<(NodeId, f64)>, b: Option<(NodeId, f64)>) -> bool {
     a.map(|(v, g)| (v, g.to_bits())) == b.map(|(v, g)| (v, g.to_bits()))
 }
 
+/// The live entries of the arrival log `order` over the slots `flows`:
+/// the active flows in arrival order (invariant 6). A free function, so
+/// a walk can borrow the log and the slots while the caller writes the
+/// state's other fields.
+fn arrivals<'a>(
+    order: &'a [u32],
+    flows: &'a [Option<ActiveFlow>],
+) -> impl Iterator<Item = &'a ActiveFlow> + 'a {
+    order
+        .iter()
+        .enumerate()
+        .filter_map(move |(p, &slot)| flows[ix(slot)].as_ref().filter(|f| ix(f.pos) == p))
+}
+
 impl DeltaState {
     /// Empty state over a topology of `n` vertices with
     /// traffic-changing ratio `lambda`.
@@ -638,7 +676,7 @@ impl DeltaState {
             primary_load: vec![0.0; n],
             active: 0,
             unserved: 0,
-            next_seq: 0,
+            order: Vec::new(),
             dirty: Vec::new(),
             reassignments: 0,
             flips: Vec::new(),
@@ -777,21 +815,6 @@ impl DeltaState {
         self.primary_load[ix(v)]
     }
 
-    /// Active flow slots in arrival (seq) order — the canonical
-    /// densification order for oracle snapshots. Sorts `(seq, slot)`
-    /// pairs, so the sort never dereferences a flow; seqs are unique,
-    /// so the order is the seq order exactly.
-    pub(crate) fn slots_in_seq_order(&self) -> Vec<u32> {
-        let mut order: Vec<(u64, u32)> = self
-            .flows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| f.as_ref().map(|f| (f.seq, id32(i))))
-            .collect();
-        order.sort_unstable();
-        order.into_iter().map(|(_, slot)| slot).collect()
-    }
-
     /// The live flow in `slot`.
     #[inline]
     fn live(&self, slot: u32) -> &ActiveFlow {
@@ -804,65 +827,67 @@ impl DeltaState {
         self.flows[ix(slot)].as_mut().expect("live slot")
     }
 
-    /// Active flows in arrival (seq) order — the canonical order
-    /// engine snapshots serialize and restores replay, so both sides
-    /// of a snapshot/restore round trip rebuild bitwise-identical
-    /// float sums.
-    pub fn flows_in_seq_order(&self) -> Vec<&ActiveFlow> {
-        self.slots_in_seq_order()
-            .into_iter()
-            .map(|s| self.live(s))
-            .collect()
+    /// Active flows in arrival order — the canonical order engine
+    /// snapshots serialize and restores replay, so both sides of a
+    /// snapshot/restore round trip rebuild bitwise-identical float
+    /// sums. A walk of the arrival log (invariant 6): no sort, and
+    /// O(log length), at most twice the active flows plus 64.
+    pub fn flows_in_arrival_order(&self) -> impl Iterator<Item = &ActiveFlow> + '_ {
+        arrivals(&self.order, &self.flows)
     }
 
     /// Densified snapshot of the active flows (ids re-assigned
     /// `0..n` in arrival order) — the workload of the from-scratch
     /// oracle.
     pub fn active_snapshot(&self) -> Vec<Flow> {
-        self.slots_in_seq_order()
-            .into_iter()
+        self.flows_in_arrival_order()
             .enumerate()
-            .map(|(i, s)| {
-                let f = self.live(s);
-                Flow::new(id32(i), f.rate, self.classes.path(f.class).to_vec())
-            })
+            .map(|(i, f)| Flow::new(id32(i), f.rate, self.classes.path(f.class).to_vec()))
             .collect()
     }
 
     /// The active flows compiled for the greedy kernel, numbered in
     /// arrival order from the gains and costs stored at arrival — no
-    /// flow is priced again and no path is hashed. Bitwise equal to
-    /// [`FlowIndex::build`] of the densified snapshot
+    /// flow is priced again and no path is hashed or copied per flow.
+    /// Bitwise equal to [`FlowIndex::build`] of the densified snapshot
     /// ([`DeltaState::active_snapshot`]) under the model those gains
     /// came from, and to [`FlowIndex::compile`] of the snapshot with
-    /// the stored gains whatever they are. `coverage_tiebreak` is the
-    /// model's
+    /// the stored gains whatever they are. One walk of the arrival log
+    /// numbers the live classes in the order they first appear, which
+    /// is how `compile` numbers them, whatever ids the table reused,
+    /// and records each flow's class; the live classes then go to
+    /// [`FlowIndex::compile_classified`] whole, with the member count,
+    /// first member and exact rate sum they keep. `coverage_tiebreak`
+    /// is the model's
     /// [`CostModel::coverage_tiebreak`](tdmd_core::CostModel::coverage_tiebreak).
     pub fn flow_index(&self, coverage_tiebreak: bool) -> FlowIndex {
-        self.flow_index_in(&self.slots_in_seq_order(), coverage_tiebreak)
-    }
-
-    /// [`DeltaState::flow_index`] over `order`, the live slots in seq
-    /// order ([`DeltaState::slots_in_seq_order`]), so a caller that
-    /// also evaluates the same flows sorts them once. One pass numbers
-    /// the live classes in the order they first appear, which is how
-    /// `compile` numbers them, whatever ids the table reused, and hands
-    /// the classified flows to [`FlowIndex::compile_classified`].
-    pub(crate) fn flow_index_in(&self, order: &[u32], coverage_tiebreak: bool) -> FlowIndex {
         let mut number = vec![u32::MAX; self.classes.classes.len()];
-        let mut next = 0u32;
+        // The live classes in number order, each with its first member.
+        let mut numbered: Vec<(u32, u32)> = Vec::with_capacity(self.classes.live());
+        let mut class_of = Vec::with_capacity(self.active);
+        for (fi, f) in self.flows_in_arrival_order().enumerate() {
+            let n = &mut number[ix(f.class)];
+            if *n == u32::MAX {
+                *n = id32(numbered.len());
+                numbered.push((f.class, id32(fi)));
+            }
+            class_of.push(*n);
+        }
         FlowIndex::compile_classified(
             self.rows.len(),
             self.lambda,
             coverage_tiebreak,
-            order.iter().map(|&s| {
-                let f = self.live(s);
-                let n = &mut number[ix(f.class)];
-                if *n == u32::MAX {
-                    *n = next;
-                    next += 1;
+            class_of,
+            numbered.iter().map(|&(c, first)| {
+                let class = self.classes.class(c);
+                PricedClass {
+                    path: self.classes.path(c),
+                    gains: self.classes.gains(c),
+                    cost: class.cost,
+                    size: class.members,
+                    first,
+                    rate: class.rate,
                 }
-                (*n, self.priced(f))
             }),
         )
     }
@@ -871,12 +896,11 @@ impl DeltaState {
     /// order — term-for-term the same sum as the static
     /// `FlowIndex::bandwidth_of` evaluates on the densified snapshot,
     /// so the two agree *exactly* (bitwise), not just approximately.
+    /// O(active flows): one walk of the arrival log.
     pub fn exact_objective(&self) -> f64 {
         let factor = self.factor();
-        self.slots_in_seq_order()
-            .into_iter()
-            .map(|s| {
-                let f = self.live(s);
+        self.flows_in_arrival_order()
+            .map(|f| {
                 let class = self.classes.class(f.class);
                 let full = approx_f64(f.rate) * class.cost;
                 match class.assigned {
@@ -1003,13 +1027,13 @@ impl DeltaState {
         self.flows[ix(slot)] = Some(ActiveFlow {
             key,
             rate,
-            seq: self.next_seq,
+            pos: id32(self.order.len()),
             class,
             prev: NIL,
             next: NIL,
         });
+        self.order.push(slot);
         self.link(slot, class);
-        self.next_seq += 1;
         self.key_index.insert(
             key,
             SlotRef {
@@ -1022,9 +1046,12 @@ impl DeltaState {
 
     /// Removes a departing flow, subtracting its contributions and
     /// leaving its class, which closes its row entries and frees the
-    /// class if the flow was its last member. Returns its path, which
-    /// the caller dirties; the slice stays valid until the next
-    /// mutation. O(path length) when the class closes, O(1) otherwise.
+    /// class if the flow was its last member. Its arrival-log entry
+    /// turns dead where it stands, and a log left longer than
+    /// `2 · active + 64` is compacted (invariant 6). Returns its path,
+    /// which the caller dirties; the slice stays valid until the next
+    /// mutation. O(path length) when the class closes, amortized O(1)
+    /// otherwise.
     ///
     /// # Panics
     /// Panics if `key` is not active.
@@ -1053,12 +1080,33 @@ impl DeltaState {
         }
         self.free.push(slot);
         self.active -= 1;
+        if self.order.len() > 2 * self.active + 64 {
+            self.compact_order();
+        }
         if self.classes.release(flow.class) {
             self.close_rows(flow.class);
         }
         // A freed class keeps its span until the next class of its
         // length opens.
         self.classes.path(flow.class)
+    }
+
+    /// Drops the dead entries of the arrival log in one order-keeping
+    /// pass, rewriting each live flow's `pos` to its entry's new index
+    /// (invariant 6). A slot's entries before its flow's own are dead,
+    /// and none follow it, so a rewritten `pos` never makes a later
+    /// entry look live.
+    fn compact_order(&mut self) {
+        let mut kept = 0;
+        for p in 0..self.order.len() {
+            let slot = self.order[p];
+            if let Some(f) = self.flows[ix(slot)].as_mut().filter(|f| ix(f.pos) == p) {
+                f.pos = id32(kept);
+                self.order[kept] = slot;
+                kept += 1;
+            }
+        }
+        self.order.truncate(kept);
     }
 
     /// Appends the member in `slot` to the tail of class `c`'s member
@@ -1303,8 +1351,7 @@ impl DeltaState {
         let mut unprocessed = 0.0f64;
         let mut saved = 0.0f64;
         self.unserved = 0;
-        for slot in self.slots_in_seq_order() {
-            let f = self.live(slot);
+        for f in arrivals(&self.order, &self.flows) {
             let rate = approx_f64(f.rate);
             let class = self.classes.class(f.class);
             let (cost, assigned) = (class.cost, class.assigned);
@@ -1326,23 +1373,15 @@ impl DeltaState {
     /// what cloning the state, calling
     /// [`DeltaState::rebuild_assignments`] and reading
     /// [`DeltaState::exact_objective`] would report, evaluated
-    /// read-only without materializing the copy. Term-for-term the
-    /// same arrival-order sum, so the agreement is bitwise.
+    /// read-only without materializing the copy. Each live class's best
+    /// gain is found once; the terms are then summed flow by flow in
+    /// arrival order, term-for-term the same sum, so the agreement is
+    /// bitwise.
     pub fn objective_under(&self, deployment: &Deployment) -> f64 {
-        self.objective_in(&self.slots_in_seq_order(), deployment)
-    }
-
-    /// [`DeltaState::objective_under`] over `order`, the live slots in
-    /// seq order ([`DeltaState::slots_in_seq_order`]). Each live
-    /// class's best gain is found once; the terms are then summed flow
-    /// by flow in arrival order.
-    pub(crate) fn objective_in(&self, order: &[u32], deployment: &Deployment) -> f64 {
         let factor = self.factor();
         let best_of = self.class_best(deployment);
-        order
-            .iter()
-            .map(|&s| {
-                let f = self.live(s);
+        self.flows_in_arrival_order()
+            .map(|f| {
                 let full = approx_f64(f.rate) * self.classes.cost(f.class);
                 match best_of[ix(f.class)] {
                     Some((_, g)) => full - approx_f64(f.rate) * factor * g,
@@ -1362,13 +1401,13 @@ impl DeltaState {
 /// bookkeeping; the `audit_*` hooks deliberately break one invariant
 /// each so the corruption proptests can assert the auditor catches it.
 impl DeltaState {
-    /// Validates invariants 1–5 (module docs) against a from-scratch
+    /// Validates invariants 1–6 (module docs) against a from-scratch
     /// recomputation under `deployment`.
     ///
     /// # Errors
     /// Returns the first violated check among `delta-key-map`,
-    /// `delta-class-census`, `delta-class-key`, `delta-class-rate`,
-    /// `delta-class-members`, `delta-active-census`,
+    /// `delta-order-log`, `delta-class-census`, `delta-class-key`,
+    /// `delta-class-rate`, `delta-class-members`, `delta-active-census`,
     /// `delta-row-mirror`, `delta-row-backpointer`, `delta-assignment`,
     /// `delta-sum-unprocessed`, `delta-sum-saved`,
     /// `delta-primary-load` and `delta-unserved-census`.
@@ -1392,6 +1431,47 @@ impl DeltaState {
                     format!(
                         "flow key {} not mapped to slot {slot} at generation {}",
                         f.key, expected.gen
+                    ),
+                );
+            }
+        }
+        // Invariant 6 — the arrival log. Each live flow's `pos` indexes
+        // an entry naming its slot, so the live entries are the active
+        // flows, each once; every entry names a slot, so a walk never
+        // leaves the slot table; and the log is within its compaction
+        // bound. The log is the arrival order: the member lists below
+        // must agree with it.
+        let bound = 2 * self.active + 64;
+        if self.order.len() > bound {
+            return err(
+                "delta-order-log",
+                format!(
+                    "arrival log holds {} entries for {} active flows, past {bound}",
+                    self.order.len(),
+                    self.active
+                ),
+            );
+        }
+        if let Some(p) = self.order.iter().position(|&s| ix(s) >= self.flows.len()) {
+            return err(
+                "delta-order-log",
+                format!(
+                    "arrival log entry {p} names slot {} of {}",
+                    self.order[p],
+                    self.flows.len()
+                ),
+            );
+        }
+        for (slot, f) in self.flows.iter().enumerate() {
+            let Some(f) = f else { continue };
+            let named = self.order.get(ix(f.pos));
+            if named != Some(&id32(slot)) {
+                return err(
+                    "delta-order-log",
+                    format!(
+                        "flow key {} in slot {slot} claims arrival log entry {}, which names \
+                         slot {named:?}",
+                        f.key, f.pos
                     ),
                 );
             }
@@ -1503,17 +1583,18 @@ impl DeltaState {
             }
         }
         // Invariant 5 — each member list links exactly its class's
-        // flows in seq order. The census fixed how many flows name the
-        // class, so a walk of that many distinct (seq-increasing)
-        // members that ends at the tail holds them all.
+        // flows in arrival order: at rising arrival-log positions. The
+        // census fixed how many flows name the class, so a walk of that
+        // many distinct (position-increasing) members that ends at the
+        // tail holds them all.
         for c in live_classes() {
             let class = table.class(c);
             let (mut prev, mut slot, mut walked) = (NIL, class.head, 0u32);
-            let mut last_seq = None;
+            let mut last_pos = None;
             while slot != NIL && walked < class.members {
                 let f = self.flows.get(ix(slot)).and_then(Option::as_ref);
                 let Some(f) = f.filter(|f| {
-                    f.class == c && f.prev == prev && last_seq.is_none_or(|s| s < f.seq)
+                    f.class == c && f.prev == prev && last_pos.is_none_or(|p| p < f.pos)
                 }) else {
                     return err(
                         "delta-class-members",
@@ -1523,7 +1604,7 @@ impl DeltaState {
                         ),
                     );
                 };
-                last_seq = Some(f.seq);
+                last_pos = Some(f.pos);
                 prev = slot;
                 slot = f.next;
                 walked += 1;
@@ -1622,8 +1703,7 @@ impl DeltaState {
         let mut saved = 0.0;
         let mut primary = vec![0.0f64; self.rows.len()];
         let mut unserved = 0usize;
-        for slot in self.slots_in_seq_order() {
-            let f = self.live(slot);
+        for f in self.flows_in_arrival_order() {
             unprocessed += approx_f64(f.rate) * table.cost(f.class);
             match self.assigned(f) {
                 Some((v, g)) => {
@@ -1744,6 +1824,23 @@ impl DeltaState {
         } else {
             self.live_mut(third).prev = first;
         }
+        true
+    }
+
+    /// Corruption hook: swaps the first two live entries of the arrival
+    /// log without rewriting either flow's `pos` — breaks invariant 6
+    /// (`delta-order-log`). Returns whether the log had two live
+    /// entries to swap.
+    pub fn audit_swap_order(&mut self) -> bool {
+        let live: Vec<usize> = self
+            .flows_in_arrival_order()
+            .take(2)
+            .map(|f| ix(f.pos))
+            .collect();
+        let &[a, b] = live.as_slice() else {
+            return false;
+        };
+        self.order.swap(a, b);
         true
     }
 
@@ -2209,6 +2306,57 @@ mod tests {
             }),
             "delta-class-key"
         );
+    }
+
+    /// The arrival log grows by one entry per arrival and by none per
+    /// departure until it holds exactly `2 · active + 64` entries; the
+    /// next departure that leaves it past that bound compacts it to the
+    /// live entries, in arrival order, each flow's `pos` rewritten.
+    #[test]
+    fn arrival_log_compacts_just_past_its_bound() {
+        let mut st = DeltaState::new(4, 0.5);
+        let dep = Deployment::from_vertices(4, [1]);
+        let pos = |st: &DeltaState, key| st.flow(key).unwrap().pos;
+        let keys = |st: &DeltaState| {
+            st.flows_in_arrival_order()
+                .map(|f| f.key)
+                .collect::<Vec<_>>()
+        };
+        add(&mut st, 10, 1, vec![0, 1, 2], &dep);
+        add(&mut st, 11, 2, vec![3, 2, 1], &dep);
+        add(&mut st, 12, 3, vec![0, 1, 2], &dep);
+        st.remove(10);
+        assert_eq!((pos(&st, 11), pos(&st, 12)), (1, 2));
+        // Each arrival reuses slot 0 and leaves a dead entry behind it.
+        let mut key = 100;
+        while st.order.len() < 2 * st.active_count() + 64 {
+            let len = st.order.len();
+            add(&mut st, key, 1, vec![2, 1, 0], &dep);
+            st.remove(key);
+            assert_eq!(st.order.len(), len + 1, "no compaction below the bound");
+            key += 1;
+        }
+        assert_eq!(st.order.len(), 68);
+        assert_eq!((pos(&st, 11), pos(&st, 12)), (1, 2));
+        st.check_invariants(&dep).unwrap();
+        add(&mut st, key, 1, vec![2, 1, 0], &dep);
+        assert_eq!(st.order.len(), 69, "an arrival never compacts");
+        st.remove(key);
+        assert_eq!(st.order, [1, 2], "only the live entries remain");
+        assert_eq!((pos(&st, 11), pos(&st, 12)), (0, 1));
+        assert_eq!(keys(&st), [11, 12]);
+        st.check_invariants(&dep).unwrap();
+        add(&mut st, 13, 4, vec![3, 2, 1], &dep);
+        assert_eq!((pos(&st, 13), keys(&st)), (2, vec![11, 12, 13]));
+        st.check_invariants(&dep).unwrap();
+    }
+
+    /// A flow slot keeps key, rate, class, log position and two member
+    /// links: 40 bytes with the `Option`'s tag.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_flow_slot_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<Option<ActiveFlow>>(), 40);
     }
 
     #[test]

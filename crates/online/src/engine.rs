@@ -311,9 +311,10 @@ impl<M: CostModel> OnlineEngine<M> {
 
     /// The drift oracle: budgeted GTP on the active flows, compiled
     /// straight from the live path classes ([`DeltaState::flow_index`])
-    /// with the gains the engine stored at arrival: the classes are
-    /// numbered by first arrival and no path is hashed or copied per
-    /// flow. Bitwise the deployment
+    /// with the gains the engine stored at arrival: one walk of the
+    /// arrival log numbers the classes by first arrival, and each class
+    /// is handed over whole, so no path is hashed or copied per flow
+    /// and nothing is sorted. Bitwise the deployment
     /// [`gtp_budgeted_with`](tdmd_core::algorithms::gtp::gtp_budgeted_with)
     /// returns on [`OnlineEngine::snapshot_instance`] under the model
     /// those gains came from, without building the instance.
@@ -322,15 +323,7 @@ impl<M: CostModel> OnlineEngine<M> {
     /// [`TdmdError::Infeasible`] when the budget cannot cover the
     /// active flows.
     pub fn solve_oracle(&self) -> Result<Deployment, TdmdError> {
-        self.solve_oracle_in(&self.state.slots_in_seq_order())
-    }
-
-    /// [`OnlineEngine::solve_oracle`] over `order`, the live slots in
-    /// arrival order.
-    fn solve_oracle_in(&self, order: &[u32]) -> Result<Deployment, TdmdError> {
-        let index = self
-            .state
-            .flow_index_in(order, self.model.coverage_tiebreak());
+        let index = self.state.flow_index(self.model.coverage_tiebreak());
         gtp_budgeted_index(&index, self.k)
     }
 
@@ -740,17 +733,16 @@ impl<M: CostModel> OnlineEngine<M> {
     /// deferred and the caller falls back to budget-capped local
     /// repair. While failures are active the oracle's deployment is
     /// stripped of failed vertices before evaluation, and stripped
-    /// budget is re-spent by a greedy fill after adoption. One
-    /// arrival-order sort of the live slots serves both halves: the
-    /// oracle is compiled from the live classes numbered in that order
+    /// budget is re-spent by a greedy fill after adoption. Both halves
+    /// walk the arrival log instead of sorting: the oracle is compiled
+    /// from the live classes numbered in arrival order
     /// ([`DeltaState::flow_index`]), and its deployment is evaluated by
     /// finding each live class's best gain once and summing the flows
     /// in that order ([`DeltaState::objective_under`]). Returns whether
     /// a replan was adopted.
     fn drift_check(&mut self, force: bool) -> bool {
         self.stats.drift_samples += 1;
-        let order = self.state.slots_in_seq_order();
-        let mut oracle = match self.solve_oracle_in(&order) {
+        let mut oracle = match self.solve_oracle() {
             Ok(dep) => dep,
             Err(_) => {
                 self.stats.oracle_failures += 1;
@@ -766,7 +758,7 @@ impl<M: CostModel> OnlineEngine<M> {
                 }
             }
         }
-        let oracle_obj = self.state.objective_in(&order, &oracle);
+        let oracle_obj = self.state.objective_under(&oracle);
         let current = self.state.objective();
         self.stats.last_drift = if oracle_obj > 0.0 {
             current / oracle_obj - 1.0
@@ -835,7 +827,7 @@ impl<M: CostModel> OnlineEngine<M> {
     }
 
     /// Rebuilds the delta state and the CELF queue into their
-    /// canonical forms: flows re-inserted in arrival (seq) order
+    /// canonical forms: flows re-inserted in arrival order
     /// against the current deployment, queue entries with exact
     /// marginal-gain bounds for every live candidate. Deployment,
     /// failure mask and stats are untouched, assignments are the same
@@ -846,7 +838,7 @@ impl<M: CostModel> OnlineEngine<M> {
     fn canonicalize(&mut self) {
         let n = self.graph.node_count();
         let old = std::mem::replace(&mut self.state, DeltaState::new(n, self.lambda));
-        for f in old.flows_in_seq_order() {
+        for f in old.flows_in_arrival_order() {
             self.state
                 .insert_priced(f.key, old.priced(f), &self.deployment);
         }
@@ -874,8 +866,7 @@ impl<M: CostModel> OnlineEngine<M> {
         self.canonicalize();
         let flows = self
             .state
-            .flows_in_seq_order()
-            .into_iter()
+            .flows_in_arrival_order()
             .map(|f| {
                 let p = self.state.priced(f);
                 SnapshotFlow {
@@ -1370,7 +1361,7 @@ mod tests {
         assert_eq!(oracle.vertices(), &[1, 2]);
     }
 
-    /// A drift sample sorts the live flows once, for both the oracle's
+    /// A drift sample walks the arrival log for both the oracle's
     /// compile and the evaluation of its deployment: `last_drift` is
     /// bit for bit the ratio the public `objective_under` gives for the
     /// same deployment, failed vertices stripped, after churn has left

@@ -24,9 +24,11 @@
 //!   of the static CSR flow index over live path classes: a class
 //!   holds its path and stored gains once, the exact rate sum of its
 //!   members, their assignment and its per-vertex row entries, and a
-//!   flow keeps only its key, rate, arrival order and class. The
-//!   objective is a running sum. An arrival on or departure from a
-//!   live class touches no row; repair moves whole classes.
+//!   flow keeps only its key, rate, class and place in an append-only
+//!   arrival log, which every arrival-order sum walks instead of
+//!   sorting. The objective is a running sum. An arrival on or
+//!   departure from a live class touches no row; repair moves whole
+//!   classes.
 //! * [`queue`] — [`LazyQueue`], a CELF-style lazy priority queue whose
 //!   cached marginal gains survive across events under epoch-stamped
 //!   invalidation.

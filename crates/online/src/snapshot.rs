@@ -31,9 +31,9 @@
 //! rebuilt assignments are the same deterministic `(gain, smaller
 //! id)` argmaxes, the rebuilt running sums equal
 //! [`DeltaState::exact_objective`](crate::DeltaState::exact_objective)
-//! (which is insertion-order-independent for a fixed seq order), and
-//! the rebuilt queue holds exact bounds — a superset of the coherence
-//! the auditor demands.
+//! (which is insertion-order-independent for a fixed arrival order),
+//! and the rebuilt queue holds exact bounds — a superset of the
+//! coherence the auditor demands.
 //!
 //! # What restore checks
 //!
@@ -107,7 +107,7 @@ pub struct EngineSnapshot {
     pub lambda: f64,
     /// Middlebox budget `k`.
     pub k: u64,
-    /// Active flows in arrival (seq) order — the order restore
+    /// Active flows in arrival order — the order restore
     /// re-inserts them in.
     pub flows: Vec<SnapshotFlow>,
     /// Deployed vertices, ascending.

@@ -11,7 +11,8 @@
 //!   check name: off-path/suboptimal class assignment, skewed running
 //!   sums, a dropped or misplaced class row entry, a miscounted,
 //!   unmapped or mis-summed path class, a member list out of arrival
-//!   order, stale queue epoch.
+//!   order, an arrival log whose entries and positions disagree, stale
+//!   queue epoch.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -181,6 +182,20 @@ fn swapped_members_break_the_member_list() {
     assert!(st.audit_swap_members(8), "the class holds two members");
     let err = st.check_invariants(&dep).unwrap_err();
     assert_eq!(err.check, "delta-class-members", "{err}");
+}
+
+#[test]
+fn swapped_order_entries_break_the_arrival_log() {
+    let (mut st, dep) = seeded_state();
+    // A departure leaves a dead entry ahead of the two live ones; the
+    // hook swaps the live ones, so each flow's `pos` names the other's
+    // slot.
+    insert(&mut st, 9, 1, vec![3, 2], &dep);
+    st.remove(7);
+    st.check_invariants(&dep).expect("a dead entry is clean");
+    assert!(st.audit_swap_order(), "the log holds two live entries");
+    let err = st.check_invariants(&dep).unwrap_err();
+    assert_eq!(err.check, "delta-order-log", "{err}");
 }
 
 #[test]

@@ -20,6 +20,13 @@
 //! gains keeps one class per pricing, as `FlowIndex::compile` of the
 //! snapshot does, and a new arrival on that path joins the class its
 //! model prices.
+//!
+//! Both sides above read the engine's arrival log, so a wrong log
+//! order would pass them. A second check keeps its own arrival-ordered
+//! list of the flows over thousands of events that reuse slots and
+//! cross the log's compaction bound many times, and compares the
+//! engine's arrival walk, its index and its arrival-order objective
+//! sums with that list after every event.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -327,6 +334,171 @@ proptest! {
         let g = weighted_graph(n, &mut rng);
         let model = WeightedEdges::new(&g);
         check_stream(g, LAMBDAS[li], k, model, seed ^ 0x0D, len);
+    }
+}
+
+/// One flow of [`ArrivalList`]: key, rate, path, and the gains and
+/// cost its model gives it.
+type Listed = (FlowKey, u64, Vec<NodeId>, Vec<f64>, f64);
+
+/// The test's own record of the active flows, in arrival order: an
+/// arrival appends, a departure removes its flow where it stands.
+/// Nothing in it depends on the engine's slots, log or classes.
+#[derive(Default)]
+struct ArrivalList(Vec<Listed>);
+
+impl ArrivalList {
+    fn keys(&self) -> Vec<FlowKey> {
+        self.0.iter().map(|f| f.0).collect()
+    }
+
+    /// `FlowIndex::compile` of the list, flows numbered in its order.
+    fn compiled(&self, n: usize, lambda: f64, ties: bool) -> FlowIndex {
+        FlowIndex::compile(
+            n,
+            lambda,
+            ties,
+            self.0
+                .iter()
+                .map(|(_, rate, path, gains, cost)| PricedFlow {
+                    rate: *rate,
+                    path,
+                    gains,
+                    cost: *cost,
+                }),
+        )
+    }
+
+    /// Eq. 1 under `dep`, flow by flow in the list's order, each flow
+    /// served at its best deployed on-path gain.
+    fn objective(&self, lambda: f64, dep: &tdmd_core::Deployment) -> f64 {
+        let factor = 1.0 - lambda;
+        self.0
+            .iter()
+            .map(|(_, rate, path, gains, cost)| {
+                let r = *rate as f64;
+                let best = path
+                    .iter()
+                    .zip(gains)
+                    .filter(|&(&v, _)| dep.contains(v))
+                    .map(|(_, &g)| g)
+                    .reduce(f64::max);
+                match best {
+                    Some(g) => r * cost - r * factor * g,
+                    None => r * cost,
+                }
+            })
+            .sum::<f64>()
+            + 0.0
+    }
+}
+
+/// Churn between 1 and `cap` live flows over `len` events, on paths
+/// drawn mostly from a pool of four (classes drain and reopen) and
+/// otherwise at random, departures picked anywhere in the list (slots
+/// are reused out of arrival order). After every event the engine's
+/// arrival-order walk must list exactly the keys of the test's own
+/// [`ArrivalList`]; the live index must equal `compile` of that list
+/// bit for bit; and the exact objective and the objective under the
+/// deployment must equal the list's own arrival-order sums bitwise.
+/// Returns how many times the engine's arrival log was compacted, by
+/// its documented rule: a departure that leaves more than
+/// `2 · active + 64` entries.
+fn check_arrival_order<M: CostModel + Clone>(
+    g: &DiGraph,
+    lambda: f64,
+    model: M,
+    cap: usize,
+    seed: u64,
+    len: usize,
+) -> usize {
+    let n = g.node_count();
+    let ties = model.coverage_tiebreak();
+    let mut engine = OnlineEngine::new(
+        g.clone(),
+        lambda,
+        3,
+        model.clone(),
+        RepairPolicy::local_only(2),
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let random_path = |rng: &mut StdRng| {
+        let src = rng.gen_range(0..n as NodeId);
+        let dst = (src + rng.gen_range(1..n as NodeId)) % n as NodeId;
+        shortest_path(g, src, dst)
+    };
+    let pool: Vec<Vec<NodeId>> = (0..4).map(|_| random_path(&mut rng)).collect();
+    let mut list = ArrivalList::default();
+    let (mut next_key, mut log, mut compactions) = (0, 0usize, 0);
+    for _ in 0..len {
+        let live = list.0.len();
+        let ev = if live > 0 && (live == cap || rng.gen_bool(0.5)) {
+            let (key, ..) = list.0.remove(rng.gen_range(0..live));
+            if log > 2 * list.0.len() + 64 {
+                log = list.0.len();
+                compactions += 1;
+            }
+            Event::FlowDeparted { key }
+        } else {
+            let path = if rng.gen_range(0..4) == 0 {
+                random_path(&mut rng)
+            } else {
+                pool[rng.gen_range(0..pool.len())].clone()
+            };
+            let rate = rng.gen_range(1..=12);
+            let probe = Flow::new(0, rate, path.clone());
+            let (gains, cost) = (model.gains(&probe), model.unprocessed_cost(&probe));
+            list.0.push((next_key, rate, path.clone(), gains, cost));
+            log += 1;
+            next_key += 1;
+            Event::FlowArrived {
+                key: next_key - 1,
+                rate,
+                path,
+            }
+        };
+        engine.apply(&ev).unwrap();
+        let state = engine.state();
+        let walked: Vec<FlowKey> = state.flows_in_arrival_order().map(|f| f.key).collect();
+        assert_eq!(walked, list.keys(), "after {ev:?}");
+        assert_bitwise(&state.flow_index(ties), &list.compiled(n, lambda, ties));
+        let dep = engine.deployment();
+        assert_eq!(
+            state.exact_objective().to_bits(),
+            list.objective(lambda, dep).to_bits(),
+            "exact objective after {ev:?}"
+        );
+        assert_eq!(
+            state.objective_under(dep).to_bits(),
+            list.objective(lambda, dep).to_bits(),
+            "objective under the deployment after {ev:?}"
+        );
+    }
+    compactions
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn arrival_order_matches_an_independent_list(
+        seed in any::<u64>(),
+        n in 5usize..14,
+        cap in 1usize..=40,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = weighted_graph(n, &mut rng);
+        let weighted = WeightedEdges::new(&g);
+        let mut compactions = 0;
+        for (i, lambda) in [0.5, 0.3].into_iter().enumerate() {
+            let s = seed ^ (i as u64 + 1);
+            compactions += check_arrival_order(&g, lambda, HopCount, cap, s, 3000);
+            compactions += check_arrival_order(&g, lambda, weighted.clone(), cap, s ^ 0x10, 3000);
+        }
+        // Each of the four streams of 3,000 events crosses the bound
+        // about every 65–105 departures.
+        prop_assert!(compactions >= 4 * 10, "only {} compactions", compactions);
     }
 }
 

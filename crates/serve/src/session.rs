@@ -25,9 +25,10 @@
 //! # Fairness accounting
 //!
 //! Each tenant's served and degraded bandwidth is an integer sum of
-//! its flows' rates, kept up to date on every event, so a telemetry
-//! tick costs O(tenants) however many flows are active or events were
-//! served. An arrival adds its rate on the side of its status after
+//! its flows' rates, kept up to date on every event, so the tenant
+//! sums of a telemetry tick cost O(tenants) however many flows are
+//! active or events were served (the tick's exact objective is one
+//! arrival-order walk of the active flows). An arrival adds its rate on the side of its status after
 //! the engine call, a departure subtracts the rate and status it had
 //! before, and every served↔degraded change the engine made in
 //! between comes from its flip log ([`DeltaState::flips`]). Integer
@@ -292,9 +293,11 @@ impl<M: CostModel> ServeSession<M> {
         snap
     }
 
-    /// Builds a telemetry record. Costs O(tenants): the bandwidth sums
-    /// are kept up to date per event, and each percentile walks one
-    /// bounded histogram. Every tenant the session line has seen is
+    /// Builds a telemetry record. Costs O(tenants + active flows): the
+    /// bandwidth sums are kept up to date per event and each percentile
+    /// walks one bounded histogram, but the exact objective is re-summed
+    /// flow by flow in arrival order, one walk of the engine's arrival
+    /// log with no sort. Every tenant the session line has seen is
     /// listed, even when its flows have all drained.
     pub fn telemetry(&self) -> Telemetry {
         let tenants = self
