@@ -1,77 +1,60 @@
 //! Per-type instance sets.
 
-use serde::{Deserialize, Serialize};
+use tdmd_core::Deployment;
 use tdmd_graph::NodeId;
 
 /// A chain deployment: for every chain type, the set of vertices
-/// hosting an instance of that type. Instances of different types may
-/// share a vertex (a flow can be processed by several collocated
-/// types back to back).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// hosting an instance of that type, held as one core [`Deployment`]
+/// per type. Instances of different types may share a vertex (a flow
+/// can be processed by several collocated types back to back). Like
+/// [`Deployment`], it does not deserialize: a decoded membership and
+/// instance list could disagree.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainDeployment {
-    /// `member[t][v]` — instance of type `t` on vertex `v`.
-    member: Vec<Vec<bool>>,
-    /// Sorted instance lists per type.
-    lists: Vec<Vec<NodeId>>,
+    /// `types[t]`: the vertices hosting an instance of type `t`.
+    types: Vec<Deployment>,
 }
 
 impl ChainDeployment {
     /// Empty deployment for `m` types over `n` vertices.
     pub fn empty(m: usize, n: usize) -> Self {
         Self {
-            member: vec![vec![false; n]; m],
-            lists: vec![Vec::new(); m],
+            types: vec![Deployment::empty(n); m],
         }
     }
 
     /// Number of chain types.
     pub fn type_count(&self) -> usize {
-        self.member.len()
+        self.types.len()
     }
 
     /// Adds an instance of type `t` on `v` (idempotent); returns true
     /// if new.
     pub fn insert(&mut self, t: usize, v: NodeId) -> bool {
-        let slot = &mut self.member[t][v as usize];
-        if *slot {
-            return false;
-        }
-        *slot = true;
-        let pos = self.lists[t].partition_point(|&x| x < v);
-        self.lists[t].insert(pos, v);
-        true
+        self.types[t].insert(v)
     }
 
     /// Removes the instance of type `t` on `v`; returns true if it
     /// existed.
     pub fn remove(&mut self, t: usize, v: NodeId) -> bool {
-        let slot = &mut self.member[t][v as usize];
-        if !*slot {
-            return false;
-        }
-        *slot = false;
-        let pos = self.lists[t]
-            .binary_search(&v)
-            .expect("list matches bitmap");
-        self.lists[t].remove(pos);
-        true
+        self.types[t].remove(v)
     }
 
     /// Instance test.
     #[inline]
     pub fn has(&self, t: usize, v: NodeId) -> bool {
-        self.member[t][v as usize]
+        self.types[t].contains(v)
     }
 
     /// Sorted instances of type `t`.
     pub fn instances(&self, t: usize) -> &[NodeId] {
-        &self.lists[t]
+        self.types[t].vertices()
     }
 
     /// Total number of placed instances across all types (the budget
     /// the greedy spends).
     pub fn total_instances(&self) -> usize {
-        self.lists.iter().map(Vec::len).sum()
+        self.types.iter().map(Deployment::len).sum()
     }
 }
 

@@ -44,7 +44,10 @@
 //! that already keeps its flows in classes (the online engine's live
 //! path classes) hands over each flow's class and one priced class per
 //! number through [`FlowIndex::compile_classified`], which reads no
-//! flow's path. Both front ends share one row builder.
+//! flow's path. Both front ends share one row builder. `build` and
+//! `compile` find each flow's class in the crate's one open-addressing
+//! table ([`IdTable`]) under its [`ClassKey`], the key the online
+//! engine's live classes are filed under too.
 //!
 //! Models always price each flow's current path. Under the joint
 //! routing extension that path is one pick from the flow's
@@ -60,6 +63,7 @@ use tdmd_traffic::Flow;
 use crate::instance::Instance;
 use crate::num::{id32, ix, rate_sum_f64};
 use crate::plan::Deployment;
+use crate::table::IdTable;
 
 /// A pricing of flow traffic along its path.
 ///
@@ -232,6 +236,66 @@ pub struct PricedFlow<'a> {
     pub cost: f64,
 }
 
+impl<'a> PricedFlow<'a> {
+    /// The key of the flow's path class: its path and pricing.
+    #[inline]
+    pub fn key(&self) -> ClassKey<'a> {
+        ClassKey {
+            path: self.path,
+            gains: self.gains,
+            cost: self.cost,
+        }
+    }
+}
+
+/// What a path class is keyed by: a path and the pricing of its flows.
+/// A model prices from the path alone, but stored pricings need not
+/// agree (a restored snapshot may hold flows on one path with different
+/// gains), so [`FlowIndex::compile`] and the online engine's live class
+/// table both key a class by path and pricing, bit for bit, and file it
+/// in an [`IdTable`] under [`ClassKey::hash`]. This is the one
+/// definition they share.
+#[derive(Debug, Clone, Copy)]
+pub struct ClassKey<'a> {
+    /// The path, source first.
+    pub path: &'a [NodeId],
+    /// `gains[i]` is the serving gain at `path[i]`.
+    pub gains: &'a [f64],
+    /// Unprocessed cost of the whole path.
+    pub cost: f64,
+}
+
+impl ClassKey<'_> {
+    /// The hash the class is filed under: its path's, so the classes of
+    /// one path priced apart sit along one probe sequence.
+    #[inline]
+    pub fn hash(&self) -> u64 {
+        path_hash(self.path)
+    }
+
+    /// Whether `self` and `other` key one class: the same path, and
+    /// gains and cost equal bit for bit.
+    pub fn same(&self, other: &ClassKey<'_>) -> bool {
+        same(self.path, other.path)
+            && self.cost.to_bits() == other.cost.to_bits()
+            && self.gains.len() == other.gains.len()
+            && self
+                .gains
+                .iter()
+                .zip(other.gains)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+/// FxHash of a path. The final multiply leaves the best-mixed bits on
+/// top, where an [`IdTable`] reads a home bucket.
+#[inline]
+fn path_hash(path: &[NodeId]) -> u64 {
+    path.iter().fold(0, |h: u64, &v| {
+        (h.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
 /// One path class as a caller that keeps its flows in classes hands it
 /// to [`FlowIndex::compile_classified`]: the path and pricing its
 /// members share, how many there are, the lowest of their flow ids,
@@ -258,9 +322,8 @@ trait IndexSource {
     fn path(&self) -> &[NodeId];
     fn gain(&self, pos: usize) -> f64;
     fn cost(&self) -> f64;
-    /// Whether the flow is priced as a class of its path whose gains
-    /// and cost are `gains` and `cost`.
-    fn priced_as(&self, gains: &[f64], cost: f64) -> bool;
+    /// Whether the flow belongs to the class keyed `key`.
+    fn in_class(&self, key: &ClassKey<'_>) -> bool;
 }
 
 impl IndexSource for PricedFlow<'_> {
@@ -280,16 +343,8 @@ impl IndexSource for PricedFlow<'_> {
         self.cost
     }
 
-    /// Stored pricings compare bit for bit: a restored snapshot may
-    /// hold flows on one path with different gains.
-    fn priced_as(&self, gains: &[f64], cost: f64) -> bool {
-        self.cost.to_bits() == cost.to_bits()
-            && self.gains.len() == gains.len()
-            && self
-                .gains
-                .iter()
-                .zip(gains)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+    fn in_class(&self, key: &ClassKey<'_>) -> bool {
+        self.key().same(key)
     }
 }
 
@@ -317,9 +372,9 @@ impl<M: CostModel + ?Sized> IndexSource for Modeled<'_, M> {
     }
 
     /// A model prices from the path alone ([`CostModel`]'s contract),
-    /// so a flow is priced as its path's class without being priced.
-    fn priced_as(&self, _gains: &[f64], _cost: f64) -> bool {
-        true
+    /// so a flow belongs to its path's class without being priced.
+    fn in_class(&self, key: &ClassKey<'_>) -> bool {
+        same(&self.flow.path, key.path)
     }
 }
 
@@ -402,10 +457,10 @@ pub(crate) struct IndexParts<'a> {
 }
 
 /// The path classes of an index before its rows are built: the class
-/// arena. [`PathTable`] fills it as it walks the flows, appending each
-/// new class with the pricing of the flow that opened it and adding
-/// every later member's rate; [`FlowIndex::compile_classified`] fills
-/// it from the caller's classes.
+/// arena. The fill of [`FlowIndex::build`] and [`FlowIndex::compile`]
+/// appends each new class with the pricing of the flow that opened it
+/// and adds every later member's rate; [`FlowIndex::compile_classified`]
+/// fills it from the caller's classes.
 struct Classes {
     size: Vec<u32>,
     first: Vec<u32>,
@@ -440,12 +495,15 @@ impl Classes {
         ix(self.offsets[ix(c)])..ix(self.offsets[ix(c) + 1])
     }
 
-    /// Whether `f` follows class `c`'s path with its pricing.
+    /// The key of class `c`.
     #[inline]
-    fn holds<S: IndexSource>(&self, c: u32, f: &S) -> bool {
+    fn key(&self, c: u32) -> ClassKey<'_> {
         let span = self.span(c);
-        same(&self.nodes[span.clone()], f.path())
-            && f.priced_as(&self.gains[span], self.cost[ix(c)])
+        ClassKey {
+            path: &self.nodes[span.clone()],
+            gains: &self.gains[span],
+            cost: self.cost[ix(c)],
+        }
     }
 
     /// Adds a member of rate `rate` to class `c`.
@@ -468,93 +526,6 @@ impl Classes {
         self.gains.extend((0..path.len()).map(|pos| f.gain(pos)));
         self.offsets.push(id32(self.nodes.len()));
         c
-    }
-}
-
-/// The hashing front end of the fill, used by [`FlowIndex::build`] and
-/// [`FlowIndex::compile`]: a flat open-addressing table mapping a path
-/// to its classes. It is built like the online engine's flow-key
-/// index, not as a `HashMap` (the `map-iter-order` lint): a
-/// power-of-two array probed linearly. A bucket packs the top half of
-/// its class's path hash above the class id, so a probe compares paths
-/// only on equal hashes and growth never hashes a path again. Classes
-/// of one path with different pricings share a hash and sit further
-/// along the same probe sequence.
-struct PathTable {
-    /// Power-of-two bucket array; [`PathTable::EMPTY`] ends a probe.
-    table: Vec<u64>,
-}
-
-impl PathTable {
-    const EMPTY: u64 = u64::MAX;
-    const MIN_CAPACITY: usize = 64;
-    /// The table grows past one class per `LOAD` buckets.
-    const LOAD: usize = 4;
-
-    fn new() -> Self {
-        Self {
-            table: vec![Self::EMPTY; Self::MIN_CAPACITY],
-        }
-    }
-
-    /// One step of the FxHash-style path hash: fold `v` into `h`. The
-    /// final multiply leaves the best-mixed bits on top, where
-    /// [`PathTable::home`] reads them.
-    #[inline]
-    fn mix(h: u64, v: NodeId) -> u64 {
-        (h.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95)
-    }
-
-    /// Home bucket of a bucket word (or hash) `h` in a table of `len`
-    /// buckets: its top bits.
-    #[inline]
-    fn home(h: u64, len: usize) -> usize {
-        // The shifted value is below `len`, so the narrowing is exact.
-        (h >> (64 - len.trailing_zeros())) as usize
-    }
-
-    /// The class of flow `fi`, `f`: an open class of its path priced
-    /// as `f`, or a new one.
-    #[inline]
-    fn classify<S: IndexSource>(&mut self, classes: &mut Classes, f: &S, fi: u32) -> u32 {
-        let h = f.path().iter().fold(0, |h, &v| Self::mix(h, v));
-        let tag = h & !u64::from(u32::MAX);
-        let mask = self.table.len() - 1;
-        let mut i = Self::home(h, self.table.len());
-        loop {
-            let word = self.table[i];
-            if word == Self::EMPTY {
-                break;
-            }
-            // The low half of a bucket word is its class id.
-            let c = word as u32;
-            if word & !u64::from(u32::MAX) == tag && classes.holds(c, f) {
-                classes.join(c, f.rate());
-                return c;
-            }
-            i = (i + 1) & mask;
-        }
-        let c = classes.open(f, fi);
-        self.table[i] = tag | u64::from(c);
-        if Self::LOAD * classes.count() > self.table.len() {
-            self.grow();
-        }
-        c
-    }
-
-    /// Doubles the table, placing every class by its bucket word's
-    /// hash half.
-    fn grow(&mut self) {
-        let len = 2 * self.table.len();
-        let mut table = vec![Self::EMPTY; len];
-        for &word in self.table.iter().filter(|&&w| w != Self::EMPTY) {
-            let mut i = Self::home(word, len);
-            while table[i] != Self::EMPTY {
-                i = (i + 1) & (len - 1);
-            }
-            table[i] = word;
-        }
-        self.table = table;
     }
 }
 
@@ -649,8 +620,12 @@ impl FlowIndex {
     }
 
     /// The fill of [`FlowIndex::build`] and [`FlowIndex::compile`]: a
-    /// walk in which the path table names each flow's class, opening it
-    /// in the arena if new, then the shared row builder.
+    /// walk that finds each flow's class in an [`IdTable`] under its
+    /// path's hash, opening the next class in the arena if none holds
+    /// it, then the shared row builder. The table is sized up front for
+    /// one class per flow the iterator counts, so a build never grows
+    /// it, and it stays sparse where classes are few: a probe seldom
+    /// passes its home bucket.
     fn fill<S: IndexSource>(
         n: usize,
         lambda: f64,
@@ -658,11 +633,23 @@ impl FlowIndex {
         flows: impl Iterator<Item = S>,
     ) -> Self {
         let (hint, _) = flows.size_hint();
-        let mut table = PathTable::new();
+        let mut table = IdTable::with_capacity(hint);
         let mut classes = Classes::new();
         let mut class_of = Vec::with_capacity(hint);
         for (fi, f) in flows.enumerate() {
-            class_of.push(table.classify(&mut classes, &f, id32(fi)));
+            let h = path_hash(f.path());
+            let c = match table.find(h, |c| f.in_class(&classes.key(c))) {
+                Some(c) => {
+                    classes.join(c, f.rate());
+                    c
+                }
+                None => {
+                    let c = classes.open(&f, id32(fi));
+                    table.insert(h, c);
+                    c
+                }
+            };
+            class_of.push(c);
         }
         Self::from_classes(n, lambda, coverage_ties, classes, class_of)
     }

@@ -18,6 +18,9 @@
 //! * [`feasibility`] — coverage checks and a greedy set-cover bound
 //!   (feasibility itself is NP-hard in general topologies, Thm. 1).
 //! * [`plan`] — deployments, allocations and evaluation reports.
+//! * [`table`] — [`table::IdTable`], the one open-addressing table
+//!   behind every keyed lookup on a hot path: path classes here, flow
+//!   keys and live classes in the online engine.
 //! * [`algorithms`] — GTP (Alg. 1), the tree DP
 //!   (Eqs. 7–10), HAT (Alg. 2), the paper's Random and Best-effort
 //!   baselines, an exhaustive optimum for small instances, and the
@@ -69,8 +72,9 @@ pub mod obs;
 pub mod order;
 pub mod paper;
 pub mod plan;
+pub mod table;
 
-pub use cost::{CostModel, FlowIndex, HopCount, PricedClass, PricedFlow, WeightedEdges};
+pub use cost::{ClassKey, CostModel, FlowIndex, HopCount, PricedClass, PricedFlow, WeightedEdges};
 pub use error::TdmdError;
 pub use instance::{Instance, PathCheck, PathMember, PathSets};
 pub use order::TotalGain;

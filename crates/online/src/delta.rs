@@ -16,6 +16,13 @@
 //! from a live class touches no row; commits and re-homes move whole
 //! classes.
 //!
+//! An arrival makes two lookups, its key to a slot and its path and
+//! pricing to a class, and both run on tdmd-core's one open-addressing
+//! table, [`IdTable`]. The key table files each slot under a Fibonacci
+//! hash of its flow's key and matches by the key the slot holds, so a
+//! reused slot never answers for the key that left it; the class table
+//! files each live class under its [`ClassKey`].
+//!
 //! Eq. 1 and Def. 2 sum flow by flow, and every such sum here runs in
 //! arrival order, so that the live state, a snapshot of it and static
 //! GTP on the densified flows add the same floats in the same order.
@@ -59,10 +66,10 @@
 //!    live class counts exactly the active flows naming it (so none is
 //!    empty), sums their rates exactly in `R_c`, and links exactly
 //!    those flows, in arrival order, in its member list; and the class
-//!    table maps each live class's path and pricing (the bits of its
-//!    gains and cost) to that class alone — the key
-//!    [`FlowIndex::compile`] classifies by. A class that empties
-//!    leaves the table, and its id is reused.
+//!    table maps each live class's [`ClassKey`] (its path and the bits
+//!    of its gains and cost, the key [`FlowIndex::compile`] classifies
+//!    by) to that class alone. A class that empties leaves the table,
+//!    and its id is reused.
 //! 6. **Arrival log** — `order` lists the slot of every arrival since
 //!    the last compaction, oldest first, and each active flow records
 //!    its entry's index as `pos`. Entry `p` is live iff the slot it
@@ -79,8 +86,9 @@
 //! All six are restored by every mutation (insert, remove, commit,
 //! failover, rebuild); the engine's repair logic relies on them.
 
-use tdmd_core::num::{approx_f64, big_ix, id32, ix, rate_sum_f64, KahanSum};
-use tdmd_core::{Deployment, FlowIndex, PricedClass, PricedFlow};
+use tdmd_core::num::{approx_f64, id32, ix, rate_sum_f64, KahanSum};
+use tdmd_core::table::IdTable;
+use tdmd_core::{ClassKey, Deployment, FlowIndex, PricedClass, PricedFlow};
 use tdmd_graph::NodeId;
 use tdmd_traffic::Flow;
 
@@ -88,6 +96,20 @@ use crate::event::FlowKey;
 
 /// The end of a member list: no slot.
 const NIL: u32 = u32::MAX;
+
+/// Fibonacci hash of a flow key (multiply by ⌊2⁶⁴/φ⌋), which leaves
+/// its best-mixed bits on top, where an [`IdTable`] reads them.
+#[inline]
+fn key_hash(key: FlowKey) -> u64 {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The key table's equality test for `key`: whether a slot of `flows`
+/// holds the flow of that key.
+#[inline]
+fn holds_key(flows: &[Option<ActiveFlow>], key: FlowKey) -> impl Fn(u32) -> bool + '_ {
+    move |slot| flows[ix(slot)].as_ref().is_some_and(|f| f.key == key)
+}
 
 /// An active flow: its key, rate and place in the arrival log, and the
 /// live class that holds its path, pricing and assignment.
@@ -133,136 +155,6 @@ struct RowEntry {
     pos: u32,
 }
 
-/// A generation-validated reference into the flow slot arena: `slot`
-/// indexes `DeltaState::flows`, and the reference resolves only while
-/// `gen` matches `DeltaState::gens[slot]` — freeing a slot bumps its
-/// generation, so a stale reference can never silently alias the next
-/// flow reusing that slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SlotRef {
-    slot: u32,
-    gen: u32,
-}
-
-/// Flat open-addressing `FlowKey → SlotRef` map — the generation-
-/// indexed slot map that replaces the `HashMap` on the per-event hot
-/// path. Fibonacci hashing (multiply by ⌊2⁶⁴/φ⌋, keep the top
-/// log₂(capacity) bits), linear probing over a power-of-two bucket
-/// array, and backward-shift deletion (Knuth 6.4 Algorithm R) instead
-/// of tombstones, so probe chains stay short under churn and no
-/// per-operation allocation or SipHash state is involved. Capacity
-/// grows at 7/8 load, which guarantees an empty bucket always
-/// terminates a probe.
-#[derive(Debug, Clone, Default)]
-struct KeyIndex {
-    /// Power-of-two bucket array; `None` is empty (probe terminator).
-    table: Vec<Option<(FlowKey, SlotRef)>>,
-    len: usize,
-}
-
-impl KeyIndex {
-    const MIN_CAPACITY: usize = 8;
-
-    /// Number of mapped keys.
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Home bucket of `key` in the current table.
-    #[inline]
-    fn home(&self, key: FlowKey) -> usize {
-        debug_assert!(self.table.len().is_power_of_two());
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        // The shifted value is < capacity ≤ usize::MAX, so `big_ix`
-        // never panics here.
-        big_ix(h >> (64 - self.table.len().trailing_zeros()))
-    }
-
-    /// Looks up `key`. O(probe chain), allocation-free.
-    fn get(&self, key: FlowKey) -> Option<SlotRef> {
-        if self.table.is_empty() {
-            return None;
-        }
-        let mask = self.table.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            match self.table[i] {
-                None => return None,
-                Some((k, r)) if k == key => return Some(r),
-                Some(_) => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    /// Inserts a key the caller has verified to be absent.
-    fn insert(&mut self, key: FlowKey, r: SlotRef) {
-        self.grow_if_needed();
-        let mask = self.table.len() - 1;
-        let mut i = self.home(key);
-        while let Some((k, _)) = self.table[i] {
-            debug_assert_ne!(k, key, "key already present");
-            i = (i + 1) & mask;
-        }
-        self.table[i] = Some((key, r));
-        self.len += 1;
-    }
-
-    /// Removes `key`, returning its reference if it was present.
-    fn remove(&mut self, key: FlowKey) -> Option<SlotRef> {
-        if self.table.is_empty() {
-            return None;
-        }
-        let mask = self.table.len() - 1;
-        let mut gap = self.home(key);
-        let removed = loop {
-            match self.table[gap] {
-                None => return None,
-                Some((k, r)) if k == key => break r,
-                Some(_) => gap = (gap + 1) & mask,
-            }
-        };
-        self.len -= 1;
-        // Backward-shift deletion: slide the rest of the probe chain
-        // left over the gap. An entry at `j` may fill the gap iff its
-        // home bucket does not lie strictly between the gap and `j`
-        // (otherwise the shift would strand it before its home).
-        let mut j = (gap + 1) & mask;
-        while let Some((k, _)) = self.table[j] {
-            let home = self.home(k);
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(gap) & mask) {
-                self.table[gap] = self.table[j].take();
-                gap = j;
-            }
-            j = (j + 1) & mask;
-        }
-        self.table[gap] = None;
-        Some(removed)
-    }
-
-    /// Doubles the table before the 7/8 load factor is reached (and
-    /// bootstraps the first allocation).
-    fn grow_if_needed(&mut self) {
-        if self.table.is_empty() {
-            self.table = vec![None; Self::MIN_CAPACITY];
-            return;
-        }
-        if (self.len + 1) * 8 < self.table.len() * 7 {
-            return;
-        }
-        let doubled = self.table.len() * 2;
-        let old = std::mem::replace(&mut self.table, vec![None; doubled]);
-        let mask = doubled - 1;
-        for entry in old.into_iter().flatten() {
-            let mut i = self.home(entry.0);
-            while self.table[i].is_some() {
-                i = (i + 1) & mask;
-            }
-            self.table[i] = Some(entry);
-        }
-    }
-}
-
 /// One path class of the live flows: a path, the pricing its members
 /// arrived with, the members' exact rate sum and count, their
 /// assignment and the ends of their member list. The path, the gains
@@ -292,24 +184,20 @@ struct LiveClass {
     tail: u32,
 }
 
-/// The live path classes, keyed by path and pricing as
-/// [`FlowIndex::compile`] keys a class: a flat open-addressing map
-/// built like [`KeyIndex`] and tdmd-core's class table, not a
-/// `HashMap`. A bucket word packs the high half of its class's path
-/// hash above the class id, so a probe compares paths only on equal
-/// hashes and growth never hashes a path again; classes of one path
-/// with different pricings sit further along the same probe sequence.
-/// Paths, gains and row back-pointers live in three parallel arenas,
-/// one span per class, so opening a class allocates nothing once the
-/// arenas have grown. A class that empties leaves the table by
-/// backward-shift deletion; its id joins one free list and its span
-/// another, kept per length, for the next class of that length. A
-/// freed span keeps its path until then, so [`DeltaState::remove`]
-/// can lend the path out.
+/// The live path classes, filed in an [`IdTable`] under their
+/// [`ClassKey`] (path and pricing), the key [`FlowIndex::compile`]
+/// classifies by; classes of one path with different pricings sit
+/// further along the same probe sequence. Paths, gains and row
+/// back-pointers live in three parallel arenas, one span per class, so
+/// opening a class allocates nothing once the arenas have grown. A
+/// class that empties leaves the table; its id joins one free list and
+/// its span another, kept per length, for the next class of that
+/// length. A freed span keeps its path until then, so
+/// [`DeltaState::remove`] can lend the path out.
 #[derive(Debug, Clone, Default)]
 struct ClassTable {
-    /// Power-of-two bucket array; [`ClassTable::EMPTY`] ends a probe.
-    buckets: Vec<u64>,
+    /// Live class ids under their keys' hashes.
+    table: IdTable,
     classes: Vec<LiveClass>,
     /// Freed class ids awaiting reuse.
     free: Vec<u32>,
@@ -326,32 +214,6 @@ struct ClassTable {
 }
 
 impl ClassTable {
-    const EMPTY: u64 = u64::MAX;
-    /// The low half of a bucket word: its class id.
-    const ID: u64 = 0xFFFF_FFFF;
-    const MIN_CAPACITY: usize = 16;
-
-    /// FxHash-style path hash; the final multiply leaves the
-    /// best-mixed bits on top, where [`ClassTable::home`] reads them.
-    fn hash(path: &[NodeId]) -> u64 {
-        path.iter().fold(0, |h: u64, &v| {
-            (h.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95)
-        })
-    }
-
-    /// Home bucket of a bucket word (or hash) in the current table:
-    /// its top bits.
-    #[inline]
-    fn home(&self, word: u64) -> usize {
-        big_ix(word >> (64 - self.buckets.len().trailing_zeros()))
-    }
-
-    /// The class id a bucket word names.
-    #[inline]
-    fn id(word: u64) -> u32 {
-        id32(big_ix(word & Self::ID))
-    }
-
     /// Class `c`.
     #[inline]
     fn class(&self, c: u32) -> &LiveClass {
@@ -397,78 +259,50 @@ impl ClassTable {
         self.class(c).cost
     }
 
+    /// The key class `c` is filed under: its path and pricing.
+    #[inline]
+    fn key(&self, c: u32) -> ClassKey<'_> {
+        let span = self.span(c);
+        ClassKey {
+            path: &self.nodes[span.clone()],
+            gains: &self.gains[span],
+            cost: self.class(c).cost,
+        }
+    }
+
     /// Number of live classes.
     fn live(&self) -> usize {
         self.classes.len() - self.free.len()
     }
 
-    /// Whether class `c` is `path` priced as `gains` and `cost`, bit
-    /// for bit.
-    fn holds(&self, c: u32, path: &[NodeId], gains: &[f64], cost: f64) -> bool {
-        self.path(c) == path
-            && self.cost(c).to_bits() == cost.to_bits()
-            && self
-                .gains(c)
-                .iter()
-                .zip(gains)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+    /// The live class keyed `key`, if any.
+    fn find(&self, key: &ClassKey<'_>) -> Option<u32> {
+        self.table.find(key.hash(), |c| self.key(c).same(key))
     }
 
-    /// Probes for the class of `path` priced as `gains` and `cost`,
-    /// whose path hashes to `h`: `Ok` with the class, or `Err` with
-    /// the empty bucket that ended the probe.
-    fn probe(&self, h: u64, path: &[NodeId], gains: &[f64], cost: f64) -> Result<u32, usize> {
-        let tag = h & !Self::ID;
-        let mask = self.buckets.len() - 1;
-        let mut i = self.home(h);
-        loop {
-            let word = self.buckets[i];
-            if word == Self::EMPTY {
-                return Err(i);
-            }
-            let c = Self::id(word);
-            if word & !Self::ID == tag && self.holds(c, path, gains, cost) {
-                return Ok(c);
-            }
-            i = (i + 1) & mask;
+    /// Joins one more member to the class keyed `key` (one gain per
+    /// path position): an open class, or a new one — unassigned, with
+    /// no rate and an empty member list — under a freed id and in a
+    /// freed span of its length when there are. Returns the class and
+    /// whether it is new.
+    fn intern(&mut self, key: &ClassKey<'_>) -> (u32, bool) {
+        let h = key.hash();
+        if let Some(c) = self.table.find(h, |c| self.key(c).same(key)) {
+            self.class_mut(c).members += 1;
+            return (c, false);
         }
-    }
-
-    /// The live class of `path` priced as `gains` and `cost`, if any.
-    fn find(&self, path: &[NodeId], gains: &[f64], cost: f64) -> Option<u32> {
-        if self.buckets.is_empty() {
-            return None;
-        }
-        self.probe(Self::hash(path), path, gains, cost).ok()
-    }
-
-    /// Joins one more member to the class of `path` priced as `gains`
-    /// and `cost` (one gain per path position): an open class, or a
-    /// new one — unassigned, with no rate and an empty member list —
-    /// under a freed id and in a freed span of its length when there
-    /// are. Returns the class and whether it is new.
-    fn intern(&mut self, path: &[NodeId], gains: &[f64], cost: f64) -> (u32, bool) {
-        self.grow_if_needed();
-        let h = Self::hash(path);
-        let bucket = match self.probe(h, path, gains, cost) {
-            Ok(c) => {
-                self.class_mut(c).members += 1;
-                return (c, false);
-            }
-            Err(bucket) => bucket,
-        };
-        let len = path.len();
+        let len = key.path.len();
         let at = match self.spans.get_mut(len).and_then(Vec::pop) {
             Some(at) => {
                 let span = ix(at)..ix(at) + len;
-                self.nodes[span.clone()].copy_from_slice(path);
-                self.gains[span].copy_from_slice(gains);
+                self.nodes[span.clone()].copy_from_slice(key.path);
+                self.gains[span].copy_from_slice(key.gains);
                 at
             }
             None => {
                 let at = id32(self.nodes.len());
-                self.nodes.extend_from_slice(path);
-                self.gains.extend_from_slice(gains);
+                self.nodes.extend_from_slice(key.path);
+                self.gains.extend_from_slice(key.gains);
                 self.row_pos.resize(self.nodes.len(), 0);
                 at
             }
@@ -476,7 +310,7 @@ impl ClassTable {
         let class = LiveClass {
             at,
             len: id32(len),
-            cost,
+            cost: key.cost,
             members: 1,
             rate: 0,
             assigned: None,
@@ -493,7 +327,7 @@ impl ClassTable {
                 id32(self.classes.len() - 1)
             }
         };
-        self.buckets[bucket] = (h & !Self::ID) | u64::from(c);
+        self.table.insert(h, c);
         (c, true)
     }
 
@@ -508,7 +342,7 @@ impl ClassTable {
             return false;
         }
         let (at, len) = (class.at, ix(class.len));
-        self.unlink(c);
+        self.unmap(c);
         self.free.push(c);
         if self.spans.len() <= len {
             self.spans.resize_with(len + 1, Vec::new);
@@ -517,53 +351,9 @@ impl ClassTable {
         true
     }
 
-    /// Takes class `c`'s bucket out of the table, if the table holds
-    /// it, sliding the rest of its probe chain back over the gap as
-    /// [`KeyIndex::remove`] does.
-    fn unlink(&mut self, c: u32) {
-        let mask = self.buckets.len() - 1;
-        let mut gap = self.home(Self::hash(self.path(c)));
-        loop {
-            let word = self.buckets[gap];
-            if word == Self::EMPTY {
-                return;
-            }
-            if Self::id(word) == c {
-                break;
-            }
-            gap = (gap + 1) & mask;
-        }
-        let mut j = (gap + 1) & mask;
-        while self.buckets[j] != Self::EMPTY {
-            let home = self.home(self.buckets[j]);
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(gap) & mask) {
-                self.buckets[gap] = self.buckets[j];
-                gap = j;
-            }
-            j = (j + 1) & mask;
-        }
-        self.buckets[gap] = Self::EMPTY;
-    }
-
-    /// Doubles the bucket array before one more class would pass 7/8
-    /// load (and bootstraps the first allocation).
-    fn grow_if_needed(&mut self) {
-        if self.buckets.is_empty() {
-            self.buckets = vec![Self::EMPTY; Self::MIN_CAPACITY];
-            return;
-        }
-        if (self.live() + 1) * 8 < self.buckets.len() * 7 {
-            return;
-        }
-        let doubled = 2 * self.buckets.len();
-        let old = std::mem::replace(&mut self.buckets, vec![Self::EMPTY; doubled]);
-        for word in old.into_iter().filter(|&w| w != Self::EMPTY) {
-            let mut i = self.home(word);
-            while self.buckets[i] != Self::EMPTY {
-                i = (i + 1) & (doubled - 1);
-            }
-            self.buckets[i] = word;
-        }
+    /// Takes class `c` out of the table, if the table holds it.
+    fn unmap(&mut self, c: u32) {
+        self.table.remove(self.key(c).hash(), |x| x == c);
     }
 }
 
@@ -573,11 +363,10 @@ pub struct DeltaState {
     lambda: f64,
     /// Flow slots; `None` marks a freed slot awaiting reuse.
     flows: Vec<Option<ActiveFlow>>,
-    /// Slot generations (parallel to `flows`), bumped when a slot is
-    /// freed; see [`SlotRef`].
-    gens: Vec<u32>,
     free: Vec<u32>,
-    key_index: KeyIndex,
+    /// The slot of every active flow, filed under its key's
+    /// [`key_hash`] and matched by the key the slot holds.
+    keys: IdTable,
     /// The live path classes the flows name, with their rate sums,
     /// assignments, member lists and row back-pointers (invariants 1,
     /// 2 and 5).
@@ -666,9 +455,8 @@ impl DeltaState {
         Self {
             lambda,
             flows: Vec::new(),
-            gens: Vec::new(),
             free: Vec::new(),
-            key_index: KeyIndex::default(),
+            keys: IdTable::default(),
             classes: ClassTable::default(),
             rows: vec![Vec::new(); n],
             unprocessed: KahanSum::default(),
@@ -721,15 +509,12 @@ impl DeltaState {
         &self.dirty
     }
 
-    /// Resolves `key` to its live slot, validating the generation
-    /// stamp (a mismatch means the slot was freed and reused since the
-    /// reference was minted — structurally impossible while the key
-    /// index is maintained, hence the debug assert).
+    /// Resolves `key` to its live slot. The key table matches a slot
+    /// by the key stored in it, so a slot freed and reused by another
+    /// flow never answers for the old key.
     #[inline]
     fn lookup(&self, key: FlowKey) -> Option<u32> {
-        let r = self.key_index.get(key)?;
-        debug_assert_eq!(self.gens[ix(r.slot)], r.gen, "stale slot reference");
-        (self.gens[ix(r.slot)] == r.gen).then_some(r.slot)
+        self.keys.find(key_hash(key), holds_key(&self.flows, key))
     }
 
     /// `1 − λ`, the diminishing factor every saving is scaled by.
@@ -992,7 +777,7 @@ impl DeltaState {
         assert_eq!(gains.len(), path.len(), "one gain per path position");
         // A joined class holds these very bits, so the arguments stand
         // for it below.
-        let (class, opened) = self.classes.intern(path, gains, cost);
+        let (class, opened) = self.classes.intern(&f.key());
         if opened {
             self.classes.class_mut(class).assigned = best_assignment(path, gains, deployment);
             self.open_rows(class);
@@ -1012,7 +797,6 @@ impl DeltaState {
             Some(s) => s,
             None => {
                 self.flows.push(None);
-                self.gens.push(0);
                 id32(self.flows.len() - 1)
             }
         };
@@ -1034,13 +818,7 @@ impl DeltaState {
         });
         self.order.push(slot);
         self.link(slot, class);
-        self.key_index.insert(
-            key,
-            SlotRef {
-                slot,
-                gen: self.gens[ix(slot)],
-            },
-        );
+        self.keys.insert(key_hash(key), slot);
         self.active += 1;
     }
 
@@ -1056,16 +834,11 @@ impl DeltaState {
     /// # Panics
     /// Panics if `key` is not active.
     pub fn remove(&mut self, key: FlowKey) -> &[NodeId] {
-        let r = self
-            .key_index
-            .remove(key)
+        let slot = self
+            .keys
+            .remove(key_hash(key), holds_key(&self.flows, key))
             .expect("departure of an unknown flow key");
-        debug_assert_eq!(self.gens[ix(r.slot)], r.gen, "stale slot reference");
-        let slot = r.slot;
         let flow = self.flows[ix(slot)].take().expect("slot is live");
-        // Bump the generation so any reference minted for the departed
-        // flow can never resolve against the slot's next tenant.
-        self.gens[ix(slot)] = self.gens[ix(slot)].wrapping_add(1);
         self.unlink(&flow);
         let c = self.classes.class_mut(flow.class);
         c.rate -= u128::from(flow.rate);
@@ -1275,38 +1048,6 @@ impl DeltaState {
         out
     }
 
-    /// Exact objective increase of undeploying `v` under `deployment`
-    /// (which still contains `v`): each class assigned to `v` falls
-    /// back to its second-best deployed box, one term
-    /// `R_c · (1 − λ) · (gain − second)` per class. Never exceeds
-    /// [`DeltaState::primary_load`] of `v`.
-    pub fn removal_loss(&self, v: NodeId, deployment: &Deployment) -> f64 {
-        let factor = self.factor();
-        let mut loss = 0.0;
-        for e in &self.rows[ix(v)] {
-            let class = self.classes.class(e.class);
-            let Some((av, ag)) = class.assigned else {
-                continue;
-            };
-            if av != v {
-                continue;
-            }
-            let mut second = 0.0f64;
-            for (&u, &g) in self
-                .classes
-                .path(e.class)
-                .iter()
-                .zip(self.classes.gains(e.class))
-            {
-                if u != v && deployment.contains(u) && g > second {
-                    second = g;
-                }
-            }
-            loss += rate_sum_f64(class.rate) * factor * (ag - second);
-        }
-        loss
-    }
-
     /// The best assignment of every live class under `deployment`,
     /// indexed by class id (`None` for freed ids as for unserved
     /// classes): what [`best_assignment`] gives each member, found once
@@ -1421,17 +1162,10 @@ impl DeltaState {
         // Slot table vs key map.
         for (slot, f) in self.flows.iter().enumerate() {
             let Some(f) = f else { continue };
-            let expected = SlotRef {
-                slot: id32(slot),
-                gen: self.gens[slot],
-            };
-            if self.key_index.get(f.key) != Some(expected) {
+            if self.lookup(f.key) != Some(id32(slot)) {
                 return err(
                     "delta-key-map",
-                    format!(
-                        "flow key {} not mapped to slot {slot} at generation {}",
-                        f.key, expected.gen
-                    ),
+                    format!("flow key {} not mapped to slot {slot}", f.key),
                 );
             }
         }
@@ -1550,19 +1284,18 @@ impl DeltaState {
             cells.into_iter().for_each(|c| c.fill(true));
         }
         // Invariant 5 — the table maps each live class's key to it.
-        let mapped = table
-            .buckets
-            .iter()
-            .filter(|&&w| w != ClassTable::EMPTY)
-            .count();
-        if mapped != table.live() {
+        if table.table.len() != table.live() {
             return err(
                 "delta-class-key",
-                format!("{mapped} table buckets for {} live classes", table.live()),
+                format!(
+                    "{} table entries for {} live classes",
+                    table.table.len(),
+                    table.live()
+                ),
             );
         }
         for c in live_classes() {
-            let found = table.find(table.path(c), table.gains(c), table.cost(c));
+            let found = table.find(&table.key(c));
             if found != Some(c) {
                 return err(
                     "delta-class-key",
@@ -1625,13 +1358,13 @@ impl DeltaState {
             }
         }
         let live = self.active_flows().count();
-        if live != self.active || self.key_index.len() != live {
+        if live != self.active || self.keys.len() != live {
             return err(
                 "delta-active-census",
                 format!(
                     "{live} live slots, active = {}, key map = {}",
                     self.active,
-                    self.key_index.len()
+                    self.keys.len()
                 ),
             );
         }
@@ -1785,7 +1518,7 @@ impl DeltaState {
     /// Panics if `key` is not active.
     pub fn audit_unmap_class(&mut self, key: FlowKey) {
         let c = self.class_of(key);
-        self.classes.unlink(c);
+        self.classes.unmap(c);
     }
 
     /// Corruption hook: adds `by` to the rate sum `R_c` of `key`'s
@@ -1931,7 +1664,6 @@ mod tests {
         let mut dep = Deployment::from_vertices(4, [1, 3]);
         add(&mut st, 0, 1, vec![3, 2, 1, 0], &dep);
         assert_eq!(assigned(&st, 0), Some((3, 3.0)));
-        assert_eq!(st.removal_loss(3, &dep), 2.0); // falls to gain 1 at v1
         dep.remove(3);
         let fo = st.fail_rehome(3, &dep);
         assert_eq!((fo.reassigned, fo.degraded), (1, 0));
@@ -2073,47 +1805,17 @@ mod tests {
     }
 
     #[test]
-    fn key_index_survives_grow_and_backward_shift_churn() {
-        // Adversarial keys: multiples of the table capacity collide in
-        // the low bits; Fibonacci hashing must still spread them, and
-        // backward-shift deletion must keep every survivor reachable
-        // across interleaved insert/remove waves that force growth.
-        let mut idx = KeyIndex::default();
-        for slot in 0..512u32 {
-            idx.insert(u64::from(slot) * 64, SlotRef { slot, gen: 0 });
-        }
-        assert_eq!(idx.len(), 512);
-        for slot in (0..512u32).step_by(2) {
-            assert!(idx.remove(u64::from(slot) * 64).is_some());
-        }
-        assert_eq!(idx.len(), 256);
-        for slot in 0..512u32 {
-            let got = idx.get(u64::from(slot) * 64);
-            if slot % 2 == 0 {
-                assert_eq!(got, None, "removed key {slot} resurfaced");
-            } else {
-                assert_eq!(
-                    got,
-                    Some(SlotRef { slot, gen: 0 }),
-                    "surviving key {slot} lost"
-                );
-            }
-        }
-        assert_eq!(idx.remove(9_999_999), None);
-    }
-
-    #[test]
-    fn slot_reuse_bumps_generation() {
+    fn a_reused_slot_answers_only_for_its_new_key() {
         let mut st = DeltaState::new(4, 0.5);
         let dep = Deployment::empty(4);
         add(&mut st, 10, 1, vec![0, 1], &dep);
         st.remove(10);
         assert!(!st.is_active(10));
         assert!(st.flow(10).is_none());
-        // Key 20 reuses slot 0 under a bumped generation; the old
-        // key's references are dead, the new key's resolve.
+        // Key 20 reuses slot 0; the old key is dead, the new key
+        // resolves.
         add(&mut st, 20, 2, vec![1, 2], &dep);
-        assert_eq!(st.gens[0], 1);
+        assert_eq!(st.lookup(20), Some(0));
         assert!(st.is_active(20));
         assert_eq!(st.flow(20).unwrap().rate, 2);
         assert!(st.flow(10).is_none());

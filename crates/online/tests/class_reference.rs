@@ -1,8 +1,9 @@
 //! Class-level `DeltaState` against a per-flow reference.
 //!
 //! `DeltaState` keeps rows, assignments and rate sums per live path
-//! class, so `marginal_gain` and `removal_loss` sum one term per class
-//! (`R_c · (1 − λ) · …`). Def. 2 sums one term per flow. This property
+//! class, so `marginal_gain` sums one term per class
+//! (`R_c · (1 − λ) · …`) and a class moves its whole saved share in
+//! `primary_load`. Def. 2 sums one term per flow. This property
 //! streams gateway traffic — few destinations on small graphs, so
 //! classes hold several members — through arrivals, departures,
 //! failures, recoveries and local repair, and after every event
@@ -64,27 +65,6 @@ fn marginal_gain(flows: &[Reference], v: NodeId, factor: f64) -> f64 {
             })
         })
         .sum()
-}
-
-/// The objective increase of undeploying `v`, flow by flow: each flow
-/// served at `v` falls back to its best other deployed vertex.
-fn removal_loss(flows: &[Reference], v: NodeId, dep: &Deployment, factor: f64) -> f64 {
-    let mut loss = 0.0;
-    for r in flows {
-        let Some((av, ag)) = r.assigned else { continue };
-        if av != v {
-            continue;
-        }
-        let second = r
-            .flow
-            .path
-            .iter()
-            .zip(&r.gains)
-            .filter(|&(&u, _)| u != v && dep.contains(u))
-            .fold(0.0f64, |s, (_, &g)| s.max(g));
-        loss += r.flow.rate as f64 * factor * (ag - second);
-    }
-    loss
 }
 
 /// The saved share of the flows served at `v`, flow by flow (from
@@ -167,14 +147,6 @@ fn stream(seed: u64, n: usize, k: usize, len: usize, lambda: f64) -> f64 {
             prop_assert!(
                 agrees(got, want, rel, 0.0),
                 "λ {lambda}, after {ev:?}: marginal_gain({v}) {got} vs per-flow {want}"
-            );
-            let (got, want) = (
-                state.removal_loss(v, dep),
-                removal_loss(&flows, v, dep, factor),
-            );
-            prop_assert!(
-                agrees(got, want, rel, 0.0),
-                "λ {lambda}, after {ev:?}: removal_loss({v}) {got} vs per-flow {want}"
             );
             // A running sum: at λ = 0.3 a box that served classes keeps
             // their rounding after they leave, so compare against a

@@ -43,7 +43,6 @@
 //!
 //! [`DeltaState::flips`]: tdmd_online::DeltaState::flips
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Error, ErrorKind, Read, Write};
 use std::path::PathBuf;
@@ -194,7 +193,8 @@ impl<M: CostModel> ServeSession<M> {
     /// like [`OnlineEngine::restore`]. The tenant sums are derived once
     /// from the snapshot's tenant list; an active flow the list does
     /// not name counts as tenant 0, as an arrival without a tenant
-    /// does.
+    /// does, and an entry that names no active flow is dropped, so the
+    /// session's tenant map holds exactly the active flows.
     ///
     /// # Errors
     /// Rejects unknown versions and structurally invalid engine state
@@ -212,31 +212,23 @@ impl<M: CostModel> ServeSession<M> {
             });
         }
         let engine = OnlineEngine::restore(graph, model, policy, &snap.engine)?;
-        let mut tenants: BTreeMap<FlowKey, TenantId> = snap.tenants.iter().copied().collect();
+        let state = engine.state();
+        let mut tenants: BTreeMap<FlowKey, TenantId> = snap
+            .tenants
+            .iter()
+            .copied()
+            .filter(|&(key, _)| state.is_active(key))
+            .collect();
         let mut sums: BTreeMap<TenantId, TenantSums> = snap
             .known_tenants
             .iter()
             .map(|&t| (t, TenantSums::default()))
             .collect();
-        let state = engine.state();
-        let mut named = 0;
-        for (&key, &t) in &tenants {
-            if let Some(f) = state.flow(key) {
-                sums.entry(t)
-                    .or_default()
-                    .add(f.rate, state.assigned(f).is_some());
-                named += 1;
-            }
-        }
-        if named < state.active_count() {
-            for f in state.active_flows() {
-                if let Entry::Vacant(slot) = tenants.entry(f.key) {
-                    slot.insert(0);
-                    sums.entry(0)
-                        .or_default()
-                        .add(f.rate, state.assigned(f).is_some());
-                }
-            }
+        for f in state.active_flows() {
+            let t = *tenants.entry(f.key).or_insert(0);
+            sums.entry(t)
+                .or_default()
+                .add(f.rate, state.assigned(f).is_some());
         }
         Ok(Self {
             engine,

@@ -465,6 +465,35 @@ fn line_cap_is_exact_and_line_numbers_are_physical() {
     assert_eq!(bye_of(&records).active_flows, 2);
 }
 
+/// A snapshot whose tenant list names a flow that is not active (key
+/// 999) restores without it: the next snapshot lists every active flow
+/// and nothing else, and the stale entry's tenant never reaches the
+/// telemetry.
+#[test]
+fn restore_drops_tenant_entries_of_inactive_flows() {
+    let g = DiGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
+    let mut s = session(&g, 1);
+    s.apply(&WireEvent::Arrive {
+        key: 1,
+        rate: 3,
+        path: vec![0, 1, 2],
+        tenant: 1,
+    })
+    .expect("valid arrival");
+    let mut snap = s.snapshot();
+    snap.tenants.push((999, 2));
+    let mut restored = ServeSession::restore(g, HopCount, policy(), ServeConfig::default(), &snap)
+        .expect("the engine state is valid");
+    assert_eq!(restored.snapshot().tenants, [(1, 1)]);
+    let tenants: Vec<u16> = restored
+        .telemetry()
+        .tenants
+        .iter()
+        .map(|t| t.tenant)
+        .collect();
+    assert_eq!(tenants, [1]);
+}
+
 /// Two valid flows of one tenant at the largest `u64` rate: the
 /// per-tenant sums saturate instead of overflowing, and the loop
 /// reaches its `Bye` record.

@@ -21,7 +21,8 @@
 //!   * `map-iter-order` — no `HashMap`/`HashSet` in the
 //!     determinism-governed crates (core, online, serve); their
 //!     process-seeded iteration order breaks the bitwise
-//!     batched ≡ sequential contracts.
+//!     batched ≡ sequential contracts. A keyed lookup uses
+//!     tdmd-core's `table::IdTable`.
 //!   * `wall-clock` — no `Instant`/`SystemTime` inside solver crates;
 //!     time comes from the event stream, latency from the obs
 //!     `Stopwatch` at the boundaries.

@@ -452,8 +452,9 @@ const MAP_ITER_DIRS: &[&str] = &[
 /// process, so any iteration (or any future refactor that adds one)
 /// perturbs float accumulation order and breaks the batched ≡
 /// sequential contracts. `BTreeMap`/`BTreeSet` or a sorted `Vec` are
-/// the sanctioned replacements; a keyed-lookup-only table that never
-/// iterates needs an allowlist entry naming that fact. Test regions
+/// the sanctioned replacements where the data is iterated, and
+/// tdmd-core's `table::IdTable`, an open-addressing table that never
+/// iterates, is the one for a keyed lookup. Test regions
 /// are **not** exempt: proptest replay and the bitwise oracles compare
 /// engine fingerprints inside tests too.
 fn map_iter_order(f: &SourceFile, out: &mut Vec<Violation>) {
@@ -469,7 +470,8 @@ fn map_iter_order(f: &SourceFile, out: &mut Vec<Violation>) {
                 "map-iter-order",
                 format!(
                     "`{}` in a determinism-governed crate — iteration order is \
-                     process-seeded; use BTreeMap/BTreeSet or a sorted Vec",
+                     process-seeded; use BTreeMap/BTreeSet or a sorted Vec, or \
+                     tdmd_core::table::IdTable for a keyed lookup",
                     t.text
                 ),
             );
