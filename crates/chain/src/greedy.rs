@@ -10,10 +10,6 @@
 //!   the total bandwidth most, until the instance budget is spent or
 //!   no instance helps. Sharing across flows is automatic: the
 //!   per-flow DP re-homes every flow on each candidate evaluation.
-//!   Since the `CostModel` refactor the loop itself lives in
-//!   `tdmd-core`'s generic engine ([`run_move_greedy`]); this module
-//!   only supplies the [`MoveGreedy`] driver (the private
-//!   `PrefixStackMoves`).
 //! * [`chain_stacked_gtp`] — the chain-aware [`CostModel`] adapter
 //!   ([`ChainStackModel`]): collapse the chain's best diminishing
 //!   prefix into a single stacked placement problem and run the core
@@ -22,7 +18,6 @@
 use crate::deployment::ChainDeployment;
 use crate::eval::{evaluate_chain, ChainEval};
 use crate::spec::ChainSpec;
-use tdmd_core::algorithms::engine::{run_move_greedy, MoveGreedy};
 use tdmd_core::algorithms::gtp::gtp_budgeted_with;
 use tdmd_core::cost::CostModel;
 use tdmd_core::error::TdmdError;
@@ -49,7 +44,7 @@ pub fn chain_at_destinations(
     dep
 }
 
-/// [`MoveGreedy`] driver for the shared-instance chain greedy.
+/// The state of the shared-instance chain greedy.
 ///
 /// Moves are *prefix stacks*: placing types `0..=t` on a vertex in
 /// one step (only the missing ones are added). A lone mid-chain
@@ -65,22 +60,23 @@ struct PrefixStackMoves<'a> {
     cur: ChainEval,
 }
 
+/// A scored move: `(density, saved, cost, t, v)`, compared with
+/// epsilon ladders ([`PrefixStackMoves::better`]).
+type MoveKey = (f64, f64, usize, usize, NodeId);
+
 impl PrefixStackMoves<'_> {
     /// Types of the prefix `0..=t` not yet present on `v`.
     fn missing(&self, t: usize, v: NodeId) -> Vec<usize> {
         (0..=t).filter(|&ti| !self.dep.has(ti, v)).collect()
     }
-}
 
-impl MoveGreedy for PrefixStackMoves<'_> {
-    type Move = (usize, NodeId);
-    /// `(density, saved, cost, t, v)` — compared with epsilon ladders.
-    type Key = (f64, f64, usize, usize, NodeId);
-
+    /// Instances the current deployment spends.
     fn spent(&self) -> usize {
         self.dep.total_instances()
     }
 
+    /// The `(t, v)` moves affordable within `slack` more instances, in
+    /// tie-break order (earlier wins on equal keys).
     fn moves(&self, slack: usize) -> Vec<(usize, NodeId)> {
         let mut out = Vec::new();
         for t in 0..self.chain.len() {
@@ -94,7 +90,9 @@ impl MoveGreedy for PrefixStackMoves<'_> {
         out
     }
 
-    fn evaluate(&mut self, &(t, v): &(usize, NodeId)) -> Option<Self::Key> {
+    /// Scores a move by exact re-evaluation; `None` when it saves
+    /// nothing.
+    fn evaluate(&mut self, (t, v): (usize, NodeId)) -> Option<MoveKey> {
         let missing = self.missing(t, v);
         for &ti in &missing {
             self.dep.insert(ti, v);
@@ -110,7 +108,8 @@ impl MoveGreedy for PrefixStackMoves<'_> {
         Some((saved / missing.len() as f64, saved, missing.len(), t, v))
     }
 
-    fn better(&self, a: &Self::Key, b: &Self::Key) -> bool {
+    /// Whether `a` strictly beats `b`.
+    fn better(a: &MoveKey, b: &MoveKey) -> bool {
         let (ad, a_saved, ac, at, av) = *a;
         let (bd, b_saved, bc, bt, bv) = *b;
         ad > bd + 1e-12
@@ -119,7 +118,8 @@ impl MoveGreedy for PrefixStackMoves<'_> {
                     || ((a_saved - b_saved).abs() <= 1e-12 && (ac, at, av) < (bc, bt, bv))))
     }
 
-    fn apply(&mut self, &(t, v): &(usize, NodeId)) {
+    /// Stacks the prefix `0..=t` on `v`.
+    fn apply(&mut self, (t, v): (usize, NodeId)) {
         for ti in 0..=t {
             self.dep.insert(ti, v);
         }
@@ -128,8 +128,8 @@ impl MoveGreedy for PrefixStackMoves<'_> {
 }
 
 /// Shared-instance greedy chain placement with a total instance
-/// budget, dispatched through the core engine's
-/// [`run_move_greedy`] loop.
+/// budget: each round evaluates every affordable move and applies the
+/// best, until the budget is spent or no move saves bandwidth.
 ///
 /// # Errors
 /// [`TdmdError::Infeasible`] when the egress baseline alone exceeds
@@ -157,15 +157,29 @@ pub fn chain_gtp(
     let cands: Vec<NodeId> = (0..graph.node_count() as NodeId)
         .filter(|&v| on_path[v as usize])
         .collect();
-    let mut driver = PrefixStackMoves {
+    let mut state = PrefixStackMoves {
         flows,
         chain,
         cands,
         dep,
         cur,
     };
-    run_move_greedy(&mut driver, budget);
-    Ok((driver.dep, driver.cur))
+    while state.spent() < budget {
+        let mut best: Option<(MoveKey, (usize, NodeId))> = None;
+        for m in state.moves(budget - state.spent()) {
+            if let Some(key) = state.evaluate(m) {
+                if best
+                    .as_ref()
+                    .is_none_or(|(bk, _)| PrefixStackMoves::better(&key, bk))
+                {
+                    best = Some((key, m));
+                }
+            }
+        }
+        let Some((_, m)) = best else { break };
+        state.apply(m);
+    }
+    Ok((state.dep, state.cur))
 }
 
 /// Chain-aware [`CostModel`]: prices a vertex by the downstream hops

@@ -194,7 +194,7 @@ pub struct JointEntry {
     pub lp_bound: f64,
     /// GTP placement rounds the alternation spent.
     pub rounds: usize,
-    /// Active-path switches applied.
+    /// Route switches made.
     pub path_switches: u64,
     /// Wall-clock µs of one `lp_lower_bound` call on the instance,
     /// timed apart from the solve (which computes the same bound
@@ -778,14 +778,14 @@ pub fn joint_bench(seed: u64) -> Result<JointBench, String> {
     let mut entries = Vec::new();
     for k_paths in 1..=4usize {
         let mut rng = StdRng::seed_from_u64(seed);
-        let inst = general_pathset_instance(&mut rng, s, k_paths);
+        let joint = general_pathset_instance(&mut rng, s, k_paths);
         let sw = Stopwatch::start();
-        let sol = joint_solve(&inst).map_err(|e| format!("joint/k_paths={k_paths}: {e}"))?;
+        let sol = joint_solve(&joint).map_err(|e| format!("joint/k_paths={k_paths}: {e}"))?;
         let wall_us = sw.elapsed_us();
         // The solve computes its certificate once; time that same call
         // on its own, and fail unless it reproduces the solve's bound.
         let lp_sw = Stopwatch::start();
-        let lp_bound = lp_lower_bound(&inst);
+        let lp_bound = lp_lower_bound(&joint);
         let lp_bound_us = lp_sw.elapsed_us();
         if lp_bound.to_bits() != sol.lp_bound.to_bits() {
             return Err(format!(
@@ -793,6 +793,7 @@ pub fn joint_bench(seed: u64) -> Result<JointBench, String> {
                 sol.lp_bound
             ));
         }
+        let inst = joint.base();
         entries.push(JointEntry {
             scenario: "general-default".to_string(),
             k_paths,

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tdmd_core::algorithms::best_effort::best_effort_with;
 use tdmd_core::algorithms::gtp::gtp_budgeted_with;
-use tdmd_core::algorithms::joint::joint_solve;
+use tdmd_core::algorithms::joint::{joint_solve, JointInstance};
 use tdmd_core::algorithms::local_search::gtp_with_local_search_with;
 use tdmd_core::algorithms::Algorithm;
 use tdmd_core::objective::{allocate, bandwidth_of, decrement, lemma1_bounds};
@@ -154,24 +154,17 @@ fn place_joint(
         return Err("--k-paths must be at least 1".to_string());
     }
     let sets = candidate_sets(&flows, &g, k_paths);
-    let instance = Instance::with_path_sets(g, sets, lambda, k).map_err(|e| e.to_string())?;
+    let joint = JointInstance::new(g, sets, lambda, k).map_err(|e| e.to_string())?;
     if audit {
-        tdmd_core::audit::check_instance(&instance).map_err(|e| format!("audit: {e}"))?;
+        tdmd_core::audit::check_instance(joint.base()).map_err(|e| format!("audit: {e}"))?;
     }
     let start = std::time::Instant::now();
-    let sol = joint_solve(&instance).map_err(|e| e.to_string())?;
+    let sol = joint_solve(&joint).map_err(|e| e.to_string())?;
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
 
-    // Re-apply the solution routing so the report (and the audit) see
-    // the instance the objective was priced on.
-    let mut routed = instance;
-    let switches: Vec<(u32, u32)> = sol
-        .active
-        .iter()
-        .enumerate()
-        .map(|(f, &j)| (f as u32, j))
-        .collect();
-    routed.set_active_paths(&switches);
+    // The instance of the solution's routing, which the report (and
+    // the audit) price the objective on.
+    let routed = joint.routed(&sol.active).map_err(|e| e.to_string())?;
     if audit {
         tdmd_core::audit::check_instance(&routed).map_err(|e| format!("audit: {e}"))?;
         let alloc = allocate(&routed, &sol.deployment);
@@ -369,19 +362,30 @@ mod tests {
     #[test]
     fn joint_routing_never_beats_itself_with_one_candidate() {
         // --k-paths 1 is the singleton case: the joint report must
-        // show a zero saving over the fixed-path baseline.
-        let (topo_path, wl_path) = fixture("joint_routing_never_beats_itself_with_one_candidate");
-        let report = place(&args(&[
-            ("topo", &topo_path),
-            ("workload", &wl_path),
+        // show a zero saving over the fixed-path baseline, and its plan
+        // must be the fixed-path GTP plan, byte for byte.
+        let test = "joint_routing_never_beats_itself_with_one_candidate";
+        let (topo_path, wl_path) = fixture(test);
+        let (joint_plan, gtp_plan) = (
+            tmp(&format!("{test}-joint.json")),
+            tmp(&format!("{test}-gtp.json")),
+        );
+        let base = [
+            ("topo", topo_path.as_str()),
+            ("workload", wl_path.as_str()),
             ("lambda", "0.5"),
             ("k", "4"),
             ("algorithm", "gtp"),
-            ("routing", "joint"),
-            ("k-paths", "1"),
-        ]))
-        .unwrap();
+        ];
+        let mut joint = base.to_vec();
+        joint.extend([("routing", "joint"), ("k-paths", "1"), ("out", &joint_plan)]);
+        let report = place(&args(&joint)).unwrap();
         assert!(report.contains("joint saves 0.00"));
+        let mut fixed = base.to_vec();
+        fixed.push(("out", &gtp_plan));
+        place(&args(&fixed)).unwrap();
+        let read = |path: &str| std::fs::read(path).unwrap();
+        assert_eq!(read(&joint_plan), read(&gtp_plan));
     }
 
     #[test]

@@ -39,11 +39,6 @@
 //! winner's trial is the next round's greedy cover, so that cover is
 //! passed forward instead of run again.
 //!
-//! [`run_move_greedy`] is the engine's second face: a budgeted
-//! best-move loop over an arbitrary [`MoveGreedy`] driver, used by the
-//! chain crate's prefix-stack greedy where a "move" deploys several
-//! middlebox instances at once.
-//!
 //! [`Instance`]: crate::instance::Instance
 
 use std::cmp::Reverse;
@@ -331,54 +326,6 @@ fn rounds(
     Ok(state.deployment)
 }
 
-/// A stateful driver for [`run_move_greedy`]: moves priced by exact
-/// re-evaluation, each consuming one or more units of budget.
-///
-/// Used by the chain crate's prefix-stack greedy, where one move
-/// deploys every missing type of a chain prefix at a vertex.
-pub trait MoveGreedy {
-    /// A candidate move.
-    type Move;
-    /// The comparison key of an evaluated move.
-    type Key;
-
-    /// Budget units already spent by the current solution.
-    fn spent(&self) -> usize;
-
-    /// Candidate moves affordable within `slack` remaining units, in
-    /// deterministic tie-break order (earlier wins on equal keys).
-    fn moves(&self, slack: usize) -> Vec<Self::Move>;
-
-    /// Scores a move against the current solution; `None` when the
-    /// move does not improve it.
-    fn evaluate(&mut self, m: &Self::Move) -> Option<Self::Key>;
-
-    /// Whether `candidate` strictly beats `incumbent`.
-    fn better(&self, candidate: &Self::Key, incumbent: &Self::Key) -> bool;
-
-    /// Commits a move to the current solution.
-    fn apply(&mut self, m: &Self::Move);
-}
-
-/// Budgeted best-move greedy: each round evaluates every affordable
-/// move, applies the best improving one, and stops when the budget is
-/// exhausted or no move improves the solution.
-pub fn run_move_greedy<D: MoveGreedy>(driver: &mut D, budget: usize) {
-    while driver.spent() < budget {
-        let slack = budget - driver.spent();
-        let mut best: Option<(D::Key, D::Move)> = None;
-        for m in driver.moves(slack) {
-            if let Some(key) = driver.evaluate(&m) {
-                if best.as_ref().is_none_or(|(bk, _)| driver.better(&key, bk)) {
-                    best = Some((key, m));
-                }
-            }
-        }
-        let Some((_, m)) = best else { break };
-        driver.apply(&m);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,55 +586,5 @@ mod tests {
             v: 5,
         };
         assert!(inf.better_than(&pos_zero));
-    }
-
-    /// Toy driver: items with (value, cost); budgeted knapsack-greedy.
-    struct Toy {
-        items: Vec<(f64, usize)>,
-        taken: Vec<usize>,
-        spent: usize,
-    }
-
-    impl MoveGreedy for Toy {
-        type Move = usize;
-        type Key = f64;
-
-        fn spent(&self) -> usize {
-            self.spent
-        }
-
-        fn moves(&self, slack: usize) -> Vec<usize> {
-            (0..self.items.len())
-                .filter(|i| !self.taken.contains(i) && self.items[*i].1 <= slack)
-                .collect()
-        }
-
-        fn evaluate(&mut self, &i: &usize) -> Option<f64> {
-            let (value, _) = self.items[i];
-            (value > 0.0).then_some(value)
-        }
-
-        fn better(&self, a: &f64, b: &f64) -> bool {
-            a > b
-        }
-
-        fn apply(&mut self, &i: &usize) {
-            self.spent += self.items[i].1;
-            self.taken.push(i);
-        }
-    }
-
-    #[test]
-    fn move_greedy_respects_budget_and_stops_when_dry() {
-        let mut toy = Toy {
-            items: vec![(5.0, 2), (3.0, 1), (-1.0, 1), (4.0, 3)],
-            taken: vec![],
-            spent: 0,
-        };
-        run_move_greedy(&mut toy, 3);
-        // Round 1 takes item 0 (value 5, cost 2); round 2 has slack 1,
-        // so only item 1 fits; item 2 never improves.
-        assert_eq!(toy.taken, vec![0, 1]);
-        assert_eq!(toy.spent, 3);
     }
 }

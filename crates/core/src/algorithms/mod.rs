@@ -2,8 +2,7 @@
 //!
 //! * [`engine`] — the generic greedy core every objective variant
 //!   shares: the cost-model-agnostic GTP loop with its lazy argmax
-//!   under the tight-budget feasibility guard, and a budgeted
-//!   best-move loop.
+//!   under the tight-budget feasibility guard.
 //! * [`gtp`] — Alg. 1, the `(1 − 1/e)` submodular greedy for general
 //!   topologies.
 //! * [`dp`] — the optimal tree DP of §5.1 (Eqs. 7–10), generalized to

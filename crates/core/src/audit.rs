@@ -9,9 +9,7 @@
 //!
 //! * [`check_instance`] — the [`Instance`]'s input is well-formed: `λ`
 //!   in range, dense flow ids, positive rates, and paths that are
-//!   simple and edge-connected on the topology; on instances with
-//!   candidate path sets, the sets and their membership index agree
-//!   with the flows.
+//!   simple and edge-connected on the topology.
 //! * [`check_solution`] — a deployment respects the budget `k`
 //!   (Eq. 3's constraint), every assignment is an on-path deployed
 //!   vertex with the maximal `l_v(f)` (the forced optimal allocation
@@ -56,7 +54,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::cost::{CostModel, FlowIndex};
-use crate::instance::{Instance, PathSets};
+use crate::instance::Instance;
 use crate::plan::{Allocation, Deployment};
 
 /// A violated structural invariant.
@@ -121,16 +119,13 @@ pub fn enforce(result: Result<(), AuditError>) {
     }
 }
 
-/// Validates the instance: `λ` in range, dense ids, positive rates,
-/// simple connected flow paths and, when the instance has them, its
-/// candidate path sets.
+/// Validates the instance: `λ` in range, dense ids, positive rates
+/// and simple connected flow paths.
 ///
 /// # Errors
 /// Returns the first violated check among `lambda-range`,
 /// `flow-id-dense`, `flow-rate-positive`, `path-vertex-bounds`,
-/// `path-simple`, `path-connected`, and the candidate-path-set checks
-/// `pathset-shape`, `pathset-active-range`, `pathset-active-mirror`,
-/// `pathset-endpoints` and `pathset-member-roundtrip`.
+/// `path-simple` and `path-connected`.
 pub fn check_instance(instance: &Instance) -> Result<(), AuditError> {
     let graph = instance.graph();
     let n = graph.node_count();
@@ -170,112 +165,6 @@ pub fn check_instance(instance: &Instance) -> Result<(), AuditError> {
                     "flow {idx} uses missing edge {} -> {}",
                     w[0],
                     w[1]
-                );
-            }
-        }
-    }
-    match instance.path_sets() {
-        Some(ps) => check_path_sets(instance, ps),
-        None => Ok(()),
-    }
-}
-
-/// Validates the candidate path sets and their two-level membership
-/// CSR (called from [`check_instance`]): every flow has an in-range
-/// active candidate mirrored by its `Flow::path`, every candidate
-/// connects the flow's `(src, dst)` over existing edges, and the
-/// membership index round-trips the candidate vertices exactly.
-fn check_path_sets(instance: &Instance, ps: &PathSets) -> Result<(), AuditError> {
-    let graph = instance.graph();
-    let n = graph.node_count();
-    let flows = instance.flows();
-    if ps.flow_count() != flows.len() {
-        fail!(
-            "pathset-shape",
-            "{} candidate sets for {} flows",
-            ps.flow_count(),
-            flows.len()
-        );
-    }
-    for (idx, f) in flows.iter().enumerate() {
-        if ps.candidate_count(idx) == 0 {
-            fail!("pathset-shape", "flow {idx} has no candidate paths");
-        }
-        let active = ps.active(idx);
-        if active as usize >= ps.candidate_count(idx) {
-            fail!(
-                "pathset-active-range",
-                "flow {idx}: active candidate {active} of {}",
-                ps.candidate_count(idx)
-            );
-        }
-        if ps.path(idx, active as usize) != f.path {
-            fail!(
-                "pathset-active-mirror",
-                "flow {idx}: Flow::path differs from active candidate {active}"
-            );
-        }
-        for j in 0..ps.candidate_count(idx) {
-            let p = ps.path(idx, j);
-            if p.len() < 2 || p[0] != f.src() || *p.last().expect("non-empty") != f.dst() {
-                fail!(
-                    "pathset-endpoints",
-                    "flow {idx} candidate {j} does not connect ({}, {})",
-                    f.src(),
-                    f.dst()
-                );
-            }
-            for w in p.windows(2) {
-                if w[0] as usize >= n || w[1] as usize >= n || !graph.has_edge(w[0], w[1]) {
-                    fail!(
-                        "pathset-endpoints",
-                        "flow {idx} candidate {j} uses missing edge {} -> {}",
-                        w[0],
-                        w[1]
-                    );
-                }
-            }
-        }
-    }
-    // Round-trip: every membership record points at an on-path vertex
-    // with the true downstream hop count, and every candidate vertex
-    // is covered exactly once.
-    let mut per_path = vec![0usize; ps.total_paths()];
-    for v in 0..n as tdmd_graph::NodeId {
-        for m in ps.memberships_through(v) {
-            if m.flow as usize >= flows.len()
-                || m.path as usize >= ps.candidate_count(m.flow as usize)
-            {
-                fail!(
-                    "pathset-member-roundtrip",
-                    "vertex {v} lists candidate ({}, {}) out of range",
-                    m.flow,
-                    m.path
-                );
-            }
-            let p = ps.path(m.flow as usize, m.path as usize);
-            let hops = (p.len() - 1) as u32;
-            match p.iter().position(|&x| x == v) {
-                Some(pos) if hops - pos as u32 == m.l => {}
-                _ => fail!(
-                    "pathset-member-roundtrip",
-                    "vertex {v}: flow {} candidate {} stored l = {} disagrees with the path",
-                    m.flow,
-                    m.path,
-                    m.l
-                ),
-            }
-            per_path[ps.global_id(m.flow as usize, m.path as usize)] += 1;
-        }
-    }
-    for f in 0..flows.len() {
-        for j in 0..ps.candidate_count(f) {
-            let want = ps.path(f, j).len();
-            let got = per_path[ps.global_id(f, j)];
-            if got != want {
-                fail!(
-                    "pathset-member-roundtrip",
-                    "flow {f} candidate {j}: {got} membership records for {want} vertices"
                 );
             }
         }
@@ -755,61 +644,6 @@ mod tests {
     #[test]
     fn clean_instance_passes() {
         check_instance(&fig1_instance(2)).unwrap();
-    }
-
-    /// Fig. 1's flows as singleton candidate sets.
-    fn fig1_with_path_sets() -> Instance {
-        let inst = fig1_instance(2);
-        let sets = inst
-            .flows()
-            .iter()
-            .map(tdmd_traffic::FlowPaths::singleton)
-            .collect();
-        Instance::with_path_sets(inst.graph().clone(), sets, 0.5, 2).unwrap()
-    }
-
-    #[test]
-    fn clean_path_sets_pass() {
-        check_instance(&fig1_with_path_sets()).unwrap();
-    }
-
-    #[test]
-    fn corrupted_active_index_is_caught() {
-        let mut inst = fig1_with_path_sets();
-        inst.audit_path_sets_mut().unwrap().audit_parts_mut().0[0] = 7;
-        let err = check_instance(&inst).unwrap_err();
-        assert_eq!(err.check, "pathset-active-range", "{err}");
-    }
-
-    #[test]
-    fn corrupted_membership_hops_are_caught() {
-        let mut inst = fig1_with_path_sets();
-        inst.audit_path_sets_mut().unwrap().audit_parts_mut().1[0].l += 1;
-        let err = check_instance(&inst).unwrap_err();
-        assert_eq!(err.check, "pathset-member-roundtrip", "{err}");
-    }
-
-    #[test]
-    fn corrupted_candidate_endpoint_is_caught() {
-        // Diamond 0 → {1, 2} → 3 with two candidates; corrupt the
-        // *inactive* candidate's destination so the active mirror
-        // stays intact and the endpoints check must fire.
-        let mut b = tdmd_graph::GraphBuilder::new(4);
-        b.add_bidirectional(0, 1);
-        b.add_bidirectional(1, 3);
-        b.add_bidirectional(0, 2);
-        b.add_bidirectional(2, 3);
-        let sets = vec![tdmd_traffic::FlowPaths::new(
-            0,
-            2,
-            vec![vec![0, 1, 3], vec![0, 2, 3]],
-        )];
-        let mut inst = Instance::with_path_sets(b.build(), sets, 0.5, 1).unwrap();
-        check_instance(&inst).unwrap();
-        // Arena layout: [0,1,3, 0,2,3]; slot 5 is candidate 1's dst.
-        inst.audit_path_sets_mut().unwrap().audit_parts_mut().2[5] = 1;
-        let err = check_instance(&inst).unwrap_err();
-        assert_eq!(err.check, "pathset-endpoints", "{err}");
     }
 
     #[test]

@@ -48,14 +48,6 @@
 //! `compile` find each flow's class in the crate's one open-addressing
 //! table ([`IdTable`]) under its [`ClassKey`], the key the online
 //! engine's live classes are filed under too.
-//!
-//! Models always price each flow's current path. Under the joint
-//! routing extension that path is one pick from the flow's
-//! [`PathSets`](crate::instance::PathSets) candidates, and
-//! [`Instance::set_active_paths`] switches it, so a [`FlowIndex`]
-//! compiled before a switch is stale and must be recompiled — the
-//! joint solver re-runs its placement rounds on the switched instance
-//! for exactly this reason.
 
 use tdmd_graph::{DiGraph, NodeId};
 use tdmd_traffic::Flow;

@@ -4,8 +4,7 @@
 //!
 //! * [`instance`] — a TDMD problem [`Instance`]: topology + flows +
 //!   traffic-changing ratio `λ` + middlebox budget `k`, validated once
-//!   and holding nothing else. Only joint routing instances add
-//!   candidate [`PathSets`], whose active picks are the flows' paths.
+//!   and holding nothing else; nothing changes it after validation.
 //! * [`cost`] — the [`CostModel`] trait generalizing Eq. (1)'s
 //!   pricing ([`HopCount`], [`WeightedEdges`], chain-aware models),
 //!   compiled into the CSR [`FlowIndex`] over path classes (the flows
@@ -24,8 +23,9 @@
 //! * [`algorithms`] — GTP (Alg. 1), the tree DP
 //!   (Eqs. 7–10), HAT (Alg. 2), the paper's Random and Best-effort
 //!   baselines, an exhaustive optimum for small instances, and the
-//!   [`algorithms::joint`] routing + placement solver over candidate
-//!   path sets with its LP-relaxation optimality certificate.
+//!   [`algorithms::joint`] routing + placement solver, which keeps
+//!   each flow's candidate routes beside a fixed-path instance, with
+//!   its LP-relaxation optimality certificate.
 //!
 //! # Example
 //!
@@ -76,7 +76,7 @@ pub mod table;
 
 pub use cost::{ClassKey, CostModel, FlowIndex, HopCount, PricedClass, PricedFlow, WeightedEdges};
 pub use error::TdmdError;
-pub use instance::{Instance, PathCheck, PathMember, PathSets};
+pub use instance::{Instance, PathCheck};
 pub use order::TotalGain;
 pub use plan::{Allocation, Deployment, PlanReport};
 
@@ -89,7 +89,7 @@ pub mod prelude {
         exhaustive::exhaustive_optimal,
         gtp::{gtp_budgeted, gtp_derive_k},
         hat::hat,
-        joint::{joint_solve, JointSolution},
+        joint::{joint_solve, JointInstance, JointSolution},
         local_search::{gtp_with_local_search, local_search},
         random::random_feasible,
         Algorithm,

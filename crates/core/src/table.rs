@@ -20,6 +20,13 @@
 //! under churn. Nothing iterates the table, so no process-seeded order
 //! can reach a result; this, not `HashMap`, is the keyed lookup of the
 //! determinism-governed crates (the `map-iter-order` lint).
+//!
+//! Keys that share a home bucket and a tag make every probe walk them
+//! all. So a caller whose keys come from outside keys its hash with a
+//! seed the sender cannot know: the online engine XORs a seed drawn
+//! once per state into each flow key before the multiply. A seed
+//! changes where entries sit, never what a lookup answers, and ids
+//! come from the caller, so no result depends on it.
 
 use crate::num::{big_ix, id32};
 

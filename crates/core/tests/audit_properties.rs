@@ -1,11 +1,10 @@
 //! tdmd-audit corruption properties for the static layer.
 //!
-//! Soundness: every randomly generated instance, with or without
-//! candidate path sets, passes [`check_instance`], and every GTP solve
-//! with its forced §3.1 allocation passes [`check_solution`].
-//! Completeness: each seeded corruption of the candidate path sets,
-//! the deployment or the allocation is rejected with the expected
-//! check name.
+//! Soundness: every randomly generated instance passes
+//! [`check_instance`], and every GTP solve with its forced §3.1
+//! allocation passes [`check_solution`]. Completeness: each seeded
+//! corruption of the deployment or the allocation is rejected with the
+//! expected check name.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,7 +15,7 @@ use tdmd_core::objective::{allocate, best_hops};
 use tdmd_core::{Deployment, Instance};
 use tdmd_graph::traversal::bfs_path;
 use tdmd_graph::{GraphBuilder, NodeId};
-use tdmd_traffic::{candidate_sets, Flow};
+use tdmd_traffic::Flow;
 
 /// Random connected graph with BFS-routed flows (same shape as the
 /// solver property tests).
@@ -57,13 +56,6 @@ fn random_instance(seed: u64, n: usize, n_flows: usize, k: usize) -> Instance {
     Instance::new(g, flows, 0.5, k).expect("valid")
 }
 
-/// The same flows with up to two candidate paths each.
-fn random_path_set_instance(seed: u64, n: usize, n_flows: usize) -> Instance {
-    let (g, flows) = random_parts(seed, n, n_flows);
-    let sets = candidate_sets(&flows, &g, 2);
-    Instance::with_path_sets(g, sets, 0.5, 2).expect("Yen candidates are valid")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -75,43 +67,10 @@ proptest! {
     ) {
         let inst = random_instance(seed, n, 5, k);
         check_instance(&inst).unwrap();
-        check_instance(&random_path_set_instance(seed, n, 5)).unwrap();
         if let Ok(dep) = gtp_budgeted(&inst, k) {
             let alloc = allocate(&inst, &dep);
             check_solution(&inst, &dep, k, Some(&alloc)).unwrap();
         }
-    }
-
-    /// Corrupting a flow's active-candidate index out of range is
-    /// caught with the exact path-set check id.
-    #[test]
-    fn out_of_range_active_index_is_rejected(
-        seed in any::<u64>(), n in 3usize..14, slot in any::<u64>(),
-    ) {
-        let mut inst = random_path_set_instance(seed, n, 6);
-        let f = (slot as usize) % inst.flows().len();
-        let bad = inst.path_sets().unwrap().candidate_count(f) as u32;
-        let ps = inst.audit_path_sets_mut().unwrap();
-        let (active, _, _) = ps.audit_parts_mut();
-        active[f] = bad;
-        let err = check_instance(&inst).unwrap_err();
-        prop_assert_eq!(err.check, "pathset-active-range", "{}", err);
-    }
-
-    /// Mislabelling a membership record's downstream-hop count is
-    /// caught against the recomputed candidate-path position.
-    #[test]
-    fn corrupted_membership_hops_are_rejected(
-        seed in any::<u64>(), n in 3usize..14, slot in any::<u64>(),
-    ) {
-        let mut inst = random_path_set_instance(seed, n, 6);
-        let ps = inst.audit_path_sets_mut().unwrap();
-        let (_, members, _) = ps.audit_parts_mut();
-        prop_assume!(!members.is_empty());
-        let i = (slot as usize) % members.len();
-        members[i].l += 1;
-        let err = check_instance(&inst).unwrap_err();
-        prop_assert_eq!(err.check, "pathset-member-roundtrip", "{}", err);
     }
 
     /// Deploying more than `k` middleboxes violates the budget.

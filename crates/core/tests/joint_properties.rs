@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdmd_core::algorithms::gtp::gtp_budgeted;
-use tdmd_core::algorithms::joint::joint_solve;
+use tdmd_core::algorithms::joint::{joint_solve, JointInstance};
 use tdmd_core::objective::bandwidth_of;
 use tdmd_core::{Instance, TdmdError};
 use tdmd_graph::traversal::bfs_path;
@@ -68,7 +68,7 @@ proptest! {
         let g = random_graph(&mut rng, n);
         let flows = random_flows(&mut rng, &g, n, n_flows);
         let inst = Instance::new(g, flows, 0.5, k).expect("valid instance");
-        match (joint_solve(&inst), gtp_budgeted(&inst, k)) {
+        match (joint_solve(&JointInstance::from(inst.clone())), gtp_budgeted(&inst, k)) {
             (Ok(sol), Ok(legacy)) => {
                 prop_assert_eq!(&sol.deployment, &legacy);
                 prop_assert_eq!(sol.objective, bandwidth_of(&inst, &legacy));
@@ -104,7 +104,7 @@ proptest! {
         let g = random_graph(&mut rng, n);
         let flows = random_flows(&mut rng, &g, n, n_flows);
         let sets = candidate_sets(&flows, &g, k_paths);
-        let built = Instance::with_path_sets(g.clone(), sets, 0.5, k);
+        let built = JointInstance::new(g.clone(), sets, 0.5, k);
         prop_assume!(built.is_ok());
         let inst = built.unwrap();
         let fixed_inst = Instance::new(g, flows, 0.5, k).expect("valid instance");

@@ -7,6 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use tdmd_core::algorithms::joint::JointInstance;
 use tdmd_core::Instance;
 use tdmd_graph::generators::ark::ark_like;
 use tdmd_graph::generators::trees::random_tree;
@@ -86,7 +87,7 @@ pub fn general_instance(rng: &mut StdRng, s: Scenario) -> Instance {
 /// then the full candidate set is attached. Every entry of a
 /// `k_paths` sweep therefore carries its own fixed-routing baseline
 /// (GTP on the drawn primaries) for the joint solver to improve on.
-pub fn general_pathset_instance(rng: &mut StdRng, s: Scenario, k_paths: usize) -> Instance {
+pub fn general_pathset_instance(rng: &mut StdRng, s: Scenario, k_paths: usize) -> JointInstance {
     let clusters = ARK_CLUSTERS.min(s.size);
     let g = ark_like(s.size.max(2), clusters, rng);
     let mut dests: Vec<NodeId> = Vec::new();
@@ -104,7 +105,7 @@ pub fn general_pathset_instance(rng: &mut StdRng, s: Scenario, k_paths: usize) -
         k_paths,
         rng,
     );
-    Instance::with_path_sets(g, sets, s.lambda, s.k).expect("generated pathset instance is valid")
+    JointInstance::new(g, sets, s.lambda, s.k).expect("generated pathset instance is valid")
 }
 
 #[cfg(test)]

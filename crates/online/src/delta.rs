@@ -18,10 +18,16 @@
 //!
 //! An arrival makes two lookups, its key to a slot and its path and
 //! pricing to a class, and both run on tdmd-core's one open-addressing
-//! table, [`IdTable`]. The key table files each slot under a Fibonacci
-//! hash of its flow's key and matches by the key the slot holds, so a
-//! reused slot never answers for the key that left it; the class table
-//! files each live class under its [`ClassKey`].
+//! table, [`IdTable`]. The key table files each slot under a keyed
+//! Fibonacci hash of its flow's key and matches by the key the slot
+//! holds, so a reused slot never answers for the key that left it; the
+//! class table files each live class under its [`ClassKey`]. Flow keys
+//! come off the wire, and a bare Fibonacci hash lets a client pick keys
+//! that all share one home bucket and one tag, which makes every
+//! lookup walk them all. So each state XORs a seed of its own, drawn
+//! once from the process's [`RandomState`], into every key before the
+//! multiply. No output depends on the seed: slot ids come from the
+//! free list, not the table, and nothing iterates the table.
 //!
 //! Eq. 1 and Def. 2 sum flow by flow, and every such sum here runs in
 //! arrival order, so that the live state, a snapshot of it and static
@@ -86,6 +92,8 @@
 //! All six are restored by every mutation (insert, remove, commit,
 //! failover, rebuild); the engine's repair logic relies on them.
 
+use std::hash::{BuildHasher, RandomState};
+
 use tdmd_core::num::{approx_f64, id32, ix, rate_sum_f64, KahanSum};
 use tdmd_core::table::IdTable;
 use tdmd_core::{ClassKey, Deployment, FlowIndex, PricedClass, PricedFlow};
@@ -97,11 +105,14 @@ use crate::event::FlowKey;
 /// The end of a member list: no slot.
 const NIL: u32 = u32::MAX;
 
-/// Fibonacci hash of a flow key (multiply by ⌊2⁶⁴/φ⌋), which leaves
-/// its best-mixed bits on top, where an [`IdTable`] reads them.
+/// Keyed Fibonacci hash of a flow key: the key XOR-ed with the
+/// state's `seed`, times ⌊2⁶⁴/φ⌋, which leaves its best-mixed bits on
+/// top, where an [`IdTable`] reads them. The XOR reaches every bit a
+/// client chooses, so keys crafted to collide under the bare multiply
+/// spread under an unknown seed (module docs).
 #[inline]
-fn key_hash(key: FlowKey) -> u64 {
-    key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+fn key_hash(seed: u64, key: FlowKey) -> u64 {
+    (key ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// The key table's equality test for `key`: whether a slot of `flows`
@@ -367,6 +378,8 @@ pub struct DeltaState {
     /// The slot of every active flow, filed under its key's
     /// [`key_hash`] and matched by the key the slot holds.
     keys: IdTable,
+    /// The [`key_hash`] seed, drawn once per state.
+    seed: u64,
     /// The live path classes the flows name, with their rate sums,
     /// assignments, member lists and row back-pointers (invariants 1,
     /// 2 and 5).
@@ -457,6 +470,7 @@ impl DeltaState {
             flows: Vec::new(),
             free: Vec::new(),
             keys: IdTable::default(),
+            seed: RandomState::new().hash_one(()),
             classes: ClassTable::default(),
             rows: vec![Vec::new(); n],
             unprocessed: KahanSum::default(),
@@ -514,7 +528,8 @@ impl DeltaState {
     /// flow never answers for the old key.
     #[inline]
     fn lookup(&self, key: FlowKey) -> Option<u32> {
-        self.keys.find(key_hash(key), holds_key(&self.flows, key))
+        self.keys
+            .find(key_hash(self.seed, key), holds_key(&self.flows, key))
     }
 
     /// `1 − λ`, the diminishing factor every saving is scaled by.
@@ -818,7 +833,7 @@ impl DeltaState {
         });
         self.order.push(slot);
         self.link(slot, class);
-        self.keys.insert(key_hash(key), slot);
+        self.keys.insert(key_hash(self.seed, key), slot);
         self.active += 1;
     }
 
@@ -836,7 +851,7 @@ impl DeltaState {
     pub fn remove(&mut self, key: FlowKey) -> &[NodeId] {
         let slot = self
             .keys
-            .remove(key_hash(key), holds_key(&self.flows, key))
+            .remove(key_hash(self.seed, key), holds_key(&self.flows, key))
             .expect("departure of an unknown flow key");
         let flow = self.flows[ix(slot)].take().expect("slot is live");
         self.unlink(&flow);
@@ -1819,6 +1834,41 @@ mod tests {
         assert!(st.is_active(20));
         assert_eq!(st.flow(20).unwrap().rate, 2);
         assert!(st.flow(10).is_none());
+    }
+
+    #[test]
+    fn keys_crafted_against_the_bare_multiply_spread_under_the_seed() {
+        // `(C | j << 1) · φ⁻¹` times φ is `C | j << 1`: under a bare
+        // Fibonacci hash every such key shares one home bucket and one
+        // tag, whatever the table's size.
+        const PHI_INV: u64 = 0xF1DE_83E1_9937_733D;
+        assert_eq!(PHI_INV.wrapping_mul(0x9E37_79B9_7F4A_7C15), 1);
+        let keys: Vec<FlowKey> = (0..4096u64)
+            .map(|j| (0x5EED_0000_0000_0001 | j << 1).wrapping_mul(PHI_INV))
+            .collect();
+        let mut st = DeltaState::new(3, 0.5);
+        let homes = |seed: u64| {
+            let mut top: Vec<u64> = keys.iter().map(|&k| key_hash(seed, k) >> 48).collect();
+            top.sort_unstable();
+            top.dedup();
+            top.len()
+        };
+        assert_eq!(homes(0), 1, "the family collides without a seed");
+        // 4,096 keys over 65,536 home buckets: a random map fills
+        // about 3,970 of them.
+        assert!(homes(st.seed) > 2048, "{} homes", homes(st.seed));
+        let dep = Deployment::empty(3);
+        for &k in &keys {
+            add(&mut st, k, 1, vec![0, 1, 2], &dep);
+        }
+        for &k in &keys {
+            assert_eq!(st.flow(k).map(|f| f.key), Some(k));
+        }
+        for &k in &keys {
+            st.remove(k);
+            assert!(!st.is_active(k), "key {k:#x}");
+        }
+        assert_eq!(st.active_count(), 0);
     }
 
     #[test]

@@ -842,6 +842,16 @@ impl<M: CostModel> OnlineEngine<M> {
             self.state
                 .insert_priced(f.key, old.priced(f), &self.deployment);
         }
+        self.queue = self.seeded_queue();
+    }
+
+    /// A fresh CELF queue over the current state: failed vertices
+    /// blocked, and every other undeployed vertex with a positive exact
+    /// gain reinserted under it, in vertex order. Blocking touches no
+    /// stamp, so [`OnlineEngine::canonicalize`] and
+    /// [`OnlineEngine::restore`] get the same queue from the same state.
+    fn seeded_queue(&self) -> LazyQueue {
+        let n = self.graph.node_count();
         let mut queue = LazyQueue::new(n);
         for v in 0..id32(n) {
             if self.failed[ix(v)] {
@@ -853,7 +863,7 @@ impl<M: CostModel> OnlineEngine<M> {
                 }
             }
         }
-        self.queue = queue;
+        queue
     }
 
     /// Captures a versioned snapshot of the replayable engine state,
@@ -957,7 +967,6 @@ impl<M: CostModel> OnlineEngine<M> {
         for &v in &snap.failed {
             engine.failed[ix(v)] = true;
             engine.failed_count += 1;
-            engine.queue.block(v);
         }
         // Σ rate·cost in arrival order: every running sum the engine
         // keeps is bounded by it, so it must stay finite.
@@ -986,14 +995,7 @@ impl<M: CostModel> OnlineEngine<M> {
                 .state
                 .insert_priced(f.key, priced, &engine.deployment);
         }
-        for v in 0..id32(n) {
-            if !engine.failed[ix(v)] && !engine.deployment.contains(v) {
-                let g = engine.state.marginal_gain(v);
-                if g > GAIN_EPS {
-                    engine.queue.reinsert(v, g);
-                }
-            }
-        }
+        engine.queue = engine.seeded_queue();
         engine.stats = snap.stats;
         // An unlimited policy keeps the `∞` level it was constructed
         // with; a finite budget resumes the serialized level exactly

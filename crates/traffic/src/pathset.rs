@@ -18,9 +18,9 @@ use tdmd_graph::{DiGraph, NodeId};
 ///
 /// All candidates share the primary's endpoints; the order is
 /// significant (index 0 is the primary route, the one a fixed-path
-/// run uses) and downstream indices are stable handles: the core
-/// `PathSets` index and the joint solver address candidates by their
-/// position in this list.
+/// run uses) and downstream indices are stable handles: the core's
+/// joint solver (`JointInstance` and its solutions' routings)
+/// addresses candidates by their position in this list.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlowPaths {
     /// Flow id (dense, unique within a workload).

@@ -8,6 +8,7 @@ use tdmd::core::algorithms::dp::dp_optimal;
 use tdmd::core::algorithms::exhaustive::exhaustive_optimal;
 use tdmd::core::algorithms::gtp::gtp_budgeted;
 use tdmd::core::algorithms::hat::hat;
+use tdmd::core::algorithms::joint::JointInstance;
 use tdmd::core::algorithms::random::random_feasible;
 use tdmd::core::error::TdmdError;
 use tdmd::core::paper::{fig1_instance, fig5_graph, fig5_instance};
@@ -186,7 +187,7 @@ fn degenerate_paths_are_rejected_everywhere() {
             rate: 1,
             candidates: vec![path.clone()],
         }];
-        let err = Instance::with_path_sets(fig5_graph(), sets, 0.5, 2).unwrap_err();
+        let err = JointInstance::new(fig5_graph(), sets, 0.5, 2).unwrap_err();
         assert_eq!(err, TdmdError::InvalidPath { flow: 0 }, "path {path:?}");
     }
 }
