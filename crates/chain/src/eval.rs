@@ -79,7 +79,7 @@ pub fn evaluate_chain(
         match flow_chain_cost(f, chain, deployment) {
             Some(c) => bandwidth += c,
             None => {
-                bandwidth += f.unprocessed_bandwidth() as f64;
+                bandwidth += f.unprocessed_bandwidth();
                 infeasible += 1;
             }
         }

@@ -323,7 +323,7 @@ mod tests {
         assert_eq!(dep.total_instances(), 2, "one destination, two types");
         let eval = evaluate_chain(&flows, &chain, &dep);
         assert!(eval.feasible());
-        let unprocessed: f64 = flows.iter().map(|f| f.unprocessed_bandwidth() as f64).sum();
+        let unprocessed = tdmd_traffic::flow::total_load(&flows);
         assert_eq!(
             eval.bandwidth, unprocessed,
             "processing at the egress saves nothing"

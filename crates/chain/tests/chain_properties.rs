@@ -7,6 +7,7 @@ use tdmd_chain::{chain_at_destinations, chain_gtp, evaluate_chain, ChainDeployme
 use tdmd_graph::generators::trees::random_tree;
 use tdmd_graph::RootedTree;
 use tdmd_traffic::distribution::RateDistribution;
+use tdmd_traffic::flow::total_load;
 use tdmd_traffic::{tree_workload, WorkloadConfig};
 
 fn fixture(seed: u64, n: usize, flows: usize) -> (tdmd_graph::DiGraph, Vec<tdmd_traffic::Flow>) {
@@ -65,7 +66,7 @@ proptest! {
         let dep = chain_at_destinations(&g, &flows, &chain);
         let eval = evaluate_chain(&flows, &chain, &dep);
         prop_assert!(eval.feasible());
-        let unprocessed: f64 = flows.iter().map(|f| f.unprocessed_bandwidth() as f64).sum();
+        let unprocessed = total_load(&flows);
         prop_assert!((eval.bandwidth - unprocessed).abs() < 1e-9);
     }
 

@@ -9,7 +9,8 @@
 //!   scenario with the engine counter deltas and the median time of
 //!   [`SOLVE_REPEATS`] solves.
 //! * `BENCH_stream.json` ([`STREAM_SCHEMA`]) — one entry per
-//!   scenario × repair policy with per-event latency percentiles.
+//!   scenario × repair policy with per-event latency percentiles and
+//!   the objective averaged over the events.
 //! * `BENCH_joint.json` ([`JOINT_SCHEMA`]) — the route-diversity
 //!   sweep: one entry per candidate-set size, comparing the joint
 //!   routing + placement solver against its fixed-path baseline and
@@ -29,7 +30,8 @@
 //! float noise (`8.549999999999999`); objective fields stay exact.
 //!
 //! The JSON shape is a consumer contract (CI parses it, trend tooling
-//! diffs it); grow it by *adding* fields, never renaming.
+//! diffs it); grow it by *adding* fields, and bump the schema tag
+//! when a field is replaced.
 
 use crate::args::Args;
 use crate::commands::write_out;
@@ -50,7 +52,7 @@ use tdmd_traffic::GatewayWorkload;
 /// Schema tag of `BENCH_solve.json`.
 pub const SOLVE_SCHEMA: &str = "tdmd-bench-solve/v3";
 /// Schema tag of `BENCH_stream.json`.
-pub const STREAM_SCHEMA: &str = "tdmd-bench-stream/v1";
+pub const STREAM_SCHEMA: &str = "tdmd-bench-stream/v2";
 /// Schema tag of `BENCH_joint.json`.
 pub const JOINT_SCHEMA: &str = "tdmd-bench-joint/v1";
 /// Schema tag of `BENCH_serve.json`.
@@ -150,8 +152,9 @@ pub struct StreamEntry {
     pub events: usize,
     /// Wall-clock replay time in µs.
     pub wall_us: f64,
-    /// Final exact objective after the replay.
-    pub objective: f64,
+    /// Mean of the maintained objective read after each event (the
+    /// stream drains, so the final objective is always 0).
+    pub mean_objective: f64,
     /// Per-event apply latency percentiles.
     pub latency_us: LatencyUs,
     /// Event and repair counters.
@@ -642,6 +645,7 @@ pub fn stream_bench(seed: u64) -> Result<StreamBench, String> {
                 OnlineEngine::new(inst.graph().clone(), s.lambda, s.k, HopCount, policy)
                     .map_err(|e| e.to_string())?;
             let mut lat = Vec::with_capacity(events.len());
+            let mut obj_sum = 0.0;
             let sw = Stopwatch::start();
             for ev in &events {
                 let event_sw = Stopwatch::start();
@@ -649,8 +653,17 @@ pub fn stream_bench(seed: u64) -> Result<StreamBench, String> {
                     .apply(&ev.event)
                     .map_err(|e| format!("{name}/{policy_name}: {e}"))?;
                 lat.push(event_sw.elapsed_us());
+                obj_sum += engine.objective();
             }
             let wall_us = sw.elapsed_us();
+            // Every span ends inside the horizon, so the stream drains
+            // to +0.0; anything left behind is a replay bug.
+            let drained = normalize_zero(engine.exact_objective());
+            if drained.to_bits() != 0.0f64.to_bits() {
+                return Err(format!(
+                    "{name}/{policy_name}: objective {drained} after the drain"
+                ));
+            }
             lat.sort_by(f64::total_cmp);
             let stats = engine.stats();
             entries.push(StreamEntry {
@@ -658,7 +671,7 @@ pub fn stream_bench(seed: u64) -> Result<StreamBench, String> {
                 policy: policy_name.to_string(),
                 events: events.len(),
                 wall_us: round_metric(wall_us, 3),
-                objective: normalize_zero(engine.exact_objective()),
+                mean_objective: normalize_zero(obj_sum / events.len() as f64),
                 latency_us: LatencyUs {
                     p50: round_metric(percentile(&lat, 50.0), 3),
                     p90: round_metric(percentile(&lat, 90.0), 3),
@@ -1121,10 +1134,9 @@ mod tests {
         for e in &b.entries {
             assert!(e.events > 0);
             assert_eq!(e.counters.arrivals + e.counters.departures, e.events as u64);
-            // Every span ends inside the horizon, so the stream
-            // drains and the final objective is exactly zero, with a
-            // positive sign (+0.0) at the formatting boundary.
-            assert_eq!(e.objective.to_bits(), 0.0f64.to_bits());
+            // The bench itself fails unless the stream drains to +0.0;
+            // the mean over the events it held flows for is positive.
+            assert!(e.mean_objective > 0.0);
             assert!(e.latency_us.p50 <= e.latency_us.p99);
             assert!(e.latency_us.p99 <= e.latency_us.max);
         }

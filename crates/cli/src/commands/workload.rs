@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tdmd_graph::RootedTree;
 use tdmd_traffic::distribution::RateDistribution;
+use tdmd_traffic::flow::total_load;
 use tdmd_traffic::generator::WorkloadSize;
 use tdmd_traffic::{general_workload, tree_workload, WorkloadConfig};
 
@@ -50,7 +51,7 @@ pub fn generate(args: &Args) -> Result<String, String> {
     };
     let json = serde_json::to_string_pretty(&flows).map_err(|e| e.to_string())?;
     write_out(out, &json)?;
-    let load: u64 = flows.iter().map(|f| f.rate * f.hops() as u64).sum();
+    let load = total_load(&flows);
     Ok(format!(
         "wrote {out}: {} flows, total load {load}\n",
         flows.len()

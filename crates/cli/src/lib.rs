@@ -20,7 +20,7 @@
 //!   (`tdmd-serve`), with snapshot/restore across runs.
 //! * [`commands::bench`] — `tdmd bench`: the machine-readable solver
 //!   and stream benchmark JSON (`tdmd-bench-solve/v3`,
-//!   `tdmd-bench-stream/v1`, `tdmd-bench-joint/v1`,
+//!   `tdmd-bench-stream/v2`, `tdmd-bench-joint/v1`,
 //!   `tdmd-bench-serve/v1`).
 
 #![forbid(unsafe_code)]

@@ -17,7 +17,9 @@
 //!
 //! The rate dimension makes the DP pseudo-polynomial in `Σ r_f`
 //! exactly as Thm. 5 states; rates are integral by construction
-//! (`tdmd-traffic`).
+//! (`tdmd-traffic`). The DP sizes itself before it allocates: past
+//! [`DP_WORK_CAP`] table cells plus fold pairs it returns
+//! [`TdmdError::SearchSpaceTooLarge`] instead.
 
 use crate::error::TdmdError;
 use crate::instance::Instance;
@@ -27,6 +29,14 @@ use tdmd_graph::tree::RootedTree;
 use tdmd_graph::NodeId;
 
 const INF: f64 = f64::INFINITY;
+
+/// Most work [`dp_optimal`], [`dp_optimal_weighted`] and [`dp_tables`]
+/// take on: table cells `(k+1)·(tot(v)+1)` over the vertices plus the
+/// `(q, b)` state pairs their child folds evaluate. About 136 times
+/// the largest DP in this repository's tests, examples, figures and
+/// benches (the `wan_optimizer` example, 63,260,073); it also keeps
+/// every rate total inside the `u32` backpointers.
+pub const DP_WORK_CAP: u128 = 1 << 33;
 
 /// Result of the DP: an optimal deployment and its total bandwidth.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,11 +76,9 @@ struct VertexDp {
     child_caps: Vec<u64>,
 }
 
-/// Validates the tree setting and returns the rooted tree plus the
-/// per-vertex locally-sourced rate.
-pub(crate) fn validate_tree_instance(
-    instance: &Instance,
-) -> Result<(RootedTree, Vec<u64>), TdmdError> {
+/// Validates the tree setting and returns the tree rooted at the
+/// flows' common destination.
+pub(crate) fn validate_tree_instance(instance: &Instance) -> Result<RootedTree, TdmdError> {
     let flows = instance.flows();
     let root = match flows.first() {
         Some(f) => f.dst(),
@@ -87,13 +95,65 @@ pub(crate) fn validate_tree_instance(
             f.dst()
         )));
     }
-    let tree = RootedTree::from_digraph(instance.graph(), root)
-        .map_err(|e| TdmdError::NotATreeInstance(e.to_string()))?;
+    RootedTree::from_digraph(instance.graph(), root)
+        .map_err(|e| TdmdError::NotATreeInstance(e.to_string()))
+}
+
+/// Validates the tree setting and sizes the DP at budget `kmax`
+/// before any table is allocated; returns the rooted tree plus the
+/// per-vertex locally sourced rate.
+///
+/// # Errors
+/// [`TdmdError::NotATreeInstance`] as [`validate_tree_instance`], and
+/// [`TdmdError::SearchSpaceTooLarge`] when [`table_work`] exceeds
+/// [`DP_WORK_CAP`].
+fn sized_tree_instance(
+    instance: &Instance,
+    kmax: usize,
+) -> Result<(RootedTree, Vec<u64>), TdmdError> {
+    let tree = validate_tree_instance(instance)?;
+    let work = table_work(instance, &tree, kmax);
+    if work > DP_WORK_CAP {
+        return Err(TdmdError::SearchSpaceTooLarge {
+            subsets: work,
+            cap: DP_WORK_CAP,
+        });
+    }
+    // Every subtree total is at most the work, so these sums fit.
     let mut local = vec![0u64; instance.node_count()];
-    for f in flows {
+    for f in instance.flows() {
         local[ix(f.src())] += f.rate;
     }
     Ok((tree, local))
+}
+
+/// The DP's size at budget `kmax`: the cells `(kmax+1)·(tot(v)+1)` of
+/// every vertex table, plus `(kmax+1)(kmax+2)/2 · (tot(c)+1)·(cap+1)`
+/// pairs for each child `c` folded into an accumulator of capacity
+/// `cap`. Subtree totals are summed in `u128`, where no `u64` rate
+/// wraps them; the work saturates at `u128::MAX`.
+fn table_work(instance: &Instance, tree: &RootedTree, kmax: usize) -> u128 {
+    let mut tot = vec![0u128; instance.node_count()];
+    for f in instance.flows() {
+        tot[ix(f.src())] += u128::from(f.rate);
+    }
+    let budgets = u128::from(wide(kmax)) + 1;
+    let budget_pairs = budgets * (budgets + 1) / 2;
+    let mut work = 0u128;
+    for &v in &tree.postorder() {
+        let mut cap = 0u128;
+        for &c in tree.children(v) {
+            let child = tot[ix(c)];
+            let pairs = budget_pairs
+                .saturating_mul(child + 1)
+                .saturating_mul(cap + 1);
+            work = work.saturating_add(pairs);
+            cap += child;
+        }
+        tot[ix(v)] += cap;
+        work = work.saturating_add(budgets.saturating_mul(tot[ix(v)] + 1));
+    }
+    work
 }
 
 /// Runs the DP and recovers an optimal plan for the instance's budget.
@@ -102,6 +162,8 @@ pub(crate) fn validate_tree_instance(
 /// * [`TdmdError::NotATreeInstance`] if the topology is not a tree or
 ///   flows disagree on the destination.
 /// * [`TdmdError::Infeasible`] if `k = 0` while flows exist.
+/// * [`TdmdError::SearchSpaceTooLarge`] if the tables would exceed
+///   [`DP_WORK_CAP`] (the rates are too large to tabulate).
 pub fn dp_optimal(instance: &Instance) -> Result<DpSolution, TdmdError> {
     if instance.flows().is_empty() {
         return Ok(DpSolution {
@@ -112,8 +174,8 @@ pub fn dp_optimal(instance: &Instance) -> Result<DpSolution, TdmdError> {
     if instance.k() == 0 {
         return Err(TdmdError::Infeasible { budget: 0 });
     }
-    let (tree, local) = validate_tree_instance(instance)?;
     let kmax = instance.k().min(instance.node_count());
+    let (tree, local) = sized_tree_instance(instance, kmax)?;
     let tables = run_dp(instance, &tree, &local, kmax);
     let root = ix(tree.root());
     let tot_root = tables[root].tot;
@@ -144,8 +206,8 @@ pub fn dp_tables(instance: &Instance) -> Result<DpTables, TdmdError> {
             operation: "tabulate",
         });
     }
-    let (tree, local) = validate_tree_instance(instance)?;
     let kmax = instance.k().min(instance.node_count()).max(1);
+    let (tree, local) = sized_tree_instance(instance, kmax)?;
     let tables = run_dp(instance, &tree, &local, kmax);
     let n = instance.node_count();
     let mut p = Vec::with_capacity(n);
@@ -305,8 +367,8 @@ pub fn dp_optimal_weighted(instance: &Instance) -> Result<DpSolution, TdmdError>
     if instance.k() == 0 {
         return Err(TdmdError::Infeasible { budget: 0 });
     }
-    let (tree, local) = validate_tree_instance(instance)?;
     let kmax = instance.k().min(instance.node_count());
+    let (tree, local) = sized_tree_instance(instance, kmax)?;
     let weights = crate::cost::EdgeWeights::new(instance.graph());
     let lookup = |u: NodeId, v: NodeId| -> f64 { weights.get(u, v) };
     let tables = run_dp_weighted(instance, &tree, &local, kmax, &lookup);
@@ -522,6 +584,35 @@ mod tests {
         assert_eq!(t.p[2][1][5], 7.0);
         assert_eq!(t.p[2][1][1], 11.0);
         assert_eq!(t.p[2][2][6], 6.0);
+    }
+
+    #[test]
+    fn rates_too_large_to_tabulate_are_refused() {
+        // A 2^40 rate asks for about 2^43 table cells, past any RAM;
+        // two 2^63 rates at one source wrap a u64 subtree total.
+        let big = vec![
+            Flow::new(0, 1 << 40, vec![3, 1, 0]),
+            Flow::new(1, 1, vec![6, 5, 2, 0]),
+        ];
+        let wrapping = vec![
+            Flow::new(0, 1 << 63, vec![3, 1, 0]),
+            Flow::new(1, 1 << 63, vec![3, 1, 0]),
+        ];
+        for flows in [big, wrapping] {
+            let inst = Instance::new(fig5_graph(), flows, 0.5, 2).unwrap();
+            let errs = [
+                dp_optimal(&inst).unwrap_err(),
+                dp_optimal_weighted(&inst).unwrap_err(),
+                dp_tables(&inst).unwrap_err(),
+            ];
+            for err in errs {
+                assert!(
+                    matches!(err, TdmdError::SearchSpaceTooLarge { subsets, cap }
+                        if cap == DP_WORK_CAP && subsets > cap),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -141,7 +141,7 @@ pub fn hat(instance: &Instance, k: usize) -> Result<Deployment, TdmdError> {
     if k == 0 {
         return Err(TdmdError::Infeasible { budget: 0 });
     }
-    let (tree, _local) = validate_tree_instance(instance)?;
+    let tree = validate_tree_instance(instance)?;
     let lca = Lca::new(&tree);
 
     // Initial deployment: one box per distinct source.

@@ -28,8 +28,7 @@
 //! vice versa. The incumbent across both chains only ever improves on
 //! the fixed-path objective.
 //!
-//! The reported bound is an **LP-relaxation certificate** computed on
-//! the [`tdmd_graph::flownet`] min-cost-flow substrate: for a
+//! The reported bound is an **LP-relaxation certificate**: for a
 //! Lagrangian price `μ ≥ 0` on the budget, the relaxed decrement
 //!
 //! ```text
@@ -39,29 +38,39 @@
 //! (per-flow ≤ 1, per-vertex ≤ |F_v| — a transportation problem) is
 //! an upper bound on any true solution's decrement, because a real
 //! deployment `P` serves at most `|F_v|` flows at each `v ∈ P` and
-//! `Σ_{v∈P} served_v / |F_v| ≤ |P| ≤ k`. Minimizing over a `μ` grid
-//! and subtracting from the best-candidate base cost gives a valid
-//! lower bound on the joint optimum, reported next to the solved
-//! objective as `lp_bound ≤ optimum ≤ objective`. The optimistic
-//! placement and the bound read one table of the best gains
-//! `g*_{f,v}`, built once per solve from the candidates.
+//! `Σ_{v∈P} served_v / |F_v| ≤ |P| ≤ k`. No per-vertex capacity can
+//! bind: `|F_v|` is the number of flows with an option at `v`, so the
+//! maximum takes each flow's best option or nothing,
+//!
+//! ```text
+//! A(μ) = Σ_f max(0, max_v (g*_{f,v} − μ / |F_v|)),
+//! ```
+//!
+//! one pass over the options per `μ`. Each flow's term is rounded up
+//! to a multiple of `2^-20` (rounding up keeps the bound valid) and
+//! the terms are summed exactly in `u128`, so no rate can wrap the
+//! total. Minimizing over a `μ` grid and subtracting from the
+//! best-candidate base cost gives a valid lower bound on the joint
+//! optimum, reported next to the solved objective as
+//! `lp_bound ≤ optimum ≤ objective`. The optimistic placement and the
+//! bound read one table of the best gains `g*_{f,v}`, built once per
+//! solve from the candidates.
 
 use crate::algorithms::gtp::gtp_budgeted;
 use crate::error::TdmdError;
 use crate::instance::{Instance, PathCheck};
-use crate::num::{approx_f64, id32, ix, usize_f64, wide};
+use crate::num::{approx_f64, id32, ix, rate_sum_f64, usize_f64, wide};
 use crate::objective::bandwidth_of;
 use crate::plan::Deployment;
-use tdmd_graph::flownet::FlowNetwork;
 use tdmd_graph::{DiGraph, NodeId};
 use tdmd_traffic::{Flow, FlowPaths};
 
 /// Float tolerance for objective comparisons.
 const EPS: f64 = 1e-9;
 
-/// Fixed-point scale (`2^20`) of the flownet gain costs (gains are
-/// `f64`, arc costs are `i64`; ceiling the scaled gain keeps the
-/// bound valid).
+/// Fixed-point scale (`2^20`) of the LP bound's per-flow surpluses
+/// (gains are `f64`, the sum is an integer; ceiling the scaled
+/// surplus keeps the bound valid).
 const LP_SCALE: f64 = 1_048_576.0;
 
 /// Maximum GTP placement rounds per warm-start chain.
@@ -422,11 +431,11 @@ fn optimistic_deployment(joint: &JointInstance, star: &[Vec<(u32, f64)>]) -> Dep
 /// LP-relaxation lower bound on the joint optimum's bandwidth.
 ///
 /// `max(λ · Σ_f r_f · minlen_f, Σ_f r_f · minlen_f − min_μ D(μ))`
-/// where `D(μ)` prices the budget Lagrangian via one min-cost-flow
-/// transportation solve per point of a fixed 17-point grid
-/// `μ ∈ {0, 1/16, …, 1} · max g*` (see the module docs for the
-/// validity argument). Both terms hold for *every* candidate routing
-/// and deployment within budget, so the max does too.
+/// where `D(μ)` prices the budget Lagrangian, flow by flow, at each
+/// point of a fixed 17-point grid `μ ∈ {0, 1/16, …, 1} · max g*` (see
+/// the module docs for the validity argument). Both terms hold for
+/// *every* candidate routing and deployment within budget, so the max
+/// does too.
 pub fn lp_lower_bound(joint: &JointInstance) -> f64 {
     lp_bound(joint, &best_gains(joint))
 }
@@ -460,40 +469,26 @@ fn lp_bound(joint: &JointInstance, options: &[Vec<(u32, f64)>]) -> f64 {
     }
 
     let k = inst.k();
-    let n = inst.node_count();
-    let f_count = flows.len();
-    // Node layout: 0 = source, 1..=F flows, F+1..F+n vertices, last = sink.
-    let s = 0usize;
-    let voff = 1 + f_count;
-    let t = voff + n;
+    // Per flow, its best surplus at the current μ; 0 is staying
+    // unserved.
+    let mut best = vec![0.0f64; flows.len()];
     let mut d_ub = f64::INFINITY;
     for i in 0..=LP_MU_GRID {
         let mu = g_max * usize_f64(i) / usize_f64(LP_MU_GRID);
-        let mut net = FlowNetwork::new(t + 1);
-        for f in 0..f_count {
-            net.add_arc(s, 1 + f, 1, 0);
-            // Staying unserved is free — the transportation solve
-            // must never be forced into a paying assignment.
-            net.add_arc(1 + f, t, 1, 0);
-        }
-        for (v, row) in options.iter().enumerate() {
-            if row.is_empty() {
-                continue;
-            }
-            let cap = row.len();
-            net.add_arc(voff + v, t, i64::from(id32(cap)), 0);
+        best.fill(0.0);
+        for row in options.iter().filter(|row| !row.is_empty()) {
+            let share = mu / usize_f64(row.len());
             for &(f, g) in row {
-                let surplus = g - mu / usize_f64(cap);
-                if surplus > 0.0 {
-                    let cost = -(surplus * LP_SCALE).ceil() as i64;
-                    net.add_arc(1 + ix(f), voff + v, 1, cost);
-                }
+                best[ix(f)] = best[ix(f)].max(g - share);
             }
         }
-        let (_, cost) = net.min_cost_flow(s, t, i64::from(id32(f_count)));
-        // All serving arcs have cost ≤ 0 and the escape arc is free, so
-        // the optimal cost is ≤ 0 and `-cost` fits a `u64`.
-        let a_mu = approx_f64(u64::try_from(-cost).unwrap_or(0)) / LP_SCALE;
+        // Each term is at most `r_f · |p| · 2^20 + 1`, so the exact sum
+        // stays far inside `u128` for any workload that fits in memory.
+        let scaled: u128 = best
+            .iter()
+            .map(|&surplus| (surplus * LP_SCALE).ceil() as u128)
+            .sum();
+        let a_mu = rate_sum_f64(scaled) / LP_SCALE;
         d_ub = d_ub.min(mu * usize_f64(k) + a_mu);
     }
     (base - d_ub).max(lb_lambda).max(0.0)
@@ -512,6 +507,11 @@ mod tests {
     ///
     /// Vertices: 0 = s1, 1 = s2, 2 = a, 3 = b, 4 = c, 5 = t.
     fn funnel_instance() -> JointInstance {
+        funnel_at_rate(4)
+    }
+
+    /// [`funnel_instance`] with both flows at `rate`.
+    fn funnel_at_rate(rate: u64) -> JointInstance {
         let mut b = GraphBuilder::new(6);
         b.add_bidirectional(0, 2);
         b.add_bidirectional(2, 5);
@@ -522,8 +522,8 @@ mod tests {
         b.add_bidirectional(4, 5);
         let g = b.build();
         let sets = vec![
-            FlowPaths::new(0, 4, vec![vec![0, 2, 5], vec![0, 4, 5]]),
-            FlowPaths::new(1, 4, vec![vec![1, 3, 5], vec![1, 4, 5]]),
+            FlowPaths::new(0, rate, vec![vec![0, 2, 5], vec![0, 4, 5]]),
+            FlowPaths::new(1, rate, vec![vec![1, 3, 5], vec![1, 4, 5]]),
         ];
         JointInstance::new(g, sets, 0.5, 1).unwrap()
     }
@@ -567,6 +567,22 @@ mod tests {
             sol.objective
         );
         assert!(sol.lp_bound >= 8.0 - EPS, "λ·base floor");
+    }
+
+    #[test]
+    fn lp_bound_stays_a_bound_at_huge_rates() {
+        // Scaled gains reach 2^62 · 2^20: past i64, inside the exact
+        // u128 sum. The bound meets the objective 3r of the funnel.
+        for rate in [1u64 << 42, 1 << 50, 1 << 62] {
+            let sol = joint_solve(&funnel_at_rate(rate)).unwrap();
+            assert!(
+                sol.lp_bound <= sol.objective,
+                "rate {rate}: bound {} above objective {}",
+                sol.lp_bound,
+                sol.objective
+            );
+            assert_eq!(sol.lp_bound, 3.0 * approx_f64(rate), "rate {rate}");
+        }
     }
 
     #[test]

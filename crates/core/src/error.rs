@@ -39,9 +39,11 @@ pub enum TdmdError {
         /// Offending vertex id.
         vertex: u32,
     },
-    /// The exhaustive search space exceeds the configured cap.
+    /// A search or table would exceed its cap: the subsets of
+    /// exhaustive search, the nodes branch and bound expands, or the
+    /// tree DP's table cells and fold pairs.
     SearchSpaceTooLarge {
-        /// Number of candidate subsets that would be enumerated.
+        /// Size of the space (subsets, nodes, or cells and pairs).
         subsets: u128,
         /// The configured cap.
         cap: u128,
@@ -74,10 +76,7 @@ impl std::fmt::Display for TdmdError {
                 write!(f, "invalid failure/recovery event at vertex {vertex}")
             }
             TdmdError::SearchSpaceTooLarge { subsets, cap } => {
-                write!(
-                    f,
-                    "exhaustive search over {subsets} subsets exceeds cap {cap}"
-                )
+                write!(f, "search space of {subsets} exceeds cap {cap}")
             }
             TdmdError::BadReconfigBudget { reason } => {
                 write!(f, "bad reconfiguration budget: {reason}")

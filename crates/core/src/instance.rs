@@ -3,6 +3,7 @@
 use crate::error::TdmdError;
 use crate::num::{id32, ix};
 use tdmd_graph::{DiGraph, NodeId};
+use tdmd_traffic::flow::total_load;
 use tdmd_traffic::Flow;
 
 /// A complete TDMD problem: topology, flows, traffic-changing ratio
@@ -148,10 +149,7 @@ impl Instance {
     /// Sum of `r_f · |p_f|` over the flows — the unprocessed total
     /// bandwidth, i.e. `b(∅)` and the `d` offset of Lemma 1.
     pub fn unprocessed_bandwidth(&self) -> f64 {
-        self.flows
-            .iter()
-            .map(|f| f.unprocessed_bandwidth() as f64)
-            .sum()
+        total_load(&self.flows)
     }
 
     /// Vertices that lie on at least one flow path — the only

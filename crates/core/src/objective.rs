@@ -51,7 +51,7 @@ pub fn bandwidth(instance: &Instance, alloc: &Allocation) -> f64 {
         .flows()
         .iter()
         .map(|f| {
-            let base = f.unprocessed_bandwidth() as f64;
+            let base = f.unprocessed_bandwidth();
             match alloc.assigned[f.id as usize] {
                 Some(v) => {
                     let l = f.downstream_hops(v).expect("assigned vertex is on path") as f64;

@@ -2,18 +2,21 @@
 //! the singleton case collapses to the legacy fixed-path GTP
 //! bit-for-bit, and candidate diversity never hurts — the joint
 //! objective is sandwiched between the LP lower bound and the
-//! fixed-path baseline on random topologies.
+//! fixed-path baseline on random topologies. The LP bound's closed
+//! form equals, bit for bit, the min-cost-flow formulation it
+//! replaces.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdmd_core::algorithms::gtp::gtp_budgeted;
-use tdmd_core::algorithms::joint::{joint_solve, JointInstance};
+use tdmd_core::algorithms::joint::{joint_solve, lp_lower_bound, JointInstance};
 use tdmd_core::objective::bandwidth_of;
 use tdmd_core::{Instance, TdmdError};
+use tdmd_graph::flownet::FlowNetwork;
 use tdmd_graph::traversal::bfs_path;
 use tdmd_graph::{DiGraph, GraphBuilder, NodeId};
-use tdmd_traffic::{candidate_sets, Flow};
+use tdmd_traffic::{candidate_sets, Flow, FlowPaths};
 
 /// Random connected bidirectional graph: a random tree plus `n` chords
 /// (chords create the route diversity Yen's enumeration feeds on).
@@ -50,6 +53,74 @@ fn random_flows(rng: &mut StdRng, g: &DiGraph, n: usize, n_flows: usize) -> Vec<
     }
     flows
 }
+
+/// The LP certificate as a network, the formulation `lp_lower_bound`
+/// replaced: at each `μ` of its 17-point grid, flows ship one unit
+/// each to the sink, either free or through a vertex `v` at cost
+/// `−⌈(g*(f, v) − μ/|F_v|) · 2^20⌉`, with `|F_v|` units of room from
+/// `v` to the sink, and min-cost flow prices the transportation LP.
+fn network_lp_bound(sets: &[FlowPaths], n: usize, lambda: f64, k: usize) -> f64 {
+    const SCALE: f64 = 1_048_576.0;
+    const GRID: usize = 16;
+    if sets.is_empty() {
+        return 0.0;
+    }
+    // g*(f, v): per vertex, in flow order, each flow's best gain over
+    // its candidates through v.
+    let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+    for (f, s) in sets.iter().enumerate() {
+        for p in &s.candidates {
+            for (pos, &v) in p.iter().enumerate() {
+                let g = s.rate as f64 * (1.0 - lambda) * f64::from((p.len() - 1 - pos) as u32);
+                let row = &mut rows[v as usize];
+                match row.last_mut() {
+                    Some(last) if last.0 == f => last.1 = last.1.max(g),
+                    _ => row.push((f, g)),
+                }
+            }
+        }
+    }
+    let base: f64 = sets
+        .iter()
+        .map(|s| {
+            let min_hops = s.candidates.iter().map(|p| p.len() - 1).min().unwrap();
+            s.rate as f64 * min_hops as f64
+        })
+        .sum();
+    let lb_lambda = lambda * base;
+    let g_max = rows.iter().flatten().fold(0.0f64, |m, &(_, g)| m.max(g));
+    if g_max <= 0.0 {
+        return base.max(lb_lambda).max(0.0);
+    }
+    // Nodes: 0 = source, 1..=F flows, then the vertices, last = sink.
+    let voff = 1 + sets.len();
+    let t = voff + n;
+    let mut d_ub = f64::INFINITY;
+    for i in 0..=GRID {
+        let mu = g_max * i as f64 / GRID as f64;
+        let mut net = FlowNetwork::new(t + 1);
+        for f in 0..sets.len() {
+            net.add_arc(0, 1 + f, 1, 0);
+            net.add_arc(1 + f, t, 1, 0);
+        }
+        for (v, row) in rows.iter().enumerate().filter(|(_, row)| !row.is_empty()) {
+            net.add_arc(voff + v, t, row.len() as i64, 0);
+            for &(f, g) in row {
+                let surplus = g - mu / row.len() as f64;
+                if surplus > 0.0 {
+                    net.add_arc(1 + f, voff + v, 1, -(surplus * SCALE).ceil() as i64);
+                }
+            }
+        }
+        let (_, cost) = net.min_cost_flow(0, t, sets.len() as i64);
+        d_ub = d_ub.min(mu * k as f64 + (-cost) as f64 / SCALE);
+    }
+    (base - d_ub).max(lb_lambda).max(0.0)
+}
+
+/// The λ values the network reference is checked at: both ends, a
+/// dyadic middle and three whose `1 − λ` rounds.
+const LAMBDAS: [f64; 6] = [0.0, 0.3, 0.5, 0.7, 0.9, 1.0];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -122,5 +193,38 @@ proptest! {
             "lp bound {} above objective {}", sol.lp_bound, sol.objective
         );
         prop_assert!(sol.lp_bound >= 0.0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The closed-form certificate is the network's optimum: with no
+    /// binding vertex capacity, each flow takes its best option or
+    /// none, and the exact integer sum keeps every bit.
+    #[test]
+    fn lp_bound_equals_the_min_cost_flow_formulation(
+        seed in any::<u64>(),
+        n in 6usize..40,
+        n_flows in 1usize..120,
+        k_paths in 1usize..5,
+        lambda_ix in 0usize..6,
+        k in 1usize..8,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = random_graph(&mut rng, n);
+        let flows = random_flows(&mut rng, &g, n, n_flows);
+        let sets = candidate_sets(&flows, &g, k_paths);
+        let lambda = LAMBDAS[lambda_ix];
+        let reference = network_lp_bound(&sets, n, lambda, k);
+        let inst = JointInstance::new(g, sets, lambda, k).expect("valid candidates");
+        let bound = lp_lower_bound(&inst);
+        prop_assert_eq!(
+            bound.to_bits(),
+            reference.to_bits(),
+            "closed form {} vs network {}",
+            bound,
+            reference
+        );
     }
 }

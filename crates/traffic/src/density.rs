@@ -26,7 +26,7 @@ pub fn flow_density(g: &DiGraph, flows: &[Flow], link_capacity: u64) -> f64 {
     if cap == 0 {
         return 0.0;
     }
-    total_load(flows) as f64 / cap as f64
+    total_load(flows) / cap as f64
 }
 
 #[cfg(test)]

@@ -102,10 +102,12 @@ impl Flow {
         self.position_of(v).map(|i| self.hops() - i)
     }
 
-    /// Bandwidth consumption `r_f · |p_f|` when unprocessed.
+    /// Bandwidth consumption `r_f · |p_f|` when unprocessed. The
+    /// product is formed in `f64`, so no rate wraps it; it is exact
+    /// below 2⁵³.
     #[inline]
-    pub fn unprocessed_bandwidth(&self) -> u64 {
-        self.rate * self.hops() as u64
+    pub fn unprocessed_bandwidth(&self) -> f64 {
+        self.rate as f64 * self.hops() as f64
     }
 
     /// Checks that every consecutive pair of the path is a directed
@@ -117,7 +119,7 @@ impl Flow {
 
 /// Total initial load `Σ r_f · |p_f|` of a workload — the numerator of
 /// the flow-density metric and the `d(∅)` baseline of Lemma 1.
-pub fn total_load(flows: &[Flow]) -> u64 {
+pub fn total_load(flows: &[Flow]) -> f64 {
     flows.iter().map(Flow::unprocessed_bandwidth).sum()
 }
 
@@ -140,7 +142,15 @@ mod tests {
         assert_eq!(f.src(), 5);
         assert_eq!(f.dst(), 1);
         assert_eq!(f.hops(), 2);
-        assert_eq!(f.unprocessed_bandwidth(), 8);
+        assert_eq!(f.unprocessed_bandwidth(), 8.0);
+    }
+
+    #[test]
+    fn unprocessed_bandwidth_does_not_wrap() {
+        // 2^62 · 4 hops passes u64::MAX; the f64 product is exact.
+        let big = Flow::new(0, 1 << 62, vec![0, 1, 2, 3, 4]);
+        assert_eq!(big.unprocessed_bandwidth(), 2f64.powi(64));
+        assert_eq!(total_load(&[big]), 2f64.powi(64));
     }
 
     #[test]
@@ -179,7 +189,7 @@ mod tests {
     #[test]
     fn total_load_sums_rate_times_hops() {
         let flows = vec![Flow::new(0, 4, vec![0, 1, 2]), Flow::new(1, 2, vec![3, 1])];
-        assert_eq!(total_load(&flows), 4 * 2 + 2);
+        assert_eq!(total_load(&flows), 10.0);
     }
 
     #[test]

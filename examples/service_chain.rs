@@ -12,6 +12,7 @@ use rand::SeedableRng;
 use tdmd::chain::{chain_at_destinations, chain_gtp, evaluate_chain, ChainSpec};
 use tdmd::graph::generators::trees::random_tree;
 use tdmd::graph::RootedTree;
+use tdmd::traffic::flow::total_load;
 use tdmd::traffic::{tree_workload, WorkloadConfig};
 
 fn main() {
@@ -19,7 +20,7 @@ fn main() {
     let graph = random_tree(16, &mut rng);
     let tree = RootedTree::from_digraph(&graph, 0).expect("tree");
     let flows = tree_workload(&graph, &tree, &WorkloadConfig::with_count(20), &mut rng);
-    let unprocessed: f64 = flows.iter().map(|f| f.unprocessed_bandwidth() as f64).sum();
+    let unprocessed = total_load(&flows);
 
     let chain = ChainSpec::from_ratios(&[
         ("firewall", 1.0),   // inspects, doesn't change volume

@@ -1,6 +1,7 @@
 //! Integration tests for the model extensions (weighted links,
 //! capacitated middleboxes, local search, branch and bound, dynamic
-//! timelines, trace pipeline) through the public facade.
+//! timelines, trace pipeline, joint routing) through the public
+//! facade.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -8,6 +9,7 @@ use tdmd::core::algorithms::branch_bound::branch_and_bound;
 use tdmd::core::algorithms::dp::{dp_optimal, dp_optimal_weighted};
 use tdmd::core::algorithms::exhaustive::exhaustive_optimal;
 use tdmd::core::algorithms::gtp::{gtp_budgeted, gtp_budgeted_with};
+use tdmd::core::algorithms::joint::{joint_solve, lp_lower_bound};
 use tdmd::core::algorithms::local_search::gtp_with_local_search;
 use tdmd::core::capacitated::{allocate_capacitated, gtp_capacitated};
 use tdmd::core::objective::bandwidth_of;
@@ -19,6 +21,7 @@ use tdmd::sim::timeline::{simulate_replanned, simulate_static, DynamicScenario, 
 use tdmd::traffic::distribution::RateDistribution;
 use tdmd::traffic::trace::{aggregate_flows, rates_from_trace, synthesize_trace, TraceConfig};
 use tdmd::traffic::{tree_workload, Flow, WorkloadConfig};
+use tdmd_experiments::scenarios::{general_pathset_instance, Scenario};
 
 fn random_tree_instance(seed: u64, n: usize, flows: usize, k: usize) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -195,4 +198,33 @@ fn trace_to_placement_end_to_end() {
     let inst = Instance::new(g, flows, 0.3, 6).unwrap();
     let plan = gtp_budgeted(&inst, 6).unwrap();
     tdmd::sim::prelude::validate_deployment(&inst, &plan).unwrap();
+}
+
+/// The joint certificate at the shape `BENCH_joint.json` publishes:
+/// Ark-like 30-vertex workloads at the general defaults, 16 seeds ×
+/// 1–4 candidates per flow. Each solve is sandwiched,
+/// `lp_bound ≤ objective ≤ fixed_objective`, and `lp_lower_bound`
+/// alone returns the solve's bound bit for bit.
+#[test]
+fn joint_sandwich_holds_at_the_published_shape() {
+    for seed in 0..16u64 {
+        for k_paths in 1..=4 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let joint = general_pathset_instance(&mut rng, Scenario::general_default(), k_paths);
+            let sol = joint_solve(&joint).unwrap();
+            let at = format!("seed {seed}, k_paths {k_paths}");
+            assert!(
+                sol.lp_bound <= sol.objective + 1e-9,
+                "{at}: bound {} above objective {}",
+                sol.lp_bound,
+                sol.objective
+            );
+            assert!(sol.objective <= sol.fixed_objective, "{at}");
+            assert_eq!(
+                lp_lower_bound(&joint).to_bits(),
+                sol.lp_bound.to_bits(),
+                "{at}"
+            );
+        }
+    }
 }
